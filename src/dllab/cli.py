@@ -12,10 +12,10 @@ Three subcommands:
 
 All outputs are byte-deterministic: vertices are sorted by canonical key,
 JSON uses sorted keys, CSV uses a fixed line terminator, and randomized
-modes take an explicit seed.  ``--workers`` bounds worker processes for
-fiber scans; results are merged in input order so worker count never
-changes output bytes.  A ``--config`` file holds ``key=value`` lines
-supplying defaults; explicit flags win.
+modes take an explicit seed.  ``graph`` and ``qilab`` still accept
+``--workers`` but ignore it: fiber counts are per coordinate and run in
+one process.  A ``--config`` file holds ``key=value`` lines supplying
+defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -351,8 +351,7 @@ def _qilab_chain(args, params, imap) -> "tuple[str, list, int]":
             )
         target = int(inv)
     records = qilab.uf_chain_scan(
-        imap, target, h_values, r=args.r if args.r is not None else 1,
-        workers=args.workers,
+        imap, target, h_values, r=args.r if args.r is not None else 1
     )
     payload = _chain_csv(records)
     summaries = [
@@ -414,10 +413,7 @@ def _qilab_audit(args, params, imap) -> "tuple[str, list, int]":
         canonical_box(params, height_cube([(0, h)] * (params.d - 1), params.k))
         for h in h_values
     ]
-    audits = [
-        qilab.fiber_count_audit(imap, box, r=args.r, workers=args.workers)
-        for box in boxes
-    ]
+    audits = [qilab.fiber_count_audit(imap, box, r=args.r) for box in boxes]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -565,7 +561,9 @@ def _add_common(sub, *names):
     if "seed" in names:
         sub.add_argument("--seed", type=int, default=0, help="sampling seed")
     if "workers" in names:
-        sub.add_argument("--workers", type=int, default=1, help="worker processes")
+        sub.add_argument(
+            "--workers", type=int, default=1, help="accepted and ignored (single process)"
+        )
     sub.add_argument("--config", type=str, default=None, help="key=value defaults file")
 
 
@@ -582,7 +580,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, list]":
     g.set_defaults(func=cmd_graph)
 
     v = subs.add_parser("verify", help="run exact structural check suites")
-    _add_common(v, "d", "q", "radius", "h", "r", "out", "workers")
+    _add_common(v, "d", "q", "radius", "h", "r", "out")
     v.add_argument("--k", type=int, default=1, help="index parameter")
     v.add_argument(
         "--assert",

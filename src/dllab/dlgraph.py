@@ -461,18 +461,27 @@ def _check_cube(params: GraphParams, cube: HeightCube) -> None:
         raise ValueError(f"cube alignment {cube.k} does not match graph k={params.k}")
 
 
-def box_fiber_lists(params: GraphParams, box: Box, point: Sequence[int]) -> "list[list[TreeVertex]]":
-    """Per-coordinate candidate vertices over one cube point."""
+def fiber_levels(box: Box, point: Sequence[int]) -> "tuple[int, ...]":
+    """Coordinate heights of the members over one cube point."""
     if not cube_contains(box.cube, point):
         raise ValueError(f"point {tuple(point)} is outside the cube")
-    q = params.q
-    lists = []
-    for i, (a, _) in enumerate(box.cube.intervals):
-        lists.append(list(tree_descendants(box.roots[i], point[i] - a, q)))
-    last_level = -sum(point)
-    depth = last_level - box.roots[-1].level
-    lists.append(list(tree_descendants(box.roots[-1], depth, q)))
-    return lists
+    return tuple(point) + (-sum(point),)
+
+
+def _fiber_depths(box: Box, point: Sequence[int]) -> "list[int]":
+    """Per coordinate, how far the members over a cube point sit below the root."""
+    depths = [lvl - root.level for lvl, root in zip(fiber_levels(box, point), box.roots)]
+    if min(depths) < 0:
+        raise ValueError("depth must be nonnegative")
+    return depths
+
+
+def box_fiber_lists(params: GraphParams, box: Box, point: Sequence[int]) -> "list[list[TreeVertex]]":
+    """Per-coordinate candidate vertices over one cube point."""
+    return [
+        list(tree_descendants(root, depth, params.q))
+        for root, depth in zip(box.roots, _fiber_depths(box, point))
+    ]
 
 
 def box_fiber(params: GraphParams, box: Box, point: Sequence[int]) -> Iterator[DLVertex]:
@@ -481,10 +490,8 @@ def box_fiber(params: GraphParams, box: Box, point: Sequence[int]) -> Iterator[D
 
 
 def box_fiber_size(params: GraphParams, box: Box, point: Sequence[int]) -> int:
-    n = 1
-    for lst in box_fiber_lists(params, box, point):
-        n *= len(lst)
-    return n
+    """q**depth descendants per coordinate, so q**(total depth) members."""
+    return params.q ** sum(_fiber_depths(box, point))
 
 
 def box_members(params: GraphParams, box: Box) -> Iterator[DLVertex]:
@@ -634,8 +641,9 @@ def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> 
 
 def box_graph(params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:
     """Induced subgraph on the members of a box."""
-    if box_size(params, box) > budget:
-        raise BudgetError(f"box has {box_size(params, box)} members, budget {budget}")
+    n = box_size(params, box)
+    if n > budget:
+        raise BudgetError(f"box has {n} members, budget {budget}")
     by_key = {dl_key(v): v for v in box_members(params, box)}
     keys = tuple(sorted(by_key))
     vertices = tuple(by_key[k] for k in keys)

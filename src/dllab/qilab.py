@@ -1,7 +1,7 @@
 """Quasi-isometry laboratory for Diestel-Leader graphs.
 
 This module builds the comparison maps studied at desk scale and checks
-their metric and measure behavior by exact enumeration:
+their metric and measure behavior exactly:
 
 * boundary transducers: finitely supported rewriting maps on one-sided
   digit streams, composed from three primitives (index shifts, per-level
@@ -17,7 +17,8 @@ their metric and measure behavior by exact enumeration:
   measure scalars;
 * chain scans: the additive obstruction sums (fiber count minus a target
   integer, summed over a box) that separate maps admitting a bounded
-  correction from maps forcing boundary-rate divergence;
+  correction from maps forcing boundary-rate divergence.  Chain and audit
+  totals are computed per coordinate, never member by member;
 * tile maps: the exactly k-to-1 map from the ordinary lattice onto the
   index-k sublattice built from a cube tiling, plus displacement and
   distortion estimates.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,16 +45,19 @@ from .dlgraph import (
     GraphParams,
     HeightCube,
     TreeVertex,
-    box_boundary,
     box_boundary_size,
     box_containing,
+    box_fiber_size,
     box_members,
     box_size,
     canonical_box,
+    cube_boundary,
+    cube_points,
     cube_side,
     dl_distance,
     dl_key,
     dl_vertex,
+    fiber_levels,
     graph_params,
     height_cube,
     heights,
@@ -176,6 +180,9 @@ class Shift:
     def source_span(self):
         return None
 
+    def check_alphabet(self, q: int) -> None:
+        pass
+
     def describe(self) -> dict:
         return {"kind": "shift", "m": self.m}
 
@@ -246,6 +253,13 @@ class LevelPerm:
         levels = [lvl for lvl, _ in self.perms]
         return (min(levels), max(levels))
 
+    def check_alphabet(self, q: int) -> None:
+        for lvl, table in self.perms:
+            if len(table) != q:
+                raise ValueError(
+                    f"perm table at index {lvl} has {len(table)} digits, alphabet has {q}"
+                )
+
     def describe(self) -> dict:
         return {
             "kind": "perm",
@@ -257,8 +271,9 @@ class LevelPerm:
 class PrefixRewrite:
     """Rewrite the digit window [lo, hi] through a bijection of words.
 
-    table maps every length-(hi - lo + 1) digit word to an image word of
-    the same length; digits outside the window pass through unchanged.
+    table maps every length-(hi - lo + 1) digit word over {0, ..., q-1} to
+    an image word of the same length; digits outside the window pass
+    through unchanged.  The alphabet size q is implicit in the table.
     Measure scalar 1; bilipschitz constant q**(hi - lo) since a first
     difference inside the window can move anywhere else inside it.
     """
@@ -280,17 +295,12 @@ class PrefixRewrite:
                 raise ValueError("table word of wrong length")
         if tuple(sorted(self.table)) != self.table:
             raise ValueError("table must be sorted by input word")
+        if not ins or ins != list(itertools.product(range(self._q()), repeat=width)):
+            raise ValueError("table does not cover a full power alphabet")
 
     def _q(self) -> int:
-        # alphabet size is implicit: the table covers all q**width words
-        width = self.hi - self.lo + 1
-        n = len(self.table)
-        q = round(n ** (1.0 / width))
-        while q ** width < n:
-            q += 1
-        if q ** width != n:
-            raise ValueError("table does not cover a full power alphabet")
-        return q
+        # the sorted table ends with the word of all top digits q - 1
+        return self.table[-1][0][0] + 1
 
     def lam(self, q: int) -> Fraction:
         return Fraction(1)
@@ -346,6 +356,12 @@ class PrefixRewrite:
     def source_span(self):
         return (self.lo, self.hi)
 
+    def check_alphabet(self, q: int) -> None:
+        if self._q() != q:
+            raise ValueError(
+                f"prefix table is over {self._q()} digits, alphabet has {q}"
+            )
+
     def describe(self) -> dict:
         return {
             "kind": "prefix",
@@ -370,10 +386,18 @@ def level_perm(perms) -> LevelPerm:
 
 @dataclass(frozen=True)
 class BoundaryMap:
-    """A finite composition of primitives, applied left to right."""
+    """A finite composition of primitives, applied left to right.
+
+    Every primitive's tables must be over the digit alphabet {0, ..., q-1};
+    construction raises ValueError otherwise.
+    """
 
     q: int
     prims: tuple
+
+    def __post_init__(self):
+        for p in self.prims:
+            p.check_alphabet(self.q)
 
     def lam(self) -> Fraction:
         """Exact measure scalar: images of clones shrink by this factor."""
@@ -614,13 +638,16 @@ def preimage_count(imap: InteriorMap, x: DLVertex) -> int:
     over the exact preimage decomposition.
     """
     total = 1
-    q = imap.params.q
     for m, coord in zip(imap.maps, x.coords):
-        pre = m.clone_preimages(vertex_clone(coord))
-        total *= sum(count_vertices_in_clone(c, coord.level, q) for c in pre)
+        total *= _clone_fiber_count(m, vertex_clone(coord), coord.level)
         if total == 0:
             return 0
     return total
+
+
+def _clone_fiber_count(m: BoundaryMap, c: Clone, level: int) -> int:
+    """How many level-`level` vertices m sends into clone c."""
+    return sum(count_vertices_in_clone(p, level, m.q) for p in m.clone_preimages(c))
 
 
 def preimage_vertices(imap: InteriorMap, x: DLVertex) -> "list[DLVertex]":
@@ -645,20 +672,34 @@ def psi_eval(imap: InteriorMap, vertices) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# fiber totals over a box, per coordinate
+
+def _fiber_totals(imap: InteriorMap, box: Box):
+    """Return point -> summed fiber count over the box members above it.
+
+    The members over a cube point are the product of the roots'
+    descendant sets, and fiber counts are products over coordinates, so
+    the total is a product of per-coordinate sums.  The clones of a
+    root's level-L descendants partition the root's clone, so each sum is
+    the count of level-L vertices the map sends into the root's clone:
+    one clone preimage per coordinate serves every level.
+    """
+    q = imap.params.q
+    pres = [
+        m.clone_preimages(vertex_clone(root)) for m, root in zip(imap.maps, box.roots)
+    ]
+
+    def total(point) -> int:
+        return math.prod(
+            sum(count_vertices_in_clone(c, level, q) for c in pre)
+            for pre, level in zip(pres, fiber_levels(box, point))
+        )
+
+    return total
+
+
+# ---------------------------------------------------------------------------
 # fiber-count audit over a box
-
-def _preimage_count_task(args):
-    imap, x = args
-    return preimage_count(imap, x)
-
-
-def _pmap_counts(imap: InteriorMap, members, workers: int):
-    if workers <= 1:
-        return [preimage_count(imap, x) for x in members]
-    items = [(imap, x) for x in members]
-    chunk = max(1, len(items) // (workers * 4))
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(_preimage_count_task, items, chunksize=chunk)
 
 
 @dataclass(frozen=True)
@@ -698,6 +739,14 @@ def fiber_count_audit(
     because the map moves interior mass at most distance-r and scales
     measure by exactly lam.  All quantities here are exact integers or
     Fractions; bounds_ok records whether T landed inside.
+
+    Boundary membership depends on heights only, so the boundary/interior
+    split is per cube point and totals come from `_fiber_totals`.  The
+    distinct interior counts over a point are the products of each
+    coordinate's distinct counts at its level, found by walking that
+    coordinate's descendants once per level.  `workers` is accepted and
+    ignored, so existing callers keep working; counting runs in one
+    process.
     """
     params = imap.params
     if bilip is None:
@@ -710,22 +759,43 @@ def fiber_count_audit(
     n = box_size(params, box)
     if n > budget:
         raise ValueError(f"box has {n} members, budget {budget}")
-    boundary_keys = {dl_key(v) for v in box_boundary(params, box, r)}
-    members = list(box_members(params, box))
-    counts = _pmap_counts(imap, members, workers)
-    total = sum(counts)
+    q = params.q
+    fiber_total = _fiber_totals(imap, box)
+    boundary = set(cube_boundary(params, box.cube, r))
+    level_counts = {}
+
+    def distinct_counts(i: int, level: int) -> set:
+        if (i, level) not in level_counts:
+            root = box.roots[i]
+            level_counts[i, level] = {
+                _clone_fiber_count(imap.maps[i], vertex_clone(y), level)
+                for y in tree_descendants(root, level - root.level, q)
+            }
+        return level_counts[i, level]
+
+    total = interior_total = boundary_size = 0
+    distinct = set()
+    for point in cube_points(box.cube):
+        t = fiber_total(point)
+        total += t
+        if point in boundary:
+            boundary_size += box_fiber_size(params, box, point)
+            continue
+        interior_total += t
+        # two distinct values already settle interior_constant and _value
+        if len(distinct) < 2:
+            per_coord = [
+                distinct_counts(i, level)
+                for i, level in enumerate(fiber_levels(box, point))
+            ]
+            distinct.update(math.prod(c) for c in itertools.product(*per_coord))
     lam = imap.lam_product()
-    lower = (Fraction(n) - len(boundary_keys)) / lam
-    upper = Fraction(n) / lam + (bilip ** params.d) * len(boundary_keys)
-    interior_counts = [
-        c for v, c in zip(members, counts) if dl_key(v) not in boundary_keys
-    ]
-    interior_total = sum(interior_counts)
-    distinct = set(interior_counts)
+    lower = (Fraction(n) - boundary_size) / lam
+    upper = Fraction(n) / lam + (bilip ** params.d) * boundary_size
     return FiberAudit(
         h=cube_side(box.cube),
         box_size=n,
-        boundary_size=len(boundary_keys),
+        boundary_size=boundary_size,
         r=r,
         bilip=bilip,
         lam_product=lam,
@@ -733,7 +803,7 @@ def fiber_count_audit(
         lower_bound=lower,
         upper_bound=upper,
         bounds_ok=lower <= total <= upper,
-        interior_size=len(interior_counts),
+        interior_size=n - boundary_size,
         interior_total=interior_total,
         interior_constant=len(distinct) <= 1,
         interior_value=distinct.pop() if len(distinct) == 1 else None,
@@ -767,6 +837,9 @@ def uf_chain_scan(
     boundedly k-to-1 after a finite correction keeps |sum| / |boundary|
     bounded; a map with a genuine index obstruction shows this ratio
     growing linearly in h.  Ratios are exact Fractions.
+
+    Totals are per coordinate (see `_fiber_totals`), so the cost grows
+    with the cube, not the box.  `workers` is accepted and ignored.
     """
     if k < 1:
         raise ValueError("target fiber count k must be positive")
@@ -775,18 +848,18 @@ def uf_chain_scan(
     for h in h_values:
         cube = height_cube([(0, h)] * (params.d - 1), params.k)
         box = canonical_box(params, cube)
-        members = list(box_members(params, box))
-        counts = _pmap_counts(imap, members, workers)
-        chain = sum(counts) - k * len(members)
+        n = box_size(params, box)
+        fiber_total = _fiber_totals(imap, box)
+        chain = sum(fiber_total(p) for p in cube_points(cube)) - k * n
         bsize = box_boundary_size(params, box, r)
         out.append(
             ChainRecord(
                 h=h,
-                box_size=len(members),
+                box_size=n,
                 boundary_size=bsize,
                 chain_sum=chain,
                 ratio_boundary=Fraction(chain, bsize),
-                ratio_box=Fraction(chain, len(members)),
+                ratio_box=Fraction(chain, n),
             )
         )
     return tuple(out)

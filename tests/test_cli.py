@@ -260,3 +260,32 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestAlphabetMismatch:
+    """Tables over the wrong alphabet are usage errors, never answers."""
+
+    def test_binary_perm_at_q3(self, capsys):
+        spec = '[[{"kind":"perm","perms":[{"index":0,"table":[1,0]}]}],[]]'
+        assert run_cli(["qilab", "--q", "3", "--map", spec, "--h", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_binary_prefix_at_q3(self, capsys):
+        spec = '[[{"kind":"prefix","lo":0,"hi":0,"table":[[[0],[1]],[[1],[0]]]}],[]]'
+        assert run_cli(["qilab", "--q", "3", "--map", spec, "--h", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+class TestWorkersFlag:
+    def test_graph_accepts_and_ignores_workers(self, capsys):
+        assert run_cli(["graph", "--d", "2", "--q", "2", "--radius", "1", "--workers", "3"]) == 0
+        assert capsys.readouterr().out == EXPECTED_DOT
+
+    def test_verify_has_no_workers_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--assert", "counting", "--workers", "2"])
+        assert exc.value.code == 2

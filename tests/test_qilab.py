@@ -8,11 +8,16 @@ from fractions import Fraction
 
 import pytest
 
+from dllab import dlgraph, qilab
 from dllab.dlgraph import (
+    Box,
     ball,
     base_vertex,
+    box_boundary,
     box_members,
+    box_size,
     canonical_box,
+    cube_side,
     dl_key,
     dl_neighbors,
     dl_vertex,
@@ -24,6 +29,8 @@ from dllab.dlgraph import (
 )
 from dllab.qilab import (
     BoundaryMap,
+    ChainRecord,
+    FiberAudit,
     LevelPerm,
     PrefixRewrite,
     Shift,
@@ -617,3 +624,197 @@ class TestDistortion:
         x = dl_vertex(p, (tree_vertex(0), tree_vertex(0)))
         with pytest.raises(ValueError):
             distortion({x: x})
+
+
+# ---------------------------------------------------------------------------
+# closed-form chain and audit totals against an enumerative oracle
+
+
+def enumerative_audit(imap, box, r, bilip):
+    """The audit by member enumeration: one preimage_count per box member."""
+    params = imap.params
+    members = list(box_members(params, box))
+    counts = [preimage_count(imap, x) for x in members]
+    boundary = {dl_key(v) for v in box_boundary(params, box, r)}
+    interior = [c for x, c in zip(members, counts) if dl_key(x) not in boundary]
+    n, total = len(members), sum(counts)
+    lam = imap.lam_product()
+    lower = (Fraction(n) - len(boundary)) / lam
+    upper = Fraction(n) / lam + bilip ** params.d * len(boundary)
+    distinct = set(interior)
+    return FiberAudit(
+        h=cube_side(box.cube),
+        box_size=n,
+        boundary_size=len(boundary),
+        r=r,
+        bilip=bilip,
+        lam_product=lam,
+        total_preimages=total,
+        lower_bound=lower,
+        upper_bound=upper,
+        bounds_ok=lower <= total <= upper,
+        interior_size=len(interior),
+        interior_total=sum(interior),
+        interior_constant=len(distinct) <= 1,
+        interior_value=next(iter(distinct)) if len(distinct) == 1 else None,
+    )
+
+
+def enumerative_chain(imap, k, h, r):
+    params = imap.params
+    box = canonical_box(params, height_cube([(0, h)] * (params.d - 1)))
+    members = list(box_members(params, box))
+    chain = sum(preimage_count(imap, x) for x in members) - k * len(members)
+    bsize = sum(1 for _ in box_boundary(params, box, r))
+    return ChainRecord(
+        h=h,
+        box_size=len(members),
+        boundary_size=bsize,
+        chain_sum=chain,
+        ratio_boundary=Fraction(chain, bsize),
+        ratio_box=Fraction(chain, len(members)),
+    )
+
+
+def oracle_primitive(rng, q, lo, hi):
+    """A shift in [-2, 2], or a perm or prefix window inside levels [lo, hi]."""
+    kind = rng.choice(["shift", "perm", "prefix"])
+    if kind == "shift":
+        return Shift(rng.randint(-2, 2))
+    if kind == "perm":
+        perms = []
+        for lvl in sorted(rng.sample(range(lo, hi + 1), 2)):
+            table = list(range(q))
+            rng.shuffle(table)
+            perms.append((lvl, tuple(table)))
+        return level_perm(perms)
+    start = rng.randint(lo, hi - 1)
+    end = start + rng.choice([0, 1])
+    words = list(itertools.product(range(q), repeat=end - start + 1))
+    images = list(words)
+    rng.shuffle(images)
+    return prefix_rewrite(start, end, zip(words, images))
+
+
+ORACLE_SIDES = {  # (d, q, r) -> box sides: an interior at r where enumeration is cheap
+    (2, 2, 1): (2, 3, 4), (2, 2, 2): (4, 5, 6), (2, 3, 1): (2, 3, 4), (2, 3, 2): (4, 5),
+    (3, 2, 1): (2, 3), (3, 2, 2): (4,), (3, 3, 1): (2,), (3, 3, 2): (2,),
+}
+
+
+def oracle_case(rng, d, q, r):
+    """A random interior map and a box whose roots carry random digits."""
+    h = rng.choice(ORACLE_SIDES[d, q, r])
+    starts = [rng.randint(-1, 1) for _ in range(d - 1)]
+    cube = height_cube([(a, a + h) for a in starts])
+    p = graph_params(d, q)
+    levels = starts + [-sum(a + h for a in starts)]
+    roots = []
+    for lvl in levels:
+        digits = [(i, rng.randrange(q)) for i in (lvl - 1, lvl)]
+        roots.append(tree_vertex(lvl, [(i, v) for i, v in digits if v], q))
+    box = Box(cube=cube, roots=tuple(roots))
+    # windows sit just around each root's level, inside the box's levels;
+    # a window far above a clone splits it q**distance ways
+    maps = [
+        BoundaryMap(q, tuple(oracle_primitive(rng, q, lvl - 1, lvl + 2) for _ in range(rng.randint(1, 3))))
+        for lvl in levels
+    ]
+    return interior_map(p, maps), box
+
+
+class TestClosedFormOracle:
+    @pytest.mark.parametrize("d,q,r", list(itertools.product((2, 3), (2, 3), (1, 2))))
+    def test_audit_matches_enumeration(self, d, q, r):
+        rng = random.Random(100 * d + 10 * q + r)
+        for _ in range(6):
+            imap, box = oracle_case(rng, d, q, r)
+            bilip = imap.bilip_max()
+            assert fiber_count_audit(imap, box, r=r, bilip=bilip) == enumerative_audit(
+                imap, box, r, bilip
+            )
+
+    @pytest.mark.parametrize("d,q,r", list(itertools.product((2, 3), (2, 3), (1, 2))))
+    def test_chain_matches_enumeration(self, d, q, r):
+        rng = random.Random(1000 + 100 * d + 10 * q + r)
+        for _ in range(4):
+            imap, box = oracle_case(rng, d, q, r)
+            h = cube_side(box.cube)
+            k = rng.randint(1, 3)
+            assert uf_chain_scan(imap, k, [h], r=r) == (enumerative_chain(imap, k, h, r),)
+
+    def test_negative_shift_interior_values_vary(self):
+        p = graph_params(2, 2)
+        im = interior_map(p, (shift_map(2, -1), identity_map(2)))
+        box = canonical_box(p, height_cube([(0, 4)]))
+        audit = fiber_count_audit(im, box, r=1)
+        assert audit == enumerative_audit(im, box, 1, im.bilip_max())
+        assert audit.interior_constant is False and audit.interior_value is None
+
+    def test_window_inside_box_levels_varies_interior(self):
+        # Shift(-1) makes a vertex's fiber depend on its top digit, and the
+        # reversal window [1, 2] lies inside the first coordinate's levels
+        p = graph_params(2, 3)
+        rw = prefix_rewrite(1, 2, (
+            (w, w[::-1]) for w in itertools.product(range(3), repeat=2)
+        ))
+        im = interior_map(p, (BoundaryMap(3, (Shift(-1), rw)), identity_map(3)))
+        box = canonical_box(p, height_cube([(0, 4)]))
+        audit = fiber_count_audit(im, box, r=1)
+        assert audit == enumerative_audit(im, box, 1, im.bilip_max())
+        assert audit.interior_constant is False
+
+    def test_default_radius_matches_enumeration(self):
+        p = graph_params(2, 2)
+        im = interior_map(p, (compose(shift_map(2, 1), shift_map(2, 1)), shift_map(2, -1)))
+        box = canonical_box(p, height_cube([(0, 4)]))
+        audit = fiber_count_audit(im, box)
+        assert audit == enumerative_audit(im, box, audit.r, audit.bilip)
+
+
+class TestClosedFormScale:
+    """Sizes no enumeration could reach; enumerating at all fails at once."""
+
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("members were enumerated")
+
+        monkeypatch.setattr(dlgraph, "tree_descendants", refuse)
+        monkeypatch.setattr(qilab, "tree_descendants", refuse)
+        monkeypatch.setattr(qilab, "preimage_count", refuse)
+
+    def test_chain_scan_at_h40(self, no_enumeration):
+        p = graph_params(2, 2)
+        im = interior_map(p, (shift_map(2, 1), identity_map(2)))
+        (rec,) = uf_chain_scan(im, 3, [40])
+        assert rec.box_size == 41 * 2 ** 40
+        assert rec.ratio_box == -1
+
+    @pytest.mark.parametrize("d,q,h", [(2, 2, 40), (3, 2, 20)])
+    def test_box_size_closed_form(self, no_enumeration, d, q, h):
+        p = graph_params(d, q)
+        box = canonical_box(p, height_cube([(0, h)] * (d - 1)))
+        assert box_size(p, box) == (h + 1) ** (d - 1) * q ** ((d - 1) * h)
+
+
+class TestAlphabetValidation:
+    def test_short_perm_table_rejected(self):
+        with pytest.raises(ValueError):
+            BoundaryMap(3, (level_perm([(0, (1, 0))]),))
+
+    def test_binary_prefix_table_rejected_at_q3(self):
+        desc = [{"kind": "prefix", "lo": 0, "hi": 0, "table": [[[0], [1]], [[1], [0]]]}]
+        with pytest.raises(ValueError):
+            map_from_description(3, desc)
+
+    def test_partial_alphabet_prefix_rejected(self):
+        # a bijection of the words over {0, 2} is not over any Z/q
+        with pytest.raises(ValueError):
+            prefix_rewrite(0, 0, [((0,), (2,)), ((2,), (0,))])
+
+    def test_matching_alphabets_accepted(self):
+        words = list(itertools.product(range(3), repeat=2))
+        rw = prefix_rewrite(0, 1, zip(words, words[::-1]))
+        m = BoundaryMap(3, (level_perm([(0, (2, 0, 1))]), rw, Shift(1)))
+        assert compose(m, m.inverse()).apply_stream({0: 1, 1: 2}) == {0: 1, 1: 2}
