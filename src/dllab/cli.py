@@ -247,7 +247,7 @@ def _check_correspondence(params, radius) -> "tuple[list, object]":
             "correspondence.isomorphism",
             report.ok,
             f"radius-{radius} ball maps isomorphically"
-            + ("" if report.ok else f": {report.failures[:3]}"),
+            + ("" if report.ok else f": {report.failure_count} failures, first {report.failures[:3]}"),
         ),
     ]
     return checks, report
@@ -630,7 +630,7 @@ def main(argv=None) -> int:
         args.format = "dot"
     try:
         return args.func(args)
-    except (ValueError, dlgraph.BudgetError) as exc:
+    except (OSError, ValueError, dlgraph.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ which is the geometric input for the index-k comparison map.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -567,6 +568,14 @@ def tile(params: GraphParams, region: HeightCube, h: int, ambient: Optional[Box]
 # balls and exports
 
 
+def sorted_index(keys: Sequence[str], key: str) -> int:
+    """Position of key in a sorted key sequence; KeyError if it is absent."""
+    i = bisect.bisect_left(keys, key)
+    if i < len(keys) and keys[i] == key:
+        return i
+    raise KeyError(key)
+
+
 @dataclass(frozen=True)
 class BallGraph:
     """A finite vertex set with its induced edges.
@@ -586,56 +595,77 @@ class BallGraph:
     cube: Optional[HeightCube] = None
 
     def index_of(self, key: str) -> int:
-        import bisect
-
-        i = bisect.bisect_left(self.keys, key)
-        if i < len(self.keys) and self.keys[i] == key:
-            return i
-        raise KeyError(key)
+        return sorted_index(self.keys, key)
 
 
-def _induced_edges(vertices, index) -> "tuple[tuple[int, int], ...]":
-    edge_set = set()
-    for i, v in enumerate(vertices):
-        for w in dl_neighbors(v):
-            j = index.get(dl_key(w))
+# Inside one GraphParams a vertex is identified by its coordinate tuple,
+# which is what the graph builders hash; the dl_key string is built once
+# per distinct vertex, to sort the vertices and label them for export.
+
+
+def _key_order(vertices: Sequence[DLVertex]) -> "tuple[tuple[str, ...], list[int]]":
+    """Sorted keys, and for each sorted position the vertex's input position."""
+    keys = [dl_key(v) for v in vertices]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return tuple(keys[i] for i in order), order
+
+
+def _induced_edges(vertices, index, start: int = 0) -> "list[tuple[int, int]]":
+    """Edges (i, j), i < j, from vertices[start:] to vertices found in index."""
+    edges = []
+    for i in range(start, len(vertices)):
+        for w in dl_neighbors(vertices[i]):
+            j = index.get(w.coords)
             if j is not None and i < j:
-                edge_set.add((i, j))
-    return tuple(sorted(edge_set))
+                edges.append((i, j))
+    return edges
 
 
 def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    params = center.params
-    depth_by_key = {dl_key(center): 0}
-    by_key = {dl_key(center): center}
-    frontier = [center]
+    # BFS ids: vertices in discovery order, so a smaller id is never deeper
+    found = [center]
+    ids = {center.coords: 0}
+    found_depth = [0]
+    edges = []
+    start = 0
     for depth in range(1, radius + 1):
-        nxt = []
-        for v in frontier:
-            for w in dl_neighbors(v):
-                kw = dl_key(w)
-                if kw not in depth_by_key:
-                    depth_by_key[kw] = depth
-                    by_key[kw] = w
-                    nxt.append(w)
-                    if len(by_key) > budget:
+        stop = len(found)
+        for i in range(start, stop):
+            for w in dl_neighbors(found[i]):
+                j = ids.get(w.coords)
+                if j is None:
+                    j = ids[w.coords] = len(found)
+                    found.append(w)
+                    found_depth.append(depth)
+                    if len(found) > budget:
                         raise BudgetError(
-                            f"ball of radius {radius} exceeds budget {budget}"
+                            f"ball of radius {radius} exceeds budget {budget}: "
+                            f"{len(found)} vertices reached at depth {depth}"
                         )
-        frontier = nxt
-    keys = tuple(sorted(by_key))
-    vertices = tuple(by_key[k] for k in keys)
-    index = {k: i for i, k in enumerate(keys)}
+                # an edge is recorded from its endpoint with the smaller id
+                if i < j:
+                    edges.append((i, j))
+        start = stop
+    # every neighbour of a vertex inside the radius is in the ball, so only
+    # edges within the outer sphere are still missing
+    edges += _induced_edges(found, ids, start)
+    keys, order = _key_order(found)
+    pos = [0] * len(order)
+    for p, i in enumerate(order):
+        pos[i] = p
+    edges = sorted(
+        (pos[i], pos[j]) if pos[i] < pos[j] else (pos[j], pos[i]) for i, j in edges
+    )
     return BallGraph(
-        params=params,
-        vertices=vertices,
+        params=center.params,
+        vertices=tuple(found[i] for i in order),
         keys=keys,
-        edges=_induced_edges(vertices, index),
+        edges=tuple(edges),
         center=center,
         radius=radius,
-        depths=tuple(depth_by_key[k] for k in keys),
+        depths=tuple(found_depth[i] for i in order),
     )
 
 
@@ -644,15 +674,15 @@ def box_graph(params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET
     n = box_size(params, box)
     if n > budget:
         raise BudgetError(f"box has {n} members, budget {budget}")
-    by_key = {dl_key(v): v for v in box_members(params, box)}
-    keys = tuple(sorted(by_key))
-    vertices = tuple(by_key[k] for k in keys)
-    index = {k: i for i, k in enumerate(keys)}
+    members = list(box_members(params, box))
+    keys, order = _key_order(members)
+    vertices = tuple(members[i] for i in order)
+    index = {v.coords: i for i, v in enumerate(vertices)}
     return BallGraph(
         params=params,
         vertices=vertices,
         keys=keys,
-        edges=_induced_edges(vertices, index),
+        edges=tuple(sorted(_induced_edges(vertices, index))),
         cube=box.cube,
     )
 
@@ -724,47 +754,43 @@ def dl_distance(u: DLVertex, v: DLVertex, cap: int = DEFAULT_DISTANCE_CAP) -> in
     if u == v:
         return 0
     sig = (u.params, _pair_signature(u, v))
-    hit = _DIST_CACHE.get(sig)
-    if hit is not None:
-        return hit
-    dist = _bfs_simple(u, v, cap)
-    _DIST_CACHE[sig] = dist
+    dist = _DIST_CACHE.get(sig)
+    if dist is None:
+        dist = _DIST_CACHE[sig] = _bfs_simple(u, v, cap)
+    elif dist > cap:
+        # a cached distance obeys the cap exactly as a fresh search would
+        raise BudgetError(f"no path within distance cap {cap}: the distance is {dist}")
     return dist
 
 
 def _bfs_simple(u: DLVertex, v: DLVertex, cap: int) -> int:
-    """Bidirectional BFS; exact and budgeted."""
-    ku, kv = dl_key(u), dl_key(v)
-    if ku == kv:
+    """Bidirectional BFS; exact and budgeted.
+
+    Each step grows the side with the smaller frontier by one level. Any
+    hit found at total depth t is at distance exactly t, so the side chosen
+    never changes the answer.
+    """
+    if u.coords == v.coords:
         return 0
-    dist_a = {ku: 0}
-    dist_b = {kv: 0}
-    front_a = [u]
-    front_b = [v]
-    depth_a = depth_b = 0
-    while depth_a + depth_b < cap and front_a and front_b:
-        if len(front_a) <= len(front_b):
-            depth_a += 1
-            nxt = []
-            for x in front_a:
-                for w in dl_neighbors(x):
-                    kw = dl_key(w)
-                    if kw in dist_b:
-                        return depth_a + dist_b[kw]
-                    if kw not in dist_a:
-                        dist_a[kw] = depth_a
-                        nxt.append(w)
-            front_a = nxt
-        else:
-            depth_b += 1
-            nxt = []
-            for x in front_b:
-                for w in dl_neighbors(x):
-                    kw = dl_key(w)
-                    if kw in dist_a:
-                        return depth_b + dist_a[kw]
-                    if kw not in dist_b:
-                        dist_b[kw] = depth_b
-                        nxt.append(w)
-            front_b = nxt
-    raise BudgetError(f"no path within distance cap {cap}")
+    seen = ({u.coords: 0}, {v.coords: 0})
+    fronts = [[u], [v]]
+    depths = [0, 0]
+    while depths[0] + depths[1] < cap and fronts[0] and fronts[1]:
+        s = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        mine, other = seen[s], seen[1 - s]
+        depths[s] += 1
+        nxt = []
+        for x in fronts[s]:
+            for w in dl_neighbors(x):
+                c = w.coords
+                hit = other.get(c)
+                if hit is not None:
+                    return depths[s] + hit
+                if c not in mine:
+                    mine[c] = depths[s]
+                    nxt.append(w)
+        fronts[s] = nxt
+    raise BudgetError(
+        f"no path within distance cap {cap}: searched depths {depths[0]} and "
+        f"{depths[1]}, {len(seen[0]) + len(seen[1])} vertices reached"
+    )

@@ -47,6 +47,7 @@ from .dlgraph import (
     dl_neighbors,
     dl_vertex,
     graph_params,
+    sorted_index,
     tree_vertex,
 )
 
@@ -155,12 +156,7 @@ class CayleyBall:
     depths: tuple
 
     def index_of(self, key: str) -> int:
-        import bisect
-
-        i = bisect.bisect_left(self.keys, key)
-        if i < len(self.keys) and self.keys[i] == key:
-            return i
-        raise KeyError(key)
+        return sorted_index(self.keys, key)
 
 
 def cayley_ball(
@@ -188,7 +184,8 @@ def cayley_ball(
                     nxt.append(h)
                     if len(by_key) > budget:
                         raise BudgetError(
-                            f"ball of radius {radius} exceeds budget {budget}"
+                            f"ball of radius {radius} exceeds budget {budget}: "
+                            f"{len(by_key)} elements reached at depth {depth}"
                         )
         frontier = nxt
     keys = tuple(sorted(by_key))
@@ -244,7 +241,8 @@ class CorrespondenceReport:
     sphere_group: tuple
     sphere_graph: tuple
     interior_degree: int
-    failures: tuple
+    failures: tuple  # the first 20 failure messages
+    failure_count: int  # all failures found, sampled or not
 
 
 def validate_correspondence(
@@ -314,6 +312,7 @@ def validate_correspondence(
         ),
         interior_degree=params.d * (params.d - 1) * params.q,
         failures=tuple(failures[:20]),
+        failure_count=len(failures),
     )
 
 

@@ -482,22 +482,69 @@ def compose(first: BoundaryMap, then: BoundaryMap) -> BoundaryMap:
     return BoundaryMap(first.q, first.prims + then.prims)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_list(x) -> bool:
+    return isinstance(x, (list, tuple))
+
+
+def _is_word(x) -> bool:
+    return _is_list(x) and all(_is_int(v) for v in x)
+
+
+_FIELD_TYPES = {
+    "a string": lambda x: isinstance(x, str),
+    "an integer": _is_int,
+    "a list": _is_list,
+    "a list of integers": _is_word,
+    "a list of [word, image] pairs": lambda x: _is_list(x) and all(
+        _is_list(p) and len(p) == 2 and _is_word(p[0]) and _is_word(p[1]) for p in x
+    ),
+}
+
+
+def _field(obj, name: str, kind: str, where: str):
+    """obj[name], if obj is an object whose field holds a value of that kind."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {obj!r}")
+    if name not in obj:
+        raise ValueError(f"{where} has no field {name!r}")
+    val = obj[name]
+    if not _FIELD_TYPES[kind](val):
+        raise ValueError(f"{where} field {name!r} must be {kind}, got {val!r}")
+    return val
+
+
 def map_from_description(q: int, desc) -> BoundaryMap:
+    """Build a map from its description (the inverse of ``describe``).
+
+    A missing or ill-typed field raises ValueError naming it.
+    """
+    if not _is_list(desc):
+        raise ValueError(f"a map description is a list of primitives, got {desc!r}")
     prims = []
-    for item in desc:
-        kind = item["kind"]
+    for n, item in enumerate(desc):
+        kind = _field(item, "kind", "a string", f"primitive {n}")
+        where = f"{kind} primitive {n}"
         if kind == "shift":
-            prims.append(Shift(int(item["m"])))
+            prims.append(Shift(_field(item, "m", "an integer", where)))
         elif kind == "perm":
-            prims.append(
-                level_perm((p["index"], tuple(p["table"])) for p in item["perms"])
-            )
+            perms = [
+                (
+                    _field(p, "index", "an integer", f"{where} perm"),
+                    _field(p, "table", "a list of integers", f"{where} perm"),
+                )
+                for p in _field(item, "perms", "a list", where)
+            ]
+            prims.append(level_perm(perms))
         elif kind == "prefix":
             prims.append(
                 prefix_rewrite(
-                    int(item["lo"]),
-                    int(item["hi"]),
-                    ((tuple(w), tuple(img)) for w, img in item["table"]),
+                    _field(item, "lo", "an integer", where),
+                    _field(item, "hi", "an integer", where),
+                    _field(item, "table", "a list of [word, image] pairs", where),
                 )
             )
         else:

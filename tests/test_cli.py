@@ -1,12 +1,14 @@
 """Tests for the dllab command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from dllab import cli
+from dllab import cli, group
+from dllab.algebra import ring_params
 
 EXPECTED_DOT = """graph dl {
   "-1:|1:" [heights="-1,1"];
@@ -253,6 +255,27 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout == EXPECTED_DOT
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--radius", "3", "--format", "dot"],
+            ["--k", "2", "--radius", "2", "--format", "json"],
+            ["--h", "3", "--format", "json"],
+        ],
+    )
+    def test_graph_bytes_independent_of_hash_seed(self, args):
+        outputs = set()
+        for seed in ("0", "4242"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dllab.cli", "graph", "--d", "2", "--q", "2", *args],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dllab.cli", "qilab", "--mode", "bogus"],
@@ -278,6 +301,50 @@ class TestAlphabetMismatch:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+class TestMalformedMap:
+    """A malformed JSON map is a usage error naming the field, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            ('[[{"kind":"perm"}],[]]', "'perms'"),
+            ('[[{"kind":"shift"}],[]]', "'m'"),
+            ('[[{"kind":"prefix","lo":0,"hi":0}],[]]', "'table'"),
+            ('[[{"kind":"perm","perms":[{"index":0}]}],[]]', "'table'"),
+            ("[[1],[]]", "must be an object"),
+        ],
+    )
+    def test_exit_2_naming_the_field(self, capsys, spec, field):
+        args = ["qilab", "--d", "2", "--q", "2", "--h", "2", "--map", spec]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert field in captured.err
+
+    def test_unreadable_map_file(self, capsys, tmp_path):
+        spec = "@" + str(tmp_path / "absent.json")
+        assert run_cli(["qilab", "--d", "2", "--q", "2", "--h", "2", "--map", spec]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        out = str(tmp_path / "absent" / "ball.dot")
+        assert run_cli(["graph", "--d", "2", "--q", "2", "--radius", "1", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestCorrespondenceFailures:
+    def test_failure_line_reports_total_count(self, capsys, monkeypatch):
+        rp = ring_params(2, 2)
+        base = group.correspond(rp, group.identity(rp))
+        monkeypatch.setattr(group, "correspond", lambda params, g: base)
+        report = group.validate_correspondence(rp, 3)
+        args = ["verify", "--d", "2", "--q", "2", "--radius", "3", "--assert", "correspondence"]
+        assert run_cli(args) == 1
+        out = capsys.readouterr().out
+        assert f"ball maps isomorphically: {report.failure_count} failures, first" in out
 
 
 class TestWorkersFlag:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from dllab import dlgraph
 from dllab.dlgraph import (
     BallGraph,
     Box,
@@ -28,6 +29,7 @@ from dllab.dlgraph import (
     box_contains,
     box_fiber,
     box_fiber_size,
+    box_graph,
     box_members,
     box_size,
     canonical_box,
@@ -215,7 +217,7 @@ def test_ball_examples():
     assert len(g1.vertices) == 5
     assert len(g1.edges) == 4
     assert sphere_sizes(g1) == (1, 4)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"budget 10: 11 vertices reached at depth 2"):
         ball(base_vertex(p), 3, budget=10)
 
 
@@ -446,6 +448,99 @@ def test_export_json_shape_and_determinism():
 
 
 # ---------------------------------------------------------------------------
+# ball and box builders against string-keyed references
+
+ORACLE_PARAMS = [(d, q, k) for d in (2, 3) for q in (2, 3) for k in (1, 2, 3)]
+ORACLE_MAX_VERTICES = 600  # the all-pairs edge check is quadratic
+
+
+def reference_ball(center, radius):
+    """BFS over dl_key strings: the ball's keys, vertices and depths in key order."""
+    depth_by_key = {dl_key(center): 0}
+    by_key = {dl_key(center): center}
+    frontier = [center]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for v in frontier:
+            for w in dl_neighbors(v):
+                kw = dl_key(w)
+                if kw not in by_key:
+                    by_key[kw] = w
+                    depth_by_key[kw] = depth
+                    nxt.append(w)
+        frontier = nxt
+    keys = tuple(sorted(by_key))
+    return keys, tuple(by_key[kk] for kk in keys), tuple(depth_by_key[kk] for kk in keys)
+
+
+def reference_edges(vertices):
+    """Every (i, j), i < j, whose vertices dl_adjacent joins."""
+    return tuple(
+        (i, j)
+        for i in range(len(vertices))
+        for j in range(i + 1, len(vertices))
+        if dl_adjacent(vertices[i], vertices[j])
+    )
+
+
+def assert_same_graph(g, ref):
+    assert g.keys == ref.keys
+    assert g.vertices == ref.vertices
+    assert g.depths == ref.depths
+    assert g.edges == ref.edges
+    assert g == ref
+    assert export_dot(g) == export_dot(ref)
+    assert export_json(g) == export_json(ref)
+
+
+@pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
+def test_ball_matches_reference(d, q, k):
+    p = graph_params(d, q, k)
+    center = base_vertex(p)
+    radius = 0
+    while True:
+        keys, vertices, depths = reference_ball(center, radius)
+        if len(keys) > ORACLE_MAX_VERTICES:
+            break
+        ref = BallGraph(
+            params=p,
+            vertices=vertices,
+            keys=keys,
+            edges=reference_edges(vertices),
+            center=center,
+            radius=radius,
+            depths=depths,
+        )
+        assert_same_graph(ball(center, radius), ref)
+        radius += 1
+    assert radius >= 2
+
+
+@pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
+def test_box_graph_matches_reference(d, q, k):
+    p = graph_params(d, q, k)
+    checked = 0
+    for h in (0, k, 2 * k):
+        cube = height_cube([(0, h)] * (d - 1), k)
+        canon = canonical_box(p, cube)
+        # the same cube under roots that carry a digit at their own height
+        lifted = Box(cube, tuple(tree_vertex(r.level, [(r.level, 1)]) for r in canon.roots))
+        for box in (canon, lifted):
+            if box_size(p, box) > ORACLE_MAX_VERTICES:
+                continue
+            by_key = {dl_key(v): v for v in box_members(p, box)}
+            keys = tuple(sorted(by_key))
+            vertices = tuple(by_key[kk] for kk in keys)
+            ref = BallGraph(
+                params=p, vertices=vertices, keys=keys, edges=reference_edges(vertices), cube=cube
+            )
+            assert_same_graph(box_graph(p, box), ref)
+            checked += 1
+    # at d = q = k = 3 only the one-point cube fits under the cap
+    assert checked >= 2
+
+
+# ---------------------------------------------------------------------------
 # distances
 
 
@@ -489,6 +584,18 @@ def test_distance_matches_naive_bfs_random_pairs():
         assert dl_distance(u, v) == naive_distance(u, v)
 
 
+@pytest.mark.parametrize("d,q,k", [(2, 2, 2), (3, 2, 1)])
+def test_distance_matches_naive_bfs_other_graphs(d, q, k):
+    p = graph_params(d, q, k)
+    g = ball(base_vertex(p), 2)
+    rng = random.Random(37)
+    verts = list(g.vertices)
+    for _ in range(25):
+        u = rng.choice(verts)
+        v = rng.choice(verts)
+        assert dl_distance(u, v) == naive_distance(u, v)
+
+
 def test_distance_on_index_graph():
     p = graph_params(2, 2, 2)
     base = base_vertex(p)
@@ -497,3 +604,16 @@ def test_distance_on_index_graph():
     with pytest.raises(BudgetError):
         far = dl_vertex(p, (tree_root(8), tree_root(-8)))
         dl_distance(base, far, cap=2)
+
+
+def test_distance_cap_holds_cold_and_warm(monkeypatch):
+    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+    p = graph_params(2, 2, 2)
+    base = base_vertex(p)
+    far = dl_vertex(p, (tree_root(8), tree_root(-8)))
+    with pytest.raises(BudgetError, match=r"cap 2: searched depths 1 and 1, 18 vertices"):
+        dl_distance(base, far, cap=2)
+    assert dl_distance(base, far) == 4
+    assert dl_distance(base, far, cap=4) == 4
+    with pytest.raises(BudgetError, match=r"cap 3: the distance is 4"):
+        dl_distance(base, far, cap=3)

@@ -12,8 +12,10 @@ from itertools import product
 
 import pytest
 
+from dllab import group
 from dllab.algebra import rat_zero, rational, ring_params
 from dllab.dlgraph import (
+    BudgetError,
     ball,
     base_vertex,
     dl_adjacent,
@@ -172,6 +174,23 @@ def test_validate_correspondence_word_lengths_match_distance():
     report = validate_correspondence(p, 3)
     assert report.ok
     assert report.interior_degree == 4
+    assert report.failure_count == 0 and report.failures == ()
+
+
+def test_validate_correspondence_counts_every_failure(monkeypatch):
+    # a correspondence that sends every element to one vertex fails for all
+    # but the first of the 39 elements, more than the 20 kept as samples
+    base = correspond(ring_params(2, 2), identity(ring_params(2, 2)))
+    monkeypatch.setattr(group, "correspond", lambda params, g: base)
+    report = validate_correspondence(ring_params(2, 2), 3)
+    assert not report.ok
+    assert len(report.failures) == 20
+    assert report.failure_count >= 38
+
+
+def test_cayley_ball_budget_reports_counts():
+    with pytest.raises(BudgetError, match=r"budget 10: 11 elements reached at depth 2"):
+        cayley_ball(ring_params(2, 2), 3, budget=10)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -818,3 +819,37 @@ class TestAlphabetValidation:
         rw = prefix_rewrite(0, 1, zip(words, words[::-1]))
         m = BoundaryMap(3, (level_perm([(0, (2, 0, 1))]), rw, Shift(1)))
         assert compose(m, m.inverse()).apply_stream({0: 1, 1: 2}) == {0: 1, 1: 2}
+
+
+MALFORMED_DESCRIPTIONS = [
+    ([{"kind": "perm"}], "'perms'"),
+    ([{"kind": "shift"}], "'m'"),
+    ([{"kind": "prefix", "lo": 0, "hi": 0}], "'table'"),
+    ([{"kind": "perm", "perms": [{"index": 0}]}], "'table'"),
+    ([1], "primitive 0 must be an object"),
+    (1, "list of primitives"),
+    ([{"m": 1}], "'kind'"),
+    ([{"kind": "shift", "m": 1.5}], "'m' must be an integer"),
+    ([{"kind": "shift", "m": True}], "'m' must be an integer"),
+    ([{"kind": "perm", "perms": [{"index": 0, "table": [1, "a"]}]}], "'table' must be a list of integers"),
+    ([{"kind": "prefix", "lo": 0, "hi": 0, "table": [[[0], [1]], [[1]]]}], "'table' must be a list of"),
+    ([{"kind": "prefix", "lo": "0", "hi": 0, "table": []}], "'lo' must be an integer"),
+]
+
+
+class TestMalformedDescription:
+    """A malformed map description is a ValueError naming the field."""
+
+    @pytest.mark.parametrize("desc,field", MALFORMED_DESCRIPTIONS)
+    def test_rejected_with_field_named(self, desc, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            map_from_description(2, desc)
+
+    def test_well_formed_description_accepted(self):
+        desc = [
+            {"kind": "shift", "m": 1},
+            {"kind": "perm", "perms": [{"index": 0, "table": [1, 0]}]},
+            {"kind": "prefix", "lo": 0, "hi": 0, "table": [[[0], [1]], [[1], [0]]]},
+        ]
+        m = map_from_description(2, desc)
+        assert m.describe() == desc
