@@ -161,7 +161,10 @@ def cmd_graph(args) -> int:
     if args.radius is not None:
         g = ball(base_vertex(params), args.radius)
     else:
-        (h,) = _parse_h_list(args.h)
+        h_values = _parse_h_list(args.h)
+        if len(h_values) != 1:
+            raise ValueError(f"graph takes one box side --h, got {args.h!r}")
+        (h,) = h_values
         cube = height_cube([(0, h)] * (params.d - 1), params.k)
         g = box_graph(params, canonical_box(params, cube))
     if args.format == "dot":
@@ -281,6 +284,10 @@ def _check_index(params, depth=3) -> "list[tuple[str, bool, str]]":
 def cmd_verify(args) -> int:
     params = graph_params(args.d, args.q, args.k)
     suite = args.assertion or "all"
+    if args.out and suite not in ("correspondence", "all"):
+        raise ValueError(
+            f"--out writes the correspondence suite's CSV; the {suite} suite has none"
+        )
     checks = []
     report = None
     if suite in ("counting", "all"):

@@ -21,11 +21,11 @@ which is the geometric input for the index-k comparison map.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -528,52 +528,8 @@ def box_boundary_size(params: GraphParams, box: Box, r: int) -> int:
     )
 
 
-def tile(params: GraphParams, region: HeightCube, h: int, ambient: Optional[Box] = None) -> "list[Box]":
-    """Partition an ambient box over the region into aligned boxes of h points per axis."""
-    if params.k != 1:
-        raise ValueError("tiling is defined on the k=1 graph")
-    _check_cube(params, region)
-    if h < 1:
-        raise ValueError("tile side must be >= 1")
-    for a, b in region.intervals:
-        if a % h or (b - a + 1) % h:
-            raise RegionAlignmentError(
-                f"axis [{a}, {b}] is not aligned to side-{h} tiles"
-            )
-    if ambient is None:
-        ambient = canonical_box(params, region)
-    elif ambient.cube != region:
-        raise ValueError("ambient box must sit over the region")
-    q = params.q
-    top_sum = sum(b for _, b in region.intervals)
-    tiles = []
-    corners = [range(a, b + 1, h) for a, b in region.intervals]
-    for corner in product(*corners):
-        cube = height_cube([(c, c + h - 1) for c in corner], k=1)
-        root_pools = []
-        for i, c in enumerate(corner):
-            a_i = region.intervals[i][0]
-            root_pools.append(list(tree_descendants(ambient.roots[i], c - a_i, q)))
-        # the last root sits at height -(tile top sum); it descends from the
-        # ambient last root at height -(region top sum)
-        tile_top = sum(c + h - 1 for c in corner)
-        depth_last = top_sum - tile_top
-        root_pools.append(list(tree_descendants(ambient.roots[-1], depth_last, q)))
-        for roots in product(*root_pools):
-            tiles.append(Box(cube=cube, roots=tuple(roots)))
-    return tiles
-
-
 # ---------------------------------------------------------------------------
 # balls and exports
-
-
-def sorted_index(keys: Sequence[str], key: str) -> int:
-    """Position of key in a sorted key sequence; KeyError if it is absent."""
-    i = bisect.bisect_left(keys, key)
-    if i < len(keys) and keys[i] == key:
-        return i
-    raise KeyError(key)
 
 
 @dataclass(frozen=True)
@@ -594,13 +550,11 @@ class BallGraph:
     depths: Optional[tuple] = None
     cube: Optional[HeightCube] = None
 
-    def index_of(self, key: str) -> int:
-        return sorted_index(self.keys, key)
-
 
 # Inside one GraphParams a vertex is identified by its coordinate tuple,
 # which is what the graph builders hash; the dl_key string is built once
 # per distinct vertex, to sort the vertices and label them for export.
+_coords = attrgetter("coords")
 
 
 def _key_order(vertices: Sequence[DLVertex]) -> "tuple[tuple[str, ...], list[int]]":
@@ -610,47 +564,67 @@ def _key_order(vertices: Sequence[DLVertex]) -> "tuple[tuple[str, ...], list[int
     return tuple(keys[i] for i in order), order
 
 
-def _induced_edges(vertices, index, start: int = 0) -> "list[tuple[int, int]]":
-    """Edges (i, j), i < j, from vertices[start:] to vertices found in index."""
+def _induced_edges(vertices, index, step, ident, start: int = 0) -> "list[tuple[int, int]]":
+    """Edges (i, j), i < j, from vertices[start:] to vertices found in index.
+
+    step(v) yields the neighbours of v, and index maps ident(neighbour) to
+    a position in vertices.
+    """
     edges = []
     for i in range(start, len(vertices)):
-        for w in dl_neighbors(vertices[i]):
-            j = index.get(w.coords)
+        for w in step(vertices[i]):
+            j = index.get(ident(w))
             if j is not None and i < j:
                 edges.append((i, j))
     return edges
 
 
-def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:
+def _layered_bfs(start, radius: int, step, ident, budget: int, noun: str, edges=None):
+    """Breadth-first ball of the given radius around start.
+
+    step(v) yields the neighbours of v; ident(v) is the hashable identity
+    of v. Returns the vertices in discovery order (so a smaller id is never
+    deeper), the map from identity to id, and each vertex's depth. With an
+    edges list, every edge (i, j), i < j, of the induced subgraph is
+    appended to it: edges from inside the radius while the BFS runs, since
+    every neighbour of such a vertex is in the ball, then the edges within
+    the outer sphere from a second pass over it.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    # BFS ids: vertices in discovery order, so a smaller id is never deeper
-    found = [center]
-    ids = {center.coords: 0}
-    found_depth = [0]
-    edges = []
-    start = 0
+    found = [start]
+    ids = {ident(start): 0}
+    depths = [0]
+    begin = 0
     for depth in range(1, radius + 1):
         stop = len(found)
-        for i in range(start, stop):
-            for w in dl_neighbors(found[i]):
-                j = ids.get(w.coords)
+        for i in range(begin, stop):
+            for w in step(found[i]):
+                key = ident(w)
+                j = ids.get(key)
                 if j is None:
-                    j = ids[w.coords] = len(found)
+                    j = ids[key] = len(found)
                     found.append(w)
-                    found_depth.append(depth)
+                    depths.append(depth)
                     if len(found) > budget:
                         raise BudgetError(
                             f"ball of radius {radius} exceeds budget {budget}: "
-                            f"{len(found)} vertices reached at depth {depth}"
+                            f"{len(found)} {noun} reached at depth {depth}"
                         )
                 # an edge is recorded from its endpoint with the smaller id
-                if i < j:
+                if edges is not None and i < j:
                     edges.append((i, j))
-        start = stop
-    # every neighbour of a vertex inside the radius is in the ball, so only
-    # edges within the outer sphere are still missing
-    edges += _induced_edges(found, ids, start)
+        begin = stop
+    if edges is not None:
+        edges += _induced_edges(found, ids, step, ident, begin)
+    return found, ids, depths
+
+
+def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:
+    edges = []
+    found, _, found_depth = _layered_bfs(
+        center, radius, dl_neighbors, _coords, budget, "vertices", edges
+    )
     keys, order = _key_order(found)
     pos = [0] * len(order)
     for p, i in enumerate(order):
@@ -682,7 +656,7 @@ def box_graph(params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET
         params=params,
         vertices=vertices,
         keys=keys,
-        edges=tuple(sorted(_induced_edges(vertices, index))),
+        edges=tuple(sorted(_induced_edges(vertices, index, dl_neighbors, _coords))),
         cube=box.cube,
     )
 

@@ -38,16 +38,14 @@ from .algebra import (
     valuation,
 )
 from .dlgraph import (
-    BudgetError,
     DLVertex,
+    _layered_bfs,
     ball,
     base_vertex,
-    dl_adjacent,
     dl_key,
-    dl_neighbors,
     dl_vertex,
     graph_params,
-    sorted_index,
+    sphere_sizes,
     tree_vertex,
 )
 
@@ -155,8 +153,14 @@ class CayleyBall:
     keys: tuple
     depths: tuple
 
-    def index_of(self, key: str) -> int:
-        return sorted_index(self.keys, key)
+
+def _word_ball(params: RingParams, radius: int, gens: tuple, budget: int, edges=None):
+    """The shared layered BFS in the word metric, elements keyed by element_key."""
+
+    def step(g: GroupElement) -> "list[GroupElement]":
+        return [multiply(g, s) for s in gens]
+
+    return _layered_bfs(identity(params), radius, step, element_key, budget, "elements", edges)
 
 
 def cayley_ball(
@@ -165,37 +169,17 @@ def cayley_ball(
     gens: Optional[Sequence[GroupElement]] = None,
     budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> CayleyBall:
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     gens = tuple(gens) if gens is not None else generators(params)
-    start = identity(params)
-    depth_by_key = {element_key(start): 0}
-    by_key = {element_key(start): start}
-    frontier = [start]
-    for depth in range(1, radius + 1):
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = multiply(g, s)
-                kh = element_key(h)
-                if kh not in depth_by_key:
-                    depth_by_key[kh] = depth
-                    by_key[kh] = h
-                    nxt.append(h)
-                    if len(by_key) > budget:
-                        raise BudgetError(
-                            f"ball of radius {radius} exceeds budget {budget}: "
-                            f"{len(by_key)} elements reached at depth {depth}"
-                        )
-        frontier = nxt
-    keys = tuple(sorted(by_key))
+    found, ids, depths = _word_ball(params, radius, gens, budget)
+    keys = tuple(sorted(ids))
+    order = [ids[k] for k in keys]
     return CayleyBall(
         params=params,
         radius=radius,
         gens=gens,
-        elements=tuple(by_key[k] for k in keys),
+        elements=tuple(found[i] for i in order),
         keys=keys,
-        depths=tuple(depth_by_key[k] for k in keys),
+        depths=tuple(depths[i] for i in order),
     )
 
 
@@ -250,66 +234,65 @@ def validate_correspondence(
 ) -> CorrespondenceReport:
     """Check the ball of the given radius maps isomorphically onto the graph ball.
 
-    Verifies injectivity, containment with matching word length, that every
-    generator move lands on a graph edge, and that interior elements realize
-    the full graph degree d(d-1)q bijectively.
+    The image map must be injective and land in the graph ball with word
+    length equal to graph depth, and it must carry the Cayley ball's edges
+    (generator moves between its elements, within the outer sphere too)
+    exactly onto the graph ball's edges.
     """
-    cb = cayley_ball(params, radius, budget=budget)
-    gp = graph_params(params.d, params.q, 1)
-    gb = ball(base_vertex(gp), radius, budget=budget)
+    cayley_edges = []
+    found, _, depths = _word_ball(params, radius, generators(params), budget, cayley_edges)
+    gb = ball(base_vertex(graph_params(params.d, params.q, 1)), radius, budget=budget)
+    position = {v.coords: p for p, v in enumerate(gb.vertices)}
     failures = []
 
-    images = {}
-    image_keys = {}
-    for key, el, dep in zip(cb.keys, cb.elements, cb.depths):
+    image = [None] * len(found)  # graph position of each element's image
+    preimage = {}
+    for i, (el, dep) in enumerate(zip(found, depths)):
         v = correspond(params, el)
-        kv = dl_key(v)
-        if kv in image_keys:
-            failures.append(f"not injective: {key} and {image_keys[kv]} map to {kv}")
-            continue
-        image_keys[kv] = key
-        images[key] = v
-        try:
-            idx = gb.index_of(kv)
-        except KeyError:
-            failures.append(f"image of {key} outside the radius-{radius} ball: {kv}")
-            continue
-        if gb.depths[idx] != dep:
+        p = position.get(v.coords)
+        if p is None:
             failures.append(
-                f"word length {dep} versus graph distance {gb.depths[idx]} for {key}"
+                f"image of {element_key(el)} outside the radius-{radius} ball: {dl_key(v)}"
             )
+        elif p in preimage:
+            failures.append(
+                f"not injective: {element_key(el)} and "
+                f"{element_key(found[preimage[p]])} map to {gb.keys[p]}"
+            )
+        else:
+            preimage[p] = i
+            image[i] = p
+            if gb.depths[p] != dep:
+                failures.append(
+                    f"word length {dep} versus graph distance {gb.depths[p]} "
+                    f"for {element_key(el)}"
+                )
 
-    for key, el, dep in zip(cb.keys, cb.elements, cb.depths):
-        if key not in images:
-            continue
-        img = images[key]
-        moved = {}
-        for s in cb.gens:
-            h = multiply(el, s)
-            kh = element_key(h)
-            try:
-                cb.index_of(kh)
-            except KeyError:
-                continue  # product leaves the ball; nothing to compare
-            if kh not in images:
-                continue
-            target = images[kh]
-            if not dl_adjacent(img, target):
-                failures.append(f"edge {key} -> {kh} not preserved")
-            moved[dl_key(target)] = kh
-        if dep <= radius - 1:
-            nbr_keys = {dl_key(w) for w in dl_neighbors(img)}
-            if set(moved) != nbr_keys:
-                failures.append(f"interior element {key} misses graph neighbors")
+    graph_edges = set(gb.edges)
+    mapped = set()
+    for i, j in cayley_edges:
+        a, b = image[i], image[j]
+        if a is None or b is None:
+            continue  # an endpoint has already failed
+        e = (a, b) if a < b else (b, a)
+        if e in graph_edges:
+            mapped.add(e)
+        else:
+            failures.append(
+                f"edge {element_key(found[i])} -> {element_key(found[j])} not preserved"
+            )
+    failures += [
+        f"graph edge {gb.keys[a]} -- {gb.keys[b]} has no preimage"
+        for a, b in gb.edges
+        if (a, b) not in mapped
+    ]
 
     return CorrespondenceReport(
         params=params,
         radius=radius,
         ok=not failures,
-        sphere_group=cayley_sphere_sizes(cb),
-        sphere_graph=tuple(
-            sum(1 for dep in gb.depths if dep == r) for r in range(radius + 1)
-        ),
+        sphere_group=tuple(map(depths.count, range(radius + 1))),
+        sphere_graph=sphere_sizes(gb),
         interior_degree=params.d * (params.d - 1) * params.q,
         failures=tuple(failures[:20]),
         failure_count=len(failures),

@@ -44,6 +44,7 @@ from .dlgraph import (
     DLVertex,
     GraphParams,
     HeightCube,
+    RegionAlignmentError,
     TreeVertex,
     box_boundary_size,
     box_containing,
@@ -772,7 +773,6 @@ def fiber_count_audit(
     box: Box,
     r: Optional[int] = None,
     bilip: Optional[int] = None,
-    workers: int = 1,
     budget: int = DEFAULT_FIBER_BUDGET,
 ) -> FiberAudit:
     """Two-sided test of total fiber mass over a box.
@@ -791,9 +791,7 @@ def fiber_count_audit(
     split is per cube point and totals come from `_fiber_totals`.  The
     distinct interior counts over a point are the products of each
     coordinate's distinct counts at its level, found by walking that
-    coordinate's descendants once per level.  `workers` is accepted and
-    ignored, so existing callers keep working; counting runs in one
-    process.
+    coordinate's descendants once per level.
     """
     params = imap.params
     if bilip is None:
@@ -875,7 +873,6 @@ def uf_chain_scan(
     k: int,
     h_values: Sequence[int],
     r: int = 1,
-    workers: int = 1,
 ) -> "tuple[ChainRecord, ...]":
     """Scan the deficiency sum of fibers against a target count k.
 
@@ -886,7 +883,7 @@ def uf_chain_scan(
     growing linearly in h.  Ratios are exact Fractions.
 
     Totals are per coordinate (see `_fiber_totals`), so the cost grows
-    with the cube, not the box.  `workers` is accepted and ignored.
+    with the cube, not the box.
     """
     if k < 1:
         raise ValueError("target fiber count k must be positive")
@@ -940,13 +937,17 @@ class Tiling:
 
 
 def make_tiling(params: GraphParams, region: HeightCube, h: int) -> Tiling:
+    """Tile the canonical box over region with side-h cubes.
+
+    A region not aligned to the side-h grid raises RegionAlignmentError.
+    """
     if params.k != 1:
         raise ValueError("tilings are built on the ordinary lattice (k = 1)")
     if h < 1:
         raise ValueError("tile side must be positive")
     for a, b in region.intervals:
         if a % h or (b - a + 1) % h:
-            raise ValueError(
+            raise RegionAlignmentError(
                 f"region interval ({a},{b}) is not aligned to tile side {h}"
             )
     return Tiling(params, region, h, canonical_box(params, region))

@@ -2,8 +2,10 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +358,41 @@ class TestWorkersFlag:
         with pytest.raises(SystemExit) as exc:
             run_cli(["verify", "--assert", "counting", "--workers", "2"])
         assert exc.value.code == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("suite", ["counting", "folner", "index"])
+    def test_verify_out_needs_the_correspondence_suite(self, capsys, tmp_path, suite):
+        out = tmp_path / "x.csv"
+        args = ["verify", "--k", "2", "--assert", suite, "--out", str(out)]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any suite ran
+        assert captured.err.startswith("error:")
+        assert not out.exists()
+
+    def test_graph_takes_one_box_side(self, capsys):
+        assert run_cli(["graph", "--d", "2", "--q", "2", "--h", "2,4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "one box side" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_commands_exit_0(capsys, tmp_path, monkeypatch):
+    """Every `dllab ...` line of the README's CLI section runs and exits 0."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    lines = section.splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("dllab ")]
+    assert {argv[1] for argv in commands} == {"graph", "verify", "qilab"}
+    # the config file the README writes before using it
+    (printf,) = [shlex.split(line) for line in lines if line.startswith("printf ")]
+    assert printf[2:] == [">", "lab.cfg"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lab.cfg").write_text(printf[1].replace("\\n", "\n"), encoding="utf-8")
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, shlex.join(argv)
+        capsys.readouterr()

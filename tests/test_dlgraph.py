@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from dllab import dlgraph
+from dllab.qilab import make_tiling
 from dllab.dlgraph import (
     BallGraph,
     Box,
@@ -54,7 +55,6 @@ from dllab.dlgraph import (
     meet_level,
     rho,
     sphere_sizes,
-    tile,
     tree_ancestor,
     tree_children,
     tree_descendants,
@@ -379,31 +379,26 @@ def test_tile_partitions_ambient(d, side_points, h):
     q = 2
     p = graph_params(d, q)
     region = height_cube([(0, side_points - 1)] * (d - 1))
-    tiles = tile(p, region, h)
+    tiling = make_tiling(p, region, h)
     ambient = canonical_box(p, region)
-    all_keys = {dl_key(v) for v in box_members(p, ambient)}
-    covered = set()
-    total = 0
-    for t in tiles:
-        members = list(box_members(p, t))
-        total += len(members)
-        for v in members:
-            key = dl_key(v)
-            assert key in all_keys
-            assert key not in covered  # disjointness
-            covered.add(key)
-    assert covered == all_keys
-    assert total == box_size(p, ambient)
+    assert tiling.ambient == ambient
+    members = list(box_members(p, ambient))
+    tiles = {tiling.tile_box(v) for v in members}
+    assert len(tiles) > 1
+    for v in members:
+        # each member lies in exactly one tile box: the one it reports
+        assert [t for t in tiles if box_contains(p, t, v)] == [tiling.tile_box(v)]
+    assert sum(box_size(p, t) for t in tiles) == box_size(p, ambient)
 
 
 def test_tile_alignment_errors():
     p = graph_params(2, 2)
     with pytest.raises(RegionAlignmentError):
-        tile(p, height_cube([(0, 2)]), 2)  # 3 points, not divisible by 2
+        make_tiling(p, height_cube([(0, 2)]), 2)  # 3 points, not divisible by 2
     with pytest.raises(RegionAlignmentError):
-        tile(p, height_cube([(1, 4)]), 2)  # origin not on the grid
+        make_tiling(p, height_cube([(1, 4)]), 2)  # origin not on the grid
     with pytest.raises(ValueError):
-        tile(graph_params(2, 2, 2), height_cube([(0, 3)], k=2), 2)
+        make_tiling(graph_params(2, 2, 2), height_cube([(0, 3)], k=2), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ words so the normal form is exercised away from the generators.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -186,6 +186,59 @@ def test_validate_correspondence_counts_every_failure(monkeypatch):
     assert not report.ok
     assert len(report.failures) == 20
     assert report.failure_count >= 38
+
+
+# (d, q, radius): the check must reject each broken correspondence below
+MUTATION_CASES = [(2, 2, 3), (3, 2, 2), (2, 3, 2)]
+
+
+@pytest.mark.parametrize("d,q,radius", MUTATION_CASES)
+@pytest.mark.parametrize("cut", [0, -1])
+def test_validate_correspondence_rejects_uniform_cutoffs(monkeypatch, d, q, radius, cut):
+    monkeypatch.setattr(group, "correspondence_cutoffs", lambda n: (cut,) * n)
+    report = validate_correspondence(ring_params(q, d), radius)
+    assert not report.ok
+    assert report.failure_count >= len(report.failures) > 0
+
+
+def unswappable_pair(gb, depth):
+    """Two vertices at one depth of a graph ball that swap to a non-automorphism.
+
+    Prefers a pair with the same neighbours nearer the centre, so that only
+    edges within the sphere or beyond it tell the two apart.
+    """
+    nbrs = [set() for _ in gb.vertices]
+    for i, j in gb.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    level = [i for i, dep in enumerate(gb.depths) if dep == depth]
+    pairs = [(a, b) for a, b in combinations(level, 2) if nbrs[a] - {b} != nbrs[b] - {a}]
+
+    def nearer(v):
+        return {w for w in nbrs[v] if gb.depths[w] < depth}
+
+    a, b = min(pairs, key=lambda ab: nearer(ab[0]) != nearer(ab[1]))
+    return gb.vertices[a], gb.vertices[b]
+
+
+@pytest.mark.parametrize("d,q,radius", MUTATION_CASES)
+@pytest.mark.parametrize("below", [0, 1])
+def test_validate_correspondence_rejects_swapped_images(monkeypatch, d, q, radius, below):
+    # injective, depth-preserving and onto the ball: only edges can tell
+    gb = ball(base_vertex(graph_params(d, q)), radius)
+    a, b = unswappable_pair(gb, radius - below)
+    swap = {a: b, b: a}
+    true_correspond = group.correspond
+
+    def swapped(params, g):
+        v = true_correspond(params, g)
+        return swap.get(v, v)
+
+    monkeypatch.setattr(group, "correspond", swapped)
+    report = validate_correspondence(ring_params(q, d), radius)
+    assert report.sphere_group == report.sphere_graph
+    assert not report.ok
+    assert all("edge" in f for f in report.failures)
 
 
 def test_cayley_ball_budget_reports_counts():

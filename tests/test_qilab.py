@@ -460,14 +460,6 @@ class TestFiberAudit:
         assert audit.r == 1 and audit.bilip == 2
         assert audit.bounds_ok
 
-    def test_workers_agree(self):
-        p = graph_params(2, 2)
-        im = interior_map(p, (shift_map(2, 1), identity_map(2)))
-        box = canonical_box(p, height_cube([(0, 4)]))
-        a1 = fiber_count_audit(im, box, r=1, bilip=2, workers=1)
-        a4 = fiber_count_audit(im, box, r=1, bilip=2, workers=4)
-        assert a1 == a4
-
 
 # ---------------------------------------------------------------------------
 # chain scans
@@ -503,11 +495,6 @@ class TestChainScan:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             uf_chain_scan(self.scan_map(), 0, [2])
-
-    def test_workers_agree(self):
-        r1 = uf_chain_scan(self.scan_map(), 3, [2, 4], r=1, workers=1)
-        r4 = uf_chain_scan(self.scan_map(), 3, [2, 4], r=1, workers=4)
-        assert r1 == r4
 
 
 # ---------------------------------------------------------------------------
