@@ -31,22 +31,21 @@ from fractions import Fraction
 from . import dlgraph, group, qilab
 from .algebra import ring_params
 from .dlgraph import (
+    DLVertex,
     ball,
     base_vertex,
     box_graph,
-    box_members,
     canonical_box,
     cube_size,
     dl_distance,
     dl_key,
     dl_neighbors,
-    dl_vertex,
     expected_degree,
     export_dot,
     export_json,
     graph_params,
     height_cube,
-    rho,
+    sorted_box_members,
     sphere_sizes,
 )
 
@@ -259,10 +258,15 @@ def _check_correspondence(params, radius) -> "tuple[list, object]":
 def _check_index(params, depth=3) -> "list[tuple[str, bool, str]]":
     rp = ring_params(params.q, params.d)
     k = params.k
-    ball_k = group.cayley_ball(rp, k)
-    cosets = {group.coset_index(g, k) for g in ball_k.elements}
-    amb = group.cayley_ball(rp, depth)
-    positives = [g for g in amb.elements if group.subgroup_membership(g, k)]
+    # one ambient ball serves both checks: its depth <= k part meets the
+    # cosets, its depth <= depth part holds the membership positives
+    amb = group.cayley_ball(rp, max(k, depth))
+    cosets = {group.coset_index(g, k) for g, dep in zip(amb.elements, amb.depths) if dep <= k}
+    positives = [
+        g
+        for g, dep in zip(amb.elements, amb.depths)
+        if dep <= depth and group.subgroup_membership(g, k)
+    ]
     sub = group.subgroup_ball(rp, k, depth)
     sub_keys = {group.element_key(g) for g in sub.elements}
     covered = all(group.element_key(g) in sub_keys for g in positives)
@@ -466,22 +470,21 @@ def _qilab_umap(args, params) -> "tuple[str, list, int]":
     side = int(args.h) if args.h else 3 * k
     region = height_cube([(0, side - 1)] * (params.d - 1))
     tiling = qilab.make_tiling(params, region, k)
-    table = qilab.umap_eval(tiling, k)
+    keys, members = sorted_box_members(params, tiling.ambient)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "image_key", "displacement"])
-    for x, y in table.items():
-        disp = dl_distance(x, dl_vertex(params, y.coords))
-        writer.writerow([dl_key(x), dl_key(y), disp])
-    hits = Counter(dl_key(y) for y in table.values())
-    expected = {
-        dl_key(x)
-        for x in box_members(params, tiling.ambient)
-        if rho(x)[0] % k == 0
-    }
+    hits = Counter()
+    for key, x in zip(keys, members):
+        y = qilab.umap(tiling, k, x)
+        image_key = dl_key(y)
+        disp = dl_distance(x, DLVertex(params, y.coords))
+        writer.writerow([key, image_key, disp])
+        hits[image_key] += 1
+    expected = {key for key, x in zip(keys, members) if x.coords[0].level % k == 0}
     exact = set(hits.values()) == {k} and set(hits) == expected
     summaries = [
-        f"umap: {len(table)} vertices onto {len(hits)} images, "
+        f"umap: {len(members)} vertices onto {len(hits)} images, "
         f"multiplicities {sorted(set(hits.values()))}"
     ]
     status = 0
@@ -501,7 +504,7 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, int]":
     h_values = _parse_h_list(args.h or "4")
     cube = height_cube([(0, h_values[0])] * (params.d - 1), params.k)
     box = canonical_box(params, cube)
-    members = sorted(box_members(params, box), key=dl_key)
+    _, members = sorted_box_members(params, box)
     table = qilab.psi_eval(imap, members)
     report = qilab.distortion(table, n_pairs=args.pairs, seed=args.seed)
     payload = (

@@ -17,6 +17,11 @@ Boxes are the connected components of preimages of height cubes under the
 height map; each fiber over a cube point is a product of descendant sets,
 so all counting here is exact. Aligned boxes of a common side tile a box,
 which is the geometric input for the index-k comparison map.
+
+Exact distances are memoized on per-coordinate heights above the meets.
+For k = 1 they are found by a search over those height signatures, which
+builds no graph vertex and does not depend on q; for k > 1 by a
+bidirectional BFS over vertices.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ class RegionAlignmentError(ValueError):
 
 DEFAULT_VERTEX_BUDGET = 500_000
 DEFAULT_DISTANCE_CAP = 64
+DEFAULT_STATE_BUDGET = 200_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,13 +152,18 @@ def dense_digits(v: TreeVertex, lo: int, hi: int) -> "tuple[int, ...]":
 
 
 def meet_level(u: TreeVertex, v: TreeVertex) -> int:
-    """Height of the deepest common ancestor."""
-    du, dv = dict(u.digits), dict(v.digits)
+    """Height of the deepest common ancestor.
+
+    Digits are sorted by index, so the first differing digit index is the
+    smaller index at the first position where the digit lists disagree.
+    """
     top = min(u.level, v.level)
-    for i in sorted(set(du) | set(dv)):
-        if du.get(i, 0) != dv.get(i, 0):
-            return min(top, i - 1)
-    return top
+    for a, b in zip(u.digits, v.digits):
+        if a != b:
+            return min(top, a[0] - 1, b[0] - 1)
+    n = min(len(u.digits), len(v.digits))
+    rest = u.digits[n:] or v.digits[n:]
+    return min(top, rest[0][0] - 1) if rest else top
 
 
 def tree_key(v: TreeVertex) -> str:
@@ -643,14 +654,25 @@ def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> 
     )
 
 
-def box_graph(params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:
-    """Induced subgraph on the members of a box."""
+def sorted_box_members(
+    params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET
+) -> "tuple[tuple[str, ...], tuple[DLVertex, ...]]":
+    """The members of a box and their keys, both in key order.
+
+    The closed-form size is checked against the budget before any member
+    is built.
+    """
     n = box_size(params, box)
     if n > budget:
         raise BudgetError(f"box has {n} members, budget {budget}")
     members = list(box_members(params, box))
     keys, order = _key_order(members)
-    vertices = tuple(members[i] for i in order)
+    return keys, tuple(members[i] for i in order)
+
+
+def box_graph(params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:
+    """Induced subgraph on the members of a box."""
+    keys, vertices = sorted_box_members(params, box, budget)
     index = {v.coords: i for i, v in enumerate(vertices)}
     return BallGraph(
         params=params,
@@ -722,49 +744,110 @@ def _pair_signature(u: DLVertex, v: DLVertex) -> tuple:
 
 
 def dl_distance(u: DLVertex, v: DLVertex, cap: int = DEFAULT_DISTANCE_CAP) -> int:
-    """Exact graph distance, memoized on the pair's automorphism signature."""
+    """Exact graph distance, memoized on the pair's automorphism signature.
+
+    For k = 1 the search runs over signature states (_signature_moves), and
+    the memo key is (d, sorted signature): every coordinate plays the same
+    role, and the distance does not depend on q. For k > 1 it is a
+    bidirectional BFS over graph vertices (_bfs_simple).
+    """
     if u.params != v.params:
         raise ValueError("vertices live in different graphs")
     if u == v:
         return 0
-    sig = (u.params, _pair_signature(u, v))
-    dist = _DIST_CACHE.get(sig)
+    params = u.params
+    sig = _pair_signature(u, v)
+    if params.k == 1:
+        sig = tuple(sorted(sig))
+        memo = (params.d, sig)
+    else:
+        memo = (params, sig)
+    dist = _DIST_CACHE.get(memo)
     if dist is None:
-        dist = _DIST_CACHE[sig] = _bfs_simple(u, v, cap)
+        if params.k == 1:
+            goal = ((0, 0),) * params.d
+            dist = _meet_in_middle(sig, goal, _signature_moves, cap, DEFAULT_STATE_BUDGET, "states")
+        else:
+            dist = _bfs_simple(u, v, cap)
+        _DIST_CACHE[memo] = dist
     elif dist > cap:
         # a cached distance obeys the cap exactly as a fresh search would
         raise BudgetError(f"no path within distance cap {cap}: the distance is {dist}")
     return dist
 
 
-def _bfs_simple(u: DLVertex, v: DLVertex, cap: int) -> int:
-    """Bidirectional BFS; exact and budgeted.
+def _signature_moves(state: tuple) -> "list[tuple]":
+    """Signature states one k = 1 edge away, each sorted.
 
-    Each step grows the side with the smaller frontier by one level. Any
-    hit found at total depth t is at distance exactly t, so the side chosen
-    never changes the answer.
+    A state holds one pair (c, e) per coordinate: c is the current vertex's
+    height above its meet with the target's coordinate, e the target's.
+    The goal is every pair (0, 0). An edge sends one coordinate up to its
+    parent, (c-1, e), or past the meet to (0, e+1) when c = 0; and another
+    coordinate down to a child: toward the target, (0, e-1), or off it,
+    (1, e), when c = 0 < e, else (c+1, e). Some child takes each branch
+    for every q >= 2. Reversing an edge turns its up-move into a down-move
+    and back, so the state graph is undirected and can be searched from
+    both ends.
     """
-    if u.coords == v.coords:
+    out = []
+    for i, (c, e) in enumerate(state):
+        up = (c - 1, e) if c else (0, e + 1)
+        for j, (cj, ej) in enumerate(state):
+            if j == i:
+                continue
+            for down in ((0, ej - 1), (1, ej)) if cj == 0 < ej else ((cj + 1, ej),):
+                nxt = list(state)
+                nxt[i] = up
+                nxt[j] = down
+                out.append(tuple(sorted(nxt)))
+    return out
+
+
+def _bfs_simple(u: DLVertex, v: DLVertex, cap: int) -> int:
+    """Bidirectional BFS over graph vertices, identified by coordinate tuples."""
+    params = u.params
+
+    def step(coords: tuple) -> "list[tuple]":
+        return [w.coords for w in dl_neighbors(DLVertex(params, coords))]
+
+    return _meet_in_middle(u.coords, v.coords, step, cap, DEFAULT_VERTEX_BUDGET, "vertices")
+
+
+def _meet_in_middle(a, b, step, cap: int, budget: int, noun: str) -> int:
+    """Distance from a to b in an undirected graph; exact and budgeted.
+
+    step(x) lists the neighbours of the hashable node x. Each step grows
+    the side with the smaller frontier by one level. Any hit found at total
+    depth t is at distance exactly t, so the side chosen never changes the
+    answer.
+    """
+    if a == b:
         return 0
-    seen = ({u.coords: 0}, {v.coords: 0})
-    fronts = [[u], [v]]
+    seen = ({a: 0}, {b: 0})
+    fronts = [[a], [b]]
     depths = [0, 0]
     while depths[0] + depths[1] < cap and fronts[0] and fronts[1]:
         s = 0 if len(fronts[0]) <= len(fronts[1]) else 1
         mine, other = seen[s], seen[1 - s]
+        room = budget - len(other)
         depths[s] += 1
         nxt = []
         for x in fronts[s]:
-            for w in dl_neighbors(x):
-                c = w.coords
-                hit = other.get(c)
+            for w in step(x):
+                hit = other.get(w)
                 if hit is not None:
                     return depths[s] + hit
-                if c not in mine:
-                    mine[c] = depths[s]
+                if w not in mine:
+                    if len(mine) >= room:
+                        raise BudgetError(
+                            f"search exceeds budget {budget}: searched depths "
+                            f"{depths[0]} and {depths[1]}, {len(mine) + len(other)} "
+                            f"{noun} reached"
+                        )
+                    mine[w] = depths[s]
                     nxt.append(w)
         fronts[s] = nxt
     raise BudgetError(
         f"no path within distance cap {cap}: searched depths {depths[0]} and "
-        f"{depths[1]}, {len(seen[0]) + len(seen[1])} vertices reached"
+        f"{depths[1]}, {len(seen[0]) + len(seen[1])} {noun} reached"
     )

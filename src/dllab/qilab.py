@@ -20,7 +20,8 @@ their metric and measure behavior exactly:
   correction from maps forcing boundary-rate divergence.  Chain and audit
   totals are computed per coordinate, never member by member;
 * tile maps: the exactly k-to-1 map from the ordinary lattice onto the
-  index-k sublattice built from a cube tiling, plus displacement and
+  index-k sublattice built from a cube tiling, computed from digit
+  positions without listing descendants, plus displacement and
   distortion estimates.
 
 Streams are represented sparsely as dicts from index to nonzero digit;
@@ -49,7 +50,6 @@ from .dlgraph import (
     box_boundary_size,
     box_containing,
     box_fiber_size,
-    box_members,
     box_size,
     canonical_box,
     cube_boundary,
@@ -63,6 +63,7 @@ from .dlgraph import (
     height_cube,
     heights,
     rho,
+    sorted_box_members,
     tree_descendants,
     tree_vertex,
 )
@@ -953,6 +954,29 @@ def make_tiling(params: GraphParams, region: HeightCube, h: int) -> Tiling:
     return Tiling(params, region, h, canonical_box(params, region))
 
 
+def _lex_index(v: TreeVertex, root: TreeVertex, q: int) -> int:
+    """Position of v among root's descendants at v's height, in digit order.
+
+    tree_descendants lists them with the shallowest digit most
+    significant, so the position is v's digits below root read in base q.
+    """
+    n = 0
+    for i, val in v.digits:
+        if i > root.level:
+            n += val * q ** (v.level - i)
+    return n
+
+
+def _lex_descendant(root: TreeVertex, depth: int, index: int, q: int) -> TreeVertex:
+    """The descendant depth levels below root at position index in digit order."""
+    extra = []
+    for i in range(root.level + depth, root.level, -1):
+        index, b = divmod(index, q)
+        if b:
+            extra.append((i, b))
+    return TreeVertex(root.level + depth, root.digits + tuple(reversed(extra)))
+
+
 def umap(tiling: Tiling, k: int, x: DLVertex) -> DLVertex:
     """Map a lattice vertex into the index-k lattice via its tile.
 
@@ -962,37 +986,32 @@ def umap(tiling: Tiling, k: int, x: DLVertex) -> DLVertex:
     digit order, with the q**j pairs at the corner whose last coordinate
     absorbs the offset.  Middle coordinates pass through unchanged.  With
     tile side equal to k this lands exactly k-to-1 on vertices whose
-    first height is a multiple of k.
+    first height is a multiple of k.  Lex positions are computed from the
+    digits, in O(depth), without listing descendants.
     """
     if k != tiling.h:
         raise ValueError("tile side must equal the index k")
     params = tiling.params
+    q = params.q
     box = tiling.tile_box(x)
-    v = rho(x)
-    corner = box.cube.intervals[0][0]
-    root_first = box.roots[0]
-    root_last = box.roots[-1]
-    offset = v[0] - corner
+    root_first, root_last = box.roots[0], box.roots[-1]
+    first, last = x.coords[0], x.coords[-1]
+    offset = first.level - root_first.level
+    depth_last = last.level - root_last.level
 
-    src_first = list(tree_descendants(root_first, offset, params.q))
-    depth_src_last = (-sum(v)) - root_last.level
-    src_last = list(tree_descendants(root_last, depth_src_last, params.q))
-    tgt_last = list(tree_descendants(root_last, depth_src_last + offset, params.q))
+    pair_index = _lex_index(first, root_first, q) * q**depth_last + _lex_index(last, root_last, q)
+    image_last = _lex_descendant(root_last, depth_last + offset, pair_index, q)
 
-    # lex-ordered pair lists have equal length q**(offset + depth_src_last)
-    pair_index = src_first.index(x.coords[0]) * len(src_last) + src_last.index(
-        x.coords[-1]
-    )
-    image_first = root_first
-    image_last = tgt_last[pair_index]
-
-    coords = (image_first,) + x.coords[1:-1] + (image_last,)
+    coords = (root_first,) + x.coords[1:-1] + (image_last,)
     return dl_vertex(graph_params(params.d, params.q, k), coords)
 
 
 def umap_eval(tiling: Tiling, k: int) -> dict:
-    """Evaluate the tile map over every member of the ambient box."""
-    members = sorted(box_members(tiling.params, tiling.ambient), key=dl_key)
+    """Evaluate the tile map over every member of the ambient box, in key order.
+
+    The ambient box's size is checked against the vertex budget first.
+    """
+    _, members = sorted_box_members(tiling.params, tiling.ambient)
     return {x: umap(tiling, k, x) for x in members}
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dllab import cli, group
+from dllab import cli, dlgraph, group
 from dllab.algebra import ring_params
 
 EXPECTED_DOT = """graph dl {
@@ -90,6 +90,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS index.cosets" in out
         assert "PASS index.coverage" in out
+
+    @pytest.mark.parametrize(
+        "d,k,positives",
+        # k = 4 exceeds the coverage depth 3, so the cosets need the larger ball
+        [(3, 2, 143), (2, 4, 3)],
+    )
+    def test_index_suite_lines(self, capsys, d, k, positives):
+        argv = ["verify", "--d", str(d), "--q", "2", "--k", str(k), "--assert", "index"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"PASS index.cosets: radius-{k} ball meets exactly k={k} cosets: "
+            f"{list(range(k))}",
+            f"PASS index.coverage: {positives} membership-positive elements of the "
+            "radius-3 ball all reached by depth-3 subgroup words",
+        ]
 
     def test_index_suite_needs_k(self, capsys):
         assert run_cli(["verify", "--d", "2", "--q", "2", "--assert", "index"]) == 2
@@ -186,6 +201,17 @@ class TestQilabOtherModes:
 
     def test_umap_needs_k(self, capsys):
         assert run_cli(["qilab", "--mode", "umap", "--d", "2", "--q", "2"]) == 2
+
+    def test_umap_budget_checked_before_enumeration(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("members were enumerated")
+
+        monkeypatch.setattr(dlgraph, "box_members", refuse)
+        argv = ["qilab", "--mode", "umap", "--d", "2", "--q", "2", "--k", "2", "--h", "24"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: box has 201326592 members, budget 500000")
 
     def test_distortion_seeded_reproducible(self, capsys):
         args = [

@@ -18,6 +18,7 @@ from dllab.qilab import make_tiling
 from dllab.dlgraph import (
     BallGraph,
     Box,
+    DEFAULT_DISTANCE_CAP,
     BudgetError,
     GraphParams,
     HeightCube,
@@ -612,3 +613,90 @@ def test_distance_cap_holds_cold_and_warm(monkeypatch):
     assert dl_distance(base, far, cap=4) == 4
     with pytest.raises(BudgetError, match=r"cap 3: the distance is 4"):
         dl_distance(base, far, cap=3)
+
+
+# ---------------------------------------------------------------------------
+# k = 1 distances: the signature-state search against vertex BFS
+
+ORACLE_BALLS = ((2, 2, 5), (2, 3, 4), (3, 2, 3), (3, 3, 2))
+
+
+def swap_class(sig):
+    """One signature per pair orientation: (u, v) and (v, u) share a distance."""
+    return min(sig, tuple((b, a) for a, b in sig))
+
+
+@pytest.fixture(scope="module")
+def bfs_by_signature():
+    """Per oracle ball, every pair signature in it with its vertex-BFS distance."""
+    out = {}
+    for d, q, r in ORACLE_BALLS:
+        verts = ball(base_vertex(graph_params(d, q)), r).vertices
+        pairs = {}
+        for u in verts:
+            for v in verts:
+                pairs.setdefault(swap_class(dlgraph._pair_signature(u, v)), (u, v))
+        out[d, q, r] = {
+            sig: (u, v, dlgraph._bfs_simple(u, v, DEFAULT_DISTANCE_CAP))
+            for sig, (u, v) in pairs.items()
+        }
+    return out
+
+
+@pytest.mark.parametrize("d,q,r", ORACLE_BALLS)
+def test_signature_search_matches_vertex_bfs(monkeypatch, bfs_by_signature, d, q, r):
+    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+    table = bfs_by_signature[d, q, r]
+    assert len(table) > 40
+    for u, v, dist in table.values():
+        assert dl_distance(u, v) == dist
+        assert dl_distance(v, u) == dist
+
+
+@pytest.mark.parametrize("d,q,steps", [(2, 2, 24), (2, 3, 24), (3, 2, 12), (3, 3, 10)])
+def test_signature_search_matches_vertex_bfs_far_pairs(monkeypatch, d, q, steps):
+    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+    p = graph_params(d, q)
+    rng = random.Random(41 + d + q)
+    base = base_vertex(p)
+    for _ in range(3):
+        v = base
+        for _ in range(steps):
+            v = rng.choice(dl_neighbors(v))
+        assert dl_distance(base, v) == dlgraph._bfs_simple(base, v, DEFAULT_DISTANCE_CAP)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_signature_distance_does_not_depend_on_q(bfs_by_signature, d):
+    q2, q3 = (bfs_by_signature[b] for b in ORACLE_BALLS if b[0] == d)
+    common = set(q2) & set(q3)
+    assert len(common) > 20
+    for sig in common:
+        assert q2[sig][2] == q3[sig][2]
+
+
+def test_signature_distance_cap_holds_cold_and_warm(monkeypatch):
+    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+    p = graph_params(2, 2)
+    base = base_vertex(p)
+    far = dl_vertex(p, (tree_root(4), tree_root(-4)))
+    with pytest.raises(BudgetError, match=r"cap 2: searched depths 1 and 1, 6 states reached"):
+        dl_distance(base, far, cap=2)
+    assert dl_distance(base, far) == 4
+    assert dl_distance(far, base, cap=4) == 4
+    with pytest.raises(BudgetError, match=r"cap 3: the distance is 4"):
+        dl_distance(base, far, cap=3)
+
+
+def test_distance_searches_hold_their_budgets(monkeypatch):
+    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+    monkeypatch.setattr(dlgraph, "DEFAULT_STATE_BUDGET", 3)
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 10)
+    p = graph_params(2, 2)
+    far = dl_vertex(p, (tree_root(4), tree_root(-4)))
+    with pytest.raises(BudgetError, match=r"budget 3: searched depths 1 and 0, 3 states reached"):
+        dl_distance(base_vertex(p), far)
+    p2 = graph_params(2, 2, 2)
+    far2 = dl_vertex(p2, (tree_root(8), tree_root(-8)))
+    with pytest.raises(BudgetError, match=r"budget 10: searched depths \d+ and \d+, 10 vertices reached"):
+        dl_distance(base_vertex(p2), far2)

@@ -1,5 +1,7 @@
 """Tests for boundary transducers, interior maps, and the tile map."""
 
+import csv
+import io
 import itertools
 import json
 import random
@@ -9,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from dllab import dlgraph, qilab
+from dllab import cli, dlgraph, qilab
 from dllab.dlgraph import (
     Box,
     ball,
@@ -26,6 +28,7 @@ from dllab.dlgraph import (
     heights,
     height_cube,
     rho,
+    tree_descendants,
     tree_vertex,
 )
 from dllab.qilab import (
@@ -561,6 +564,83 @@ class TestUmap:
         assert umap_displacement(t3, 3) == 3
         pd3, td3 = self.tiling(3, 2, 2, spans=2)
         assert umap_displacement(td3, 2) == 3
+
+
+# ---------------------------------------------------------------------------
+# the arithmetic tile map against an enumerative oracle
+
+
+def enumerative_umap(tiling, k, x):
+    """The tile map by listing descendants and finding lex positions with list.index."""
+    params = tiling.params
+    box = tiling.tile_box(x)
+    v = rho(x)
+    corner = box.cube.intervals[0][0]
+    root_first = box.roots[0]
+    root_last = box.roots[-1]
+    offset = v[0] - corner
+    src_first = list(tree_descendants(root_first, offset, params.q))
+    depth_src_last = (-sum(v)) - root_last.level
+    src_last = list(tree_descendants(root_last, depth_src_last, params.q))
+    tgt_last = list(tree_descendants(root_last, depth_src_last + offset, params.q))
+    pair_index = src_first.index(x.coords[0]) * len(src_last) + src_last.index(x.coords[-1])
+    coords = (root_first,) + x.coords[1:-1] + (tgt_last[pair_index],)
+    return dl_vertex(graph_params(params.d, params.q, k), coords)
+
+
+class TestUmapOracle:
+    @pytest.mark.parametrize(
+        "d,q,k,side",
+        [
+            (2, 2, 2, 8),
+            (2, 3, 2, 6),
+            (2, 2, 3, 9),
+            (2, 3, 3, 6),
+            (2, 2, 4, 8),
+            (3, 2, 2, 4),
+            (3, 3, 2, 4),
+            (3, 2, 3, 3),
+            (4, 2, 2, 2),
+        ],
+    )
+    def test_matches_enumerative_umap(self, monkeypatch, d, q, k, side):
+        p = graph_params(d, q)
+        tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
+        members = list(box_members(p, tiling.ambient))
+        expected = [enumerative_umap(tiling, k, x) for x in members]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("umap listed descendants")
+
+        monkeypatch.setattr(dlgraph, "tree_descendants", refuse)
+        monkeypatch.setattr(qilab, "tree_descendants", refuse)
+        assert [umap(tiling, k, x) for x in members] == expected
+
+    def test_cli_csv_matches_oracle(self, tmp_path):
+        p = graph_params(2, 3)
+        tiling = make_tiling(p, height_cube([(0, 3)]), 2)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["key", "image_key", "displacement"])
+        for x in sorted(box_members(p, tiling.ambient), key=dl_key):
+            y = enumerative_umap(tiling, 2, x)
+            disp = dlgraph._bfs_simple(x, dl_vertex(p, y.coords), dlgraph.DEFAULT_DISTANCE_CAP)
+            writer.writerow([dl_key(x), dl_key(y), disp])
+        out = tmp_path / "umap.csv"
+        argv = ["qilab", "--mode", "umap", "--d", "2", "--q", "3", "--k", "2", "--h", "4",
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.read_text(encoding="utf-8") == buf.getvalue()
+
+    def test_umap_eval_checks_budget_first(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("members were enumerated")
+
+        monkeypatch.setattr(dlgraph, "box_members", refuse)
+        p = graph_params(2, 2)
+        tiling = make_tiling(p, height_cube([(0, 23)]), 2)
+        with pytest.raises(dlgraph.BudgetError, match=r"box has 201326592 members, budget 500000"):
+            umap_eval(tiling, 2)
 
 
 # ---------------------------------------------------------------------------
