@@ -78,13 +78,13 @@ def ptrim(coeffs: Iterable[int]) -> "tuple[int, ...]":
 
 
 def padd(a, b, q: int):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % q
-    return ptrim(out)
+    if len(a) < len(b):
+        a, b = b, a
+    out = [(u + v) % q for u, v in zip(a, b)]
+    out += a[len(b):]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def pneg(a, q: int):
@@ -110,8 +110,13 @@ def peval(a, x: int, q: int) -> int:
 
 
 def pmul_linear(a, c: int, q: int):
-    """Multiply by the linear factor (t + c)."""
-    return pmul(a, ((c % q), 1), q)
+    """Multiply by the linear factor (t + c); a must be trimmed."""
+    if not a:
+        return ()
+    c %= q
+    if c == 0:
+        return (0, *a)
+    return ((c * a[0]) % q, *[(u + c * v) % q for u, v in zip(a, a[1:])], a[-1])
 
 
 def pdiv_linear(a, c: int, q: int):
@@ -389,3 +394,73 @@ def expand_local(a: RationalElement, place: int, lo: int, hi: int) -> DigitWindo
         ser[e - val] if 0 <= e - val < prec else 0 for e in range(lo, hi + 1)
     )
     return DigitWindow(place, lo, hi, digits)
+
+
+# ---------------------------------------------------------------------------
+# partial-fraction digits
+
+
+def partial_fractions(a: RationalElement) -> "tuple[tuple[int, ...], ...]":
+    """The digits of a's unique partial-fraction form.
+
+    a = sum_i sum_{n >= 1} parts[i-1][n-1] (t + l_i)^(-n) + sum_n poly[n] t^n.
+    The result is (parts[0], ..., parts[d-2], poly), indexed like the places
+    (the polynomial part belongs to the place at infinity). Each entry is a
+    trimmed tuple in ascending order: the principal part at place i is
+    expand_local's window [-m_i, -1] reversed, so its length is the reduced
+    denominator exponent m_i, and the polynomial part is the window
+    [-deg, 0] at infinity reversed. The map is a bijection onto tuples of
+    trimmed digit tuples (from_partial_fractions inverts it) and additive
+    (pf_add).
+    """
+    p = a.params
+    if a.is_zero():
+        return ((),) * p.d
+    parts = [
+        tuple(reversed(expand_local(a, place, -m, -1).digits)) if m else ()
+        for place, m in enumerate(a.den, start=1)
+    ]
+    deg = len(a.num) - 1 - sum(a.den)
+    parts.append(tuple(reversed(expand_local(a, p.d, -deg, 0).digits)) if deg >= 0 else ())
+    return tuple(parts)
+
+
+def pf_add(x: tuple, y: tuple, q: int) -> tuple:
+    """Partial-fraction digits of a + b from those of a and b: place-wise padd."""
+    if len(x) != len(y):
+        raise ValueError(f"digits of different rings: {len(x)} places against {len(y)}")
+    out = list(x)
+    for i, v in enumerate(y):
+        if v:
+            out[i] = padd(out[i], v, q) if out[i] else v
+    return tuple(out)
+
+
+def from_partial_fractions(params: RingParams, digits: Sequence[tuple]) -> RationalElement:
+    """The element with the given partial-fraction digits, already reduced.
+
+    With m_i = len(parts[i]) and B_i the Horner sum of parts[i] in
+    (t + l_i), the numerator is poly * prod_j (t + l_j)^m_j plus
+    B_i * prod_{j != i} (t + l_j)^m_j for every place i. Its value at -l_i
+    is the top digit of parts[i] times a unit, which is nonzero in trimmed
+    digits, so no reduction is needed.
+    """
+    q, d = params.q, params.d
+    if len(digits) != d:
+        raise ValueError(f"digits of a ring with {len(digits)} places, expected {d}")
+    for part in digits:
+        if part and (part[-1] == 0 or not all(0 <= v < q for v in part)):
+            raise ValueError(f"digits {part!r} are not trimmed digits mod {q}")
+    *parts, poly = digits
+    # num runs over the places like Horner's rule: after place i it is
+    # poly * F_1..F_i + sum_{j <= i} B_j * F_1..F_i / F_j with F_j = (t + l_j)^m_j,
+    # and prefix is F_1..F_i
+    num, prefix = tuple(poly), (1,)
+    for li, part in zip(params.l, parts):
+        for a in part:
+            num = pmul_linear(num, li, q)
+            if a:
+                num = padd(num, prefix if a == 1 else [a * v % q for v in prefix], q)
+        for _ in part:
+            prefix = pmul_linear(prefix, li, q)
+    return RationalElement(params, num, tuple(len(part) for part in parts))

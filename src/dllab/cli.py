@@ -263,13 +263,12 @@ def _check_index(params, depth=3) -> "list[tuple[str, bool, str]]":
     amb = group.cayley_ball(rp, max(k, depth))
     cosets = {group.coset_index(g, k) for g, dep in zip(amb.elements, amb.depths) if dep <= k}
     positives = [
-        g
-        for g, dep in zip(amb.elements, amb.depths)
+        key
+        for key, g, dep in zip(amb.keys, amb.elements, amb.depths)
         if dep <= depth and group.subgroup_membership(g, k)
     ]
-    sub = group.subgroup_ball(rp, k, depth)
-    sub_keys = {group.element_key(g) for g in sub.elements}
-    covered = all(group.element_key(g) in sub_keys for g in positives)
+    sub_keys = set(group.subgroup_ball(rp, k, depth).keys)
+    covered = all(key in sub_keys for key in positives)
     return [
         (
             "index.cosets",

@@ -726,7 +726,11 @@ def export_json(g: BallGraph) -> str:
 # ---------------------------------------------------------------------------
 # exact distances
 
+# Memo of dl_distance answers by pair signature. It is emptied when an insert
+# finds it holding DIST_CACHE_LIMIT entries, so it stays bounded; lookups
+# never check the size.
 _DIST_CACHE: dict = {}
+DIST_CACHE_LIMIT = 1 << 16
 
 
 def _pair_signature(u: DLVertex, v: DLVertex) -> tuple:
@@ -769,6 +773,8 @@ def dl_distance(u: DLVertex, v: DLVertex, cap: int = DEFAULT_DISTANCE_CAP) -> in
             dist = _meet_in_middle(sig, goal, _signature_moves, cap, DEFAULT_STATE_BUDGET, "states")
         else:
             dist = _bfs_simple(u, v, cap)
+        if len(_DIST_CACHE) >= DIST_CACHE_LIMIT:
+            _DIST_CACHE.clear()
         _DIST_CACHE[memo] = dist
     elif dist > cap:
         # a cached distance obeys the cap exactly as a fresh search would

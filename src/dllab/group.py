@@ -13,6 +13,13 @@ cutoff exponent exps_i, and the place at infinity tracks digits of P in
 u = 1/t up to exponent -sum(exps). The cutoff offsets are fixed module
 constants chosen so that every generator move is a single graph edge.
 
+Word balls run their BFS on (exps, partial-fraction digits of P) rather
+than on the normal form: a product by a generator s adds the term
+U(exps) * s.P, whose digits are cached per exps vector within the ball,
+so each product is a digit addition mod q. Each element is converted back
+to the normal form, and keyed, once after the BFS; multiply and invert
+remain the general group law.
+
 The index-k subgroup is the kernel of the first exponent mod k. Its
 generating set mirrors the ambient one: k-step products along the first
 place, mixed products trading first-place steps against the other places,
@@ -29,6 +36,9 @@ from .algebra import (
     RationalElement,
     RingParams,
     expand_local,
+    from_partial_fractions,
+    partial_fractions,
+    pf_add,
     rat_add,
     rat_const,
     rat_neg,
@@ -155,12 +165,44 @@ class CayleyBall:
 
 
 def _word_ball(params: RingParams, radius: int, gens: tuple, budget: int, edges=None):
-    """The shared layered BFS in the word metric, elements keyed by element_key."""
+    """The shared layered BFS in the word metric, run on partial-fraction digits.
 
-    def step(g: GroupElement) -> "list[GroupElement]":
-        return [multiply(g, s) for s in gens]
+    A BFS state is (exps, partial_fractions(P)), a bijective image of the
+    normal form. g * s adds U(g.exps) * s.P to P, a term that depends only
+    on g.exps and s: its digits are computed once per exps vector seen and
+    each product is a place-wise digit addition (pf_add). Returns the
+    elements in discovery order and their depths; edges, if given, gets the
+    edge list as in _layered_bfs.
+    """
+    q = params.q
+    pool = {}  # one shared tuple per exps and per den vector in this ball
+    moves = {}  # exps -> [(exps of g * s, digits of U(exps) * s.P) for s in gens]
 
-    return _layered_bfs(identity(params), radius, step, element_key, budget, "elements", edges)
+    def step(state):
+        exps, digits = state
+        out = moves.get(exps)
+        if out is None:
+            out = moves[exps] = []
+            for s in gens:
+                e = tuple(a + b for a, b in zip(exps, s.exps))
+                out.append(
+                    (pool.setdefault(e, e), partial_fractions(_scale_by_monomial(s.P, exps)))
+                )
+        return [(e, pf_add(digits, term, q)) for e, term in out]
+
+    start = identity(params)
+    found, ids, depths = _layered_bfs(
+        (pool.setdefault(start.exps, start.exps), partial_fractions(start.P)),
+        radius, step, lambda state: state, budget, "elements", edges,
+    )
+    # only one form of the elements is alive at a time: the states are
+    # replaced in place, after the index of them is dropped
+    del ids, moves
+    for i, (exps, digits) in enumerate(found):
+        P = from_partial_fractions(params, digits)
+        P = RationalElement(params, P.num, pool.setdefault(P.den, P.den))
+        found[i] = GroupElement(params, exps, P)
+    return found, depths
 
 
 def cayley_ball(
@@ -170,15 +212,15 @@ def cayley_ball(
     budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> CayleyBall:
     gens = tuple(gens) if gens is not None else generators(params)
-    found, ids, depths = _word_ball(params, radius, gens, budget)
-    keys = tuple(sorted(ids))
-    order = [ids[k] for k in keys]
+    found, depths = _word_ball(params, radius, gens, budget)
+    keys = [element_key(g) for g in found]
+    order = sorted(range(len(found)), key=keys.__getitem__)
     return CayleyBall(
         params=params,
         radius=radius,
         gens=gens,
         elements=tuple(found[i] for i in order),
-        keys=keys,
+        keys=tuple(keys[i] for i in order),
         depths=tuple(depths[i] for i in order),
     )
 
@@ -240,7 +282,7 @@ def validate_correspondence(
     exactly onto the graph ball's edges.
     """
     cayley_edges = []
-    found, _, depths = _word_ball(params, radius, generators(params), budget, cayley_edges)
+    found, depths = _word_ball(params, radius, generators(params), budget, cayley_edges)
     gb = ball(base_vertex(graph_params(params.d, params.q, 1)), radius, budget=budget)
     position = {v.coords: p for p, v in enumerate(gb.vertices)}
     failures = []

@@ -13,12 +13,15 @@ import pytest
 
 from dllab.algebra import (
     expand_local,
+    from_partial_fractions,
     is_prime,
     padd,
+    partial_fractions,
     pdiv_linear,
     peval,
     pmul,
     pmul_linear,
+    pf_add,
     pneg,
     pshift_var,
     ptrim,
@@ -437,3 +440,86 @@ def test_expansion_digits_below_valuation_vanish():
             w = expand_local(a, place, v - 4, v)
             assert w.digits[:4] == (0, 0, 0, 0)
             assert w.digits[4] != 0  # leading digit at the valuation
+
+
+# ---------------------------------------------------------------------------
+# partial-fraction digits
+
+
+def sum_of_fractions(params, digits):
+    """The element with the given partial-fraction digits, term by term."""
+    *parts, poly = digits
+    out = rational(params, poly)
+    for place, part in enumerate(parts, start=1):
+        for n, a in enumerate(part, start=1):
+            den = [0] * (params.d - 1)
+            den[place - 1] = n
+            out = rat_add(out, rational(params, (a,), den))
+    return out
+
+
+def special_elements(params):
+    """Zero, pure polynomials, and a high pole at every place alone."""
+    q, d = params.q, params.d
+    out = [rat_zero(params), rat_one(params), rational(params, (1, 2 % q, 0, 1))]
+    for place in range(1, d):
+        den = [0] * (d - 1)
+        den[place - 1] = 9
+        out.append(rational(params, (1,), den))
+        out.append(rational(params, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), den))
+    return out
+
+
+@pytest.mark.parametrize("q,d", [(2, 2), (3, 3), (5, 3), (5, 4)])
+def test_partial_fractions_roundtrip(q, d):
+    p = ring_params(q, d)
+    rng = random.Random(5000 + 10 * q + d)
+    elements = special_elements(p)
+    elements += [random_element(p, rng, max_deg=8, max_exp=6) for _ in range(60)]
+    for a in elements:
+        digits = partial_fractions(a)
+        assert len(digits) == d
+        assert tuple(map(len, digits[:-1])) == a.den  # pole orders are the den
+        for part in digits:
+            assert ptrim(part) == part and all(0 <= v < q for v in part)
+        back = from_partial_fractions(p, digits)
+        assert back == a == rational(p, back.num, back.den)
+        assert sum_of_fractions(p, digits) == a
+
+
+@pytest.mark.parametrize("q,d", [(2, 3), (3, 3), (5, 4)])
+def test_partial_fractions_of_random_digits(q, d):
+    # the digits of a sum of fractions are its coefficients, top digit nonzero
+    p = ring_params(q, d)
+    rng = random.Random(6000 + 10 * q + d)
+    for _ in range(40):
+        digits = tuple(
+            ptrim(rng.randrange(q) for _ in range(rng.randrange(6))) for _ in range(d)
+        )
+        assert partial_fractions(sum_of_fractions(p, digits)) == digits
+        assert from_partial_fractions(p, digits) == sum_of_fractions(p, digits)
+
+
+@pytest.mark.parametrize("q,d", [(2, 2), (3, 3), (5, 3)])
+def test_partial_fractions_are_additive(q, d):
+    p = ring_params(q, d)
+    rng = random.Random(7000 + 10 * q + d)
+    for _ in range(40):
+        a = random_element(p, rng, max_deg=7, max_exp=5)
+        b = random_element(p, rng, max_deg=7, max_exp=5)
+        got = pf_add(partial_fractions(a), partial_fractions(b), q)
+        assert got == partial_fractions(rat_add(a, b))
+        assert pf_add(partial_fractions(a), partial_fractions(rat_neg(a)), q) == ((),) * d
+
+
+def test_partial_fractions_reject_mismatched_rings():
+    p2, p3 = ring_params(2, 2), ring_params(3, 3)
+    a3 = partial_fractions(rational(p3, (1, 2), (1, 1)))
+    with pytest.raises(ValueError):
+        from_partial_fractions(p2, a3)  # three places against two
+    with pytest.raises(ValueError):
+        pf_add(partial_fractions(rat_one(p2)), a3, 2)
+    with pytest.raises(ValueError):
+        from_partial_fractions(p2, ((2,), ()))  # 2 is no digit mod 2
+    with pytest.raises(ValueError):
+        from_partial_fractions(p2, ((1, 0), ()))  # untrimmed

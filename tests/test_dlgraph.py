@@ -700,3 +700,24 @@ def test_distance_searches_hold_their_budgets(monkeypatch):
     far2 = dl_vertex(p2, (tree_root(8), tree_root(-8)))
     with pytest.raises(BudgetError, match=r"budget 10: searched depths \d+ and \d+, 10 vertices reached"):
         dl_distance(base_vertex(p2), far2)
+
+
+def test_distance_memo_stays_bounded(monkeypatch):
+    # far more distinct signatures than the limit: the memo is emptied on
+    # insert whenever it is full, every answer stays exact, and a distance
+    # cached after the emptying still obeys a smaller cap
+    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+    monkeypatch.setattr(dlgraph, "DIST_CACHE_LIMIT", 3)
+    p = graph_params(2, 3)
+    base = base_vertex(p)
+    sizes = []
+    for v in ball(base, 3).vertices:
+        assert dl_distance(base, v) == dlgraph._bfs_simple(base, v, DEFAULT_DISTANCE_CAP)
+        sizes.append(len(dlgraph._DIST_CACHE))
+    assert max(sizes) == 3
+    assert sizes.count(1) > 2  # emptied and refilled more than once
+    far = dl_vertex(p, (tree_root(4), tree_root(-4)))
+    assert dl_distance(base, far) == 4
+    assert dlgraph._DIST_CACHE[2, ((0, 4), (4, 0))] == 4
+    with pytest.raises(BudgetError, match=r"cap 3: the distance is 4"):
+        dl_distance(base, far, cap=3)

@@ -16,6 +16,7 @@ from dllab import group
 from dllab.algebra import rat_zero, rational, ring_params
 from dllab.dlgraph import (
     BudgetError,
+    _layered_bfs,
     ball,
     base_vertex,
     dl_adjacent,
@@ -24,6 +25,7 @@ from dllab.dlgraph import (
     sphere_sizes,
 )
 from dllab.group import (
+    DEFAULT_ELEMENT_BUDGET,
     cayley_ball,
     cayley_sphere_sizes,
     correspond,
@@ -239,6 +241,58 @@ def test_validate_correspondence_rejects_swapped_images(monkeypatch, d, q, radiu
     assert report.sphere_group == report.sphere_graph
     assert not report.ok
     assert all("edge" in f for f in report.failures)
+
+
+# (d, q, k, radius): balls of 55 to 2,016 elements
+WORD_BALL_CASES = [
+    (2, 2, 1, 8), (2, 2, 2, 4), (2, 2, 3, 3),
+    (2, 3, 1, 5), (2, 3, 2, 2), (2, 3, 3, 1),
+    (3, 2, 1, 4), (3, 2, 2, 2), (3, 2, 3, 1),
+    (3, 3, 1, 2), (3, 3, 2, 1), (3, 3, 3, 1),
+    (4, 3, 1, 2), (4, 3, 2, 1),
+]
+
+
+def multiply_word_ball(params, radius, gens):
+    """The word ball by the general group law: multiply and element_key."""
+    edges = []
+    found, _, depths = _layered_bfs(
+        identity(params),
+        radius,
+        lambda g: [multiply(g, s) for s in gens],
+        element_key,
+        DEFAULT_ELEMENT_BUDGET,
+        "elements",
+        edges,
+    )
+    return found, depths, edges
+
+
+@pytest.mark.parametrize("d,q,k,radius", WORD_BALL_CASES)
+def test_digit_word_ball_matches_multiply(d, q, k, radius):
+    p = ring_params(q, d)
+    gens = subgroup_generators(p, k)
+    found, depths, edges = multiply_word_ball(p, radius, gens)
+    got_edges = []
+    got = group._word_ball(p, radius, gens, DEFAULT_ELEMENT_BUDGET, got_edges)
+    assert got == (found, depths)
+    assert got_edges == edges
+    cb = cayley_ball(p, radius, gens=gens)
+    assert cb.keys == tuple(sorted(element_key(g) for g in found))
+    assert [element_key(g) for g in cb.elements] == list(cb.keys)
+
+
+def test_word_balls_never_multiply(monkeypatch):
+    p = ring_params(3, 3)
+    ambient, sub = generators(p), subgroup_generators(p, 2)
+    expected = [cayley_ball(p, 2, gens=ambient), cayley_ball(p, 1, gens=sub)]
+
+    def refuse(g, h):
+        raise AssertionError("a word ball multiplied")
+
+    monkeypatch.setattr(group, "multiply", refuse)
+    assert [cayley_ball(p, 2, gens=ambient), cayley_ball(p, 1, gens=sub)] == expected
+    assert validate_correspondence(p, 2).ok
 
 
 def test_cayley_ball_budget_reports_counts():
