@@ -263,12 +263,19 @@ def _check_index(params, depth=3) -> "list[tuple[str, bool, str]]":
     amb = group.cayley_ball(rp, max(k, depth))
     cosets = {group.coset_index(g, k) for g, dep in zip(amb.elements, amb.depths) if dep <= k}
     positives = [
-        key
+        (key, g)
         for key, g, dep in zip(amb.keys, amb.elements, amb.depths)
         if dep <= depth and group.subgroup_membership(g, k)
     ]
-    sub_keys = set(group.subgroup_ball(rp, k, depth).keys)
-    covered = all(key in sub_keys for key in positives)
+    # B_depth = B_(depth-1) ∪ B_(depth-1)·S and S is closed under inversion,
+    # so g is within depth subgroup words iff g or some g·s is within depth-1
+    gens = group.subgroup_generators(rp, k)
+    sub_keys = set(group.cayley_ball(rp, depth - 1, gens=gens).keys)
+    covered = all(
+        key in sub_keys
+        or any(group.element_key(group.multiply(g, s)) in sub_keys for s in gens)
+        for key, g in positives
+    )
     return [
         (
             "index.cosets",

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class BudgetError(RuntimeError):
@@ -47,8 +47,7 @@ DEFAULT_DISTANCE_CAP = 64
 DEFAULT_STATE_BUDGET = 200_000
 
 
-@dataclass(frozen=True, slots=True)
-class GraphParams:
+class GraphParams(NamedTuple):
     d: int
     q: int
     k: int = 1
@@ -74,9 +73,12 @@ def expected_degree(params: GraphParams) -> int:
 # tree vertices
 
 
-@dataclass(frozen=True, slots=True)
-class TreeVertex:
-    """Height plus sparse branching digits (index, value), value nonzero."""
+class TreeVertex(NamedTuple):
+    """Height plus sparse branching digits (index, value), value nonzero.
+
+    The same pair names the clone of ends below the vertex: every digit
+    stream that agrees with these digits at each index up to the height.
+    """
 
     level: int
     digits: tuple

@@ -24,11 +24,14 @@ their metric and measure behavior exactly:
   positions without listing descendants, plus displacement and
   distortion estimates.
 
-Streams are represented sparsely as dicts from index to nonzero digit;
-clones are (level, digits) pairs meaning "all streams agreeing with these
-digits at every index up to level".  A clone at level n has measure
-q**(-n) in the standard ultrametric measure normalized so the level-0
-clone over the empty digit assignment has measure 1.
+Streams are represented sparsely as dicts from index to nonzero digit.
+A clone is the set of all streams agreeing with given digits at every
+index up to a level, which is the set of ends below the tree vertex with
+that height and those digits; so a clone *is* a `dlgraph.TreeVertex`, one
+named tuple (level, digits) that also compares equal to the plain pair.
+A clone at level n has measure q**(-n) in the standard ultrametric
+measure normalized so the level-0 clone over the empty digit assignment
+has measure 1.
 """
 
 from __future__ import annotations
@@ -56,14 +59,13 @@ from .dlgraph import (
     cube_points,
     cube_side,
     dl_distance,
-    dl_key,
     dl_vertex,
     fiber_levels,
-    graph_params,
     height_cube,
     heights,
     rho,
     sorted_box_members,
+    tree_ancestor,
     tree_descendants,
     tree_vertex,
 )
@@ -75,10 +77,7 @@ DEFAULT_PROBE_BUDGET = 200_000
 # ---------------------------------------------------------------------------
 # clones: cylinder sets of digit streams
 
-Clone = tuple  # (level: int, digits: tuple of (index, digit) pairs)
-
-
-def clone(level: int, digits=()) -> Clone:
+def clone(level: int, digits=()) -> TreeVertex:
     """Normalize a clone: sorted nonzero digits at indices <= level."""
     items = []
     seen = set()
@@ -90,19 +89,14 @@ def clone(level: int, digits=()) -> Clone:
             raise ValueError(f"digit index {i} above clone level {level}")
         if v:
             items.append((int(i), int(v)))
-    return (int(level), tuple(sorted(items)))
+    return TreeVertex(int(level), tuple(sorted(items)))
 
 
-def clone_measure(c: Clone, q: int) -> Fraction:
-    return Fraction(q) ** (-c[0])
+def clone_measure(c: TreeVertex, q: int) -> Fraction:
+    return Fraction(q) ** (-c.level)
 
 
-def vertex_clone(v: TreeVertex) -> Clone:
-    """The clone of streams whose truncation at v.level equals v."""
-    return (v.level, v.digits)
-
-
-def count_vertices_in_clone(c: Clone, level: int, q: int) -> int:
+def count_vertices_in_clone(c: TreeVertex, level: int, q: int) -> int:
     """How many level-`level` tree vertices have their zero-fill stream in c.
 
     The zero-fill stream of a vertex at level v carries the vertex digits
@@ -120,20 +114,13 @@ def count_vertices_in_clone(c: Clone, level: int, q: int) -> int:
     return 1
 
 
-def vertices_in_clone(c: Clone, level: int, q: int) -> "list[TreeVertex]":
+def vertices_in_clone(c: TreeVertex, level: int, q: int) -> "list[TreeVertex]":
     """Materialize the vertices counted by count_vertices_in_clone."""
-    u, digits = c
-    if u > level:
-        if any(i > level for i, _ in digits):
-            return []
-        return [tree_vertex(level, digits, q)]
-    base = tuple((i, v) for i, v in digits)
-    free = list(range(u + 1, level + 1))
-    out = []
-    for combo in itertools.product(range(q), repeat=len(free)):
-        extra = tuple((i, dv) for i, dv in zip(free, combo) if dv)
-        out.append(tree_vertex(level, base + extra, q))
-    return out
+    if c.level <= level:
+        return list(tree_descendants(c, level - c.level, q))
+    if any(i > level for i, _ in c.digits):
+        return []
+    return [TreeVertex(level, c.digits)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +159,11 @@ class Shift:
     def apply_stream(self, stream: dict) -> dict:
         return {i + self.m: v for i, v in stream.items()}
 
-    def clone_images(self, c: Clone) -> "list[Clone]":
+    def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
         level, digits = c
-        return [(level + self.m, tuple(sorted((i + self.m, v) for i, v in digits)))]
+        return [TreeVertex(level + self.m, tuple(sorted((i + self.m, v) for i, v in digits)))]
 
-    def clone_preimages(self, c: Clone) -> "list[Clone]":
+    def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
         return self.inverse().clone_images(c)
 
     def source_span(self):
@@ -236,7 +223,7 @@ class LevelPerm:
                 out.pop(lvl, None)
         return out
 
-    def clone_images(self, c: Clone) -> "list[Clone]":
+    def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
         level, digits = c
         dmap = dict(digits)
         for lvl, table in self.perms:
@@ -246,9 +233,9 @@ class LevelPerm:
                     dmap[lvl] = nv
                 else:
                     dmap.pop(lvl, None)
-        return [(level, tuple(sorted(dmap.items())))]
+        return [TreeVertex(level, tuple(sorted(dmap.items())))]
 
-    def clone_preimages(self, c: Clone) -> "list[Clone]":
+    def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
         return self.inverse().clone_images(c)
 
     def source_span(self):
@@ -318,41 +305,21 @@ class PrefixRewrite:
     def apply_stream(self, stream: dict) -> dict:
         return _apply_window(stream, self.lo, self.hi, dict(self.table))
 
-    def clone_images(self, c: Clone) -> "list[Clone]":
-        level, digits = c
-        q = self._q()
+    def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
+        # a clone above hi splits into its subclones at level hi, one per
+        # completion of the missing digits; each rewrites to one exact clone
         lookup = dict(self.table)
-        if level >= self.hi:
-            dmap = dict(digits)
-            word = tuple(dmap.get(i, 0) for i in range(self.lo, self.hi + 1))
-            image = lookup[word]
-            for off in range(self.hi - self.lo + 1):
-                dmap.pop(self.lo + off, None)
-            for off, dv in enumerate(image):
-                if dv:
-                    dmap[self.lo + off] = dv
-            return [(level, tuple(sorted(dmap.items())))]
-        # split into subclones at level hi, one per completion of the
-        # missing digits; each rewrites to a single exact clone
+        window = range(self.lo, self.hi + 1)
+        parts = [c] if c.level >= self.hi else tree_descendants(c, self.hi - c.level, self._q())
         out = []
-        free = list(range(level + 1, self.hi + 1))
-        base = dict(digits)
-        for combo in itertools.product(range(q), repeat=len(free)):
-            dmap = dict(base)
-            for i, dv in zip(free, combo):
-                if dv:
-                    dmap[i] = dv
-            word = tuple(dmap.get(i, 0) for i in range(self.lo, self.hi + 1))
-            image = lookup[word]
-            for off in range(self.hi - self.lo + 1):
-                dmap.pop(self.lo + off, None)
-            for off, dv in enumerate(image):
-                if dv:
-                    dmap[self.lo + off] = dv
-            out.append((self.hi, tuple(sorted(dmap.items()))))
+        for level, digits in parts:
+            dmap = dict(digits)
+            image = lookup[tuple(dmap.pop(i, 0) for i in window)]
+            dmap.update((i, dv) for i, dv in zip(window, image) if dv)
+            out.append(TreeVertex(level, tuple(sorted(dmap.items()))))
         return out
 
-    def clone_preimages(self, c: Clone) -> "list[Clone]":
+    def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
         return self.inverse().clone_images(c)
 
     def source_span(self):
@@ -427,13 +394,13 @@ class BoundaryMap:
             out = p.apply_stream(out)
         return out
 
-    def clone_images(self, c: Clone) -> "list[Clone]":
+    def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
         clones = [c]
         for p in self.prims:
             clones = [c2 for c1 in clones for c2 in p.clone_images(c1)]
         return clones
 
-    def clone_preimages(self, c: Clone) -> "list[Clone]":
+    def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
         clones = [c]
         for p in reversed(self.prims):
             clones = [c2 for c1 in clones for c2 in p.clone_preimages(c1)]
@@ -570,25 +537,23 @@ class MeasureCheck:
 
 
 def measure_linear_constant(
-    m: BoundaryMap,
-    depth: int,
-    probe_lo: Optional[int] = None,
-    budget: int = DEFAULT_PROBE_BUDGET,
+    m: BoundaryMap, depth: int, budget: int = DEFAULT_PROBE_BUDGET
 ) -> MeasureCheck:
     """Check that image measure / clone measure is one constant.
 
     Enumerates every clone at the given depth whose digits are supported
     on the probe window [probe_lo, depth] and compares the exact measure
     of its image (a finite disjoint union of clones) to its own measure.
-    The window defaults to one index below the structural span of the
-    map, which suffices: digits strictly below every structural read pass
-    through a pure translation and cannot influence the ratio.
+    The window starts one index below the structural span of the map,
+    and at -1 at the latest, which suffices: digits strictly below every
+    structural read pass through a pure translation and cannot influence
+    the ratio.  Those clones are the level-depth descendants of the root
+    at probe_lo - 1.
     """
     span = m.source_span()
     if span is not None and depth < span[1]:
         raise ValueError(f"depth {depth} below structural span {span}")
-    if probe_lo is None:
-        probe_lo = min(-1, span[0] - 1) if span is not None else -1
+    probe_lo = min(-1, span[0] - 1) if span is not None else -1
     if probe_lo > depth:
         raise ValueError("probe window is empty")
     width = depth - probe_lo + 1
@@ -597,13 +562,10 @@ def measure_linear_constant(
         raise ValueError(
             f"probe window enumerates {q ** width} clones, budget {budget}"
         )
-    window = list(range(probe_lo, depth + 1))
     ratio = None
     witness_clone = None
     samples = 0
-    for combo in itertools.product(range(q), repeat=width):
-        digits = tuple((i, dv) for i, dv in zip(window, combo) if dv)
-        c = (depth, digits)
+    for c in tree_descendants(TreeVertex(probe_lo - 1, ()), width, q):
         images = m.clone_images(c)
         total = sum(clone_measure(ci, q) for ci in images)
         r = total / clone_measure(c, q)
@@ -688,13 +650,13 @@ def preimage_count(imap: InteriorMap, x: DLVertex) -> int:
     """
     total = 1
     for m, coord in zip(imap.maps, x.coords):
-        total *= _clone_fiber_count(m, vertex_clone(coord), coord.level)
+        total *= _clone_fiber_count(m, coord, coord.level)
         if total == 0:
             return 0
     return total
 
 
-def _clone_fiber_count(m: BoundaryMap, c: Clone, level: int) -> int:
+def _clone_fiber_count(m: BoundaryMap, c: TreeVertex, level: int) -> int:
     """How many level-`level` vertices m sends into clone c."""
     return sum(count_vertices_in_clone(p, level, m.q) for p in m.clone_preimages(c))
 
@@ -704,11 +666,10 @@ def preimage_vertices(imap: InteriorMap, x: DLVertex) -> "list[DLVertex]":
     q = imap.params.q
     per_coord = []
     for m, coord in zip(imap.maps, x.coords):
-        pre = m.clone_preimages(vertex_clone(coord))
         found = []
-        for c in pre:
+        for c in m.clone_preimages(coord):
             found.extend(vertices_in_clone(c, coord.level, q))
-        per_coord.append(sorted(set(found), key=lambda t: (t.level, t.digits)))
+        per_coord.append(sorted(set(found)))
     out = []
     for combo in itertools.product(*per_coord):
         out.append(dl_vertex(imap.params, combo))
@@ -734,9 +695,7 @@ def _fiber_totals(imap: InteriorMap, box: Box):
     one clone preimage per coordinate serves every level.
     """
     q = imap.params.q
-    pres = [
-        m.clone_preimages(vertex_clone(root)) for m, root in zip(imap.maps, box.roots)
-    ]
+    pres = [m.clone_preimages(root) for m, root in zip(imap.maps, box.roots)]
 
     def total(point) -> int:
         return math.prod(
@@ -814,7 +773,7 @@ def fiber_count_audit(
         if (i, level) not in level_counts:
             root = box.roots[i]
             level_counts[i, level] = {
-                _clone_fiber_count(imap.maps[i], vertex_clone(y), level)
+                _clone_fiber_count(imap.maps[i], y, level)
                 for y in tree_descendants(root, level - root.level, q)
             }
         return level_counts[i, level]
@@ -993,9 +952,11 @@ def umap(tiling: Tiling, k: int, x: DLVertex) -> DLVertex:
         raise ValueError("tile side must equal the index k")
     params = tiling.params
     q = params.q
-    box = tiling.tile_box(x)
-    root_first, root_last = box.roots[0], box.roots[-1]
     first, last = x.coords[0], x.coords[-1]
+    # the tile's corner heights; its last root sits below the far corner
+    corners = [c.level // k * k for c in x.coords[:-1]]
+    root_first = tree_ancestor(first, corners[0])
+    root_last = tree_ancestor(last, -sum(corners) - (params.d - 1) * (k - 1))
     offset = first.level - root_first.level
     depth_last = last.level - root_last.level
 
@@ -1003,7 +964,7 @@ def umap(tiling: Tiling, k: int, x: DLVertex) -> DLVertex:
     image_last = _lex_descendant(root_last, depth_last + offset, pair_index, q)
 
     coords = (root_first,) + x.coords[1:-1] + (image_last,)
-    return dl_vertex(graph_params(params.d, params.q, k), coords)
+    return DLVertex(params._replace(k=k), coords)
 
 
 def umap_eval(tiling: Tiling, k: int) -> dict:
@@ -1036,12 +997,7 @@ class DistortionReport:
     max_displacement: Optional[int]
 
 
-def distortion(
-    table: dict,
-    n_pairs: int = 30,
-    seed: int = 0,
-    measure_displacement: bool = True,
-) -> DistortionReport:
+def distortion(table: dict, n_pairs: int = 30, seed: int = 0) -> DistortionReport:
     """Estimate multiplicative and additive distortion from sampled pairs.
 
     Samples vertex pairs from the table domain, compares source and image
@@ -1049,10 +1005,13 @@ def distortion(
     every sampled pair with both distances positive, plus the additive
     slack C absorbing degenerate pairs.  When domain and image share
     parameters, also reports the max displacement over the whole table.
+    Pairs are drawn by table position, so callers pass the table in
+    `dl_key` order of its domain, as `sorted_box_members` and `umap_eval`
+    give it.
     """
     import random
 
-    items = sorted(table.items(), key=lambda kv: dl_key(kv[0]))
+    items = list(table.items())
     if len(items) < 2:
         raise ValueError("need at least two table entries")
     rng = random.Random(seed)
@@ -1073,10 +1032,9 @@ def distortion(
     for ds, dt in degenerate:
         c_est = max(c_est, Fraction(dt) - k_est * ds, Fraction(ds) / k_est - dt)
     max_disp = None
-    if measure_displacement:
-        u0, f0 = items[0]
-        if u0.params == f0.params:
-            max_disp = max(dl_distance(x, y) for x, y in items)
+    u0, f0 = items[0]
+    if u0.params == f0.params:
+        max_disp = max(dl_distance(x, y) for x, y in items)
     return DistortionReport(
         pairs=n_pairs, k_est=k_est, c_est=max(c_est, Fraction(0)), max_displacement=max_disp
     )

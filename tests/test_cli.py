@@ -106,6 +106,17 @@ class TestVerifyCommand:
             "radius-3 ball all reached by depth-3 subgroup words",
         ]
 
+    def test_index_suite_d3q3k3(self, capsys):
+        # the depth-3 subgroup ball over 222 generators would exceed the
+        # element budget; coverage is decided from the depth-2 ball
+        argv = ["verify", "--d", "3", "--q", "3", "--k", "3", "--assert", "index"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS index.cosets: radius-3 ball meets exactly k=3 cosets: [0, 1, 2]",
+            "PASS index.coverage: 385 membership-positive elements of the "
+            "radius-3 ball all reached by depth-3 subgroup words",
+        ]
+
     def test_index_suite_needs_k(self, capsys):
         assert run_cli(["verify", "--d", "2", "--q", "2", "--assert", "index"]) == 2
 

@@ -358,6 +358,34 @@ def test_subgroup_words_cover_small_ball():
     assert positives <= reached
 
 
+@pytest.mark.parametrize(
+    "d,q,k,dropped,covered",
+    # removing one generator (with its inverse) leaves every positive
+    # reachable; removing two at (2,2,2) leaves some out of reach
+    [(2, 2, 2, 1, True), (2, 2, 2, 2, False), (2, 3, 2, 1, True), (3, 2, 2, 1, True)],
+)
+def test_index_coverage_matches_full_subgroup_ball(monkeypatch, d, q, k, dropped, covered):
+    """The depth-2 ball plus one generator step decides coverage like the depth-3 ball."""
+    from dllab import cli
+
+    p = ring_params(q, d)
+    gens = list(subgroup_generators(p, k))
+    for _ in range(dropped):
+        gone = {element_key(gens[0]), element_key(invert(gens[0]))}
+        gens = [g for g in gens if element_key(g) not in gone]
+    monkeypatch.setattr(group, "subgroup_generators", lambda params, kk: tuple(gens))
+    ambient = cayley_ball(p, 3)
+    positives = [
+        key
+        for key, el in zip(ambient.keys, ambient.elements)
+        if subgroup_membership(el, k)
+    ]
+    reached = set(cayley_ball(p, 3, gens=gens).keys)
+    assert all(key in reached for key in positives) is covered
+    checks = {name: ok for name, ok, _ in cli._check_index(graph_params(d, q, k))}
+    assert checks["index.coverage"] is covered
+
+
 def test_exactly_k_cosets_in_ball():
     p = ring_params(2, 2)
     for k in (2, 3, 4):

@@ -14,6 +14,7 @@ import pytest
 from dllab import cli, dlgraph, qilab
 from dllab.dlgraph import (
     Box,
+    TreeVertex,
     ball,
     base_vertex,
     box_boundary,
@@ -63,7 +64,6 @@ from dllab.qilab import (
     umap,
     umap_displacement,
     umap_eval,
-    vertex_clone,
     vertices_in_clone,
 )
 
@@ -127,6 +127,38 @@ class TestClones:
                 vs = vertices_in_clone(c, level, 2)
                 assert len(vs) == count_vertices_in_clone(c, level, 2)
                 assert len(set(vs)) == len(vs)
+
+    def test_clones_are_tree_vertices(self):
+        c = clone(3, [(1, 0), (2, 1)])
+        assert isinstance(c, TreeVertex)
+        assert c == tree_vertex(3, [(2, 1)]) == (3, ((2, 1),))
+        assert hash(c) == hash((3, ((2, 1),)))
+        words = list(itertools.product(range(2), repeat=2))
+        prims = [Shift(1), level_perm([(0, (1, 0))]), prefix_rewrite(2, 3, zip(words, words[::-1]))]
+        for p in prims:
+            for img in p.clone_images(c) + p.clone_preimages(c):
+                assert isinstance(img, TreeVertex)
+                assert img == (img.level, img.digits)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_vertices_in_clone_match_brute_force(self, q):
+        # Every clone and vertex here carries digits only in [lo, level], so
+        # the level-L vertices in a clone are among the level-L descendants
+        # of the root at lo - 1: filter those by their zero-fill streams.
+        lo, hi = -1, 2
+        root = TreeVertex(lo - 1, ())
+
+        def stream_in_clone(v, c):
+            stream = dict(v.digits)
+            return all(stream.get(i, 0) == dict(c.digits).get(i, 0) for i in range(lo, c.level + 1))
+
+        for c_level in range(lo - 1, hi + 1):
+            for c in tree_descendants(root, c_level - lo + 1, q):
+                for level in range(lo - 1, hi + 1):
+                    candidates = tree_descendants(root, level - lo + 1, q)
+                    expected = [v for v in candidates if stream_in_clone(v, c)]
+                    assert vertices_in_clone(c, level, q) == expected
+                    assert count_vertices_in_clone(c, level, q) == len(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +241,36 @@ class TestPrefixRewrite:
         total = sum(clone_measure(c, 2) for c in imgs)
         assert total == clone_measure(clone(0, [(0, 1)]), 2)
 
+    @staticmethod
+    def product_split_images(rw, c, q):
+        """Reference: complete the free window digits by an explicit product, then rewrite."""
+        lookup = dict(rw.table)
+        free = range(c.level + 1, rw.hi + 1)
+        out = []
+        for combo in itertools.product(range(q), repeat=len(free)):
+            dmap = dict(c.digits)
+            dmap.update((i, b) for i, b in zip(free, combo) if b)
+            word = tuple(dmap.pop(i, 0) for i in range(rw.lo, rw.hi + 1))
+            dmap.update((rw.lo + off, b) for off, b in enumerate(lookup[word]) if b)
+            out.append((rw.hi, tuple(sorted(dmap.items()))))
+        return out
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_shallow_split_matches_product_reference(self, q):
+        rng = random.Random(20 + q)
+        for lo, hi in [(0, 0), (0, 1), (-1, 1), (1, 2)]:
+            words = list(itertools.product(range(q), repeat=hi - lo + 1))
+            for _ in range(3):
+                images = list(words)
+                rng.shuffle(images)
+                rw = prefix_rewrite(lo, hi, zip(words, images))
+                root = TreeVertex(lo - 2, ())
+                for level in range(lo - 2, hi):
+                    for c in tree_descendants(root, level - root.level, q):
+                        got = rw.clone_images(c)
+                        assert got == self.product_split_images(rw, c, q)
+                        assert len(got) == q ** (hi - level)
+
     def test_measure_preserving(self):
         rw = self.swap_window()
         assert rw.lam(2) == 1
@@ -288,6 +350,18 @@ class TestBoundaryMaps:
     def test_probe_budget_guard(self):
         with pytest.raises(ValueError):
             measure_linear_constant(shift_map(2, 1), depth=40, budget=100)
+
+    def test_probe_window_covers_span(self):
+        # the window runs from one index below the structural span (and
+        # from -1 at the latest) up to depth: q**width clones
+        assert measure_linear_constant(shift_map(2, 1), depth=2).samples == 2**4
+        perm = BoundaryMap(3, (level_perm([(-3, (1, 0, 2))]),))
+        assert measure_linear_constant(perm, depth=1).samples == 3**6
+
+    def test_probe_window_empty_below_index_minus_one(self):
+        # a map without structure probes from index -1, so depth -2 leaves nothing
+        with pytest.raises(ValueError, match="probe window is empty"):
+            measure_linear_constant(shift_map(2, 1), depth=-2)
 
     def test_net_shift(self):
         m = BoundaryMap(2, (Shift(2), Shift(-1)))
@@ -378,6 +452,14 @@ class TestInteriorMaps:
             assert len(set(fiber)) == len(fiber)
             for y in fiber:
                 assert psi_apply(im, y) == x
+
+    def test_preimage_vertices_in_coordinate_order(self):
+        p, box = self.box()
+        im = self.lift_lower()
+        for x in list(box_members(p, box))[:24]:
+            coords = [y.coords for y in preimage_vertices(im, x)]
+            assert len(coords) > 1
+            assert coords == sorted(coords)
 
     def test_forward_sweep_finds_no_extra_preimages(self):
         # over a padded box, forward evaluation must agree with the
