@@ -208,9 +208,9 @@ def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
     return checks
 
 
-def _check_folner(params, r, h_values=(2, 4, 6)) -> "list[tuple[str, bool, str]]":
+def _check_folner(params, r, side) -> "list[tuple[str, bool, str]]":
     ratios = []
-    for h in h_values:
+    for h in (side, 2 * side, 3 * side):
         cube = height_cube([(0, h)] * (params.d - 1), params.k)
         box = canonical_box(params, cube)
         vset = dlgraph.cube_points(cube)
@@ -300,11 +300,13 @@ def cmd_verify(args) -> int:
         )
     checks = []
     report = None
+    # the smallest multiple of k that is at least 2, so index-k cubes align
+    side = max(2, params.k)
     if suite in ("counting", "all"):
-        h = _parse_h_list(args.h)[0] if args.h else 2
+        h = _parse_h_list(args.h)[0] if args.h else side
         checks.extend(_check_counting(params, h))
     if suite in ("folner", "all"):
-        checks.extend(_check_folner(params, args.r if args.r is not None else 1))
+        checks.extend(_check_folner(params, args.r if args.r is not None else 1, side))
     if suite in ("correspondence", "all"):
         radius = args.radius if args.radius is not None else 3
         got, report = _check_correspondence(params, radius)

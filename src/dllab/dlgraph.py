@@ -221,33 +221,26 @@ def with_index(v: DLVertex, k: int) -> DLVertex:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Ordered ways to write total as parts nonnegative integers, in lex order."""
+    return (c for c in product(range(total + 1), repeat=parts) if sum(c) == total)
 
 
 def dl_neighbors(v: DLVertex) -> "list[DLVertex]":
+    """The neighbours of v, in a fixed order.
+
+    Ordinary moves send one coordinate down to each child and another up
+    to its parent; for k = 1 they run over every ordered pair of distinct
+    coordinates and are all the edges. For k > 1 they run over coordinates
+    2..d only, followed by the first coordinate climbing k while the others
+    descend along a composition of k, then the first descending k while the
+    others climb along one.
+    """
     params = v.params
     d, q, k = params.d, params.q, params.k
+    lo = 0 if k == 1 else 1
     out = []
-    if k == 1:
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                up = tree_parent(v.coords[j])
-                for child in tree_children(v.coords[i], q):
-                    coords = list(v.coords)
-                    coords[i] = child
-                    coords[j] = up
-                    out.append(DLVertex(params, tuple(coords)))
-        return out
-    # ordinary edges among coordinates 2..d
-    for i in range(1, d):
-        for j in range(1, d):
+    for i in range(lo, d):
+        for j in range(lo, d):
             if i == j:
                 continue
             up = tree_parent(v.coords[j])
@@ -256,14 +249,15 @@ def dl_neighbors(v: DLVertex) -> "list[DLVertex]":
                 coords[i] = child
                 coords[j] = up
                 out.append(DLVertex(params, tuple(coords)))
-    # first coordinate climbs k, the rest descend a total of k
+    if k == 1:
+        return out
+    combos = tuple(_compositions(k, d - 1))
     up_first = tree_ancestor(v.coords[0], v.coords[0].level - k)
-    for combo in _compositions(k, d - 1):
+    for combo in combos:
         pools = [list(tree_descendants(v.coords[1 + t], combo[t], q)) for t in range(d - 1)]
         for choice in product(*pools):
             out.append(DLVertex(params, (up_first,) + tuple(choice)))
-    # first coordinate descends k, the rest climb a total of k
-    for combo in _compositions(k, d - 1):
+    for combo in combos:
         ups = tuple(
             tree_ancestor(v.coords[1 + t], v.coords[1 + t].level - combo[t])
             for t in range(d - 1)
@@ -383,10 +377,6 @@ def height_steps(params: GraphParams) -> "tuple[tuple[int, ...], ...]":
     d, k = params.d, params.k
     n = d - 1
     steps = set()
-
-    def unit(i: int, s: int) -> "tuple[int, ...]":
-        return tuple(s if t == i else 0 for t in range(n))
-
     if k == 1:
         lo = 0
     else:
@@ -413,31 +403,21 @@ def height_steps(params: GraphParams) -> "tuple[tuple[int, ...], ...]":
 
 
 def cube_boundary(params: GraphParams, cube: HeightCube, r: int) -> "list[tuple[int, ...]]":
-    """Points of the cube within r lattice steps of its complement."""
+    """Points of the cube within r lattice steps of its complement, sorted.
+
+    This is the cube minus its r-fold erosion. The (t+1)-ball of a point
+    is the union of the t-balls of its one-step neighbours, so after t
+    passes that keep the points whose every neighbour was kept by the pass
+    before, exactly the points whose whole t-ball lies in the cube remain.
+    """
     if r < 0:
         raise ValueError("r must be nonnegative")
     steps = height_steps(params)
     inside = set(cube_points(cube))
-    out = []
-    for p in sorted(inside):
-        frontier = {p}
-        seen = {p}
-        hit = False
-        for _ in range(r):
-            nxt = set()
-            for x in frontier:
-                for s in steps:
-                    y = tuple(a + b for a, b in zip(x, s))
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.add(y)
-            if any(y not in inside for y in nxt):
-                hit = True
-                break
-            frontier = nxt
-        if hit:
-            out.append(p)
-    return out
+    core = inside
+    for _ in range(r):
+        core = {p for p in core if all(tuple(a + b for a, b in zip(p, s)) in core for s in steps)}
+    return sorted(inside - core)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +666,10 @@ def box_graph(params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET
 
 
 def sphere_sizes(g: BallGraph) -> "tuple[int, ...]":
+    """Vertices per BFS depth, from the ball's radius and depths.
+
+    Only those two fields are read, so a group.CayleyBall works as well.
+    """
     if g.depths is None or g.radius is None:
         raise ValueError("graph carries no BFS depth data")
     out = [0] * (g.radius + 1)

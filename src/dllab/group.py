@@ -225,11 +225,7 @@ def cayley_ball(
     )
 
 
-def cayley_sphere_sizes(cb: CayleyBall) -> "tuple[int, ...]":
-    out = [0] * (cb.radius + 1)
-    for dep in cb.depths:
-        out[dep] += 1
-    return tuple(out)
+cayley_sphere_sizes = sphere_sizes
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .dlgraph import (
@@ -126,16 +127,6 @@ def vertices_in_clone(c: TreeVertex, level: int, q: int) -> "list[TreeVertex]":
 # ---------------------------------------------------------------------------
 # transducer primitives
 
-def _apply_window(stream: dict, lo: int, hi: int, table: dict) -> dict:
-    word = tuple(stream.get(i, 0) for i in range(lo, hi + 1))
-    image = table[word]
-    out = {i: v for i, v in stream.items() if not lo <= i <= hi}
-    for off, dv in enumerate(image):
-        if dv:
-            out[lo + off] = dv
-    return out
-
-
 @dataclass(frozen=True)
 class Shift:
     """Translate every digit index by m (stream index i reads input i - m).
@@ -213,27 +204,27 @@ class LevelPerm:
             inv.append((lvl, tuple(itab)))
         return LevelPerm(tuple(inv))
 
-    def apply_stream(self, stream: dict) -> dict:
-        out = dict(stream)
+    def _permute(self, digits, top) -> dict:
+        """The digits as a dict, each permuted index <= top mapped by its table.
+
+        digits is a stream dict or a clone's (index, digit) pairs.
+        """
+        out = dict(digits)
         for lvl, table in self.perms:
-            nv = table[out.get(lvl, 0)]
-            if nv:
-                out[lvl] = nv
-            else:
-                out.pop(lvl, None)
+            if lvl <= top:
+                nv = table[out.get(lvl, 0)]
+                if nv:
+                    out[lvl] = nv
+                else:
+                    out.pop(lvl, None)
         return out
+
+    def apply_stream(self, stream: dict) -> dict:
+        return self._permute(stream, math.inf)
 
     def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
         level, digits = c
-        dmap = dict(digits)
-        for lvl, table in self.perms:
-            if lvl <= level:
-                nv = table[dmap.get(lvl, 0)]
-                if nv:
-                    dmap[lvl] = nv
-                else:
-                    dmap.pop(lvl, None)
-        return [TreeVertex(level, tuple(sorted(dmap.items())))]
+        return [TreeVertex(level, tuple(sorted(self._permute(digits, level).items())))]
 
     def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
         return self.inverse().clone_images(c)
@@ -302,22 +293,32 @@ class PrefixRewrite:
             self.lo, self.hi, tuple(sorted((img, w) for w, img in self.table))
         )
 
+    @cached_property
+    def _lookup(self) -> dict:
+        return dict(self.table)
+
+    def _rewrite(self, digits) -> dict:
+        """The digits as a dict, the window word replaced by its image.
+
+        digits is a stream dict or a clone's (index, digit) pairs.
+        """
+        window = range(self.lo, self.hi + 1)
+        out = dict(digits)
+        image = self._lookup[tuple(out.pop(i, 0) for i in window)]
+        out.update((i, dv) for i, dv in zip(window, image) if dv)
+        return out
+
     def apply_stream(self, stream: dict) -> dict:
-        return _apply_window(stream, self.lo, self.hi, dict(self.table))
+        return self._rewrite(stream)
 
     def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
         # a clone above hi splits into its subclones at level hi, one per
         # completion of the missing digits; each rewrites to one exact clone
-        lookup = dict(self.table)
-        window = range(self.lo, self.hi + 1)
         parts = [c] if c.level >= self.hi else tree_descendants(c, self.hi - c.level, self._q())
-        out = []
-        for level, digits in parts:
-            dmap = dict(digits)
-            image = lookup[tuple(dmap.pop(i, 0) for i in window)]
-            dmap.update((i, dv) for i, dv in zip(window, image) if dv)
-            out.append(TreeVertex(level, tuple(sorted(dmap.items()))))
-        return out
+        return [
+            TreeVertex(level, tuple(sorted(self._rewrite(digits).items())))
+            for level, digits in parts
+        ]
 
     def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
         return self.inverse().clone_images(c)
@@ -388,6 +389,10 @@ class BoundaryMap:
     def inverse(self) -> "BoundaryMap":
         return BoundaryMap(self.q, tuple(p.inverse() for p in reversed(self.prims)))
 
+    @cached_property
+    def _inverse(self) -> "BoundaryMap":
+        return self.inverse()
+
     def apply_stream(self, stream: dict) -> dict:
         out = dict(stream)
         for p in self.prims:
@@ -401,10 +406,11 @@ class BoundaryMap:
         return clones
 
     def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
-        clones = [c]
-        for p in reversed(self.prims):
-            clones = [c2 for c1 in clones for c2 in p.clone_preimages(c1)]
-        return clones
+        """Clones partitioning the preimage of c.
+
+        They are c's clone images under the inverse map, built once per map.
+        """
+        return self._inverse.clone_images(c)
 
     def source_span(self):
         """Index range of the input digits that structural stages read.
@@ -428,10 +434,6 @@ class BoundaryMap:
 
     def describe(self) -> "list[dict]":
         return [p.describe() for p in self.prims]
-
-
-def boundary_map(q: int, prims=()) -> BoundaryMap:
-    return BoundaryMap(q, tuple(prims))
 
 
 def identity_map(q: int) -> BoundaryMap:

@@ -117,6 +117,24 @@ class TestVerifyCommand:
             "radius-3 ball all reached by depth-3 subgroup words",
         ]
 
+    def test_default_suite_d2q2k3(self, capsys):
+        # the default box sides follow k: side 3, Folner sides 3, 6 and 9
+        assert run_cli(["verify", "--d", "2", "--q", "2", "--k", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS counting.fibers: box fibers over [0,3]^1 all q^((d-1)h)=8: got [8]",
+            "PASS counting.box_size: box size 16 = cube 2 x fiber 8",
+            "PASS counting.degree: vertex degree 16 matches formula 16",
+            "PASS folner.identity: box boundary ratio equals height-set ratio at r=1 "
+            "(h=3: 1, h=6: 2/3, h=9: 1/2)",
+            "PASS folner.decreasing: boundary ratio strictly decreases in h at r=1",
+            "PASS correspondence.spheres: group spheres (1, 4, 10, 24) match graph "
+            "spheres (1, 4, 10, 24)",
+            "PASS correspondence.isomorphism: radius-3 ball maps isomorphically",
+            "PASS index.cosets: radius-3 ball meets exactly k=3 cosets: [0, 1, 2]",
+            "PASS index.coverage: 19 membership-positive elements of the radius-3 "
+            "ball all reached by depth-3 subgroup words",
+        ]
+
     def test_index_suite_needs_k(self, capsys):
         assert run_cli(["verify", "--d", "2", "--q", "2", "--assert", "index"]) == 2
 

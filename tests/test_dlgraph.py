@@ -7,6 +7,8 @@ fully materialized vertex sets wherever they fit in memory.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -721,3 +723,112 @@ def test_distance_memo_stays_bounded(monkeypatch):
     assert dlgraph._DIST_CACHE[2, ((0, 4), (4, 0))] == 4
     with pytest.raises(BudgetError, match=r"cap 3: the distance is 4"):
         dl_distance(base, far, cap=3)
+
+
+# ---------------------------------------------------------------------------
+# graph rules against the per-point and per-k versions they replaced
+
+
+def per_point_cube_boundary(params, cube, r):
+    """A fresh frontier search from every cube point, stopped once it leaves."""
+    steps = height_steps(params)
+    inside = set(cube_points(cube))
+    out = []
+    for p in sorted(inside):
+        frontier = {p}
+        seen = {p}
+        for _ in range(r):
+            nxt = set()
+            for x in frontier:
+                for s in steps:
+                    y = tuple(a + b for a, b in zip(x, s))
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.add(y)
+            if any(y not in inside for y in nxt):
+                out.append(p)
+                break
+            frontier = nxt
+    return out
+
+
+def recursive_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def two_loop_neighbors(v):
+    """Neighbours with the k = 1 ordinary moves written apart from the k > 1 ones."""
+    params = v.params
+    d, q, k = params.d, params.q, params.k
+
+    def ordinary(lo):
+        out = []
+        for i in range(lo, d):
+            for j in range(lo, d):
+                if i == j:
+                    continue
+                up = tree_parent(v.coords[j])
+                for child in tree_children(v.coords[i], q):
+                    coords = list(v.coords)
+                    coords[i] = child
+                    coords[j] = up
+                    out.append(dlgraph.DLVertex(params, tuple(coords)))
+        return out
+
+    if k == 1:
+        return ordinary(0)
+    out = ordinary(1)
+    up_first = tree_ancestor(v.coords[0], v.coords[0].level - k)
+    for combo in recursive_compositions(k, d - 1):
+        pools = [list(tree_descendants(v.coords[1 + t], combo[t], q)) for t in range(d - 1)]
+        for choice in itertools.product(*pools):
+            out.append(dlgraph.DLVertex(params, (up_first,) + tuple(choice)))
+    for combo in recursive_compositions(k, d - 1):
+        ups = tuple(
+            tree_ancestor(v.coords[1 + t], v.coords[1 + t].level - combo[t])
+            for t in range(d - 1)
+        )
+        for down in tree_descendants(v.coords[0], k, q):
+            out.append(dlgraph.DLVertex(params, (down,) + ups))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cube_boundary_is_per_point_search(d, k):
+    p = graph_params(d, 2, k)
+    sides = (k, 2 * k) if d == 4 else (k, 2 * k, 3 * k)
+    for side in sides:
+        # one cube at the origin, one shifted off it (still aligned on axis 1)
+        for corner in (0, -k):
+            cube = height_cube(
+                [(corner, corner + side)] + [(corner + t, corner + t + side) for t in range(1, d - 1)],
+                k,
+            )
+            for r in range(4):
+                assert cube_boundary(p, cube, r) == per_point_cube_boundary(p, cube, r), (side, r)
+
+
+def test_compositions_match_recursive_version():
+    for parts in range(1, 5):
+        for total in range(7):
+            assert list(dlgraph._compositions(total, parts)) == list(
+                recursive_compositions(total, parts)
+            )
+
+
+@pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
+def test_neighbors_match_two_loop_version(d, q, k):
+    p = graph_params(d, q, k)
+    # the largest ball around the base vertex with at most 2,000 vertices
+    g = ball(base_vertex(p), 1)
+    with contextlib.suppress(BudgetError):
+        while True:
+            g = ball(base_vertex(p), g.radius + 1, budget=2_000)
+    for v in g.vertices:
+        assert dl_neighbors(v) == two_loop_neighbors(v)

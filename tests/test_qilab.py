@@ -332,6 +332,30 @@ class TestBoundaryMaps:
             back = [c2 for ci in images for c2 in f.clone_preimages(ci)]
             assert sum(clone_measure(ci, q) for ci in back) == clone_measure(c, q)
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_clone_preimages_match_reversed_primitives(self, monkeypatch, q):
+        rng = random.Random(40 + q)
+        for _ in range(20):
+            f = BoundaryMap(q, tuple(random_primitive(rng, q) for _ in range(rng.choice([1, 2, 3]))))
+            probes = [clone(-2), clone(3, [(3, 1)])] + [
+                clone(lvl, [(i, rng.randrange(1, q)) for i in rng.sample(range(-2, lvl + 1), 2)])
+                for lvl in (0, 1, 2)
+            ]
+            for c in probes:
+                expected = [c]
+                for p in reversed(f.prims):
+                    expected = [c2 for c1 in expected for c2 in p.clone_preimages(c1)]
+                assert f.clone_preimages(c) == expected
+        # the inverse is built on the first call only
+        f = BoundaryMap(q, (Shift(1), level_perm([(0, tuple(reversed(range(q))))])))
+        calls = Counter()
+        inverse = BoundaryMap.inverse
+        monkeypatch.setattr(BoundaryMap, "inverse", lambda m: calls.update(["inverse"]) or inverse(m))
+        first = f.clone_preimages(clone(1, [(1, 1)]))
+        assert f.clone_preimages(clone(1, [(1, 1)])) == first
+        assert f.clone_preimages(clone(0)) == [clone(-1, [(-1, q - 1)])]
+        assert calls["inverse"] == 1
+
     def test_description_roundtrip(self):
         rng = random.Random(11)
         for _ in range(20):
