@@ -27,6 +27,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 from . import dlgraph, group, qilab
 from .algebra import ring_params
@@ -121,6 +122,14 @@ def _parse_h_list(text: str) -> "list[int]":
     return values
 
 
+def _one_side(command: str, text: str) -> int:
+    """The box side of a command that builds one box from --h."""
+    values = _parse_h_list(text)
+    if len(values) != 1:
+        raise ValueError(f"{command} takes one box side --h, got {text!r}")
+    return values[0]
+
+
 def _interior_map_from_arg(params, text: str) -> qilab.InteriorMap:
     """Build an interior map from a CLI spec.
 
@@ -160,10 +169,7 @@ def cmd_graph(args) -> int:
     if args.radius is not None:
         g = ball(base_vertex(params), args.radius)
     else:
-        h_values = _parse_h_list(args.h)
-        if len(h_values) != 1:
-            raise ValueError(f"graph takes one box side --h, got {args.h!r}")
-        (h,) = h_values
+        h = _one_side("graph", args.h)
         cube = height_cube([(0, h)] * (params.d - 1), params.k)
         g = box_graph(params, canonical_box(params, cube))
     if args.format == "dot":
@@ -186,7 +192,7 @@ def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
     fibers = {
         dlgraph.box_fiber_size(params, box, pt) for pt in dlgraph.cube_points(cube)
     }
-    size_ok = dlgraph.box_size(params, box) == cube_size(cube) * expected_fiber
+    size = dlgraph.box_size(params, box)
     deg = len(dl_neighbors(base_vertex(params)))
     checks = [
         (
@@ -196,8 +202,8 @@ def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
         ),
         (
             "counting.box_size",
-            size_ok,
-            f"box size {dlgraph.box_size(params, box)} = cube {cube_size(cube)} x fiber {expected_fiber}",
+            size == cube_size(cube) * expected_fiber,
+            f"box size {size} = cube {cube_size(cube)} x fiber {expected_fiber}",
         ),
         (
             "counting.degree",
@@ -208,18 +214,15 @@ def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
     return checks
 
 
-def _check_folner(params, r, side) -> "list[tuple[str, bool, str]]":
+def _check_folner(params, r, sides) -> "list[tuple[str, bool, str]]":
     ratios = []
-    for h in (side, 2 * side, 3 * side):
+    for h in sides:
         cube = height_cube([(0, h)] * (params.d - 1), params.k)
-        box = canonical_box(params, cube)
-        vset = dlgraph.cube_points(cube)
-        vboundary = dlgraph.cube_boundary(params, cube, r)
-        box_ratio = Fraction(
-            dlgraph.box_boundary_size(params, box, r), dlgraph.box_size(params, box)
-        )
-        cube_ratio = Fraction(len(vboundary), len(vset))
-        ratios.append((h, box_ratio, cube_ratio))
+        fiber = partial(dlgraph.box_fiber_size, params, canonical_box(params, cube))
+        points = dlgraph.cube_points(cube)
+        boundary = dlgraph.cube_boundary(params, cube, r)
+        box_ratio = Fraction(sum(map(fiber, boundary)), sum(map(fiber, points)))
+        ratios.append((h, box_ratio, Fraction(len(boundary), len(points))))
     identity_ok = all(b == c for _, b, c in ratios)
     decreasing = all(ratios[i][1] > ratios[i + 1][1] for i in range(len(ratios) - 1))
     detail = ", ".join(f"h={h}: {b}" for h, b, _ in ratios)
@@ -298,15 +301,21 @@ def cmd_verify(args) -> int:
         raise ValueError(
             f"--out writes the correspondence suite's CSV; the {suite} suite has none"
         )
+    # without --h the side is the smallest multiple of k that is at least 2,
+    # so index-k cubes align, and the Folner suite takes 1, 2 and 3 times it
+    side = max(2, params.k)
+    sides = _parse_h_list(args.h) if args.h else None
+    if suite in ("folner", "all") and sides is not None and len(sides) < 2:
+        # with one side the decreasing check would pass vacuously
+        raise ValueError(f"the folner suite compares two or more box sides --h, got {args.h!r}")
     checks = []
     report = None
-    # the smallest multiple of k that is at least 2, so index-k cubes align
-    side = max(2, params.k)
     if suite in ("counting", "all"):
-        h = _parse_h_list(args.h)[0] if args.h else side
-        checks.extend(_check_counting(params, h))
+        for h in sides or (side,):
+            checks.extend(_check_counting(params, h))
     if suite in ("folner", "all"):
-        checks.extend(_check_folner(params, args.r if args.r is not None else 1, side))
+        r = args.r if args.r is not None else 1
+        checks.extend(_check_folner(params, r, sides or (side, 2 * side, 3 * side)))
     if suite in ("correspondence", "all"):
         radius = args.radius if args.radius is not None else 3
         got, report = _check_correspondence(params, radius)
@@ -399,8 +408,6 @@ def _qilab_chain(args, params, imap) -> "tuple[str, list, int]":
             else "FAIL chain.divergence: no boundary-rate growth detected"
         )
         status = 0 if ok else 1
-    elif args.assertion:
-        raise ValueError(f"chain mode supports --assert bounded|divergence, not {args.assertion!r}")
     return payload, summaries, status
 
 
@@ -466,8 +473,6 @@ def _qilab_audit(args, params, imap) -> "tuple[str, list, int]":
             else "FAIL audit.bounded: total preimages escape the bounds"
         )
         status = 0 if all_ok else 1
-    elif args.assertion:
-        raise ValueError(f"audit mode supports --assert bounded, not {args.assertion!r}")
     return payload, summaries, status
 
 
@@ -475,7 +480,7 @@ def _qilab_umap(args, params) -> "tuple[str, list, int]":
     k = args.k
     if k is None or k < 2:
         raise ValueError("umap mode needs --k >= 2 (the index of the target lattice)")
-    side = int(args.h) if args.h else 3 * k
+    side = _one_side("umap mode", args.h) if args.h else 3 * k
     region = height_cube([(0, side - 1)] * (params.d - 1))
     tiling = qilab.make_tiling(params, region, k)
     keys, members = sorted_box_members(params, tiling.ambient)
@@ -503,14 +508,12 @@ def _qilab_umap(args, params) -> "tuple[str, list, int]":
             else "FAIL umap.ktoone: image multiplicities are not uniform"
         )
         status = 0 if exact else 1
-    elif args.assertion:
-        raise ValueError(f"umap mode supports --assert ktoone, not {args.assertion!r}")
     return buf.getvalue(), summaries, status
 
 
 def _qilab_distortion(args, params, imap) -> "tuple[str, list, int]":
-    h_values = _parse_h_list(args.h or "4")
-    cube = height_cube([(0, h_values[0])] * (params.d - 1), params.k)
+    h = _one_side("distortion mode", args.h or "4")
+    cube = height_cube([(0, h)] * (params.d - 1), params.k)
     box = canonical_box(params, cube)
     _, members = sorted_box_members(params, box)
     table = qilab.psi_eval(imap, members)
@@ -531,8 +534,25 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, int]":
     return payload, [f"distortion: K={report.k_est} C={report.c_est}"], 0
 
 
+_QILAB_ASSERTIONS = {
+    "chain": ("bounded", "divergence"),
+    "audit": ("bounded",),
+    "umap": ("ktoone",),
+    "distortion": (),
+}
+
+
 def cmd_qilab(args) -> int:
     params = graph_params(args.d, args.q, 1)
+    if args.mode not in _QILAB_ASSERTIONS:
+        raise ValueError(f"unknown qilab mode {args.mode!r}")
+    supported = _QILAB_ASSERTIONS[args.mode]
+    if args.assertion and args.assertion not in supported:
+        raise ValueError(
+            f"{args.mode} mode supports --assert {'|'.join(supported)}, not {args.assertion!r}"
+            if supported
+            else f"{args.mode} mode takes no --assert, got {args.assertion!r}"
+        )
     if args.mode == "umap":
         payload, summaries, status = _qilab_umap(args, params)
     else:
@@ -541,10 +561,8 @@ def cmd_qilab(args) -> int:
             payload, summaries, status = _qilab_chain(args, params, imap)
         elif args.mode == "audit":
             payload, summaries, status = _qilab_audit(args, params, imap)
-        elif args.mode == "distortion":
-            payload, summaries, status = _qilab_distortion(args, params, imap)
         else:
-            raise ValueError(f"unknown qilab mode {args.mode!r}")
+            payload, summaries, status = _qilab_distortion(args, params, imap)
     _emit(payload, args.out, summaries)
     return status
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -225,8 +225,8 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
     return (c for c in product(range(total + 1), repeat=parts) if sum(c) == total)
 
 
-def dl_neighbors(v: DLVertex) -> "list[DLVertex]":
-    """The neighbours of v, in a fixed order.
+def _neighbor_coords(params: GraphParams, coords: tuple) -> "list[tuple]":
+    """The coordinate tuples of the neighbours of a vertex, in a fixed order.
 
     Ordinary moves send one coordinate down to each child and another up
     to its parent; for k = 1 they run over every ordered pair of distinct
@@ -235,7 +235,6 @@ def dl_neighbors(v: DLVertex) -> "list[DLVertex]":
     descend along a composition of k, then the first descending k while the
     others climb along one.
     """
-    params = v.params
     d, q, k = params.d, params.q, params.k
     lo = 0 if k == 1 else 1
     out = []
@@ -243,28 +242,33 @@ def dl_neighbors(v: DLVertex) -> "list[DLVertex]":
         for j in range(lo, d):
             if i == j:
                 continue
-            up = tree_parent(v.coords[j])
-            for child in tree_children(v.coords[i], q):
-                coords = list(v.coords)
-                coords[i] = child
-                coords[j] = up
-                out.append(DLVertex(params, tuple(coords)))
+            up = tree_parent(coords[j])
+            for child in tree_children(coords[i], q):
+                nxt = list(coords)
+                nxt[i] = child
+                nxt[j] = up
+                out.append(tuple(nxt))
     if k == 1:
         return out
     combos = tuple(_compositions(k, d - 1))
-    up_first = tree_ancestor(v.coords[0], v.coords[0].level - k)
+    up_first = tree_ancestor(coords[0], coords[0].level - k)
     for combo in combos:
-        pools = [list(tree_descendants(v.coords[1 + t], combo[t], q)) for t in range(d - 1)]
+        pools = [list(tree_descendants(coords[1 + t], combo[t], q)) for t in range(d - 1)]
         for choice in product(*pools):
-            out.append(DLVertex(params, (up_first,) + tuple(choice)))
+            out.append((up_first,) + choice)
     for combo in combos:
         ups = tuple(
-            tree_ancestor(v.coords[1 + t], v.coords[1 + t].level - combo[t])
+            tree_ancestor(coords[1 + t], coords[1 + t].level - combo[t])
             for t in range(d - 1)
         )
-        for down in tree_descendants(v.coords[0], k, q):
-            out.append(DLVertex(params, (down,) + ups))
+        for down in tree_descendants(coords[0], k, q):
+            out.append((down,) + ups)
     return out
+
+
+def dl_neighbors(v: DLVertex) -> "list[DLVertex]":
+    """The neighbours of v, in the order of _neighbor_coords."""
+    return [DLVertex(v.params, c) for c in _neighbor_coords(v.params, v.coords)]
 
 
 def dl_adjacent(u: DLVertex, v: DLVertex) -> bool:
@@ -545,9 +549,8 @@ class BallGraph:
 
 
 # Inside one GraphParams a vertex is identified by its coordinate tuple,
-# which is what the graph builders hash; the dl_key string is built once
+# which is what the graph searches run on; the dl_key string is built once
 # per distinct vertex, to sort the vertices and label them for export.
-_coords = attrgetter("coords")
 
 
 def _key_order(vertices: Sequence[DLVertex]) -> "tuple[tuple[str, ...], list[int]]":
@@ -557,27 +560,27 @@ def _key_order(vertices: Sequence[DLVertex]) -> "tuple[tuple[str, ...], list[int
     return tuple(keys[i] for i in order), order
 
 
-def _induced_edges(vertices, index, step, ident, start: int = 0) -> "list[tuple[int, int]]":
-    """Edges (i, j), i < j, from vertices[start:] to vertices found in index.
+def _induced_edges(nodes, index, step, start: int = 0) -> "list[tuple[int, int]]":
+    """Edges (i, j), i < j, from nodes[start:] to nodes found in index.
 
-    step(v) yields the neighbours of v, and index maps ident(neighbour) to
-    a position in vertices.
+    step(x) yields the neighbours of the hashable node x, and index maps a
+    node to its position in nodes.
     """
     edges = []
-    for i in range(start, len(vertices)):
-        for w in step(vertices[i]):
-            j = index.get(ident(w))
+    for i in range(start, len(nodes)):
+        for w in step(nodes[i]):
+            j = index.get(w)
             if j is not None and i < j:
                 edges.append((i, j))
     return edges
 
 
-def _layered_bfs(start, radius: int, step, ident, budget: int, noun: str, edges=None):
+def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None):
     """Breadth-first ball of the given radius around start.
 
-    step(v) yields the neighbours of v; ident(v) is the hashable identity
-    of v. Returns the vertices in discovery order (so a smaller id is never
-    deeper), the map from identity to id, and each vertex's depth. With an
+    step(x) yields the neighbours of the hashable node x, and a node is its
+    own identity. Returns the nodes in discovery order (so a smaller id is
+    never deeper), the map from node to id, and each node's depth. With an
     edges list, every edge (i, j), i < j, of the induced subgraph is
     appended to it: edges from inside the radius while the BFS runs, since
     every neighbour of such a vertex is in the ball, then the edges within
@@ -586,17 +589,16 @@ def _layered_bfs(start, radius: int, step, ident, budget: int, noun: str, edges=
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     found = [start]
-    ids = {ident(start): 0}
+    ids = {start: 0}
     depths = [0]
     begin = 0
     for depth in range(1, radius + 1):
         stop = len(found)
         for i in range(begin, stop):
             for w in step(found[i]):
-                key = ident(w)
-                j = ids.get(key)
+                j = ids.get(w)
                 if j is None:
-                    j = ids[key] = len(found)
+                    j = ids[w] = len(found)
                     found.append(w)
                     depths.append(depth)
                     if len(found) > budget:
@@ -609,15 +611,16 @@ def _layered_bfs(start, radius: int, step, ident, budget: int, noun: str, edges=
                     edges.append((i, j))
         begin = stop
     if edges is not None:
-        edges += _induced_edges(found, ids, step, ident, begin)
+        edges += _induced_edges(found, ids, step, begin)
     return found, ids, depths
 
 
 def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:
     edges = []
     found, _, found_depth = _layered_bfs(
-        center, radius, dl_neighbors, _coords, budget, "vertices", edges
+        center.coords, radius, partial(_neighbor_coords, center.params), budget, "vertices", edges
     )
+    found = [DLVertex(center.params, c) for c in found]
     keys, order = _key_order(found)
     pos = [0] * len(order)
     for p, i in enumerate(order):
@@ -656,11 +659,12 @@ def box_graph(params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET
     """Induced subgraph on the members of a box."""
     keys, vertices = sorted_box_members(params, box, budget)
     index = {v.coords: i for i, v in enumerate(vertices)}
+    edges = _induced_edges(tuple(index), index, partial(_neighbor_coords, params))
     return BallGraph(
         params=params,
         vertices=vertices,
         keys=keys,
-        edges=tuple(sorted(_induced_edges(vertices, index, dl_neighbors, _coords))),
+        edges=tuple(sorted(edges)),
         cube=box.cube,
     )
 
@@ -797,11 +801,7 @@ def _signature_moves(state: tuple) -> "list[tuple]":
 
 def _bfs_simple(u: DLVertex, v: DLVertex, cap: int) -> int:
     """Bidirectional BFS over graph vertices, identified by coordinate tuples."""
-    params = u.params
-
-    def step(coords: tuple) -> "list[tuple]":
-        return [w.coords for w in dl_neighbors(DLVertex(params, coords))]
-
+    step = partial(_neighbor_coords, u.params)
     return _meet_in_middle(u.coords, v.coords, step, cap, DEFAULT_VERTEX_BUDGET, "vertices")
 
 

@@ -193,7 +193,7 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, budget: int, edges=
     start = identity(params)
     found, ids, depths = _layered_bfs(
         (pool.setdefault(start.exps, start.exps), partial_fractions(start.P)),
-        radius, step, lambda state: state, budget, "elements", edges,
+        radius, step, budget, "elements", edges,
     )
     # only one form of the elements is alive at a time: the states are
     # replaced in place, after the index of them is dropped

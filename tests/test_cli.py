@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dllab import cli, dlgraph, group
+from dllab import cli, dlgraph, group, qilab
 from dllab.algebra import ring_params
 
 EXPECTED_DOT = """graph dl {
@@ -133,6 +133,27 @@ class TestVerifyCommand:
             "PASS index.cosets: radius-3 ball meets exactly k=3 cosets: [0, 1, 2]",
             "PASS index.coverage: 19 membership-positive elements of the radius-3 "
             "ball all reached by depth-3 subgroup words",
+        ]
+
+    def test_folner_compares_the_listed_sides(self, capsys):
+        argv = ["verify", "--d", "2", "--q", "2", "--assert", "folner", "--h", "2,4"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS folner.identity: box boundary ratio equals height-set ratio at r=1 "
+            "(h=2: 2/3, h=4: 2/5)",
+            "PASS folner.decreasing: boundary ratio strictly decreases in h at r=1",
+        ]
+
+    def test_counting_runs_once_per_listed_side(self, capsys):
+        argv = ["verify", "--d", "2", "--q", "2", "--assert", "counting", "--h", "2,4"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS counting.fibers: box fibers over [0,2]^1 all q^((d-1)h)=4: got [4]",
+            "PASS counting.box_size: box size 12 = cube 3 x fiber 4",
+            "PASS counting.degree: vertex degree 4 matches formula 4",
+            "PASS counting.fibers: box fibers over [0,4]^1 all q^((d-1)h)=16: got [16]",
+            "PASS counting.box_size: box size 80 = cube 5 x fiber 16",
+            "PASS counting.degree: vertex degree 4 matches formula 4",
         ]
 
     def test_index_suite_needs_k(self, capsys):
@@ -431,6 +452,53 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "one box side" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--assert", "folner", "--h", "4"], "compares two or more box sides"),
+            (["verify", "--h", "4"], "compares two or more box sides"),
+            (
+                ["qilab", "--mode", "distortion", "--h", "3,5"],
+                "distortion mode takes one box side --h, got '3,5'",
+            ),
+            (
+                ["qilab", "--mode", "umap", "--k", "2", "--h", "4,8"],
+                "umap mode takes one box side --h, got '4,8'",
+            ),
+            (
+                ["qilab", "--mode", "distortion", "--assert", "bounded"],
+                "distortion mode takes no --assert",
+            ),
+            (["qilab", "--assert", "ktoone"], "chain mode supports --assert bounded|divergence"),
+            (
+                ["qilab", "--mode", "audit", "--assert", "divergence"],
+                "audit mode supports --assert bounded,",
+            ),
+            (
+                ["qilab", "--mode", "umap", "--k", "2", "--assert", "bounded"],
+                "umap mode supports --assert ktoone",
+            ),
+        ],
+    )
+    def test_rejected_before_any_work(self, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        for module, name in [
+            (cli, "_check_counting"),
+            (cli, "_check_folner"),
+            (qilab, "uf_chain_scan"),
+            (qilab, "fiber_count_audit"),
+            (qilab, "make_tiling"),
+            (cli, "sorted_box_members"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert message in captured.err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -832,3 +832,31 @@ def test_neighbors_match_two_loop_version(d, q, k):
             g = ball(base_vertex(p), g.radius + 1, budget=2_000)
     for v in g.vertices:
         assert dl_neighbors(v) == two_loop_neighbors(v)
+
+
+def test_searches_run_on_coordinate_tuples(monkeypatch):
+    # ball, box_graph and the k > 1 vertex search expand coordinate tuples,
+    # so they build no DLVertex per neighbour and never call dl_neighbors
+    cases = []
+    for d, q, k in [(2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 2, 2), (2, 2, 3)]:
+        p = graph_params(d, q, k)
+        base = base_vertex(p)
+        cube = height_cube([(0, 2 * k)] * (d - 1), k)
+        g = ball(base, 3)
+        far = g.vertices[g.depths.index(3)]
+        cases.append((base, p, canonical_box(p, cube), far, k))
+    expected = [
+        (ball(base, 3), box_graph(p, box), k > 1 and dlgraph._bfs_simple(base, far, 8))
+        for base, p, box, far, k in cases
+    ]
+
+    def refuse(v):
+        raise AssertionError("a search built DLVertex neighbours")
+
+    monkeypatch.setattr(dlgraph, "dl_neighbors", refuse)
+    got = [
+        (ball(base, 3), box_graph(p, box), k > 1 and dlgraph._bfs_simple(base, far, 8))
+        for base, p, box, far, k in cases
+    ]
+    assert got == expected
+    assert [dist for _, _, dist in got] == [False, False, 3, 3, 3]

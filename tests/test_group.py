@@ -260,7 +260,6 @@ def multiply_word_ball(params, radius, gens):
         identity(params),
         radius,
         lambda g: [multiply(g, s) for s in gens],
-        element_key,
         DEFAULT_ELEMENT_BUDGET,
         "elements",
         edges,
