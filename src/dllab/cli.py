@@ -15,7 +15,9 @@ JSON uses sorted keys, CSV uses a fixed line terminator, and randomized
 modes take an explicit seed.  ``graph`` and ``qilab`` still accept
 ``--workers`` but ignore it: fiber counts are per coordinate and run in
 one process.  A ``--config`` file holds ``key=value`` lines supplying
-defaults; explicit flags win.
+defaults; explicit flags win.  A flag that the chosen ``verify`` suite or
+``qilab`` mode does not read is a usage error, whether given directly or
+by the config file.
 """
 
 from __future__ import annotations
@@ -110,6 +112,38 @@ def _emit(payload: str, out_path, summary_lines) -> None:
         sys.stdout.write(payload)
         for line in summary_lines:
             print(line, file=sys.stderr)
+
+
+# The optional flags each verify suite and each qilab mode reads; the
+# verify suite `all` runs every suite, so it reads all of theirs. Any other
+# optional flag, given on the command line or by --config, is a usage
+# error, because a flag that changes nothing would look as if it had been
+# applied. --d, --q, the suite or mode and --assert are always read, and
+# --workers is accepted and ignored.
+_VERIFY_READS = {
+    "counting": {"h", "k"},
+    "folner": {"h", "r", "k"},
+    "correspondence": {"radius", "out"},
+    "index": {"k"},
+}
+_QILAB_READS = {
+    "chain": {"k", "h", "r", "map", "out"},
+    "audit": {"h", "r", "map", "format", "out"},
+    "umap": {"k", "h", "out"},
+    "distortion": {"h", "map", "pairs", "seed", "out"},
+}
+_OPTIONAL_FLAGS = sorted(set().union(*_VERIFY_READS.values(), *_QILAB_READS.values()))
+
+
+def _reject_unread(args, what: str, reads) -> None:
+    """Raise ValueError if a flag that `what` does not read is set."""
+    unread = [
+        f"--{flag}"
+        for flag in _OPTIONAL_FLAGS
+        if flag not in reads and getattr(args, flag, None) is not None
+    ]
+    if unread:
+        raise ValueError(f"{what} does not read {', '.join(unread)}")
 
 
 def _parse_h_list(text: str) -> "list[int]":
@@ -295,12 +329,15 @@ def _check_index(params, depth=3) -> "list[tuple[str, bool, str]]":
 
 
 def cmd_verify(args) -> int:
-    params = graph_params(args.d, args.q, args.k)
     suite = args.assertion or "all"
-    if args.out and suite not in ("correspondence", "all"):
-        raise ValueError(
-            f"--out writes the correspondence suite's CSV; the {suite} suite has none"
-        )
+    if suite == "all":
+        reads = set().union(*_VERIFY_READS.values())
+    elif suite in _VERIFY_READS:
+        reads = _VERIFY_READS[suite]
+    else:
+        raise ValueError(f"unknown verify suite {args.assertion!r}")
+    _reject_unread(args, f"verify --assert {suite}", reads)
+    params = graph_params(args.d, args.q, args.k if args.k is not None else 1)
     # without --h the side is the smallest multiple of k that is at least 2,
     # so index-k cubes align, and the Folner suite takes 1, 2 and 3 times it
     side = max(2, params.k)
@@ -325,8 +362,6 @@ def cmd_verify(args) -> int:
             checks.extend(_check_index(params))
         elif suite == "index":
             raise ValueError("index suite needs --k >= 2")
-    if not checks:
-        raise ValueError(f"unknown verify suite {args.assertion!r}")
     failures = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -434,6 +469,8 @@ def _audit_cell(value):
 
 
 def _qilab_audit(args, params, imap) -> "tuple[str, list, int]":
+    if args.format not in (None, "csv", "json"):
+        raise ValueError(f"audit mode writes csv or json, not {args.format!r}")
     h_values = _parse_h_list(args.h or "4")
     boxes = [
         canonical_box(params, height_cube([(0, h)] * (params.d - 1), params.k))
@@ -517,7 +554,11 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, int]":
     box = canonical_box(params, cube)
     _, members = sorted_box_members(params, box)
     table = qilab.psi_eval(imap, members)
-    report = qilab.distortion(table, n_pairs=args.pairs, seed=args.seed)
+    report = qilab.distortion(
+        table,
+        n_pairs=args.pairs if args.pairs is not None else 30,
+        seed=args.seed if args.seed is not None else 0,
+    )
     payload = (
         json.dumps(
             {
@@ -544,8 +585,9 @@ _QILAB_ASSERTIONS = {
 
 def cmd_qilab(args) -> int:
     params = graph_params(args.d, args.q, 1)
-    if args.mode not in _QILAB_ASSERTIONS:
+    if args.mode not in _QILAB_READS:
         raise ValueError(f"unknown qilab mode {args.mode!r}")
+    _reject_unread(args, f"qilab --mode {args.mode}", _QILAB_READS[args.mode])
     supported = _QILAB_ASSERTIONS[args.mode]
     if args.assertion and args.assertion not in supported:
         raise ValueError(
@@ -595,7 +637,7 @@ def _add_common(sub, *names):
     if "out" in names:
         sub.add_argument("--out", type=str, default=None, help="write payload to file")
     if "seed" in names:
-        sub.add_argument("--seed", type=int, default=0, help="sampling seed")
+        sub.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
     if "workers" in names:
         sub.add_argument(
             "--workers", type=int, default=1, help="accepted and ignored (single process)"
@@ -616,8 +658,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, list]":
     g.set_defaults(func=cmd_graph)
 
     v = subs.add_parser("verify", help="run exact structural check suites")
-    _add_common(v, "d", "q", "radius", "h", "r", "out")
-    v.add_argument("--k", type=int, default=1, help="index parameter")
+    _add_common(v, "d", "q", "k", "radius", "h", "r", "out")
     v.add_argument(
         "--assert",
         dest="assertion",
@@ -631,7 +672,9 @@ def build_parser() -> "tuple[argparse.ArgumentParser, list]":
     ql.add_argument(
         "--mode", choices=("chain", "audit", "umap", "distortion"), default="chain"
     )
-    ql.add_argument("--pairs", type=int, default=30, help="distortion sample pairs")
+    ql.add_argument(
+        "--pairs", type=int, default=None, help="distortion sample pairs, at least 1 (default 30)"
+    )
     ql.add_argument(
         "--assert",
         dest="assertion",

@@ -376,52 +376,25 @@ def cube_contains(cube: HeightCube, point: Sequence[int]) -> bool:
     return True
 
 
-def height_steps(params: GraphParams) -> "tuple[tuple[int, ...], ...]":
-    """Height changes realizable by one edge, on the tracked coordinates."""
-    d, k = params.d, params.k
-    n = d - 1
-    steps = set()
-    if k == 1:
-        lo = 0
-    else:
-        lo = 1
-        for combo in _compositions(k, d - 1):
-            delta = [0] * n
-            delta[0] = k
-            for t in range(1, d - 1):
-                delta[t] = -combo[t - 1]
-            steps.add(tuple(delta))
-            steps.add(tuple(-x for x in delta))
-    for i in range(lo, d):
-        for j in range(lo, d):
-            if i == j:
-                continue
-            delta = [0] * n
-            if i < n:
-                delta[i] += 1
-            if j < n:
-                delta[j] -= 1
-            if any(delta):
-                steps.add(tuple(delta))
-    return tuple(sorted(steps))
-
-
 def cube_boundary(params: GraphParams, cube: HeightCube, r: int) -> "list[tuple[int, ...]]":
     """Points of the cube within r lattice steps of its complement, sorted.
 
-    This is the cube minus its r-fold erosion. The (t+1)-ball of a point
-    is the union of the t-balls of its one-step neighbours, so after t
-    passes that keep the points whose every neighbour was kept by the pass
-    before, exactly the points whose whole t-ball lies in the cube remain.
+    One edge changes each tracked height by at most k, and on every axis
+    some edge changes it by exactly k; so the r-ball of a height point
+    projects onto each axis as the interval of radius r*k around it. A set
+    lies in a product of intervals exactly when each of its projections
+    does, so a point is r-close to the complement exactly when it lies
+    within r*k of a face.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    steps = height_steps(params)
-    inside = set(cube_points(cube))
-    core = inside
-    for _ in range(r):
-        core = {p for p in core if all(tuple(a + b for a, b in zip(p, s)) in core for s in steps)}
-    return sorted(inside - core)
+    _check_cube(params, cube)
+    margin = r * params.k
+    return [
+        p
+        for p in cube_points(cube)
+        if any(x - a < margin or b - x < margin for x, (a, b) in zip(p, cube.intervals))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1013,6 +1013,8 @@ def distortion(table: dict, n_pairs: int = 30, seed: int = 0) -> DistortionRepor
     """
     import random
 
+    if n_pairs < 1:
+        raise ValueError(f"need at least one sample pair, got {n_pairs}")
     items = list(table.items())
     if len(items) < 2:
         raise ValueError("need at least two table entries")

@@ -30,6 +30,26 @@ def run_cli(args):
     return cli.main(list(args))
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every suite and mode fail loudly if it starts computing."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for module, name in [
+        (cli, "_check_counting"),
+        (cli, "_check_folner"),
+        (cli, "_check_correspondence"),
+        (cli, "_check_index"),
+        (qilab, "uf_chain_scan"),
+        (qilab, "fiber_count_audit"),
+        (qilab, "make_tiling"),
+        (cli, "sorted_box_members"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+
+
 class TestGraphCommand:
     def test_ball_dot_golden(self, capsys):
         assert run_cli(["graph", "--d", "2", "--q", "2", "--radius", "1"]) == 0
@@ -263,6 +283,14 @@ class TestQilabOtherModes:
         assert captured.out == ""
         assert captured.err.startswith("error: box has 201326592 members, budget 500000")
 
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_distortion_needs_a_sample_pair(self, capsys, pairs):
+        argv = ["qilab", "--mode", "distortion", "--h", "2", "--pairs", pairs]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need at least one sample pair, got {pairs}\n"
+
     def test_distortion_seeded_reproducible(self, capsys):
         args = [
             "qilab", "--mode", "distortion", "--d", "2", "--q", "2",
@@ -479,22 +507,58 @@ class TestUsageErrors:
                 ["qilab", "--mode", "umap", "--k", "2", "--assert", "bounded"],
                 "umap mode supports --assert ktoone",
             ),
+            (
+                ["verify", "--d", "2", "--q", "2", "--assert", "folner", "--radius", "9"],
+                "verify --assert folner does not read --radius",
+            ),
+            (
+                ["verify", "--assert", "correspondence", "--radius", "2", "--h", "4"],
+                "verify --assert correspondence does not read --h",
+            ),
+            (
+                ["verify", "--assert", "correspondence", "--k", "1"],
+                "verify --assert correspondence does not read --k",
+            ),
+            (["verify", "--assert", "index", "--k", "2", "--r", "1"], "index does not read --r"),
+            (
+                ["qilab", "--mode", "umap", "--k", "2", "--r", "5", "--pairs", "3"],
+                "qilab --mode umap does not read --pairs, --r",
+            ),
+            (["qilab", "--seed", "0"], "qilab --mode chain does not read --seed"),
+            (["qilab", "--format", "csv"], "qilab --mode chain does not read --format"),
+            (
+                ["qilab", "--mode", "distortion", "--k", "2", "--r", "1"],
+                "qilab --mode distortion does not read --k, --r",
+            ),
+            (
+                ["qilab", "--mode", "audit", "--pairs", "30", "--seed", "1"],
+                "qilab --mode audit does not read --pairs, --seed",
+            ),
+            (["qilab", "--mode", "audit", "--format", "dot"], "audit mode writes csv or json, not 'dot'"),
         ],
     )
-    def test_rejected_before_any_work(self, capsys, monkeypatch, argv, message):
-        def refuse(*args, **kwargs):
-            raise AssertionError("work started before the flags were checked")
-
-        for module, name in [
-            (cli, "_check_counting"),
-            (cli, "_check_folner"),
-            (qilab, "uf_chain_scan"),
-            (qilab, "fiber_count_audit"),
-            (qilab, "make_tiling"),
-            (cli, "sorted_box_members"),
-        ]:
-            monkeypatch.setattr(module, name, refuse)
+    def test_rejected_before_any_work(self, capsys, no_work, argv, message):
         assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "lines,argv,message",
+        [
+            ("radius=9\n", ["verify", "--assert", "folner"], "folner does not read --radius"),
+            ("map=alpha,id\n", ["verify"], "verify --assert all does not read --map"),
+            ("r=2\n", ["qilab", "--mode", "umap", "--k", "2"], "umap does not read --r"),
+            # an unknown suite or mode is named before any unread flag
+            ("assert=bogus\nmap=id,id\n", ["verify"], "unknown verify suite 'bogus'"),
+            ("mode=bogus\nradius=2\n", ["qilab"], "unknown qilab mode 'bogus'"),
+        ],
+    )
+    def test_config_flags_are_checked_too(self, capsys, no_work, tmp_path, lines, argv, message):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(lines)
+        assert run_cli(argv + ["--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")

@@ -52,7 +52,6 @@ from dllab.dlgraph import (
     export_json,
     graph_params,
     height_cube,
-    height_steps,
     heights,
     is_tree_ancestor,
     meet_level,
@@ -254,22 +253,14 @@ def test_cube_basics():
         height_cube([(1, 3)], k=2)
 
 
-def test_height_steps():
-    assert height_steps(graph_params(2, 2)) == ((-1,), (1,))
-    d3 = set(height_steps(graph_params(3, 2)))
-    assert d3 == {(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
-    assert height_steps(graph_params(2, 2, 2)) == ((-2,), (2,))
-    d3k2 = set(height_steps(graph_params(3, 2, 2)))
-    assert d3k2 == {
-        (0, 1),
-        (0, -1),
-        (2, 0),
-        (2, -1),
-        (2, -2),
-        (-2, 0),
-        (-2, 1),
-        (-2, 2),
-    }
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_one_edge_moves_each_tracked_height_at_most_k(d, k):
+    # the lemma behind cube_boundary's closed form: the largest height
+    # change of one edge is exactly k on every tracked axis
+    base = base_vertex(graph_params(d, 2, k))
+    steps = [rho(w) for w in dl_neighbors(base)]
+    assert [max(abs(s[i]) for s in steps) for i in range(d - 1)] == [k] * (d - 1)
 
 
 def test_cube_boundary_examples():
@@ -282,6 +273,10 @@ def test_cube_boundary_examples():
     c3 = height_cube([(0, 2), (0, 2)])
     b1 = cube_boundary(p3, c3, 1)
     assert len(b1) == 8 and (1, 1) not in b1
+    with pytest.raises(ValueError, match="cube alignment 1 does not match graph k=2"):
+        cube_boundary(graph_params(2, 2, 2), c, 1)
+    with pytest.raises(ValueError, match="cube has 1 axes, need 2"):
+        cube_boundary(p3, c, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +725,12 @@ def test_distance_memo_stays_bounded(monkeypatch):
 
 
 def per_point_cube_boundary(params, cube, r):
-    """A fresh frontier search from every cube point, stopped once it leaves."""
-    steps = height_steps(params)
+    """A fresh frontier search from every cube point, stopped once it leaves.
+
+    The height steps are the tracked heights of the base vertex's
+    neighbours, since the base vertex sits at height zero.
+    """
+    steps = {rho(w) for w in dl_neighbors(base_vertex(params))}
     inside = set(cube_points(cube))
     out = []
     for p in sorted(inside):
@@ -802,7 +801,8 @@ def two_loop_neighbors(v):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_cube_boundary_is_per_point_search(d, k):
     p = graph_params(d, 2, k)
-    sides = (k, 2 * k) if d == 4 else (k, 2 * k, 3 * k)
+    # up to 7k (5k at d = 4), so that at r = 2 and r = 3 some points are interior
+    sides = (k, 2 * k, 5 * k) if d == 4 else (k, 2 * k, 3 * k, 5 * k, 7 * k)
     for side in sides:
         # one cube at the origin, one shifted off it (still aligned on axis 1)
         for corner in (0, -k):

@@ -799,6 +799,13 @@ class TestDistortion:
         with pytest.raises(ValueError):
             distortion({x: x})
 
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_needs_a_sample_pair(self, n_pairs):
+        p = graph_params(2, 2)
+        x, y = (dl_vertex(p, (tree_vertex(h), tree_vertex(-h))) for h in (0, 1))
+        with pytest.raises(ValueError, match=f"need at least one sample pair, got {n_pairs}"):
+            distortion({x: x, y: y}, n_pairs=n_pairs)
+
 
 # ---------------------------------------------------------------------------
 # closed-form chain and audit totals against an enumerative oracle
