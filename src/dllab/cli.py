@@ -15,9 +15,9 @@ JSON uses sorted keys, CSV uses a fixed line terminator, and randomized
 modes take an explicit seed.  ``graph`` and ``qilab`` still accept
 ``--workers`` but ignore it: fiber counts are per coordinate and run in
 one process.  A ``--config`` file holds ``key=value`` lines supplying
-defaults; explicit flags win.  A flag that the chosen ``verify`` suite or
-``qilab`` mode does not read is a usage error, whether given directly or
-by the config file.
+defaults; explicit flags win.  A flag that the chosen command, ``verify``
+suite or ``qilab`` mode does not read is a usage error, whether given
+directly or by the config file.
 """
 
 from __future__ import annotations
@@ -76,6 +76,11 @@ _CONFIG_CONVERTERS = {
 }
 
 
+def _dest(flag: str) -> str:
+    """The namespace attribute of a flag; --assert is stored as assertion."""
+    return "assertion" if flag == "assert" else flag
+
+
 def _load_config(path: str) -> dict:
     """Read key=value lines; blank lines and # comments are skipped."""
     out = {}
@@ -90,7 +95,7 @@ def _load_config(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_CONVERTERS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out["assertion" if key == "assert" else key] = _CONFIG_CONVERTERS[key](
+            out[_dest(key)] = _CONFIG_CONVERTERS[key](
                 value.strip()
             )
     return out
@@ -114,12 +119,15 @@ def _emit(payload: str, out_path, summary_lines) -> None:
             print(line, file=sys.stderr)
 
 
-# The optional flags each verify suite and each qilab mode reads; the
-# verify suite `all` runs every suite, so it reads all of theirs. Any other
-# optional flag, given on the command line or by --config, is a usage
-# error, because a flag that changes nothing would look as if it had been
-# applied. --d, --q, the suite or mode and --assert are always read, and
-# --workers is accepted and ignored.
+# The flags each command reads. `graph` reads all of its flags. verify and
+# qilab always read --d, --q, the suite or mode and --assert, and the flags
+# their suite or mode lists; the verify suite `all` runs every suite, so it
+# reads all of theirs. --workers is accepted and ignored. Any other flag,
+# given on the command line or by --config, is a usage error, because a
+# flag that changes nothing would look as if it had been applied.
+_GRAPH_READS = {"d", "q", "k", "radius", "h", "format", "out", "workers"}
+_VERIFY_ALWAYS = {"d", "q", "assert"}
+_QILAB_ALWAYS = {"d", "q", "mode", "assert", "workers"}
 _VERIFY_READS = {
     "counting": {"h", "k"},
     "folner": {"h", "r", "k"},
@@ -132,15 +140,18 @@ _QILAB_READS = {
     "umap": {"k", "h", "out"},
     "distortion": {"h", "map", "pairs", "seed", "out"},
 }
-_OPTIONAL_FLAGS = sorted(set().union(*_VERIFY_READS.values(), *_QILAB_READS.values()))
 
 
 def _reject_unread(args, what: str, reads) -> None:
-    """Raise ValueError if a flag that `what` does not read is set."""
+    """Raise ValueError if a flag that `what` does not read is set.
+
+    Every config key names a flag, so this also catches a config key that
+    the chosen command has no flag for.
+    """
     unread = [
         f"--{flag}"
-        for flag in _OPTIONAL_FLAGS
-        if flag not in reads and getattr(args, flag, None) is not None
+        for flag in sorted(_CONFIG_CONVERTERS)
+        if flag not in reads and getattr(args, _dest(flag), None) is not None
     ]
     if unread:
         raise ValueError(f"{what} does not read {', '.join(unread)}")
@@ -197,6 +208,7 @@ def _interior_map_from_arg(params, text: str) -> qilab.InteriorMap:
 # graph subcommand
 
 def cmd_graph(args) -> int:
+    _reject_unread(args, "graph", _GRAPH_READS)
     params = graph_params(args.d, args.q, args.k)
     if (args.radius is None) == (args.h is None):
         raise ValueError("graph needs exactly one of --radius or --h")
@@ -336,7 +348,7 @@ def cmd_verify(args) -> int:
         reads = _VERIFY_READS[suite]
     else:
         raise ValueError(f"unknown verify suite {args.assertion!r}")
-    _reject_unread(args, f"verify --assert {suite}", reads)
+    _reject_unread(args, f"verify --assert {suite}", reads | _VERIFY_ALWAYS)
     params = graph_params(args.d, args.q, args.k if args.k is not None else 1)
     # without --h the side is the smallest multiple of k that is at least 2,
     # so index-k cubes align, and the Folner suite takes 1, 2 and 3 times it
@@ -550,13 +562,16 @@ def _qilab_umap(args, params) -> "tuple[str, list, int]":
 
 def _qilab_distortion(args, params, imap) -> "tuple[str, list, int]":
     h = _one_side("distortion mode", args.h or "4")
+    n_pairs = args.pairs if args.pairs is not None else 30
+    if n_pairs < 1:
+        raise ValueError(f"need at least one sample pair, got {n_pairs}")
     cube = height_cube([(0, h)] * (params.d - 1), params.k)
     box = canonical_box(params, cube)
     _, members = sorted_box_members(params, box)
     table = qilab.psi_eval(imap, members)
     report = qilab.distortion(
         table,
-        n_pairs=args.pairs if args.pairs is not None else 30,
+        n_pairs=n_pairs,
         seed=args.seed if args.seed is not None else 0,
     )
     payload = (
@@ -587,7 +602,7 @@ def cmd_qilab(args) -> int:
     params = graph_params(args.d, args.q, 1)
     if args.mode not in _QILAB_READS:
         raise ValueError(f"unknown qilab mode {args.mode!r}")
-    _reject_unread(args, f"qilab --mode {args.mode}", _QILAB_READS[args.mode])
+    _reject_unread(args, f"qilab --mode {args.mode}", _QILAB_READS[args.mode] | _QILAB_ALWAYS)
     supported = _QILAB_ASSERTIONS[args.mode]
     if args.assertion and args.assertion not in supported:
         raise ValueError(

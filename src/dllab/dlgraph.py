@@ -225,7 +225,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
     return (c for c in product(range(total + 1), repeat=parts) if sum(c) == total)
 
 
-def _neighbor_coords(params: GraphParams, coords: tuple) -> "list[tuple]":
+def _neighbor_coords(params: GraphParams, coords: tuple, half: bool = False) -> "list[tuple]":
     """The coordinate tuples of the neighbours of a vertex, in a fixed order.
 
     Ordinary moves send one coordinate down to each child and another up
@@ -234,12 +234,17 @@ def _neighbor_coords(params: GraphParams, coords: tuple) -> "list[tuple]":
     2..d only, followed by the first coordinate climbing k while the others
     descend along a composition of k, then the first descending k while the
     others climb along one.
+
+    With half, each undirected edge is listed from exactly one endpoint:
+    moving i down and j up is the reverse of moving j down and i up, so
+    only the pairs i < j are kept, and the first coordinate climbing k is
+    the reverse of it descending k, so the list stops after that family.
     """
     d, q, k = params.d, params.q, params.k
     lo = 0 if k == 1 else 1
     out = []
     for i in range(lo, d):
-        for j in range(lo, d):
+        for j in range(i + 1 if half else lo, d):
             if i == j:
                 continue
             up = tree_parent(coords[j])
@@ -256,6 +261,8 @@ def _neighbor_coords(params: GraphParams, coords: tuple) -> "list[tuple]":
         pools = [list(tree_descendants(coords[1 + t], combo[t], q)) for t in range(d - 1)]
         for choice in product(*pools):
             out.append((up_first,) + choice)
+    if half:
+        return out
     for combo in combos:
         ups = tuple(
             tree_ancestor(coords[1 + t], coords[1 + t].level - combo[t])
@@ -527,28 +534,36 @@ class BallGraph:
 
 
 def _key_order(vertices: Sequence[DLVertex]) -> "tuple[tuple[str, ...], list[int]]":
-    """Sorted keys, and for each sorted position the vertex's input position."""
-    keys = [dl_key(v) for v in vertices]
+    """Sorted keys, and for each sorted position the vertex's input position.
+
+    The keys equal dl_key's; each distinct tree vertex is keyed once, since
+    many vertices share a coordinate.
+    """
+    tree_keys = dict.fromkeys(c for v in vertices for c in v.coords)
+    for c in tree_keys:
+        tree_keys[c] = tree_key(c)
+    keys = ["|".join(map(tree_keys.__getitem__, v.coords)) for v in vertices]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return tuple(keys[i] for i in order), order
 
 
-def _induced_edges(nodes, index, step, start: int = 0) -> "list[tuple[int, int]]":
-    """Edges (i, j), i < j, from nodes[start:] to nodes found in index.
+def _induced_edges(nodes, index, half_step, start: int = 0) -> "list[tuple[int, int]]":
+    """Edges (i, j), i < j, among nodes[start:], each listed once.
 
-    step(x) yields the neighbours of the hashable node x, and index maps a
-    node to its position in nodes.
+    half_step(x) yields the neighbours of the hashable node x such that
+    every edge is yielded from exactly one of its endpoints, and index maps
+    a node to its position in nodes.
     """
     edges = []
     for i in range(start, len(nodes)):
-        for w in step(nodes[i]):
+        for w in half_step(nodes[i]):
             j = index.get(w)
-            if j is not None and i < j:
-                edges.append((i, j))
+            if j is not None and j >= start:
+                edges.append((i, j) if i < j else (j, i))
     return edges
 
 
-def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None):
+def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None, half_step=None):
     """Breadth-first ball of the given radius around start.
 
     step(x) yields the neighbours of the hashable node x, and a node is its
@@ -557,7 +572,10 @@ def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None):
     edges list, every edge (i, j), i < j, of the induced subgraph is
     appended to it: edges from inside the radius while the BFS runs, since
     every neighbour of such a vertex is in the ball, then the edges within
-    the outer sphere from a second pass over it.
+    the outer sphere from a second pass over it. That pass steps by
+    half_step when given (see _induced_edges), and otherwise by step,
+    keeping each edge from its endpoint with the smaller id. A word ball
+    passes none: its generating sets are not split into inverse pairs.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -584,14 +602,22 @@ def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None):
                     edges.append((i, j))
         begin = stop
     if edges is not None:
-        edges += _induced_edges(found, ids, step, begin)
+        if half_step is not None:
+            edges += _induced_edges(found, ids, half_step, begin)
+        else:
+            for i in range(begin, len(found)):
+                for w in step(found[i]):
+                    j = ids.get(w)
+                    if j is not None and i < j:
+                        edges.append((i, j))
     return found, ids, depths
 
 
 def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:
     edges = []
+    step = partial(_neighbor_coords, center.params)
     found, _, found_depth = _layered_bfs(
-        center.coords, radius, partial(_neighbor_coords, center.params), budget, "vertices", edges
+        center.coords, radius, step, budget, "vertices", edges, partial(step, half=True)
     )
     found = [DLVertex(center.params, c) for c in found]
     keys, order = _key_order(found)
@@ -632,7 +658,7 @@ def box_graph(params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET
     """Induced subgraph on the members of a box."""
     keys, vertices = sorted_box_members(params, box, budget)
     index = {v.coords: i for i, v in enumerate(vertices)}
-    edges = _induced_edges(tuple(index), index, partial(_neighbor_coords, params))
+    edges = _induced_edges(tuple(index), index, partial(_neighbor_coords, params, half=True))
     return BallGraph(
         params=params,
         vertices=vertices,

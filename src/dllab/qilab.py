@@ -845,10 +845,13 @@ def uf_chain_scan(
     growing linearly in h.  Ratios are exact Fractions.
 
     Totals are per coordinate (see `_fiber_totals`), so the cost grows
-    with the cube, not the box.
+    with the cube, not the box. The r = 0 boundary is empty, so r must be
+    at least 1.
     """
     if k < 1:
         raise ValueError("target fiber count k must be positive")
+    if r < 1:
+        raise ValueError(f"boundary thickness r must be at least 1, got {r}")
     params = imap.params
     out = []
     for h in h_values:

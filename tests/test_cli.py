@@ -565,6 +565,37 @@ class TestUsageErrors:
         assert message in captured.err
 
 
+class TestFormerlyUncheckedArgs:
+    """Argvs that once crashed, ran on silently, or were rejected late."""
+
+    def assert_usage_error(self, argv, capsys, message):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert message in captured.err
+
+    def test_chain_scan_at_r_0(self, capsys):
+        argv = ["qilab", "--d", "2", "--q", "2", "--map", "alpha,id", "--h", "2,4", "--r", "0"]
+        self.assert_usage_error(argv, capsys, "r must be at least 1, got 0")
+
+    def test_graph_config_key_without_a_flag(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+
+        monkeypatch.setattr(cli, "ball", refuse)
+        monkeypatch.setattr(cli, "box_graph", refuse)
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("seed=3\n")
+        argv = ["graph", "--d", "2", "--q", "2", "--radius", "1", "--config", str(cfg)]
+        self.assert_usage_error(argv, capsys, "graph does not read --seed")
+
+    def test_pairs_0_before_the_box_is_built(self, capsys, no_work):
+        argv = ["qilab", "--mode", "distortion", "--pairs", "0"]
+        self.assert_usage_error(argv, capsys, "need at least one sample pair, got 0")
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -834,6 +834,25 @@ def test_neighbors_match_two_loop_version(d, q, k):
         assert dl_neighbors(v) == two_loop_neighbors(v)
 
 
+@pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
+def test_half_step_lists_each_edge_from_one_endpoint(d, q, k):
+    p = graph_params(d, q, k)
+    # the largest ball around the base vertex with at most 2,000 vertices
+    g = ball(base_vertex(p), 1)
+    with contextlib.suppress(BudgetError):
+        while True:
+            g = ball(base_vertex(p), g.radius + 1, budget=2_000)
+    half = {v.coords: dlgraph._neighbor_coords(p, v.coords, half=True) for v in g.vertices}
+    for v, depth in zip(g.vertices, g.depths):
+        u = v.coords
+        full = dlgraph._neighbor_coords(p, u)
+        rest = iter(full)
+        assert all(w in rest for w in half[u])  # a sub-list, in the same order
+        if depth < g.radius:  # then every neighbour is in the ball
+            for w in full:
+                assert (w in half[u]) != (u in half[w]), (u, w)
+
+
 def test_searches_run_on_coordinate_tuples(monkeypatch):
     # ball, box_graph and the k > 1 vertex search expand coordinate tuples,
     # so they build no DLVertex per neighbour and never call dl_neighbors

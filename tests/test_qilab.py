@@ -605,6 +605,12 @@ class TestChainScan:
         with pytest.raises(ValueError):
             uf_chain_scan(self.scan_map(), 0, [2])
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_rejects_an_empty_boundary(self, r):
+        # the r = 0 boundary is empty, and the ratios divide by its size
+        with pytest.raises(ValueError, match="r must be at least 1"):
+            uf_chain_scan(self.scan_map(), 2, [2, 4], r=r)
+
 
 # ---------------------------------------------------------------------------
 # tile map onto the index-k lattice
