@@ -291,14 +291,6 @@ def rat_scale_unit(a: RationalElement, place: int, e: int) -> RationalElement:
     return rational(p, num, den)
 
 
-def rat_to_json(a: RationalElement) -> dict:
-    return {"num": list(a.num), "den": list(a.den)}
-
-
-def rat_from_json(params: RingParams, obj: dict) -> RationalElement:
-    return rational(params, obj["num"], obj["den"])
-
-
 # ---------------------------------------------------------------------------
 # windowed Laurent expansions
 

@@ -14,10 +14,12 @@ All outputs are byte-deterministic: vertices are sorted by canonical key,
 JSON uses sorted keys, CSV uses a fixed line terminator, and randomized
 modes take an explicit seed.  ``graph`` and ``qilab`` still accept
 ``--workers`` but ignore it: fiber counts are per coordinate and run in
-one process.  A ``--config`` file holds ``key=value`` lines supplying
-defaults; explicit flags win.  A flag that the chosen command, ``verify``
-suite or ``qilab`` mode does not read is a usage error, whether given
-directly or by the config file.
+one process.  Each flag is declared once, in ``_FLAGS``, and each
+subcommand has exactly the flags that its reads tables name.  A
+``--config`` file holds ``key=value`` lines supplying defaults, one flag
+name per key, typed as that flag; explicit flags win.  A flag that the
+chosen command, ``verify`` suite or ``qilab`` mode does not read is a
+usage error, whether given directly or by the config file.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .dlgraph import (
     graph_params,
     height_cube,
     sorted_box_members,
-    sphere_sizes,
 )
 
 NAMED_MAPS = {
@@ -58,31 +59,11 @@ NAMED_MAPS = {
     "alpha-inv": [{"kind": "shift", "m": -1}],
 }
 
-_CONFIG_CONVERTERS = {
-    "d": int,
-    "q": int,
-    "k": int,
-    "radius": int,
-    "r": int,
-    "seed": int,
-    "workers": int,
-    "pairs": int,
-    "h": str,
-    "map": str,
-    "format": str,
-    "out": str,
-    "mode": str,
-    "assert": str,
-}
-
-
-def _dest(flag: str) -> str:
-    """The namespace attribute of a flag; --assert is stored as assertion."""
-    return "assertion" if flag == "assert" else flag
-
-
 def _load_config(path: str) -> dict:
-    """Read key=value lines; blank lines and # comments are skipped."""
+    """Read key=value lines; blank lines and # comments are skipped.
+
+    A key is a flag name, and its value takes that flag's type.
+    """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -93,11 +74,9 @@ def _load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_CONVERTERS:
+            if key not in _FLAGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[_dest(key)] = _CONFIG_CONVERTERS[key](
-                value.strip()
-            )
+            out[_dest(key)] = _FLAGS[key].get("type", str)(value.strip())
     return out
 
 
@@ -140,6 +119,38 @@ _QILAB_READS = {
     "umap": {"k", "h", "out"},
     "distortion": {"h", "map", "pairs", "seed", "out"},
 }
+_QILAB_ASSERTIONS = {
+    "chain": ("bounded", "divergence"),
+    "audit": ("bounded",),
+    "umap": ("ktoone",),
+    "distortion": (),
+}
+
+# Every flag, once, as its argparse keywords. A subcommand declares the
+# flags it reads; a config key takes its flag's type (str by default), and
+# choices are checked on the command line only. --assert takes its
+# choices from the subcommand (build_parser).
+_FLAGS = {
+    "d": {"type": int, "default": 2, "help": "number of tree coordinates"},
+    "q": {"type": int, "default": 2, "help": "branching prime"},
+    "k": {"type": int, "help": "index parameter"},
+    "radius": {"type": int, "help": "ball radius"},
+    "h": {"help": "box side(s), comma separated"},
+    "r": {"type": int, "help": "boundary thickness"},
+    "map": {"help": "coordinate maps: names (alpha,id), JSON, or @file"},
+    "format": {"choices": ("dot", "json", "csv")},
+    "out": {"help": "write payload to file"},
+    "seed": {"type": int, "help": "sampling seed (default 0)"},
+    "workers": {"type": int, "help": "accepted and ignored (single process)"},
+    "mode": {"choices": tuple(_QILAB_READS), "default": "chain"},
+    "pairs": {"type": int, "help": "distortion sample pairs, at least 1 (default 30)"},
+    "assert": {"dest": "assertion"},
+}
+
+
+def _dest(flag: str) -> str:
+    """The namespace attribute of a flag; --assert is stored as assertion."""
+    return _FLAGS[flag].get("dest", flag)
 
 
 def _reject_unread(args, what: str, reads) -> None:
@@ -150,7 +161,7 @@ def _reject_unread(args, what: str, reads) -> None:
     """
     unread = [
         f"--{flag}"
-        for flag in sorted(_CONFIG_CONVERTERS)
+        for flag in sorted(_FLAGS)
         if flag not in reads and getattr(args, _dest(flag), None) is not None
     ]
     if unread:
@@ -209,7 +220,7 @@ def _interior_map_from_arg(params, text: str) -> qilab.InteriorMap:
 
 def cmd_graph(args) -> int:
     _reject_unread(args, "graph", _GRAPH_READS)
-    params = graph_params(args.d, args.q, args.k)
+    params = graph_params(args.d, args.q, args.k if args.k is not None else 1)
     if (args.radius is None) == (args.h is None):
         raise ValueError("graph needs exactly one of --radius or --h")
     if args.radius is not None:
@@ -218,7 +229,7 @@ def cmd_graph(args) -> int:
         h = _one_side("graph", args.h)
         cube = height_cube([(0, h)] * (params.d - 1), params.k)
         g = box_graph(params, canonical_box(params, cube))
-    if args.format == "dot":
+    if args.format in (None, "dot"):
         payload = export_dot(g)
     elif args.format == "json":
         payload = export_json(g)
@@ -590,14 +601,6 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, int]":
     return payload, [f"distortion: K={report.k_est} C={report.c_est}"], 0
 
 
-_QILAB_ASSERTIONS = {
-    "chain": ("bounded", "divergence"),
-    "audit": ("bounded",),
-    "umap": ("ktoone",),
-    "distortion": (),
-}
-
-
 def cmd_qilab(args) -> int:
     params = graph_params(args.d, args.q, 1)
     if args.mode not in _QILAB_READS:
@@ -627,77 +630,40 @@ def cmd_qilab(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sub, *names):
-    if "d" in names:
-        sub.add_argument("--d", type=int, default=2, help="number of tree coordinates")
-    if "q" in names:
-        sub.add_argument("--q", type=int, default=2, help="branching prime")
-    if "k" in names:
-        sub.add_argument("--k", type=int, default=None, help="index parameter")
-    if "radius" in names:
-        sub.add_argument("--radius", type=int, default=None, help="ball radius")
-    if "h" in names:
-        sub.add_argument("--h", type=str, default=None, help="box side(s), comma separated")
-    if "r" in names:
-        sub.add_argument("--r", type=int, default=None, help="boundary thickness")
-    if "map" in names:
-        sub.add_argument(
-            "--map",
-            type=str,
-            default=None,
-            help="coordinate maps: names (alpha,id), JSON, or @file",
-        )
-    if "format" in names:
-        sub.add_argument("--format", choices=("dot", "json", "csv"), default=None)
-    if "out" in names:
-        sub.add_argument("--out", type=str, default=None, help="write payload to file")
-    if "seed" in names:
-        sub.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
-    if "workers" in names:
-        sub.add_argument(
-            "--workers", type=int, default=1, help="accepted and ignored (single process)"
-        )
-    sub.add_argument("--config", type=str, default=None, help="key=value defaults file")
-
-
 def build_parser() -> "tuple[argparse.ArgumentParser, list]":
     parser = argparse.ArgumentParser(
         prog="dllab",
         description="exact Diestel-Leader graph and quasi-isometry laboratory",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    g = subs.add_parser("graph", help="export a ball or box slice")
-    _add_common(g, "d", "q", "radius", "h", "format", "out", "workers")
-    g.add_argument("--k", type=int, default=1, help="index parameter")
-    g.set_defaults(func=cmd_graph)
-
-    v = subs.add_parser("verify", help="run exact structural check suites")
-    _add_common(v, "d", "q", "k", "radius", "h", "r", "out")
-    v.add_argument(
-        "--assert",
-        dest="assertion",
-        choices=("counting", "folner", "correspondence", "index", "all"),
-        default="all",
+    commands = (
+        ("graph", "export a ball or box slice", cmd_graph, _GRAPH_READS, ()),
+        (
+            "verify",
+            "run exact structural check suites",
+            cmd_verify,
+            _VERIFY_ALWAYS.union(*_VERIFY_READS.values()),
+            (*_VERIFY_READS, "all"),
+        ),
+        (
+            "qilab",
+            "quasi-isometry laboratory",
+            cmd_qilab,
+            _QILAB_ALWAYS.union(*_QILAB_READS.values()),
+            tuple(dict.fromkeys(a for t in _QILAB_ASSERTIONS.values() for a in t)),
+        ),
     )
-    v.set_defaults(func=cmd_verify)
-
-    ql = subs.add_parser("qilab", help="quasi-isometry laboratory")
-    _add_common(ql, "d", "q", "k", "h", "r", "map", "format", "out", "seed", "workers")
-    ql.add_argument(
-        "--mode", choices=("chain", "audit", "umap", "distortion"), default="chain"
-    )
-    ql.add_argument(
-        "--pairs", type=int, default=None, help="distortion sample pairs, at least 1 (default 30)"
-    )
-    ql.add_argument(
-        "--assert",
-        dest="assertion",
-        choices=("bounded", "divergence", "ktoone"),
-        default=None,
-    )
-    ql.set_defaults(func=cmd_qilab)
-    return parser, [g, v, ql]
+    subparsers = []
+    for name, text, func, reads, assertions in commands:
+        sub = subs.add_parser(name, help=text)
+        for flag, kwargs in _FLAGS.items():
+            if flag in reads:
+                choices = {"choices": assertions} if flag == "assert" else {}
+                sub.add_argument(f"--{flag}", **kwargs, **choices)
+        sub.add_argument("--config", help="key=value defaults file")
+        sub.set_defaults(func=func)
+        subparsers.append(sub)
+    return parser, subparsers
 
 
 def main(argv=None) -> int:
@@ -720,8 +686,6 @@ def main(argv=None) -> int:
         for sub in subparsers:
             sub.set_defaults(**defaults)
     args = parser.parse_args(argv)
-    if args.command == "graph" and args.format is None:
-        args.format = "dot"
     try:
         return args.func(args)
     except (OSError, ValueError, dlgraph.BudgetError) as exc:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -104,13 +104,6 @@ def tree_root(level: int = 0) -> TreeVertex:
     return TreeVertex(level=level, digits=())
 
 
-def tree_digit(v: TreeVertex, index: int) -> int:
-    for i, val in v.digits:
-        if i == index:
-            return val
-    return 0
-
-
 def tree_parent(v: TreeVertex) -> TreeVertex:
     n = v.level
     return TreeVertex(n - 1, tuple((i, val) for i, val in v.digits if i != n))
@@ -130,10 +123,6 @@ def tree_ancestor(v: TreeVertex, level: int) -> TreeVertex:
     return TreeVertex(level, tuple((i, val) for i, val in v.digits if i <= level))
 
 
-def is_tree_ancestor(a: TreeVertex, v: TreeVertex) -> bool:
-    return a.level <= v.level and tree_ancestor(v, a.level) == a
-
-
 def tree_descendants(v: TreeVertex, depth: int, q: int) -> Iterator[TreeVertex]:
     """All q^depth descendants exactly depth levels below v, in digit order."""
     if depth < 0:
@@ -143,14 +132,6 @@ def tree_descendants(v: TreeVertex, depth: int, q: int) -> Iterator[TreeVertex]:
     for combo in product(range(q), repeat=depth):
         extra = tuple((i, b) for i, b in zip(indices, combo) if b)
         yield TreeVertex(base + depth, v.digits + extra)
-
-
-def dense_digits(v: TreeVertex, lo: int, hi: int) -> "tuple[int, ...]":
-    out = [0] * (hi - lo + 1)
-    for i, val in v.digits:
-        if lo <= i <= hi:
-            out[i - lo] = val
-    return tuple(out)
 
 
 def meet_level(u: TreeVertex, v: TreeVertex) -> int:
@@ -215,14 +196,14 @@ def dl_key(v: DLVertex) -> str:
     return "|".join(tree_key(c) for c in v.coords)
 
 
-def with_index(v: DLVertex, k: int) -> DLVertex:
-    """Reinterpret the same tuple of tree vertices under index parameter k."""
-    return dl_vertex(graph_params(v.params.d, v.params.q, k), v.coords)
+@lru_cache(maxsize=64)
+def _compositions(total: int, parts: int) -> "tuple[tuple[int, ...], ...]":
+    """Ordered ways to write total as parts nonnegative integers, in lex order.
 
-
-def _compositions(total: int, parts: int) -> Iterator[tuple]:
-    """Ordered ways to write total as parts nonnegative integers, in lex order."""
-    return (c for c in product(range(total + 1), repeat=parts) if sum(c) == total)
+    Every k > 1 neighbour list reads the compositions of k into d - 1
+    parts, so they are built once per (k, d).
+    """
+    return tuple(c for c in product(range(total + 1), repeat=parts) if sum(c) == total)
 
 
 def _neighbor_coords(params: GraphParams, coords: tuple, half: bool = False) -> "list[tuple]":
@@ -255,10 +236,13 @@ def _neighbor_coords(params: GraphParams, coords: tuple, half: bool = False) -> 
                 out.append(tuple(nxt))
     if k == 1:
         return out
-    combos = tuple(_compositions(k, d - 1))
+    combos = _compositions(k, d - 1)
     up_first = tree_ancestor(coords[0], coords[0].level - k)
     for combo in combos:
-        pools = [list(tree_descendants(coords[1 + t], combo[t], q)) for t in range(d - 1)]
+        pools = [
+            list(tree_descendants(c, depth, q)) if depth else [c]
+            for c, depth in zip(coords[1:], combo)
+        ]
         for choice in product(*pools):
             out.append((up_first,) + choice)
     if half:
@@ -276,51 +260,6 @@ def _neighbor_coords(params: GraphParams, coords: tuple, half: bool = False) -> 
 def dl_neighbors(v: DLVertex) -> "list[DLVertex]":
     """The neighbours of v, in the order of _neighbor_coords."""
     return [DLVertex(v.params, c) for c in _neighbor_coords(v.params, v.coords)]
-
-
-def dl_adjacent(u: DLVertex, v: DLVertex) -> bool:
-    if u.params != v.params or u == v:
-        return False
-    params = u.params
-    d, k = params.d, params.k
-    deltas = tuple(v.coords[i].level - u.coords[i].level for i in range(d))
-    if sum(deltas) != 0:
-        return False
-
-    def plain_move(lo_idx: int) -> bool:
-        # one coordinate down a step, one up a step, the rest fixed
-        downs = [i for i in range(lo_idx, d) if deltas[i] == 1]
-        ups = [i for i in range(lo_idx, d) if deltas[i] == -1]
-        if len(downs) != 1 or len(ups) != 1:
-            return False
-        for i in range(d):
-            if i == downs[0]:
-                if tree_parent(v.coords[i]) != u.coords[i]:
-                    return False
-            elif i == ups[0]:
-                if tree_parent(u.coords[i]) != v.coords[i]:
-                    return False
-            elif u.coords[i] != v.coords[i]:
-                return False
-        return True
-
-    if k == 1:
-        return plain_move(0)
-    if deltas[0] == 0:
-        return u.coords[0] == v.coords[0] and plain_move(1)
-    if deltas[0] == -k:
-        if any(x < 0 for x in deltas[1:]) or sum(deltas[1:]) != k:
-            return False
-        if tree_ancestor(u.coords[0], u.coords[0].level - k) != v.coords[0]:
-            return False
-        return all(is_tree_ancestor(u.coords[i], v.coords[i]) for i in range(1, d))
-    if deltas[0] == k:
-        if any(x > 0 for x in deltas[1:]) or -sum(deltas[1:]) != k:
-            return False
-        if tree_ancestor(v.coords[0], v.coords[0].level - k) != u.coords[0]:
-            return False
-        return all(is_tree_ancestor(v.coords[i], u.coords[i]) for i in range(1, d))
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +418,6 @@ def box_members(params: GraphParams, box: Box) -> Iterator[DLVertex]:
 
 def box_size(params: GraphParams, box: Box) -> int:
     return sum(box_fiber_size(params, box, p) for p in cube_points(box.cube))
-
-
-def box_contains(params: GraphParams, box: Box, x: DLVertex) -> bool:
-    if x.params != params or not cube_contains(box.cube, rho(x)):
-        return False
-    return all(is_tree_ancestor(root, c) for root, c in zip(box.roots, x.coords))
 
 
 def box_boundary(params: GraphParams, box: Box, r: int) -> Iterator[DLVertex]:

@@ -225,8 +225,6 @@ def cayley_ball(
     )
 
 
-cayley_sphere_sizes = sphere_sizes
-
 
 # ---------------------------------------------------------------------------
 # correspondence with the graph

@@ -37,7 +37,6 @@ has measure 1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,21 +77,6 @@ DEFAULT_PROBE_BUDGET = 200_000
 # ---------------------------------------------------------------------------
 # clones: cylinder sets of digit streams
 
-def clone(level: int, digits=()) -> TreeVertex:
-    """Normalize a clone: sorted nonzero digits at indices <= level."""
-    items = []
-    seen = set()
-    for i, v in digits:
-        if i in seen:
-            raise ValueError(f"duplicate digit index {i}")
-        seen.add(i)
-        if i > level:
-            raise ValueError(f"digit index {i} above clone level {level}")
-        if v:
-            items.append((int(i), int(v)))
-    return TreeVertex(int(level), tuple(sorted(items)))
-
-
 def clone_measure(c: TreeVertex, q: int) -> Fraction:
     return Fraction(q) ** (-c.level)
 
@@ -113,15 +97,6 @@ def count_vertices_in_clone(c: TreeVertex, level: int, q: int) -> int:
     if any(i > level for i, _ in digits):
         return 0
     return 1
-
-
-def vertices_in_clone(c: TreeVertex, level: int, q: int) -> "list[TreeVertex]":
-    """Materialize the vertices counted by count_vertices_in_clone."""
-    if c.level <= level:
-        return list(tree_descendants(c, level - c.level, q))
-    if any(i > level for i, _ in c.digits):
-        return []
-    return [TreeVertex(level, c.digits)]
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +358,6 @@ class BoundaryMap:
             out *= p.bilip(self.q)
         return out
 
-    def net_shift(self) -> int:
-        return sum(p.m for p in self.prims if isinstance(p, Shift))
-
     def inverse(self) -> "BoundaryMap":
         return BoundaryMap(self.q, tuple(p.inverse() for p in reversed(self.prims)))
 
@@ -523,10 +495,6 @@ def map_from_description(q: int, desc) -> BoundaryMap:
     return BoundaryMap(q, tuple(prims))
 
 
-def map_to_json(m: BoundaryMap) -> str:
-    return json.dumps(m.describe(), sort_keys=True, separators=(",", ":"))
-
-
 # ---------------------------------------------------------------------------
 # measure linearity by exhaustive clone enumeration
 
@@ -661,21 +629,6 @@ def preimage_count(imap: InteriorMap, x: DLVertex) -> int:
 def _clone_fiber_count(m: BoundaryMap, c: TreeVertex, level: int) -> int:
     """How many level-`level` vertices m sends into clone c."""
     return sum(count_vertices_in_clone(p, level, m.q) for p in m.clone_preimages(c))
-
-
-def preimage_vertices(imap: InteriorMap, x: DLVertex) -> "list[DLVertex]":
-    """Materialize the fiber over x (products of per-coordinate lists)."""
-    q = imap.params.q
-    per_coord = []
-    for m, coord in zip(imap.maps, x.coords):
-        found = []
-        for c in m.clone_preimages(coord):
-            found.extend(vertices_in_clone(c, coord.level, q))
-        per_coord.append(sorted(set(found)))
-    out = []
-    for combo in itertools.product(*per_coord):
-        out.append(dl_vertex(imap.params, combo))
-    return out
 
 
 def psi_eval(imap: InteriorMap, vertices) -> dict:

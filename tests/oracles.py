@@ -1,0 +1,103 @@
+"""Enumerative oracles that the tests check the library against.
+
+Each one states a rule a second way, on purpose, and no library code calls
+it: adjacency as a test on a vertex pair, beside the neighbour lists of
+`dlgraph._neighbor_coords`; box membership by tree ancestry, beside the
+box's fibers; and the fiber of an interior map as an explicit vertex list,
+beside the counts of `qilab.preimage_count`.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from dllab.dlgraph import (
+    TreeVertex,
+    cube_contains,
+    dl_vertex,
+    rho,
+    tree_ancestor,
+    tree_descendants,
+    tree_parent,
+)
+
+
+def is_tree_ancestor(a, v) -> bool:
+    return a.level <= v.level and tree_ancestor(v, a.level) == a
+
+
+def dl_adjacent(u, v) -> bool:
+    """Whether one edge joins u and v, decided from the pair alone."""
+    if u.params != v.params or u == v:
+        return False
+    params = u.params
+    d, k = params.d, params.k
+    deltas = tuple(v.coords[i].level - u.coords[i].level for i in range(d))
+    if sum(deltas) != 0:
+        return False
+
+    def plain_move(lo_idx: int) -> bool:
+        # one coordinate down a step, one up a step, the rest fixed
+        downs = [i for i in range(lo_idx, d) if deltas[i] == 1]
+        ups = [i for i in range(lo_idx, d) if deltas[i] == -1]
+        if len(downs) != 1 or len(ups) != 1:
+            return False
+        for i in range(d):
+            if i == downs[0]:
+                if tree_parent(v.coords[i]) != u.coords[i]:
+                    return False
+            elif i == ups[0]:
+                if tree_parent(u.coords[i]) != v.coords[i]:
+                    return False
+            elif u.coords[i] != v.coords[i]:
+                return False
+        return True
+
+    if k == 1:
+        return plain_move(0)
+    if deltas[0] == 0:
+        return u.coords[0] == v.coords[0] and plain_move(1)
+    if deltas[0] == -k:
+        if any(x < 0 for x in deltas[1:]) or sum(deltas[1:]) != k:
+            return False
+        if tree_ancestor(u.coords[0], u.coords[0].level - k) != v.coords[0]:
+            return False
+        return all(is_tree_ancestor(u.coords[i], v.coords[i]) for i in range(1, d))
+    if deltas[0] == k:
+        if any(x > 0 for x in deltas[1:]) or -sum(deltas[1:]) != k:
+            return False
+        if tree_ancestor(v.coords[0], v.coords[0].level - k) != u.coords[0]:
+            return False
+        return all(is_tree_ancestor(v.coords[i], u.coords[i]) for i in range(1, d))
+    return False
+
+
+def box_contains(params, box, x) -> bool:
+    """Whether x lies over the box's cube and below each of its roots."""
+    if x.params != params or not cube_contains(box.cube, rho(x)):
+        return False
+    return all(is_tree_ancestor(root, c) for root, c in zip(box.roots, x.coords))
+
+
+def vertices_in_clone(c, level: int, q: int) -> "list[TreeVertex]":
+    """Materialize the vertices counted by qilab.count_vertices_in_clone."""
+    if c.level <= level:
+        return list(tree_descendants(c, level - c.level, q))
+    if any(i > level for i, _ in c.digits):
+        return []
+    return [TreeVertex(level, c.digits)]
+
+
+def preimage_vertices(imap, x) -> list:
+    """Materialize the fiber over x (products of per-coordinate lists)."""
+    q = imap.params.q
+    per_coord = []
+    for m, coord in zip(imap.maps, x.coords):
+        found = []
+        for c in m.clone_preimages(coord):
+            found.extend(vertices_in_clone(c, coord.level, q))
+        per_coord.append(sorted(set(found)))
+    out = []
+    for combo in itertools.product(*per_coord):
+        out.append(dl_vertex(imap.params, combo))
+    return out

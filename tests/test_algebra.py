@@ -27,13 +27,11 @@ from dllab.algebra import (
     ptrim,
     rat_add,
     rat_const,
-    rat_from_json,
     rat_mul,
     rat_neg,
     rat_one,
     rat_scale_unit,
     rat_sub,
-    rat_to_json,
     rat_zero,
     rational,
     ring_params,
@@ -295,16 +293,6 @@ def test_scale_unit_roundtrip_random(q, d):
             for _ in range(-e):
                 lhs = mul_poly(lhs, unit, q)
         assert lhs == rhs
-
-
-def test_json_roundtrip():
-    p = ring_params(3, 3)
-    rng = random.Random(17)
-    for _ in range(20):
-        a = random_element(p, rng)
-        obj = rat_to_json(a)
-        assert set(obj) == {"num", "den"}
-        assert rat_from_json(p, obj) == a
 
 
 # ---------------------------------------------------------------------------

@@ -614,3 +614,101 @@ def test_readme_cli_commands_exit_0(capsys, tmp_path, monkeypatch):
     for argv in commands:
         assert cli.main(argv[1:]) == 0, shlex.join(argv)
         capsys.readouterr()
+
+
+class TestFlagTable:
+    """Each subcommand declares exactly the flags its reads tables name."""
+
+    EXPECTED = {
+        "graph": {"--d", "--q", "--k", "--radius", "--h", "--format", "--out", "--workers"},
+        "verify": {"--d", "--q", "--k", "--radius", "--h", "--r", "--out", "--assert"},
+        "qilab": {
+            "--d", "--q", "--k", "--h", "--r", "--map", "--format", "--out",
+            "--seed", "--workers", "--mode", "--pairs", "--assert",
+        },
+    }
+
+    @staticmethod
+    def option_strings(sub):
+        return {s for action in sub._actions for s in action.option_strings} - {
+            "-h", "--help", "--config"
+        }
+
+    def test_option_strings_match_reads_tables(self):
+        _, subs = cli.build_parser()
+        reads = {
+            "graph": cli._GRAPH_READS,
+            "verify": cli._VERIFY_ALWAYS.union(*cli._VERIFY_READS.values()),
+            "qilab": cli._QILAB_ALWAYS.union(*cli._QILAB_READS.values()),
+        }
+        assert [sub.prog.split()[-1] for sub in subs] == list(self.EXPECTED)
+        for sub, (name, expected) in zip(subs, self.EXPECTED.items()):
+            assert self.option_strings(sub) == expected, name
+            assert {f"--{flag}" for flag in reads[name]} == expected, name
+        assert "--workers" not in self.EXPECTED["verify"]
+        assert "--seed" not in self.EXPECTED["graph"]
+
+    def test_every_config_key_is_a_flag(self):
+        _, subs = cli.build_parser()
+        assert {f"--{flag}" for flag in cli._FLAGS} == set().union(
+            *(self.option_strings(sub) for sub in subs)
+        )
+
+    def test_choices(self):
+        _, (graph, verify, qilab_sub) = cli.build_parser()
+        choices = {
+            (sub.prog.split()[-1], s): action.choices
+            for sub in (graph, verify, qilab_sub)
+            for action in sub._actions
+            for s in action.option_strings
+            if action.choices is not None
+        }
+        assert choices == {
+            ("graph", "--format"): ("dot", "json", "csv"),
+            ("verify", "--assert"): ("counting", "folner", "correspondence", "index", "all"),
+            ("qilab", "--format"): ("dot", "json", "csv"),
+            ("qilab", "--mode"): ("chain", "audit", "umap", "distortion"),
+            ("qilab", "--assert"): ("bounded", "divergence", "ktoone"),
+        }
+
+
+# Edge values of the integer and box-side flags, each given to a command,
+# suite or mode that reads the flag: zero, negative and comma lists.
+SWEEP_VALUES = ("0", "-1", "1,2", "2,-1")
+SWEEP_BASES = (
+    (["graph", "--radius", "1"], ("d", "q", "k", "radius")),
+    (["graph"], ("h",)),
+    (["verify", "--assert", "counting"], ("d", "q", "k", "h")),
+    (["verify", "--assert", "folner"], ("r", "h")),
+    (["verify", "--assert", "correspondence"], ("radius",)),
+    (["verify", "--assert", "index"], ("k",)),
+    (["qilab", "--mode", "chain"], ("d", "q", "k", "h", "r")),
+    (["qilab", "--mode", "audit"], ("h", "r")),
+    (["qilab", "--mode", "umap", "--k", "2"], ("h",)),
+    (["qilab", "--mode", "umap"], ("k",)),
+    (["qilab", "--mode", "distortion", "--pairs", "3"], ("h",)),
+)
+ARGV_SWEEP = [
+    (base, flag, value) for base, flags in SWEEP_BASES for flag in flags for value in SWEEP_VALUES
+]
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_argv_sweep_exits_cleanly(capsys, tmp_path, via_config):
+    """Every edge argv exits 0, 1 or 2, and never with a traceback."""
+    cfg = tmp_path / "sweep.cfg"
+    for base, flag, value in ARGV_SWEEP:
+        if via_config:
+            cfg.write_text(f"{flag}={value}\n")
+            argv = base + ["--config", str(cfg)]
+        else:
+            argv = base + [f"--{flag}", value]
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        err = capsys.readouterr().err
+        assert status in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if status == 2:
+            assert "error:" in err, argv

@@ -30,7 +30,6 @@ from dllab.dlgraph import (
     box_boundary,
     box_boundary_size,
     box_containing,
-    box_contains,
     box_fiber,
     box_fiber_size,
     box_graph,
@@ -41,8 +40,6 @@ from dllab.dlgraph import (
     cube_contains,
     cube_points,
     cube_size,
-    dense_digits,
-    dl_adjacent,
     dl_distance,
     dl_key,
     dl_neighbors,
@@ -53,20 +50,19 @@ from dllab.dlgraph import (
     graph_params,
     height_cube,
     heights,
-    is_tree_ancestor,
     meet_level,
     rho,
     sphere_sizes,
     tree_ancestor,
     tree_children,
     tree_descendants,
-    tree_digit,
     tree_key,
     tree_parent,
     tree_root,
     tree_vertex,
-    with_index,
 )
+
+from oracles import box_contains, dl_adjacent, is_tree_ancestor
 
 
 def brute_boundary_keys(params, box, r):
@@ -107,14 +103,10 @@ def test_tree_mechanics():
         assert child.level == 1
         assert tree_parent(child) == root
     v = tree_vertex(2, [(1, 1), (2, 2)], q=3)
-    assert tree_digit(v, 1) == 1
-    assert tree_digit(v, 2) == 2
-    assert tree_digit(v, 0) == 0
     assert tree_ancestor(v, 1) == tree_vertex(1, [(1, 1)])
     assert tree_ancestor(v, -2) == tree_root(-2)
     assert is_tree_ancestor(tree_root(-2), v)
     assert not is_tree_ancestor(tree_vertex(1, [(1, 2)]), v)
-    assert dense_digits(v, 0, 3) == (0, 1, 2, 0)
     assert tree_key(v) == "2:1=1,2=2"
 
 
@@ -166,10 +158,7 @@ def test_vertex_validation():
     pk = graph_params(2, 2, 2)
     with pytest.raises(ValueError):
         dl_vertex(pk, (tree_root(1), tree_root(-1)))  # height not in 2Z
-    v = dl_vertex(pk, (tree_root(2), tree_root(-2)))
-    assert with_index(v, 1).params.k == 1
-    with pytest.raises(ValueError):
-        with_index(dl_vertex(p, (tree_root(1), tree_root(-1))), 2)
+    assert dl_vertex(pk, (tree_root(2), tree_root(-2))).params.k == 2
 
 
 @pytest.mark.parametrize(
