@@ -11,8 +11,10 @@ Three subcommands:
   audits, the k-to-1 tile map, and distortion sampling.
 
 All outputs are byte-deterministic: vertices are sorted by canonical key,
-JSON uses sorted keys, CSV uses a fixed line terminator, and randomized
-modes take an explicit seed.  ``graph`` and ``qilab`` still accept
+every CSV and JSON payload is written by ``_csv_payload`` (fixed line
+terminator) or ``_json_payload`` (sorted keys), and randomized modes take
+an explicit seed.  Every ``ValueError``, an over-budget ``BudgetError``
+included, prints ``error:`` and exits 2.  ``graph`` and ``qilab`` still accept
 ``--workers`` but ignore it: fiber counts are per coordinate and run in
 one process.  Each flag is declared once, in ``_FLAGS``, and each
 subcommand has exactly the flags that its reads tables name.  A
@@ -32,6 +34,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 
 from . import dlgraph, group, qilab
 from .algebra import ring_params
@@ -78,6 +81,20 @@ def _load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             out[_dest(key)] = _FLAGS[key].get("type", str)(value.strip())
     return out
+
+
+def _csv_payload(header, rows) -> str:
+    """The one CSV dialect; rows may be a generator, written as it yields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _json_payload(obj) -> str:
+    """A JSON payload: sorted keys, no spaces, one final newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _emit(payload: str, out_path, summary_lines) -> None:
@@ -246,10 +263,10 @@ def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
     cube = height_cube([(0, h)] * (params.d - 1), params.k)
     box = canonical_box(params, cube)
     expected_fiber = params.q ** ((params.d - 1) * h)
-    fibers = {
-        dlgraph.box_fiber_size(params, box, pt) for pt in dlgraph.cube_points(cube)
-    }
-    size = dlgraph.box_size(params, box)
+    # per point, not by box_size's closed form, so that the check is independent
+    sizes = [dlgraph.box_fiber_size(params, box, pt) for pt in dlgraph.cube_points(cube)]
+    fibers = set(sizes)
+    size = sum(sizes)
     deg = len(dl_neighbors(base_vertex(params)))
     checks = [
         (
@@ -390,15 +407,9 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
     if args.out and report is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["radius", "sphere_size", "ball_size"])
-        total = 0
-        for rr, size in enumerate(report.sphere_group):
-            total += size
-            writer.writerow([rr, size, total])
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+        sizes = report.sphere_group
+        rows = zip(range(len(sizes)), sizes, accumulate(sizes))
+        _emit(_csv_payload(["radius", "sphere_size", "ball_size"], rows), args.out, [])
     return 1 if failures else 0
 
 
@@ -406,23 +417,13 @@ def cmd_verify(args) -> int:
 # qilab subcommand
 
 def _chain_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["h", "box_size", "boundary_size", "chain_sum", "ratio_boundary", "ratio_box"]
+    header = ["h", "box_size", "boundary_size", "chain_sum", "ratio_boundary", "ratio_box"]
+    rows = (
+        [r.h, r.box_size, r.boundary_size, r.chain_sum]
+        + [repr(float(r.ratio_boundary)), repr(float(r.ratio_box))]
+        for r in records
     )
-    for rec in records:
-        writer.writerow(
-            [
-                rec.h,
-                rec.box_size,
-                rec.boundary_size,
-                rec.chain_sum,
-                repr(float(rec.ratio_boundary)),
-                repr(float(rec.ratio_box)),
-            ]
-        )
-    return buf.getvalue()
+    return _csv_payload(header, rows)
 
 
 def _qilab_chain(args, params, imap) -> "tuple[str, list, int]":
@@ -501,25 +502,13 @@ def _qilab_audit(args, params, imap) -> "tuple[str, list, int]":
     ]
     audits = [qilab.fiber_count_audit(imap, box, r=args.r) for box in boxes]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_AUDIT_FIELDS)
-        for audit in audits:
-            writer.writerow([_audit_cell(getattr(audit, f)) for f in _AUDIT_FIELDS])
-        payload = buf.getvalue()
-    else:
-        rows = [
-            {f: _audit_cell(getattr(audit, f)) for f in _AUDIT_FIELDS}
-            for audit in audits
-        ]
-        payload = (
-            json.dumps(
-                rows[0] if len(rows) == 1 else rows,
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
+        payload = _csv_payload(
+            _AUDIT_FIELDS,
+            ([_audit_cell(getattr(a, f)) for f in _AUDIT_FIELDS] for a in audits),
         )
+    else:
+        rows = [{f: _audit_cell(getattr(a, f)) for f in _AUDIT_FIELDS} for a in audits]
+        payload = _json_payload(rows[0] if len(rows) == 1 else rows)
     summaries = [
         f"audit h={a.h}: {a.lower_bound} <= {a.total_preimages} <= {a.upper_bound}"
         for a in audits
@@ -544,16 +533,17 @@ def _qilab_umap(args, params) -> "tuple[str, list, int]":
     region = height_cube([(0, side - 1)] * (params.d - 1))
     tiling = qilab.make_tiling(params, region, k)
     keys, members = sorted_box_members(params, tiling.ambient)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "image_key", "displacement"])
     hits = Counter()
-    for key, x in zip(keys, members):
-        y = qilab.umap(tiling, k, x)
-        image_key = dl_key(y)
-        disp = dl_distance(x, DLVertex(params, y.coords))
-        writer.writerow([key, image_key, disp])
-        hits[image_key] += 1
+
+    def rows():
+        # streamed, so no row list is held beside the payload
+        for key, x in zip(keys, members):
+            y = qilab.umap(tiling, k, x)
+            image_key = dl_key(y)
+            hits[image_key] += 1
+            yield key, image_key, dl_distance(x, DLVertex(params, y.coords))
+
+    payload = _csv_payload(["key", "image_key", "displacement"], rows())
     expected = {key for key, x in zip(keys, members) if x.coords[0].level % k == 0}
     exact = set(hits.values()) == {k} and set(hits) == expected
     summaries = [
@@ -568,7 +558,7 @@ def _qilab_umap(args, params) -> "tuple[str, list, int]":
             else "FAIL umap.ktoone: image multiplicities are not uniform"
         )
         status = 0 if exact else 1
-    return buf.getvalue(), summaries, status
+    return payload, summaries, status
 
 
 def _qilab_distortion(args, params, imap) -> "tuple[str, list, int]":
@@ -585,18 +575,13 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, int]":
         n_pairs=n_pairs,
         seed=args.seed if args.seed is not None else 0,
     )
-    payload = (
-        json.dumps(
-            {
-                "pairs": report.pairs,
-                "k_est": str(report.k_est),
-                "c_est": str(report.c_est),
-                "max_displacement": report.max_displacement,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
+    payload = _json_payload(
+        {
+            "pairs": report.pairs,
+            "k_est": str(report.k_est),
+            "c_est": str(report.c_est),
+            "max_displacement": report.max_displacement,
+        }
     )
     return payload, [f"distortion: K={report.k_est} C={report.c_est}"], 0
 
@@ -688,7 +673,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, dlgraph.BudgetError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,8 +34,8 @@ from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
-class BudgetError(RuntimeError):
-    """An enumeration exceeded its configured size or depth budget."""
+class BudgetError(ValueError):
+    """A request exceeds its configured size or depth budget."""
 
 
 class RegionAlignmentError(ValueError):
@@ -393,16 +393,10 @@ def _fiber_depths(box: Box, point: Sequence[int]) -> "list[int]":
     return depths
 
 
-def box_fiber_lists(params: GraphParams, box: Box, point: Sequence[int]) -> "list[list[TreeVertex]]":
-    """Per-coordinate candidate vertices over one cube point."""
-    return [
-        list(tree_descendants(root, depth, params.q))
-        for root, depth in zip(box.roots, _fiber_depths(box, point))
-    ]
-
-
 def box_fiber(params: GraphParams, box: Box, point: Sequence[int]) -> Iterator[DLVertex]:
-    for coords in product(*box_fiber_lists(params, box, point)):
+    depths = _fiber_depths(box, point)
+    pools = (tree_descendants(root, depth, params.q) for root, depth in zip(box.roots, depths))
+    for coords in product(*pools):
         yield DLVertex(params, coords)
 
 
@@ -417,7 +411,12 @@ def box_members(params: GraphParams, box: Box) -> Iterator[DLVertex]:
 
 
 def box_size(params: GraphParams, box: Box) -> int:
-    return sum(box_fiber_size(params, box, p) for p in cube_points(box.cube))
+    """Every fiber has q**((d-1)*side) members, so this is O(d).
+
+    The roots sit at the cube's lower corner and at minus its upper corner
+    sum, so the depths below them sum to (d-1)*side at every cube point.
+    """
+    return cube_size(box.cube) * params.q ** ((params.d - 1) * cube_side(box.cube))
 
 
 def box_boundary(params: GraphParams, box: Box, r: int) -> Iterator[DLVertex]:

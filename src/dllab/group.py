@@ -20,15 +20,17 @@ so each product is a digit addition mod q. Each element is converted back
 to the normal form, and keyed, once after the BFS; multiply and invert
 remain the general group law.
 
-The index-k subgroup is the kernel of the first exponent mod k. Its
-generating set mirrors the ambient one: k-step products along the first
+The index-k subgroup is the kernel of the first exponent mod k. One
+construction gives its generating set: k-step products along the first
 place, mixed products trading first-place steps against the other places,
-and all generators that avoid the first place.
+and all generators that avoid the first place. At k = 1 it is the standard
+generating set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Optional, Sequence
 
@@ -128,22 +130,7 @@ def gen_ratio(params: RingParams, i: int, j: int, b: int) -> GroupElement:
 
 def generators(params: RingParams) -> "tuple[GroupElement, ...]":
     """The standard generating set; size d(d-1)q, closed under inversion."""
-    out = {}
-
-    def add(el: GroupElement) -> None:
-        out.setdefault(element_key(el), el)
-
-    for place in range(1, params.d):
-        for b in range(params.q):
-            g = gen_first(params, place, b)
-            add(g)
-            add(invert(g))
-    for i in range(1, params.d):
-        for j in range(1, params.d):
-            if i != j:
-                for b in range(params.q):
-                    add(gen_ratio(params, i, j, b))
-    gens = tuple(out[k] for k in sorted(out))
+    gens = _generating_set(params, 1)
     expected = params.d * (params.d - 1) * params.q
     if len(gens) != expected:
         raise AssertionError(f"generator count {len(gens)} != {expected}")
@@ -341,9 +328,7 @@ def validate_correspondence(
 
 def subgroup_membership(g: GroupElement, k: int) -> bool:
     """Whether the first exponent is divisible by k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return g.exps[0] % k == 0
+    return coset_index(g, k) == 0
 
 
 def coset_index(g: GroupElement, k: int) -> int:
@@ -352,18 +337,15 @@ def coset_index(g: GroupElement, k: int) -> int:
     return g.exps[0] % k
 
 
-def subgroup_generators(params: RingParams, k: int) -> "tuple[GroupElement, ...]":
-    """Generators of the index-k subgroup, closed under inversion.
+def _generating_set(params: RingParams, k: int) -> "tuple[GroupElement, ...]":
+    """The index-k generating set with inverses, in key order.
 
     Three families: k-fold products of first-place generators; products of
     k1 ratio generators (first place against a later one) followed by k - k1
     first-place generators; and every generator not involving the first
-    place at all.
+    place at all. A one-factor product is its factor, so k = 1 multiplies
+    nothing.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return generators(params)
     d, q = params.d, params.q
     out = {}
 
@@ -373,21 +355,13 @@ def subgroup_generators(params: RingParams, k: int) -> "tuple[GroupElement, ...]
         out.setdefault(element_key(inv), inv)
 
     for bs in product(range(q), repeat=k):
-        el = identity(params)
-        for b in bs:
-            el = multiply(el, gen_first(params, 1, b))
-        add(el)
+        add(reduce(multiply, [gen_first(params, 1, b) for b in bs]))
     for k1 in range(1, k + 1):
-        k2 = k - k1
         for js in product(range(2, d), repeat=k1):
             for bs1 in product(range(q), repeat=k1):
-                for bs2 in product(range(q), repeat=k2):
-                    el = identity(params)
-                    for j, b in zip(js, bs1):
-                        el = multiply(el, gen_ratio(params, 1, j, b))
-                    for b in bs2:
-                        el = multiply(el, gen_first(params, 1, b))
-                    add(el)
+                ratios = [gen_ratio(params, 1, j, b) for j, b in zip(js, bs1)]
+                for bs2 in product(range(q), repeat=k - k1):
+                    add(reduce(multiply, ratios + [gen_first(params, 1, b) for b in bs2]))
     for i in range(2, d):
         for b in range(q):
             add(gen_first(params, i, b))
@@ -396,7 +370,14 @@ def subgroup_generators(params: RingParams, k: int) -> "tuple[GroupElement, ...]
             if i != j:
                 for b in range(q):
                     add(gen_ratio(params, i, j, b))
-    gens = tuple(out[kk] for kk in sorted(out))
+    return tuple(out[kk] for kk in sorted(out))
+
+
+def subgroup_generators(params: RingParams, k: int) -> "tuple[GroupElement, ...]":
+    """Generators of the index-k subgroup, closed under inversion."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    gens = _generating_set(params, k)
     for el in gens:
         if not subgroup_membership(el, k):
             raise AssertionError("subgroup generator fails membership")

@@ -45,6 +45,7 @@ from typing import Optional, Sequence
 
 from .dlgraph import (
     Box,
+    BudgetError,
     DLVertex,
     GraphParams,
     HeightCube,
@@ -131,9 +132,6 @@ class Shift:
 
     def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
         return self.inverse().clone_images(c)
-
-    def source_span(self):
-        return None
 
     def check_alphabet(self, q: int) -> None:
         pass
@@ -529,7 +527,7 @@ def measure_linear_constant(
     width = depth - probe_lo + 1
     q = m.q
     if q ** width > budget:
-        raise ValueError(
+        raise BudgetError(
             f"probe window enumerates {q ** width} clones, budget {budget}"
         )
     ratio = None
@@ -718,7 +716,7 @@ def fiber_count_audit(
         r = max(r, 1)
     n = box_size(params, box)
     if n > budget:
-        raise ValueError(f"box has {n} members, budget {budget}")
+        raise BudgetError(f"box has {n} members, budget {budget}")
     q = params.q
     fiber_total = _fiber_totals(imap, box)
     boundary = set(cube_boundary(params, box.cube, r))
@@ -834,13 +832,12 @@ def uf_chain_scan(
 class Tiling:
     """A cube tiling of an ambient box, kept implicit.
 
-    region is the ambient height cube (side a multiple of h, corners
+    ambient.cube is the ambient height cube (side a multiple of h, corners
     aligned to h); each lattice point belongs to the unique tile cube
     containing it, and the tile box is reconstructed from ancestors.
     """
 
     params: GraphParams
-    region: HeightCube
     h: int
     ambient: Box
 
@@ -868,7 +865,7 @@ def make_tiling(params: GraphParams, region: HeightCube, h: int) -> Tiling:
             raise RegionAlignmentError(
                 f"region interval ({a},{b}) is not aligned to tile side {h}"
             )
-    return Tiling(params, region, h, canonical_box(params, region))
+    return Tiling(params, h, canonical_box(params, region))
 
 
 def _lex_index(v: TreeVertex, root: TreeVertex, q: int) -> int:

@@ -322,6 +322,67 @@ class TestQilabOtherModes:
         assert out.splitlines()[1] == "2,12,8,0,0.0,0.0"
 
 
+class TestPayloadBytes:
+    """Exact payload bytes, line terminators and final newline included."""
+
+    def test_audit_csv_bytes(self, capsys, tmp_path):
+        argv = [
+            "qilab", "--mode", "audit", "--d", "2", "--q", "2",
+            "--map", "alpha,id", "--h", "2,4", "--r", "1", "--format", "csv",
+        ]
+        expected = (
+            b"h,box_size,boundary_size,r,bilip,lam_product,total_preimages,"
+            b"lower_bound,upper_bound,bounds_ok,interior_constant,interior_value\n"
+            b"2,12,8,1,2,1/2,24,8,56,True,True,2\n"
+            b"4,80,32,1,2,1/2,160,96,288,True,True,2\n"
+        )
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.encode() == expected
+        target = tmp_path / "audit.csv"
+        assert run_cli(argv + ["--out", str(target)]) == 0
+        assert target.read_bytes() == expected
+
+    def test_verify_out_bytes(self, capsys, tmp_path):
+        target = tmp_path / "words.csv"
+        assert run_cli([
+            "verify", "--d", "2", "--q", "2", "--radius", "3",
+            "--assert", "correspondence", "--out", str(target),
+        ]) == 0
+        assert target.read_bytes() == (
+            b"radius,sphere_size,ball_size\n0,1,1\n1,4,5\n2,10,15\n3,24,39\n"
+        )
+        # the check lines still go to stdout, and the payload only to --out
+        assert capsys.readouterr().out == (
+            "PASS correspondence.spheres: group spheres (1, 4, 10, 24) "
+            "match graph spheres (1, 4, 10, 24)\n"
+            "PASS correspondence.isomorphism: radius-3 ball maps isomorphically\n"
+        )
+
+
+class TestOversizedBoxes:
+    """A box's size is a closed form, so its budget check lists no cube point."""
+
+    @pytest.mark.parametrize(
+        "argv,budget",
+        [
+            (["graph", "--d", "11", "--q", "2", "--h", "3"], 500000),
+            (["qilab", "--mode", "audit", "--d", "11", "--q", "2", "--h", "3"], 2000000),
+        ],
+        ids=["graph", "audit"],
+    )
+    def test_rejected_without_listing_the_cube(self, capsys, monkeypatch, argv, budget):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cube was enumerated")
+
+        monkeypatch.setattr(dlgraph, "cube_points", refuse)
+        monkeypatch.setattr(qilab, "cube_points", refuse)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # (4 ** 10 cube points) x (2 ** 30 members per fiber) = 2 ** 50
+        assert captured.err == f"error: box has 1125899906842624 members, budget {budget}\n"
+
+
 class TestConfig:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "lab.cfg"

@@ -301,6 +301,25 @@ def test_counting_identity(d, q, k, h):
     assert len(seen) == box_size(p, box)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_box_size_is_per_point_sum(d, q, k):
+    # box_size is a closed form; the fibers, summed point by point, are its oracle
+    p = graph_params(d, q, k)
+    for side in range(0, 4 * k + 1, k):  # the first axis is aligned to kZ
+        for corner in (0, -k, 2 * k):
+            cube = height_cube(
+                [(corner, corner + side)] + [(corner + t, corner + t + side) for t in range(1, d - 1)],
+                k,
+            )
+            canon = canonical_box(p, cube)
+            lifted = Box(cube, tuple(tree_vertex(r.level, [(r.level, 1)]) for r in canon.roots))
+            for box in (canon, lifted):
+                per_point = sum(box_fiber_size(p, box, pt) for pt in cube_points(cube))
+                assert box_size(p, box) == per_point, (side, corner)
+
+
 def test_box_example_small():
     p = graph_params(2, 2)
     cube = height_cube([(0, 2)])
@@ -811,26 +830,36 @@ def test_compositions_match_recursive_version():
             )
 
 
+@pytest.fixture(scope="module")
+def small_ball():
+    """small_ball(d, q, k): the largest ball around the base vertex with at
+    most 2,000 vertices, built once per module."""
+    built = {}
+
+    def get(d, q, k):
+        if (d, q, k) not in built:
+            p = graph_params(d, q, k)
+            g = ball(base_vertex(p), 1)
+            with contextlib.suppress(BudgetError):
+                while True:
+                    g = ball(base_vertex(p), g.radius + 1, budget=2_000)
+            built[d, q, k] = g
+        return built[d, q, k]
+
+    return get
+
+
 @pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
-def test_neighbors_match_two_loop_version(d, q, k):
-    p = graph_params(d, q, k)
-    # the largest ball around the base vertex with at most 2,000 vertices
-    g = ball(base_vertex(p), 1)
-    with contextlib.suppress(BudgetError):
-        while True:
-            g = ball(base_vertex(p), g.radius + 1, budget=2_000)
+def test_neighbors_match_two_loop_version(small_ball, d, q, k):
+    g = small_ball(d, q, k)
     for v in g.vertices:
         assert dl_neighbors(v) == two_loop_neighbors(v)
 
 
 @pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
-def test_half_step_lists_each_edge_from_one_endpoint(d, q, k):
+def test_half_step_lists_each_edge_from_one_endpoint(small_ball, d, q, k):
     p = graph_params(d, q, k)
-    # the largest ball around the base vertex with at most 2,000 vertices
-    g = ball(base_vertex(p), 1)
-    with contextlib.suppress(BudgetError):
-        while True:
-            g = ball(base_vertex(p), g.radius + 1, budget=2_000)
+    g = small_ball(d, q, k)
     half = {v.coords: dlgraph._neighbor_coords(p, v.coords, half=True) for v in g.vertices}
     for v, depth in zip(g.vertices, g.depths):
         u = v.coords

@@ -319,6 +319,73 @@ def test_subgroup_generators_k1_is_ambient():
     assert subgroup_generators(p, 1) == generators(p)
 
 
+def explicit_generators(p):
+    """The standard set built directly: each gen_first and its inverse, and
+    each gen_ratio, in key order."""
+    out = {}
+    for place in range(1, p.d):
+        for b in range(p.q):
+            for el in (gen_first(p, place, b), invert(gen_first(p, place, b))):
+                out.setdefault(element_key(el), el)
+    for i, j in product(range(1, p.d), repeat=2):
+        if i != j:
+            for b in range(p.q):
+                out.setdefault(element_key(gen_ratio(p, i, j, b)), gen_ratio(p, i, j, b))
+    return tuple(out[key] for key in sorted(out))
+
+
+def identity_first_subgroup_generators(p, k):
+    """The index-k set with every product folded from the identity."""
+    out = {}
+
+    def add(el):
+        for g in (el, invert(el)):
+            out.setdefault(element_key(g), g)
+
+    def word(letters):
+        el = identity(p)
+        for g in letters:
+            el = multiply(el, g)
+        return el
+
+    for bs in product(range(p.q), repeat=k):
+        add(word(gen_first(p, 1, b) for b in bs))
+    for k1 in range(1, k + 1):
+        for js in product(range(2, p.d), repeat=k1):
+            for bs1 in product(range(p.q), repeat=k1):
+                for bs2 in product(range(p.q), repeat=k - k1):
+                    add(word(
+                        [gen_ratio(p, 1, j, b) for j, b in zip(js, bs1)]
+                        + [gen_first(p, 1, b) for b in bs2]
+                    ))
+    for i in range(2, p.d):
+        for b in range(p.q):
+            add(gen_first(p, i, b))
+        for j in range(2, p.d):
+            if i != j:
+                for b in range(p.q):
+                    add(gen_ratio(p, i, j, b))
+    return tuple(out[key] for key in sorted(out))
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (2, 5), (4, 5)])
+def test_generators_match_explicit_construction(d, q):
+    p = ring_params(q, d)
+    expected = explicit_generators(p)
+    assert [element_key(g) for g in generators(p)] == [element_key(g) for g in expected]
+    assert generators(p) == expected
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_subgroup_generators_match_identity_first_products(d, q, k):
+    p = ring_params(q, d)
+    expected = identity_first_subgroup_generators(p, k)
+    got = subgroup_generators(p, k)
+    assert [element_key(g) for g in got] == [element_key(g) for g in expected]
+    assert got == expected
+
+
 @pytest.mark.parametrize("k,count", [(2, 8), (3, 16)])
 def test_subgroup_generators_d2(k, count):
     p = ring_params(2, 2)

@@ -371,6 +371,11 @@ class TestBoundaryMaps:
         with pytest.raises(ValueError):
             measure_linear_constant(shift_map(2, 1), depth=40, budget=100)
 
+    def test_probe_budget_is_a_budget_error(self):
+        assert issubclass(dlgraph.BudgetError, ValueError)
+        with pytest.raises(dlgraph.BudgetError, match=r"^probe window enumerates 2048 clones, budget 100$"):
+            measure_linear_constant(shift_map(2, 1), depth=9, budget=100)
+
     def test_probe_window_covers_span(self):
         # the window runs from one index below the structural span (and
         # from -1 at the latest) up to depth: q**width clones
@@ -553,6 +558,14 @@ class TestFiberAudit:
         assert audit.lower_bound == 9216
         assert audit.upper_bound == 58368
         assert audit.bounds_ok
+
+    def test_box_budget_is_a_budget_error(self):
+        p = graph_params(2, 2)
+        im = interior_map(p, (shift_map(2, 1), identity_map(2)))
+        box = canonical_box(p, height_cube([(0, 4)]))
+        with pytest.raises(dlgraph.BudgetError, match=r"^box has 80 members, budget 79$"):
+            fiber_count_audit(im, box, budget=79)
+        assert fiber_count_audit(im, box, budget=80).box_size == 80
 
     def test_default_radius_covers_bilip(self):
         p = graph_params(2, 2)
