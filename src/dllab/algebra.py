@@ -349,10 +349,9 @@ def expand_local(a: RationalElement, place: int, lo: int, hi: int) -> DigitWindo
 
     if place <= p.d - 1:
         li = p.l[place - 1]
-        m = a.den[place - 1]
         # rewrite in s = t + l_i: numerator becomes N(s - l_i), denominator
-        # becomes s^m times a unit U(s) with U(0) invertible
-        nhat = pshift_var(a.num, -li, q)
+        # becomes s^m_i times a unit U(s) with U(0) invertible
+        num = pshift_var(a.num, -li, q)
         unit = (1,)
         for j, lj in enumerate(p.l):
             if j == place - 1:
@@ -360,31 +359,19 @@ def expand_local(a: RationalElement, place: int, lo: int, hi: int) -> DigitWindo
             c = (lj - li) % q
             for _ in range(a.den[j]):
                 unit = pmul_linear(unit, c, q)
-        prec = hi + m + 1
-        if prec <= 0:
-            return DigitWindow(place, lo, hi, (0,) * width)
-        ser = series_mul(nhat, series_inv(unit, prec, q), prec, q)
-        digits = tuple(
-            ser[e + m] if 0 <= e + m < prec else 0 for e in range(lo, hi + 1)
-        )
-        return DigitWindow(place, lo, hi, digits)
-
-    # place at infinity: t = 1/u
-    deg = len(a.num) - 1
-    total = sum(a.den)
-    val = total - deg
-    ntil = tuple(reversed(a.num))
-    wpoly = (1,)
-    for j, lj in enumerate(p.l):
-        for _ in range(a.den[j]):
-            wpoly = pmul(wpoly, (1, lj % q), q)
+        val = -a.den[place - 1]
+    else:
+        # place at infinity: t = 1/u
+        num = tuple(reversed(a.num))
+        unit = (1,)
+        for j, lj in enumerate(p.l):
+            for _ in range(a.den[j]):
+                unit = pmul(unit, (1, lj % q), q)
+        val = sum(a.den) - (len(a.num) - 1)
+    # the expansion is u^val * num / unit, for u the local uniformizer
     prec = hi - val + 1
-    if prec <= 0:
-        return DigitWindow(place, lo, hi, (0,) * width)
-    ser = series_mul(ntil, series_inv(wpoly, prec, q), prec, q)
-    digits = tuple(
-        ser[e - val] if 0 <= e - val < prec else 0 for e in range(lo, hi + 1)
-    )
+    ser = series_mul(num, series_inv(unit, prec, q), prec, q) if prec > 0 else ()
+    digits = tuple(ser[e - val] if 0 <= e - val < prec else 0 for e in range(lo, hi + 1))
     return DigitWindow(place, lo, hi, digits)
 
 

@@ -17,9 +17,11 @@ an explicit seed.  Every ``ValueError``, an over-budget ``BudgetError``
 included, prints ``error:`` and exits 2.  ``graph`` and ``qilab`` still accept
 ``--workers`` but ignore it: fiber counts are per coordinate and run in
 one process.  Each flag is declared once, in ``_FLAGS``, and each
-subcommand has exactly the flags that its reads tables name.  A
-``--config`` file holds ``key=value`` lines supplying defaults, one flag
-name per key, typed as that flag; explicit flags win.  A flag that the
+subcommand has exactly the flags that its reads tables name.  argparse
+reads ``--config`` like any other flag, so ``--config=F`` and unique
+prefixes such as ``--conf F`` name the same file, and an empty path is
+an error.  The file holds ``key=value`` lines supplying defaults, one
+flag name per key, typed as that flag; explicit flags win.  A flag that the
 chosen command, ``verify`` suite or ``qilab`` mode does not read is a
 usage error, whether given directly or by the config file.
 """
@@ -652,26 +654,16 @@ def build_parser() -> "tuple[argparse.ArgumentParser, list]":
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    config_path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif tok.startswith("--config="):
-            config_path = tok.split("=", 1)[1]
-    if config_path:
-        try:
-            defaults = _load_config(config_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # subcommands parse into a fresh namespace, so defaults must be
-        # installed per subparser; explicit flags still win
-        for sub in subparsers:
-            sub.set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            defaults = _load_config(args.config)
+            # subcommands parse into a fresh namespace, so defaults must be
+            # installed per subparser; explicit flags still win
+            for sub in subparsers:
+                sub.set_defaults(**defaults)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -145,7 +145,6 @@ def generators(params: RingParams) -> "tuple[GroupElement, ...]":
 class CayleyBall:
     params: RingParams
     radius: int
-    gens: tuple
     elements: tuple
     keys: tuple
     depths: tuple
@@ -205,7 +204,6 @@ def cayley_ball(
     return CayleyBall(
         params=params,
         radius=radius,
-        gens=gens,
         elements=tuple(found[i] for i in order),
         keys=tuple(keys[i] for i in order),
         depths=tuple(depths[i] for i in order),

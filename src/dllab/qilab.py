@@ -128,7 +128,7 @@ class Shift:
 
     def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
         level, digits = c
-        return [TreeVertex(level + self.m, tuple(sorted((i + self.m, v) for i, v in digits)))]
+        return [TreeVertex(level + self.m, tuple((i + self.m, v) for i, v in digits))]
 
     def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
         return self.inverse().clone_images(c)
@@ -868,29 +868,6 @@ def make_tiling(params: GraphParams, region: HeightCube, h: int) -> Tiling:
     return Tiling(params, h, canonical_box(params, region))
 
 
-def _lex_index(v: TreeVertex, root: TreeVertex, q: int) -> int:
-    """Position of v among root's descendants at v's height, in digit order.
-
-    tree_descendants lists them with the shallowest digit most
-    significant, so the position is v's digits below root read in base q.
-    """
-    n = 0
-    for i, val in v.digits:
-        if i > root.level:
-            n += val * q ** (v.level - i)
-    return n
-
-
-def _lex_descendant(root: TreeVertex, depth: int, index: int, q: int) -> TreeVertex:
-    """The descendant depth levels below root at position index in digit order."""
-    extra = []
-    for i in range(root.level + depth, root.level, -1):
-        index, b = divmod(index, q)
-        if b:
-            extra.append((i, b))
-    return TreeVertex(root.level + depth, root.digits + tuple(reversed(extra)))
-
-
 def umap(tiling: Tiling, k: int, x: DLVertex) -> DLVertex:
     """Map a lattice vertex into the index-k lattice via its tile.
 
@@ -900,25 +877,27 @@ def umap(tiling: Tiling, k: int, x: DLVertex) -> DLVertex:
     digit order, with the q**j pairs at the corner whose last coordinate
     absorbs the offset.  Middle coordinates pass through unchanged.  With
     tile side equal to k this lands exactly k-to-1 on vertices whose
-    first height is a multiple of k.  Lex positions are computed from the
-    digits, in O(depth), without listing descendants.
+    first height is a multiple of k.  Read as digit strings, that matching
+    is a relabelling of digits, and q plays no part: the image's last
+    coordinate keeps last's digits down to its tile root, then takes
+    first's digits below the corner, then last's digits below its root,
+    each block moved to follow the one before.
     """
     if k != tiling.h:
         raise ValueError("tile side must equal the index k")
     params = tiling.params
-    q = params.q
     first, last = x.coords[0], x.coords[-1]
     # the tile's corner heights; its last root sits below the far corner
     corners = [c.level // k * k for c in x.coords[:-1]]
-    root_first = tree_ancestor(first, corners[0])
-    root_last = tree_ancestor(last, -sum(corners) - (params.d - 1) * (k - 1))
-    offset = first.level - root_first.level
-    depth_last = last.level - root_last.level
+    top = corners[0]
+    base = -sum(corners) - (params.d - 1) * (k - 1)
+    offset = first.level - top
+    digits = [pair for pair in last.digits if pair[0] <= base]
+    digits += [(i - top + base, v) for i, v in first.digits if i > top]
+    digits += [(i + offset, v) for i, v in last.digits if i > base]
+    image_last = TreeVertex(last.level + offset, tuple(digits))
 
-    pair_index = _lex_index(first, root_first, q) * q**depth_last + _lex_index(last, root_last, q)
-    image_last = _lex_descendant(root_last, depth_last + offset, pair_index, q)
-
-    coords = (root_first,) + x.coords[1:-1] + (image_last,)
+    coords = (tree_ancestor(first, top),) + x.coords[1:-1] + (image_last,)
     return DLVertex(params._replace(k=k), coords)
 
 

@@ -310,6 +310,12 @@ def test_expand_examples():
     assert expand_local(geom, 1, 0, 2).digits == (1, 1, 1)
     zero = rat_zero(p3)
     assert expand_local(zero, 2, -2, 2).digits == (0,) * 5
+    # windows wholly below the valuation hold no digit of the series
+    inv_t2 = rational(p2, (1,), (2,))  # starts at exponent -2 at place 1, 2 at infinity
+    assert expand_local(inv_t2, 1, -5, -3).digits == (0, 0, 0)
+    assert expand_local(inv_t2, 2, -1, 1).digits == (0, 0, 0)
+    assert expand_local(inv_t2, 1, -3, -2).digits == (0, 1)
+    assert expand_local(inv_t2, 2, 1, 2).digits == (0, 1)
 
 
 def test_expand_window_validation():

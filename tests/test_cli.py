@@ -411,6 +411,43 @@ class TestConfig:
     def test_missing_config_rejected(self, capsys, tmp_path):
         assert run_cli(["qilab", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    @pytest.mark.parametrize(
+        "spelling",
+        [["--conf", "{}"], ["--c", "{}"], ["--config={}"]],
+        ids=["prefix-conf", "prefix-c", "equals"],
+    )
+    def test_every_argparse_spelling_reads_the_file(self, capsys, tmp_path, spelling):
+        argv = ["graph", "--d", "2", "--q", "2", "--format", "json"]
+        assert run_cli(argv + ["--radius", "1"]) == 0
+        expected = capsys.readouterr().out
+        cfg = tmp_path / "r1.cfg"
+        cfg.write_text("radius=1\n")
+        assert run_cli(argv + [token.format(cfg) for token in spelling]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--d", "2", "--q", "2", "--radius", "1"],
+            ["qilab", "--h", "2"],
+        ],
+        ids=["graph", "qilab"],
+    )
+    def test_prefix_spelling_rejects_a_bad_file(self, capsys, no_work, tmp_path, argv):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("colour=red\n")
+        assert run_cli(argv + ["--conf", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:1: unknown config key 'colour'\n"
+
+    @pytest.mark.parametrize("spelling", [["--config", ""], ["--config="]], ids=["space", "equals"])
+    def test_empty_config_path_rejected(self, capsys, no_work, spelling):
+        assert run_cli(["qilab", "--h", "2"] + spelling) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

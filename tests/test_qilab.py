@@ -719,6 +719,8 @@ class TestUmapOracle:
             (3, 3, 2, 4),
             (3, 2, 3, 3),
             (4, 2, 2, 2),
+            (2, 5, 2, 4),
+            (3, 3, 3, 3),
         ],
     )
     def test_matches_enumerative_umap(self, monkeypatch, d, q, k, side):
