@@ -81,7 +81,10 @@ def _load_config(path: str) -> dict:
             key = key.strip()
             if key not in _FLAGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[_dest(key)] = _FLAGS[key].get("type", str)(value.strip())
+            try:
+                out[_dest(key)] = _FLAGS[key].get("type", str)(value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 

@@ -362,15 +362,6 @@ def canonical_box(params: GraphParams, cube: HeightCube) -> Box:
     return Box(cube=cube, roots=tuple(roots))
 
 
-def box_containing(params: GraphParams, cube: HeightCube, x: DLVertex) -> Box:
-    _check_cube(params, cube)
-    if not cube_contains(cube, rho(x)):
-        raise ValueError("vertex heights are outside the cube")
-    roots = [tree_ancestor(x.coords[i], a) for i, (a, _) in enumerate(cube.intervals)]
-    roots.append(tree_ancestor(x.coords[-1], -sum(b for _, b in cube.intervals)))
-    return Box(cube=cube, roots=tuple(roots))
-
-
 def _check_cube(params: GraphParams, cube: HeightCube) -> None:
     if len(cube.intervals) != params.d - 1:
         raise ValueError(f"cube has {len(cube.intervals)} axes, need {params.d - 1}")

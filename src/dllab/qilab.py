@@ -9,9 +9,10 @@ their metric and measure behavior exactly:
   bijection of stream space and maps each clone (cylinder set) to an exact
   finite union of clones, so measure ratios and preimage counts come out
   as exact rationals, never floats;
-* interior maps: one boundary transducer per tree coordinate, applied to a
-  lattice vertex through the zero-fill section and truncation collapse.
-  Fibers over a vertex are counted exactly, coordinate by coordinate;
+* interior maps: one boundary transducer per tree coordinate, sending
+  each coordinate to the image of its zero-fill stream read at its own
+  height.  Fibers over a vertex are counted exactly, coordinate by
+  coordinate;
 * fiber-count audits: two-sided bounds on the total preimage mass over a
   box in terms of the box size, its r-boundary, and the transducers'
   measure scalars;
@@ -24,7 +25,6 @@ their metric and measure behavior exactly:
   positions without listing descendants, plus displacement and
   distortion estimates.
 
-Streams are represented sparsely as dicts from index to nonzero digit.
 A clone is the set of all streams agreeing with given digits at every
 index up to a level, which is the set of ends below the tree vertex with
 that height and those digits; so a clone *is* a `dlgraph.TreeVertex`, one
@@ -52,7 +52,6 @@ from .dlgraph import (
     RegionAlignmentError,
     TreeVertex,
     box_boundary_size,
-    box_containing,
     box_fiber_size,
     box_size,
     canonical_box,
@@ -63,12 +62,9 @@ from .dlgraph import (
     dl_vertex,
     fiber_levels,
     height_cube,
-    heights,
-    rho,
     sorted_box_members,
     tree_ancestor,
     tree_descendants,
-    tree_vertex,
 )
 
 DEFAULT_FIBER_BUDGET = 2_000_000
@@ -123,15 +119,9 @@ class Shift:
     def inverse(self) -> "Shift":
         return Shift(-self.m)
 
-    def apply_stream(self, stream: dict) -> dict:
-        return {i + self.m: v for i, v in stream.items()}
-
     def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
         level, digits = c
         return [TreeVertex(level + self.m, tuple((i + self.m, v) for i, v in digits))]
-
-    def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
-        return self.inverse().clone_images(c)
 
     def check_alphabet(self, q: int) -> None:
         pass
@@ -177,34 +167,25 @@ class LevelPerm:
             inv.append((lvl, tuple(itab)))
         return LevelPerm(tuple(inv))
 
-    def _permute(self, digits, top) -> dict:
-        """The digits as a dict, each permuted index <= top mapped by its table.
-
-        digits is a stream dict or a clone's (index, digit) pairs.
-        """
+    def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
+        # each permuted index the clone pins maps by its table; the
+        # clone's free indices stay free
+        level, digits = c
         out = dict(digits)
         for lvl, table in self.perms:
-            if lvl <= top:
+            if lvl <= level:
                 nv = table[out.get(lvl, 0)]
                 if nv:
                     out[lvl] = nv
                 else:
                     out.pop(lvl, None)
-        return out
-
-    def apply_stream(self, stream: dict) -> dict:
-        return self._permute(stream, math.inf)
-
-    def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
-        level, digits = c
-        return [TreeVertex(level, tuple(sorted(self._permute(digits, level).items())))]
-
-    def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
-        return self.inverse().clone_images(c)
+        return [TreeVertex(level, tuple(sorted(out.items())))]
 
     def source_span(self):
-        levels = [lvl for lvl, _ in self.perms]
-        return (min(levels), max(levels))
+        """The lowest and highest permuted index; None when nothing is permuted."""
+        if not self.perms:
+            return None
+        return (self.perms[0][0], self.perms[-1][0])
 
     def check_alphabet(self, q: int) -> None:
         for lvl, table in self.perms:
@@ -271,18 +252,12 @@ class PrefixRewrite:
         return dict(self.table)
 
     def _rewrite(self, digits) -> dict:
-        """The digits as a dict, the window word replaced by its image.
-
-        digits is a stream dict or a clone's (index, digit) pairs.
-        """
+        """A clone's (index, digit) pairs as a dict, the window word replaced by its image."""
         window = range(self.lo, self.hi + 1)
         out = dict(digits)
         image = self._lookup[tuple(out.pop(i, 0) for i in window)]
         out.update((i, dv) for i, dv in zip(window, image) if dv)
         return out
-
-    def apply_stream(self, stream: dict) -> dict:
-        return self._rewrite(stream)
 
     def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
         # a clone above hi splits into its subclones at level hi, one per
@@ -292,9 +267,6 @@ class PrefixRewrite:
             TreeVertex(level, tuple(sorted(self._rewrite(digits).items())))
             for level, digits in parts
         ]
-
-    def clone_preimages(self, c: TreeVertex) -> "list[TreeVertex]":
-        return self.inverse().clone_images(c)
 
     def source_span(self):
         return (self.lo, self.hi)
@@ -363,12 +335,6 @@ class BoundaryMap:
     def _inverse(self) -> "BoundaryMap":
         return self.inverse()
 
-    def apply_stream(self, stream: dict) -> dict:
-        out = dict(stream)
-        for p in self.prims:
-            out = p.apply_stream(out)
-        return out
-
     def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
         clones = [c]
         for p in self.prims:
@@ -382,13 +348,29 @@ class BoundaryMap:
         """
         return self._inverse.clone_images(c)
 
+    def vertex_image(self, c: TreeVertex) -> TreeVertex:
+        """The image of the tree vertex c: its zero-fill stream's image, read at c's height.
+
+        That stream (c's digits, zeros above c.level) lies in the clone of
+        c's digits at every level n >= c.level.  From n at the top of the
+        source span on, no prefix stage splits that clone; from
+        n >= c.level - S on, S the sum of the shift amounts, its one image
+        clone reaches c's height.  The image's ancestor there is the answer.
+        """
+        shift = sum(p.m for p in self.prims if isinstance(p, Shift))
+        span = self.source_span()
+        n = max(c.level, c.level - shift, c.level if span is None else span[1])
+        [image] = self.clone_images(TreeVertex(n, c.digits))
+        return tree_ancestor(image, c.level)
+
     def source_span(self):
         """Index range of the input digits that structural stages read.
 
-        Shifts are pure translations and contribute no structure; for the
-        other primitives the touched input indices are their levels pulled
-        back through the shifts applied so far.  Returns None for maps
-        whose behavior is index-uniform (compositions of shifts only).
+        Shifts are pure translations and contribute no structure, nor does
+        a perm that permutes no index; for the other primitives the touched
+        input indices are their levels pulled back through the shifts
+        applied so far.  Returns None for maps whose behavior is
+        index-uniform (shifts and empty perms only).
         """
         lo = hi = None
         s = 0
@@ -397,6 +379,8 @@ class BoundaryMap:
                 s += p.m
                 continue
             span = p.source_span()
+            if span is None:
+                continue
             a, b = span[0] - s, span[1] - s
             lo = a if lo is None else min(lo, a)
             hi = b if hi is None else max(hi, b)
@@ -547,35 +531,16 @@ def measure_linear_constant(
 
 
 # ---------------------------------------------------------------------------
-# section and collapse between lattice vertices and digit streams
-
-def section(x: DLVertex) -> tuple:
-    """Zero-fill section: each coordinate becomes its digit stream."""
-    return tuple(dict(c.digits) for c in x.coords)
-
-
-def collapse(params: GraphParams, levels: Sequence[int], streams: Sequence[dict]) -> DLVertex:
-    """Truncate each stream at its level and assemble a lattice vertex."""
-    if len(levels) != params.d or len(streams) != params.d:
-        raise ValueError(f"need {params.d} levels and streams")
-    coords = []
-    for lvl, st in zip(levels, streams):
-        digits = tuple(sorted((i, v) for i, v in st.items() if i <= lvl and v))
-        coords.append(tree_vertex(lvl, digits, params.q))
-    return dl_vertex(params, coords)
-
-
-# ---------------------------------------------------------------------------
 # interior maps
 
 @dataclass(frozen=True)
 class InteriorMap:
-    """One boundary transducer per coordinate, acting through the section.
+    """One boundary transducer per coordinate, acting on its clones.
 
-    Heights are preserved: coordinate i of the image is the truncation at
-    the original level of the transducer applied to the zero-fill stream.
-    The map need not be injective or surjective on the lattice; fibers
-    are counted exactly via clone preimages.
+    Heights are preserved: coordinate i of the image is the transducer's
+    `vertex_image` of coordinate i, its zero-fill stream's image read at
+    the original level.  The map need not be injective or surjective on
+    the lattice; fibers are counted exactly via clone preimages.
     """
 
     params: GraphParams
@@ -603,9 +568,7 @@ def interior_map(params: GraphParams, maps) -> InteriorMap:
 
 
 def psi_apply(imap: InteriorMap, x: DLVertex) -> DLVertex:
-    levels = heights(x)
-    streams = [m.apply_stream(st) for m, st in zip(imap.maps, section(x))]
-    return collapse(imap.params, levels, streams)
+    return DLVertex(imap.params, tuple(m.vertex_image(c) for m, c in zip(imap.maps, x.coords)))
 
 
 def preimage_count(imap: InteriorMap, x: DLVertex) -> int:
@@ -834,21 +797,12 @@ class Tiling:
 
     ambient.cube is the ambient height cube (side a multiple of h, corners
     aligned to h); each lattice point belongs to the unique tile cube
-    containing it, and the tile box is reconstructed from ancestors.
+    containing it, whose corner and roots `umap` reads arithmetically.
     """
 
     params: GraphParams
     h: int
     ambient: Box
-
-    def tile_box(self, x: DLVertex) -> Box:
-        v = rho(x)
-        corners = []
-        for a in v[: self.params.d - 1]:
-            c = (a // self.h) * self.h
-            corners.append((c, c + self.h - 1))
-        cube = HeightCube(tuple(corners), 1)
-        return box_containing(self.params, cube, x)
 
 
 def make_tiling(params: GraphParams, region: HeightCube, h: int) -> Tiling:

@@ -3,8 +3,10 @@
 Each one states a rule a second way, on purpose, and no library code calls
 it: adjacency as a test on a vertex pair, beside the neighbour lists of
 `dlgraph._neighbor_coords`; box membership by tree ancestry, beside the
-box's fibers; and the fiber of an interior map as an explicit vertex list,
-beside the counts of `qilab.preimage_count`.
+box's fibers; the tile box over a vertex, built from its ancestors, beside
+the corner and roots that `qilab.umap` reads arithmetically; and the fiber
+of an interior map as an explicit vertex list, beside the counts of
+`qilab.preimage_count`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import itertools
 
 from dllab.dlgraph import (
+    Box,
+    HeightCube,
     TreeVertex,
+    _check_cube,
     cube_contains,
     dl_vertex,
     rho,
@@ -77,6 +82,25 @@ def box_contains(params, box, x) -> bool:
     if x.params != params or not cube_contains(box.cube, rho(x)):
         return False
     return all(is_tree_ancestor(root, c) for root, c in zip(box.roots, x.coords))
+
+
+def box_containing(params, cube, x) -> Box:
+    """The box over cube whose roots are x's ancestors at the cube's corner."""
+    _check_cube(params, cube)
+    if not cube_contains(cube, rho(x)):
+        raise ValueError("vertex heights are outside the cube")
+    roots = [tree_ancestor(x.coords[i], a) for i, (a, _) in enumerate(cube.intervals)]
+    roots.append(tree_ancestor(x.coords[-1], -sum(b for _, b in cube.intervals)))
+    return Box(cube=cube, roots=tuple(roots))
+
+
+def tile_box(tiling, x) -> Box:
+    """The tile of a qilab tiling that holds x: the side-h cube over x's heights."""
+    corners = []
+    for a in rho(x):
+        c = (a // tiling.h) * tiling.h
+        corners.append((c, c + tiling.h - 1))
+    return box_containing(tiling.params, HeightCube(tuple(corners), 1), x)
 
 
 def vertices_in_clone(c, level: int, q: int) -> "list[TreeVertex]":

@@ -358,6 +358,23 @@ class TestPayloadBytes:
             "PASS correspondence.isomorphism: radius-3 ball maps isomorphically\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            # an empty perm list is the identity, and has no source span
+            (["--h", "2", "--pairs", "3", "--map", '[[{"kind":"perm","perms":[]}],[]]'],
+             b'{"c_est":"0","k_est":"1","max_displacement":0,"pairs":3}\n'),
+            # a prefix window above every box height, then a negative shift
+            (["--h", "3", "--pairs", "5", "--map",
+              '[[{"kind":"prefix","lo":5,"hi":5,"table":[[[0],[1]],[[1],[0]]]},{"kind":"shift","m":-1}],[]]'],
+             b'{"c_est":"0","k_est":"2","max_displacement":8,"pairs":5}\n'),
+        ],
+        ids=["empty-perm", "window-above-then-negative-shift"],
+    )
+    def test_distortion_json_bytes(self, capsys, argv, expected):
+        assert run_cli(["qilab", "--mode", "distortion", "--d", "2", "--q", "2"] + argv) == 0
+        assert capsys.readouterr().out.encode() == expected
+
 
 class TestOversizedBoxes:
     """A box's size is a closed form, so its budget check lists no cube point."""
@@ -440,6 +457,16 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {cfg}:1: unknown config key 'colour'\n"
+
+    def test_ill_typed_value_names_file_and_line(self, capsys, no_work, tmp_path):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("# d is an integer\nd=abc\n")
+        assert run_cli(["graph", "--radius", "1", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {cfg}:2: d: invalid literal for int() with base 10: 'abc'\n"
+        )
 
     @pytest.mark.parametrize("spelling", [["--config", ""], ["--config="]], ids=["space", "equals"])
     def test_empty_config_path_rejected(self, capsys, no_work, spelling):

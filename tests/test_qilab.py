@@ -15,18 +15,14 @@ from dllab import cli, dlgraph, qilab
 from dllab.dlgraph import (
     Box,
     TreeVertex,
-    ball,
-    base_vertex,
     box_boundary,
     box_members,
     box_size,
     canonical_box,
     cube_side,
     dl_key,
-    dl_neighbors,
     dl_vertex,
     graph_params,
-    heights,
     height_cube,
     rho,
     tree_descendants,
@@ -40,7 +36,6 @@ from dllab.qilab import (
     PrefixRewrite,
     Shift,
     clone_measure,
-    collapse,
     compose,
     count_vertices_in_clone,
     distortion,
@@ -55,7 +50,6 @@ from dllab.qilab import (
     preimage_count,
     psi_apply,
     psi_eval,
-    section,
     shift_map,
     uf_chain_scan,
     umap,
@@ -63,7 +57,7 @@ from dllab.qilab import (
     umap_eval,
 )
 
-from oracles import preimage_vertices, vertices_in_clone
+from oracles import preimage_vertices, tile_box, vertices_in_clone
 
 
 def random_primitive(rng, q):
@@ -132,9 +126,11 @@ class TestClones:
         words = list(itertools.product(range(2), repeat=2))
         prims = [Shift(1), level_perm([(0, (1, 0))]), prefix_rewrite(2, 3, zip(words, words[::-1]))]
         for p in prims:
-            for img in p.clone_images(c) + p.clone_preimages(c):
+            for img in p.clone_images(c) + p.inverse().clone_images(c):
                 assert isinstance(img, TreeVertex)
                 assert img == (img.level, img.digits)
+            img = BoundaryMap(2, (p,)).vertex_image(c)
+            assert isinstance(img, TreeVertex) and img.level == c.level
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_vertices_in_clone_match_brute_force(self, q):
@@ -162,7 +158,9 @@ class TestClones:
 
 class TestShift:
     def test_stream_action(self):
-        assert Shift(2).apply_stream({0: 1, 3: 2}) == {2: 1, 5: 2}
+        # the streams of a clone move with it, every digit m places up
+        [img] = Shift(2).clone_images(tree_vertex(3, [(0, 1), (3, 2)]))
+        assert img == (5, ((2, 1), (5, 2)))
 
     def test_clone_image_level_moves(self):
         [img] = Shift(1).clone_images(tree_vertex(2, [(0, 1)]))
@@ -176,7 +174,7 @@ class TestShift:
     def test_inverse_cancels(self):
         c = tree_vertex(2, [(1, 1)])
         [img] = Shift(3).clone_images(c)
-        [back] = Shift(3).clone_preimages(img)
+        [back] = Shift(3).inverse().clone_images(img)
         assert back == c
 
 
@@ -186,9 +184,11 @@ class TestLevelPerm:
             level_perm([(0, (0, 0))])
 
     def test_stream_action_swaps_digit(self):
-        p = level_perm([(1, (1, 0))])
-        assert p.apply_stream({1: 1}) == {}
-        assert p.apply_stream({}) == {1: 1}
+        m = BoundaryMap(2, (level_perm([(1, (1, 0))]),))
+        assert m.vertex_image(tree_vertex(1, [(1, 1)])) == tree_vertex(1)
+        assert m.vertex_image(tree_vertex(1)) == tree_vertex(1, [(1, 1)])
+        # index 1 lies above a level-0 vertex, so its image drops the new digit
+        assert m.vertex_image(tree_vertex(0)) == tree_vertex(0)
 
     def test_clone_image_only_touches_pinned_levels(self):
         p = level_perm([(0, (1, 0)), (5, (1, 0))])
@@ -220,8 +220,10 @@ class TestPrefixRewrite:
                                   ((1, 0), (1, 0)), ((1, 1), (1, 1))])
 
     def test_stream_action(self):
-        rw = self.swap_window()
-        assert rw.apply_stream({0: 1, 3: 1}) == {1: 1, 3: 1}
+        m = BoundaryMap(2, (self.swap_window(),))
+        assert m.vertex_image(tree_vertex(3, [(0, 1), (3, 1)])) == tree_vertex(3, [(1, 1), (3, 1)])
+        # a vertex below the window's top reads its image off one level-1 clone
+        assert m.vertex_image(tree_vertex(0, [(0, 1)])) == tree_vertex(0)
 
     def test_clone_image_deep_clone_stays_single(self):
         rw = self.swap_window()
@@ -308,14 +310,15 @@ class TestBoundaryMaps:
             assert mg.ratio == g.lam()
 
     def test_inverse_acts_as_identity_on_streams(self):
+        # a vertex's image is its zero-fill stream's image, read at its height
         rng = random.Random(7)
         for _ in range(20):
             q = rng.choice([2, 3])
             f = random_boundary_map(rng, q)
             round_trip = compose(f, f.inverse())
-            stream = {i: rng.randrange(q) for i in range(-2, 4)}
-            stream = {i: v for i, v in stream.items() if v}
-            assert round_trip.apply_stream(stream) == stream
+            digits = [(i, rng.randrange(q)) for i in range(-2, 4)]
+            c = tree_vertex(3, [(i, v) for i, v in digits if v])
+            assert round_trip.vertex_image(c) == c
 
     def test_clone_mass_conservation(self):
         rng = random.Random(5)
@@ -340,7 +343,7 @@ class TestBoundaryMaps:
             for c in probes:
                 expected = [c]
                 for p in reversed(f.prims):
-                    expected = [c2 for c1 in expected for c2 in p.clone_preimages(c1)]
+                    expected = [c2 for c1 in expected for c2 in p.inverse().clone_images(c1)]
                 assert f.clone_preimages(c) == expected
         # the inverse is built on the first call only
         f = BoundaryMap(q, (Shift(1), level_perm([(0, tuple(reversed(range(q))))])))
@@ -388,46 +391,15 @@ class TestBoundaryMaps:
         with pytest.raises(ValueError, match="probe window is empty"):
             measure_linear_constant(shift_map(2, 1), depth=-2)
 
-
-
-# ---------------------------------------------------------------------------
-# section and collapse
-
-class TestSectionCollapse:
-    def test_roundtrip(self):
-        p = graph_params(2, 3)
-        x = dl_vertex(p, (tree_vertex(2, [(1, 2)], 3), tree_vertex(-2, [(-2, 1)], 3)))
-        y = collapse(p, [2, -2], section(x))
-        assert y == x
-
-    def test_collapse_truncates_high_digits(self):
-        p = graph_params(2, 2)
-        streams = [{0: 1, 5: 1}, {}]
-        y = collapse(p, [1, -1], streams)
-        assert y.coords[0] == tree_vertex(1, [(0, 1)], 2)
-
-    def test_roundtrip_on_ball(self):
-        p = graph_params(2, 2)
-        for v in ball(base_vertex(p), 4).vertices:
-            assert collapse(p, heights(v), section(v)) == v
-
-    def test_sections_separate_vertices_on_ball(self):
-        p = graph_params(2, 2)
-        seen = set()
-        for v in ball(base_vertex(p), 3).vertices:
-            key = (heights(v),
-                   tuple(tuple(sorted(s.items())) for s in section(v)))
-            assert key not in seen
-            seen.add(key)
-
-    def test_collapse_selects_child_by_digit(self):
-        p = graph_params(2, 2)
-        base = base_vertex(p)
-        steps = set(dl_neighbors(base))
-        picked = [collapse(p, (1, -1), ({1: digit}, {})) for digit in (0, 1)]
-        assert len(set(picked)) == 2
-        for y in picked:
-            assert y in steps
+    def test_empty_perm_has_no_span(self):
+        # "perms": [] is a well-formed description of the identity
+        m = map_from_description(2, [{"kind": "perm", "perms": []}])
+        assert m.source_span() is None
+        assert compose(m, shift_map(2, 1)).source_span() is None
+        check = measure_linear_constant(m, depth=2)
+        assert check.constant and check.ratio == 1 and check.samples == 2**4
+        c = tree_vertex(2, [(0, 1)])
+        assert m.vertex_image(c) == c
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +493,21 @@ class TestInteriorMaps:
         counts = [preimage_count(im, x) for x in box_members(p, box)]
         assert len(counts) == 6400
         assert set(counts) == {4}
+
+    @pytest.mark.parametrize("d,q", list(itertools.product((2, 3), (2, 3))))
+    def test_each_member_lies_in_the_fiber_over_its_image(self, d, q):
+        rng = random.Random(60 + 10 * d + q)
+        p = graph_params(d, q)
+        for h in (1, 2):
+            box = canonical_box(p, height_cube([(0, h)] * (d - 1)))
+            for _ in range(3):
+                maps = [
+                    BoundaryMap(q, tuple(random_primitive(rng, q) for _ in range(rng.randint(1, 3))))
+                    for _ in range(d)
+                ]
+                im = interior_map(p, maps)
+                for x in box_members(p, box):
+                    assert x in preimage_vertices(im, psi_apply(im, x))
 
     def test_eval_table_preserves_order(self):
         p, box = self.box(2)
@@ -691,7 +678,7 @@ class TestUmap:
 def enumerative_umap(tiling, k, x):
     """The tile map by listing descendants and finding lex positions with list.index."""
     params = tiling.params
-    box = tiling.tile_box(x)
+    box = tile_box(tiling, x)
     v = rho(x)
     corner = box.cube.intervals[0][0]
     root_first = box.roots[0]
@@ -1012,7 +999,8 @@ class TestAlphabetValidation:
         words = list(itertools.product(range(3), repeat=2))
         rw = prefix_rewrite(0, 1, zip(words, words[::-1]))
         m = BoundaryMap(3, (level_perm([(0, (2, 0, 1))]), rw, Shift(1)))
-        assert compose(m, m.inverse()).apply_stream({0: 1, 1: 2}) == {0: 1, 1: 2}
+        c = tree_vertex(1, [(0, 1), (1, 2)])
+        assert compose(m, m.inverse()).vertex_image(c) == c
 
 
 MALFORMED_DESCRIPTIONS = [
