@@ -42,13 +42,13 @@ from . import dlgraph, group, qilab
 from .algebra import ring_params
 from .dlgraph import (
     DLVertex,
+    LazyDict,
     ball,
     base_vertex,
     box_graph,
     canonical_box,
     cube_size,
     dl_distance,
-    dl_key,
     dl_neighbors,
     expected_degree,
     export_dot,
@@ -56,6 +56,7 @@ from .dlgraph import (
     graph_params,
     height_cube,
     sorted_box_members,
+    tree_key,
 )
 
 NAMED_MAPS = {
@@ -541,10 +542,12 @@ def _qilab_umap(args, params) -> "tuple[str, list, int]":
     hits = Counter()
 
     def rows():
-        # streamed, so no row list is held beside the payload
+        # streamed, so no row list is held beside the payload; image keys
+        # equal dl_key's, and each distinct tree vertex is keyed once
+        tree_keys = LazyDict(tree_key)
         for key, x in zip(keys, members):
             y = qilab.umap(tiling, k, x)
-            image_key = dl_key(y)
+            image_key = "|".join(map(tree_keys.__getitem__, y.coords))
             hits[image_key] += 1
             yield key, image_key, dl_distance(x, DLVertex(params, y.coords))
 

@@ -18,6 +18,12 @@ height map; each fiber over a cube point is a product of descendant sets,
 so all counting here is exact. Aligned boxes of a common side tile a box,
 which is the geometric input for the index-k comparison map.
 
+Each graph search (a ball, a box graph's edge pass, the k > 1 distance
+search) keeps its own table of tree moves: a tree vertex's parent and
+children, and for k > 1 its descendant pools and ancestors, each built on
+first use. Many graph vertices share a tree coordinate, so each move is
+built once per search; the table is dropped when the search returns.
+
 Exact distances are memoized on per-coordinate heights above the meets.
 For k = 1 they are found by a search over those height signatures, which
 builds no graph vertex and does not depend on q; for k > 1 by a
@@ -206,7 +212,55 @@ def _compositions(total: int, parts: int) -> "tuple[tuple[int, ...], ...]":
     return tuple(c for c in product(range(total + 1), repeat=parts) if sum(c) == total)
 
 
-def _neighbor_coords(params: GraphParams, coords: tuple, half: bool = False) -> "list[tuple]":
+class LazyDict(dict):
+    """A dict that builds a missing entry from its key on first lookup."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _MoveTable(NamedTuple):
+    """The tree moves of one graph search, each built on first use.
+
+    parents[c] and children[c] are the parent and the children of the tree
+    vertex c. For k > 1, pools[depth][c] lists the descendants of c depth
+    levels down, in digit order, and ups[m][c] is its ancestor m levels up,
+    for depth and m in 0..k. Many graph vertices share a tree coordinate,
+    so a search that keeps one table builds each tree move once. The table
+    lives only as long as its search.
+    """
+
+    parents: LazyDict
+    children: LazyDict
+    pools: tuple
+    ups: tuple
+
+
+def _move_table(params: GraphParams) -> _MoveTable:
+    q, k = params.q, params.k
+    parents = LazyDict(tree_parent)
+    children = LazyDict(lambda c: tree_children(c, q))
+    if k == 1:
+        return _MoveTable(parents, children, (), ())
+    pools = [LazyDict(lambda c: (c,)), children]
+    pools += [
+        LazyDict(lambda c, depth=depth: tuple(tree_descendants(c, depth, q)))
+        for depth in range(2, k + 1)
+    ]
+    ups = [LazyDict(lambda c, m=m: tree_ancestor(c, c.level - m)) for m in range(k + 1)]
+    return _MoveTable(parents, children, tuple(pools), tuple(ups))
+
+
+def _neighbor_coords(
+    params: GraphParams, coords: tuple, half: bool = False, moves: Optional[_MoveTable] = None
+) -> "list[tuple]":
     """The coordinate tuples of the neighbours of a vertex, in a fixed order.
 
     Ordinary moves send one coordinate down to each child and another up
@@ -220,39 +274,40 @@ def _neighbor_coords(params: GraphParams, coords: tuple, half: bool = False) -> 
     moving i down and j up is the reverse of moving j down and i up, so
     only the pairs i < j are kept, and the first coordinate climbing k is
     the reverse of it descending k, so the list stops after that family.
+
+    The tree moves are read from moves, the calling search's _MoveTable;
+    without one, a fresh table serves this call alone.
     """
-    d, q, k = params.d, params.q, params.k
+    d, k = params.d, params.k
+    if moves is None:
+        moves = _move_table(params)
     lo = 0 if k == 1 else 1
     out = []
-    for i in range(lo, d):
+    for i in range(lo, d - 1 if half else d):
+        children = moves.children[coords[i]]
         for j in range(i + 1 if half else lo, d):
             if i == j:
                 continue
-            up = tree_parent(coords[j])
-            for child in tree_children(coords[i], q):
-                nxt = list(coords)
+            nxt = list(coords)
+            nxt[j] = moves.parents[coords[j]]
+            for child in children:
                 nxt[i] = child
-                nxt[j] = up
                 out.append(tuple(nxt))
     if k == 1:
         return out
     combos = _compositions(k, d - 1)
-    up_first = tree_ancestor(coords[0], coords[0].level - k)
+    rest = coords[1:]
+    up_first = moves.ups[k][coords[0]]
     for combo in combos:
-        pools = [
-            list(tree_descendants(c, depth, q)) if depth else [c]
-            for c, depth in zip(coords[1:], combo)
-        ]
+        pools = [moves.pools[depth][c] for c, depth in zip(rest, combo)]
         for choice in product(*pools):
             out.append((up_first,) + choice)
     if half:
         return out
+    downs = moves.pools[k][coords[0]]
     for combo in combos:
-        ups = tuple(
-            tree_ancestor(coords[1 + t], coords[1 + t].level - combo[t])
-            for t in range(d - 1)
-        )
-        for down in tree_descendants(coords[0], k, q):
+        ups = tuple(moves.ups[m][c] for c, m in zip(rest, combo))
+        for down in downs:
             out.append((down,) + ups)
     return out
 
@@ -462,9 +517,7 @@ def _key_order(vertices: Sequence[DLVertex]) -> "tuple[tuple[str, ...], list[int
     The keys equal dl_key's; each distinct tree vertex is keyed once, since
     many vertices share a coordinate.
     """
-    tree_keys = dict.fromkeys(c for v in vertices for c in v.coords)
-    for c in tree_keys:
-        tree_keys[c] = tree_key(c)
+    tree_keys = LazyDict(tree_key)
     keys = ["|".join(map(tree_keys.__getitem__, v.coords)) for v in vertices]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return tuple(keys[i] for i in order), order
@@ -538,10 +591,11 @@ def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None, h
 
 def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:
     edges = []
-    step = partial(_neighbor_coords, center.params)
+    step = partial(_neighbor_coords, center.params, moves=_move_table(center.params))
     found, _, found_depth = _layered_bfs(
         center.coords, radius, step, budget, "vertices", edges, partial(step, half=True)
     )
+    del step  # drops the move table before the vertices are keyed
     found = [DLVertex(center.params, c) for c in found]
     keys, order = _key_order(found)
     pos = [0] * len(order)
@@ -581,7 +635,10 @@ def box_graph(params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET
     """Induced subgraph on the members of a box."""
     keys, vertices = sorted_box_members(params, box, budget)
     index = {v.coords: i for i, v in enumerate(vertices)}
-    edges = _induced_edges(tuple(index), index, partial(_neighbor_coords, params, half=True))
+    # the move table goes with the half-step when the edge pass returns
+    edges = _induced_edges(
+        tuple(index), index, partial(_neighbor_coords, params, half=True, moves=_move_table(params))
+    )
     return BallGraph(
         params=params,
         vertices=vertices,
@@ -723,7 +780,7 @@ def _signature_moves(state: tuple) -> "list[tuple]":
 
 def _bfs_simple(u: DLVertex, v: DLVertex, cap: int) -> int:
     """Bidirectional BFS over graph vertices, identified by coordinate tuples."""
-    step = partial(_neighbor_coords, u.params)
+    step = partial(_neighbor_coords, u.params, moves=_move_table(u.params))
     return _meet_in_middle(u.coords, v.coords, step, cap, DEFAULT_VERTEX_BUDGET, "vertices")
 
 

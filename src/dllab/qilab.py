@@ -260,8 +260,12 @@ class PrefixRewrite:
         return out
 
     def clone_images(self, c: TreeVertex) -> "list[TreeVertex]":
-        # a clone above hi splits into its subclones at level hi, one per
-        # completion of the missing digits; each rewrites to one exact clone
+        # a clone above lo leaves every window digit free, and the bijection
+        # permutes those, so it maps onto itself; a clone inside the window
+        # splits into its subclones at level hi, one per completion of the
+        # missing digits, and each rewrites to one exact clone
+        if c.level < self.lo:
+            return [c]
         parts = [c] if c.level >= self.hi else tree_descendants(c, self.hi - c.level, self._q())
         return [
             TreeVertex(level, tuple(sorted(self._rewrite(digits).items())))

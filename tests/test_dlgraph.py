@@ -896,3 +896,81 @@ def test_searches_run_on_coordinate_tuples(monkeypatch):
     ]
     assert got == expected
     assert [dist for _, _, dist in got] == [False, False, 3, 3, 3]
+
+
+@pytest.mark.parametrize("d,q,k,calls", [(4, 2, 2, 41), (3, 2, 3, 308)])
+def test_ball_lists_each_descendant_pool_once(monkeypatch, d, q, k, calls):
+    # a ball's move table lists each (tree vertex, depth) pool once, however
+    # many graph vertices and compositions share it; depth 0 and 1 pools
+    # are the vertex itself and its children, so they list none
+    seen = []
+
+    def counted(v, depth, q):
+        seen.append((v, depth))
+        return tree_descendants(v, depth, q)
+
+    monkeypatch.setattr(dlgraph, "tree_descendants", counted)
+    g = ball(base_vertex(graph_params(d, q, k)), 2)
+    monkeypatch.undo()
+    assert g == ball(base_vertex(graph_params(d, q, k)), 2)
+    assert len(seen) == len(set(seen)) == calls
+    assert all(depth >= 2 for _, depth in seen)
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 1)])
+def test_back_to_back_searches_match_reference_across_q(d, k):
+    # each search owns its move table, so a search at q = 3 right after
+    # one at q = 2 with the same d and k sees none of the q = 2 moves
+    got = {}
+    for q in (2, 3):
+        p = graph_params(d, q, k)
+        box = canonical_box(p, height_cube([(0, k)] * (d - 1), k))
+        got[q] = (ball(base_vertex(p), 2), box_graph(p, box), box)
+    for q, (g, bg, box) in got.items():
+        p = graph_params(d, q, k)
+        center = base_vertex(p)
+        keys, vertices, depths = reference_ball(center, 2)
+        assert_same_graph(
+            g,
+            BallGraph(
+                params=p,
+                vertices=vertices,
+                keys=keys,
+                edges=reference_edges(vertices),
+                center=center,
+                radius=2,
+                depths=depths,
+            ),
+        )
+        members = tuple(sorted(box_members(p, box), key=dl_key))
+        assert_same_graph(
+            bg,
+            BallGraph(
+                params=p,
+                vertices=members,
+                keys=tuple(map(dl_key, members)),
+                edges=reference_edges(members),
+                cube=box.cube,
+            ),
+        )
+
+
+def test_searches_leave_no_module_state():
+    # the move tables live only as long as their search; the distance memo
+    # is the module's one cache, and it is bounded
+    def sizes():
+        return {
+            name: len(obj)
+            for name, obj in vars(dlgraph).items()
+            if isinstance(obj, (dict, list, set)) and not name.startswith("__")
+            and name != "_DIST_CACHE"
+        }
+
+    before = sizes()
+    for d, q, k in [(3, 2, 1), (2, 3, 2), (3, 2, 2)]:
+        p = graph_params(d, q, k)
+        base = base_vertex(p)
+        g = ball(base, 2)
+        box_graph(p, canonical_box(p, height_cube([(0, k)] * (d - 1), k)))
+        assert dlgraph._bfs_simple(base, g.vertices[-1], 8) == g.depths[-1]
+    assert sizes() == before
