@@ -17,13 +17,16 @@ an explicit seed.  Every ``ValueError``, an over-budget ``BudgetError``
 included, prints ``error:`` and exits 2.  ``graph`` and ``qilab`` still accept
 ``--workers`` but ignore it: fiber counts are per coordinate and run in
 one process.  Each flag is declared once, in ``_FLAGS``, and each
-subcommand has exactly the flags that its reads tables name.  argparse
-reads ``--config`` like any other flag, so ``--config=F`` and unique
-prefixes such as ``--conf F`` name the same file, and an empty path is
-an error.  The file holds ``key=value`` lines supplying defaults, one
-flag name per key, typed as that flag; explicit flags win.  A flag that the
-chosen command, ``verify`` suite or ``qilab`` mode does not read is a
-usage error, whether given directly or by the config file.
+subcommand has exactly the flags that its reads tables name.  A command
+builds only its own parser, the same parser as the full parser's
+subcommand; the full parser is built only for top-level help and usage
+errors, so both print the same bytes.  argparse reads ``--config`` like
+any other flag, so ``--config=F`` and unique prefixes such as ``--conf F``
+name the same file, and an empty path is an error.  The file holds
+``key=value`` lines supplying defaults, one flag name per key, typed as
+that flag; explicit flags win.  A flag that the chosen command, ``verify``
+suite or ``qilab`` mode does not read is a usage error, whether given
+directly or by the config file.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ _QILAB_ASSERTIONS = {
 # Every flag, once, as its argparse keywords. A subcommand declares the
 # flags it reads; a config key takes its flag's type (str by default), and
 # choices are checked on the command line only. --assert takes its
-# choices from the subcommand (build_parser).
+# choices from the command's entry in _COMMANDS (_add_command).
 _FLAGS = {
     "d": {"type": int, "default": 2, "help": "number of tree coordinates"},
     "q": {"type": int, "default": 2, "help": "branching prime"},
@@ -623,53 +626,64 @@ def cmd_qilab(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# Each command as (help text, handler, the flags it reads, --assert choices).
+_COMMANDS = {
+    "graph": ("export a ball or box slice", cmd_graph, _GRAPH_READS, ()),
+    "verify": (
+        "run exact structural check suites",
+        cmd_verify,
+        _VERIFY_ALWAYS.union(*_VERIFY_READS.values()),
+        (*_VERIFY_READS, "all"),
+    ),
+    "qilab": (
+        "quasi-isometry laboratory",
+        cmd_qilab,
+        _QILAB_ALWAYS.union(*_QILAB_READS.values()),
+        tuple(dict.fromkeys(a for t in _QILAB_ASSERTIONS.values() for a in t)),
+    ),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give `parser` the flags of command `name`, --config and its handler."""
+    _, func, reads, assertions = _COMMANDS[name]
+    for flag, kwargs in _FLAGS.items():
+        if flag in reads:
+            choices = {"choices": assertions} if flag == "assert" else {}
+            parser.add_argument(f"--{flag}", **kwargs, **choices)
+    parser.add_argument("--config", help="key=value defaults file")
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> "tuple[argparse.ArgumentParser, list]":
+    """The full parser: the top level and one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="dllab",
         description="exact Diestel-Leader graph and quasi-isometry laboratory",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        ("graph", "export a ball or box slice", cmd_graph, _GRAPH_READS, ()),
-        (
-            "verify",
-            "run exact structural check suites",
-            cmd_verify,
-            _VERIFY_ALWAYS.union(*_VERIFY_READS.values()),
-            (*_VERIFY_READS, "all"),
-        ),
-        (
-            "qilab",
-            "quasi-isometry laboratory",
-            cmd_qilab,
-            _QILAB_ALWAYS.union(*_QILAB_READS.values()),
-            tuple(dict.fromkeys(a for t in _QILAB_ASSERTIONS.values() for a in t)),
-        ),
-    )
-    subparsers = []
-    for name, text, func, reads, assertions in commands:
-        sub = subs.add_parser(name, help=text)
-        for flag, kwargs in _FLAGS.items():
-            if flag in reads:
-                choices = {"choices": assertions} if flag == "assert" else {}
-                sub.add_argument(f"--{flag}", **kwargs, **choices)
-        sub.add_argument("--config", help="key=value defaults file")
-        sub.set_defaults(func=func)
-        subparsers.append(sub)
+    subparsers = [
+        _add_command(subs.add_parser(name, help=text), name)
+        for name, (text, *_) in _COMMANDS.items()
+    ]
     return parser, subparsers
 
 
 def main(argv=None) -> int:
-    parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        build_parser()[0].parse_args(argv)  # top-level help or a usage error: exits
+    # the same parser as build_parser's subparser for this command
+    parser = _add_command(argparse.ArgumentParser(prog=f"dllab {argv[0]}"), argv[0])
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        build_parser()[0].parse_args(argv)  # exits 2 with the top-level usage
     try:
         if args.config is not None:
-            defaults = _load_config(args.config)
-            # subcommands parse into a fresh namespace, so defaults must be
-            # installed per subparser; explicit flags still win
-            for sub in subparsers:
-                sub.set_defaults(**defaults)
-            args = parser.parse_args(argv)
+            # explicit flags still win over the file's defaults
+            parser.set_defaults(**_load_config(args.config))
+            args = parser.parse_args(argv[1:])
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

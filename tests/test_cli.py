@@ -1,5 +1,6 @@
 """Tests for the dllab command-line interface."""
 
+import argparse
 import json
 import os
 import shlex
@@ -795,6 +796,67 @@ class TestFlagTable:
             ("qilab", "--mode"): ("chain", "audit", "umap", "distortion"),
             ("qilab", "--assert"): ("bounded", "divergence", "ktoone"),
         }
+
+
+class TestParserPerCommand:
+    """A command builds only its own parser; help and usage errors are the full parser's."""
+
+    ORACLE_ARGVS = [
+        [],
+        ["nosuch"],
+        ["--help"],
+        ["--d", "2", "graph"],
+        ["--", "graph"],
+        ["graph", "--help"],
+        ["verify", "--help"],
+        ["qilab", "--help"],
+        ["qilab", "--bogus", "1"],
+        ["graph", "--d", "2", "--q", "2", "--radius", "1", "extra"],
+        ["verify", "--workers", "2"],
+        ["qilab", "--d", "x"],
+        ["graph", "--config", "{cfg}", "extra"],
+    ]
+
+    @staticmethod
+    def exit_status(run, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        return exc.value.code
+
+    @pytest.mark.parametrize("argv", ORACLE_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+    def test_usage_bytes_match_the_full_parser(self, capsys, no_work, tmp_path, argv):
+        cfg = tmp_path / "r1.cfg"
+        cfg.write_text("radius=1\n")
+        argv = [token.format(cfg=cfg) for token in argv]
+        status = self.exit_status(cli.main, argv)
+        got = capsys.readouterr()
+        expected_status = self.exit_status(cli.build_parser()[0].parse_args, argv)
+        expected = capsys.readouterr()
+        assert (status, got.out, got.err) == (expected_status, expected.out, expected.err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--d", "2", "--q", "2", "--radius", "1"],
+            ["verify", "--d", "2", "--q", "2", "--k", "2", "--assert", "index"],
+            ["qilab", "--d", "2", "--q", "2", "--h", "2"],
+            ["qilab", "--config", "{cfg}"],
+        ],
+        ids=["graph", "verify", "qilab", "qilab-config"],
+    )
+    def test_one_parser_per_call(self, capsys, monkeypatch, tmp_path, argv):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("d=2\nq=2\nh=2\n")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert cli.main([token.format(cfg=cfg) for token in argv]) == 0
+        assert built == [f"dllab {argv[0]}"]
 
 
 # Edge values of the integer and box-side flags, each given to a command,
