@@ -36,7 +36,6 @@ import csv
 import io
 import json
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -44,8 +43,6 @@ from itertools import accumulate
 from . import dlgraph, group, qilab
 from .algebra import ring_params
 from .dlgraph import (
-    DLVertex,
-    LazyDict,
     ball,
     base_vertex,
     box_graph,
@@ -59,7 +56,6 @@ from .dlgraph import (
     graph_params,
     height_cube,
     sorted_box_members,
-    tree_key,
 )
 
 NAMED_MAPS = {
@@ -542,24 +538,30 @@ def _qilab_umap(args, params) -> "tuple[str, list, int]":
     region = height_cube([(0, side - 1)] * (params.d - 1))
     tiling = qilab.make_tiling(params, region, k)
     keys, members = sorted_box_members(params, tiling.ambient)
-    hits = Counter()
+    # every image is an ambient box member (qilab.Tiling), so it is read as
+    # a box position: image[i] is the position of member i's image
+    position = {x.coords: i for i, x in enumerate(members)}
+    image = [0] * len(members)
+    hits = [0] * len(members)
+    for coords, image_coords in qilab.umap_pairs(tiling, k):
+        i = position[coords]
+        j = position.get(image_coords)
+        if j is None:
+            raise ValueError(f"umap image of {keys[i]} lies outside the ambient box")
+        image[i] = j
+        hits[j] += 1
+    del position
 
     def rows():
-        # streamed, so no row list is held beside the payload; image keys
-        # equal dl_key's, and each distinct tree vertex is keyed once
-        tree_keys = LazyDict(tree_key)
-        for key, x in zip(keys, members):
-            y = qilab.umap(tiling, k, x)
-            image_key = "|".join(map(tree_keys.__getitem__, y.coords))
-            hits[image_key] += 1
-            yield key, image_key, dl_distance(x, DLVertex(params, y.coords))
+        # streamed, so no row list is held beside the payload
+        for key, x, j in zip(keys, members, image):
+            yield key, keys[j], dl_distance(x, members[j])
 
     payload = _csv_payload(["key", "image_key", "displacement"], rows())
-    expected = {key for key, x in zip(keys, members) if x.coords[0].level % k == 0}
-    exact = set(hits.values()) == {k} and set(hits) == expected
+    exact = hits == [k if x.coords[0].level % k == 0 else 0 for x in members]
     summaries = [
-        f"umap: {len(members)} vertices onto {len(hits)} images, "
-        f"multiplicities {sorted(set(hits.values()))}"
+        f"umap: {len(members)} vertices onto {len(members) - hits.count(0)} images, "
+        f"multiplicities {sorted(set(hits) - {0})}"
     ]
     status = 0
     if args.assertion == "ktoone":

@@ -130,14 +130,15 @@ def tree_ancestor(v: TreeVertex, level: int) -> TreeVertex:
 
 
 def tree_descendants(v: TreeVertex, depth: int, q: int) -> Iterator[TreeVertex]:
-    """All q^depth descendants exactly depth levels below v, in digit order."""
+    """All q^depth descendants exactly depth levels below v, in digit order, level by level."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    base = v.level
-    indices = range(base + 1, base + depth + 1)
-    for combo in product(range(q), repeat=depth):
-        extra = tuple((i, b) for i, b in zip(indices, combo) if b)
-        yield TreeVertex(base + depth, v.digits + extra)
+    digits = [v.digits]
+    for i in range(v.level + 1, v.level + depth + 1):
+        steps = ((),) + tuple(((i, b),) for b in range(1, q))
+        digits = [d + step for d in digits for step in steps]
+    for d in digits:
+        yield TreeVertex(v.level + depth, d)
 
 
 def meet_level(u: TreeVertex, v: TreeVertex) -> int:
@@ -439,10 +440,14 @@ def _fiber_depths(box: Box, point: Sequence[int]) -> "list[int]":
     return depths
 
 
-def box_fiber(params: GraphParams, box: Box, point: Sequence[int]) -> Iterator[DLVertex]:
+def fiber_pools(params: GraphParams, box: Box, point: Sequence[int]) -> "list[tuple]":
+    """Per coordinate, the pool of tree vertices whose product is the fiber over a point."""
     depths = _fiber_depths(box, point)
-    pools = (tree_descendants(root, depth, params.q) for root, depth in zip(box.roots, depths))
-    for coords in product(*pools):
+    return [tuple(tree_descendants(r, depth, params.q)) for r, depth in zip(box.roots, depths)]
+
+
+def box_fiber(params: GraphParams, box: Box, point: Sequence[int]) -> Iterator[DLVertex]:
+    for coords in product(*fiber_pools(params, box, point)):
         yield DLVertex(params, coords)
 
 
@@ -508,19 +513,9 @@ class BallGraph:
 
 # Inside one GraphParams a vertex is identified by its coordinate tuple,
 # which is what the graph searches run on; the dl_key string is built once
-# per distinct vertex, to sort the vertices and label them for export.
-
-
-def _key_order(vertices: Sequence[DLVertex]) -> "tuple[tuple[str, ...], list[int]]":
-    """Sorted keys, and for each sorted position the vertex's input position.
-
-    The keys equal dl_key's; each distinct tree vertex is keyed once, since
-    many vertices share a coordinate.
-    """
-    tree_keys = LazyDict(tree_key)
-    keys = ["|".join(map(tree_keys.__getitem__, v.coords)) for v in vertices]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return tuple(keys[i] for i in order), order
+# per distinct vertex, to sort the vertices and label them for export, from
+# tree keys built once per distinct tree vertex (a ball) or pool member (a
+# box fiber), since many vertices share a coordinate.
 
 
 def _induced_edges(nodes, index, half_step, start: int = 0) -> "list[tuple[int, int]]":
@@ -597,7 +592,9 @@ def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> 
     )
     del step  # drops the move table before the vertices are keyed
     found = [DLVertex(center.params, c) for c in found]
-    keys, order = _key_order(found)
+    tree_keys = LazyDict(tree_key)
+    keys = ["|".join(map(tree_keys.__getitem__, v.coords)) for v in found]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     pos = [0] * len(order)
     for p, i in enumerate(order):
         pos[i] = p
@@ -607,7 +604,7 @@ def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> 
     return BallGraph(
         params=center.params,
         vertices=tuple(found[i] for i in order),
-        keys=keys,
+        keys=tuple(keys[i] for i in order),
         edges=tuple(edges),
         center=center,
         radius=radius,
@@ -621,14 +618,18 @@ def sorted_box_members(
     """The members of a box and their keys, both in key order.
 
     The closed-form size is checked against the budget before any member
-    is built.
+    is built. A fiber's member keys are the products of its pools' keys.
     """
     n = box_size(params, box)
     if n > budget:
         raise BudgetError(f"box has {n} members, budget {budget}")
-    members = list(box_members(params, box))
-    keys, order = _key_order(members)
-    return keys, tuple(members[i] for i in order)
+    keys, members = [], []
+    for point in cube_points(box.cube):
+        pools = fiber_pools(params, box, point)
+        keys += map("|".join, product(*([tree_key(c) for c in pool] for pool in pools)))
+        members += (DLVertex(params, coords) for coords in product(*pools))
+    order = sorted(range(n), key=keys.__getitem__)
+    return tuple(keys[i] for i in order), tuple(members[i] for i in order)
 
 
 def box_graph(params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:

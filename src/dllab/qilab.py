@@ -21,9 +21,9 @@ their metric and measure behavior exactly:
   correction from maps forcing boundary-rate divergence.  Chain and audit
   totals are computed per coordinate, never member by member;
 * tile maps: the exactly k-to-1 map from the ordinary lattice onto the
-  index-k sublattice built from a cube tiling, computed from digit
-  positions without listing descendants, plus displacement and
-  distortion estimates.
+  index-k sublattice built from a cube tiling, relabelling digits one
+  fiber of the ambient box at a time, plus displacement and distortion
+  estimates.
 
 A clone is the set of all streams agreeing with given digits at every
 index up to a level, which is the set of ends below the tree vertex with
@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .dlgraph import (
     Box,
@@ -59,9 +59,10 @@ from .dlgraph import (
     cube_points,
     cube_side,
     dl_distance,
-    dl_vertex,
     fiber_levels,
+    fiber_pools,
     height_cube,
+    rho,
     sorted_box_members,
     tree_ancestor,
     tree_descendants,
@@ -802,6 +803,9 @@ class Tiling:
     ambient.cube is the ambient height cube (side a multiple of h, corners
     aligned to h); each lattice point belongs to the unique tile cube
     containing it, whose corner and roots `umap` reads arithmetically.
+    Every image is an ambient box member: its tracked heights lie in the
+    cube, and its last coordinate keeps the source's digits at or below the
+    tile's last root, which is at or above the ambient last root.
     """
 
     params: GraphParams
@@ -826,56 +830,64 @@ def make_tiling(params: GraphParams, region: HeightCube, h: int) -> Tiling:
     return Tiling(params, h, canonical_box(params, region))
 
 
-def umap(tiling: Tiling, k: int, x: DLVertex) -> DLVertex:
-    """Map a lattice vertex into the index-k lattice via its tile.
+def _tile_images(tiling: Tiling, k: int, point: Sequence[int], pools) -> Iterator[tuple]:
+    """Image coords of the members product(*pools) over a cube point, in order.
 
-    Within the tile over x, the first and last coordinates are retracted
-    to the tile's corner height: the q**j many (first, last) coordinate
-    pairs at offset j above the corner are matched, in lexicographic
-    digit order, with the q**j pairs at the corner whose last coordinate
-    absorbs the offset.  Middle coordinates pass through unchanged.  With
-    tile side equal to k this lands exactly k-to-1 on vertices whose
-    first height is a multiple of k.  Read as digit strings, that matching
-    is a relabelling of digits, and q plays no part: the image's last
-    coordinate keeps last's digits down to its tile root, then takes
-    first's digits below the corner, then last's digits below its root,
-    each block moved to follow the one before.
+    Within the tile over the point, the q**j (first, last) coordinate pairs
+    at offset j above the tile's corner are matched, in lexicographic digit
+    order, with the q**j pairs at the corner whose last coordinate absorbs
+    the offset; middle coordinates pass through. With tile side k this is
+    exactly k-to-1 onto first heights in kZ. As digit strings the matching
+    is a relabelling, blind to q: the image's last coordinate keeps last's
+    digits down to its tile root, then first's digits below the corner, then
+    last's below its root, each block moved to follow the one before. Blocks
+    are cut once per pool member and joined once per image.
     """
     if k != tiling.h:
         raise ValueError("tile side must equal the index k")
-    params = tiling.params
-    first, last = x.coords[0], x.coords[-1]
-    # the tile's corner heights; its last root sits below the far corner
-    corners = [c.level // k * k for c in x.coords[:-1]]
-    top = corners[0]
-    base = -sum(corners) - (params.d - 1) * (k - 1)
-    offset = first.level - top
-    digits = [pair for pair in last.digits if pair[0] <= base]
-    digits += [(i - top + base, v) for i, v in first.digits if i > top]
-    digits += [(i + offset, v) for i, v in last.digits if i > base]
-    image_last = TreeVertex(last.level + offset, tuple(digits))
+    corners = [x // k * k for x in point]
+    top, offset = corners[0], point[0] - corners[0]
+    level = offset - sum(point)  # the image's last height
+    # the tile's last root sits below its far corner
+    base = -sum(corners) - (tiling.params.d - 1) * (k - 1)
+    heads = [
+        (tree_ancestor(c, top), [(i - top + base, v) for i, v in c.digits if i > top])
+        for c in pools[0]
+    ]
+    tails = [
+        ([p for p in c.digits if p[0] <= base], [(i + offset, v) for i, v in c.digits if i > base])
+        for c in pools[-1]
+    ]
+    middles = itertools.product(*pools[1:-1])
+    for (head, block), middle, (low, high) in itertools.product(heads, middles, tails):
+        yield (head,) + middle + (TreeVertex(level, (*low, *block, *high)),)
 
-    coords = (tree_ancestor(first, top),) + x.coords[1:-1] + (image_last,)
-    return DLVertex(params._replace(k=k), coords)
+
+def umap(tiling: Tiling, k: int, x: DLVertex) -> DLVertex:
+    """Map a lattice vertex into the index-k lattice: a one-member fiber of `_tile_images`."""
+    [coords] = _tile_images(tiling, k, rho(x), [(c,) for c in x.coords])
+    return DLVertex(tiling.params._replace(k=k), coords)
+
+
+def umap_pairs(tiling: Tiling, k: int) -> Iterator[tuple]:
+    """(member coords, image coords) over the ambient box, fiber by fiber, unbudgeted."""
+    params, box = tiling.params, tiling.ambient
+    for point in cube_points(box.cube):
+        pools = fiber_pools(params, box, point)
+        yield from zip(itertools.product(*pools), _tile_images(tiling, k, point, pools))
 
 
 def umap_eval(tiling: Tiling, k: int) -> dict:
-    """Evaluate the tile map over every member of the ambient box, in key order.
-
-    The ambient box's size is checked against the vertex budget first.
-    """
+    """The tile map over the ambient box in key order, its size checked against the budget first."""
     _, members = sorted_box_members(tiling.params, tiling.ambient)
-    return {x: umap(tiling, k, x) for x in members}
+    images, target = dict(umap_pairs(tiling, k)), tiling.params._replace(k=k)
+    return {x: DLVertex(target, images[x.coords]) for x in members}
 
 
 def umap_displacement(tiling: Tiling, k: int) -> int:
     """Max graph distance between x and its image, read in the ordinary graph."""
-    params = tiling.params
-    worst = 0
-    for x, y in umap_eval(tiling, k).items():
-        y1 = dl_vertex(params, y.coords)
-        worst = max(worst, dl_distance(x, y1))
-    return worst
+    table = umap_eval(tiling, k).items()
+    return max(dl_distance(x, DLVertex(tiling.params, y.coords)) for x, y in table)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,15 @@ def test_tree_descendants_exhaustive():
     for w in down3:
         assert w.level == 3
         assert tree_ancestor(w, 0) == root
+    # digit order: the digit just below v varies slowest, zeros omitted
+    for v in (root, tree_vertex(-2, [(-4, 1), (-2, 2)])):
+        for q, depth in ((2, 0), (2, 4), (3, 3)):
+            assert list(tree_descendants(v, depth, q)) == [
+                tree_vertex(v.level + depth, v.digits + tuple(
+                    (v.level + 1 + t, b) for t, b in enumerate(combo) if b
+                ))
+                for combo in itertools.product(range(q), repeat=depth)
+            ]
 
 
 def test_tree_vertex_validation():
@@ -317,6 +326,27 @@ def test_box_size_is_per_point_sum(d, q, k):
             for box in (canon, lifted):
                 per_point = sum(box_fiber_size(p, box, pt) for pt in cube_points(cube))
                 assert box_size(p, box) == per_point, (side, corner)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_sorted_box_member_keys(d, q, k):
+    # keys are built per fiber from the pools' keys; they must be dl_key's,
+    # in strictly increasing order, on canonical and lifted boxes alike
+    p = graph_params(d, q, k)
+    for side in (0, k, 2 * k):
+        for corner in (0, -k):
+            cube = height_cube([(corner, corner + side)] * (d - 1), k)
+            canon = canonical_box(p, cube)
+            if box_size(p, canon) > 5000:
+                continue  # d=3, q=3, side 4 has 98,415 members; the rest stay small
+            lifted = Box(cube, tuple(tree_vertex(r.level, [(r.level, 1)]) for r in canon.roots))
+            for box in (canon, lifted):
+                keys, members = dlgraph.sorted_box_members(p, box)
+                assert keys == tuple(map(dl_key, members))
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+                assert sorted(members, key=dl_key) == sorted(box_members(p, box), key=dl_key)
 
 
 def test_box_example_small():

@@ -702,23 +702,23 @@ def enumerative_umap(tiling, k, x):
     return dl_vertex(graph_params(params.d, params.q, k), coords)
 
 
+UMAP_GRID = [
+    (2, 2, 2, 8),
+    (2, 3, 2, 6),
+    (2, 2, 3, 9),
+    (2, 3, 3, 6),
+    (2, 2, 4, 8),
+    (3, 2, 2, 4),
+    (3, 3, 2, 4),
+    (3, 2, 3, 3),
+    (4, 2, 2, 2),
+    (2, 5, 2, 4),
+    (3, 3, 3, 3),
+]
+
+
 class TestUmapOracle:
-    @pytest.mark.parametrize(
-        "d,q,k,side",
-        [
-            (2, 2, 2, 8),
-            (2, 3, 2, 6),
-            (2, 2, 3, 9),
-            (2, 3, 3, 6),
-            (2, 2, 4, 8),
-            (3, 2, 2, 4),
-            (3, 3, 2, 4),
-            (3, 2, 3, 3),
-            (4, 2, 2, 2),
-            (2, 5, 2, 4),
-            (3, 3, 3, 3),
-        ],
-    )
+    @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
     def test_matches_enumerative_umap(self, monkeypatch, d, q, k, side):
         p = graph_params(d, q)
         tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
@@ -732,27 +732,71 @@ class TestUmapOracle:
         monkeypatch.setattr(qilab, "tree_descendants", refuse)
         assert [umap(tiling, k, x) for x in members] == expected
 
+    @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
+    def test_fiber_map_matches_per_vertex_and_enumerative(self, d, q, k, side):
+        p = graph_params(d, q)
+        tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
+        pairs = list(qilab.umap_pairs(tiling, k))
+        members = list(box_members(p, tiling.ambient))
+        # fiber by fiber, in the order box_members lists the members
+        assert [coords for coords, _ in pairs] == [x.coords for x in members]
+        assert [image for _, image in pairs] == [umap(tiling, k, x).coords for x in members]
+        assert [image for _, image in pairs] == [
+            enumerative_umap(tiling, k, x).coords for x in members
+        ]
+        table = umap_eval(tiling, k)
+        assert list(table) == sorted(members, key=dl_key)
+        assert all(y == umap(tiling, k, x) for x, y in table.items())
+
+    @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
+    def test_images_are_ambient_box_members(self, d, q, k, side):
+        p = graph_params(d, q)
+        tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
+        coords = {x.coords for x in box_members(p, tiling.ambient)}
+        assert all(image in coords for _, image in qilab.umap_pairs(tiling, k))
+
     def test_cli_csv_matches_oracle(self, tmp_path):
-        p = graph_params(2, 3)
+        for d, q, k, side in [(2, 3, 2, 4), (3, 2, 2, 2)]:
+            p = graph_params(d, q)
+            tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["key", "image_key", "displacement"])
+            for x in sorted(box_members(p, tiling.ambient), key=dl_key):
+                y = enumerative_umap(tiling, k, x)
+                disp = dlgraph._bfs_simple(
+                    x, dl_vertex(p, y.coords), dlgraph.DEFAULT_DISTANCE_CAP
+                )
+                writer.writerow([dl_key(x), dl_key(y), disp])
+            out = tmp_path / f"umap{d}.csv"
+            argv = ["qilab", "--mode", "umap", "--d", str(d), "--q", str(q), "--k", str(k),
+                    "--h", str(side), "--out", str(out)]
+            assert cli.main(argv) == 0
+            assert out.read_text(encoding="utf-8") == buf.getvalue()
+
+    def test_image_outside_the_box_is_an_error(self, monkeypatch, capsys):
+        p = graph_params(2, 2)
         tiling = make_tiling(p, height_cube([(0, 3)]), 2)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "image_key", "displacement"])
-        for x in sorted(box_members(p, tiling.ambient), key=dl_key):
-            y = enumerative_umap(tiling, 2, x)
-            disp = dlgraph._bfs_simple(x, dl_vertex(p, y.coords), dlgraph.DEFAULT_DISTANCE_CAP)
-            writer.writerow([dl_key(x), dl_key(y), disp])
-        out = tmp_path / "umap.csv"
-        argv = ["qilab", "--mode", "umap", "--d", "2", "--q", "3", "--k", "2", "--h", "4",
-                "--out", str(out)]
-        assert cli.main(argv) == 0
-        assert out.read_text(encoding="utf-8") == buf.getvalue()
+        first = sorted(box_members(p, tiling.ambient), key=lambda x: x.coords)[0]
+        outside = (TreeVertex(-1, ()), TreeVertex(1, ()))
+
+        def bad_pairs(tiling, k):
+            yield first.coords, outside
+
+        monkeypatch.setattr(qilab, "umap_pairs", bad_pairs)
+        argv = ["qilab", "--mode", "umap", "--d", "2", "--q", "2", "--k", "2", "--h", "4"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: umap image of {dl_key(first)} lies outside the ambient box\n"
+        )
 
     def test_umap_eval_checks_budget_first(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("members were enumerated")
 
-        monkeypatch.setattr(dlgraph, "box_members", refuse)
+        monkeypatch.setattr(dlgraph, "fiber_pools", refuse)
         p = graph_params(2, 2)
         tiling = make_tiling(p, height_cube([(0, 23)]), 2)
         with pytest.raises(dlgraph.BudgetError, match=r"box has 201326592 members, budget 500000"):
