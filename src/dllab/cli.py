@@ -48,7 +48,6 @@ from .dlgraph import (
     box_graph,
     canonical_box,
     cube_size,
-    dl_distance,
     dl_neighbors,
     expected_degree,
     export_dot,
@@ -200,11 +199,13 @@ def _parse_h_list(text: str) -> "list[int]":
     return values
 
 
-def _one_side(command: str, text: str) -> int:
-    """The box side of a command that builds one box from --h."""
+def _one_side(command: str, text: str, least: int = 1) -> int:
+    """The box side of a command that builds one box from --h, at least `least`."""
     values = _parse_h_list(text)
     if len(values) != 1:
         raise ValueError(f"{command} takes one box side --h, got {text!r}")
+    if values[0] < least:
+        raise ValueError(f"{command} needs --h >= {least}, got {values[0]}")
     return values[0]
 
 
@@ -248,7 +249,8 @@ def cmd_graph(args) -> int:
     if args.radius is not None:
         g = ball(base_vertex(params), args.radius)
     else:
-        h = _one_side("graph", args.h)
+        # side 0 is the one-vertex box over heights 0
+        h = _one_side("graph", args.h, least=0)
         cube = height_cube([(0, h)] * (params.d - 1), params.k)
         g = box_graph(params, canonical_box(params, cube))
     if args.format in (None, "dot"):
@@ -553,9 +555,11 @@ def _qilab_umap(args, params) -> "tuple[str, list, int]":
     del position
 
     def rows():
-        # streamed, so no row list is held beside the payload
-        for key, x, j in zip(keys, members, image):
-            yield key, keys[j], dl_distance(x, members[j])
+        # streamed, so no row or displacement list is held beside the payload
+        pairs = ((x.coords, members[j].coords) for x, j in zip(members, image))
+        displacements = qilab.tile_displacements(params, pairs)
+        for key, j, dist in zip(keys, image, displacements):
+            yield key, keys[j], dist
 
     payload = _csv_payload(["key", "image_key", "displacement"], rows())
     exact = hits == [k if x.coords[0].level % k == 0 else 0 for x in members]

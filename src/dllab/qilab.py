@@ -62,6 +62,7 @@ from .dlgraph import (
     fiber_levels,
     fiber_pools,
     height_cube,
+    meet_level,
     rho,
     sorted_box_members,
     tree_ancestor,
@@ -806,6 +807,13 @@ class Tiling:
     Every image is an ambient box member: its tracked heights lie in the
     cube, and its last coordinate keeps the source's digits at or below the
     tile's last root, which is at or above the ambient last root.
+
+    A member x and its image y differ in their first and last coordinates
+    only: y's first is x's first's ancestor at the tile corner, and the
+    middle coordinates pass through. So their pair signature is
+    ((drop, 0), (0, 0), ..., (c, e)), with drop the fall in first height
+    and (c, e) the last coordinates' heights above their meet, and one
+    meet gives the displacement (`tile_displacements`).
     """
 
     params: GraphParams
@@ -884,10 +892,30 @@ def umap_eval(tiling: Tiling, k: int) -> dict:
     return {x: DLVertex(target, images[x.coords]) for x in members}
 
 
+def tile_displacements(params: GraphParams, pairs) -> Iterator[int]:
+    """Graph distance from each tile-map member to its image, in the order given.
+
+    pairs yields (member coords, image coords), both read in the ordinary
+    graph of params. Their signature is fixed by (drop, c, e) (see
+    `Tiling`), and a k = 1 distance depends only on the sorted signature,
+    so each triple's distance is kept for this call only; `dl_distance`
+    answers each new triple.
+    """
+    known = {}
+    for x, y in pairs:
+        a, b = x[-1], y[-1]
+        m = meet_level(a, b)
+        sig = (x[0].level - y[0].level, a.level - m, b.level - m)
+        dist = known.get(sig)
+        if dist is None:
+            dist = known[sig] = dl_distance(DLVertex(params, x), DLVertex(params, y))
+        yield dist
+
+
 def umap_displacement(tiling: Tiling, k: int) -> int:
     """Max graph distance between x and its image, read in the ordinary graph."""
     table = umap_eval(tiling, k).items()
-    return max(dl_distance(x, DLVertex(tiling.params, y.coords)) for x, y in table)
+    return max(tile_displacements(tiling.params, ((x.coords, y.coords) for x, y in table)))
 
 
 # ---------------------------------------------------------------------------

@@ -721,6 +721,23 @@ class TestFormerlyUncheckedArgs:
         argv = ["qilab", "--mode", "distortion", "--pairs", "0"]
         self.assert_usage_error(argv, capsys, "need at least one sample pair, got 0")
 
+    @pytest.mark.parametrize("mode", ["umap", "distortion"])
+    @pytest.mark.parametrize("side", ["0", "-2"])
+    def test_side_below_1_names_the_flag(self, capsys, no_work, mode, side):
+        argv = ["qilab", "--mode", mode, "--h", side] + (["--k", "2"] if mode == "umap" else [])
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {mode} mode needs --h >= 1, got {side}\n"
+
+    def test_graph_side_0_is_one_vertex(self, capsys):
+        assert run_cli(["graph", "--d", "2", "--q", "2", "--h", "0"]) == 0
+        assert capsys.readouterr().out == 'graph dl {\n  "0:|0:" [heights="0,0"];\n}\n'
+        assert run_cli(["graph", "--d", "2", "--q", "2", "--h", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph needs --h >= 0, got -1\n"
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -774,6 +774,49 @@ class TestUmapOracle:
             assert cli.main(argv) == 0
             assert out.read_text(encoding="utf-8") == buf.getvalue()
 
+    @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
+    def test_cli_displacement_is_the_graph_distance(self, capsys, d, q, k, side):
+        p = graph_params(d, q)
+        tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
+        by_key = {dl_key(x): x for x in box_members(p, tiling.ambient)}
+        argv = ["qilab", "--mode", "umap", "--d", str(d), "--q", str(q), "--k", str(k),
+                "--h", str(side)]
+        assert cli.main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["key", "image_key", "displacement"]
+        assert len(rows) == len(by_key) + 1
+        for key, image_key, disp in rows[1:]:
+            # the image is a box member, read here as a vertex of the ordinary graph
+            assert int(disp) == dlgraph.dl_distance(by_key[key], by_key[image_key]), key
+
+    def test_one_distance_call_per_signature(self, monkeypatch):
+        d, q, k, side = 2, 2, 3, 9
+        p = graph_params(d, q)
+        tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
+        pairs = [(dl_vertex(p, x), dl_vertex(p, y)) for x, y in qilab.umap_pairs(tiling, k)]
+
+        def triple(u, v):
+            # a tile-map pair's signature is ((drop, 0), (0, 0), ..., (c, e))
+            sig = dlgraph._pair_signature(u, v)
+            assert sig[0][1] == 0 and set(sig[1:-1]) <= {(0, 0)}
+            return (sig[0][0], *sig[-1])
+
+        expected = sorted({triple(u, v) for u, v in pairs})
+        real, calls = dlgraph.dl_distance, []
+
+        def counting(u, v, *args, **kwargs):
+            calls.append(triple(u, v))
+            return real(u, v, *args, **kwargs)
+
+        # every module-level reference, so a caller that imported the name is counted too
+        for module in (dlgraph, qilab, cli):
+            monkeypatch.setattr(module, "dl_distance", counting, raising=False)
+        argv = ["qilab", "--mode", "umap", "--d", str(d), "--q", str(q), "--k", str(k),
+                "--h", str(side)]
+        assert cli.main(argv) == 0
+        assert len(pairs) == 2304 and len(expected) == 4
+        assert sorted(calls) == expected
+
     def test_image_outside_the_box_is_an_error(self, monkeypatch, capsys):
         p = graph_params(2, 2)
         tiling = make_tiling(p, height_cube([(0, 3)]), 2)
