@@ -156,7 +156,7 @@ _FLAGS = {
     "q": {"type": int, "default": 2, "help": "branching prime"},
     "k": {"type": int, "help": "index parameter"},
     "radius": {"type": int, "help": "ball radius"},
-    "h": {"help": "box side(s), comma separated"},
+    "h": {"help": "box side(s), comma separated; side N spans heights 0..N, 0..N-1 in umap mode"},
     "r": {"type": int, "help": "boundary thickness"},
     "map": {"help": "coordinate maps: names (alpha,id), JSON, or @file"},
     "format": {"choices": ("dot", "json", "csv")},

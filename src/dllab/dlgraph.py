@@ -18,16 +18,15 @@ height map; each fiber over a cube point is a product of descendant sets,
 so all counting here is exact. Aligned boxes of a common side tile a box,
 which is the geometric input for the index-k comparison map.
 
-Each graph search (a ball, a box graph's edge pass, the k > 1 distance
-search) keeps its own table of tree moves: a tree vertex's parent and
-children, and for k > 1 its descendant pools and ancestors, each built on
-first use. Many graph vertices share a tree coordinate, so each move is
-built once per search; the table is dropped when the search returns.
+Each graph search (a ball, a box graph's edge pass) keeps its own table
+of tree moves: a tree vertex's parent and children, and for k > 1 its
+descendant pools and ancestors, each built on first use. Many graph
+vertices share a tree coordinate, so each move is built once per search;
+the table is dropped when the search returns.
 
-Exact distances are memoized on per-coordinate heights above the meets.
-For k = 1 they are found by a search over those height signatures, which
-builds no graph vertex and does not depend on q; for k > 1 by a
-bidirectional BFS over vertices.
+Exact distances, for every k, are found by a search over per-coordinate
+heights above the meets, which builds no graph vertex and does not depend
+on q, and are memoized on those height signatures.
 """
 
 from __future__ import annotations
@@ -718,34 +717,28 @@ def _pair_signature(u: DLVertex, v: DLVertex) -> tuple:
 
 
 def dl_distance(u: DLVertex, v: DLVertex, cap: int = DEFAULT_DISTANCE_CAP) -> int:
-    """Exact graph distance, memoized on the pair's automorphism signature.
+    """Exact graph distance, by a search over signature states; memoized.
 
-    For k = 1 the search runs over signature states (_signature_moves), and
-    the memo key is (d, sorted signature): every coordinate plays the same
-    role, and the distance does not depend on q. For k > 1 it is a
-    bidirectional BFS over graph vertices (_bfs_simple).
+    The state is the pair signature with coordinates 2..d sorted, and the
+    first too when k = 1, since those play the same role. The moves
+    (_signature_moves, _index_moves) build no graph vertex and do not
+    depend on q, so the memo key is (k, state).
     """
     if u.params != v.params:
         raise ValueError("vertices live in different graphs")
     if u == v:
         return 0
-    params = u.params
+    k = u.params.k
     sig = _pair_signature(u, v)
-    if params.k == 1:
-        sig = tuple(sorted(sig))
-        memo = (params.d, sig)
-    else:
-        memo = (params, sig)
-    dist = _DIST_CACHE.get(memo)
+    state = tuple(sorted(sig)) if k == 1 else sig[:1] + tuple(sorted(sig[1:]))
+    dist = _DIST_CACHE.get((k, state))
     if dist is None:
-        if params.k == 1:
-            goal = ((0, 0),) * params.d
-            dist = _meet_in_middle(sig, goal, _signature_moves, cap, DEFAULT_STATE_BUDGET, "states")
-        else:
-            dist = _bfs_simple(u, v, cap)
+        step = _signature_moves if k == 1 else partial(_index_moves, k)
+        goal = ((0, 0),) * len(state)
+        dist = _meet_in_middle(state, goal, step, cap, DEFAULT_STATE_BUDGET, "states")
         if len(_DIST_CACHE) >= DIST_CACHE_LIMIT:
             _DIST_CACHE.clear()
-        _DIST_CACHE[memo] = dist
+        _DIST_CACHE[k, state] = dist
     elif dist > cap:
         # a cached distance obeys the cap exactly as a fresh search would
         raise BudgetError(f"no path within distance cap {cap}: the distance is {dist}")
@@ -779,10 +772,41 @@ def _signature_moves(state: tuple) -> "list[tuple]":
     return out
 
 
-def _bfs_simple(u: DLVertex, v: DLVertex, cap: int) -> int:
-    """Bidirectional BFS over graph vertices, identified by coordinate tuples."""
-    step = partial(_neighbor_coords, u.params, moves=_move_table(u.params))
-    return _meet_in_middle(u.coords, v.coords, step, cap, DEFAULT_VERTEX_BUDGET, "vertices")
+def _climb(pair: tuple, m: int) -> tuple:
+    c, e = pair
+    return (c - m, e) if c >= m else (0, e + m - c)
+
+
+def _descents(pair: tuple, m: int) -> "list[tuple]":
+    c, e = pair
+    if c:
+        return [(c + m, e)]
+    out = [(m - t, e - t) for t in range(min(m, e + 1))]
+    if m <= e:
+        out.append((0, e - m))
+    return out
+
+
+def _index_moves(k: int, state: tuple) -> "list[tuple]":
+    """Signature states one index-k edge away, each (first,) + sorted(rest).
+
+    As in _neighbor_coords: the k = 1 moves among coordinates 2..d, then
+    the first climbing k while the others descend along a composition of
+    k, then the first descending k while the others climb along one. A
+    pair climbing m steps (_climb) passes its meet when c < m. Descending
+    m steps (_descents), it moves m further off, except from an ancestor of
+    the target (c = 0): then it follows the target's line for t <= e of
+    the steps and, when t < m, leaves it for the other m - t.
+    """
+    first, rest = state[0], state[1:]
+    out = [(first,) + s for s in _signature_moves(rest)]
+    combos = _compositions(k, len(rest))
+    up = _climb(first, k)
+    for combo in combos:
+        out += ((up,) + tuple(sorted(ch)) for ch in product(*map(_descents, rest, combo)))
+    for down in _descents(first, k):
+        out += ((down,) + tuple(sorted(map(_climb, rest, combo))) for combo in combos)
+    return out
 
 
 def _meet_in_middle(a, b, step, cap: int, budget: int, noun: str) -> int:

@@ -2,22 +2,28 @@
 
 Each one states a rule a second way, on purpose, and no library code calls
 it: adjacency as a test on a vertex pair, beside the neighbour lists of
-`dlgraph._neighbor_coords`; box membership by tree ancestry, beside the
-box's fibers; the tile box over a vertex, built from its ancestors, beside
-the corner and roots that `qilab.umap` reads arithmetically; and the fiber
-of an interior map as an explicit vertex list, beside the counts of
-`qilab.preimage_count`.
+`dlgraph._neighbor_coords`; graph distance by a bidirectional BFS over
+vertices, beside the signature-state search of `dlgraph.dl_distance`; box
+membership by tree ancestry, beside the box's fibers; the tile box over a
+vertex, built from its ancestors, beside the corner and roots that
+`qilab.umap` reads arithmetically; and the fiber of an interior map as an
+explicit vertex list, beside the counts of `qilab.preimage_count`.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from dllab.dlgraph import (
+    DEFAULT_VERTEX_BUDGET,
     Box,
     HeightCube,
     TreeVertex,
     _check_cube,
+    _meet_in_middle,
+    _move_table,
+    _neighbor_coords,
     cube_contains,
     dl_vertex,
     rho,
@@ -75,6 +81,12 @@ def dl_adjacent(u, v) -> bool:
             return False
         return all(is_tree_ancestor(v.coords[i], u.coords[i]) for i in range(1, d))
     return False
+
+
+def vertex_distance(u, v, cap: int) -> int:
+    """Bidirectional BFS over graph vertices, identified by coordinate tuples."""
+    step = partial(_neighbor_coords, u.params, moves=_move_table(u.params))
+    return _meet_in_middle(u.coords, v.coords, step, cap, DEFAULT_VERTEX_BUDGET, "vertices")
 
 
 def box_contains(params, box, x) -> bool:

@@ -739,6 +739,15 @@ class TestFormerlyUncheckedArgs:
         assert captured.err == "error: graph needs --h >= 0, got -1\n"
 
 
+def test_h_spans_n_heights_in_umap_and_n_plus_1_elsewhere(capsys):
+    # a fiber at d = q = 2 over a box of side s holds 2^s members
+    argv = ["qilab", "--mode", "umap", "--d", "2", "--q", "2", "--k", "2", "--h", "4"]
+    assert run_cli(argv) == 0
+    assert "umap: 32 vertices onto 16 images" in capsys.readouterr().err  # [0, 3]: 4 x 2^3
+    assert run_cli(["verify", "--d", "2", "--q", "2", "--assert", "counting", "--h", "4"]) == 0
+    assert "box size 80 = cube 5 x fiber 16" in capsys.readouterr().out  # [0, 4]: 5 x 2^4
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

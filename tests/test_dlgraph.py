@@ -61,7 +61,14 @@ from dllab.dlgraph import (
     tree_vertex,
 )
 
-from oracles import box_containing, box_contains, dl_adjacent, is_tree_ancestor, tile_box
+from oracles import (
+    box_containing,
+    box_contains,
+    dl_adjacent,
+    is_tree_ancestor,
+    tile_box,
+    vertex_distance,
+)
 
 
 def brute_boundary_keys(params, box, r):
@@ -641,7 +648,7 @@ def test_distance_cap_holds_cold_and_warm(monkeypatch):
     p = graph_params(2, 2, 2)
     base = base_vertex(p)
     far = dl_vertex(p, (tree_root(8), tree_root(-8)))
-    with pytest.raises(BudgetError, match=r"cap 2: searched depths 1 and 1, 18 vertices"):
+    with pytest.raises(BudgetError, match=r"cap 2: searched depths 1 and 1, 8 states reached"):
         dl_distance(base, far, cap=2)
     assert dl_distance(base, far) == 4
     assert dl_distance(base, far, cap=4) == 4
@@ -650,9 +657,18 @@ def test_distance_cap_holds_cold_and_warm(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# k = 1 distances: the signature-state search against vertex BFS
+# distances: the signature-state search against vertex BFS
 
-ORACLE_BALLS = ((2, 2, 5), (2, 3, 4), (3, 2, 3), (3, 3, 2))
+# (d, q, k, radius); the test ids read d-q-radius at k = 1, d-q-k-radius else
+ORACLE_BALLS = (
+    (2, 2, 1, 5), (2, 3, 1, 4), (3, 2, 1, 3), (3, 3, 1, 2),
+    (2, 2, 2, 3), (2, 3, 2, 2), (3, 2, 2, 2), (3, 3, 2, 1),
+    (2, 2, 3, 2), (2, 3, 3, 1), (3, 2, 3, 1), (3, 3, 3, 1),
+)
+
+
+def oracle_ids(cases):
+    return [f"{d}-{q}-{last}" if k == 1 else f"{d}-{q}-{k}-{last}" for d, q, k, last in cases]
 
 
 def swap_class(sig):
@@ -660,53 +676,124 @@ def swap_class(sig):
     return min(sig, tuple((b, a) for a, b in sig))
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def bfs_by_signature():
     """Per oracle ball, every pair signature in it with its vertex-BFS distance."""
     out = {}
-    for d, q, r in ORACLE_BALLS:
-        verts = ball(base_vertex(graph_params(d, q)), r).vertices
+    for d, q, k, r in ORACLE_BALLS:
+        verts = ball(base_vertex(graph_params(d, q, k)), r).vertices
         pairs = {}
-        for u in verts:
-            for v in verts:
+        for i, u in enumerate(verts):
+            for v in verts[i:]:  # (v, u) is in the class of (u, v)
                 pairs.setdefault(swap_class(dlgraph._pair_signature(u, v)), (u, v))
-        out[d, q, r] = {
-            sig: (u, v, dlgraph._bfs_simple(u, v, DEFAULT_DISTANCE_CAP))
+        out[d, q, k, r] = {
+            sig: (u, v, vertex_distance(u, v, DEFAULT_DISTANCE_CAP))
             for sig, (u, v) in pairs.items()
         }
     return out
 
 
-@pytest.mark.parametrize("d,q,r", ORACLE_BALLS)
-def test_signature_search_matches_vertex_bfs(monkeypatch, bfs_by_signature, d, q, r):
+@pytest.mark.parametrize("d,q,k,r", ORACLE_BALLS, ids=oracle_ids(ORACLE_BALLS))
+def test_signature_search_matches_vertex_bfs(monkeypatch, bfs_by_signature, d, q, k, r):
     monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
-    table = bfs_by_signature[d, q, r]
-    assert len(table) > 40
+    table = bfs_by_signature[d, q, k, r]
+    # a radius-1 ball at d = 2, q = 3, k = 3 holds 9 signature classes
+    assert len(table) > (40 if k == 1 else 8)
     for u, v, dist in table.values():
         assert dl_distance(u, v) == dist
         assert dl_distance(v, u) == dist
 
 
-@pytest.mark.parametrize("d,q,steps", [(2, 2, 24), (2, 3, 24), (3, 2, 12), (3, 3, 10)])
-def test_signature_search_matches_vertex_bfs_far_pairs(monkeypatch, d, q, steps):
+FAR_WALKS = (
+    (2, 2, 1, 24), (2, 3, 1, 24), (3, 2, 1, 12), (3, 3, 1, 10),
+    (2, 2, 2, 16), (2, 3, 2, 12), (3, 2, 2, 12), (3, 3, 2, 8),
+    (2, 2, 3, 10), (2, 3, 3, 6), (3, 2, 3, 8), (3, 3, 3, 4),
+)
+
+
+@pytest.mark.parametrize("d,q,k,steps", FAR_WALKS, ids=oracle_ids(FAR_WALKS))
+def test_signature_search_matches_vertex_bfs_far_pairs(monkeypatch, d, q, k, steps):
     monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
-    p = graph_params(d, q)
+    p = graph_params(d, q, k)
     rng = random.Random(41 + d + q)
     base = base_vertex(p)
     for _ in range(3):
         v = base
         for _ in range(steps):
             v = rng.choice(dl_neighbors(v))
-        assert dl_distance(base, v) == dlgraph._bfs_simple(base, v, DEFAULT_DISTANCE_CAP)
+        assert dl_distance(base, v) == vertex_distance(base, v, DEFAULT_DISTANCE_CAP)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_signature_distance_does_not_depend_on_q(bfs_by_signature, d):
-    q2, q3 = (bfs_by_signature[b] for b in ORACLE_BALLS if b[0] == d)
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (2, 2), (3, 2)], ids=["2", "3", "2-2", "3-2"])
+def test_signature_distance_does_not_depend_on_q(bfs_by_signature, d, k):
+    q2, q3 = (bfs_by_signature[b] for b in ORACLE_BALLS if b[0] == d and b[2] == k)
     common = set(q2) & set(q3)
     assert len(common) > 20
     for sig in common:
         assert q2[sig][2] == q3[sig][2]
+
+
+def test_index_distance_far_beyond_the_vertex_budget(monkeypatch):
+    # a vertex BFS stops at its budget of 500,000 vertices on this pair
+    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+    p = graph_params(3, 3, 3)
+    far = dl_vertex(
+        p,
+        (
+            tree_vertex(6, [(1, 1), (3, 2), (6, 1)]),
+            tree_vertex(-3, [(-5, 2)]),
+            tree_vertex(-3, [(-6, 1)]),
+        ),
+    )
+    assert dl_key(far) == "6:1=1,3=2,6=1|-3:-5=2|-3:-6=1"
+    assert dl_distance(base_vertex(p), far) == 7
+
+
+@pytest.mark.parametrize("d,q,k,r", [(2, 2, 2, 3), (3, 2, 2, 2), (3, 2, 3, 2)])
+def test_index_distance_builds_no_graph_move(monkeypatch, d, q, k, r):
+    g = ball(base_vertex(graph_params(d, q, k)), r)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a distance search stepped through graph vertices")
+
+    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+    monkeypatch.setattr(dlgraph, "_neighbor_coords", refuse)
+    monkeypatch.setattr(dlgraph, "_move_table", refuse)
+    for v, dep in zip(g.vertices, g.depths):
+        assert dl_distance(g.center, v) == dep
+
+
+def pair_with_signature(params, sig):
+    """A vertex pair whose coordinates sit at the heights sig gives above their meets.
+
+    Each meet is at height 0 except the last, which balances the heights;
+    when both heights are positive, the target branches off at digit 1.
+    """
+    meets = [0] * (params.d - 1) + [-sum(c for c, _ in sig)]
+    u, v = [], []
+    for m, (c, e) in zip(meets, sig):
+        u.append(tree_vertex(m + c))
+        v.append(tree_vertex(m + e, [(m + 1, 1)] if c and e else []))
+    return dl_vertex(params, u), dl_vertex(params, v)
+
+
+def test_two_coordinate_distance_is_bertacchis_closed_form(monkeypatch):
+    # on DL_2(q), D = c_1 + e_1 + c_2 + e_2 - |c_1 - e_1| (Bertacchi, "Random
+    # walks on Diestel-Leader graphs", 2001), here on every signature with
+    # entries at most 7
+    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+    p = graph_params(2, 2)
+    sigs = [
+        ((c1, e1), (c2, c1 + c2 - e1))
+        for c1, e1, c2 in itertools.product(range(8), repeat=3)
+        if 0 <= c1 + c2 - e1 <= 7
+    ]
+    assert len(sigs) == 344
+    for sig in sigs:
+        u, v = pair_with_signature(p, sig)
+        assert dlgraph._pair_signature(u, v) == sig
+        (c1, e1), (c2, e2) = sig
+        assert dl_distance(u, v) == c1 + e1 + c2 + e2 - abs(c1 - e1)
 
 
 def test_signature_distance_cap_holds_cold_and_warm(monkeypatch):
@@ -725,14 +812,13 @@ def test_signature_distance_cap_holds_cold_and_warm(monkeypatch):
 def test_distance_searches_hold_their_budgets(monkeypatch):
     monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
     monkeypatch.setattr(dlgraph, "DEFAULT_STATE_BUDGET", 3)
-    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 10)
     p = graph_params(2, 2)
     far = dl_vertex(p, (tree_root(4), tree_root(-4)))
     with pytest.raises(BudgetError, match=r"budget 3: searched depths 1 and 0, 3 states reached"):
         dl_distance(base_vertex(p), far)
     p2 = graph_params(2, 2, 2)
     far2 = dl_vertex(p2, (tree_root(8), tree_root(-8)))
-    with pytest.raises(BudgetError, match=r"budget 10: searched depths \d+ and \d+, 10 vertices reached"):
+    with pytest.raises(BudgetError, match=r"budget 3: searched depths 1 and 0, 3 states reached"):
         dl_distance(base_vertex(p2), far2)
 
 
@@ -746,13 +832,13 @@ def test_distance_memo_stays_bounded(monkeypatch):
     base = base_vertex(p)
     sizes = []
     for v in ball(base, 3).vertices:
-        assert dl_distance(base, v) == dlgraph._bfs_simple(base, v, DEFAULT_DISTANCE_CAP)
+        assert dl_distance(base, v) == vertex_distance(base, v, DEFAULT_DISTANCE_CAP)
         sizes.append(len(dlgraph._DIST_CACHE))
     assert max(sizes) == 3
     assert sizes.count(1) > 2  # emptied and refilled more than once
     far = dl_vertex(p, (tree_root(4), tree_root(-4)))
     assert dl_distance(base, far) == 4
-    assert dlgraph._DIST_CACHE[2, ((0, 4), (4, 0))] == 4
+    assert dlgraph._DIST_CACHE[1, ((0, 4), (4, 0))] == 4
     with pytest.raises(BudgetError, match=r"cap 3: the distance is 4"):
         dl_distance(base, far, cap=3)
 
@@ -901,8 +987,9 @@ def test_half_step_lists_each_edge_from_one_endpoint(small_ball, d, q, k):
 
 
 def test_searches_run_on_coordinate_tuples(monkeypatch):
-    # ball, box_graph and the k > 1 vertex search expand coordinate tuples,
-    # so they build no DLVertex per neighbour and never call dl_neighbors
+    # ball and box_graph expand coordinate tuples and a distance search
+    # expands signature states, so none builds a DLVertex per neighbour or
+    # calls dl_neighbors
     cases = []
     for d, q, k in [(2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 2, 2), (2, 2, 3)]:
         p = graph_params(d, q, k)
@@ -912,7 +999,7 @@ def test_searches_run_on_coordinate_tuples(monkeypatch):
         far = g.vertices[g.depths.index(3)]
         cases.append((base, p, canonical_box(p, cube), far, k))
     expected = [
-        (ball(base, 3), box_graph(p, box), k > 1 and dlgraph._bfs_simple(base, far, 8))
+        (ball(base, 3), box_graph(p, box), k > 1 and dl_distance(base, far, 8))
         for base, p, box, far, k in cases
     ]
 
@@ -920,8 +1007,9 @@ def test_searches_run_on_coordinate_tuples(monkeypatch):
         raise AssertionError("a search built DLVertex neighbours")
 
     monkeypatch.setattr(dlgraph, "dl_neighbors", refuse)
+    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})  # so each distance is searched again
     got = [
-        (ball(base, 3), box_graph(p, box), k > 1 and dlgraph._bfs_simple(base, far, 8))
+        (ball(base, 3), box_graph(p, box), k > 1 and dl_distance(base, far, 8))
         for base, p, box, far, k in cases
     ]
     assert got == expected
@@ -1002,5 +1090,5 @@ def test_searches_leave_no_module_state():
         base = base_vertex(p)
         g = ball(base, 2)
         box_graph(p, canonical_box(p, height_cube([(0, k)] * (d - 1), k)))
-        assert dlgraph._bfs_simple(base, g.vertices[-1], 8) == g.depths[-1]
+        assert dl_distance(base, g.vertices[-1], 8) == g.depths[-1]
     assert sizes() == before

@@ -57,7 +57,7 @@ from dllab.qilab import (
     umap_eval,
 )
 
-from oracles import preimage_vertices, tile_box, vertices_in_clone
+from oracles import preimage_vertices, tile_box, vertex_distance, vertices_in_clone
 
 
 def random_primitive(rng, q):
@@ -764,7 +764,7 @@ class TestUmapOracle:
             writer.writerow(["key", "image_key", "displacement"])
             for x in sorted(box_members(p, tiling.ambient), key=dl_key):
                 y = enumerative_umap(tiling, k, x)
-                disp = dlgraph._bfs_simple(
+                disp = vertex_distance(
                     x, dl_vertex(p, y.coords), dlgraph.DEFAULT_DISTANCE_CAP
                 )
                 writer.writerow([dl_key(x), dl_key(y), disp])
