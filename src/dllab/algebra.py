@@ -295,21 +295,6 @@ def rat_scale_unit(a: RationalElement, place: int, e: int) -> RationalElement:
 # windowed Laurent expansions
 
 
-@dataclass(frozen=True, slots=True)
-class DigitWindow:
-    """Digits of a local expansion on the exponent window [lo, hi]."""
-
-    place: int
-    lo: int
-    hi: int
-    digits: tuple
-
-    def digit(self, e: int) -> int:
-        if not self.lo <= e <= self.hi:
-            raise ValueError(f"exponent {e} outside window [{self.lo}, {self.hi}]")
-        return self.digits[e - self.lo]
-
-
 def valuation(a: RationalElement, place: int) -> Optional[int]:
     """Exact valuation of a at the place; None for the zero element."""
     p = a.params
@@ -332,8 +317,8 @@ def valuation(a: RationalElement, place: int) -> Optional[int]:
     raise ValueError(f"place must be in 1..{p.d}, got {place}")
 
 
-def expand_local(a: RationalElement, place: int, lo: int, hi: int) -> DigitWindow:
-    """Exact expansion digits of a at the place, on exponents lo..hi.
+def expand_local(a: RationalElement, place: int, lo: int, hi: int) -> "tuple[int, ...]":
+    """Exact expansion digits of a at the place, on exponents lo..hi, in order.
 
     Place i <= d-1 expands in s = t + l_i; place d expands in u = 1/t.
     """
@@ -343,9 +328,8 @@ def expand_local(a: RationalElement, place: int, lo: int, hi: int) -> DigitWindo
         raise ValueError(f"empty window [{lo}, {hi}]")
     if not 1 <= place <= p.d:
         raise ValueError(f"place must be in 1..{p.d}, got {place}")
-    width = hi - lo + 1
     if a.is_zero():
-        return DigitWindow(place, lo, hi, (0,) * width)
+        return (0,) * (hi - lo + 1)
 
     if place <= p.d - 1:
         li = p.l[place - 1]
@@ -371,8 +355,7 @@ def expand_local(a: RationalElement, place: int, lo: int, hi: int) -> DigitWindo
     # the expansion is u^val * num / unit, for u the local uniformizer
     prec = hi - val + 1
     ser = series_mul(num, series_inv(unit, prec, q), prec, q) if prec > 0 else ()
-    digits = tuple(ser[e - val] if 0 <= e - val < prec else 0 for e in range(lo, hi + 1))
-    return DigitWindow(place, lo, hi, digits)
+    return tuple(ser[e - val] if 0 <= e - val < prec else 0 for e in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +379,11 @@ def partial_fractions(a: RationalElement) -> "tuple[tuple[int, ...], ...]":
     if a.is_zero():
         return ((),) * p.d
     parts = [
-        tuple(reversed(expand_local(a, place, -m, -1).digits)) if m else ()
+        tuple(reversed(expand_local(a, place, -m, -1))) if m else ()
         for place, m in enumerate(a.den, start=1)
     ]
     deg = len(a.num) - 1 - sum(a.den)
-    parts.append(tuple(reversed(expand_local(a, p.d, -deg, 0).digits)) if deg >= 0 else ())
+    parts.append(tuple(reversed(expand_local(a, p.d, -deg, 0))) if deg >= 0 else ())
     return tuple(parts)
 
 

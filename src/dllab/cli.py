@@ -12,10 +12,13 @@ Three subcommands:
 
 All outputs are byte-deterministic: vertices are sorted by canonical key,
 every CSV and JSON payload is written by ``_csv_payload`` (fixed line
-terminator) or ``_json_payload`` (sorted keys), and randomized modes take
-an explicit seed.  Every ``ValueError``, an over-budget ``BudgetError``
-included, prints ``error:`` and exits 2.  ``graph`` and ``qilab`` still accept
-``--workers`` but ignore it: fiber counts are per coordinate and run in
+terminator) or ``dlgraph.json_payload`` (sorted keys), graph exports
+included, and randomized modes take an explicit seed.  ``verify`` and a
+``qilab`` assertion write their verdicts through ``_verdicts``: one
+``PASS|FAIL name: detail`` line per check, and exit 1 if any fails.
+Every ``ValueError``, an over-budget ``BudgetError`` included, prints
+``error:`` and exits 2.  ``graph`` and ``qilab`` still accept ``--workers``
+but ignore it: fiber counts are per coordinate and run in
 one process.  Each flag is declared once, in ``_FLAGS``, and each
 subcommand has exactly the flags that its reads tables name.  A command
 builds only its own parser, the same parser as the full parser's
@@ -54,6 +57,7 @@ from .dlgraph import (
     export_json,
     graph_params,
     height_cube,
+    json_payload,
     sorted_box_members,
 )
 
@@ -96,9 +100,10 @@ def _csv_payload(header, rows) -> str:
     return buf.getvalue()
 
 
-def _json_payload(obj) -> str:
-    """A JSON payload: sorted keys, no spaces, one final newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def _verdicts(checks) -> "tuple[list[str], int]":
+    """A PASS|FAIL line per (name, ok, detail) check, and exit status 1 if any failed."""
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks]
+    return lines, 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def _emit(payload: str, out_path, summary_lines) -> None:
@@ -409,15 +414,14 @@ def cmd_verify(args) -> int:
             checks.extend(_check_index(params))
         elif suite == "index":
             raise ValueError("index suite needs --k >= 2")
-    failures = 0
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
+    lines, status = _verdicts(checks)
+    for line in lines:
+        print(line)
     if args.out and report is not None:
         sizes = report.sphere_group
         rows = zip(range(len(sizes)), sizes, accumulate(sizes))
         _emit(_csv_payload(["radius", "sphere_size", "ball_size"], rows), args.out, [])
-    return 1 if failures else 0
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +437,7 @@ def _chain_csv(records) -> str:
     return _csv_payload(header, rows)
 
 
-def _qilab_chain(args, params, imap) -> "tuple[str, list, int]":
+def _qilab_chain(args, params, imap) -> "tuple[str, list, list]":
     h_values = _parse_h_list(args.h or "2,4,6")
     if args.k is not None:
         target = args.k
@@ -452,15 +456,11 @@ def _qilab_chain(args, params, imap) -> "tuple[str, list, int]":
         f"chain target k={target}, h={h_values}, "
         f"ratios {[str(r.ratio_boundary) for r in records]}"
     ]
-    status = 0
+    checks = []
     if args.assertion == "bounded":
         ok = all(abs(r.ratio_boundary) <= 1 for r in records)
-        summaries.append(
-            "PASS chain.bounded: |chain|/|boundary| <= 1 at every h"
-            if ok
-            else "FAIL chain.bounded: |chain|/|boundary| exceeds 1"
-        )
-        status = 0 if ok else 1
+        detail = "|chain|/|boundary| <= 1 at every h" if ok else "|chain|/|boundary| exceeds 1"
+        checks.append(("chain.bounded", ok, detail))
     elif args.assertion == "divergence":
         first, last = abs(records[0].ratio_boundary), abs(records[-1].ratio_boundary)
         increasing = all(
@@ -468,13 +468,13 @@ def _qilab_chain(args, params, imap) -> "tuple[str, list, int]":
             for i in range(len(records) - 1)
         )
         ok = increasing and first > 0 and last >= 2 * first
-        summaries.append(
-            "PASS chain.divergence: boundary-normalized sums grow (last >= 2x first)"
+        detail = (
+            "boundary-normalized sums grow (last >= 2x first)"
             if ok
-            else "FAIL chain.divergence: no boundary-rate growth detected"
+            else "no boundary-rate growth detected"
         )
-        status = 0 if ok else 1
-    return payload, summaries, status
+        checks.append(("chain.divergence", ok, detail))
+    return payload, summaries, checks
 
 
 _AUDIT_FIELDS = (
@@ -499,7 +499,7 @@ def _audit_cell(value):
     return value
 
 
-def _qilab_audit(args, params, imap) -> "tuple[str, list, int]":
+def _qilab_audit(args, params, imap) -> "tuple[str, list, list]":
     if args.format not in (None, "csv", "json"):
         raise ValueError(f"audit mode writes csv or json, not {args.format!r}")
     h_values = _parse_h_list(args.h or "4")
@@ -515,24 +515,22 @@ def _qilab_audit(args, params, imap) -> "tuple[str, list, int]":
         )
     else:
         rows = [{f: _audit_cell(getattr(a, f)) for f in _AUDIT_FIELDS} for a in audits]
-        payload = _json_payload(rows[0] if len(rows) == 1 else rows)
+        payload = json_payload(rows[0] if len(rows) == 1 else rows)
     summaries = [
         f"audit h={a.h}: {a.lower_bound} <= {a.total_preimages} <= {a.upper_bound}"
         for a in audits
     ]
-    status = 0
+    checks = []
     if args.assertion == "bounded":
-        all_ok = all(a.bounds_ok for a in audits)
-        summaries.append(
-            "PASS audit.bounded: total preimages within two-sided bounds"
-            if all_ok
-            else "FAIL audit.bounded: total preimages escape the bounds"
+        ok = all(a.bounds_ok for a in audits)
+        detail = (
+            "total preimages within two-sided bounds" if ok else "total preimages escape the bounds"
         )
-        status = 0 if all_ok else 1
-    return payload, summaries, status
+        checks.append(("audit.bounded", ok, detail))
+    return payload, summaries, checks
 
 
-def _qilab_umap(args, params) -> "tuple[str, list, int]":
+def _qilab_umap(args, params) -> "tuple[str, list, list]":
     k = args.k
     if k is None or k < 2:
         raise ValueError("umap mode needs --k >= 2 (the index of the target lattice)")
@@ -567,18 +565,18 @@ def _qilab_umap(args, params) -> "tuple[str, list, int]":
         f"umap: {len(members)} vertices onto {len(members) - hits.count(0)} images, "
         f"multiplicities {sorted(set(hits) - {0})}"
     ]
-    status = 0
+    checks = []
     if args.assertion == "ktoone":
-        summaries.append(
-            f"PASS umap.ktoone: exactly {k}-to-1 onto the index-{k} sublattice"
+        detail = (
+            f"exactly {k}-to-1 onto the index-{k} sublattice"
             if exact
-            else "FAIL umap.ktoone: image multiplicities are not uniform"
+            else "image multiplicities are not uniform"
         )
-        status = 0 if exact else 1
-    return payload, summaries, status
+        checks.append(("umap.ktoone", exact, detail))
+    return payload, summaries, checks
 
 
-def _qilab_distortion(args, params, imap) -> "tuple[str, list, int]":
+def _qilab_distortion(args, params, imap) -> "tuple[str, list, list]":
     h = _one_side("distortion mode", args.h or "4")
     n_pairs = args.pairs if args.pairs is not None else 30
     if n_pairs < 1:
@@ -592,7 +590,7 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, int]":
         n_pairs=n_pairs,
         seed=args.seed if args.seed is not None else 0,
     )
-    payload = _json_payload(
+    payload = json_payload(
         {
             "pairs": report.pairs,
             "k_est": str(report.k_est),
@@ -600,7 +598,7 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, int]":
             "max_displacement": report.max_displacement,
         }
     )
-    return payload, [f"distortion: K={report.k_est} C={report.c_est}"], 0
+    return payload, [f"distortion: K={report.k_est} C={report.c_est}"], []
 
 
 def cmd_qilab(args) -> int:
@@ -616,16 +614,17 @@ def cmd_qilab(args) -> int:
             else f"{args.mode} mode takes no --assert, got {args.assertion!r}"
         )
     if args.mode == "umap":
-        payload, summaries, status = _qilab_umap(args, params)
+        payload, summaries, checks = _qilab_umap(args, params)
     else:
         imap = _interior_map_from_arg(params, args.map or "alpha" + ",id" * (params.d - 1))
         if args.mode == "chain":
-            payload, summaries, status = _qilab_chain(args, params, imap)
+            payload, summaries, checks = _qilab_chain(args, params, imap)
         elif args.mode == "audit":
-            payload, summaries, status = _qilab_audit(args, params, imap)
+            payload, summaries, checks = _qilab_audit(args, params, imap)
         else:
-            payload, summaries, status = _qilab_distortion(args, params, imap)
-    _emit(payload, args.out, summaries)
+            payload, summaries, checks = _qilab_distortion(args, params, imap)
+    lines, status = _verdicts(checks)
+    _emit(payload, args.out, summaries + lines)
     return status
 
 

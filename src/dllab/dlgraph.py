@@ -19,14 +19,16 @@ so all counting here is exact. Aligned boxes of a common side tile a box,
 which is the geometric input for the index-k comparison map.
 
 Each graph search (a ball, a box graph's edge pass) keeps its own table
-of tree moves: a tree vertex's parent and children, and for k > 1 its
-descendant pools and ancestors, each built on first use. Many graph
-vertices share a tree coordinate, so each move is built once per search;
-the table is dropped when the search returns.
+of tree moves, one shape for every k: per tree vertex and m in 0..k, its
+descendants m levels down and its ancestor m levels up (its children and
+parent at m = 1), each built on first use. Many graph vertices share a
+tree coordinate, so each move is built once per search; the table is
+dropped when the search returns.
 
 Exact distances, for every k, are found by a search over per-coordinate
 heights above the meets, which builds no graph vertex and does not depend
-on q, and are memoized on those height signatures.
+on q, and are memoized on those height signatures. One move rule,
+_state_moves, serves every k, in the order of _neighbor_coords.
 """
 
 from __future__ import annotations
@@ -229,33 +231,26 @@ class LazyDict(dict):
 class _MoveTable(NamedTuple):
     """The tree moves of one graph search, each built on first use.
 
-    parents[c] and children[c] are the parent and the children of the tree
-    vertex c. For k > 1, pools[depth][c] lists the descendants of c depth
-    levels down, in digit order, and ups[m][c] is its ancestor m levels up,
-    for depth and m in 0..k. Many graph vertices share a tree coordinate,
-    so a search that keeps one table builds each tree move once. The table
+    For m in 0..k, downs[m][c] lists the descendants of the tree vertex c
+    m levels down, in digit order, and ups[m][c] is its ancestor m levels
+    up; downs[1] holds the children and ups[1] the parent, which the
+    ordinary moves read. Many graph vertices share a tree coordinate, so a
+    search that keeps one table builds each tree move once. The table
     lives only as long as its search.
     """
 
-    parents: LazyDict
-    children: LazyDict
-    pools: tuple
+    downs: tuple
     ups: tuple
 
 
 def _move_table(params: GraphParams) -> _MoveTable:
     q, k = params.q, params.k
-    parents = LazyDict(tree_parent)
-    children = LazyDict(lambda c: tree_children(c, q))
-    if k == 1:
-        return _MoveTable(parents, children, (), ())
-    pools = [LazyDict(lambda c: (c,)), children]
-    pools += [
-        LazyDict(lambda c, depth=depth: tuple(tree_descendants(c, depth, q)))
-        for depth in range(2, k + 1)
-    ]
-    ups = [LazyDict(lambda c, m=m: tree_ancestor(c, c.level - m)) for m in range(k + 1)]
-    return _MoveTable(parents, children, tuple(pools), tuple(ups))
+    downs = [LazyDict(lambda c: (c,)), LazyDict(lambda c: tree_children(c, q))]
+    ups = [LazyDict(lambda c: c), LazyDict(tree_parent)]
+    for m in range(2, k + 1):
+        downs.append(LazyDict(lambda c, m=m: tuple(tree_descendants(c, m, q))))
+        ups.append(LazyDict(lambda c, m=m: tree_ancestor(c, c.level - m)))
+    return _MoveTable(tuple(downs), tuple(ups))
 
 
 def _neighbor_coords(
@@ -264,11 +259,12 @@ def _neighbor_coords(
     """The coordinate tuples of the neighbours of a vertex, in a fixed order.
 
     Ordinary moves send one coordinate down to each child and another up
-    to its parent; for k = 1 they run over every ordered pair of distinct
-    coordinates and are all the edges. For k > 1 they run over coordinates
-    2..d only, followed by the first coordinate climbing k while the others
+    to its parent, over every ordered pair of distinct coordinates from lo
+    on: all of them when k = 1, coordinates 2..d otherwise. For k > 1 they
+    are followed by the first coordinate climbing k while the others
     descend along a composition of k, then the first descending k while the
-    others climb along one.
+    others climb along one. At k = 1 those two families are ordinary moves
+    of the first coordinate, so the one loop lists every edge.
 
     With half, each undirected edge is listed from exactly one endpoint:
     moving i down and j up is the reverse of moving j down and i up, so
@@ -281,34 +277,36 @@ def _neighbor_coords(
     d, k = params.d, params.k
     if moves is None:
         moves = _move_table(params)
+    downs, ups = moves
+    children, parents = downs[1], ups[1]
     lo = 0 if k == 1 else 1
     out = []
     for i in range(lo, d - 1 if half else d):
-        children = moves.children[coords[i]]
+        kids = children[coords[i]]
         for j in range(i + 1 if half else lo, d):
             if i == j:
                 continue
             nxt = list(coords)
-            nxt[j] = moves.parents[coords[j]]
-            for child in children:
+            nxt[j] = parents[coords[j]]
+            for child in kids:
                 nxt[i] = child
                 out.append(tuple(nxt))
     if k == 1:
         return out
     combos = _compositions(k, d - 1)
     rest = coords[1:]
-    up_first = moves.ups[k][coords[0]]
+    up_first = ups[k][coords[0]]
     for combo in combos:
-        pools = [moves.pools[depth][c] for c, depth in zip(rest, combo)]
+        pools = [downs[m][c] for c, m in zip(rest, combo)]
         for choice in product(*pools):
             out.append((up_first,) + choice)
     if half:
         return out
-    downs = moves.pools[k][coords[0]]
+    downs_first = downs[k][coords[0]]
     for combo in combos:
-        ups = tuple(moves.ups[m][c] for c, m in zip(rest, combo))
-        for down in downs:
-            out.append((down,) + ups)
+        climbs = tuple(ups[m][c] for c, m in zip(rest, combo))
+        for down in downs_first:
+            out.append((down,) + climbs)
     return out
 
 
@@ -672,6 +670,11 @@ def export_dot(g: BallGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def json_payload(obj) -> str:
+    """A JSON payload: sorted keys, no spaces, one final newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def export_json(g: BallGraph) -> str:
     payload = {
         "params": {"d": g.params.d, "q": g.params.q, "k": g.params.k},
@@ -689,7 +692,7 @@ def export_json(g: BallGraph) -> str:
             "intervals": [list(iv) for iv in g.cube.intervals],
             "k": g.cube.k,
         }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json_payload(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -716,24 +719,28 @@ def _pair_signature(u: DLVertex, v: DLVertex) -> tuple:
     return tuple(sig)
 
 
+def _canonical_state(k: int, sig: tuple) -> tuple:
+    """sig with the coordinates that play the same role sorted: all at k = 1, else 2..d."""
+    lo = 0 if k == 1 else 1
+    return sig[:lo] + tuple(sorted(sig[lo:]))
+
+
 def dl_distance(u: DLVertex, v: DLVertex, cap: int = DEFAULT_DISTANCE_CAP) -> int:
     """Exact graph distance, by a search over signature states; memoized.
 
-    The state is the pair signature with coordinates 2..d sorted, and the
-    first too when k = 1, since those play the same role. The moves
-    (_signature_moves, _index_moves) build no graph vertex and do not
-    depend on q, so the memo key is (k, state).
+    The state is the pair signature in _canonical_state's order. The moves
+    (_state_moves) build no graph vertex and do not depend on q, so the
+    memo key is (k, state).
     """
     if u.params != v.params:
         raise ValueError("vertices live in different graphs")
     if u == v:
         return 0
     k = u.params.k
-    sig = _pair_signature(u, v)
-    state = tuple(sorted(sig)) if k == 1 else sig[:1] + tuple(sorted(sig[1:]))
+    state = _canonical_state(k, _pair_signature(u, v))
     dist = _DIST_CACHE.get((k, state))
     if dist is None:
-        step = _signature_moves if k == 1 else partial(_index_moves, k)
+        step = partial(_state_moves, k)
         goal = ((0, 0),) * len(state)
         dist = _meet_in_middle(state, goal, step, cap, DEFAULT_STATE_BUDGET, "states")
         if len(_DIST_CACHE) >= DIST_CACHE_LIMIT:
@@ -745,39 +752,19 @@ def dl_distance(u: DLVertex, v: DLVertex, cap: int = DEFAULT_DISTANCE_CAP) -> in
     return dist
 
 
-def _signature_moves(state: tuple) -> "list[tuple]":
-    """Signature states one k = 1 edge away, each sorted.
-
-    A state holds one pair (c, e) per coordinate: c is the current vertex's
-    height above its meet with the target's coordinate, e the target's.
-    The goal is every pair (0, 0). An edge sends one coordinate up to its
-    parent, (c-1, e), or past the meet to (0, e+1) when c = 0; and another
-    coordinate down to a child: toward the target, (0, e-1), or off it,
-    (1, e), when c = 0 < e, else (c+1, e). Some child takes each branch
-    for every q >= 2. Reversing an edge turns its up-move into a down-move
-    and back, so the state graph is undirected and can be searched from
-    both ends.
-    """
-    out = []
-    for i, (c, e) in enumerate(state):
-        up = (c - 1, e) if c else (0, e + 1)
-        for j, (cj, ej) in enumerate(state):
-            if j == i:
-                continue
-            for down in ((0, ej - 1), (1, ej)) if cj == 0 < ej else ((cj + 1, ej),):
-                nxt = list(state)
-                nxt[i] = up
-                nxt[j] = down
-                out.append(tuple(sorted(nxt)))
-    return out
-
-
 def _climb(pair: tuple, m: int) -> tuple:
+    """tree_ancestor m levels up, on a pair: it passes the meet when c < m."""
     c, e = pair
     return (c - m, e) if c >= m else (0, e + m - c)
 
 
 def _descents(pair: tuple, m: int) -> "list[tuple]":
+    """tree_descendants m levels down, on a pair.
+
+    A pair moves m further off, except from an ancestor of the target
+    (c = 0): then it follows the target's line for t <= e of the steps and,
+    when t < m, leaves it for the other m - t.
+    """
     c, e = pair
     if c:
         return [(c + m, e)]
@@ -787,24 +774,42 @@ def _descents(pair: tuple, m: int) -> "list[tuple]":
     return out
 
 
-def _index_moves(k: int, state: tuple) -> "list[tuple]":
-    """Signature states one index-k edge away, each (first,) + sorted(rest).
+def _state_moves(k: int, state: tuple) -> "list[tuple]":
+    """Signature states one index-k edge away, each in _canonical_state's order.
 
-    As in _neighbor_coords: the k = 1 moves among coordinates 2..d, then
-    the first climbing k while the others descend along a composition of
-    k, then the first descending k while the others climb along one. A
-    pair climbing m steps (_climb) passes its meet when c < m. Descending
-    m steps (_descents), it moves m further off, except from an ancestor of
-    the target (c = 0): then it follows the target's line for t <= e of
-    the steps and, when t < m, leaves it for the other m - t.
+    A state holds one pair (c, e) per coordinate: c is the current vertex's
+    height above its meet with the target's coordinate, e the target's;
+    the goal is every pair (0, 0). The moves follow _neighbor_coords. An
+    ordinary move, among all coordinates at k = 1 and coordinates 2..d
+    otherwise, sends one coordinate up a step, (c-1, e), or past the meet
+    to (0, e+1) when c = 0; and another down a step: toward the target,
+    (0, e-1), or off it, (1, e), when c = 0 < e, else (c+1, e). For k > 1 the first coordinate then climbs k while the
+    others descend along a composition of k, or descends k while they
+    climb. Some tree move takes each branch for every q >= 2, and reversing
+    an edge turns its climbs into descents, so the state graph is
+    undirected and can be searched from both ends.
     """
-    first, rest = state[0], state[1:]
-    out = [(first,) + s for s in _signature_moves(rest)]
+    lo = 0 if k == 1 else 1
+    head, rest = state[:lo], state[lo:]
+    out = []
+    for i, (c, e) in enumerate(rest):
+        up = (c - 1, e) if c else (0, e + 1)
+        for j, (cj, ej) in enumerate(rest):
+            if j == i:
+                continue
+            for down in ((0, ej - 1), (1, ej)) if cj == 0 < ej else ((cj + 1, ej),):
+                nxt = list(rest)
+                nxt[i] = up
+                nxt[j] = down
+                nxt.sort()
+                out.append(head + tuple(nxt))
+    if k == 1:
+        return out
     combos = _compositions(k, len(rest))
-    up = _climb(first, k)
+    up_first = _climb(head[0], k)
     for combo in combos:
-        out += ((up,) + tuple(sorted(ch)) for ch in product(*map(_descents, rest, combo)))
-    for down in _descents(first, k):
+        out += ((up_first,) + tuple(sorted(ch)) for ch in product(*map(_descents, rest, combo)))
+    for down in _descents(head[0], k):
         out += ((down,) + tuple(sorted(map(_climb, rest, combo))) for combo in combos)
     return out
 

@@ -228,10 +228,9 @@ def correspond(params: RingParams, g: GroupElement) -> DLVertex:
         if not g.P.is_zero():
             lo = valuation(g.P, place)
             if lo <= hi:
-                w = expand_local(g.P, place, lo, hi)
                 digits = [
                     (e - cut[place - 1], val)
-                    for e, val in zip(range(lo, hi + 1), w.digits)
+                    for e, val in zip(range(lo, hi + 1), expand_local(g.P, place, lo, hi))
                     if val
                 ]
         coords.append(tree_vertex(lvl, digits, q=params.q))

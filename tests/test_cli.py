@@ -1,6 +1,7 @@
 """Tests for the dllab command-line interface."""
 
 import argparse
+import dataclasses
 import json
 import os
 import shlex
@@ -321,6 +322,92 @@ class TestQilabOtherModes:
         ]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1] == "2,12,8,0,0.0,0.0"
+
+
+def audit_bounds_broken(monkeypatch):
+    audit = qilab.fiber_count_audit
+    monkeypatch.setattr(
+        qilab, "fiber_count_audit",
+        lambda *a, **kw: dataclasses.replace(audit(*a, **kw), bounds_ok=False),
+    )
+
+
+def umap_merges_two_images(monkeypatch):
+    # the first member takes the last member's image, so one image is hit
+    # k + 1 times and another k - 1 times
+    pairs_of = qilab.umap_pairs
+
+    def merged(tiling, k):
+        pairs = list(pairs_of(tiling, k))
+        pairs[0] = (pairs[0][0], pairs[-1][1])
+        return iter(pairs)
+
+    monkeypatch.setattr(qilab, "umap_pairs", merged)
+
+
+CHAIN = ["qilab", "--d", "2", "--q", "2", "--map", "alpha,id", "--h", "2,4,6"]
+AUDIT = ["qilab", "--mode", "audit", "--d", "2", "--q", "2", "--map", "alpha,id",
+         "--h", "2,4", "--r", "1", "--assert", "bounded"]
+UMAP = ["qilab", "--mode", "umap", "--d", "2", "--q", "2", "--k", "2", "--assert", "ktoone"]
+
+
+@pytest.mark.parametrize(
+    "argv,breaks,status,err",
+    [
+        (
+            CHAIN + ["--assert", "bounded"], None, 0,
+            "chain target k=2, h=[2, 4, 6], ratios ['0', '0', '0']\n"
+            "PASS chain.bounded: |chain|/|boundary| <= 1 at every h\n",
+        ),
+        (
+            CHAIN + ["--k", "3", "--assert", "bounded"], None, 1,
+            "chain target k=3, h=[2, 4, 6], ratios ['-3/2', '-5/2', '-7/2']\n"
+            "FAIL chain.bounded: |chain|/|boundary| exceeds 1\n",
+        ),
+        (
+            CHAIN + ["--k", "3", "--assert", "divergence"], None, 0,
+            "chain target k=3, h=[2, 4, 6], ratios ['-3/2', '-5/2', '-7/2']\n"
+            "PASS chain.divergence: boundary-normalized sums grow (last >= 2x first)\n",
+        ),
+        (
+            CHAIN + ["--assert", "divergence"], None, 1,
+            "chain target k=2, h=[2, 4, 6], ratios ['0', '0', '0']\n"
+            "FAIL chain.divergence: no boundary-rate growth detected\n",
+        ),
+        (
+            AUDIT, None, 0,
+            "audit h=2: 8 <= 24 <= 56\naudit h=4: 96 <= 160 <= 288\n"
+            "PASS audit.bounded: total preimages within two-sided bounds\n",
+        ),
+        (
+            AUDIT, audit_bounds_broken, 1,
+            "audit h=2: 8 <= 24 <= 56\naudit h=4: 96 <= 160 <= 288\n"
+            "FAIL audit.bounded: total preimages escape the bounds\n",
+        ),
+        (
+            UMAP, None, 0,
+            "umap: 192 vertices onto 96 images, multiplicities [2]\n"
+            "PASS umap.ktoone: exactly 2-to-1 onto the index-2 sublattice\n",
+        ),
+        (
+            UMAP, umap_merges_two_images, 1,
+            "umap: 192 vertices onto 96 images, multiplicities [1, 2, 3]\n"
+            "FAIL umap.ktoone: image multiplicities are not uniform\n",
+        ),
+    ],
+    ids=[
+        "chain.bounded-pass", "chain.bounded-fail", "chain.divergence-pass",
+        "chain.divergence-fail", "audit.bounded-pass", "audit.bounded-fail",
+        "umap.ktoone-pass", "umap.ktoone-fail",
+    ],
+)
+def test_qilab_verdict_lines(capsys, monkeypatch, argv, breaks, status, err):
+    # every qilab assertion, passing and failing: its summaries and verdict
+    # line byte for byte, and its exit status
+    if breaks is not None:
+        breaks(monkeypatch)
+    assert run_cli(argv) == status
+    assert capsys.readouterr().err == err
 
 
 class TestPayloadBytes:

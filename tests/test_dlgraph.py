@@ -704,6 +704,22 @@ def test_signature_search_matches_vertex_bfs(monkeypatch, bfs_by_signature, d, q
         assert dl_distance(v, u) == dist
 
 
+@pytest.mark.parametrize("d,q,k,r", ORACLE_BALLS, ids=oracle_ids(ORACLE_BALLS))
+def test_state_moves_are_the_graph_edges_seen_from_the_target(d, q, k, r):
+    # for a pair (u, v), the states one move from (u, v)'s state are exactly
+    # the states of (w, v) over the neighbours w of u
+    verts = ball(base_vertex(graph_params(d, q, k)), r).vertices
+    rng = random.Random(700 + 100 * d + 10 * q + k)
+
+    def state(x, y):
+        return dlgraph._canonical_state(k, dlgraph._pair_signature(x, y))
+
+    for _ in range(250):
+        u, v = rng.choice(verts), rng.choice(verts)
+        edges = {state(w, v) for w in dl_neighbors(u)}
+        assert edges == set(dlgraph._state_moves(k, state(u, v))), (dl_key(u), dl_key(v))
+
+
 FAR_WALKS = (
     (2, 2, 1, 24), (2, 3, 1, 24), (3, 2, 1, 12), (3, 3, 1, 10),
     (2, 2, 2, 16), (2, 3, 2, 12), (3, 2, 2, 12), (3, 3, 2, 8),
