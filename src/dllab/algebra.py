@@ -153,12 +153,12 @@ def pshift_var(a, e: int, q: int):
 
 
 def series_inv(f, n: int, q: int):
-    """First n coefficients of 1/f; f must have an invertible constant term."""
+    """First n coefficients of 1/f; f's constant term must be a unit mod q (q need not be prime)."""
     if n <= 0:
         return ()
-    if not f or f[0] % q == 0:
+    if not f or math.gcd(f[0], q) != 1:
         raise ValueError("series inverse needs an invertible constant term")
-    f0inv = pow(f[0], q - 2, q)
+    f0inv = pow(f[0], -1, q)
     g = [0] * n
     g[0] = f0inv
     for k in range(1, n):

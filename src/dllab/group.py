@@ -15,9 +15,13 @@ constants chosen so that every generator move is a single graph edge.
 
 Word balls run their BFS on (exps, partial-fraction digits of P) rather
 than on the normal form: a product by a generator s adds the term
-U(exps) * s.P, whose digits are cached per exps vector within the ball,
-so each product is a digit addition mod q. Each element is converted back
-to the normal form, and keyed, once after the BFS; multiply and invert
+U(exps) * s.P, whose digits are cached per exps vector and distinct
+generator P within the ball, so each product is a digit addition mod q.
+cayley_ball converts each state back to the normal form, and keys it,
+once after the BFS. The correspondence check never does: it reads each
+image off the state's digits, since a place's expansion digits are its own
+partial-fraction digits below the split exponent and a fixed linear
+combination of the other places' digits above it. multiply and invert
 remain the general group law.
 
 The index-k subgroup is the kernel of the first exponent mod k. One
@@ -47,18 +51,17 @@ from .algebra import (
     rat_scale_unit,
     rat_zero,
     rational,
-    valuation,
 )
 from .dlgraph import (
     DLVertex,
+    LazyDict,
+    TreeVertex,
     _layered_bfs,
     ball,
     base_vertex,
     dl_key,
-    dl_vertex,
     graph_params,
     sphere_sizes,
-    tree_vertex,
 )
 
 DEFAULT_ELEMENT_BUDGET = 200_000
@@ -154,41 +157,42 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, budget: int, edges=
     """The shared layered BFS in the word metric, run on partial-fraction digits.
 
     A BFS state is (exps, partial_fractions(P)), a bijective image of the
-    normal form. g * s adds U(g.exps) * s.P to P, a term that depends only
-    on g.exps and s: its digits are computed once per exps vector seen and
-    each product is a place-wise digit addition (pf_add). Returns the
-    elements in discovery order and their depths; edges, if given, gets the
-    edge list as in _layered_bfs.
+    normal form (_element converts back). g * s adds U(g.exps) * s.P to P,
+    a term that depends only on g.exps and s.P: its digits are computed
+    once per exps vector seen and distinct generator P, and each product
+    is a place-wise digit addition (pf_add). Returns the states in
+    discovery order and their depths; edges, if given, gets the edge list
+    as in _layered_bfs.
     """
     q = params.q
-    pool = {}  # one shared tuple per exps and per den vector in this ball
+    pool = {}  # one shared tuple per exps vector in this ball
+    distinct = {}  # each distinct generator P -> its index among them
+    letters = [(s.exps, distinct.setdefault(s.P, len(distinct))) for s in gens]
     moves = {}  # exps -> [(exps of g * s, digits of U(exps) * s.P) for s in gens]
 
     def step(state):
         exps, digits = state
         out = moves.get(exps)
         if out is None:
+            terms = [partial_fractions(_scale_by_monomial(P, exps)) for P in distinct]
             out = moves[exps] = []
-            for s in gens:
-                e = tuple(a + b for a, b in zip(exps, s.exps))
-                out.append(
-                    (pool.setdefault(e, e), partial_fractions(_scale_by_monomial(s.P, exps)))
-                )
+            for sexps, p in letters:
+                e = tuple(a + b for a, b in zip(exps, sexps))
+                out.append((pool.setdefault(e, e), terms[p]))
         return [(e, pf_add(digits, term, q)) for e, term in out]
 
     start = identity(params)
-    found, ids, depths = _layered_bfs(
+    found, _, depths = _layered_bfs(
         (pool.setdefault(start.exps, start.exps), partial_fractions(start.P)),
         radius, step, budget, "elements", edges,
     )
-    # only one form of the elements is alive at a time: the states are
-    # replaced in place, after the index of them is dropped
-    del ids, moves
-    for i, (exps, digits) in enumerate(found):
-        P = from_partial_fractions(params, digits)
-        P = RationalElement(params, P.num, pool.setdefault(P.den, P.den))
-        found[i] = GroupElement(params, exps, P)
     return found, depths
+
+
+def _element(params: RingParams, state: tuple) -> GroupElement:
+    """The group element of a word-ball state (exps, partial-fraction digits)."""
+    exps, digits = state
+    return GroupElement(params, exps, from_partial_fractions(params, digits))
 
 
 def cayley_ball(
@@ -199,6 +203,13 @@ def cayley_ball(
 ) -> CayleyBall:
     gens = tuple(gens) if gens is not None else generators(params)
     found, depths = _word_ball(params, radius, gens, budget)
+    # only one form of the elements is alive at a time: each state is
+    # replaced in place by its element, the den tuples shared like the exps
+    pool = {}
+    for i, (exps, digits) in enumerate(found):
+        P = from_partial_fractions(params, digits)
+        P = RationalElement(params, P.num, pool.setdefault(P.den, P.den))
+        found[i] = GroupElement(params, exps, P)
     keys = [element_key(g) for g in found]
     order = sorted(range(len(found)), key=keys.__getitem__)
     return CayleyBall(
@@ -210,31 +221,79 @@ def cayley_ball(
     )
 
 
-
 # ---------------------------------------------------------------------------
 # correspondence with the graph
 
 
+def _image_reader(params: RingParams):
+    """The correspondence as a function of a word-ball state: read(exps, digits).
+
+    At finite place i the expansion of P in s = t + l_i splits at exponent
+    0. Below it the digits are P's own partial-fraction digits at place i,
+    read as they are. From 0 up they are the sum, mod q, of the regular
+    expansions at place i of the other places' terms (t + l_j)^(-n) and of
+    the polynomial part's t^n, weighted by their digits. At the place at
+    infinity the split falls between exponents 0 and 1: up to 0 the digits
+    are the polynomial's own, and above it the expansions of the terms
+    (t + l_j)^(-n). Each basis expansion comes from expand_local once per
+    (place, term, top exponent), in a table that lives as long as the
+    reader. The cutoffs are read when the reader is made.
+    """
+    q, d = params.q, params.d
+    gp = graph_params(d, q, 1)
+    cut = correspondence_cutoffs(d)
+    first = (0,) * (d - 1) + (1,)  # the lowest regular exponent of each place
+
+    def expansion(key):
+        # digits of the m-th basis term of part j at the place, on [first, hi]
+        place, j, m, hi = key
+        if j < d - 1:
+            den = tuple(m + 1 if t == j else 0 for t in range(d - 1))
+            term = RationalElement(params, (1,), den)
+        else:
+            term = RationalElement(params, (0,) * m + (1,), (0,) * (d - 1))
+        return expand_local(term, place + 1, first[place], hi)
+
+    basis = LazyDict(expansion)
+
+    def read(exps: tuple, digits: tuple) -> DLVertex:
+        levels = exps + (-sum(exps),)
+        coords = []
+        for i, own in enumerate(digits):
+            lvl, c, lo = levels[i], cut[i], first[i]
+            hi = lvl + c
+            # own[m] sits at exponent lo - 1 - m; tree indices ascend as m falls
+            out = [
+                (lo - 1 - m - c, own[m])
+                for m in range(len(own) - 1, max(lo - 1 - hi, 0) - 1, -1)
+                if own[m]
+            ]
+            if hi >= lo:
+                acc = [0] * (hi - lo + 1)
+                for j, part in enumerate(digits):
+                    if j != i:
+                        for m, a in enumerate(part):
+                            if a:
+                                acc = [x + a * y for x, y in zip(acc, basis[i, j, m, hi])]
+                out += [(e - c, v) for e, x in enumerate(acc, lo) if (v := x % q)]
+            # the indices are distinct, ascending and at most lvl, the values
+            # in 1..q-1, and the levels sum to 0: a valid vertex of DL_d(q)
+            coords.append(TreeVertex(lvl, tuple(out)))
+        return DLVertex(gp, tuple(coords))
+
+    return read
+
+
 def correspond(params: RingParams, g: GroupElement) -> DLVertex:
-    """Image of a group element in DL_d(q) under the digit correspondence."""
-    gp = graph_params(params.d, params.q, 1)
-    cut = correspondence_cutoffs(params.d)
-    levels = g.exps + (-sum(g.exps),)
-    coords = []
-    for place in range(1, params.d + 1):
-        lvl = levels[place - 1]
-        hi = lvl + cut[place - 1]
-        digits = []
-        if not g.P.is_zero():
-            lo = valuation(g.P, place)
-            if lo <= hi:
-                digits = [
-                    (e - cut[place - 1], val)
-                    for e, val in zip(range(lo, hi + 1), expand_local(g.P, place, lo, hi))
-                    if val
-                ]
-        coords.append(tree_vertex(lvl, digits, q=params.q))
-    return dl_vertex(gp, coords)
+    """Image of a group element in DL_d(q) under the digit correspondence.
+
+    Place i < d gets the expansion digits of P in s = t + l_i strictly
+    below the cutoff exponent exps_i, the place at infinity those in
+    u = 1/t up to -sum(exps), each at its tree index (exponent minus the
+    place's cutoff offset). They are read off P's partial-fraction digits
+    by _image_reader.
+    """
+    return _image_reader(params)(g.exps, partial_fractions(g.P))
 
 
 @dataclass(frozen=True)
@@ -257,35 +316,39 @@ def validate_correspondence(
     The image map must be injective and land in the graph ball with word
     length equal to graph depth, and it must carry the Cayley ball's edges
     (generator moves between its elements, within the outer sphere too)
-    exactly onto the graph ball's edges.
+    exactly onto the graph ball's edges. Each image is read straight off
+    the word-ball state by one _image_reader; an element is converted to
+    its normal form only to be named in a failure message.
     """
     cayley_edges = []
     found, depths = _word_ball(params, radius, generators(params), budget, cayley_edges)
     gb = ball(base_vertex(graph_params(params.d, params.q, 1)), radius, budget=budget)
     position = {v.coords: p for p, v in enumerate(gb.vertices)}
+    read = _image_reader(params)
     failures = []
+
+    def name(i: int) -> str:
+        return element_key(_element(params, found[i]))
 
     image = [None] * len(found)  # graph position of each element's image
     preimage = {}
-    for i, (el, dep) in enumerate(zip(found, depths)):
-        v = correspond(params, el)
+    for i, (state, dep) in enumerate(zip(found, depths)):
+        v = read(*state)
         p = position.get(v.coords)
         if p is None:
             failures.append(
-                f"image of {element_key(el)} outside the radius-{radius} ball: {dl_key(v)}"
+                f"image of {name(i)} outside the radius-{radius} ball: {dl_key(v)}"
             )
         elif p in preimage:
             failures.append(
-                f"not injective: {element_key(el)} and "
-                f"{element_key(found[preimage[p]])} map to {gb.keys[p]}"
+                f"not injective: {name(i)} and {name(preimage[p])} map to {gb.keys[p]}"
             )
         else:
             preimage[p] = i
             image[i] = p
             if gb.depths[p] != dep:
                 failures.append(
-                    f"word length {dep} versus graph distance {gb.depths[p]} "
-                    f"for {element_key(el)}"
+                    f"word length {dep} versus graph distance {gb.depths[p]} for {name(i)}"
                 )
 
     graph_edges = set(gb.edges)
@@ -298,9 +361,7 @@ def validate_correspondence(
         if e in graph_edges:
             mapped.add(e)
         else:
-            failures.append(
-                f"edge {element_key(found[i])} -> {element_key(found[j])} not preserved"
-            )
+            failures.append(f"edge {name(i)} -> {name(j)} not preserved")
     failures += [
         f"graph edge {gb.keys[a]} -- {gb.keys[b]} has no preimage"
         for a, b in gb.edges

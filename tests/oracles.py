@@ -7,7 +7,9 @@ vertices, beside the signature-state search of `dlgraph.dl_distance`; box
 membership by tree ancestry, beside the box's fibers; the tile box over a
 vertex, built from its ancestors, beside the corner and roots that
 `qilab.umap` reads arithmetically; and the fiber of an interior map as an
-explicit vertex list, beside the counts of `qilab.preimage_count`.
+explicit vertex list, beside the counts of `qilab.preimage_count`; and
+the group correspondence by expanding each element at every place, beside
+the digit reader of `group._image_reader`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
+from dllab.algebra import expand_local, valuation
 from dllab.dlgraph import (
     DEFAULT_VERTEX_BUDGET,
     Box,
@@ -26,11 +29,14 @@ from dllab.dlgraph import (
     _neighbor_coords,
     cube_contains,
     dl_vertex,
+    graph_params,
     rho,
     tree_ancestor,
     tree_descendants,
     tree_parent,
+    tree_vertex,
 )
+from dllab.group import correspondence_cutoffs
 
 
 def is_tree_ancestor(a, v) -> bool:
@@ -137,3 +143,28 @@ def preimage_vertices(imap, x) -> list:
     for combo in itertools.product(*per_coord):
         out.append(dl_vertex(imap.params, combo))
     return out
+
+
+def correspond_by_expansion(params, g, cut=None):
+    """The image of g in DL_d(q), each place's digits from a fresh expansion of P.
+
+    cut overrides the per-place cutoff offsets (default: the module's).
+    """
+    gp = graph_params(params.d, params.q, 1)
+    cut = correspondence_cutoffs(params.d) if cut is None else cut
+    levels = g.exps + (-sum(g.exps),)
+    coords = []
+    for place in range(1, params.d + 1):
+        lvl = levels[place - 1]
+        hi = lvl + cut[place - 1]
+        digits = []
+        if not g.P.is_zero():
+            lo = valuation(g.P, place)
+            if lo <= hi:
+                digits = [
+                    (e - cut[place - 1], val)
+                    for e, val in zip(range(lo, hi + 1), expand_local(g.P, place, lo, hi))
+                    if val
+                ]
+        coords.append(tree_vertex(lvl, digits, q=params.q))
+    return dl_vertex(gp, coords)

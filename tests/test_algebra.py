@@ -174,6 +174,16 @@ def test_series_inverse(q):
         assert series_mul(f, g, n, q) == (1,) + (0,) * (n - 1)
     with pytest.raises(ValueError):
         series_inv((0, 1), 4, q)
+    # the constant term is inverted as a unit, not by Fermat's little
+    # theorem, so a composite modulus works for a unit constant term and
+    # rejects any other
+    g = series_inv((5, 1), 6, 6)
+    assert g[0] == 5 and series_mul((5, 1), g, 6, 6) == (1, 0, 0, 0, 0, 0)
+    g = series_inv((3, 2, 1), 8, 4)
+    assert series_mul((3, 2, 1), g, 8, 4) == (1,) + (0,) * 7
+    for f, m in (((2, 1), 4), ((3, 1), 6), ((2, 1), 6)):
+        with pytest.raises(ValueError, match="invertible constant term"):
+            series_inv(f, 3, m)
 
 
 # ---------------------------------------------------------------------------

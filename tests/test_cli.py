@@ -658,7 +658,7 @@ class TestCorrespondenceFailures:
     def test_failure_line_reports_total_count(self, capsys, monkeypatch):
         rp = ring_params(2, 2)
         base = group.correspond(rp, group.identity(rp))
-        monkeypatch.setattr(group, "correspond", lambda params, g: base)
+        monkeypatch.setattr(group, "_image_reader", lambda params: lambda exps, digits: base)
         report = group.validate_correspondence(rp, 3)
         args = ["verify", "--d", "2", "--q", "2", "--radius", "3", "--assert", "correspondence"]
         assert run_cli(args) == 1

@@ -13,7 +13,7 @@ from itertools import combinations, product
 import pytest
 
 from dllab import group
-from dllab.algebra import rat_zero, rational, ring_params
+from dllab.algebra import partial_fractions, rat_zero, rational, ring_params
 from dllab.dlgraph import (
     BudgetError,
     _layered_bfs,
@@ -42,7 +42,7 @@ from dllab.group import (
     validate_correspondence,
 )
 
-from oracles import dl_adjacent
+from oracles import correspond_by_expansion, dl_adjacent
 
 
 def random_word(params, rng, length):
@@ -161,6 +161,38 @@ def test_correspondence_cutoffs_shape():
     assert correspondence_cutoffs(4) == (-1, -1, -1, 0)
 
 
+# (d, q, radius): word balls of 208 to 2,105 elements
+READER_CASES = [(2, 2, 5), (2, 3, 5), (2, 5, 4), (3, 2, 3), (3, 3, 3), (3, 5, 2), (4, 3, 2)]
+
+
+@pytest.mark.parametrize("d,q,radius", READER_CASES)
+def test_image_reader_matches_expansion(d, q, radius):
+    p = ring_params(q, d)
+    states, _ = group._word_ball(p, radius, generators(p), DEFAULT_ELEMENT_BUDGET)
+    read = group._image_reader(p)
+    for st in states:
+        assert read(*st) == correspond_by_expansion(p, group._element(p, st))
+
+
+@pytest.mark.parametrize("d,q,radius", [(2, 3, 3), (3, 2, 2)])
+@pytest.mark.parametrize("cut", [0, -1, 1])
+def test_image_reader_reads_cutoffs_when_made(monkeypatch, d, q, radius, cut):
+    p = ring_params(q, d)
+    states, _ = group._word_ball(p, radius, generators(p), DEFAULT_ELEMENT_BUDGET)
+    monkeypatch.setattr(group, "correspondence_cutoffs", lambda n: (cut,) * n)
+    read = group._image_reader(p)
+    for st in states:
+        assert read(*st) == correspond_by_expansion(p, group._element(p, st), (cut,) * d)
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 5), (4, 3)])
+def test_correspond_matches_expansion_on_generators(d, q):
+    p = ring_params(q, d)
+    for g in generators(p):
+        for el in (g, invert(g)):
+            assert correspond(p, el) == correspond_by_expansion(p, el)
+
+
 @pytest.mark.parametrize("q,d,radius", [(2, 2, 3), (3, 2, 2), (2, 3, 2)])
 def test_validate_correspondence_small(q, d, radius):
     p = ring_params(q, d)
@@ -183,7 +215,7 @@ def test_validate_correspondence_counts_every_failure(monkeypatch):
     # a correspondence that sends every element to one vertex fails for all
     # but the first of the 39 elements, more than the 20 kept as samples
     base = correspond(ring_params(2, 2), identity(ring_params(2, 2)))
-    monkeypatch.setattr(group, "correspond", lambda params, g: base)
+    monkeypatch.setattr(group, "_image_reader", lambda params: lambda exps, digits: base)
     report = validate_correspondence(ring_params(2, 2), 3)
     assert not report.ok
     assert len(report.failures) == 20
@@ -201,6 +233,18 @@ def test_validate_correspondence_rejects_uniform_cutoffs(monkeypatch, d, q, radi
     report = validate_correspondence(ring_params(q, d), radius)
     assert not report.ok
     assert report.failure_count >= len(report.failures) > 0
+
+
+def test_validate_correspondence_failure_messages(monkeypatch):
+    # the messages name elements by their normal-form keys, byte for byte
+    monkeypatch.setattr(group, "correspondence_cutoffs", lambda n: (0,) * n)
+    report = validate_correspondence(ring_params(2, 2), 3)
+    assert report.failure_count == 62
+    assert report.failures[:3] == (
+        "word length 1 versus graph distance 3 for (-1,)|(1,)|(1,)",
+        "word length 1 versus graph distance 3 for (1,)|(1,)|(0,)",
+        "image of (-2,)|(1,)|(2,) outside the radius-3 ball: -2:-2=1|2:2=1",
+    )
 
 
 def unswappable_pair(gb, depth):
@@ -230,13 +274,18 @@ def test_validate_correspondence_rejects_swapped_images(monkeypatch, d, q, radiu
     gb = ball(base_vertex(graph_params(d, q)), radius)
     a, b = unswappable_pair(gb, radius - below)
     swap = {a: b, b: a}
-    true_correspond = group.correspond
+    true_reader = group._image_reader
 
-    def swapped(params, g):
-        v = true_correspond(params, g)
-        return swap.get(v, v)
+    def swapped(params):
+        read = true_reader(params)
 
-    monkeypatch.setattr(group, "correspond", swapped)
+        def swapped_read(exps, digits):
+            v = read(exps, digits)
+            return swap.get(v, v)
+
+        return swapped_read
+
+    monkeypatch.setattr(group, "_image_reader", swapped)
     report = validate_correspondence(ring_params(q, d), radius)
     assert report.sphere_group == report.sphere_graph
     assert not report.ok
@@ -273,8 +322,10 @@ def test_digit_word_ball_matches_multiply(d, q, k, radius):
     gens = subgroup_generators(p, k)
     found, depths, edges = multiply_word_ball(p, radius, gens)
     got_edges = []
-    got = group._word_ball(p, radius, gens, DEFAULT_ELEMENT_BUDGET, got_edges)
-    assert got == (found, depths)
+    states, got_depths = group._word_ball(p, radius, gens, DEFAULT_ELEMENT_BUDGET, got_edges)
+    assert states == [(g.exps, partial_fractions(g.P)) for g in found]
+    assert [group._element(p, st) for st in states] == found
+    assert got_depths == depths
     assert got_edges == edges
     cb = cayley_ball(p, radius, gens=gens)
     assert cb.keys == tuple(sorted(element_key(g) for g in found))
@@ -292,6 +343,27 @@ def test_word_balls_never_multiply(monkeypatch):
     monkeypatch.setattr(group, "multiply", refuse)
     assert [cayley_ball(p, 2, gens=ambient), cayley_ball(p, 1, gens=sub)] == expected
     assert validate_correspondence(p, 2).ok
+
+
+def test_validate_correspondence_reads_images_off_digits(monkeypatch):
+    # a passing check converts no state back to a fraction, and it takes
+    # partial-fraction digits once per distinct generator P and exps vector
+    # reached: 7 distinct P over 19 exps vectors, plus the identity
+    def refuse(params, digits):
+        raise AssertionError("a passing check rebuilt a fraction")
+
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return partial_fractions(a)
+
+    monkeypatch.setattr(group, "from_partial_fractions", refuse)
+    monkeypatch.setattr(group, "partial_fractions", counted)
+    p = ring_params(3, 3)
+    assert len({g.P for g in generators(p)}) == 7
+    assert validate_correspondence(p, 2).ok
+    assert len(calls) == 19 * 7 + 1 == 134
 
 
 def test_cayley_ball_budget_reports_counts():
