@@ -113,7 +113,7 @@ def _emit(payload: str, out_path, summary_lines) -> None:
     it the payload owns stdout and summaries go to stderr, so piped payload
     bytes stay clean either way.
     """
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
         for line in summary_lines:
@@ -326,8 +326,8 @@ def _check_folner(params, r, sides) -> "list[tuple[str, bool, str]]":
     ]
 
 
-def _check_correspondence(params, radius) -> "tuple[list, object]":
-    report = group.validate_correspondence(ring_params(params.q, params.d), radius)
+def _check_correspondence(rp, radius) -> "tuple[list, object]":
+    report = group.validate_correspondence(rp, radius)
     checks = [
         (
             "correspondence.spheres",
@@ -344,9 +344,7 @@ def _check_correspondence(params, radius) -> "tuple[list, object]":
     return checks, report
 
 
-def _check_index(params, depth=3) -> "list[tuple[str, bool, str]]":
-    rp = ring_params(params.q, params.d)
-    k = params.k
+def _check_index(rp, k, depth=3) -> "list[tuple[str, bool, str]]":
     # one ambient ball serves both checks: its depth <= k part meets the
     # cosets, its depth <= depth part holds the membership positives
     amb = group.cayley_ball(rp, max(k, depth))
@@ -394,30 +392,36 @@ def cmd_verify(args) -> int:
     # so index-k cubes align, and the Folner suite takes 1, 2 and 3 times it
     side = max(2, params.k)
     sides = _parse_h_list(args.h) if args.h else None
-    if suite in ("folner", "all") and sides is not None and len(sides) < 2:
-        # with one side the decreasing check would pass vacuously
-        raise ValueError(f"the folner suite compares two or more box sides --h, got {args.h!r}")
+    r = args.r if args.r is not None else 1
+    if suite in ("folner", "all"):
+        # with one side the decreasing check would pass vacuously, and with
+        # the empty r=0 boundary it could never pass
+        if sides is not None and len(sides) < 2:
+            raise ValueError(f"the folner suite compares two or more box sides --h, got {args.h!r}")
+        if r < 1:
+            raise ValueError(f"the folner suite needs a boundary thickness --r >= 1, got {r}")
+    # the group suites check the ring once, before any suite runs
+    rp = ring_params(params.q, params.d) if suite in ("correspondence", "index", "all") else None
     checks = []
     report = None
     if suite in ("counting", "all"):
         for h in sides or (side,):
             checks.extend(_check_counting(params, h))
     if suite in ("folner", "all"):
-        r = args.r if args.r is not None else 1
         checks.extend(_check_folner(params, r, sides or (side, 2 * side, 3 * side)))
     if suite in ("correspondence", "all"):
         radius = args.radius if args.radius is not None else 3
-        got, report = _check_correspondence(params, radius)
+        got, report = _check_correspondence(rp, radius)
         checks.extend(got)
     if suite in ("index", "all"):
         if params.k > 1:
-            checks.extend(_check_index(params))
+            checks.extend(_check_index(rp, params.k))
         elif suite == "index":
             raise ValueError("index suite needs --k >= 2")
     lines, status = _verdicts(checks)
     for line in lines:
         print(line)
-    if args.out and report is not None:
+    if args.out is not None and report is not None:
         sizes = report.sphere_group
         rows = zip(range(len(sizes)), sizes, accumulate(sizes))
         _emit(_csv_payload(["radius", "sphere_size", "ball_size"], rows), args.out, [])
@@ -689,6 +693,8 @@ def main(argv=None) -> int:
             # explicit flags still win over the file's defaults
             parser.set_defaults(**_load_config(args.config))
             args = parser.parse_args(argv[1:])
+        if args.out == "":
+            raise ValueError("--out needs a file path, got ''")
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

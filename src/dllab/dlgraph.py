@@ -27,8 +27,13 @@ dropped when the search returns.
 
 Exact distances, for every k, are found by a search over per-coordinate
 heights above the meets, which builds no graph vertex and does not depend
-on q, and are memoized on those height signatures. One move rule,
-_state_moves, serves every k, in the order of _neighbor_coords.
+on q, and are memoized on those height signatures by _state_distance's
+lru_cache. One move rule, _state_moves, serves every k, in the order of
+_neighbor_coords.
+
+Every search limit (vertex budget, distance cap, state budget) is a module
+constant that the search reads when it runs. Only the shared searches,
+_layered_bfs and _meet_in_middle, take their limits as arguments.
 """
 
 from __future__ import annotations
@@ -49,9 +54,11 @@ class RegionAlignmentError(ValueError):
     """A region is not aligned to the requested tiling grid."""
 
 
+# The search limits (see the module docstring) and the size of the distance memo.
 DEFAULT_VERTEX_BUDGET = 500_000
 DEFAULT_DISTANCE_CAP = 64
 DEFAULT_STATE_BUDGET = 200_000
+DIST_CACHE_LIMIT = 1 << 16
 
 
 class GraphParams(NamedTuple):
@@ -581,11 +588,12 @@ def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None, h
     return found, ids, depths
 
 
-def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:
+def ball(center: DLVertex, radius: int) -> BallGraph:
     edges = []
     step = partial(_neighbor_coords, center.params, moves=_move_table(center.params))
     found, _, found_depth = _layered_bfs(
-        center.coords, radius, step, budget, "vertices", edges, partial(step, half=True)
+        center.coords, radius, step, DEFAULT_VERTEX_BUDGET, "vertices", edges,
+        partial(step, half=True),
     )
     del step  # drops the move table before the vertices are keyed
     found = [DLVertex(center.params, c) for c in found]
@@ -610,16 +618,16 @@ def ball(center: DLVertex, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> 
 
 
 def sorted_box_members(
-    params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET
+    params: GraphParams, box: Box
 ) -> "tuple[tuple[str, ...], tuple[DLVertex, ...]]":
     """The members of a box and their keys, both in key order.
 
-    The closed-form size is checked against the budget before any member
-    is built. A fiber's member keys are the products of its pools' keys.
+    The closed-form size is checked against the vertex budget before any
+    member is built. A fiber's member keys are the products of its pools' keys.
     """
     n = box_size(params, box)
-    if n > budget:
-        raise BudgetError(f"box has {n} members, budget {budget}")
+    if n > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(f"box has {n} members, budget {DEFAULT_VERTEX_BUDGET}")
     keys, members = [], []
     for point in cube_points(box.cube):
         pools = fiber_pools(params, box, point)
@@ -629,9 +637,9 @@ def sorted_box_members(
     return tuple(keys[i] for i in order), tuple(members[i] for i in order)
 
 
-def box_graph(params: GraphParams, box: Box, budget: int = DEFAULT_VERTEX_BUDGET) -> BallGraph:
+def box_graph(params: GraphParams, box: Box) -> BallGraph:
     """Induced subgraph on the members of a box."""
-    keys, vertices = sorted_box_members(params, box, budget)
+    keys, vertices = sorted_box_members(params, box)
     index = {v.coords: i for i, v in enumerate(vertices)}
     # the move table goes with the half-step when the edge pass returns
     edges = _induced_edges(
@@ -698,12 +706,6 @@ def export_json(g: BallGraph) -> str:
 # ---------------------------------------------------------------------------
 # exact distances
 
-# Memo of dl_distance answers by pair signature. It is emptied when an insert
-# finds it holding DIST_CACHE_LIMIT entries, so it stays bounded; lookups
-# never check the size.
-_DIST_CACHE: dict = {}
-DIST_CACHE_LIMIT = 1 << 16
-
 
 def _pair_signature(u: DLVertex, v: DLVertex) -> tuple:
     """Complete invariant of a vertex pair under graph automorphisms.
@@ -725,31 +727,30 @@ def _canonical_state(k: int, sig: tuple) -> tuple:
     return sig[:lo] + tuple(sorted(sig[lo:]))
 
 
-def dl_distance(u: DLVertex, v: DLVertex, cap: int = DEFAULT_DISTANCE_CAP) -> int:
+def dl_distance(u: DLVertex, v: DLVertex) -> int:
     """Exact graph distance, by a search over signature states; memoized.
 
     The state is the pair signature in _canonical_state's order. The moves
     (_state_moves) build no graph vertex and do not depend on q, so the
-    memo key is (k, state).
+    answer is _state_distance's for (k, state).
     """
     if u.params != v.params:
         raise ValueError("vertices live in different graphs")
-    if u == v:
-        return 0
     k = u.params.k
-    state = _canonical_state(k, _pair_signature(u, v))
-    dist = _DIST_CACHE.get((k, state))
-    if dist is None:
-        step = partial(_state_moves, k)
-        goal = ((0, 0),) * len(state)
-        dist = _meet_in_middle(state, goal, step, cap, DEFAULT_STATE_BUDGET, "states")
-        if len(_DIST_CACHE) >= DIST_CACHE_LIMIT:
-            _DIST_CACHE.clear()
-        _DIST_CACHE[k, state] = dist
-    elif dist > cap:
-        # a cached distance obeys the cap exactly as a fresh search would
-        raise BudgetError(f"no path within distance cap {cap}: the distance is {dist}")
-    return dist
+    return _state_distance(k, _canonical_state(k, _pair_signature(u, v)))
+
+
+@lru_cache(maxsize=DIST_CACHE_LIMIT)
+def _state_distance(k: int, state: tuple) -> int:
+    """Distance from a signature state to the goal, every pair (0, 0).
+
+    The search runs under DEFAULT_DISTANCE_CAP and DEFAULT_STATE_BUDGET,
+    read when it runs; a search that raises caches nothing.
+    """
+    goal = ((0, 0),) * len(state)
+    return _meet_in_middle(
+        state, goal, partial(_state_moves, k), DEFAULT_DISTANCE_CAP, DEFAULT_STATE_BUDGET, "states"
+    )
 
 
 def _climb(pair: tuple, m: int) -> tuple:

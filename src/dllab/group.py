@@ -153,7 +153,7 @@ class CayleyBall:
     depths: tuple
 
 
-def _word_ball(params: RingParams, radius: int, gens: tuple, budget: int, edges=None):
+def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
     """The shared layered BFS in the word metric, run on partial-fraction digits.
 
     A BFS state is (exps, partial_fractions(P)), a bijective image of the
@@ -184,7 +184,7 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, budget: int, edges=
     start = identity(params)
     found, _, depths = _layered_bfs(
         (pool.setdefault(start.exps, start.exps), partial_fractions(start.P)),
-        radius, step, budget, "elements", edges,
+        radius, step, DEFAULT_ELEMENT_BUDGET, "elements", edges,
     )
     return found, depths
 
@@ -199,10 +199,9 @@ def cayley_ball(
     params: RingParams,
     radius: int,
     gens: Optional[Sequence[GroupElement]] = None,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> CayleyBall:
     gens = tuple(gens) if gens is not None else generators(params)
-    found, depths = _word_ball(params, radius, gens, budget)
+    found, depths = _word_ball(params, radius, gens)
     # only one form of the elements is alive at a time: each state is
     # replaced in place by its element, the den tuples shared like the exps
     pool = {}
@@ -308,9 +307,7 @@ class CorrespondenceReport:
     failure_count: int  # all failures found, sampled or not
 
 
-def validate_correspondence(
-    params: RingParams, radius: int, budget: int = DEFAULT_ELEMENT_BUDGET
-) -> CorrespondenceReport:
+def validate_correspondence(params: RingParams, radius: int) -> CorrespondenceReport:
     """Check the ball of the given radius maps isomorphically onto the graph ball.
 
     The image map must be injective and land in the graph ball with word
@@ -321,8 +318,8 @@ def validate_correspondence(
     its normal form only to be named in a failure message.
     """
     cayley_edges = []
-    found, depths = _word_ball(params, radius, generators(params), budget, cayley_edges)
-    gb = ball(base_vertex(graph_params(params.d, params.q, 1)), radius, budget=budget)
+    found, depths = _word_ball(params, radius, generators(params), cayley_edges)
+    gb = ball(base_vertex(graph_params(params.d, params.q, 1)), radius)
     position = {v.coords: p for p, v in enumerate(gb.vertices)}
     read = _image_reader(params)
     failures = []
@@ -442,8 +439,6 @@ def subgroup_generators(params: RingParams, k: int) -> "tuple[GroupElement, ...]
     return gens
 
 
-def subgroup_ball(
-    params: RingParams, k: int, depth: int, budget: int = DEFAULT_ELEMENT_BUDGET
-) -> CayleyBall:
+def subgroup_ball(params: RingParams, k: int, depth: int) -> CayleyBall:
     """Ball in the subgroup word metric (each letter is an ambient k-step)."""
-    return cayley_ball(params, depth, gens=subgroup_generators(params, k), budget=budget)
+    return cayley_ball(params, depth, gens=subgroup_generators(params, k))

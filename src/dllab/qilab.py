@@ -494,9 +494,7 @@ class MeasureCheck:
     samples: int
 
 
-def measure_linear_constant(
-    m: BoundaryMap, depth: int, budget: int = DEFAULT_PROBE_BUDGET
-) -> MeasureCheck:
+def measure_linear_constant(m: BoundaryMap, depth: int) -> MeasureCheck:
     """Check that image measure / clone measure is one constant.
 
     Enumerates every clone at the given depth whose digits are supported
@@ -516,9 +514,9 @@ def measure_linear_constant(
         raise ValueError("probe window is empty")
     width = depth - probe_lo + 1
     q = m.q
-    if q ** width > budget:
+    if q ** width > DEFAULT_PROBE_BUDGET:
         raise BudgetError(
-            f"probe window enumerates {q ** width} clones, budget {budget}"
+            f"probe window enumerates {q ** width} clones, budget {DEFAULT_PROBE_BUDGET}"
         )
     ratio = None
     witness_clone = None
@@ -655,7 +653,6 @@ def fiber_count_audit(
     box: Box,
     r: Optional[int] = None,
     bilip: Optional[int] = None,
-    budget: int = DEFAULT_FIBER_BUDGET,
 ) -> FiberAudit:
     """Two-sided test of total fiber mass over a box.
 
@@ -684,8 +681,8 @@ def fiber_count_audit(
             r += 1
         r = max(r, 1)
     n = box_size(params, box)
-    if n > budget:
-        raise BudgetError(f"box has {n} members, budget {budget}")
+    if n > DEFAULT_FIBER_BUDGET:
+        raise BudgetError(f"box has {n} members, budget {DEFAULT_FIBER_BUDGET}")
     q = params.q
     fiber_total = _fiber_totals(imap, box)
     boundary = set(cube_boundary(params, box.cube, r))

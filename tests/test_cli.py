@@ -48,6 +48,8 @@ def no_work(monkeypatch):
         (qilab, "fiber_count_audit"),
         (qilab, "make_tiling"),
         (cli, "sorted_box_members"),
+        (cli, "ball"),
+        (cli, "box_graph"),
     ]:
         monkeypatch.setattr(module, name, refuse)
 
@@ -748,6 +750,18 @@ class TestUsageErrors:
                 "qilab --mode audit does not read --pairs, --seed",
             ),
             (["qilab", "--mode", "audit", "--format", "dot"], "audit mode writes csv or json, not 'dot'"),
+            # the group suites check the ring before any suite runs
+            (["verify", "--d", "2", "--q", "4"], "q must be a prime integer, got 4"),
+            (["verify", "--d", "5", "--q", "3"], "d - 1 = 4 exceeds q = 3"),
+            # an empty --out is rejected like an empty --config
+            (["graph", "--d", "2", "--q", "2", "--radius", "1", "--out", ""], "--out needs a file path"),
+            (["verify", "--assert", "correspondence", "--out", ""], "--out needs a file path"),
+            # the r=0 boundary is empty, so no Folner ratio can decrease
+            (
+                ["verify", "--d", "2", "--q", "2", "--assert", "folner", "--r", "0"],
+                "boundary thickness --r >= 1, got 0",
+            ),
+            (["verify", "--r", "-1"], "boundary thickness --r >= 1, got -1"),
         ],
     )
     def test_rejected_before_any_work(self, capsys, no_work, argv, message):

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -215,7 +216,7 @@ def test_adjacency_matches_neighbor_sets(d, q, k):
         assert dl_adjacent(u, v) == in_nbrs
 
 
-def test_ball_examples():
+def test_ball_examples(monkeypatch):
     p = graph_params(2, 2)
     g0 = ball(base_vertex(p), 0)
     assert len(g0.vertices) == 1 and g0.edges == ()
@@ -223,8 +224,9 @@ def test_ball_examples():
     assert len(g1.vertices) == 5
     assert len(g1.edges) == 4
     assert sphere_sizes(g1) == (1, 4)
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 10)
     with pytest.raises(BudgetError, match=r"budget 10: 11 vertices reached at depth 2"):
-        ball(base_vertex(p), 3, budget=10)
+        ball(base_vertex(p), 3)
 
 
 @pytest.mark.parametrize("d,q,radius", [(2, 2, 4), (2, 3, 3), (3, 2, 3)])
@@ -581,6 +583,14 @@ def test_box_graph_matches_reference(d, q, k):
 # distances
 
 
+@pytest.fixture
+def cold_memo():
+    """An empty distance memo before and after the test, so each distance is searched."""
+    dlgraph._state_distance.cache_clear()
+    yield
+    dlgraph._state_distance.cache_clear()
+
+
 def naive_distance(u, v, cap=12):
     if u == v:
         return 0
@@ -633,27 +643,29 @@ def test_distance_matches_naive_bfs_other_graphs(d, q, k):
         assert dl_distance(u, v) == naive_distance(u, v)
 
 
-def test_distance_on_index_graph():
+def test_distance_on_index_graph(monkeypatch, cold_memo):
     p = graph_params(2, 2, 2)
     base = base_vertex(p)
     for w in dl_neighbors(base):
         assert dl_distance(base, w) == 1
+    monkeypatch.setattr(dlgraph, "DEFAULT_DISTANCE_CAP", 2)
     with pytest.raises(BudgetError):
         far = dl_vertex(p, (tree_root(8), tree_root(-8)))
-        dl_distance(base, far, cap=2)
+        dl_distance(base, far)
 
 
-def test_distance_cap_holds_cold_and_warm(monkeypatch):
-    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+def test_distance_cap_holds_cold(monkeypatch, cold_memo):
     p = graph_params(2, 2, 2)
     base = base_vertex(p)
     far = dl_vertex(p, (tree_root(8), tree_root(-8)))
-    with pytest.raises(BudgetError, match=r"cap 2: searched depths 1 and 1, 8 states reached"):
-        dl_distance(base, far, cap=2)
+    with monkeypatch.context() as mp:
+        mp.setattr(dlgraph, "DEFAULT_DISTANCE_CAP", 2)
+        with pytest.raises(BudgetError, match=r"cap 2: searched depths 1 and 1, 8 states reached"):
+            dl_distance(base, far)
     assert dl_distance(base, far) == 4
-    assert dl_distance(base, far, cap=4) == 4
-    with pytest.raises(BudgetError, match=r"cap 3: the distance is 4"):
-        dl_distance(base, far, cap=3)
+    monkeypatch.setattr(dlgraph, "DEFAULT_DISTANCE_CAP", 4)
+    dlgraph._state_distance.cache_clear()
+    assert dl_distance(base, far) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +706,7 @@ def bfs_by_signature():
 
 
 @pytest.mark.parametrize("d,q,k,r", ORACLE_BALLS, ids=oracle_ids(ORACLE_BALLS))
-def test_signature_search_matches_vertex_bfs(monkeypatch, bfs_by_signature, d, q, k, r):
-    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+def test_signature_search_matches_vertex_bfs(cold_memo, bfs_by_signature, d, q, k, r):
     table = bfs_by_signature[d, q, k, r]
     # a radius-1 ball at d = 2, q = 3, k = 3 holds 9 signature classes
     assert len(table) > (40 if k == 1 else 8)
@@ -728,8 +739,7 @@ FAR_WALKS = (
 
 
 @pytest.mark.parametrize("d,q,k,steps", FAR_WALKS, ids=oracle_ids(FAR_WALKS))
-def test_signature_search_matches_vertex_bfs_far_pairs(monkeypatch, d, q, k, steps):
-    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+def test_signature_search_matches_vertex_bfs_far_pairs(cold_memo, d, q, k, steps):
     p = graph_params(d, q, k)
     rng = random.Random(41 + d + q)
     base = base_vertex(p)
@@ -749,9 +759,8 @@ def test_signature_distance_does_not_depend_on_q(bfs_by_signature, d, k):
         assert q2[sig][2] == q3[sig][2]
 
 
-def test_index_distance_far_beyond_the_vertex_budget(monkeypatch):
+def test_index_distance_far_beyond_the_vertex_budget(cold_memo):
     # a vertex BFS stops at its budget of 500,000 vertices on this pair
-    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
     p = graph_params(3, 3, 3)
     far = dl_vertex(
         p,
@@ -766,13 +775,12 @@ def test_index_distance_far_beyond_the_vertex_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("d,q,k,r", [(2, 2, 2, 3), (3, 2, 2, 2), (3, 2, 3, 2)])
-def test_index_distance_builds_no_graph_move(monkeypatch, d, q, k, r):
+def test_index_distance_builds_no_graph_move(monkeypatch, cold_memo, d, q, k, r):
     g = ball(base_vertex(graph_params(d, q, k)), r)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a distance search stepped through graph vertices")
 
-    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
     monkeypatch.setattr(dlgraph, "_neighbor_coords", refuse)
     monkeypatch.setattr(dlgraph, "_move_table", refuse)
     for v, dep in zip(g.vertices, g.depths):
@@ -793,11 +801,10 @@ def pair_with_signature(params, sig):
     return dl_vertex(params, u), dl_vertex(params, v)
 
 
-def test_two_coordinate_distance_is_bertacchis_closed_form(monkeypatch):
+def test_two_coordinate_distance_is_bertacchis_closed_form(cold_memo):
     # on DL_2(q), D = c_1 + e_1 + c_2 + e_2 - |c_1 - e_1| (Bertacchi, "Random
     # walks on Diestel-Leader graphs", 2001), here on every signature with
     # entries at most 7
-    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
     p = graph_params(2, 2)
     sigs = [
         ((c1, e1), (c2, c1 + c2 - e1))
@@ -812,21 +819,21 @@ def test_two_coordinate_distance_is_bertacchis_closed_form(monkeypatch):
         assert dl_distance(u, v) == c1 + e1 + c2 + e2 - abs(c1 - e1)
 
 
-def test_signature_distance_cap_holds_cold_and_warm(monkeypatch):
-    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+def test_signature_distance_cap_holds_cold(monkeypatch, cold_memo):
     p = graph_params(2, 2)
     base = base_vertex(p)
     far = dl_vertex(p, (tree_root(4), tree_root(-4)))
-    with pytest.raises(BudgetError, match=r"cap 2: searched depths 1 and 1, 6 states reached"):
-        dl_distance(base, far, cap=2)
+    with monkeypatch.context() as mp:
+        mp.setattr(dlgraph, "DEFAULT_DISTANCE_CAP", 2)
+        with pytest.raises(BudgetError, match=r"cap 2: searched depths 1 and 1, 6 states reached"):
+            dl_distance(base, far)
     assert dl_distance(base, far) == 4
-    assert dl_distance(far, base, cap=4) == 4
-    with pytest.raises(BudgetError, match=r"cap 3: the distance is 4"):
-        dl_distance(base, far, cap=3)
+    monkeypatch.setattr(dlgraph, "DEFAULT_DISTANCE_CAP", 4)
+    dlgraph._state_distance.cache_clear()
+    assert dl_distance(far, base) == 4
 
 
-def test_distance_searches_hold_their_budgets(monkeypatch):
-    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
+def test_distance_searches_hold_their_budgets(monkeypatch, cold_memo):
     monkeypatch.setattr(dlgraph, "DEFAULT_STATE_BUDGET", 3)
     p = graph_params(2, 2)
     far = dl_vertex(p, (tree_root(4), tree_root(-4)))
@@ -838,25 +845,30 @@ def test_distance_searches_hold_their_budgets(monkeypatch):
         dl_distance(base_vertex(p2), far2)
 
 
-def test_distance_memo_stays_bounded(monkeypatch):
-    # far more distinct signatures than the limit: the memo is emptied on
-    # insert whenever it is full, every answer stays exact, and a distance
-    # cached after the emptying still obeys a smaller cap
-    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})
-    monkeypatch.setattr(dlgraph, "DIST_CACHE_LIMIT", 3)
+def test_distance_memo_stays_bounded():
+    # the memo holds DIST_CACHE_LIMIT answers; the same search under a
+    # three-entry cache, with far more distinct signatures than that over
+    # the ball, stays at three entries and every answer stays exact
+    assert dlgraph._state_distance.cache_info().maxsize == dlgraph.DIST_CACHE_LIMIT
+    small = lru_cache(maxsize=3)(dlgraph._state_distance.__wrapped__)
     p = graph_params(2, 3)
     base = base_vertex(p)
     sizes = []
     for v in ball(base, 3).vertices:
-        assert dl_distance(base, v) == vertex_distance(base, v, DEFAULT_DISTANCE_CAP)
-        sizes.append(len(dlgraph._DIST_CACHE))
+        state = dlgraph._canonical_state(1, dlgraph._pair_signature(base, v))
+        assert small(1, state) == vertex_distance(base, v, DEFAULT_DISTANCE_CAP)
+        sizes.append(small.cache_info().currsize)
     assert max(sizes) == 3
-    assert sizes.count(1) > 2  # emptied and refilled more than once
-    far = dl_vertex(p, (tree_root(4), tree_root(-4)))
-    assert dl_distance(base, far) == 4
-    assert dlgraph._DIST_CACHE[1, ((0, 4), (4, 0))] == 4
-    with pytest.raises(BudgetError, match=r"cap 3: the distance is 4"):
-        dl_distance(base, far, cap=3)
+    assert small.cache_info().misses > 3  # entries were evicted and searched again
+
+
+def test_repeated_pair_is_one_memo_hit(cold_memo):
+    p = graph_params(3, 2)
+    base = base_vertex(p)
+    far = dl_vertex(p, (tree_root(2), tree_root(-1), tree_root(-1)))
+    assert dl_distance(base, far) == dl_distance(base, far)
+    info = dlgraph._state_distance.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -971,9 +983,10 @@ def small_ball():
         if (d, q, k) not in built:
             p = graph_params(d, q, k)
             g = ball(base_vertex(p), 1)
-            with contextlib.suppress(BudgetError):
+            with pytest.MonkeyPatch.context() as mp, contextlib.suppress(BudgetError):
+                mp.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 2_000)
                 while True:
-                    g = ball(base_vertex(p), g.radius + 1, budget=2_000)
+                    g = ball(base_vertex(p), g.radius + 1)
             built[d, q, k] = g
         return built[d, q, k]
 
@@ -1015,7 +1028,7 @@ def test_searches_run_on_coordinate_tuples(monkeypatch):
         far = g.vertices[g.depths.index(3)]
         cases.append((base, p, canonical_box(p, cube), far, k))
     expected = [
-        (ball(base, 3), box_graph(p, box), k > 1 and dl_distance(base, far, 8))
+        (ball(base, 3), box_graph(p, box), k > 1 and dl_distance(base, far))
         for base, p, box, far, k in cases
     ]
 
@@ -1023,9 +1036,9 @@ def test_searches_run_on_coordinate_tuples(monkeypatch):
         raise AssertionError("a search built DLVertex neighbours")
 
     monkeypatch.setattr(dlgraph, "dl_neighbors", refuse)
-    monkeypatch.setattr(dlgraph, "_DIST_CACHE", {})  # so each distance is searched again
+    dlgraph._state_distance.cache_clear()  # so each distance is searched again
     got = [
-        (ball(base, 3), box_graph(p, box), k > 1 and dl_distance(base, far, 8))
+        (ball(base, 3), box_graph(p, box), k > 1 and dl_distance(base, far))
         for base, p, box, far, k in cases
     ]
     assert got == expected
@@ -1090,21 +1103,21 @@ def test_back_to_back_searches_match_reference_across_q(d, k):
 
 
 def test_searches_leave_no_module_state():
-    # the move tables live only as long as their search; the distance memo
-    # is the module's one cache, and it is bounded
-    def sizes():
-        return {
-            name: len(obj)
+    # the move tables live only as long as their search, and the distance
+    # memo is _state_distance's bounded lru_cache, so the module holds no
+    # dict, list or set at all
+    def containers():
+        return [
+            name
             for name, obj in vars(dlgraph).items()
             if isinstance(obj, (dict, list, set)) and not name.startswith("__")
-            and name != "_DIST_CACHE"
-        }
+        ]
 
-    before = sizes()
+    assert containers() == []
     for d, q, k in [(3, 2, 1), (2, 3, 2), (3, 2, 2)]:
         p = graph_params(d, q, k)
         base = base_vertex(p)
         g = ball(base, 2)
         box_graph(p, canonical_box(p, height_cube([(0, k)] * (d - 1), k)))
-        assert dl_distance(base, g.vertices[-1], 8) == g.depths[-1]
-    assert sizes() == before
+        assert dl_distance(base, g.vertices[-1]) == g.depths[-1]
+    assert containers() == []

@@ -168,7 +168,7 @@ READER_CASES = [(2, 2, 5), (2, 3, 5), (2, 5, 4), (3, 2, 3), (3, 3, 3), (3, 5, 2)
 @pytest.mark.parametrize("d,q,radius", READER_CASES)
 def test_image_reader_matches_expansion(d, q, radius):
     p = ring_params(q, d)
-    states, _ = group._word_ball(p, radius, generators(p), DEFAULT_ELEMENT_BUDGET)
+    states, _ = group._word_ball(p, radius, generators(p))
     read = group._image_reader(p)
     for st in states:
         assert read(*st) == correspond_by_expansion(p, group._element(p, st))
@@ -178,7 +178,7 @@ def test_image_reader_matches_expansion(d, q, radius):
 @pytest.mark.parametrize("cut", [0, -1, 1])
 def test_image_reader_reads_cutoffs_when_made(monkeypatch, d, q, radius, cut):
     p = ring_params(q, d)
-    states, _ = group._word_ball(p, radius, generators(p), DEFAULT_ELEMENT_BUDGET)
+    states, _ = group._word_ball(p, radius, generators(p))
     monkeypatch.setattr(group, "correspondence_cutoffs", lambda n: (cut,) * n)
     read = group._image_reader(p)
     for st in states:
@@ -322,7 +322,7 @@ def test_digit_word_ball_matches_multiply(d, q, k, radius):
     gens = subgroup_generators(p, k)
     found, depths, edges = multiply_word_ball(p, radius, gens)
     got_edges = []
-    states, got_depths = group._word_ball(p, radius, gens, DEFAULT_ELEMENT_BUDGET, got_edges)
+    states, got_depths = group._word_ball(p, radius, gens, got_edges)
     assert states == [(g.exps, partial_fractions(g.P)) for g in found]
     assert [group._element(p, st) for st in states] == found
     assert got_depths == depths
@@ -366,9 +366,10 @@ def test_validate_correspondence_reads_images_off_digits(monkeypatch):
     assert len(calls) == 19 * 7 + 1 == 134
 
 
-def test_cayley_ball_budget_reports_counts():
+def test_cayley_ball_budget_reports_counts(monkeypatch):
+    monkeypatch.setattr(group, "DEFAULT_ELEMENT_BUDGET", 10)
     with pytest.raises(BudgetError, match=r"budget 10: 11 elements reached at depth 2"):
-        cayley_ball(ring_params(2, 2), 3, budget=10)
+        cayley_ball(ring_params(2, 2), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,7 @@ def test_index_coverage_matches_full_subgroup_ball(monkeypatch, d, q, k, dropped
     ]
     reached = set(cayley_ball(p, 3, gens=gens).keys)
     assert all(key in reached for key in positives) is covered
-    checks = {name: ok for name, ok, _ in cli._check_index(graph_params(d, q, k))}
+    checks = {name: ok for name, ok, _ in cli._check_index(p, k)}
     assert checks["index.coverage"] is covered
 
 

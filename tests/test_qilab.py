@@ -379,14 +379,16 @@ class TestBoundaryMaps:
         with pytest.raises(ValueError):
             measure_linear_constant(BoundaryMap(2, (rw,)), depth=1)
 
-    def test_probe_budget_guard(self):
+    def test_probe_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(qilab, "DEFAULT_PROBE_BUDGET", 100)
         with pytest.raises(ValueError):
-            measure_linear_constant(shift_map(2, 1), depth=40, budget=100)
+            measure_linear_constant(shift_map(2, 1), depth=40)
 
-    def test_probe_budget_is_a_budget_error(self):
+    def test_probe_budget_is_a_budget_error(self, monkeypatch):
+        monkeypatch.setattr(qilab, "DEFAULT_PROBE_BUDGET", 100)
         assert issubclass(dlgraph.BudgetError, ValueError)
         with pytest.raises(dlgraph.BudgetError, match=r"^probe window enumerates 2048 clones, budget 100$"):
-            measure_linear_constant(shift_map(2, 1), depth=9, budget=100)
+            measure_linear_constant(shift_map(2, 1), depth=9)
 
     def test_probe_window_covers_span(self):
         # the window runs from one index below the structural span (and
@@ -555,13 +557,15 @@ class TestFiberAudit:
         assert audit.upper_bound == 58368
         assert audit.bounds_ok
 
-    def test_box_budget_is_a_budget_error(self):
+    def test_box_budget_is_a_budget_error(self, monkeypatch):
         p = graph_params(2, 2)
         im = interior_map(p, (shift_map(2, 1), identity_map(2)))
         box = canonical_box(p, height_cube([(0, 4)]))
+        monkeypatch.setattr(qilab, "DEFAULT_FIBER_BUDGET", 79)
         with pytest.raises(dlgraph.BudgetError, match=r"^box has 80 members, budget 79$"):
-            fiber_count_audit(im, box, budget=79)
-        assert fiber_count_audit(im, box, budget=80).box_size == 80
+            fiber_count_audit(im, box)
+        monkeypatch.setattr(qilab, "DEFAULT_FIBER_BUDGET", 80)
+        assert fiber_count_audit(im, box).box_size == 80
 
     def test_default_radius_covers_bilip(self):
         p = graph_params(2, 2)
