@@ -38,6 +38,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -344,25 +345,8 @@ def _check_correspondence(rp, radius) -> "tuple[list, object]":
     return checks, report
 
 
-def _check_index(rp, k, depth=3) -> "list[tuple[str, bool, str]]":
-    # one ambient ball serves both checks: its depth <= k part meets the
-    # cosets, its depth <= depth part holds the membership positives
-    amb = group.cayley_ball(rp, max(k, depth))
-    cosets = {group.coset_index(g, k) for g, dep in zip(amb.elements, amb.depths) if dep <= k}
-    positives = [
-        (key, g)
-        for key, g, dep in zip(amb.keys, amb.elements, amb.depths)
-        if dep <= depth and group.subgroup_membership(g, k)
-    ]
-    # B_depth = B_(depth-1) ∪ B_(depth-1)·S and S is closed under inversion,
-    # so g is within depth subgroup words iff g or some g·s is within depth-1
-    gens = group.subgroup_generators(rp, k)
-    sub_keys = set(group.cayley_ball(rp, depth - 1, gens=gens).keys)
-    covered = all(
-        key in sub_keys
-        or any(group.element_key(group.multiply(g, s)) in sub_keys for s in gens)
-        for key, g in positives
-    )
+def _check_index(rp, k) -> "list[tuple[str, bool, str]]":
+    cosets, positives, covered = group.index_check(rp, k)
     return [
         (
             "index.cosets",
@@ -372,8 +356,8 @@ def _check_index(rp, k, depth=3) -> "list[tuple[str, bool, str]]":
         (
             "index.coverage",
             covered,
-            f"{len(positives)} membership-positive elements of the radius-{depth} "
-            f"ball all reached by depth-{depth} subgroup words",
+            f"{positives} membership-positive elements of the radius-3 "
+            "ball all reached by depth-3 subgroup words",
         ),
     ]
 
@@ -693,8 +677,15 @@ def main(argv=None) -> int:
             # explicit flags still win over the file's defaults
             parser.set_defaults(**_load_config(args.config))
             args = parser.parse_args(argv[1:])
-        if args.out == "":
-            raise ValueError("--out needs a file path, got ''")
+        # the payload is written last, so its path is checked first
+        if args.out is not None:
+            if not args.out:
+                raise ValueError("--out needs a file path, got ''")
+            folder = os.path.dirname(args.out) or "."
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise ValueError(f"--out needs a writable directory, got {folder!r}")
+            if os.path.isdir(args.out):
+                raise ValueError(f"--out needs a file path, got the directory {args.out!r}")
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

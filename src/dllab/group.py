@@ -18,11 +18,13 @@ than on the normal form: a product by a generator s adds the term
 U(exps) * s.P, whose digits are cached per exps vector and distinct
 generator P within the ball, so each product is a digit addition mod q.
 cayley_ball converts each state back to the normal form, and keys it,
-once after the BFS. The correspondence check never does: it reads each
-image off the state's digits, since a place's expansion digits are its own
+once after the BFS; it remains for the acceptance harness and the tests.
+The correspondence check never converts: it reads each image off the
+state's digits, since a place's expansion digits are its own
 partial-fraction digits below the split exponent and a fixed linear
-combination of the other places' digits above it. multiply and invert
-remain the general group law.
+combination of the other places' digits above it. The index checks
+(index_check) read cosets and coverage off states too. multiply and
+invert remain the general group law.
 
 The index-k subgroup is the kernel of the first exponent mod k. One
 construction gives its generating set: k-step products along the first
@@ -153,19 +155,18 @@ class CayleyBall:
     depths: tuple
 
 
-def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
-    """The shared layered BFS in the word metric, run on partial-fraction digits.
+def _word_step(params: RingParams, gens: tuple):
+    """The word-metric BFS step on partial-fraction digits, and the identity's state.
 
-    A BFS state is (exps, partial_fractions(P)), a bijective image of the
+    A state is (exps, partial_fractions(P)), a bijective image of the
     normal form (_element converts back). g * s adds U(g.exps) * s.P to P,
     a term that depends only on g.exps and s.P: its digits are computed
     once per exps vector seen and distinct generator P, and each product
-    is a place-wise digit addition (pf_add). Returns the states in
-    discovery order and their depths; edges, if given, gets the edge list
-    as in _layered_bfs.
+    is a place-wise digit addition (pf_add). step(state) lists the states
+    g * s in the order of gens.
     """
     q = params.q
-    pool = {}  # one shared tuple per exps vector in this ball
+    pool = {}  # one shared tuple per exps vector this step reaches
     distinct = {}  # each distinct generator P -> its index among them
     letters = [(s.exps, distinct.setdefault(s.P, len(distinct))) for s in gens]
     moves = {}  # exps -> [(exps of g * s, digits of U(exps) * s.P) for s in gens]
@@ -182,9 +183,18 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
         return [(e, pf_add(digits, term, q)) for e, term in out]
 
     start = identity(params)
+    return step, (pool.setdefault(start.exps, start.exps), partial_fractions(start.P))
+
+
+def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
+    """The shared layered BFS in the word metric, run on _word_step's states.
+
+    Returns the states in discovery order and their depths; edges, if
+    given, gets the edge list as in _layered_bfs.
+    """
+    step, start = _word_step(params, gens)
     found, _, depths = _layered_bfs(
-        (pool.setdefault(start.exps, start.exps), partial_fractions(start.P)),
-        radius, step, DEFAULT_ELEMENT_BUDGET, "elements", edges,
+        start, radius, step, DEFAULT_ELEMENT_BUDGET, "elements", edges
     )
     return found, depths
 
@@ -442,3 +452,25 @@ def subgroup_generators(params: RingParams, k: int) -> "tuple[GroupElement, ...]
 def subgroup_ball(params: RingParams, k: int, depth: int) -> CayleyBall:
     """Ball in the subgroup word metric (each letter is an ambient k-step)."""
     return cayley_ball(params, depth, gens=subgroup_generators(params, k))
+
+
+def index_check(params: RingParams, k: int) -> "tuple[set, int, bool]":
+    """The index-k checks, read off word-ball states: (cosets, positives, covered).
+
+    cosets is the set of first exponents mod k over the radius-k ball;
+    positives counts the elements of the radius-3 ball in the subgroup
+    (first exponent divisible by k); covered says whether each of them is a
+    product of at most 3 subgroup generators. B_3 = B_2 ∪ B_2·S and S is
+    closed under inversion, so a positive g is covered iff g or some g·s
+    lies in the depth-2 subgroup ball; the g·s come from that ball's own
+    step. No state becomes a normal form.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    found, depths = _word_ball(params, max(k, 3), generators(params))
+    cosets = {exps[0] % k for (exps, _), dep in zip(found, depths) if dep <= k}
+    positives = [st for st, dep in zip(found, depths) if dep <= 3 and st[0][0] % k == 0]
+    step, start = _word_step(params, subgroup_generators(params, k))
+    _, reached, _ = _layered_bfs(start, 2, step, DEFAULT_ELEMENT_BUDGET, "elements")
+    covered = all(st in reached or any(x in reached for x in step(st)) for st in positives)
+    return cosets, len(positives), covered

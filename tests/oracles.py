@@ -7,9 +7,11 @@ vertices, beside the signature-state search of `dlgraph.dl_distance`; box
 membership by tree ancestry, beside the box's fibers; the tile box over a
 vertex, built from its ancestors, beside the corner and roots that
 `qilab.umap` reads arithmetically; and the fiber of an interior map as an
-explicit vertex list, beside the counts of `qilab.preimage_count`; and
-the group correspondence by expanding each element at every place, beside
-the digit reader of `group._image_reader`.
+explicit vertex list, beside the counts of `qilab.preimage_count`; the
+group correspondence by expanding each element at every place, beside
+the digit reader of `group._image_reader`; and the index-k checks on
+normal-form elements, with a `multiply` and a key per step, beside the
+word-ball states of `group.index_check`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
+from dllab import group
 from dllab.algebra import expand_local, valuation
 from dllab.dlgraph import (
     DEFAULT_VERTEX_BUDGET,
@@ -36,7 +39,14 @@ from dllab.dlgraph import (
     tree_parent,
     tree_vertex,
 )
-from dllab.group import correspondence_cutoffs
+from dllab.group import (
+    cayley_ball,
+    coset_index,
+    correspondence_cutoffs,
+    element_key,
+    multiply,
+    subgroup_membership,
+)
 
 
 def is_tree_ancestor(a, v) -> bool:
@@ -168,3 +178,28 @@ def correspond_by_expansion(params, g, cut=None):
                 ]
         coords.append(tree_vertex(lvl, digits, q=params.q))
     return dl_vertex(gp, coords)
+
+
+def index_check_by_elements(params, k):
+    """group.index_check's (cosets, positives, covered), on keyed elements.
+
+    One ambient Cayley ball gives the cosets (its depth <= k part) and the
+    membership positives (its depth <= 3 part); a positive g is covered
+    when its key, or that of some g·s, is in the depth-2 subgroup ball.
+    The generators come from group.subgroup_generators, looked up when
+    this runs.
+    """
+    amb = cayley_ball(params, max(k, 3))
+    cosets = {coset_index(g, k) for g, dep in zip(amb.elements, amb.depths) if dep <= k}
+    positives = [
+        (key, g)
+        for key, g, dep in zip(amb.keys, amb.elements, amb.depths)
+        if dep <= 3 and subgroup_membership(g, k)
+    ]
+    gens = group.subgroup_generators(params, k)
+    sub_keys = set(cayley_ball(params, 2, gens=gens).keys)
+    covered = all(
+        key in sub_keys or any(element_key(multiply(g, s)) in sub_keys for s in gens)
+        for key, g in positives
+    )
+    return cosets, len(positives), covered

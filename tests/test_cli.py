@@ -762,6 +762,20 @@ class TestUsageErrors:
                 "boundary thickness --r >= 1, got 0",
             ),
             (["verify", "--r", "-1"], "boundary thickness --r >= 1, got -1"),
+            # an --out path in a missing directory, before the payload is built
+            (
+                ["verify", "--d", "2", "--q", "2", "--radius", "3", "--assert", "correspondence",
+                 "--out", "/missing/dir/x.csv"],
+                "--out needs a writable directory, got '/missing/dir'",
+            ),
+            (
+                ["graph", "--d", "2", "--q", "2", "--radius", "1", "--out", "/missing/dir/x.dot"],
+                "--out needs a writable directory, got '/missing/dir'",
+            ),
+            (
+                ["verify", "--assert", "correspondence", "--out", "."],
+                "--out needs a file path, got the directory '.'",
+            ),
         ],
     )
     def test_rejected_before_any_work(self, capsys, no_work, argv, message):
@@ -770,6 +784,17 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert message in captured.err
+
+    def test_out_in_a_read_only_directory_rejected_before_any_work(self, capsys, no_work, tmp_path):
+        folder = tmp_path / "ro"
+        folder.mkdir(mode=0o555)
+        if os.access(folder, os.W_OK):
+            pytest.skip("this process may write into a read-only directory (root)")
+        argv = ["verify", "--assert", "correspondence", "--out", str(folder / "x.csv")]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out needs a writable directory, got {str(folder)!r}\n"
 
     @pytest.mark.parametrize(
         "lines,argv,message",

@@ -42,7 +42,7 @@ from dllab.group import (
     validate_correspondence,
 )
 
-from oracles import correspond_by_expansion, dl_adjacent
+from oracles import correspond_by_expansion, dl_adjacent, index_check_by_elements
 
 
 def random_word(params, rng, length):
@@ -523,6 +523,60 @@ def test_index_coverage_matches_full_subgroup_ball(monkeypatch, d, q, k, dropped
     assert all(key in reached for key in positives) is covered
     checks = {name: ok for name, ok, _ in cli._check_index(p, k)}
     assert checks["index.coverage"] is covered
+
+
+@pytest.mark.parametrize("d,q,k", list(product((2, 3), (2, 3), (2, 3))))
+def test_index_check_matches_element_oracle(d, q, k):
+    p = ring_params(q, d)
+    assert group.index_check(p, k) == index_check_by_elements(p, k)
+
+
+@pytest.mark.parametrize(
+    "d,q,k,dropped,covered",
+    # the cases of test_index_coverage_matches_full_subgroup_ball
+    [(2, 2, 2, 1, True), (2, 2, 2, 2, False), (2, 3, 2, 1, True), (3, 2, 2, 1, True)],
+)
+def test_index_check_matches_element_oracle_on_dropped_generators(
+    monkeypatch, d, q, k, dropped, covered
+):
+    p = ring_params(q, d)
+    gens = list(subgroup_generators(p, k))
+    for _ in range(dropped):
+        gone = {element_key(gens[0]), element_key(invert(gens[0]))}
+        gens = [g for g in gens if element_key(g) not in gone]
+    monkeypatch.setattr(group, "subgroup_generators", lambda params, kk: tuple(gens))
+    got = group.index_check(p, k)
+    assert got == index_check_by_elements(p, k)
+    assert got[2] is covered
+
+
+@pytest.mark.parametrize("d,q,k", [(3, 2, 2), (2, 3, 3)])
+def test_index_suite_reads_states(monkeypatch, capsys, d, q, k):
+    # a passing index suite rebuilds no fraction and builds no keyed ball,
+    # and it multiplies only to build the subgroup generators
+    from dllab import cli
+
+    calls = []
+    real = group.multiply
+
+    def counted(g, h):
+        calls.append(1)
+        return real(g, h)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the index suite left the word-ball states")
+
+    monkeypatch.setattr(group, "multiply", counted)
+    subgroup_generators(ring_params(q, d), k)
+    alone = len(calls)
+    assert alone > 0
+    calls.clear()
+    monkeypatch.setattr(group, "from_partial_fractions", refuse)
+    monkeypatch.setattr(group, "cayley_ball", refuse)
+    argv = ["verify", "--d", str(d), "--q", str(q), "--k", str(k), "--assert", "index"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("PASS index.") == 2
+    assert len(calls) == alone
 
 
 def test_exactly_k_cosets_in_ball():
