@@ -13,6 +13,13 @@ and has two kinds of edges: ordinary moves among coordinates 2..d, and
 moves of the first coordinate by a full k step compensated by a monotone
 distribution of k single steps over the remaining coordinates.
 
+At d = 2 every edge moves the first height by exactly +-k: at k = 1 an
+ordinary move pairs the two coordinates, and at k > 1 an ordinary move
+needs two of the coordinates 2..d, of which d = 2 has one. So the depth
+from a center is (h_1(v) - h_1(center)) / k mod 2, no edge joins two
+vertices of one sphere, and a d = 2 ball runs no second neighbour pass
+over its outer sphere. At d >= 3 spheres do hold edges, and it runs one.
+
 Boxes are the connected components of preimages of height cubes under the
 height map; each fiber over a cube point is a product of descendant sets,
 so all counting here is exact. Aligned boxes of a common side tile a box,
@@ -538,7 +545,9 @@ def _induced_edges(nodes, index, half_step, start: int = 0) -> "list[tuple[int, 
     return edges
 
 
-def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None, half_step=None):
+def _layered_bfs(
+    start, radius: int, step, budget: int, noun: str, edges=None, half_step=None, outer=True
+):
     """Breadth-first ball of the given radius around start.
 
     step(x) yields the neighbours of the hashable node x, and a node is its
@@ -550,7 +559,13 @@ def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None, h
     the outer sphere from a second pass over it. That pass steps by
     half_step when given (see _induced_edges), and otherwise by step,
     keeping each edge from its endpoint with the smaller id. A word ball
-    passes none: its generating sets are not split into inverse pairs.
+    passes no half_step: its generating sets are not split into inverse
+    pairs.
+
+    outer=False skips the second pass. The caller passes it only when the
+    graph is bipartite by depth: some integer function of a node changes
+    by exactly +-1 along every edge, so its parity is the parity of the
+    depth, and no edge joins two nodes of one sphere.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -576,7 +591,7 @@ def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None, h
                 if edges is not None and i < j:
                     edges.append((i, j))
         begin = stop
-    if edges is not None:
+    if edges is not None and outer:
         if half_step is not None:
             edges += _induced_edges(found, ids, half_step, begin)
         else:
@@ -591,9 +606,10 @@ def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None, h
 def ball(center: DLVertex, radius: int) -> BallGraph:
     edges = []
     step = partial(_neighbor_coords, center.params, moves=_move_table(center.params))
+    # at d = 2 no edge joins two vertices of one sphere (module docstring)
     found, _, found_depth = _layered_bfs(
         center.coords, radius, step, DEFAULT_VERTEX_BUDGET, "vertices", edges,
-        partial(step, half=True),
+        partial(step, half=True), outer=center.params.d > 2,
     )
     del step  # drops the move table before the vertices are keyed
     found = [DLVertex(center.params, c) for c in found]

@@ -190,11 +190,17 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
     """The shared layered BFS in the word metric, run on _word_step's states.
 
     Returns the states in discovery order and their depths; edges, if
-    given, gets the edge list as in _layered_bfs.
+    given, gets the edge list as in _layered_bfs. When every generator's
+    exps is (+-m,) for one m > 0, as for generators and
+    subgroup_generators at d = 2, the word length is exps[0] / m mod 2,
+    so no edge joins two elements of the outer sphere and that pass is
+    skipped.
     """
     step, start = _word_step(params, gens)
+    sizes = {abs(e) for s in gens for e in s.exps}
     found, _, depths = _layered_bfs(
-        start, radius, step, DEFAULT_ELEMENT_BUDGET, "elements", edges
+        start, radius, step, DEFAULT_ELEMENT_BUDGET, "elements", edges,
+        outer=params.d > 2 or len(sizes) != 1 or 0 in sizes,
     )
     return found, depths
 
@@ -322,10 +328,12 @@ def validate_correspondence(params: RingParams, radius: int) -> CorrespondenceRe
 
     The image map must be injective and land in the graph ball with word
     length equal to graph depth, and it must carry the Cayley ball's edges
-    (generator moves between its elements, within the outer sphere too)
-    exactly onto the graph ball's edges. Each image is read straight off
-    the word-ball state by one _image_reader; an element is converted to
-    its normal form only to be named in a failure message.
+    (generator moves between its elements) exactly onto the graph ball's
+    edges. At d >= 3 both edge lists include those within the outer
+    sphere; at d = 2 both balls are bipartite by depth, hold none there
+    and skip that pass. Each image is read straight off the word-ball
+    state by one _image_reader; an element is converted to its normal
+    form only to be named in a failure message.
     """
     cayley_edges = []
     found, depths = _word_ball(params, radius, generators(params), cayley_edges)

@@ -555,6 +555,66 @@ def test_ball_matches_reference(d, q, k):
     assert radius >= 2
 
 
+# (d, q, k, radius) for each ORACLE_PARAMS case: balls of 19 to 223 vertices
+PARITY_BALLS = [
+    (2, 2, 1, 4), (2, 2, 2, 3), (2, 2, 3, 2), (2, 3, 1, 3), (2, 3, 2, 2), (2, 3, 3, 1),
+    (3, 2, 1, 2), (3, 2, 2, 1), (3, 2, 3, 1), (3, 3, 1, 2), (3, 3, 2, 1), (3, 3, 3, 1),
+]
+
+
+@pytest.mark.parametrize("d,q,k,radius", PARITY_BALLS)
+def test_spheres_hold_edges_only_at_d_above_2(d, q, k, radius):
+    # the parity fact behind ball's skipped outer-sphere pass, counted on
+    # the reference ball, which skips nothing: at d = 2 every edge moves
+    # h_1 by +-k, so none joins two vertices of one sphere; at d = 3 some do
+    keys, vertices, depths = reference_ball(base_vertex(graph_params(d, q, k)), radius)
+    assert len(keys) <= ORACLE_MAX_VERTICES
+    same_depth = sum(
+        len(reference_edges([v for v, x in zip(vertices, depths) if x == depth]))
+        for depth in range(radius + 1)
+    )
+    assert (same_depth == 0) == (d == 2), same_depth
+
+
+@pytest.mark.parametrize("q,k,radius", [(2, 1, 4), (2, 2, 3), (2, 3, 2), (3, 1, 3), (3, 2, 2)])
+def test_d2_ball_off_the_base_matches_reference(q, k, radius):
+    # the parity is relative to the center's height: a center at h_1 = k
+    # with digits on each coordinate
+    p = graph_params(2, q, k)
+    center = dl_vertex(
+        p, [tree_vertex(k, [(k, 1), (k - 1, q - 1)]), tree_vertex(-k, [(-k, 1), (-k - 2, 1)])]
+    )
+    keys, vertices, depths = reference_ball(center, radius)
+    ref = BallGraph(
+        params=p,
+        vertices=vertices,
+        keys=keys,
+        edges=reference_edges(vertices),
+        center=center,
+        radius=radius,
+        depths=depths,
+    )
+    assert_same_graph(ball(center, radius), ref)
+
+
+@pytest.mark.parametrize(
+    "d,q,k,radius", [(2, 2, 1, 4), (2, 3, 2, 3), (2, 2, 3, 3), (3, 2, 1, 2), (3, 2, 2, 2), (3, 3, 3, 1)]
+)
+def test_outer_sphere_pass_runs_only_at_d_above_2(monkeypatch, d, q, k, radius):
+    # ball's second neighbour pass goes through _induced_edges: never at
+    # d = 2, and over exactly the outer sphere at d = 3
+    passes = []
+    induced = dlgraph._induced_edges
+
+    def counted(nodes, index, half_step, start=0):
+        passes.append(len(nodes) - start)
+        return induced(nodes, index, half_step, start)
+
+    monkeypatch.setattr(dlgraph, "_induced_edges", counted)
+    g = ball(base_vertex(graph_params(d, q, k)), radius)
+    assert passes == ([] if d == 2 else [sphere_sizes(g)[radius]])
+
+
 @pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
 def test_box_graph_matches_reference(d, q, k):
     p = graph_params(d, q, k)

@@ -332,6 +332,44 @@ def test_digit_word_ball_matches_multiply(d, q, k, radius):
     assert [element_key(g) for g in cb.elements] == list(cb.keys)
 
 
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_generator_exps_decide_the_parity(d, q):
+    # at d = 2 every generator of an index-k set moves exps by (+-k,), so
+    # word length is exps[0] / k mod 2; at d = 3 some generator has an
+    # even exps sum, so that sum gives no such parity
+    p = ring_params(q, d)
+    sets = [(1, generators(p))] + [(k, subgroup_generators(p, k)) for k in (1, 2, 3)]
+    for k, gens in sets:
+        if d == 2:
+            assert {g.exps for g in gens} == {(k,), (-k,)}
+        else:
+            assert any(sum(g.exps) % 2 == 0 for g in gens)
+
+
+@pytest.mark.parametrize(
+    "d,q,k,radius", [(2, 2, 1, 6), (2, 3, 2, 2), (2, 2, 3, 2), (3, 2, 1, 2), (3, 3, 2, 1)]
+)
+def test_word_ball_steps_its_outer_sphere_only_at_d_above_2(monkeypatch, d, q, k, radius):
+    # the BFS steps every state inside the radius once; only at d >= 3
+    # does a second pass step the outer sphere (its edges are checked
+    # against the multiply BFS, which always makes that pass, in
+    # test_digit_word_ball_matches_multiply)
+    p = ring_params(q, d)
+    gens = subgroup_generators(p, k)
+    stepped = []
+    word_step = group._word_step
+
+    def counted(params, gens):
+        step, start = word_step(params, gens)
+        return (lambda state: stepped.append(state) or step(state)), start
+
+    monkeypatch.setattr(group, "_word_step", counted)
+    edges = []
+    states, depths = group._word_ball(p, radius, gens, edges)
+    inside = [st for st, dep in zip(states, depths) if dep < radius]
+    assert stepped == (inside if d == 2 else states)
+
+
 def test_word_balls_never_multiply(monkeypatch):
     p = ring_params(3, 3)
     ambient, sub = generators(p), subgroup_generators(p, 2)
