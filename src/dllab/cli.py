@@ -41,7 +41,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 
 from . import dlgraph, group, qilab
@@ -50,6 +49,7 @@ from .dlgraph import (
     ball,
     base_vertex,
     box_graph,
+    box_size,
     canonical_box,
     cube_size,
     dl_neighbors,
@@ -159,7 +159,7 @@ _QILAB_ASSERTIONS = {
 # choices from the command's entry in _COMMANDS (_add_command).
 _FLAGS = {
     "d": {"type": int, "default": 2, "help": "number of tree coordinates"},
-    "q": {"type": int, "default": 2, "help": "branching prime"},
+    "q": {"type": int, "default": 2, "help": "branching, q >= 2; the correspondence and index suites need a prime"},
     "k": {"type": int, "help": "index parameter"},
     "radius": {"type": int, "help": "ball radius"},
     "h": {"help": "box side(s), comma separated; side N spans heights 0..N, 0..N-1 in umap mode"},
@@ -305,11 +305,10 @@ def _check_folner(params, r, sides) -> "list[tuple[str, bool, str]]":
     ratios = []
     for h in sides:
         cube = height_cube([(0, h)] * (params.d - 1), params.k)
-        fiber = partial(dlgraph.box_fiber_size, params, canonical_box(params, cube))
-        points = dlgraph.cube_points(cube)
-        boundary = dlgraph.cube_boundary(params, cube, r)
-        box_ratio = Fraction(sum(map(fiber, boundary)), sum(map(fiber, points)))
-        ratios.append((h, box_ratio, Fraction(len(boundary), len(points))))
+        box = canonical_box(params, cube)
+        box_ratio = Fraction(dlgraph.box_boundary_size(params, box, r), box_size(params, box))
+        set_ratio = Fraction(len(dlgraph.cube_boundary(params, cube, r)), cube_size(cube))
+        ratios.append((h, box_ratio, set_ratio))
     identity_ok = all(b == c for _, b, c in ratios)
     decreasing = all(ratios[i][1] > ratios[i + 1][1] for i in range(len(ratios) - 1))
     detail = ", ".join(f"h={h}: {b}" for h, b, _ in ratios)
@@ -525,20 +524,10 @@ def _qilab_umap(args, params) -> "tuple[str, list, list]":
     side = _one_side("umap mode", args.h) if args.h else 3 * k
     region = height_cube([(0, side - 1)] * (params.d - 1))
     tiling = qilab.make_tiling(params, region, k)
-    keys, members = sorted_box_members(params, tiling.ambient)
-    # every image is an ambient box member (qilab.Tiling), so it is read as
-    # a box position: image[i] is the position of member i's image
-    position = {x.coords: i for i, x in enumerate(members)}
-    image = [0] * len(members)
+    keys, members, image = qilab.umap_positions(tiling, k)
     hits = [0] * len(members)
-    for coords, image_coords in qilab.umap_pairs(tiling, k):
-        i = position[coords]
-        j = position.get(image_coords)
-        if j is None:
-            raise ValueError(f"umap image of {keys[i]} lies outside the ambient box")
-        image[i] = j
+    for j in image:
         hits[j] += 1
-    del position
 
     def rows():
         # streamed, so no row or displacement list is held beside the payload

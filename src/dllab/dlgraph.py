@@ -17,8 +17,9 @@ At d = 2 every edge moves the first height by exactly +-k: at k = 1 an
 ordinary move pairs the two coordinates, and at k > 1 an ordinary move
 needs two of the coordinates 2..d, of which d = 2 has one. So the depth
 from a center is (h_1(v) - h_1(center)) / k mod 2, no edge joins two
-vertices of one sphere, and a d = 2 ball runs no second neighbour pass
-over its outer sphere. At d >= 3 spheres do hold edges, and it runs one.
+vertices of one sphere, and a d = 2 ball makes no outer-sphere pass. At
+d >= 3 it lists that sphere's edges by one _induced_edges pass with the
+half step, as a box graph and a word ball (group._word_ball) do.
 
 Boxes are the connected components of preimages of height cubes under the
 height map; each fiber over a cube point is a product of descendant sets,
@@ -362,31 +363,23 @@ def cube_side(cube: HeightCube) -> int:
     return b - a
 
 
+def _cube_axes(cube: HeightCube) -> "list[range]":
+    """The lattice points of each axis: the first steps by k, the others by 1."""
+    return [range(a, b + 1, cube.k if idx == 0 else 1) for idx, (a, b) in enumerate(cube.intervals)]
+
+
 def cube_points(cube: HeightCube) -> "list[tuple[int, ...]]":
-    axes = []
-    for idx, (a, b) in enumerate(cube.intervals):
-        step = cube.k if idx == 0 else 1
-        axes.append(range(a, b + 1, step))
-    return [tuple(p) for p in product(*axes)]
+    return list(product(*_cube_axes(cube)))
 
 
 def cube_size(cube: HeightCube) -> int:
-    n = 1
-    for idx, (a, b) in enumerate(cube.intervals):
-        step = cube.k if idx == 0 else 1
-        n *= (b - a) // step + 1
-    return n
+    return math.prod(map(len, _cube_axes(cube)))
 
 
 def cube_contains(cube: HeightCube, point: Sequence[int]) -> bool:
-    if len(point) != len(cube.intervals):
-        return False
-    for idx, ((a, b), x) in enumerate(zip(cube.intervals, point)):
-        if not a <= x <= b:
-            return False
-        if idx == 0 and (x - a) % cube.k:
-            return False
-    return True
+    return len(point) == len(cube.intervals) and all(
+        x in axis for x, axis in zip(point, _cube_axes(cube))
+    )
 
 
 def cube_boundary(params: GraphParams, cube: HeightCube, r: int) -> "list[tuple[int, ...]]":
@@ -545,9 +538,7 @@ def _induced_edges(nodes, index, half_step, start: int = 0) -> "list[tuple[int, 
     return edges
 
 
-def _layered_bfs(
-    start, radius: int, step, budget: int, noun: str, edges=None, half_step=None, outer=True
-):
+def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None, half_step=None):
     """Breadth-first ball of the given radius around start.
 
     step(x) yields the neighbours of the hashable node x, and a node is its
@@ -555,17 +546,11 @@ def _layered_bfs(
     never deeper), the map from node to id, and each node's depth. With an
     edges list, every edge (i, j), i < j, of the induced subgraph is
     appended to it: edges from inside the radius while the BFS runs, since
-    every neighbour of such a vertex is in the ball, then the edges within
-    the outer sphere from a second pass over it. That pass steps by
-    half_step when given (see _induced_edges), and otherwise by step,
-    keeping each edge from its endpoint with the smaller id. A word ball
-    passes no half_step: its generating sets are not split into inverse
-    pairs.
-
-    outer=False skips the second pass. The caller passes it only when the
-    graph is bipartite by depth: some integer function of a node changes
-    by exactly +-1 along every edge, so its parity is the parity of the
-    depth, and no edge joins two nodes of one sphere.
+    every neighbour of such a vertex is in the ball, then, when half_step
+    is given, the edges within the outer sphere from one _induced_edges
+    pass over it. A caller passes no half_step only when no edge joins two
+    nodes of one sphere: some integer function of a node changes by
+    exactly +-1 along every edge, so its parity is the parity of the depth.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -591,15 +576,8 @@ def _layered_bfs(
                 if edges is not None and i < j:
                     edges.append((i, j))
         begin = stop
-    if edges is not None and outer:
-        if half_step is not None:
-            edges += _induced_edges(found, ids, half_step, begin)
-        else:
-            for i in range(begin, len(found)):
-                for w in step(found[i]):
-                    j = ids.get(w)
-                    if j is not None and i < j:
-                        edges.append((i, j))
+    if edges is not None and half_step is not None:
+        edges += _induced_edges(found, ids, half_step, begin)
     return found, ids, depths
 
 
@@ -607,11 +585,11 @@ def ball(center: DLVertex, radius: int) -> BallGraph:
     edges = []
     step = partial(_neighbor_coords, center.params, moves=_move_table(center.params))
     # at d = 2 no edge joins two vertices of one sphere (module docstring)
+    half_step = partial(step, half=True) if center.params.d > 2 else None
     found, _, found_depth = _layered_bfs(
-        center.coords, radius, step, DEFAULT_VERTEX_BUDGET, "vertices", edges,
-        partial(step, half=True), outer=center.params.d > 2,
+        center.coords, radius, step, DEFAULT_VERTEX_BUDGET, "vertices", edges, half_step
     )
-    del step  # drops the move table before the vertices are keyed
+    del step, half_step  # drops the move table before the vertices are keyed
     found = [DLVertex(center.params, c) for c in found]
     tree_keys = LazyDict(tree_key)
     keys = ["|".join(map(tree_keys.__getitem__, v.coords)) for v in found]

@@ -156,7 +156,7 @@ class CayleyBall:
 
 
 def _word_step(params: RingParams, gens: tuple):
-    """The word-metric BFS step on partial-fraction digits, and the identity's state.
+    """The word-metric BFS steps on partial-fraction digits, and the identity's state.
 
     A state is (exps, partial_fractions(P)), a bijective image of the
     normal form (_element converts back). g * s adds U(g.exps) * s.P to P,
@@ -164,43 +164,58 @@ def _word_step(params: RingParams, gens: tuple):
     once per exps vector seen and distinct generator P, and each product
     is a place-wise digit addition (pf_add). step(state) lists the states
     g * s in the order of gens.
+
+    half_step(state) keeps the letters whose exps has a positive first
+    nonzero entry: s^-1 has exps -s.exps, so if gens is closed under
+    inversion with no zero exps, as generators and subgroup_generators are,
+    that is one letter of each inverse pair, and each edge g -- g * s is
+    listed from one endpoint, as _induced_edges needs.
     """
     q = params.q
     pool = {}  # one shared tuple per exps vector this step reaches
     distinct = {}  # each distinct generator P -> its index among them
     letters = [(s.exps, distinct.setdefault(s.P, len(distinct))) for s in gens]
-    moves = {}  # exps -> [(exps of g * s, digits of U(exps) * s.P) for s in gens]
+    # tuples compare at their first difference: exps > zeros iff its first nonzero entry is > 0
+    half = [n for n, (sexps, _) in enumerate(letters) if sexps > (0,) * len(sexps)]
+
+    def moves_of(exps):
+        # [(exps of g * s, digits of U(exps) * s.P) for s in gens], and the half letters' entries
+        terms = [partial_fractions(_scale_by_monomial(P, exps)) for P in distinct]
+        out = []
+        for sexps, p in letters:
+            e = tuple(a + b for a, b in zip(exps, sexps))
+            out.append((pool.setdefault(e, e), terms[p]))
+        return out, [out[n] for n in half]
+
+    moves = LazyDict(moves_of)
 
     def step(state):
         exps, digits = state
-        out = moves.get(exps)
-        if out is None:
-            terms = [partial_fractions(_scale_by_monomial(P, exps)) for P in distinct]
-            out = moves[exps] = []
-            for sexps, p in letters:
-                e = tuple(a + b for a, b in zip(exps, sexps))
-                out.append((pool.setdefault(e, e), terms[p]))
-        return [(e, pf_add(digits, term, q)) for e, term in out]
+        return [(e, pf_add(digits, term, q)) for e, term in moves[exps][0]]
+
+    def half_step(state):
+        exps, digits = state
+        return [(e, pf_add(digits, term, q)) for e, term in moves[exps][1]]
 
     start = identity(params)
-    return step, (pool.setdefault(start.exps, start.exps), partial_fractions(start.P))
+    return step, half_step, (pool.setdefault(start.exps, start.exps), partial_fractions(start.P))
 
 
 def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
     """The shared layered BFS in the word metric, run on _word_step's states.
 
     Returns the states in discovery order and their depths; edges, if
-    given, gets the edge list as in _layered_bfs. When every generator's
-    exps is (+-m,) for one m > 0, as for generators and
-    subgroup_generators at d = 2, the word length is exps[0] / m mod 2,
-    so no edge joins two elements of the outer sphere and that pass is
-    skipped.
+    given, gets the edge list as in _layered_bfs, the outer sphere's by
+    _word_step's half step. When every generator's exps is (+-m,) for one
+    m > 0, as for generators and subgroup_generators at d = 2, the word
+    length is exps[0] / m mod 2, so no half step is passed.
     """
-    step, start = _word_step(params, gens)
+    step, half_step, start = _word_step(params, gens)
     sizes = {abs(e) for s in gens for e in s.exps}
+    if params.d == 2 and len(sizes) == 1 and 0 not in sizes:
+        half_step = None
     found, _, depths = _layered_bfs(
-        start, radius, step, DEFAULT_ELEMENT_BUDGET, "elements", edges,
-        outer=params.d > 2 or len(sizes) != 1 or 0 in sizes,
+        start, radius, step, DEFAULT_ELEMENT_BUDGET, "elements", edges, half_step
     )
     return found, depths
 
@@ -329,11 +344,11 @@ def validate_correspondence(params: RingParams, radius: int) -> CorrespondenceRe
     The image map must be injective and land in the graph ball with word
     length equal to graph depth, and it must carry the Cayley ball's edges
     (generator moves between its elements) exactly onto the graph ball's
-    edges. At d >= 3 both edge lists include those within the outer
-    sphere; at d = 2 both balls are bipartite by depth, hold none there
-    and skip that pass. Each image is read straight off the word-ball
-    state by one _image_reader; an element is converted to its normal
-    form only to be named in a failure message.
+    edges. At d >= 3 both list those within the outer sphere by one
+    _induced_edges pass with a half step; at d = 2 both balls are bipartite
+    by depth, hold none there and skip that pass. Each image is read
+    straight off the word-ball state by one _image_reader; an element is
+    converted to its normal form only to be named in a failure message.
     """
     cayley_edges = []
     found, depths = _word_ball(params, radius, generators(params), cayley_edges)
@@ -478,7 +493,7 @@ def index_check(params: RingParams, k: int) -> "tuple[set, int, bool]":
     found, depths = _word_ball(params, max(k, 3), generators(params))
     cosets = {exps[0] % k for (exps, _), dep in zip(found, depths) if dep <= k}
     positives = [st for st, dep in zip(found, depths) if dep <= 3 and st[0][0] % k == 0]
-    step, start = _word_step(params, subgroup_generators(params, k))
+    step, _, start = _word_step(params, subgroup_generators(params, k))
     _, reached, _ = _layered_bfs(start, 2, step, DEFAULT_ELEMENT_BUDGET, "elements")
     covered = all(st in reached or any(x in reached for x in step(st)) for st in positives)
     return cosets, len(positives), covered

@@ -882,11 +882,28 @@ def umap_pairs(tiling: Tiling, k: int) -> Iterator[tuple]:
         yield from zip(itertools.product(*pools), _tile_images(tiling, k, point, pools))
 
 
+def umap_positions(tiling: Tiling, k: int) -> "tuple[tuple, tuple, list[int]]":
+    """(keys, members, image): the ambient box in key order, budget checked first.
+
+    Every image is an ambient box member (see `Tiling`), so image[i] is the
+    position of member i's image; one outside the box raises ValueError.
+    """
+    keys, members = sorted_box_members(tiling.params, tiling.ambient)
+    position = {x.coords: i for i, x in enumerate(members)}
+    image = [0] * len(members)
+    for coords, image_coords in umap_pairs(tiling, k):
+        i, j = position[coords], position.get(image_coords)
+        if j is None:
+            raise ValueError(f"umap image of {keys[i]} lies outside the ambient box")
+        image[i] = j
+    return keys, members, image
+
+
 def umap_eval(tiling: Tiling, k: int) -> dict:
-    """The tile map over the ambient box in key order, its size checked against the budget first."""
-    _, members = sorted_box_members(tiling.params, tiling.ambient)
-    images, target = dict(umap_pairs(tiling, k)), tiling.params._replace(k=k)
-    return {x: DLVertex(target, images[x.coords]) for x in members}
+    """The tile map over the ambient box in key order, as `umap_positions` finds it."""
+    _, members, image = umap_positions(tiling, k)
+    target = tiling.params._replace(k=k)
+    return {x: DLVertex(target, members[j].coords) for x, j in zip(members, image)}
 
 
 def tile_displacements(params: GraphParams, pairs) -> Iterator[int]:
@@ -911,8 +928,9 @@ def tile_displacements(params: GraphParams, pairs) -> Iterator[int]:
 
 def umap_displacement(tiling: Tiling, k: int) -> int:
     """Max graph distance between x and its image, read in the ordinary graph."""
-    table = umap_eval(tiling, k).items()
-    return max(tile_displacements(tiling.params, ((x.coords, y.coords) for x, y in table)))
+    _, members, image = umap_positions(tiling, k)
+    pairs = ((x.coords, members[j].coords) for x, j in zip(members, image))
+    return max(tile_displacements(tiling.params, pairs))
 
 
 # ---------------------------------------------------------------------------

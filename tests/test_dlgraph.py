@@ -259,6 +259,22 @@ def test_cube_basics():
         height_cube([(1, 3)], k=2)
 
 
+@pytest.mark.parametrize(
+    "intervals,k",
+    [([(0, 4)], 2), ([(-2, 4), (1, 7)], 2), ([(-3, 3), (0, 6)], 3), ([(3, 3), (0, 0), (5, 5)], 1)],
+)
+def test_cube_membership_is_its_point_list(intervals, k):
+    # cube_points, cube_size and cube_contains read one set of axes: on a
+    # grid two steps wider than the cube, the points it contains are its
+    # point list, in order
+    cube = height_cube(intervals, k)
+    points = cube_points(cube)
+    assert cube_size(cube) == len(points) == len(set(points))
+    grid = itertools.product(*(range(a - 2, b + 3) for a, b in intervals))
+    assert [x for x in grid if cube_contains(cube, x)] == points
+    assert not cube_contains(cube, points[0] + (0,))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_one_edge_moves_each_tracked_height_at_most_k(d, k):

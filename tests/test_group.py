@@ -303,16 +303,24 @@ WORD_BALL_CASES = [
 
 
 def multiply_word_ball(params, radius, gens):
-    """The word ball by the general group law: multiply and element_key."""
+    """The word ball by the general group law: multiply and element_key.
+
+    The edges within the outer sphere come from a full step over it, each
+    kept from its endpoint with the smaller id, at every d.
+    """
     edges = []
-    found, _, depths = _layered_bfs(
-        identity(params),
-        radius,
-        lambda g: [multiply(g, s) for s in gens],
-        DEFAULT_ELEMENT_BUDGET,
-        "elements",
-        edges,
+
+    def step(g):
+        return [multiply(g, s) for s in gens]
+
+    found, ids, depths = _layered_bfs(
+        identity(params), radius, step, DEFAULT_ELEMENT_BUDGET, "elements", edges
     )
+    for i, (g, dep) in enumerate(zip(found, depths)):
+        if dep == radius:
+            for j in map(ids.get, step(g)):
+                if j is not None and i < j:
+                    edges.append((i, j))
     return found, depths, edges
 
 
@@ -326,10 +334,30 @@ def test_digit_word_ball_matches_multiply(d, q, k, radius):
     assert states == [(g.exps, partial_fractions(g.P)) for g in found]
     assert [group._element(p, st) for st in states] == found
     assert got_depths == depths
-    assert got_edges == edges
+    # the outer sphere's edges come in another order, each listed once
+    assert sorted(got_edges) == sorted(edges)
     cb = cayley_ball(p, radius, gens=gens)
     assert cb.keys == tuple(sorted(element_key(g) for g in found))
     assert [element_key(g) for g in cb.elements] == list(cb.keys)
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_half_step_keeps_one_letter_of_each_inverse_pair(d, q, k):
+    # (d = 4 needs q >= 3.) The identity times a letter is the letter, so
+    # the states half_step lists from the identity name the letters it keeps
+    p = ring_params(q, d)
+    sets = [subgroup_generators(p, k)] + ([generators(p)] if k == 1 else [])
+    for gens in sets:
+        keys = [element_key(s) for s in gens]
+        assert {element_key(invert(s)) for s in gens} == set(keys)
+        assert all(any(s.exps) for s in gens)
+        step, half_step, start = group._word_step(p, gens)
+        kept = set(half_step(start))
+        half = {key for key, st in zip(keys, step(start)) if st in kept}
+        assert len(kept) == len(half) == len(gens) // 2
+        for s, key in zip(gens, keys):
+            assert (key in half) != (element_key(invert(s)) in half), key
 
 
 @pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -351,23 +379,29 @@ def test_generator_exps_decide_the_parity(d, q):
 )
 def test_word_ball_steps_its_outer_sphere_only_at_d_above_2(monkeypatch, d, q, k, radius):
     # the BFS steps every state inside the radius once; only at d >= 3
-    # does a second pass step the outer sphere (its edges are checked
-    # against the multiply BFS, which always makes that pass, in
+    # does the half step then step the outer sphere (its edges are checked
+    # against the multiply BFS, which always makes a full pass there, in
     # test_digit_word_ball_matches_multiply)
     p = ring_params(q, d)
     gens = subgroup_generators(p, k)
-    stepped = []
+    stepped, half_stepped = [], []
     word_step = group._word_step
 
     def counted(params, gens):
-        step, start = word_step(params, gens)
-        return (lambda state: stepped.append(state) or step(state)), start
+        step, half_step, start = word_step(params, gens)
+        return (
+            lambda state: stepped.append(state) or step(state),
+            lambda state: half_stepped.append(state) or half_step(state),
+            start,
+        )
 
     monkeypatch.setattr(group, "_word_step", counted)
     edges = []
     states, depths = group._word_ball(p, radius, gens, edges)
     inside = [st for st, dep in zip(states, depths) if dep < radius]
-    assert stepped == (inside if d == 2 else states)
+    outer = [st for st, dep in zip(states, depths) if dep == radius]
+    assert stepped == inside
+    assert half_stepped == ([] if d == 2 else outer)
 
 
 def test_word_balls_never_multiply(monkeypatch):

@@ -839,6 +839,18 @@ class TestUmapOracle:
             f"error: umap image of {dl_key(first)} lies outside the ambient box\n"
         )
 
+    @pytest.mark.parametrize("reader", [umap_eval, umap_displacement])
+    def test_library_readers_reject_an_image_outside_the_box(self, monkeypatch, reader):
+        # they read the image positions the CLI reads, with the same check
+        p = graph_params(2, 2)
+        tiling = make_tiling(p, height_cube([(0, 3)]), 2)
+        first = min(box_members(p, tiling.ambient), key=lambda x: x.coords)
+        outside = (TreeVertex(-1, ()), TreeVertex(1, ()))
+        monkeypatch.setattr(qilab, "umap_pairs", lambda tiling, k: iter([(first.coords, outside)]))
+        message = f"umap image of {dl_key(first)} lies outside the ambient box"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reader(tiling, 2)
+
     def test_umap_eval_checks_budget_first(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("members were enumerated")
