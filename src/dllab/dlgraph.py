@@ -39,9 +39,9 @@ on q, and are memoized on those height signatures by _state_distance's
 lru_cache. One move rule, _state_moves, serves every k, in the order of
 _neighbor_coords.
 
-Every search limit (vertex budget, distance cap, state budget) is a module
-constant that the search reads when it runs. Only the shared searches,
-_layered_bfs and _meet_in_middle, take their limits as arguments.
+Every search limit (vertex budget, edge budget, distance cap, state
+budget) is a module constant that the search reads when it runs. Only the
+shared search, _layered_bfs, takes its limits as arguments.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from heapq import heappop, heappush
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -64,6 +65,7 @@ class RegionAlignmentError(ValueError):
 
 # The search limits (see the module docstring) and the size of the distance memo.
 DEFAULT_VERTEX_BUDGET = 500_000
+DEFAULT_EDGE_BUDGET = 5_000_000
 DEFAULT_DISTANCE_CAP = 64
 DEFAULT_STATE_BUDGET = 200_000
 DIST_CACHE_LIMIT = 1 << 16
@@ -633,6 +635,12 @@ def sorted_box_members(
 
 def box_graph(params: GraphParams, box: Box) -> BallGraph:
     """Induced subgraph on the members of a box."""
+    # a member has at most expected_degree neighbours; a box over the vertex
+    # budget is refused by sorted_box_members, by its member count
+    n = box_size(params, box)
+    bound = expected_degree(params) * n // 2
+    if n <= DEFAULT_VERTEX_BUDGET and bound > DEFAULT_EDGE_BUDGET:
+        raise BudgetError(f"box graph may hold {bound} edges, budget {DEFAULT_EDGE_BUDGET}")
     keys, vertices = sorted_box_members(params, box)
     index = {v.coords: i for i, v in enumerate(vertices)}
     # the move table goes with the half-step when the edge pass returns
@@ -738,13 +746,44 @@ def dl_distance(u: DLVertex, v: DLVertex) -> int:
 def _state_distance(k: int, state: tuple) -> int:
     """Distance from a signature state to the goal, every pair (0, 0).
 
-    The search runs under DEFAULT_DISTANCE_CAP and DEFAULT_STATE_BUDGET,
-    read when it runs; a search that raises caches nothing.
+    An A* search: it pops states by depth + _state_bound, deeper first on
+    ties, so the goal's first pop is at its distance. It raises once that
+    lower bound exceeds DEFAULT_DISTANCE_CAP, or before it stores more than
+    DEFAULT_STATE_BUDGET states, both read when it runs; a raise caches nothing.
     """
+    cap, budget = DEFAULT_DISTANCE_CAP, DEFAULT_STATE_BUDGET
     goal = ((0, 0),) * len(state)
-    return _meet_in_middle(
-        state, goal, partial(_state_moves, k), DEFAULT_DISTANCE_CAP, DEFAULT_STATE_BUDGET, "states"
-    )
+    depths = {state: 0}
+    heap = [(_state_bound(k, state), 0, state)]
+    while True:  # the state graph is infinite, so the heap never empties
+        f, neg_depth, s = heappop(heap)
+        if -neg_depth > depths[s]:
+            continue  # s was reached by a shorter path after this entry was pushed
+        if f > cap:
+            raise BudgetError(f"no path within distance cap {cap}: {_reached(f, depths)}")
+        if s == goal:
+            return -neg_depth
+        depth = 1 - neg_depth
+        for w in _state_moves(k, s):
+            if depths.get(w, depth + 1) <= depth:
+                continue
+            if w not in depths and len(depths) >= budget:
+                raise BudgetError(f"search exceeds budget {budget}: {_reached(f, depths)}")
+            depths[w] = depth
+            heappush(heap, (depth + _state_bound(k, w), -depth, w))
+
+
+def _reached(f: int, depths: dict) -> str:
+    return f"distance at least {f}, {len(depths)} states reached"
+
+
+def _state_bound(k: int, state: tuple) -> int:
+    """ceil(sum of c / k): no move lowers it by more than 1 (_state_moves).
+
+    Heights sum to 0 at both ends, so the sums of c and e are equal, and
+    the bound is 0 only at the goal.
+    """
+    return -(-sum(c for c, _ in state) // k)
 
 
 def _climb(pair: tuple, m: int) -> tuple:
@@ -778,11 +817,11 @@ def _state_moves(k: int, state: tuple) -> "list[tuple]":
     ordinary move, among all coordinates at k = 1 and coordinates 2..d
     otherwise, sends one coordinate up a step, (c-1, e), or past the meet
     to (0, e+1) when c = 0; and another down a step: toward the target,
-    (0, e-1), or off it, (1, e), when c = 0 < e, else (c+1, e). For k > 1 the first coordinate then climbs k while the
-    others descend along a composition of k, or descends k while they
-    climb. Some tree move takes each branch for every q >= 2, and reversing
-    an edge turns its climbs into descents, so the state graph is
-    undirected and can be searched from both ends.
+    (0, e-1), or off it, (1, e), when c = 0 < e, else (c+1, e). For k > 1
+    the first coordinate then climbs k while the others descend along a
+    composition of k, or descends k while they climb. Some tree move takes
+    each branch for every q >= 2. Only climbs lower a c, so a move lowers
+    the sum of c by at most k, and by at most 1 if ordinary (_state_bound).
     """
     lo = 0 if k == 1 else 1
     head, rest = state[:lo], state[lo:]
@@ -807,43 +846,3 @@ def _state_moves(k: int, state: tuple) -> "list[tuple]":
     for down in _descents(head[0], k):
         out += ((down,) + tuple(sorted(map(_climb, rest, combo))) for combo in combos)
     return out
-
-
-def _meet_in_middle(a, b, step, cap: int, budget: int, noun: str) -> int:
-    """Distance from a to b in an undirected graph; exact and budgeted.
-
-    step(x) lists the neighbours of the hashable node x. Each step grows
-    the side with the smaller frontier by one level. Any hit found at total
-    depth t is at distance exactly t, so the side chosen never changes the
-    answer.
-    """
-    if a == b:
-        return 0
-    seen = ({a: 0}, {b: 0})
-    fronts = [[a], [b]]
-    depths = [0, 0]
-    while depths[0] + depths[1] < cap and fronts[0] and fronts[1]:
-        s = 0 if len(fronts[0]) <= len(fronts[1]) else 1
-        mine, other = seen[s], seen[1 - s]
-        room = budget - len(other)
-        depths[s] += 1
-        nxt = []
-        for x in fronts[s]:
-            for w in step(x):
-                hit = other.get(w)
-                if hit is not None:
-                    return depths[s] + hit
-                if w not in mine:
-                    if len(mine) >= room:
-                        raise BudgetError(
-                            f"search exceeds budget {budget}: searched depths "
-                            f"{depths[0]} and {depths[1]}, {len(mine) + len(other)} "
-                            f"{noun} reached"
-                        )
-                    mine[w] = depths[s]
-                    nxt.append(w)
-        fronts[s] = nxt
-    raise BudgetError(
-        f"no path within distance cap {cap}: searched depths {depths[0]} and "
-        f"{depths[1]}, {len(seen[0]) + len(seen[1])} {noun} reached"
-    )

@@ -3,15 +3,15 @@
 Each one states a rule a second way, on purpose, and no library code calls
 it: adjacency as a test on a vertex pair, beside the neighbour lists of
 `dlgraph._neighbor_coords`; graph distance by a bidirectional BFS over
-vertices, beside the signature-state search of `dlgraph.dl_distance`; box
-membership by tree ancestry, beside the box's fibers; the tile box over a
-vertex, built from its ancestors, beside the corner and roots that
-`qilab.umap` reads arithmetically; and the fiber of an interior map as an
-explicit vertex list, beside the counts of `qilab.preimage_count`; the
-group correspondence by expanding each element at every place, beside
-the digit reader of `group._image_reader`; and the index-k checks on
-normal-form elements, with a `multiply` and a key per step, beside the
-word-ball states of `group.index_check`.
+vertices, beside the guided search over signature states of
+`dlgraph.dl_distance`; box membership by tree ancestry, beside the box's
+fibers; the tile box over a vertex, built from its ancestors, beside the
+corner and roots that `qilab.umap` reads arithmetically; and the fiber of
+an interior map as an explicit vertex list, beside the counts of
+`qilab.preimage_count`; the group correspondence by expanding each element
+at every place, beside the digit reader of `group._image_reader`; and the
+index-k checks on normal-form elements, with a `multiply` and a key per
+step, beside the word-ball states of `group.index_check`.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from dllab.algebra import expand_local, valuation
 from dllab.dlgraph import (
     DEFAULT_VERTEX_BUDGET,
     Box,
+    BudgetError,
     HeightCube,
     TreeVertex,
     _check_cube,
-    _meet_in_middle,
     _move_table,
     _neighbor_coords,
     cube_contains,
@@ -100,9 +100,54 @@ def dl_adjacent(u, v) -> bool:
 
 
 def vertex_distance(u, v, cap: int) -> int:
-    """Bidirectional BFS over graph vertices, identified by coordinate tuples."""
+    """Bidirectional BFS over graph vertices, identified by coordinate tuples.
+
+    The graph is undirected, so _meet_in_middle may grow either end. It
+    shares no search code with `dlgraph._state_distance`, which runs from
+    one end over signature states, guided by a lower bound.
+    """
     step = partial(_neighbor_coords, u.params, moves=_move_table(u.params))
     return _meet_in_middle(u.coords, v.coords, step, cap, DEFAULT_VERTEX_BUDGET, "vertices")
+
+
+def _meet_in_middle(a, b, step, cap: int, budget: int, noun: str) -> int:
+    """Distance from a to b in an undirected graph; exact and budgeted.
+
+    step(x) lists the neighbours of the hashable node x. Each step grows
+    the side with the smaller frontier by one level. Any hit found at total
+    depth t is at distance exactly t, so the side chosen never changes the
+    answer.
+    """
+    if a == b:
+        return 0
+    seen = ({a: 0}, {b: 0})
+    fronts = [[a], [b]]
+    depths = [0, 0]
+    while depths[0] + depths[1] < cap and fronts[0] and fronts[1]:
+        s = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        mine, other = seen[s], seen[1 - s]
+        room = budget - len(other)
+        depths[s] += 1
+        nxt = []
+        for x in fronts[s]:
+            for w in step(x):
+                hit = other.get(w)
+                if hit is not None:
+                    return depths[s] + hit
+                if w not in mine:
+                    if len(mine) >= room:
+                        raise BudgetError(
+                            f"search exceeds budget {budget}: searched depths "
+                            f"{depths[0]} and {depths[1]}, {len(mine) + len(other)} "
+                            f"{noun} reached"
+                        )
+                    mine[w] = depths[s]
+                    nxt.append(w)
+        fronts[s] = nxt
+    raise BudgetError(
+        f"no path within distance cap {cap}: searched depths {depths[0]} and "
+        f"{depths[1]}, {len(seen[0]) + len(seen[1])} {noun} reached"
+    )
 
 
 def box_contains(params, box, x) -> bool:

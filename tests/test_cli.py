@@ -489,6 +489,18 @@ class TestOversizedBoxes:
         # (4 ** 10 cube points) x (2 ** 30 members per fiber) = 2 ** 50
         assert captured.err == f"error: box has 1125899906842624 members, budget {budget}\n"
 
+    def test_box_graph_over_the_edge_budget_rejected_before_any_member(self, capsys, monkeypatch):
+        # 354,294 members, within the vertex budget, but up to
+        # 216 * 354,294 / 2 edges
+        def refuse(*args, **kwargs):
+            raise AssertionError("box members were listed")
+
+        monkeypatch.setattr(dlgraph, "sorted_box_members", refuse)
+        assert run_cli(["graph", "--d", "5", "--q", "3", "--k", "2", "--h", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: box graph may hold 38263752 edges, budget 5000000\n"
+
 
 class TestConfig:
     def test_config_supplies_defaults(self, capsys, tmp_path):

@@ -631,6 +631,30 @@ def test_outer_sphere_pass_runs_only_at_d_above_2(monkeypatch, d, q, k, radius):
     assert passes == ([] if d == 2 else [sphere_sizes(g)[radius]])
 
 
+def test_box_graph_edge_bound_checked_before_any_member(monkeypatch):
+    # each member has at most expected_degree neighbours, so a box holds at
+    # most expected_degree * size / 2 edges; that bound meets the edge
+    # budget before sorted_box_members lists anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("box members were listed")
+
+    p = graph_params(5, 3, 2)
+    box = canonical_box(p, height_cube([(0, 2)] * 4, 2))
+    assert (expected_degree(p), box_size(p, box)) == (216, 354_294)
+    with monkeypatch.context() as mp:
+        mp.setattr(dlgraph, "sorted_box_members", refuse)
+        with pytest.raises(BudgetError, match=r"^box graph may hold 38263752 edges, budget 5000000$"):
+            box_graph(p, box)
+    # the bound of a d = 2, q = 2, side-2 box is 4 * 12 / 2 = 24 edges
+    p = graph_params(2, 2)
+    box = canonical_box(p, height_cube([(0, 2)]))
+    monkeypatch.setattr(dlgraph, "DEFAULT_EDGE_BUDGET", 24)
+    assert len(box_graph(p, box).vertices) == 12
+    monkeypatch.setattr(dlgraph, "DEFAULT_EDGE_BUDGET", 23)
+    with pytest.raises(BudgetError, match=r"box graph may hold 24 edges, budget 23"):
+        box_graph(p, box)
+
+
 @pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
 def test_box_graph_matches_reference(d, q, k):
     p = graph_params(d, q, k)
@@ -736,7 +760,7 @@ def test_distance_cap_holds_cold(monkeypatch, cold_memo):
     far = dl_vertex(p, (tree_root(8), tree_root(-8)))
     with monkeypatch.context() as mp:
         mp.setattr(dlgraph, "DEFAULT_DISTANCE_CAP", 2)
-        with pytest.raises(BudgetError, match=r"cap 2: searched depths 1 and 1, 8 states reached"):
+        with pytest.raises(BudgetError, match=r"cap 2: distance at least 4, 1 states reached"):
             dl_distance(base, far)
     assert dl_distance(base, far) == 4
     monkeypatch.setattr(dlgraph, "DEFAULT_DISTANCE_CAP", 4)
@@ -895,13 +919,41 @@ def test_two_coordinate_distance_is_bertacchis_closed_form(cold_memo):
         assert dl_distance(u, v) == c1 + e1 + c2 + e2 - abs(c1 - e1)
 
 
+@pytest.mark.parametrize("d,q,k,r", ORACLE_BALLS, ids=oracle_ids(ORACLE_BALLS))
+def test_state_bound_is_admissible_and_consistent(bfs_by_signature, d, q, k, r):
+    # the A* bound never exceeds the vertex-BFS distance, is 0 only at the
+    # goal, and drops by at most 1 along every state move
+    for u, v, dist in bfs_by_signature[d, q, k, r].values():
+        state = dlgraph._canonical_state(k, dlgraph._pair_signature(u, v))
+        bound = dlgraph._state_bound(k, state)
+        assert bound <= dist and (bound == 0) == (dist == 0), state
+        for w in dlgraph._state_moves(k, state):
+            assert bound <= 1 + dlgraph._state_bound(k, w), (state, w)
+
+
+FAR_STATES = (
+    (((5, 5),) * 5, 35),
+    (((4, 6), (5, 5), (6, 4), (7, 7)), 30),
+    (((0, 0), (0, 0), (8, 8), (8, 8)), 24),
+)
+
+
+@pytest.mark.parametrize("state,dist", FAR_STATES, ids=["5x55", "46-55-64-77", "00-00-88-88"])
+def test_far_states_within_the_default_limits(cold_memo, state, dist):
+    # a two-frontier search stores over 200,000 states on the first of these
+    assert dlgraph._state_distance(1, state) == dist
+    u, v = pair_with_signature(graph_params(len(state), 2), state)
+    assert dlgraph._pair_signature(u, v) == state
+    assert dl_distance(u, v) == dist
+
+
 def test_signature_distance_cap_holds_cold(monkeypatch, cold_memo):
     p = graph_params(2, 2)
     base = base_vertex(p)
     far = dl_vertex(p, (tree_root(4), tree_root(-4)))
     with monkeypatch.context() as mp:
         mp.setattr(dlgraph, "DEFAULT_DISTANCE_CAP", 2)
-        with pytest.raises(BudgetError, match=r"cap 2: searched depths 1 and 1, 6 states reached"):
+        with pytest.raises(BudgetError, match=r"cap 2: distance at least 4, 1 states reached"):
             dl_distance(base, far)
     assert dl_distance(base, far) == 4
     monkeypatch.setattr(dlgraph, "DEFAULT_DISTANCE_CAP", 4)
@@ -913,11 +965,11 @@ def test_distance_searches_hold_their_budgets(monkeypatch, cold_memo):
     monkeypatch.setattr(dlgraph, "DEFAULT_STATE_BUDGET", 3)
     p = graph_params(2, 2)
     far = dl_vertex(p, (tree_root(4), tree_root(-4)))
-    with pytest.raises(BudgetError, match=r"budget 3: searched depths 1 and 0, 3 states reached"):
+    with pytest.raises(BudgetError, match=r"budget 3: distance at least 4, 3 states reached"):
         dl_distance(base_vertex(p), far)
     p2 = graph_params(2, 2, 2)
     far2 = dl_vertex(p2, (tree_root(8), tree_root(-8)))
-    with pytest.raises(BudgetError, match=r"budget 3: searched depths 1 and 0, 3 states reached"):
+    with pytest.raises(BudgetError, match=r"budget 3: distance at least 4, 3 states reached"):
         dl_distance(base_vertex(p2), far2)
 
 
