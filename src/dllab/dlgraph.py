@@ -40,8 +40,10 @@ lru_cache. One move rule, _state_moves, serves every k, in the order of
 _neighbor_coords.
 
 Every search limit (vertex budget, edge budget, distance cap, state
-budget) is a module constant that the search reads when it runs. Only the
-shared search, _layered_bfs, takes its limits as arguments.
+budget) is a module constant that the search reads when it runs. The
+vertex budget bounds every ball, graph or word (_layered_bfs), and every
+list whose length has a closed form, checked before it is built: a box's
+members, a cube's points and a vertex's neighbours (_move_table).
 """
 
 from __future__ import annotations
@@ -261,6 +263,14 @@ class _MoveTable(NamedTuple):
 
 
 def _move_table(params: GraphParams) -> _MoveTable:
+    """An empty table for one search.
+
+    The closed-form degree is checked against the vertex budget first, so
+    no neighbour list longer than the budget is ever built.
+    """
+    deg = expected_degree(params)
+    if deg > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(f"vertex has {deg} neighbours, budget {DEFAULT_VERTEX_BUDGET}")
     q, k = params.q, params.k
     downs = [LazyDict(lambda c: (c,)), LazyDict(lambda c: tree_children(c, q))]
     ups = [LazyDict(lambda c: c), LazyDict(tree_parent)]
@@ -270,9 +280,7 @@ def _move_table(params: GraphParams) -> _MoveTable:
     return _MoveTable(tuple(downs), tuple(ups))
 
 
-def _neighbor_coords(
-    params: GraphParams, coords: tuple, half: bool = False, moves: Optional[_MoveTable] = None
-) -> "list[tuple]":
+def _neighbor_coords(moves: _MoveTable, coords: tuple, half: bool = False) -> "list[tuple]":
     """The coordinate tuples of the neighbours of a vertex, in a fixed order.
 
     Ordinary moves send one coordinate down to each child and another up
@@ -288,13 +296,11 @@ def _neighbor_coords(
     only the pairs i < j are kept, and the first coordinate climbing k is
     the reverse of it descending k, so the list stops after that family.
 
-    The tree moves are read from moves, the calling search's _MoveTable;
-    without one, a fresh table serves this call alone.
+    The tree moves are read from moves, the calling search's _MoveTable,
+    which holds one entry per m in 0..k; d is the number of coordinates.
     """
-    d, k = params.d, params.k
-    if moves is None:
-        moves = _move_table(params)
     downs, ups = moves
+    d, k = len(coords), len(downs) - 1
     children, parents = downs[1], ups[1]
     lo = 0 if k == 1 else 1
     out = []
@@ -329,7 +335,7 @@ def _neighbor_coords(
 
 def dl_neighbors(v: DLVertex) -> "list[DLVertex]":
     """The neighbours of v, in the order of _neighbor_coords."""
-    return [DLVertex(v.params, c) for c in _neighbor_coords(v.params, v.coords)]
+    return [DLVertex(v.params, c) for c in _neighbor_coords(_move_table(v.params), v.coords)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +377,10 @@ def _cube_axes(cube: HeightCube) -> "list[range]":
 
 
 def cube_points(cube: HeightCube) -> "list[tuple[int, ...]]":
+    """The lattice points, in lex order, once cube_size is within the vertex budget."""
+    n = cube_size(cube)
+    if n > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(f"cube has {n} points, budget {DEFAULT_VERTEX_BUDGET}")
     return list(product(*_cube_axes(cube)))
 
 
@@ -540,7 +550,7 @@ def _induced_edges(nodes, index, half_step, start: int = 0) -> "list[tuple[int, 
     return edges
 
 
-def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None, half_step=None):
+def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None):
     """Breadth-first ball of the given radius around start.
 
     step(x) yields the neighbours of the hashable node x, and a node is its
@@ -553,9 +563,13 @@ def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None, h
     pass over it. A caller passes no half_step only when no edge joins two
     nodes of one sphere: some integer function of a node changes by
     exactly +-1 along every edge, so its parity is the parity of the depth.
+
+    It stores at most DEFAULT_VERTEX_BUDGET nodes, read when it runs, for
+    graph balls and word balls alike; noun names the nodes in the error.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    budget = DEFAULT_VERTEX_BUDGET
     found = [start]
     ids = {start: 0}
     depths = [0]
@@ -585,12 +599,10 @@ def _layered_bfs(start, radius: int, step, budget: int, noun: str, edges=None, h
 
 def ball(center: DLVertex, radius: int) -> BallGraph:
     edges = []
-    step = partial(_neighbor_coords, center.params, moves=_move_table(center.params))
+    step = partial(_neighbor_coords, _move_table(center.params))
     # at d = 2 no edge joins two vertices of one sphere (module docstring)
     half_step = partial(step, half=True) if center.params.d > 2 else None
-    found, _, found_depth = _layered_bfs(
-        center.coords, radius, step, DEFAULT_VERTEX_BUDGET, "vertices", edges, half_step
-    )
+    found, _, found_depth = _layered_bfs(center.coords, radius, step, "vertices", edges, half_step)
     del step, half_step  # drops the move table before the vertices are keyed
     found = [DLVertex(center.params, c) for c in found]
     tree_keys = LazyDict(tree_key)
@@ -641,12 +653,13 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
     bound = expected_degree(params) * n // 2
     if n <= DEFAULT_VERTEX_BUDGET and bound > DEFAULT_EDGE_BUDGET:
         raise BudgetError(f"box graph may hold {bound} edges, budget {DEFAULT_EDGE_BUDGET}")
+    # the degree is checked before any member is listed, and the move table
+    # goes with the half step when the edge pass returns
+    half_step = partial(_neighbor_coords, _move_table(params), half=True)
     keys, vertices = sorted_box_members(params, box)
     index = {v.coords: i for i, v in enumerate(vertices)}
-    # the move table goes with the half-step when the edge pass returns
-    edges = _induced_edges(
-        tuple(index), index, partial(_neighbor_coords, params, half=True, moves=_move_table(params))
-    )
+    edges = _induced_edges(tuple(index), index, half_step)
+    del half_step
     return BallGraph(
         params=params,
         vertices=vertices,

@@ -62,11 +62,10 @@ from .dlgraph import (
     ball,
     base_vertex,
     dl_key,
+    expected_degree,
     graph_params,
     sphere_sizes,
 )
-
-DEFAULT_ELEMENT_BUDGET = 200_000
 
 # Per-place offset between tree digit indices and expansion exponents: the
 # digit at tree index j is the expansion digit at exponent j + offset. The
@@ -136,7 +135,7 @@ def gen_ratio(params: RingParams, i: int, j: int, b: int) -> GroupElement:
 def generators(params: RingParams) -> "tuple[GroupElement, ...]":
     """The standard generating set; size d(d-1)q, closed under inversion."""
     gens = _generating_set(params, 1)
-    expected = params.d * (params.d - 1) * params.q
+    expected = expected_degree(graph_params(params.d, params.q))
     if len(gens) != expected:
         raise AssertionError(f"generator count {len(gens)} != {expected}")
     return gens
@@ -206,7 +205,8 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
 
     Returns the states in discovery order and their depths; edges, if
     given, gets the edge list as in _layered_bfs, the outer sphere's by
-    _word_step's half step. When every generator's exps is (+-m,) for one
+    _word_step's half step. The ball takes the vertex budget, as the
+    isomorphic graph ball does. When every generator's exps is (+-m,) for one
     m > 0, as for generators and subgroup_generators at d = 2, the word
     length is exps[0] / m mod 2, so no half step is passed.
     """
@@ -214,9 +214,7 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
     sizes = {abs(e) for s in gens for e in s.exps}
     if params.d == 2 and len(sizes) == 1 and 0 not in sizes:
         half_step = None
-    found, _, depths = _layered_bfs(
-        start, radius, step, DEFAULT_ELEMENT_BUDGET, "elements", edges, half_step
-    )
+    found, _, depths = _layered_bfs(start, radius, step, "elements", edges, half_step)
     return found, depths
 
 
@@ -233,13 +231,7 @@ def cayley_ball(
 ) -> CayleyBall:
     gens = tuple(gens) if gens is not None else generators(params)
     found, depths = _word_ball(params, radius, gens)
-    # only one form of the elements is alive at a time: each state is
-    # replaced in place by its element, the den tuples shared like the exps
-    pool = {}
-    for i, (exps, digits) in enumerate(found):
-        P = from_partial_fractions(params, digits)
-        P = RationalElement(params, P.num, pool.setdefault(P.den, P.den))
-        found[i] = GroupElement(params, exps, P)
+    found = [_element(params, state) for state in found]
     keys = [element_key(g) for g in found]
     order = sorted(range(len(found)), key=keys.__getitem__)
     return CayleyBall(
@@ -404,7 +396,7 @@ def validate_correspondence(params: RingParams, radius: int) -> CorrespondenceRe
         ok=not failures,
         sphere_group=tuple(map(depths.count, range(radius + 1))),
         sphere_graph=sphere_sizes(gb),
-        interior_degree=params.d * (params.d - 1) * params.q,
+        interior_degree=expected_degree(graph_params(params.d, params.q)),
         failures=tuple(failures[:20]),
         failure_count=len(failures),
     )
@@ -494,6 +486,6 @@ def index_check(params: RingParams, k: int) -> "tuple[set, int, bool]":
     cosets = {exps[0] % k for (exps, _), dep in zip(found, depths) if dep <= k}
     positives = [st for st, dep in zip(found, depths) if dep <= 3 and st[0][0] % k == 0]
     step, _, start = _word_step(params, subgroup_generators(params, k))
-    _, reached, _ = _layered_bfs(start, 2, step, DEFAULT_ELEMENT_BUDGET, "elements")
+    _, reached, _ = _layered_bfs(start, 2, step, "elements")
     covered = all(st in reached or any(x in reached for x in step(st)) for st in positives)
     return cosets, len(positives), covered

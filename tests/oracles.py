@@ -106,7 +106,7 @@ def vertex_distance(u, v, cap: int) -> int:
     shares no search code with `dlgraph._state_distance`, which runs from
     one end over signature states, guided by a lower bound.
     """
-    step = partial(_neighbor_coords, u.params, moves=_move_table(u.params))
+    step = partial(_neighbor_coords, _move_table(u.params))
     return _meet_in_middle(u.coords, v.coords, step, cap, DEFAULT_VERTEX_BUDGET, "vertices")
 
 

@@ -132,7 +132,7 @@ class TestVerifyCommand:
 
     def test_index_suite_d3q3k3(self, capsys):
         # the depth-3 subgroup ball over 222 generators would exceed the
-        # element budget; coverage is decided from the depth-2 ball
+        # vertex budget; coverage is decided from the depth-2 ball
         argv = ["verify", "--d", "3", "--q", "3", "--k", "3", "--assert", "index"]
         assert run_cli(argv) == 0
         assert capsys.readouterr().out.splitlines() == [
@@ -500,6 +500,48 @@ class TestOversizedBoxes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: box graph may hold 38263752 edges, budget 5000000\n"
+
+
+class TestOversizedLists:
+    """A vertex's degree and a cube's point count are closed forms, checked before any listing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--d", "2", "--q", "2", "--k", "40", "--radius", "1"],
+            ["verify", "--d", "2", "--q", "2", "--k", "40", "--assert", "counting"],
+        ],
+        ids=["graph", "counting"],
+    )
+    def test_degree_over_the_vertex_budget(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree move was listed")
+
+        monkeypatch.setattr(dlgraph, "tree_descendants", refuse)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # 2 * 2 ** 40 neighbours
+        assert captured.err == "error: vertex has 2199023255552 neighbours, budget 500000\n"
+
+    @pytest.mark.parametrize(
+        "argv,points",
+        [
+            (["verify", "--d", "4", "--q", "2", "--assert", "counting", "--h", "100"], 1030301),
+            (["verify", "--d", "4", "--q", "2", "--assert", "folner", "--h", "100,200"], 1030301),
+            (["qilab", "--d", "3", "--q", "2", "--map", "alpha,id,id", "--h", "1500"], 2253001),
+        ],
+        ids=["counting", "folner", "chain"],
+    )
+    def test_cube_over_the_vertex_budget(self, capsys, monkeypatch, argv, points):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cube was listed")
+
+        monkeypatch.setattr(dlgraph, "product", refuse)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cube has {points} points, budget 500000\n"
 
 
 class TestConfig:

@@ -259,6 +259,27 @@ def test_cube_basics():
         height_cube([(1, 3)], k=2)
 
 
+def test_cube_points_checked_against_the_vertex_budget(monkeypatch):
+    # the count is cube_size's closed form, so an oversized cube lists no point
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cube was listed")
+
+    p = graph_params(4, 2)
+    cube = height_cube([(0, 100)] * 3)
+    with monkeypatch.context() as mp:
+        mp.setattr(dlgraph, "product", refuse)
+        for lister in (lambda: cube_points(cube), lambda: cube_boundary(p, cube, 1)):
+            with pytest.raises(BudgetError, match=r"^cube has 1030301 points, budget 500000$"):
+                lister()
+    # the first axis of an index-2 cube steps by 2: 3 x 5 points
+    cube = height_cube([(0, 4), (0, 4)], k=2)
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 15)
+    assert len(cube_points(cube)) == 15
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 14)
+    with pytest.raises(BudgetError, match=r"^cube has 15 points, budget 14$"):
+        cube_points(cube)
+
+
 @pytest.mark.parametrize(
     "intervals,k",
     [([(0, 4)], 2), ([(-2, 4), (1, 7)], 2), ([(-3, 3), (0, 6)], 3), ([(3, 3), (0, 0), (5, 5)], 1)],
@@ -653,6 +674,38 @@ def test_box_graph_edge_bound_checked_before_any_member(monkeypatch):
     monkeypatch.setattr(dlgraph, "DEFAULT_EDGE_BUDGET", 23)
     with pytest.raises(BudgetError, match=r"box graph may hold 24 edges, budget 23"):
         box_graph(p, box)
+
+
+def test_degree_checked_before_any_tree_move(monkeypatch):
+    # every search that lists neighbours builds its move table first, and
+    # the table compares the closed-form degree with the vertex budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree move was listed")
+
+    # 2 * 2 ** 19 neighbours; the one-member box may hold half as many
+    # edges, within the edge budget
+    p = graph_params(2, 2, 19)
+    center = base_vertex(p)
+    searches = [
+        lambda: dl_neighbors(center),
+        lambda: ball(center, 0),
+        lambda: ball(center, 1),
+        lambda: box_graph(p, canonical_box(p, height_cube([(0, 0)], 19))),
+    ]
+    with monkeypatch.context() as mp:
+        for name in ("tree_children", "tree_parent", "tree_descendants", "tree_ancestor"):
+            mp.setattr(dlgraph, name, refuse)
+        mp.setattr(dlgraph, "sorted_box_members", refuse)
+        for search in searches:
+            with pytest.raises(BudgetError, match=r"^vertex has 1048576 neighbours, budget 500000$"):
+                search()
+    # a DL_2(2) vertex has 4 neighbours
+    center = base_vertex(graph_params(2, 2))
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 4)
+    assert len(dl_neighbors(center)) == 4
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 3)
+    with pytest.raises(BudgetError, match=r"^vertex has 4 neighbours, budget 3$"):
+        dl_neighbors(center)
 
 
 @pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
@@ -1132,10 +1185,11 @@ def test_neighbors_match_two_loop_version(small_ball, d, q, k):
 def test_half_step_lists_each_edge_from_one_endpoint(small_ball, d, q, k):
     p = graph_params(d, q, k)
     g = small_ball(d, q, k)
-    half = {v.coords: dlgraph._neighbor_coords(p, v.coords, half=True) for v in g.vertices}
+    moves = dlgraph._move_table(p)
+    half = {v.coords: dlgraph._neighbor_coords(moves, v.coords, half=True) for v in g.vertices}
     for v, depth in zip(g.vertices, g.depths):
         u = v.coords
-        full = dlgraph._neighbor_coords(p, u)
+        full = dlgraph._neighbor_coords(moves, u)
         rest = iter(full)
         assert all(w in rest for w in half[u])  # a sub-list, in the same order
         if depth < g.radius:  # then every neighbour is in the ball

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
-from dllab import group
+from dllab import dlgraph, group
 from dllab.algebra import partial_fractions, rat_zero, rational, ring_params
 from dllab.dlgraph import (
     BudgetError,
@@ -24,7 +24,6 @@ from dllab.dlgraph import (
     sphere_sizes,
 )
 from dllab.group import (
-    DEFAULT_ELEMENT_BUDGET,
     cayley_ball,
     correspond,
     correspondence_cutoffs,
@@ -313,9 +312,7 @@ def multiply_word_ball(params, radius, gens):
     def step(g):
         return [multiply(g, s) for s in gens]
 
-    found, ids, depths = _layered_bfs(
-        identity(params), radius, step, DEFAULT_ELEMENT_BUDGET, "elements", edges
-    )
+    found, ids, depths = _layered_bfs(identity(params), radius, step, "elements", edges)
     for i, (g, dep) in enumerate(zip(found, depths)):
         if dep == radius:
             for j in map(ids.get, step(g)):
@@ -439,7 +436,7 @@ def test_validate_correspondence_reads_images_off_digits(monkeypatch):
 
 
 def test_cayley_ball_budget_reports_counts(monkeypatch):
-    monkeypatch.setattr(group, "DEFAULT_ELEMENT_BUDGET", 10)
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 10)
     with pytest.raises(BudgetError, match=r"budget 10: 11 elements reached at depth 2"):
         cayley_ball(ring_params(2, 2), 3)
 
