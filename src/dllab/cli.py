@@ -50,7 +50,6 @@ from .dlgraph import (
     base_vertex,
     box_graph,
     box_size,
-    canonical_box,
     cube_size,
     dl_neighbors,
     expected_degree,
@@ -59,6 +58,7 @@ from .dlgraph import (
     graph_params,
     height_cube,
     json_payload,
+    side_box,
     sorted_box_members,
 )
 
@@ -256,9 +256,7 @@ def cmd_graph(args) -> int:
         g = ball(base_vertex(params), args.radius)
     else:
         # side 0 is the one-vertex box over heights 0
-        h = _one_side("graph", args.h, least=0)
-        cube = height_cube([(0, h)] * (params.d - 1), params.k)
-        g = box_graph(params, canonical_box(params, cube))
+        g = box_graph(params, side_box(params, _one_side("graph", args.h, least=0)))
     if args.format in (None, "dot"):
         payload = export_dot(g)
     elif args.format == "json":
@@ -273,15 +271,14 @@ def cmd_graph(args) -> int:
 # verify subcommand
 
 def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
-    cube = height_cube([(0, h)] * (params.d - 1), params.k)
-    box = canonical_box(params, cube)
+    box = side_box(params, h)
     expected_fiber = params.q ** ((params.d - 1) * h)
     # per point, not by box_size's closed form, so that the check is independent
-    sizes = [dlgraph.box_fiber_size(params, box, pt) for pt in dlgraph.cube_points(cube)]
+    sizes = [dlgraph.box_fiber_size(params, box, pt) for pt in dlgraph.cube_points(box.cube)]
     fibers = set(sizes)
     size = sum(sizes)
     deg = len(dl_neighbors(base_vertex(params)))
-    checks = [
+    return [
         (
             "counting.fibers",
             fibers == {expected_fiber},
@@ -289,8 +286,8 @@ def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
         ),
         (
             "counting.box_size",
-            size == cube_size(cube) * expected_fiber,
-            f"box size {size} = cube {cube_size(cube)} x fiber {expected_fiber}",
+            size == cube_size(box.cube) * expected_fiber,
+            f"box size {size} = cube {cube_size(box.cube)} x fiber {expected_fiber}",
         ),
         (
             "counting.degree",
@@ -298,16 +295,15 @@ def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
             f"vertex degree {deg} matches formula {expected_degree(params)}",
         ),
     ]
-    return checks
 
 
 def _check_folner(params, r, sides) -> "list[tuple[str, bool, str]]":
     ratios = []
     for h in sides:
-        cube = height_cube([(0, h)] * (params.d - 1), params.k)
-        box = canonical_box(params, cube)
+        # the box ratio is a closed form, the height-set ratio a listing
+        box = side_box(params, h)
         box_ratio = Fraction(dlgraph.box_boundary_size(params, box, r), box_size(params, box))
-        set_ratio = Fraction(len(dlgraph.cube_boundary(params, cube, r)), cube_size(cube))
+        set_ratio = Fraction(len(dlgraph.cube_boundary(params, box.cube, r)), cube_size(box.cube))
         ratios.append((h, box_ratio, set_ratio))
     identity_ok = all(b == c for _, b, c in ratios)
     decreasing = all(ratios[i][1] > ratios[i + 1][1] for i in range(len(ratios) - 1))
@@ -374,7 +370,7 @@ def cmd_verify(args) -> int:
     # without --h the side is the smallest multiple of k that is at least 2,
     # so index-k cubes align, and the Folner suite takes 1, 2 and 3 times it
     side = max(2, params.k)
-    sides = _parse_h_list(args.h) if args.h else None
+    sides = _parse_h_list(args.h) if args.h is not None else None
     r = args.r if args.r is not None else 1
     if suite in ("folner", "all"):
         # with one side the decreasing check would pass vacuously, and with
@@ -425,7 +421,7 @@ def _chain_csv(records) -> str:
 
 
 def _qilab_chain(args, params, imap) -> "tuple[str, list, list]":
-    h_values = _parse_h_list(args.h or "2,4,6")
+    h_values = _parse_h_list("2,4,6" if args.h is None else args.h)
     if args.k is not None:
         target = args.k
     else:
@@ -489,12 +485,8 @@ def _audit_cell(value):
 def _qilab_audit(args, params, imap) -> "tuple[str, list, list]":
     if args.format not in (None, "csv", "json"):
         raise ValueError(f"audit mode writes csv or json, not {args.format!r}")
-    h_values = _parse_h_list(args.h or "4")
-    boxes = [
-        canonical_box(params, height_cube([(0, h)] * (params.d - 1), params.k))
-        for h in h_values
-    ]
-    audits = [qilab.fiber_count_audit(imap, box, r=args.r) for box in boxes]
+    h_values = _parse_h_list("4" if args.h is None else args.h)
+    audits = [qilab.fiber_count_audit(imap, side_box(params, h), r=args.r) for h in h_values]
     if args.format == "csv":
         payload = _csv_payload(
             _AUDIT_FIELDS,
@@ -521,7 +513,7 @@ def _qilab_umap(args, params) -> "tuple[str, list, list]":
     k = args.k
     if k is None or k < 2:
         raise ValueError("umap mode needs --k >= 2 (the index of the target lattice)")
-    side = _one_side("umap mode", args.h) if args.h else 3 * k
+    side = 3 * k if args.h is None else _one_side("umap mode", args.h)
     region = height_cube([(0, side - 1)] * (params.d - 1))
     tiling = qilab.make_tiling(params, region, k)
     keys, members, image = qilab.umap_positions(tiling, k)
@@ -554,13 +546,11 @@ def _qilab_umap(args, params) -> "tuple[str, list, list]":
 
 
 def _qilab_distortion(args, params, imap) -> "tuple[str, list, list]":
-    h = _one_side("distortion mode", args.h or "4")
+    h = _one_side("distortion mode", "4" if args.h is None else args.h)
     n_pairs = args.pairs if args.pairs is not None else 30
     if n_pairs < 1:
         raise ValueError(f"need at least one sample pair, got {n_pairs}")
-    cube = height_cube([(0, h)] * (params.d - 1), params.k)
-    box = canonical_box(params, cube)
-    _, members = sorted_box_members(params, box)
+    _, members = sorted_box_members(params, side_box(params, h))
     table = qilab.psi_eval(imap, members)
     report = qilab.distortion(
         table,
@@ -593,7 +583,8 @@ def cmd_qilab(args) -> int:
     if args.mode == "umap":
         payload, summaries, checks = _qilab_umap(args, params)
     else:
-        imap = _interior_map_from_arg(params, args.map or "alpha" + ",id" * (params.d - 1))
+        spec = "alpha" + ",id" * (params.d - 1) if args.map is None else args.map
+        imap = _interior_map_from_arg(params, spec)
         if args.mode == "chain":
             payload, summaries, checks = _qilab_chain(args, params, imap)
         elif args.mode == "audit":

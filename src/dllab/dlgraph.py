@@ -42,8 +42,9 @@ _neighbor_coords.
 Every search limit (vertex budget, edge budget, distance cap, state
 budget) is a module constant that the search reads when it runs. The
 vertex budget bounds every ball, graph or word (_layered_bfs), and every
-list whose length has a closed form, checked before it is built: a box's
-members, a cube's points and a vertex's neighbours (_move_table).
+list whose length has a closed form, checked by _within_budget before it
+is built: a box's members, a cube's points, a vertex's neighbours
+(_move_table), and in qilab a fiber's descendant walk and a probe window.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ DEFAULT_EDGE_BUDGET = 5_000_000
 DEFAULT_DISTANCE_CAP = 64
 DEFAULT_STATE_BUDGET = 200_000
 DIST_CACHE_LIMIT = 1 << 16
+
+
+def _within_budget(n: int, subject: str) -> None:
+    """Raise BudgetError if a list of n items would exceed the vertex budget, read when called."""
+    if n > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(f"{subject}, budget {DEFAULT_VERTEX_BUDGET}")
 
 
 class GraphParams(NamedTuple):
@@ -269,8 +276,7 @@ def _move_table(params: GraphParams) -> _MoveTable:
     no neighbour list longer than the budget is ever built.
     """
     deg = expected_degree(params)
-    if deg > DEFAULT_VERTEX_BUDGET:
-        raise BudgetError(f"vertex has {deg} neighbours, budget {DEFAULT_VERTEX_BUDGET}")
+    _within_budget(deg, f"vertex has {deg} neighbours")
     q, k = params.q, params.k
     downs = [LazyDict(lambda c: (c,)), LazyDict(lambda c: tree_children(c, q))]
     ups = [LazyDict(lambda c: c), LazyDict(tree_parent)]
@@ -379,8 +385,7 @@ def _cube_axes(cube: HeightCube) -> "list[range]":
 def cube_points(cube: HeightCube) -> "list[tuple[int, ...]]":
     """The lattice points, in lex order, once cube_size is within the vertex budget."""
     n = cube_size(cube)
-    if n > DEFAULT_VERTEX_BUDGET:
-        raise BudgetError(f"cube has {n} points, budget {DEFAULT_VERTEX_BUDGET}")
+    _within_budget(n, f"cube has {n} points")
     return list(product(*_cube_axes(cube)))
 
 
@@ -432,6 +437,11 @@ def canonical_box(params: GraphParams, cube: HeightCube) -> Box:
     roots = [tree_root(a) for a, _ in cube.intervals]
     roots.append(tree_root(-sum(b for _, b in cube.intervals)))
     return Box(cube=cube, roots=tuple(roots))
+
+
+def side_box(params: GraphParams, h: int) -> Box:
+    """The canonical box over [0, h]^(d-1), its first axis aligned to params.k."""
+    return canonical_box(params, height_cube([(0, h)] * (params.d - 1), params.k))
 
 
 def _check_cube(params: GraphParams, cube: HeightCube) -> None:
@@ -499,9 +509,18 @@ def box_boundary(params: GraphParams, box: Box, r: int) -> Iterator[DLVertex]:
 
 
 def box_boundary_size(params: GraphParams, box: Box, r: int) -> int:
-    return sum(
-        box_fiber_size(params, box, p) for p in cube_boundary(params, box.cube, r)
-    )
+    """The r-boundary's cube points times the common fiber size (box_size).
+
+    cube_boundary keeps the points within r*k of a face, so the interior, the
+    cube shrunk by r*k on every face, has r*k // step fewer points at each end
+    of every axis: r on the first, which steps by k. No point is listed.
+    """
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    _check_cube(params, box.cube)
+    margin = r * params.k
+    inner = math.prod(max(0, len(ax) - 2 * (margin // ax.step)) for ax in _cube_axes(box.cube))
+    return (cube_size(box.cube) - inner) * params.q ** ((params.d - 1) * cube_side(box.cube))
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +653,7 @@ def sorted_box_members(
     member is built. A fiber's member keys are the products of its pools' keys.
     """
     n = box_size(params, box)
-    if n > DEFAULT_VERTEX_BUDGET:
-        raise BudgetError(f"box has {n} members, budget {DEFAULT_VERTEX_BUDGET}")
+    _within_budget(n, f"box has {n} members")
     keys, members = [], []
     for point in cube_points(box.cube):
         pools = fiber_pools(params, box, point)

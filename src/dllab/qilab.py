@@ -45,14 +45,13 @@ from typing import Iterator, Optional, Sequence
 
 from .dlgraph import (
     Box,
-    BudgetError,
     DLVertex,
     GraphParams,
     HeightCube,
     RegionAlignmentError,
     TreeVertex,
+    _within_budget,
     box_boundary_size,
-    box_fiber_size,
     box_size,
     canonical_box,
     cube_boundary,
@@ -61,16 +60,13 @@ from .dlgraph import (
     dl_distance,
     fiber_levels,
     fiber_pools,
-    height_cube,
     meet_level,
     rho,
+    side_box,
     sorted_box_members,
     tree_ancestor,
     tree_descendants,
 )
-
-DEFAULT_FIBER_BUDGET = 2_000_000
-DEFAULT_PROBE_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +500,7 @@ def measure_linear_constant(m: BoundaryMap, depth: int) -> MeasureCheck:
     and at -1 at the latest, which suffices: digits strictly below every
     structural read pass through a pure translation and cannot influence
     the ratio.  Those clones are the level-depth descendants of the root
-    at probe_lo - 1.
+    at probe_lo - 1, q**width of them, which the vertex budget bounds.
     """
     span = m.source_span()
     if span is not None and depth < span[1]:
@@ -514,10 +510,7 @@ def measure_linear_constant(m: BoundaryMap, depth: int) -> MeasureCheck:
         raise ValueError("probe window is empty")
     width = depth - probe_lo + 1
     q = m.q
-    if q ** width > DEFAULT_PROBE_BUDGET:
-        raise BudgetError(
-            f"probe window enumerates {q ** width} clones, budget {DEFAULT_PROBE_BUDGET}"
-        )
+    _within_budget(q**width, f"probe window enumerates {q**width} clones")
     ratio = None
     witness_clone = None
     samples = 0
@@ -667,23 +660,24 @@ def fiber_count_audit(
     Fractions; bounds_ok records whether T landed inside.
 
     Boundary membership depends on heights only, so the boundary/interior
-    split is per cube point and totals come from `_fiber_totals`.  The
-    distinct interior counts over a point are the products of each
-    coordinate's distinct counts at its level, found by walking that
-    coordinate's descendants once per level.
+    split is per cube point; totals come from `_fiber_totals` and the
+    boundary size from `box_boundary_size`.  The distinct interior counts
+    over a point are the products of each coordinate's distinct counts at
+    its level, found by walking that coordinate's descendants once per
+    level: at most one fiber's q**((d-1)*side), checked against the vertex
+    budget before any walk.
     """
     params = imap.params
     if bilip is None:
         bilip = imap.bilip_max()
     if r is None:
-        r = 0
+        r = 1
         while params.q ** r < bilip:
             r += 1
-        r = max(r, 1)
+    fiber = params.q ** ((params.d - 1) * cube_side(box.cube))
+    _within_budget(fiber, f"fiber has {fiber} members")
     n = box_size(params, box)
-    if n > DEFAULT_FIBER_BUDGET:
-        raise BudgetError(f"box has {n} members, budget {DEFAULT_FIBER_BUDGET}")
-    q = params.q
+    boundary_size = box_boundary_size(params, box, r)
     fiber_total = _fiber_totals(imap, box)
     boundary = set(cube_boundary(params, box.cube, r))
     level_counts = {}
@@ -693,17 +687,16 @@ def fiber_count_audit(
             root = box.roots[i]
             level_counts[i, level] = {
                 _clone_fiber_count(imap.maps[i], y, level)
-                for y in tree_descendants(root, level - root.level, q)
+                for y in tree_descendants(root, level - root.level, params.q)
             }
         return level_counts[i, level]
 
-    total = interior_total = boundary_size = 0
+    total = interior_total = 0
     distinct = set()
     for point in cube_points(box.cube):
         t = fiber_total(point)
         total += t
         if point in boundary:
-            boundary_size += box_fiber_size(params, box, point)
             continue
         interior_total += t
         # two distinct values already settle interior_constant and _value
@@ -772,11 +765,9 @@ def uf_chain_scan(
     params = imap.params
     out = []
     for h in h_values:
-        cube = height_cube([(0, h)] * (params.d - 1), params.k)
-        box = canonical_box(params, cube)
+        box = side_box(params, h)
         n = box_size(params, box)
-        fiber_total = _fiber_totals(imap, box)
-        chain = sum(fiber_total(p) for p in cube_points(cube)) - k * n
+        chain = sum(map(_fiber_totals(imap, box), cube_points(box.cube))) - k * n
         bsize = box_boundary_size(params, box, r)
         out.append(
             ChainRecord(

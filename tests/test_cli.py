@@ -168,6 +168,26 @@ class TestVerifyCommand:
             "PASS folner.decreasing: boundary ratio strictly decreases in h at r=1",
         ]
 
+    def test_folner_lists_each_boundary_once(self, capsys, monkeypatch):
+        # the box ratio is box_boundary_size's closed form, so cube_boundary
+        # runs once per side, for the height-set ratio
+        listed = []
+        cube_boundary = dlgraph.cube_boundary
+
+        def counted(params, cube, r):
+            listed.append(cube.intervals)
+            return cube_boundary(params, cube, r)
+
+        monkeypatch.setattr(dlgraph, "cube_boundary", counted)
+        argv = ["verify", "--d", "3", "--q", "2", "--k", "2", "--assert", "folner", "--r", "2", "--h", "8,12,16"]
+        assert run_cli(argv) == 0
+        assert listed == [((0, 8), (0, 8)), ((0, 12), (0, 12)), ((0, 16), (0, 16))]
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS folner.identity: box boundary ratio equals height-set ratio at r=2 "
+            "(h=8: 44/45, h=12: 76/91, h=16: 12/17)",
+            "PASS folner.decreasing: boundary ratio strictly decreases in h at r=2",
+        ]
+
     def test_counting_runs_once_per_listed_side(self, capsys):
         argv = ["verify", "--d", "2", "--q", "2", "--assert", "counting", "--h", "2,4"]
         assert run_cli(argv) == 0
@@ -467,17 +487,19 @@ class TestPayloadBytes:
 
 
 class TestOversizedBoxes:
-    """A box's size is a closed form, so its budget check lists no cube point."""
+    """A box's and a fiber's sizes are closed forms, so their budget checks list no cube point."""
 
     @pytest.mark.parametrize(
-        "argv,budget",
+        "argv,error",
         [
-            (["graph", "--d", "11", "--q", "2", "--h", "3"], 500000),
-            (["qilab", "--mode", "audit", "--d", "11", "--q", "2", "--h", "3"], 2000000),
+            # (4 ** 10 cube points) x (2 ** 30 members per fiber) = 2 ** 50
+            (["graph", "--d", "11", "--q", "2", "--h", "3"], "box has 1125899906842624 members"),
+            # the audit walks up to one fiber's descendants, never the whole box
+            (["qilab", "--mode", "audit", "--d", "11", "--q", "2", "--h", "3"], "fiber has 1073741824 members"),
         ],
         ids=["graph", "audit"],
     )
-    def test_rejected_without_listing_the_cube(self, capsys, monkeypatch, argv, budget):
+    def test_rejected_without_listing_the_cube(self, capsys, monkeypatch, argv, error):
         def refuse(*args, **kwargs):
             raise AssertionError("the cube was enumerated")
 
@@ -486,8 +508,7 @@ class TestOversizedBoxes:
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        # (4 ** 10 cube points) x (2 ** 30 members per fiber) = 2 ** 50
-        assert captured.err == f"error: box has 1125899906842624 members, budget {budget}\n"
+        assert captured.err == f"error: {error}, budget 500000\n"
 
     def test_box_graph_over_the_edge_budget_rejected_before_any_member(self, capsys, monkeypatch):
         # 354,294 members, within the vertex budget, but up to
@@ -542,6 +563,34 @@ class TestOversizedLists:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cube has {points} points, budget 500000\n"
+
+
+class TestEmptyLists:
+    """An explicit empty --h or --map is an error, never the default."""
+
+    @pytest.mark.parametrize(
+        "argv,config,message",
+        [
+            (["verify", "--d", "2", "--q", "2", "--assert", "counting", "--h", ""], None, "--h list is empty"),
+            (["verify", "--d", "2", "--q", "2", "--assert", "counting"], "h=\n", "--h list is empty"),
+            (["verify", "--assert", "folner", "--h", ""], None, "--h list is empty"),
+            (["qilab", "--map", "alpha,id", "--h", ""], None, "--h list is empty"),
+            (["qilab", "--mode", "audit", "--h", ""], None, "--h list is empty"),
+            (["qilab", "--mode", "umap", "--k", "2", "--h", ""], None, "--h list is empty"),
+            (["qilab", "--mode", "distortion", "--h", ""], None, "--h list is empty"),
+            (["qilab", "--d", "2", "--q", "2", "--map", "", "--h", "2"], None, "unknown coordinate map ''"),
+        ],
+        ids=["counting", "counting-config", "folner", "chain", "audit", "umap", "distortion", "map"],
+    )
+    def test_rejected_before_any_work(self, capsys, no_work, tmp_path, argv, config, message):
+        if config is not None:
+            cfg = tmp_path / "lab.cfg"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestConfig:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import pytest
 
-from dllab import dlgraph
+from dllab import dlgraph, qilab
 from dllab.qilab import make_tiling
 from dllab.dlgraph import (
     BallGraph,
@@ -449,6 +449,66 @@ def test_folner_example_values():
     box = canonical_box(p, cube)
     assert box_boundary_size(p, box, 1) == 32
     assert Fraction(box_boundary_size(p, box, 1), box_size(p, box)) == Fraction(2, 5)
+
+
+def refuse_listing(*args, **kwargs):
+    raise AssertionError("a cube was listed")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_box_boundary_size_is_the_listed_sum(monkeypatch, d, q, k):
+    # box_boundary_size is a closed form that lists no cube point; the
+    # fibers over cube_boundary's points, summed point by point, are its
+    # oracle, with r running from 0 until the interior is long empty
+    p = graph_params(d, q, k)
+    for side in range(0, 4 * k + 1, k):  # the first axis is aligned to kZ
+        for corner in (0, -k, 2 * k):
+            cube = height_cube(
+                [(corner, corner + side)] + [(corner + t, corner + t + side) for t in range(1, d - 1)],
+                k,
+            )
+            canon = canonical_box(p, cube)
+            lifted = Box(cube, tuple(tree_vertex(r.level, [(r.level, 1)]) for r in canon.roots))
+            cases = [(box, r) for box in (canon, lifted) for r in range(side + 3)]
+            listed = [
+                sum(box_fiber_size(p, box, pt) for pt in cube_boundary(p, cube, r))
+                for box, r in cases
+            ]
+            with monkeypatch.context() as mp:
+                mp.setattr(dlgraph, "cube_points", refuse_listing)
+                mp.setattr(dlgraph, "cube_boundary", refuse_listing)
+                closed = [box_boundary_size(p, box, r) for box, r in cases]
+            assert closed == listed, (side, corner)
+
+
+def test_box_boundary_size_lists_no_cube_point(monkeypatch):
+    # the Folner suite's largest CI box, and a chain scan, with every cube
+    # lister in dlgraph patched to fail; the chain sum itself still walks
+    # its cube through qilab's own name
+    monkeypatch.setattr(dlgraph, "cube_points", refuse_listing)
+    monkeypatch.setattr(dlgraph, "cube_boundary", refuse_listing)
+    monkeypatch.setattr(qilab, "cube_boundary", refuse_listing)
+    p = graph_params(4, 2)
+    box = dlgraph.side_box(p, 78)
+    assert Fraction(box_boundary_size(p, box, 1), box_size(p, box)) == Fraction(36506, 493039)
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        box_boundary_size(p, box, -1)
+    with pytest.raises(ValueError, match="cube alignment 1 does not match graph k=2"):
+        box_boundary_size(graph_params(4, 2, 2), box, 1)
+    imap = qilab.interior_map(p, [qilab.shift_map(2, 1)] + [qilab.identity_map(2)] * 3)
+    [record] = qilab.uf_chain_scan(imap, 2, [6], r=2)
+    assert record.boundary_size == (7**3 - 3**3) * 2 ** 18
+
+
+def test_side_box_is_the_canonical_box_over_the_side():
+    for d, k, h in [(2, 1, 0), (3, 2, 4), (4, 3, 6)]:
+        p = graph_params(d, 2, k)
+        box = dlgraph.side_box(p, h)
+        assert box == canonical_box(p, height_cube([(0, h)] * (d - 1), k))
+    with pytest.raises(ValueError, match=r"first axis \[0, 3\] must be aligned to 2Z"):
+        dlgraph.side_box(graph_params(3, 2, 2), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -380,14 +380,24 @@ class TestBoundaryMaps:
             measure_linear_constant(BoundaryMap(2, (rw,)), depth=1)
 
     def test_probe_budget_guard(self, monkeypatch):
-        monkeypatch.setattr(qilab, "DEFAULT_PROBE_BUDGET", 100)
+        monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 100)
         with pytest.raises(ValueError):
             measure_linear_constant(shift_map(2, 1), depth=40)
 
     def test_probe_budget_is_a_budget_error(self, monkeypatch):
-        monkeypatch.setattr(qilab, "DEFAULT_PROBE_BUDGET", 100)
+        monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 100)
         assert issubclass(dlgraph.BudgetError, ValueError)
         with pytest.raises(dlgraph.BudgetError, match=r"^probe window enumerates 2048 clones, budget 100$"):
+            measure_linear_constant(shift_map(2, 1), depth=9)
+
+    def test_probe_gate_is_the_vertex_budget(self, monkeypatch):
+        # the window from -1 to depth 17 holds 2 ** 19 clones
+        with pytest.raises(dlgraph.BudgetError, match=r"^probe window enumerates 524288 clones, budget 500000$"):
+            measure_linear_constant(shift_map(2, 1), depth=17)
+        monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 2048)
+        assert measure_linear_constant(shift_map(2, 1), depth=9).samples == 2048
+        monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 2047)
+        with pytest.raises(dlgraph.BudgetError, match=r"^probe window enumerates 2048 clones, budget 2047$"):
             measure_linear_constant(shift_map(2, 1), depth=9)
 
     def test_probe_window_covers_span(self):
@@ -558,14 +568,28 @@ class TestFiberAudit:
         assert audit.bounds_ok
 
     def test_box_budget_is_a_budget_error(self, monkeypatch):
+        # each fiber of the side-4 d = 2 box has 2 ** 4 members
         p = graph_params(2, 2)
         im = interior_map(p, (shift_map(2, 1), identity_map(2)))
         box = canonical_box(p, height_cube([(0, 4)]))
-        monkeypatch.setattr(qilab, "DEFAULT_FIBER_BUDGET", 79)
-        with pytest.raises(dlgraph.BudgetError, match=r"^box has 80 members, budget 79$"):
+        monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 15)
+        with pytest.raises(dlgraph.BudgetError, match=r"^fiber has 16 members, budget 15$"):
             fiber_count_audit(im, box)
-        monkeypatch.setattr(qilab, "DEFAULT_FIBER_BUDGET", 80)
+        monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 16)
         assert fiber_count_audit(im, box).box_size == 80
+
+    def test_fiber_gate_comes_before_any_walk(self, monkeypatch):
+        # at q = 708 a side-2 d = 2 fiber has 501,264 members, over the
+        # vertex budget, though its box of 1,503,792 is not listed at all
+        def refuse(*args, **kwargs):
+            raise AssertionError("a descendant walk started")
+
+        monkeypatch.setattr(qilab, "tree_descendants", refuse)
+        monkeypatch.setattr(dlgraph, "tree_descendants", refuse)
+        p = graph_params(2, 708)
+        im = interior_map(p, (shift_map(708, 1), identity_map(708)))
+        with pytest.raises(dlgraph.BudgetError, match=r"^fiber has 501264 members, budget 500000$"):
+            fiber_count_audit(im, dlgraph.side_box(p, 2))
 
     def test_default_radius_covers_bilip(self):
         p = graph_params(2, 2)
