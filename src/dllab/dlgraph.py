@@ -451,16 +451,12 @@ def _check_cube(params: GraphParams, cube: HeightCube) -> None:
         raise ValueError(f"cube alignment {cube.k} does not match graph k={params.k}")
 
 
-def fiber_levels(box: Box, point: Sequence[int]) -> "tuple[int, ...]":
-    """Coordinate heights of the members over one cube point."""
-    if not cube_contains(box.cube, point):
-        raise ValueError(f"point {tuple(point)} is outside the cube")
-    return tuple(point) + (-sum(point),)
-
-
 def _fiber_depths(box: Box, point: Sequence[int]) -> "list[int]":
     """Per coordinate, how far the members over a cube point sit below the root."""
-    depths = [lvl - root.level for lvl, root in zip(fiber_levels(box, point), box.roots)]
+    if not cube_contains(box.cube, point):
+        raise ValueError(f"point {tuple(point)} is outside the cube")
+    levels = (*point, -sum(point))
+    depths = [lvl - root.level for lvl, root in zip(levels, box.roots)]
     if min(depths) < 0:
         raise ValueError("depth must be nonnegative")
     return depths
@@ -511,16 +507,23 @@ def box_boundary(params: GraphParams, box: Box, r: int) -> Iterator[DLVertex]:
 def box_boundary_size(params: GraphParams, box: Box, r: int) -> int:
     """The r-boundary's cube points times the common fiber size (box_size).
 
-    cube_boundary keeps the points within r*k of a face, so the interior, the
-    cube shrunk by r*k on every face, has r*k // step fewer points at each end
-    of every axis: r on the first, which steps by k. No point is listed.
+    cube_boundary keeps the points within r*k of a face, and the rest are
+    _inner_cube's. No point is listed.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     _check_cube(params, box.cube)
-    margin = r * params.k
-    inner = math.prod(max(0, len(ax) - 2 * (margin // ax.step)) for ax in _cube_axes(box.cube))
+    inner = cube_size(_inner_cube(box.cube, r))
     return (cube_size(box.cube) - inner) * params.q ** ((params.d - 1) * cube_side(box.cube))
+
+
+def _inner_cube(cube: HeightCube, r: int) -> HeightCube:
+    """The cube shrunk by r*k on every face, an axis too short left empty.
+
+    Each end loses r points of the first axis, which steps by k, and r*k of the others.
+    """
+    margin = r * cube.k
+    return HeightCube(tuple((a + margin, b - margin) for a, b in cube.intervals), cube.k)
 
 
 # ---------------------------------------------------------------------------

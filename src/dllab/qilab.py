@@ -19,7 +19,7 @@ their metric and measure behavior exactly:
 * chain scans: the additive obstruction sums (fiber count minus a target
   integer, summed over a box) that separate maps admitting a bounded
   correction from maps forcing boundary-rate divergence.  Chain and audit
-  totals are computed per coordinate, never member by member;
+  totals are one convolution over the cube axes, never point by point;
 * tile maps: the exactly k-to-1 map from the ordinary lattice onto the
   index-k sublattice built from a cube tiling, relabelling digits one
   fiber of the ambient box at a time, plus displacement and distortion
@@ -50,15 +50,16 @@ from .dlgraph import (
     HeightCube,
     RegionAlignmentError,
     TreeVertex,
+    _cube_axes,
+    _inner_cube,
     _within_budget,
     box_boundary_size,
     box_size,
     canonical_box,
-    cube_boundary,
     cube_points,
     cube_side,
+    cube_size,
     dl_distance,
-    fiber_levels,
     fiber_pools,
     meet_level,
     rho,
@@ -595,28 +596,29 @@ def psi_eval(imap: InteriorMap, vertices) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# fiber totals over a box, per coordinate
+# fiber totals over a box, by convolution over the cube axes
 
-def _fiber_totals(imap: InteriorMap, box: Box):
-    """Return point -> summed fiber count over the box members above it.
+def _fiber_total(imap: InteriorMap, box: Box, cube: HeightCube) -> int:
+    """Summed fiber count over the box members above the points of cube.
 
-    The members over a cube point are the product of the roots'
-    descendant sets, and fiber counts are products over coordinates, so
-    the total is a product of per-coordinate sums.  The clones of a
-    root's level-L descendants partition the root's clone, so each sum is
-    the count of level-L vertices the map sends into the root's clone:
-    one clone preimage per coordinate serves every level.
+    A point's members are a product of the roots' descendant sets, and
+    fiber counts are products over coordinates.  The clones of a root's
+    level-L descendants partition its clone, so coordinate i sums to
+    g_i(L), the level-L vertices its map sends into that clone.  The last
+    level is minus the sum s of the others, so the total is the sum over
+    s of W(s) * g_d(-s), W the convolution of g_1 .. g_{d-1} over the cube
+    axes: O(d * side) fiber counts and O(d**2 * side**2) products.
     """
-    q = imap.params.q
-    pres = [m.clone_preimages(root) for m, root in zip(imap.maps, box.roots)]
-
-    def total(point) -> int:
-        return math.prod(
-            sum(count_vertices_in_clone(c, level, q) for c in pre)
-            for pre, level in zip(pres, fiber_levels(box, point))
-        )
-
-    return total
+    *tracked, last = zip(imap.maps, box.roots)
+    weights = {0: 1}
+    for (m, root), axis in zip(tracked, _cube_axes(cube)):
+        g = [(level, _clone_fiber_count(m, root, level)) for level in axis]
+        conv = {}
+        for s, w in weights.items():
+            for level, c in g:
+                conv[s + level] = conv.get(s + level, 0) + w * c
+        weights = conv
+    return sum(w * _clone_fiber_count(*last, -s) for s, w in weights.items())
 
 
 # ---------------------------------------------------------------------------
@@ -659,13 +661,14 @@ def fiber_count_audit(
     measure by exactly lam.  All quantities here are exact integers or
     Fractions; bounds_ok records whether T landed inside.
 
-    Boundary membership depends on heights only, so the boundary/interior
-    split is per cube point; totals come from `_fiber_totals` and the
-    boundary size from `box_boundary_size`.  The distinct interior counts
-    over a point are the products of each coordinate's distinct counts at
-    its level, found by walking that coordinate's descendants once per
-    level: at most one fiber's q**((d-1)*side), checked against the vertex
-    budget before any walk.
+    Boundary membership depends on heights only, so the interior lies
+    over `_inner_cube`: the totals are `_fiber_total` over the cube and
+    over the inner cube, and no boundary is listed.  The distinct interior
+    counts over a point are the products of each coordinate's distinct
+    counts at its level, found by walking that coordinate's descendants
+    once per level: at most one fiber's q**((d-1)*side), checked against
+    the vertex budget before any walk.  Inner points are read until two
+    counts differ.
     """
     params = imap.params
     if bilip is None:
@@ -678,8 +681,7 @@ def fiber_count_audit(
     _within_budget(fiber, f"fiber has {fiber} members")
     n = box_size(params, box)
     boundary_size = box_boundary_size(params, box, r)
-    fiber_total = _fiber_totals(imap, box)
-    boundary = set(cube_boundary(params, box.cube, r))
+    inner = _inner_cube(box.cube, r)
     level_counts = {}
 
     def distinct_counts(i: int, level: int) -> set:
@@ -691,21 +693,13 @@ def fiber_count_audit(
             }
         return level_counts[i, level]
 
-    total = interior_total = 0
     distinct = set()
-    for point in cube_points(box.cube):
-        t = fiber_total(point)
-        total += t
-        if point in boundary:
-            continue
-        interior_total += t
-        # two distinct values already settle interior_constant and _value
-        if len(distinct) < 2:
-            per_coord = [
-                distinct_counts(i, level)
-                for i, level in enumerate(fiber_levels(box, point))
-            ]
-            distinct.update(math.prod(c) for c in itertools.product(*per_coord))
+    for point in itertools.product(*_cube_axes(inner)):
+        per_coord = [distinct_counts(i, level) for i, level in enumerate(point + (-sum(point),))]
+        distinct.update(math.prod(c) for c in itertools.product(*per_coord))
+        if len(distinct) > 1:  # two values settle interior_constant and _value
+            break
+    total = _fiber_total(imap, box, box.cube)
     lam = imap.lam_product()
     lower = (Fraction(n) - boundary_size) / lam
     upper = Fraction(n) / lam + (bilip ** params.d) * boundary_size
@@ -721,7 +715,7 @@ def fiber_count_audit(
         upper_bound=upper,
         bounds_ok=lower <= total <= upper,
         interior_size=n - boundary_size,
-        interior_total=interior_total,
+        interior_total=_fiber_total(imap, box, inner),
         interior_constant=len(distinct) <= 1,
         interior_value=distinct.pop() if len(distinct) == 1 else None,
     )
@@ -754,9 +748,9 @@ def uf_chain_scan(
     bounded; a map with a genuine index obstruction shows this ratio
     growing linearly in h.  Ratios are exact Fractions.
 
-    Totals are per coordinate (see `_fiber_totals`), so the cost grows
-    with the cube, not the box. The r = 0 boundary is empty, so r must be
-    at least 1.
+    Totals are one convolution over the cube axes (`_fiber_total`), so
+    the cost grows as side**2; the cube is still gated by the vertex
+    budget. The r = 0 boundary is empty, so r must be at least 1.
     """
     if k < 1:
         raise ValueError("target fiber count k must be positive")
@@ -767,7 +761,9 @@ def uf_chain_scan(
     for h in h_values:
         box = side_box(params, h)
         n = box_size(params, box)
-        chain = sum(map(_fiber_totals(imap, box), cube_points(box.cube))) - k * n
+        points = cube_size(box.cube)
+        _within_budget(points, f"cube has {points} points")
+        chain = _fiber_total(imap, box, box.cube) - k * n
         bsize = box_boundary_size(params, box, r)
         out.append(
             ChainRecord(

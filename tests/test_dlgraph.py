@@ -485,11 +485,11 @@ def test_box_boundary_size_is_the_listed_sum(monkeypatch, d, q, k):
 
 def test_box_boundary_size_lists_no_cube_point(monkeypatch):
     # the Folner suite's largest CI box, and a chain scan, with every cube
-    # lister in dlgraph patched to fail; the chain sum itself still walks
-    # its cube through qilab's own name
+    # lister in dlgraph and qilab patched to fail: the chain sum is a
+    # convolution over the cube axes and lists no cube point either
     monkeypatch.setattr(dlgraph, "cube_points", refuse_listing)
     monkeypatch.setattr(dlgraph, "cube_boundary", refuse_listing)
-    monkeypatch.setattr(qilab, "cube_boundary", refuse_listing)
+    monkeypatch.setattr(qilab, "cube_points", refuse_listing)
     p = graph_params(4, 2)
     box = dlgraph.side_box(p, 78)
     assert Fraction(box_boundary_size(p, box, 1), box_size(p, box)) == Fraction(36506, 493039)

@@ -980,7 +980,7 @@ def enumerative_audit(imap, box, r, bilip):
 
 def enumerative_chain(imap, k, h, r):
     params = imap.params
-    box = canonical_box(params, height_cube([(0, h)] * (params.d - 1)))
+    box = dlgraph.side_box(params, h)
     members = list(box_members(params, box))
     chain = sum(preimage_count(imap, x) for x in members) - k * len(members)
     bsize = sum(1 for _ in box_boundary(params, box, r))
@@ -1014,18 +1014,31 @@ def oracle_primitive(rng, q, lo, hi):
     return prefix_rewrite(start, end, zip(words, images))
 
 
-ORACLE_SIDES = {  # (d, q, r) -> box sides: an interior at r where enumeration is cheap
-    (2, 2, 1): (2, 3, 4), (2, 2, 2): (4, 5, 6), (2, 3, 1): (2, 3, 4), (2, 3, 2): (4, 5),
-    (3, 2, 1): (2, 3), (3, 2, 2): (4,), (3, 3, 1): (2,), (3, 3, 2): (2,),
+ORACLE_SIDES = {  # (d, q, r, k) -> box sides in kZ where enumeration is cheap
+    # an interior at r
+    (2, 2, 1, 1): (2, 3, 4), (2, 2, 2, 1): (4, 5, 6), (2, 3, 1, 1): (2, 3, 4), (2, 3, 2, 1): (4, 5),
+    (3, 2, 1, 1): (2, 3), (3, 2, 2, 1): (4,), (3, 3, 1, 1): (2,), (3, 3, 2, 1): (2,),
+    (4, 2, 1, 1): (2,),
+    (2, 2, 1, 2): (4, 6), (2, 2, 2, 2): (8, 10), (2, 3, 1, 2): (4, 6), (3, 2, 1, 2): (4,),
+    (2, 2, 1, 3): (6, 9), (2, 3, 1, 3): (6,),
+    # an empty interior at r: the inner cube has an empty axis
+    (2, 2, 3, 2): (2, 4, 10), (3, 3, 1, 2): (2,), (3, 2, 2, 2): (2, 4),
+    (3, 2, 1, 3): (3,), (4, 2, 1, 2): (2,), (4, 2, 2, 1): (2,),
 }
+# ids read d-q-r, with -k<k> past k = 1, and seeds add 10000 * (k - 1)
+ORACLE_PARAMS = [
+    pytest.param(*key, id="-".join(map(str, key[:3])) + (f"-k{key[3]}" if key[3] > 1 else ""))
+    for key in ORACLE_SIDES
+]
 
 
-def oracle_case(rng, d, q, r):
+def oracle_case(rng, d, q, r, k=1):
     """A random interior map and a box whose roots carry random digits."""
-    h = rng.choice(ORACLE_SIDES[d, q, r])
+    h = rng.choice(ORACLE_SIDES[d, q, r, k])
     starts = [rng.randint(-1, 1) for _ in range(d - 1)]
-    cube = height_cube([(a, a + h) for a in starts])
-    p = graph_params(d, q)
+    starts[0] *= k  # the first axis is aligned to kZ
+    cube = height_cube([(a, a + h) for a in starts], k)
+    p = graph_params(d, q, k)
     levels = starts + [-sum(a + h for a in starts)]
     roots = []
     for lvl in levels:
@@ -1042,24 +1055,24 @@ def oracle_case(rng, d, q, r):
 
 
 class TestClosedFormOracle:
-    @pytest.mark.parametrize("d,q,r", list(itertools.product((2, 3), (2, 3), (1, 2))))
-    def test_audit_matches_enumeration(self, d, q, r):
-        rng = random.Random(100 * d + 10 * q + r)
+    @pytest.mark.parametrize("d,q,r,k", ORACLE_PARAMS)
+    def test_audit_matches_enumeration(self, d, q, r, k):
+        rng = random.Random(100 * d + 10 * q + r + 10000 * (k - 1))
         for _ in range(6):
-            imap, box = oracle_case(rng, d, q, r)
+            imap, box = oracle_case(rng, d, q, r, k)
             bilip = imap.bilip_max()
             assert fiber_count_audit(imap, box, r=r, bilip=bilip) == enumerative_audit(
                 imap, box, r, bilip
             )
 
-    @pytest.mark.parametrize("d,q,r", list(itertools.product((2, 3), (2, 3), (1, 2))))
-    def test_chain_matches_enumeration(self, d, q, r):
-        rng = random.Random(1000 + 100 * d + 10 * q + r)
+    @pytest.mark.parametrize("d,q,r,k", ORACLE_PARAMS)
+    def test_chain_matches_enumeration(self, d, q, r, k):
+        rng = random.Random(1000 + 100 * d + 10 * q + r + 10000 * (k - 1))
         for _ in range(4):
-            imap, box = oracle_case(rng, d, q, r)
+            imap, box = oracle_case(rng, d, q, r, k)
             h = cube_side(box.cube)
-            k = rng.randint(1, 3)
-            assert uf_chain_scan(imap, k, [h], r=r) == (enumerative_chain(imap, k, h, r),)
+            target = rng.randint(1, 3)
+            assert uf_chain_scan(imap, target, [h], r=r) == (enumerative_chain(imap, target, h, r),)
 
     def test_negative_shift_interior_values_vary(self):
         p = graph_params(2, 2)
@@ -1108,6 +1121,26 @@ class TestClosedFormScale:
         (rec,) = uf_chain_scan(im, 3, [40])
         assert rec.box_size == 41 * 2 ** 40
         assert rec.ratio_box == -1
+
+    def test_d4_chain_scans_list_no_cube_point(self, no_enumeration, monkeypatch):
+        # chain totals are a convolution over the cube axes; the values come
+        # from a point-by-point sum, which took 3.4 s per scan
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cube was listed")
+
+        monkeypatch.setattr(dlgraph, "cube_points", refuse)
+        monkeypatch.setattr(qilab, "cube_points", refuse)
+        p = graph_params(4, 2)
+        alpha, inv, fix = shift_map(2, 1), shift_map(2, -1), identity_map(2)
+        recs = uf_chain_scan(interior_map(p, (alpha, fix, fix, fix)), 3, [20, 40, 60])
+        assert [r.ratio_boundary for r in recs] == [
+            Fraction(-9261, 2402), Fraction(-68921, 9602), Fraction(-226981, 21602)
+        ]
+        assert [r.ratio_box for r in recs] == [-1, -1, -1]
+        recs = uf_chain_scan(interior_map(p, (alpha, inv, alpha, fix)), 2, [20, 40, 60])
+        assert [r.ratio_boundary for r in recs] == [
+            Fraction(441, 1201), Fraction(1681, 4801), Fraction(3721, 10801)
+        ]
 
     @pytest.mark.parametrize("d,q,h", [(2, 2, 40), (3, 2, 20)])
     def test_box_size_closed_form(self, no_enumeration, d, q, h):
