@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from heapq import heappop, heappush
 from itertools import product
@@ -192,10 +191,33 @@ def tree_key(v: TreeVertex) -> str:
 # graph vertices
 
 
-@dataclass(frozen=True, slots=True)
 class DLVertex:
-    params: GraphParams
-    coords: tuple
+    """A vertex of DL_d(q): d tree coordinates whose heights sum to zero.
+
+    An immutable record, like algebra.RingParams.
+    """
+
+    __slots__ = ("params", "coords")
+
+    def __init__(self, params: GraphParams, coords: tuple):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.coords) == (other.params, other.coords)
+
+    def __hash__(self):
+        return hash((self.params, self.coords))
+
+    def __repr__(self):
+        return f"DLVertex(params={self.params!r}, coords={self.coords!r})"
 
 
 def dl_vertex(params: GraphParams, coords: Sequence[TreeVertex]) -> DLVertex:
@@ -348,12 +370,33 @@ def dl_neighbors(v: DLVertex) -> "list[DLVertex]":
 # height cubes
 
 
-@dataclass(frozen=True, slots=True)
 class HeightCube:
-    """Product of integer intervals on the tracked heights, common side."""
+    """Product of integer intervals on the tracked heights, common side.
 
-    intervals: tuple
-    k: int = 1
+    An immutable record, like algebra.RingParams.
+    """
+
+    __slots__ = ("intervals", "k")
+
+    def __init__(self, intervals: tuple, k: int = 1):
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.intervals, self.k) == (other.intervals, other.k)
+
+    def __hash__(self):
+        return hash((self.intervals, self.k))
+
+    def __repr__(self):
+        return f"HeightCube(intervals={self.intervals!r}, k={self.k!r})"
 
 
 def height_cube(intervals: Sequence, k: int = 1) -> HeightCube:
@@ -424,12 +467,33 @@ def cube_boundary(params: GraphParams, cube: HeightCube, r: int) -> "list[tuple[
 # boxes
 
 
-@dataclass(frozen=True, slots=True)
 class Box:
-    """One connected component of the preimage of a height cube."""
+    """One connected component of the preimage of a height cube.
 
-    cube: HeightCube
-    roots: tuple
+    An immutable record, like algebra.RingParams.
+    """
+
+    __slots__ = ("cube", "roots")
+
+    def __init__(self, cube: HeightCube, roots: tuple):
+        object.__setattr__(self, "cube", cube)
+        object.__setattr__(self, "roots", roots)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cube, self.roots) == (other.cube, other.roots)
+
+    def __hash__(self):
+        return hash((self.cube, self.roots))
+
+    def __repr__(self):
+        return f"Box(cube={self.cube!r}, roots={self.roots!r})"
 
 
 def canonical_box(params: GraphParams, cube: HeightCube) -> Box:
@@ -530,8 +594,7 @@ def _inner_cube(cube: HeightCube, r: int) -> HeightCube:
 # balls and exports
 
 
-@dataclass(frozen=True)
-class BallGraph:
+class BallGraph(NamedTuple):
     """A finite vertex set with its induced edges.
 
     Balls carry center, radius, and BFS depths; box slices carry their cube

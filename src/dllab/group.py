@@ -35,10 +35,9 @@ generating set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
     RationalElement,
@@ -77,13 +76,34 @@ def correspondence_cutoffs(d: int) -> "tuple[int, ...]":
     return (-1,) * (d - 1) + (0,)
 
 
-@dataclass(frozen=True, slots=True)
 class GroupElement:
-    """Normal form (exps, P) for the affine map x -> (prod units^exps) x + P."""
+    """Normal form (exps, P) for the affine map x -> (prod units^exps) x + P.
 
-    params: RingParams
-    exps: tuple
-    P: RationalElement
+    An immutable record, like algebra.RingParams.
+    """
+
+    __slots__ = ("params", "exps", "P")
+
+    def __init__(self, params: RingParams, exps: tuple, P: RationalElement):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "P", P)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.exps, self.P) == (other.params, other.exps, other.P)
+
+    def __hash__(self):
+        return hash((self.params, self.exps, self.P))
+
+    def __repr__(self):
+        return f"GroupElement(params={self.params!r}, exps={self.exps!r}, P={self.P!r})"
 
 
 def identity(params: RingParams) -> GroupElement:
@@ -145,8 +165,7 @@ def generators(params: RingParams) -> "tuple[GroupElement, ...]":
 # balls in the word metric
 
 
-@dataclass(frozen=True)
-class CayleyBall:
+class CayleyBall(NamedTuple):
     params: RingParams
     radius: int
     elements: tuple
@@ -318,8 +337,7 @@ def correspond(params: RingParams, g: GroupElement) -> DLVertex:
     return _image_reader(params)(g.exps, partial_fractions(g.P))
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     params: RingParams
     radius: int
     ok: bool

@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .dlgraph import (
     Box,
@@ -98,16 +97,35 @@ def count_vertices_in_clone(c: TreeVertex, level: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 # transducer primitives
 
-@dataclass(frozen=True)
 class Shift:
     """Translate every digit index by m (stream index i reads input i - m).
 
     Scales the clone measure by q**(-m) and stream distances by the same
     factor, hence contributes q**(-m) to the measure scalar and q**|m| to
-    the bilipschitz constant.
+    the bilipschitz constant. Each primitive, and each map built from them,
+    is an immutable record like algebra.RingParams.
     """
 
-    m: int
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m
+
+    def __hash__(self):
+        return hash((self.m,))
+
+    def __repr__(self):
+        return f"Shift(m={self.m!r})"
 
     def lam(self, q: int) -> Fraction:
         return Fraction(q) ** (-self.m)
@@ -129,7 +147,6 @@ class Shift:
         return {"kind": "shift", "m": self.m}
 
 
-@dataclass(frozen=True)
 class LevelPerm:
     """Permute the digit alphabet independently at finitely many indices.
 
@@ -138,9 +155,10 @@ class LevelPerm:
     bilipschitz constant 1.
     """
 
-    perms: tuple
+    __slots__ = ("perms",)
 
-    def __post_init__(self):
+    def __init__(self, perms: tuple):
+        object.__setattr__(self, "perms", perms)
         seen = set()
         for lvl, table in self.perms:
             if lvl in seen:
@@ -150,6 +168,22 @@ class LevelPerm:
                 raise ValueError(f"table at index {lvl} is not a permutation")
         if tuple(sorted(self.perms)) != self.perms:
             raise ValueError("perms must be sorted by index")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.perms == other.perms
+
+    def __hash__(self):
+        return hash((self.perms,))
+
+    def __repr__(self):
+        return f"LevelPerm(perms={self.perms!r})"
 
     def lam(self, q: int) -> Fraction:
         return Fraction(1)
@@ -200,7 +234,6 @@ class LevelPerm:
         }
 
 
-@dataclass(frozen=True)
 class PrefixRewrite:
     """Rewrite the digit window [lo, hi] through a bijection of words.
 
@@ -211,11 +244,11 @@ class PrefixRewrite:
     difference inside the window can move anywhere else inside it.
     """
 
-    lo: int
-    hi: int
-    table: tuple  # sorted tuple of (word, image) pairs covering all words
-
-    def __post_init__(self):
+    def __init__(self, lo: int, hi: int, table: tuple):
+        # table: sorted tuple of (word, image) pairs covering all words
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "table", table)
         if self.hi < self.lo:
             raise ValueError("empty rewrite window")
         width = self.hi - self.lo + 1
@@ -230,6 +263,22 @@ class PrefixRewrite:
             raise ValueError("table must be sorted by input word")
         if not ins or ins != list(itertools.product(range(self._q()), repeat=width)):
             raise ValueError("table does not cover a full power alphabet")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self.table) == (other.lo, other.hi, other.table)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.table))
+
+    def __repr__(self):
+        return f"PrefixRewrite(lo={self.lo!r}, hi={self.hi!r}, table={self.table!r})"
 
     def _q(self) -> int:
         # the sorted table ends with the word of all top digits q - 1
@@ -302,7 +351,6 @@ def level_perm(perms) -> LevelPerm:
 # ---------------------------------------------------------------------------
 # boundary maps: composed transducers
 
-@dataclass(frozen=True)
 class BoundaryMap:
     """A finite composition of primitives, applied left to right.
 
@@ -310,12 +358,27 @@ class BoundaryMap:
     construction raises ValueError otherwise.
     """
 
-    q: int
-    prims: tuple
-
-    def __post_init__(self):
+    def __init__(self, q: int, prims: tuple):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "prims", prims)
         for p in self.prims:
             p.check_alphabet(self.q)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.prims) == (other.q, other.prims)
+
+    def __hash__(self):
+        return hash((self.q, self.prims))
+
+    def __repr__(self):
+        return f"BoundaryMap(q={self.q!r}, prims={self.prims!r})"
 
     def lam(self) -> Fraction:
         """Exact measure scalar: images of clones shrink by this factor."""
@@ -483,8 +546,7 @@ def map_from_description(q: int, desc) -> BoundaryMap:
 # ---------------------------------------------------------------------------
 # measure linearity by exhaustive clone enumeration
 
-@dataclass(frozen=True)
-class MeasureCheck:
+class MeasureCheck(NamedTuple):
     constant: bool
     ratio: Optional[Fraction]
     witness: Optional[tuple]
@@ -531,7 +593,6 @@ def measure_linear_constant(m: BoundaryMap, depth: int) -> MeasureCheck:
 # ---------------------------------------------------------------------------
 # interior maps
 
-@dataclass(frozen=True)
 class InteriorMap:
     """One boundary transducer per coordinate, acting on its clones.
 
@@ -541,15 +602,32 @@ class InteriorMap:
     the lattice; fibers are counted exactly via clone preimages.
     """
 
-    params: GraphParams
-    maps: tuple
+    __slots__ = ("params", "maps")
 
-    def __post_init__(self):
+    def __init__(self, params: GraphParams, maps: tuple):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "maps", maps)
         if len(self.maps) != self.params.d:
             raise ValueError(f"need {self.params.d} coordinate maps")
         for m in self.maps:
             if m.q != self.params.q:
                 raise ValueError("coordinate map alphabet differs from q")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.maps) == (other.params, other.maps)
+
+    def __hash__(self):
+        return hash((self.params, self.maps))
+
+    def __repr__(self):
+        return f"InteriorMap(params={self.params!r}, maps={self.maps!r})"
 
     def lam_product(self) -> Fraction:
         out = Fraction(1)
@@ -625,8 +703,7 @@ def _fiber_total(imap: InteriorMap, box: Box, cube: HeightCube) -> int:
 # fiber-count audit over a box
 
 
-@dataclass(frozen=True)
-class FiberAudit:
+class FiberAudit(NamedTuple):
     h: int
     box_size: int
     boundary_size: int
@@ -724,8 +801,7 @@ def fiber_count_audit(
 # ---------------------------------------------------------------------------
 # chain scans: additive obstruction sums over growing boxes
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(NamedTuple):
     h: int
     box_size: int
     boundary_size: int
@@ -781,8 +857,7 @@ def uf_chain_scan(
 # ---------------------------------------------------------------------------
 # the k-to-1 tile map onto the index-k lattice
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(NamedTuple):
     """A cube tiling of an ambient box, kept implicit.
 
     ambient.cube is the ambient height cube (side a multiple of h, corners
@@ -923,8 +998,7 @@ def umap_displacement(tiling: Tiling, k: int) -> int:
 # ---------------------------------------------------------------------------
 # distortion estimates from evaluation tables
 
-@dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(NamedTuple):
     pairs: int
     k_est: Fraction
     c_est: Fraction

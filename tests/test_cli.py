@@ -1,7 +1,6 @@
 """Tests for the dllab command-line interface."""
 
 import argparse
-import dataclasses
 import json
 import os
 import shlex
@@ -350,7 +349,7 @@ def audit_bounds_broken(monkeypatch):
     audit = qilab.fiber_count_audit
     monkeypatch.setattr(
         qilab, "fiber_count_audit",
-        lambda *a, **kw: dataclasses.replace(audit(*a, **kw), bounds_ok=False),
+        lambda *a, **kw: audit(*a, **kw)._replace(bounds_ok=False),
     )
 
 
@@ -707,6 +706,19 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_import_loads_no_dataclasses(self):
+        # the records are NamedTuples or written-out classes, so start-up
+        # neither imports dataclasses (and inspect) nor generates methods
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import dllab.cli, sys; print(dllab.cli.__file__, 'dataclasses' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{src / 'dllab' / 'cli.py'} False\n"
 
 
 class TestAlphabetMismatch:
