@@ -19,19 +19,20 @@ needs two of the coordinates 2..d, of which d = 2 has one. So the depth
 from a center is (h_1(v) - h_1(center)) / k mod 2, no edge joins two
 vertices of one sphere, and a d = 2 ball makes no outer-sphere pass. At
 d >= 3 it lists that sphere's edges by one _induced_edges pass with the
-half step, as a box graph and a word ball (group._word_ball) do.
+half step, as a word ball (group._word_ball) does.
 
 Boxes are the connected components of preimages of height cubes under the
 height map; each fiber over a cube point is a product of descendant sets,
 so all counting here is exact. Aligned boxes of a common side tile a box,
 which is the geometric input for the index-k comparison map.
 
-Each graph search (a ball, a box graph's edge pass) keeps its own table
-of tree moves, one shape for every k: per tree vertex and m in 0..k, its
-descendants m levels down and its ancestor m levels up (its children and
-parent at m = 1), each built on first use. Many graph vertices share a
-tree coordinate, so each move is built once per search; the table is
-dropped when the search returns.
+Each ball keeps its own table of tree moves, one shape for every k: per
+tree vertex and m in 0..k, its descendants m levels down and its ancestor
+m levels up (its children and parent at m = 1), each built on first use.
+Many graph vertices share a tree coordinate, so each move is built once
+per ball; the table is dropped when the ball returns. A box graph keeps
+none: its members are products of descendant pools, so it finds each
+edge's endpoints by their pool positions (box_graph).
 
 Exact distances, for every k, are found by a search over per-coordinate
 heights above the meets, which builds no graph vertex and does not depend
@@ -44,7 +45,7 @@ budget) is a module constant that the search reads when it runs. The
 vertex budget bounds every ball, graph or word (_layered_bfs), and every
 list whose length has a closed form, checked by _within_budget before it
 is built: a box's members, a cube's points, a vertex's neighbours
-(_move_table), and in qilab a fiber's descendant walk and a probe window.
+(_check_degree), and in qilab a fiber's descendant walk and a probe window.
 """
 
 from __future__ import annotations
@@ -156,7 +157,13 @@ def tree_ancestor(v: TreeVertex, level: int) -> TreeVertex:
 
 
 def tree_descendants(v: TreeVertex, depth: int, q: int) -> Iterator[TreeVertex]:
-    """All q^depth descendants exactly depth levels below v, in digit order, level by level."""
+    """All q^depth descendants exactly depth levels below v, in digit order, level by level.
+
+    The position rule: the descendant at position t reads its digits below
+    v as a base-q number, the digit just below v most significant. So child
+    b of position t sits at position t*q + b one level down, and the
+    ancestor m levels up of position t is at t // q**m.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     digits = [v.digits]
@@ -291,14 +298,18 @@ class _MoveTable(NamedTuple):
     ups: tuple
 
 
+def _check_degree(deg: int) -> None:
+    """Refuse a graph whose vertex degree deg exceeds the vertex budget."""
+    _within_budget(deg, f"vertex has {deg} neighbours")
+
+
 def _move_table(params: GraphParams) -> _MoveTable:
     """An empty table for one search.
 
     The closed-form degree is checked against the vertex budget first, so
     no neighbour list longer than the budget is ever built.
     """
-    deg = expected_degree(params)
-    _within_budget(deg, f"vertex has {deg} neighbours")
+    _check_degree(expected_degree(params))
     q, k = params.q, params.k
     downs = [LazyDict(lambda c: (c,)), LazyDict(lambda c: tree_children(c, q))]
     ups = [LazyDict(lambda c: c), LazyDict(tree_parent)]
@@ -527,7 +538,12 @@ def _fiber_depths(box: Box, point: Sequence[int]) -> "list[int]":
 
 
 def fiber_pools(params: GraphParams, box: Box, point: Sequence[int]) -> "list[tuple]":
-    """Per coordinate, the pool of tree vertices whose product is the fiber over a point."""
+    """Per coordinate, the pool of tree vertices whose product is the fiber over a point.
+
+    Each pool is tree_descendants of its root, so a pool position follows
+    the position rule: child b of position t is at t*q + b in the pool one
+    level deeper, and the ancestor m levels up of t is at t // q**m.
+    """
     depths = _fiber_depths(box, point)
     return [tuple(tree_descendants(r, depth, params.q)) for r, depth in zip(box.roots, depths)]
 
@@ -716,39 +732,117 @@ def sorted_box_members(
     """The members of a box and their keys, both in key order.
 
     The closed-form size is checked against the vertex budget before any
-    member is built. A fiber's member keys are the products of its pools' keys.
+    member is built.
+    """
+    keys, members, _, _ = _box_listing(params, box)
+    return keys, members
+
+
+def _box_listing(params: GraphParams, box: Box) -> tuple:
+    """(keys, members, offsets, order): the members of a box, listed once.
+
+    A member's build id is the offset of its cube point, offsets[point],
+    plus a mixed-radix number over its pool positions (fiber_pools), the
+    last coordinate fastest: the order of product(*pools). order[p] is the
+    build id of the member at key-sorted position p, and keys and members
+    are in key order. The closed-form size is checked against the vertex
+    budget first. A fiber's member keys are the products of its pools' keys.
     """
     n = box_size(params, box)
     _within_budget(n, f"box has {n} members")
-    keys, members = [], []
+    keys, members, offsets = [], [], {}
     for point in cube_points(box.cube):
+        offsets[point] = len(keys)
         pools = fiber_pools(params, box, point)
         keys += map("|".join, product(*([tree_key(c) for c in pool] for pool in pools)))
         members += (DLVertex(params, coords) for coords in product(*pools))
     order = sorted(range(n), key=keys.__getitem__)
-    return tuple(keys[i] for i in order), tuple(members[i] for i in order)
+    return tuple(keys[i] for i in order), tuple(members[i] for i in order), offsets, order
+
+
+def _half_move_vectors(d: int, k: int) -> "list[tuple[int, ...]]":
+    """Per-coordinate level changes of the half moves, in _neighbor_coords' half order.
+
+    +1 on i and -1 on j for each ordinary pair i < j (from the second
+    coordinate on when k > 1), then for k > 1 the first coordinate climbing
+    k while the others descend along each composition of k.
+    """
+    lo = 0 if k == 1 else 1
+    out = []
+    for i in range(lo, d - 1):
+        for j in range(i + 1, d):
+            vec = [0] * d
+            vec[i], vec[j] = 1, -1
+            out.append(tuple(vec))
+    if k > 1:
+        out += ((-k,) + combo for combo in _compositions(k, d - 1))
+    return out
+
+
+def _position_moves(q: int, depth: int, change: int) -> "list[tuple[int, int]]":
+    """(t, t') for each pool position t at depth and each tree move by change levels.
+
+    By tree_descendants' position rule, staying keeps t, descending m
+    levels goes to t * q**m + r for each r < q**m, and climbing m goes to
+    t // q**m.
+    """
+    size = q**depth
+    if change > 0:
+        fan = q**change
+        return [(t, t * fan + r) for t in range(size) for r in range(fan)]
+    step = q**-change
+    return [(t, t // step) for t in range(size)]
 
 
 def box_graph(params: GraphParams, box: Box) -> BallGraph:
-    """Induced subgraph on the members of a box."""
-    # a member has at most expected_degree neighbours; a box over the vertex
-    # budget is refused by sorted_box_members, by its member count
+    """Induced subgraph on the members of a box.
+
+    Edges are found by index arithmetic over the fiber pools. For each
+    cube point and half move (_half_move_vectors) whose target point is in
+    the cube, the edges are the product over coordinates of the moves of
+    pool positions (_position_moves), folded into pairs of member build
+    ids (_box_listing) and mapped to key order.
+    """
     n = box_size(params, box)
-    bound = expected_degree(params) * n // 2
+    deg = expected_degree(params)
+    # a member has at most deg neighbours; a box over the vertex budget is
+    # refused by _box_listing, by its member count
+    bound = deg * n // 2
     if n <= DEFAULT_VERTEX_BUDGET and bound > DEFAULT_EDGE_BUDGET:
         raise BudgetError(f"box graph may hold {bound} edges, budget {DEFAULT_EDGE_BUDGET}")
-    # the degree is checked before any member is listed, and the move table
-    # goes with the half step when the edge pass returns
-    half_step = partial(_neighbor_coords, _move_table(params), half=True)
-    keys, vertices = sorted_box_members(params, box)
-    index = {v.coords: i for i, v in enumerate(vertices)}
-    edges = _induced_edges(tuple(index), index, half_step)
-    del half_step
+    _check_degree(deg)
+    keys, vertices, offsets, order = _box_listing(params, box)
+    pos = [0] * n
+    for p, i in enumerate(order):
+        pos[i] = p
+    q, d = params.q, params.d
+    vectors = _half_move_vectors(d, params.k)
+    edges = []
+    for point, offset in offsets.items():
+        depths = _fiber_depths(box, point)
+        for vec in vectors:
+            target = offsets.get(tuple(map(int.__add__, point, vec)))
+            if target is None:
+                continue
+            pairs = [(offset, target)]
+            src_stride = tgt_stride = 1
+            for c in range(d - 1, -1, -1):
+                depth, change = depths[c], vec[c]
+                moves = [
+                    (t * src_stride, u * tgt_stride) for t, u in _position_moves(q, depth, change)
+                ]
+                pairs = [(a + t, b + u) for a, b in pairs for t, u in moves]
+                src_stride *= q**depth
+                tgt_stride *= q ** (depth + change)
+            for a, b in pairs:
+                a, b = pos[a], pos[b]
+                edges.append((a, b) if a < b else (b, a))
+    edges.sort()
     return BallGraph(
         params=params,
         vertices=vertices,
         keys=keys,
-        edges=tuple(sorted(edges)),
+        edges=tuple(edges),
         cube=box.cube,
     )
 

@@ -768,28 +768,112 @@ def test_degree_checked_before_any_tree_move(monkeypatch):
         dl_neighbors(center)
 
 
-@pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
+@pytest.mark.parametrize("d,q,k", ORACLE_PARAMS + [(4, 2, k) for k in (1, 2, 3)])
 def test_box_graph_matches_reference(d, q, k):
     p = graph_params(d, q, k)
     checked = 0
     for h in (0, k, 2 * k):
-        cube = height_cube([(0, h)] * (d - 1), k)
-        canon = canonical_box(p, cube)
-        # the same cube under roots that carry a digit at their own height
-        lifted = Box(cube, tuple(tree_vertex(r.level, [(r.level, 1)]) for r in canon.roots))
-        for box in (canon, lifted):
-            if box_size(p, box) > ORACLE_MAX_VERTICES:
-                continue
-            by_key = {dl_key(v): v for v in box_members(p, box)}
-            keys = tuple(sorted(by_key))
-            vertices = tuple(by_key[kk] for kk in keys)
-            ref = BallGraph(
-                params=p, vertices=vertices, keys=keys, edges=reference_edges(vertices), cube=cube
-            )
-            assert_same_graph(box_graph(p, box), ref)
-            checked += 1
-    # at d = q = k = 3 only the one-point cube fits under the cap
-    assert checked >= 2
+        cubes = [
+            [(0, h)] * (d - 1),
+            # a negative lower corner, the first axis still in kZ
+            [(-k, h - k)] + [(-1 - t, h - 1 - t) for t in range(d - 2)],
+            # a first axis in kZ but not at 0
+            [(2 * k, 2 * k + h)] + [(1, 1 + h)] * (d - 2),
+        ]
+        for cube in (height_cube(iv, k) for iv in cubes):
+            canon = canonical_box(p, cube)
+            # the same cube under roots that carry a digit at their own height
+            lifted = Box(cube, tuple(tree_vertex(r.level, [(r.level, 1)]) for r in canon.roots))
+            for box in (canon, lifted):
+                if box_size(p, box) > ORACLE_MAX_VERTICES:
+                    continue
+                by_key = {dl_key(v): v for v in box_members(p, box)}
+                keys = tuple(sorted(by_key))
+                vertices = tuple(by_key[kk] for kk in keys)
+                ref = BallGraph(
+                    params=p, vertices=vertices, keys=keys, edges=reference_edges(vertices), cube=cube
+                )
+                assert_same_graph(box_graph(p, box), ref)
+                checked += 1
+    # at d = q = k = 3, and at d = 4 with k > 1, only the one-point cubes fit under the cap
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_pool_position_rule(q):
+    # tree_descendants lists a pool in digit order, so child b of position
+    # t sits at t*q + b one level down, and the ancestor m levels up of
+    # position t is at t // q**m
+    for root in (tree_root(0), tree_vertex(-2, [(-4, 1), (-2, q - 1)]), tree_vertex(3, [(3, 1)])):
+        pools = [list(tree_descendants(root, depth, q)) for depth in range(6)]
+        for depth in range(5):
+            for t, v in enumerate(pools[depth]):
+                assert [pools[depth + 1][t * q + b] for b in range(q)] == list(tree_children(v, q))
+                for m in range(depth + 1):
+                    assert pools[depth - m][t // q**m] == tree_ancestor(v, v.level - m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_half_move_vectors_expand_to_the_half_step(d, q, k):
+    # box_graph moves pool positions by _half_move_vectors; expanded into
+    # tree moves, the vectors list exactly the half step, in order
+    p = graph_params(d, q, k)
+    moves = dlgraph._move_table(p)
+    vectors = dlgraph._half_move_vectors(d, k)
+    for v in ball(base_vertex(p), 1).vertices:
+        expanded = []
+        for vec in vectors:
+            per_coord = [
+                list(tree_descendants(c, change, q)) if change > 0 else [tree_ancestor(c, c.level + change)]
+                for c, change in zip(v.coords, vec)
+            ]
+            expanded += itertools.product(*per_coord)
+        assert expanded == dlgraph._neighbor_coords(moves, v.coords, half=True)
+
+
+def test_box_graph_lists_no_neighbour_tuple(monkeypatch):
+    # the edge pass computes member ids from pool positions, so it builds
+    # no move table, expands no half step and makes no induced-edge pass
+    cases = []
+    for d, q, k, h in [(2, 2, 1, 3), (3, 2, 1, 1), (2, 3, 2, 2), (3, 2, 2, 2), (2, 2, 3, 3), (4, 2, 1, 1)]:
+        p = graph_params(d, q, k)
+        cube = height_cube([(-k, h - k)] + [(-1, h - 1)] * (d - 2), k)
+        box = canonical_box(p, cube)
+        members = tuple(sorted(box_members(p, box), key=dl_key))
+        ref = BallGraph(
+            params=p,
+            vertices=members,
+            keys=tuple(map(dl_key, members)),
+            edges=reference_edges(members),
+            cube=cube,
+        )
+        cases.append((p, box, ref))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("box_graph stepped through neighbour tuples")
+
+    for name in ("_neighbor_coords", "_move_table", "_induced_edges"):
+        monkeypatch.setattr(dlgraph, name, refuse)
+    for p, box, ref in cases:
+        assert_same_graph(box_graph(p, box), ref)
+
+
+def test_box_graph_gates_come_before_any_member(monkeypatch):
+    # the edge bound and the member count are read from closed forms, so
+    # neither lists a cube point or a pool
+    def refuse(*args, **kwargs):
+        raise AssertionError("box members were listed")
+
+    monkeypatch.setattr(dlgraph, "cube_points", refuse)
+    monkeypatch.setattr(dlgraph, "tree_descendants", refuse)
+    p = graph_params(5, 3, 2)
+    with pytest.raises(BudgetError, match=r"^box graph may hold 38263752 edges, budget 5000000$"):
+        box_graph(p, canonical_box(p, height_cube([(0, 2)] * 4, 2)))
+    p = graph_params(2, 2)
+    with pytest.raises(BudgetError, match=r"^box has 4980736 members, budget 500000$"):
+        box_graph(p, dlgraph.side_box(p, 18))
 
 
 # ---------------------------------------------------------------------------
@@ -1258,9 +1342,9 @@ def test_half_step_lists_each_edge_from_one_endpoint(small_ball, d, q, k):
 
 
 def test_searches_run_on_coordinate_tuples(monkeypatch):
-    # ball and box_graph expand coordinate tuples and a distance search
-    # expands signature states, so none builds a DLVertex per neighbour or
-    # calls dl_neighbors
+    # ball expands coordinate tuples, box_graph pool positions and a
+    # distance search signature states, so none builds a DLVertex per
+    # neighbour or calls dl_neighbors
     cases = []
     for d, q, k in [(2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 2, 2), (2, 2, 3)]:
         p = graph_params(d, q, k)
