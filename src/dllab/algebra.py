@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
+from .record import Record
+
 Poly = "tuple[int, ...]"
 
 
@@ -38,38 +40,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class RingParams:
+class RingParams(Record):
     """Field order q, place count d, and localization points l_1..l_{d-1}.
 
-    An immutable record. Like every dllab record that is not a NamedTuple,
-    it is written out rather than declared with dataclasses, whose import
-    and generated methods would slow every command's start-up. Its fields
-    are set once in __init__, it equals only a record of its own class, and
-    its hash and repr are those of its field tuple.
+    An immutable record (see record.Record).
     """
 
-    __slots__ = ("q", "d", "l")
+    __slots__ = _fields = ("q", "d", "l")
 
     def __init__(self, q: int, d: int, l: tuple):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "l", l)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.q, self.d, self.l) == (other.q, other.d, other.l)
-
-    def __hash__(self):
-        return hash((self.q, self.d, self.l))
-
-    def __repr__(self):
-        return f"RingParams(q={self.q!r}, d={self.d!r}, l={self.l!r})"
 
 
 def ring_params(q: int, d: int) -> RingParams:
@@ -210,35 +192,19 @@ def series_mul(a, b, n: int, q: int):
 # ring elements
 
 
-class RationalElement:
+class RationalElement(Record):
     """N(t) / prod_i (t + l_i)^den[i-1] in reduced normal form.
 
     Zero is represented uniquely by num = () and den = (0, ..., 0).
-    An immutable record, like RingParams.
+    An immutable record (see record.Record).
     """
 
-    __slots__ = ("params", "num", "den")
+    __slots__ = _fields = ("params", "num", "den")
 
     def __init__(self, params: RingParams, num: tuple, den: tuple):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.params, self.num, self.den) == (other.params, other.num, other.den)
-
-    def __hash__(self):
-        return hash((self.params, self.num, self.den))
-
-    def __repr__(self):
-        return f"RationalElement(params={self.params!r}, num={self.num!r}, den={self.den!r})"
 
     def is_zero(self) -> bool:
         return not self.num

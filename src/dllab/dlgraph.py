@@ -57,6 +57,8 @@ from heapq import heappop, heappush
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .record import Record
+
 
 class BudgetError(ValueError):
     """A request exceeds its configured size or depth budget."""
@@ -198,33 +200,17 @@ def tree_key(v: TreeVertex) -> str:
 # graph vertices
 
 
-class DLVertex:
+class DLVertex(Record):
     """A vertex of DL_d(q): d tree coordinates whose heights sum to zero.
 
-    An immutable record, like algebra.RingParams.
+    An immutable record (see record.Record).
     """
 
-    __slots__ = ("params", "coords")
+    __slots__ = _fields = ("params", "coords")
 
     def __init__(self, params: GraphParams, coords: tuple):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.params, self.coords) == (other.params, other.coords)
-
-    def __hash__(self):
-        return hash((self.params, self.coords))
-
-    def __repr__(self):
-        return f"DLVertex(params={self.params!r}, coords={self.coords!r})"
 
 
 def dl_vertex(params: GraphParams, coords: Sequence[TreeVertex]) -> DLVertex:
@@ -381,33 +367,17 @@ def dl_neighbors(v: DLVertex) -> "list[DLVertex]":
 # height cubes
 
 
-class HeightCube:
+class HeightCube(Record):
     """Product of integer intervals on the tracked heights, common side.
 
-    An immutable record, like algebra.RingParams.
+    An immutable record (see record.Record).
     """
 
-    __slots__ = ("intervals", "k")
+    __slots__ = _fields = ("intervals", "k")
 
     def __init__(self, intervals: tuple, k: int = 1):
         object.__setattr__(self, "intervals", intervals)
         object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.intervals, self.k) == (other.intervals, other.k)
-
-    def __hash__(self):
-        return hash((self.intervals, self.k))
-
-    def __repr__(self):
-        return f"HeightCube(intervals={self.intervals!r}, k={self.k!r})"
 
 
 def height_cube(intervals: Sequence, k: int = 1) -> HeightCube:
@@ -478,33 +448,17 @@ def cube_boundary(params: GraphParams, cube: HeightCube, r: int) -> "list[tuple[
 # boxes
 
 
-class Box:
+class Box(Record):
     """One connected component of the preimage of a height cube.
 
-    An immutable record, like algebra.RingParams.
+    An immutable record (see record.Record).
     """
 
-    __slots__ = ("cube", "roots")
+    __slots__ = _fields = ("cube", "roots")
 
     def __init__(self, cube: HeightCube, roots: tuple):
         object.__setattr__(self, "cube", cube)
         object.__setattr__(self, "roots", roots)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.cube, self.roots) == (other.cube, other.roots)
-
-    def __hash__(self):
-        return hash((self.cube, self.roots))
-
-    def __repr__(self):
-        return f"Box(cube={self.cube!r}, roots={self.roots!r})"
 
 
 def canonical_box(params: GraphParams, cube: HeightCube) -> Box:

@@ -65,6 +65,7 @@ from .dlgraph import (
     graph_params,
     sphere_sizes,
 )
+from .record import Record
 
 # Per-place offset between tree digit indices and expansion exponents: the
 # digit at tree index j is the expansion digit at exponent j + offset. The
@@ -76,34 +77,18 @@ def correspondence_cutoffs(d: int) -> "tuple[int, ...]":
     return (-1,) * (d - 1) + (0,)
 
 
-class GroupElement:
+class GroupElement(Record):
     """Normal form (exps, P) for the affine map x -> (prod units^exps) x + P.
 
-    An immutable record, like algebra.RingParams.
+    An immutable record (see record.Record).
     """
 
-    __slots__ = ("params", "exps", "P")
+    __slots__ = _fields = ("params", "exps", "P")
 
     def __init__(self, params: RingParams, exps: tuple, P: RationalElement):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "P", P)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.params, self.exps, self.P) == (other.params, other.exps, other.P)
-
-    def __hash__(self):
-        return hash((self.params, self.exps, self.P))
-
-    def __repr__(self):
-        return f"GroupElement(params={self.params!r}, exps={self.exps!r}, P={self.P!r})"
 
 
 def identity(params: RingParams) -> GroupElement:

@@ -67,6 +67,7 @@ from .dlgraph import (
     tree_ancestor,
     tree_descendants,
 )
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -97,35 +98,19 @@ def count_vertices_in_clone(c: TreeVertex, level: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 # transducer primitives
 
-class Shift:
+class Shift(Record):
     """Translate every digit index by m (stream index i reads input i - m).
 
     Scales the clone measure by q**(-m) and stream distances by the same
     factor, hence contributes q**(-m) to the measure scalar and q**|m| to
     the bilipschitz constant. Each primitive, and each map built from them,
-    is an immutable record like algebra.RingParams.
+    is an immutable record.Record.
     """
 
-    __slots__ = ("m",)
+    __slots__ = _fields = ("m",)
 
     def __init__(self, m: int):
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.m == other.m
-
-    def __hash__(self):
-        return hash((self.m,))
-
-    def __repr__(self):
-        return f"Shift(m={self.m!r})"
 
     def lam(self, q: int) -> Fraction:
         return Fraction(q) ** (-self.m)
@@ -147,7 +132,7 @@ class Shift:
         return {"kind": "shift", "m": self.m}
 
 
-class LevelPerm:
+class LevelPerm(Record):
     """Permute the digit alphabet independently at finitely many indices.
 
     perms is a sorted tuple of (index, table) pairs where table is a
@@ -155,7 +140,7 @@ class LevelPerm:
     bilipschitz constant 1.
     """
 
-    __slots__ = ("perms",)
+    __slots__ = _fields = ("perms",)
 
     def __init__(self, perms: tuple):
         object.__setattr__(self, "perms", perms)
@@ -168,22 +153,6 @@ class LevelPerm:
                 raise ValueError(f"table at index {lvl} is not a permutation")
         if tuple(sorted(self.perms)) != self.perms:
             raise ValueError("perms must be sorted by index")
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.perms == other.perms
-
-    def __hash__(self):
-        return hash((self.perms,))
-
-    def __repr__(self):
-        return f"LevelPerm(perms={self.perms!r})"
 
     def lam(self, q: int) -> Fraction:
         return Fraction(1)
@@ -234,7 +203,7 @@ class LevelPerm:
         }
 
 
-class PrefixRewrite:
+class PrefixRewrite(Record):
     """Rewrite the digit window [lo, hi] through a bijection of words.
 
     table maps every length-(hi - lo + 1) digit word over {0, ..., q-1} to
@@ -243,6 +212,8 @@ class PrefixRewrite:
     Measure scalar 1; bilipschitz constant q**(hi - lo) since a first
     difference inside the window can move anywhere else inside it.
     """
+
+    _fields = ("lo", "hi", "table")
 
     def __init__(self, lo: int, hi: int, table: tuple):
         # table: sorted tuple of (word, image) pairs covering all words
@@ -263,22 +234,6 @@ class PrefixRewrite:
             raise ValueError("table must be sorted by input word")
         if not ins or ins != list(itertools.product(range(self._q()), repeat=width)):
             raise ValueError("table does not cover a full power alphabet")
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lo, self.hi, self.table) == (other.lo, other.hi, other.table)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi, self.table))
-
-    def __repr__(self):
-        return f"PrefixRewrite(lo={self.lo!r}, hi={self.hi!r}, table={self.table!r})"
 
     def _q(self) -> int:
         # the sorted table ends with the word of all top digits q - 1
@@ -351,34 +306,20 @@ def level_perm(perms) -> LevelPerm:
 # ---------------------------------------------------------------------------
 # boundary maps: composed transducers
 
-class BoundaryMap:
+class BoundaryMap(Record):
     """A finite composition of primitives, applied left to right.
 
     Every primitive's tables must be over the digit alphabet {0, ..., q-1};
     construction raises ValueError otherwise.
     """
 
+    _fields = ("q", "prims")
+
     def __init__(self, q: int, prims: tuple):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "prims", prims)
         for p in self.prims:
             p.check_alphabet(self.q)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.q, self.prims) == (other.q, other.prims)
-
-    def __hash__(self):
-        return hash((self.q, self.prims))
-
-    def __repr__(self):
-        return f"BoundaryMap(q={self.q!r}, prims={self.prims!r})"
 
     def lam(self) -> Fraction:
         """Exact measure scalar: images of clones shrink by this factor."""
@@ -593,7 +534,7 @@ def measure_linear_constant(m: BoundaryMap, depth: int) -> MeasureCheck:
 # ---------------------------------------------------------------------------
 # interior maps
 
-class InteriorMap:
+class InteriorMap(Record):
     """One boundary transducer per coordinate, acting on its clones.
 
     Heights are preserved: coordinate i of the image is the transducer's
@@ -602,7 +543,7 @@ class InteriorMap:
     the lattice; fibers are counted exactly via clone preimages.
     """
 
-    __slots__ = ("params", "maps")
+    __slots__ = _fields = ("params", "maps")
 
     def __init__(self, params: GraphParams, maps: tuple):
         object.__setattr__(self, "params", params)
@@ -612,22 +553,6 @@ class InteriorMap:
         for m in self.maps:
             if m.q != self.params.q:
                 raise ValueError("coordinate map alphabet differs from q")
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.params, self.maps) == (other.params, other.maps)
-
-    def __hash__(self):
-        return hash((self.params, self.maps))
-
-    def __repr__(self):
-        return f"InteriorMap(params={self.params!r}, maps={self.maps!r})"
 
     def lam_product(self) -> Fraction:
         out = Fraction(1)

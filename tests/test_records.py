@@ -1,5 +1,7 @@
 """The identity records: immutable, equal only within their class, hashed by their fields."""
 
+import copy
+import pickle
 from collections import namedtuple
 
 import pytest
@@ -8,6 +10,7 @@ from dllab.algebra import RationalElement, RingParams, ring_params
 from dllab.dlgraph import Box, DLVertex, HeightCube, graph_params, tree_root, tree_vertex
 from dllab.group import GroupElement
 from dllab.qilab import BoundaryMap, InteriorMap, LevelPerm, PrefixRewrite, Shift
+from dllab.record import Record
 
 RING = ring_params(3, 3)
 GRAPH = graph_params(2, 2)
@@ -60,3 +63,28 @@ def test_identity_record(cls, names, values, bad):
         args, message = bad
         with pytest.raises(ValueError, match=message):
             cls(*args)
+
+
+@pytest.mark.parametrize("cls, names, values, bad", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_copies_and_pickles(cls, names, values, bad):
+    a = cls(*values())
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b.__class__ is cls
+        assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+
+
+def test_copies_of_a_cached_prefix_rewrite():
+    a = PrefixRewrite(0, 0, (((0,), (1,)), ((1,), (0,))))
+    assert a._lookup == {(0,): (1,), (1,): (0,)}
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a)
+        # a copy is rebuilt from its fields alone, then caches its own lookup
+        assert "_lookup" not in vars(b) and b._lookup == a._lookup
+
+
+def test_every_identity_record_goes_through_the_base():
+    classes = {r[0] for r in RECORDS}
+    assert set(Record.__subclasses__()) == classes
+    for cls in classes:
+        own = {"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"} & set(vars(cls))
+        assert not own, f"{cls.__name__} defines {sorted(own)}"
