@@ -516,19 +516,15 @@ def _qilab_umap(args, params) -> "tuple[str, list, list]":
     side = 3 * k if args.h is None else _one_side("umap mode", args.h)
     region = height_cube([(0, side - 1)] * (params.d - 1))
     tiling = qilab.make_tiling(params, region, k)
-    keys, members, image = qilab.umap_positions(tiling, k)
+    keys, members, image, signatures = qilab.umap_positions(tiling, k)
     hits = [0] * len(members)
     for j in image:
         hits[j] += 1
 
-    def rows():
-        # streamed, so no row or displacement list is held beside the payload
-        pairs = ((x.coords, members[j].coords) for x, j in zip(members, image))
-        displacements = qilab.tile_displacements(params, pairs)
-        for key, j, dist in zip(keys, image, displacements):
-            yield key, keys[j], dist
-
-    payload = _csv_payload(["key", "image_key", "displacement"], rows())
+    # streamed, so no row or displacement list is held beside the payload
+    displacements = qilab.tile_displacements(members, image, signatures)
+    rows = zip(keys, map(keys.__getitem__, image), displacements)
+    payload = _csv_payload(["key", "image_key", "displacement"], rows)
     exact = hits == [k if x.coords[0].level % k == 0 else 0 for x in members]
     summaries = [
         f"umap: {len(members)} vertices onto {len(members) - hits.count(0)} images, "

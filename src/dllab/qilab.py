@@ -21,9 +21,9 @@ their metric and measure behavior exactly:
   correction from maps forcing boundary-rate divergence.  Chain and audit
   totals are one convolution over the cube axes, never point by point;
 * tile maps: the exactly k-to-1 map from the ordinary lattice onto the
-  index-k sublattice built from a cube tiling, relabelling digits one
-  fiber of the ambient box at a time, plus displacement and distortion
-  estimates.
+  index-k sublattice built from a cube tiling, a relabelling of digits
+  that moves pool positions by integer arithmetic one fiber of the
+  ambient box at a time, plus displacement and distortion estimates.
 
 A clone is the set of all streams agreeing with given digits at every
 index up to a level, which is the set of ends below the tree vertex with
@@ -49,21 +49,21 @@ from .dlgraph import (
     HeightCube,
     RegionAlignmentError,
     TreeVertex,
+    _box_listing,
     _cube_axes,
+    _fiber_depths,
     _inner_cube,
     _within_budget,
     box_boundary_size,
     box_size,
     canonical_box,
-    cube_points,
+    cube_contains,
     cube_side,
     cube_size,
     dl_distance,
-    fiber_pools,
-    meet_level,
+    dl_key,
     rho,
     side_box,
-    sorted_box_members,
     tree_ancestor,
     tree_descendants,
 )
@@ -796,8 +796,10 @@ class Tiling(NamedTuple):
     only: y's first is x's first's ancestor at the tile corner, and the
     middle coordinates pass through. So their pair signature is
     ((drop, 0), (0, 0), ..., (c, e)), with drop the fall in first height
-    and (c, e) the last coordinates' heights above their meet, and one
-    meet gives the displacement (`tile_displacements`).
+    and (c, e) the last coordinates' heights above their meet. Read as
+    digit strings, y's last is x's last with the drop first digits below
+    the corner inserted after the tile root, so (c, e) follows from those
+    digits and x's last digits below the tile root (`_fiber_images`).
     """
 
     params: GraphParams
@@ -822,102 +824,153 @@ def make_tiling(params: GraphParams, region: HeightCube, h: int) -> Tiling:
     return Tiling(params, h, canonical_box(params, region))
 
 
-def _tile_images(tiling: Tiling, k: int, point: Sequence[int], pools) -> Iterator[tuple]:
-    """Image coords of the members product(*pools) over a cube point, in order.
+def umap(tiling: Tiling, k: int, x: DLVertex) -> DLVertex:
+    """Map an ambient box member into the index-k lattice.
 
-    Within the tile over the point, the q**j (first, last) coordinate pairs
-    at offset j above the tile's corner are matched, in lexicographic digit
+    Within the tile over x, the q**j (first, last) coordinate pairs at
+    offset j above the tile's corner are matched, in lexicographic digit
     order, with the q**j pairs at the corner whose last coordinate absorbs
     the offset; middle coordinates pass through. With tile side k this is
     exactly k-to-1 onto first heights in kZ. As digit strings the matching
     is a relabelling, blind to q: the image's last coordinate keeps last's
     digits down to its tile root, then first's digits below the corner, then
-    last's below its root, each block moved to follow the one before. Blocks
-    are cut once per pool member and joined once per image.
+    last's below its root, each block moved to follow the one before.
+
+    A vertex that is not an ambient box member (other parameters, tracked
+    heights outside the cube, or a coordinate off its box root) raises
+    ValueError naming its key.
     """
     if k != tiling.h:
         raise ValueError("tile side must equal the index k")
-    corners = [x // k * k for x in point]
+    box = tiling.ambient
+    if (
+        x.params != tiling.params
+        or not cube_contains(box.cube, rho(x))
+        or any(tree_ancestor(c, root.level) != root for c, root in zip(x.coords, box.roots))
+    ):
+        raise ValueError(f"{dl_key(x)} is not a member of the tiling's ambient box")
+    point = rho(x)
+    corners = [p // k * k for p in point]
     top, offset = corners[0], point[0] - corners[0]
-    level = offset - sum(point)  # the image's last height
     # the tile's last root sits below its far corner
     base = -sum(corners) - (tiling.params.d - 1) * (k - 1)
-    heads = [
-        (tree_ancestor(c, top), [(i - top + base, v) for i, v in c.digits if i > top])
-        for c in pools[0]
-    ]
-    tails = [
-        ([p for p in c.digits if p[0] <= base], [(i + offset, v) for i, v in c.digits if i > base])
-        for c in pools[-1]
-    ]
-    middles = itertools.product(*pools[1:-1])
-    for (head, block), middle, (low, high) in itertools.product(heads, middles, tails):
-        yield (head,) + middle + (TreeVertex(level, (*low, *block, *high)),)
+    first, *middle, last = x.coords
+    block = [(i - top + base, v) for i, v in first.digits if i > top]
+    low = [p for p in last.digits if p[0] <= base]
+    high = [(i + offset, v) for i, v in last.digits if i > base]
+    image = TreeVertex(last.level + offset, (*low, *block, *high))
+    return DLVertex(tiling.params._replace(k=k), (tree_ancestor(first, top), *middle, image))
 
 
-def umap(tiling: Tiling, k: int, x: DLVertex) -> DLVertex:
-    """Map a lattice vertex into the index-k lattice: a one-member fiber of `_tile_images`."""
-    [coords] = _tile_images(tiling, k, rho(x), [(c,) for c in x.coords])
-    return DLVertex(tiling.params._replace(k=k), coords)
+def _fiber_images(q: int, k: int, point: tuple, depths: list) -> tuple:
+    """(image point, image depths, images, signatures) of the members over a cube point.
 
+    Members are listed in build order, the order of product(*fiber_pools),
+    and images[b] is member b's image as a mixed-radix number over the
+    image fiber's pool positions, the last coordinate fastest; signatures[b]
+    is its (drop, c, e) (see `Tiling`). With off = point[0] % k, the drop,
+    and nlo the last coordinate's depth below its tile root, umap moves
+    pool positions (tree_descendants' position rule) as follows:
 
-def umap_pairs(tiling: Tiling, k: int) -> Iterator[tuple]:
-    """(member coords, image coords) over the ambient box, fiber by fiber, unbudgeted."""
-    params, box = tiling.params, tiling.ambient
-    for point in cube_points(box.cube):
-        pools = fiber_pools(params, box, point)
-        yield from zip(itertools.product(*pools), _tile_images(tiling, k, point, pools))
+    * first: t0 -> t0 // q**off, its ancestor at the tile corner;
+    * middles: unchanged;
+    * last: tL -> ((tL // q**nlo) * q**off + t0 % q**off) * q**nlo + tL % q**nlo,
+      first's off digits below the corner inserted above last's nlo digits
+      below the tile root.
 
-
-def umap_positions(tiling: Tiling, k: int) -> "tuple[tuple, tuple, list[int]]":
-    """(keys, members, image): the ambient box in key order, budget checked first.
-
-    Every image is an ambient box member (see `Tiling`), so image[i] is the
-    position of member i's image; one outside the box raises ValueError.
+    The two last coordinates then share every digit above the tile root
+    and the first L of last's nlo low digits, L their common prefix length
+    with the first nlo digits of (t0 % q**off, tL % q**nlo) read as one
+    string: c = nlo - L and e = c + off. So c depends on those two
+    remainders only, one small list per fiber; the rest is integer
+    arithmetic, with no tree vertex built.
     """
-    keys, members = sorted_box_members(tiling.params, tiling.ambient)
-    position = {x.coords: i for i, x in enumerate(members)}
-    image = [0] * len(members)
-    for coords, image_coords in umap_pairs(tiling, k):
-        i, j = position[coords], position.get(image_coords)
-        if j is None:
-            raise ValueError(f"umap image of {keys[i]} lies outside the ambient box")
-        image[i] = j
-    return keys, members, image
+    off = point[0] % k
+    nlo = sum(k - 1 - p % k for p in point)
+    first, *middles, last = depths
+    fo, fl = q**off, q**nlo
+    mids, highs = q ** sum(middles), q**last // fl
+    span = q ** (last + off)  # the image's last pool size
+    heads = [
+        ((t0 // fo) * mids + m) * span + (t0 % fo) * fl
+        for t0 in range(q**first)
+        for m in range(mids)
+    ]
+    tails = [hi * fo * fl + lo for hi in range(highs) for lo in range(fl)]
+    images = [h + t for h in heads for t in tails]
+    rows = []
+    for f in range(fo):
+        row = []
+        for lo in range(fl):
+            up = (f * fl + lo) // fo  # the first nlo digits of f, then lo
+            c = 0
+            while lo // q**c != up // q**c:
+                c += 1
+            row.append((off, c, c + off))
+        rows += row * highs * mids
+    signatures = rows * (q**first // fo)
+    image_point = (point[0] - off, *point[1:])
+    return image_point, [first - off, *middles, last + off], images, signatures
+
+
+def umap_positions(tiling: Tiling, k: int) -> "tuple[tuple, tuple, list[int], list[tuple]]":
+    """(keys, members, image, signatures): the ambient box in key order, budget checked first.
+
+    image[i] is the key-order position of member i's image, and
+    signatures[i] its (drop, c, e) (see `Tiling`). Both are read fiber by
+    fiber by pool-position arithmetic (`_fiber_images`), then mapped from
+    build order (`dlgraph._box_listing`) to key order. An image fiber whose
+    point is outside the cube, or whose pool depths differ from the box's
+    there, raises ValueError naming the fiber's first member.
+    """
+    if k != tiling.h:
+        raise ValueError("tile side must equal the index k")
+    params, box = tiling.params, tiling.ambient
+    keys, members, offsets, order = _box_listing(params, box)
+    pos = [0] * len(order)
+    for p, i in enumerate(order):
+        pos[i] = p
+    image_ids, signatures = [], []
+    for point, offset in offsets.items():
+        image_point, depths, images, sigs = _fiber_images(
+            params.q, k, point, _fiber_depths(box, point)
+        )
+        target = offsets.get(image_point)
+        if target is None or _fiber_depths(box, image_point) != depths:
+            raise ValueError(f"umap image of {keys[pos[offset]]} lies outside the ambient box")
+        image_ids += [target + j for j in images]
+        signatures += sigs
+    image = [pos[image_ids[i]] for i in order]
+    return keys, members, image, [signatures[i] for i in order]
 
 
 def umap_eval(tiling: Tiling, k: int) -> dict:
     """The tile map over the ambient box in key order, as `umap_positions` finds it."""
-    _, members, image = umap_positions(tiling, k)
+    _, members, image, _ = umap_positions(tiling, k)
     target = tiling.params._replace(k=k)
     return {x: DLVertex(target, members[j].coords) for x, j in zip(members, image)}
 
 
-def tile_displacements(params: GraphParams, pairs) -> Iterator[int]:
-    """Graph distance from each tile-map member to its image, in the order given.
+def tile_displacements(members, image, signatures) -> Iterator[int]:
+    """Graph distance from each member to its image, over a `umap_positions` listing.
 
-    pairs yields (member coords, image coords), both read in the ordinary
-    graph of params. Their signature is fixed by (drop, c, e) (see
-    `Tiling`), and a k = 1 distance depends only on the sorted signature,
-    so each triple's distance is kept for this call only; `dl_distance`
-    answers each new triple.
+    Both are read in the members' ordinary graph. A k = 1 distance depends
+    only on the sorted pair signature, which the (drop, c, e) triple fixes
+    (see `Tiling`), so each triple's distance is kept for this call only;
+    `dl_distance` answers each new triple.
     """
     known = {}
-    for x, y in pairs:
-        a, b = x[-1], y[-1]
-        m = meet_level(a, b)
-        sig = (x[0].level - y[0].level, a.level - m, b.level - m)
+    for x, j, sig in zip(members, image, signatures):
         dist = known.get(sig)
         if dist is None:
-            dist = known[sig] = dl_distance(DLVertex(params, x), DLVertex(params, y))
+            dist = known[sig] = dl_distance(x, members[j])
         yield dist
 
 
 def umap_displacement(tiling: Tiling, k: int) -> int:
     """Max graph distance between x and its image, read in the ordinary graph."""
-    _, members, image = umap_positions(tiling, k)
-    pairs = ((x.coords, members[j].coords) for x, j in zip(members, image))
-    return max(tile_displacements(tiling.params, pairs))
+    _, members, image, signatures = umap_positions(tiling, k)
+    return max(tile_displacements(members, image, signatures))
 
 
 # ---------------------------------------------------------------------------

@@ -354,16 +354,17 @@ def audit_bounds_broken(monkeypatch):
 
 
 def umap_merges_two_images(monkeypatch):
-    # the first member takes the last member's image, so one image is hit
-    # k + 1 times and another k - 1 times
-    pairs_of = qilab.umap_pairs
+    # the first member takes its fiber's last member's image, so one image
+    # is hit k + 1 times and another k - 1 times
+    images_of = qilab._fiber_images
 
-    def merged(tiling, k):
-        pairs = list(pairs_of(tiling, k))
-        pairs[0] = (pairs[0][0], pairs[-1][1])
-        return iter(pairs)
+    def merged(q, k, point, depths):
+        image_point, image_depths, images, signatures = images_of(q, k, point, depths)
+        if point == (0,):  # the first fiber
+            images[0] = images[-1]
+        return image_point, image_depths, images, signatures
 
-    monkeypatch.setattr(qilab, "umap_pairs", merged)
+    monkeypatch.setattr(qilab, "_fiber_images", merged)
 
 
 CHAIN = ["qilab", "--d", "2", "--q", "2", "--map", "alpha,id", "--h", "2,4,6"]
@@ -503,7 +504,7 @@ class TestOversizedBoxes:
             raise AssertionError("the cube was enumerated")
 
         monkeypatch.setattr(dlgraph, "cube_points", refuse)
-        monkeypatch.setattr(qilab, "cube_points", refuse)
+        monkeypatch.setattr(qilab, "cube_points", refuse, raising=False)
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -665,6 +665,27 @@ class TestUmap:
         with pytest.raises(ValueError):
             umap(tiling, 3, x)
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            # a first height of 7, above the cube [0, 3]
+            dl_vertex(graph_params(2, 2), (TreeVertex(7, ()), TreeVertex(-7, ()))),
+            # a vertex of DL_3(2)
+            dl_vertex(graph_params(3, 2), (TreeVertex(1, ()), TreeVertex(0, ()), TreeVertex(-1, ()))),
+            # a first coordinate off the box root at height 0
+            dl_vertex(graph_params(2, 2), (TreeVertex(2, ((0, 1),)), TreeVertex(-2, ()))),
+            # a last coordinate off the box root at height -3
+            dl_vertex(graph_params(2, 2), (TreeVertex(2, ()), TreeVertex(-2, ((-3, 1),)))),
+        ],
+        ids=["height-outside-cube", "other-params", "first-off-root", "last-off-root"],
+    )
+    def test_umap_rejects_a_vertex_outside_the_ambient_box(self, x):
+        p = graph_params(2, 2)
+        tiling = make_tiling(p, height_cube([(0, 3)]), 2)
+        message = f"{dl_key(x)} is not a member of the tiling's ambient box"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            umap(tiling, 2, x)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_exactly_k_to_one_d2(self, k):
         p, tiling = self.tiling(2, 2, k)
@@ -764,24 +785,64 @@ class TestUmapOracle:
     def test_fiber_map_matches_per_vertex_and_enumerative(self, d, q, k, side):
         p = graph_params(d, q)
         tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
-        pairs = list(qilab.umap_pairs(tiling, k))
-        members = list(box_members(p, tiling.ambient))
-        # fiber by fiber, in the order box_members lists the members
-        assert [coords for coords, _ in pairs] == [x.coords for x in members]
-        assert [image for _, image in pairs] == [umap(tiling, k, x).coords for x in members]
-        assert [image for _, image in pairs] == [
-            enumerative_umap(tiling, k, x).coords for x in members
-        ]
+        keys, members, image, _ = qilab.umap_positions(tiling, k)
+        # in key order, each image read as the member at its position
+        assert list(members) == sorted(box_members(p, tiling.ambient), key=dl_key)
+        assert list(keys) == [dl_key(x) for x in members]
+        images = [members[j].coords for j in image]
+        assert images == [umap(tiling, k, x).coords for x in members]
+        assert images == [enumerative_umap(tiling, k, x).coords for x in members]
         table = umap_eval(tiling, k)
         assert list(table) == sorted(members, key=dl_key)
         assert all(y == umap(tiling, k, x) for x, y in table.items())
 
     @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
+    def test_positions_and_signatures_match_the_oracles(self, monkeypatch, d, q, k, side):
+        p = graph_params(d, q)
+        tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
+        members = sorted(box_members(p, tiling.ambient), key=dl_key)
+        position = {x.coords: i for i, x in enumerate(members)}
+        by_umap = [position[umap(tiling, k, x).coords] for x in members]
+        by_oracle = [position[enumerative_umap(tiling, k, x).coords] for x in members]
+        meets, pair_sigs = [], []
+        for x, j in zip(members, by_oracle):
+            y = members[j]
+            m = dlgraph.meet_level(x.coords[-1], y.coords[-1])
+            drop = x.coords[0].level - y.coords[0].level
+            meets.append((drop, x.coords[-1].level - m, y.coords[-1].level - m))
+            sig = dlgraph._pair_signature(x, y)
+            assert sig == ((drop, 0), *[(0, 0)] * (d - 2), sig[-1])
+            pair_sigs.append((drop, *sig[-1]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the box-wide tile map built a tree vertex")
+
+        # the listing's own keys and members aside, positions are arithmetic
+        for name in ("TreeVertex", "tree_ancestor", "umap", "dl_key"):
+            monkeypatch.setattr(qilab, name, refuse)
+        _, _, image, signatures = qilab.umap_positions(tiling, k)
+        assert image == by_umap == by_oracle
+        assert signatures == meets == pair_sigs
+
+    def test_image_fiber_of_other_depths_is_an_error(self, monkeypatch):
+        # an image point inside the cube whose pools are not the box's there
+        p = graph_params(2, 2)
+        tiling = make_tiling(p, height_cube([(0, 3)]), 2)
+        first = min(box_members(p, tiling.ambient), key=lambda x: x.coords)
+        monkeypatch.setattr(
+            qilab, "_fiber_images", lambda q, k, point, depths: ((2,), [0, 0], [0], [(0, 0, 0)])
+        )
+        message = f"umap image of {dl_key(first)} lies outside the ambient box"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            qilab.umap_positions(tiling, 2)
+
+    @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
     def test_images_are_ambient_box_members(self, d, q, k, side):
         p = graph_params(d, q)
         tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
-        coords = {x.coords for x in box_members(p, tiling.ambient)}
-        assert all(image in coords for _, image in qilab.umap_pairs(tiling, k))
+        members = list(box_members(p, tiling.ambient))
+        coords = {x.coords for x in members}
+        assert all(umap(tiling, k, x).coords in coords for x in members)
 
     def test_cli_csv_matches_oracle(self, tmp_path):
         for d, q, k, side in [(2, 3, 2, 4), (3, 2, 2, 2)]:
@@ -821,7 +882,9 @@ class TestUmapOracle:
         d, q, k, side = 2, 2, 3, 9
         p = graph_params(d, q)
         tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
-        pairs = [(dl_vertex(p, x), dl_vertex(p, y)) for x, y in qilab.umap_pairs(tiling, k)]
+        pairs = [
+            (x, dl_vertex(p, umap(tiling, k, x).coords)) for x in box_members(p, tiling.ambient)
+        ]
 
         def triple(u, v):
             # a tile-map pair's signature is ((drop, 0), (0, 0), ..., (c, e))
@@ -849,12 +912,12 @@ class TestUmapOracle:
         p = graph_params(2, 2)
         tiling = make_tiling(p, height_cube([(0, 3)]), 2)
         first = sorted(box_members(p, tiling.ambient), key=lambda x: x.coords)[0]
-        outside = (TreeVertex(-1, ()), TreeVertex(1, ()))
 
-        def bad_pairs(tiling, k):
-            yield first.coords, outside
+        def bad_fiber(q, k, point, depths):
+            # the first fiber's image point (-1,) lies below the cube
+            return (-1,), depths, [], []
 
-        monkeypatch.setattr(qilab, "umap_pairs", bad_pairs)
+        monkeypatch.setattr(qilab, "_fiber_images", bad_fiber)
         argv = ["qilab", "--mode", "umap", "--d", "2", "--q", "2", "--k", "2", "--h", "4"]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -869,8 +932,7 @@ class TestUmapOracle:
         p = graph_params(2, 2)
         tiling = make_tiling(p, height_cube([(0, 3)]), 2)
         first = min(box_members(p, tiling.ambient), key=lambda x: x.coords)
-        outside = (TreeVertex(-1, ()), TreeVertex(1, ()))
-        monkeypatch.setattr(qilab, "umap_pairs", lambda tiling, k: iter([(first.coords, outside)]))
+        monkeypatch.setattr(qilab, "_fiber_images", lambda q, k, point, depths: ((-1,), depths, [], []))
         message = f"umap image of {dl_key(first)} lies outside the ambient box"
         with pytest.raises(ValueError, match=re.escape(message)):
             reader(tiling, 2)
@@ -1129,7 +1191,7 @@ class TestClosedFormScale:
             raise AssertionError("a cube was listed")
 
         monkeypatch.setattr(dlgraph, "cube_points", refuse)
-        monkeypatch.setattr(qilab, "cube_points", refuse)
+        monkeypatch.setattr(qilab, "cube_points", refuse, raising=False)
         p = graph_params(4, 2)
         alpha, inv, fix = shift_map(2, 1), shift_map(2, -1), identity_map(2)
         recs = uf_chain_scan(interior_map(p, (alpha, fix, fix, fix)), 3, [20, 40, 60])
