@@ -20,16 +20,16 @@ Every ``ValueError``, an over-budget ``BudgetError`` included, prints
 ``error:`` and exits 2.  ``graph`` and ``qilab`` still accept ``--workers``
 but ignore it: fiber counts are per coordinate and run in
 one process.  Each flag is declared once, in ``_FLAGS``, and each
-subcommand has exactly the flags that its reads tables name.  A command
-builds only its own parser, the same parser as the full parser's
-subcommand; the full parser is built only for top-level help and usage
-errors, so both print the same bytes.  argparse reads ``--config`` like
-any other flag, so ``--config=F`` and unique prefixes such as ``--conf F``
-name the same file, and an empty path is an error.  The file holds
-``key=value`` lines supplying defaults, one flag name per key, typed as
-that flag; explicit flags win.  A flag that the chosen command, ``verify``
-suite or ``qilab`` mode does not read is a usage error, whether given
-directly or by the config file.
+subcommand has exactly the flags that its reads tables name.  One parser,
+built at import (``_PARSER``), reads every argv, help and usage errors
+included.  argparse reads ``--config`` like any other flag, so
+``--config=F`` and unique prefixes such as ``--conf F`` name the same
+file, and an empty path is an error.  The file holds ``key=value`` lines,
+one flag name per key, typed as that flag.  The command's subparser then
+reads its arguments again into a namespace of the file's values; flags
+win, and the shared parser's defaults never change.  A flag that the
+chosen command, ``verify`` suite or ``qilab`` mode does not read is a
+usage error, whether given directly or by the config file.
 """
 
 from __future__ import annotations
@@ -272,9 +272,10 @@ def cmd_graph(args) -> int:
 
 def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
     box = side_box(params, h)
-    expected_fiber = params.q ** ((params.d - 1) * h)
-    # per point, not by box_size's closed form, so that the check is independent
+    # per point, not by box_size's closed form, so that the check is
+    # independent; cube_points checks the cube before any q**h is built
     sizes = [dlgraph.box_fiber_size(params, box, pt) for pt in dlgraph.cube_points(box.cube)]
+    expected_fiber = params.q ** ((params.d - 1) * h)
     fibers = set(sizes)
     size = sum(sizes)
     deg = len(dl_neighbors(base_vertex(params)))
@@ -300,10 +301,10 @@ def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
 def _check_folner(params, r, sides) -> "list[tuple[str, bool, str]]":
     ratios = []
     for h in sides:
-        # the box ratio is a closed form, the height-set ratio a listing
+        # the height-set ratio lists the cube, checked first; the box ratio is a closed form
         box = side_box(params, h)
-        box_ratio = Fraction(dlgraph.box_boundary_size(params, box, r), box_size(params, box))
         set_ratio = Fraction(len(dlgraph.cube_boundary(params, box.cube, r)), cube_size(box.cube))
+        box_ratio = Fraction(dlgraph.box_boundary_size(params, box, r), box_size(params, box))
         ratios.append((h, box_ratio, set_ratio))
     identity_ok = all(b == c for _, b, c in ratios)
     decreasing = all(ratios[i][1] > ratios[i + 1][1] for i in range(len(ratios) - 1))
@@ -639,20 +640,18 @@ def build_parser() -> "tuple[argparse.ArgumentParser, list]":
     return parser, subparsers
 
 
+_PARSER, _SUBPARSERS = build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv or argv[0] not in _COMMANDS:
-        build_parser()[0].parse_args(argv)  # top-level help or a usage error: exits
-    # the same parser as build_parser's subparser for this command
-    parser = _add_command(argparse.ArgumentParser(prog=f"dllab {argv[0]}"), argv[0])
-    args, extras = parser.parse_known_args(argv[1:])
-    if extras:
-        build_parser()[0].parse_args(argv)  # exits 2 with the top-level usage
+    args = _PARSER.parse_args(argv)  # help or a usage error exits here
     try:
         if args.config is not None:
-            # explicit flags still win over the file's defaults
-            parser.set_defaults(**_load_config(args.config))
-            args = parser.parse_args(argv[1:])
+            # argv[0] is the command; argparse keeps a namespace value that
+            # no flag sets, so explicit flags win over the file's values
+            command = _SUBPARSERS[list(_COMMANDS).index(args.command)]
+            args = command.parse_args(argv[1:], argparse.Namespace(**_load_config(args.config)))
         # the payload is written last, so its path is checked first
         if args.out is not None:
             if not args.out:

@@ -75,11 +75,27 @@ DEFAULT_DISTANCE_CAP = 64
 DEFAULT_STATE_BUDGET = 200_000
 DIST_CACHE_LIMIT = 1 << 16
 
+# str() refuses an int of more than 4,300 digits; 2**14_000 has 4,215
+_PRINTED_BITS = 14_000
 
-def _within_budget(n: int, subject: str) -> None:
-    """Raise BudgetError if a list of n items would exceed the vertex budget, read when called."""
-    if n > DEFAULT_VERTEX_BUDGET:
-        raise BudgetError(f"{subject}, budget {DEFAULT_VERTEX_BUDGET}")
+
+def _within_budget(n: int, subject: str, q: int = 2, e: int = 0) -> int:
+    """n * q**e, the length of a list about to be built, once within the vertex budget.
+
+    The budget is read when called. subject names the list, with {} where
+    its length goes. With e > 0 a caller passes n >= 1 and q >= 2, so
+    2**low <= n * q**e. A length with more than _PRINTED_BITS bits is
+    named as at least 2**low, and one whose low alone passes that is
+    refused before q**e is built.
+    """
+    low = n.bit_length() - 1 + e * (q.bit_length() - 1)
+    if low <= _PRINTED_BITS:
+        n *= q**e
+        if n <= DEFAULT_VERTEX_BUDGET:
+            return n
+        low = n.bit_length() - 1
+    count = n if low <= _PRINTED_BITS else f"at least 2^{low}"
+    raise BudgetError(f"{subject.format(count)}, budget {DEFAULT_VERTEX_BUDGET}")
 
 
 class GraphParams(NamedTuple):
@@ -284,9 +300,15 @@ class _MoveTable(NamedTuple):
     ups: tuple
 
 
-def _check_degree(deg: int) -> None:
-    """Refuse a graph whose vertex degree deg exceeds the vertex budget."""
-    _within_budget(deg, f"vertex has {deg} neighbours")
+def _check_degree(params: GraphParams) -> int:
+    """The vertex degree (expected_degree), once within the vertex budget.
+
+    The degree is at least 2 * q**k, so a q**k too long to print is
+    refused before it is built.
+    """
+    if params.k * (params.q.bit_length() - 1) >= _PRINTED_BITS:
+        _within_budget(2, "vertex has {} neighbours", params.q, params.k)
+    return _within_budget(expected_degree(params), "vertex has {} neighbours")
 
 
 def _move_table(params: GraphParams) -> _MoveTable:
@@ -295,7 +317,7 @@ def _move_table(params: GraphParams) -> _MoveTable:
     The closed-form degree is checked against the vertex budget first, so
     no neighbour list longer than the budget is ever built.
     """
-    _check_degree(expected_degree(params))
+    _check_degree(params)
     q, k = params.q, params.k
     downs = [LazyDict(lambda c: (c,)), LazyDict(lambda c: tree_children(c, q))]
     ups = [LazyDict(lambda c: c), LazyDict(tree_parent)]
@@ -408,8 +430,7 @@ def _cube_axes(cube: HeightCube) -> "list[range]":
 
 def cube_points(cube: HeightCube) -> "list[tuple[int, ...]]":
     """The lattice points, in lex order, once cube_size is within the vertex budget."""
-    n = cube_size(cube)
-    _within_budget(n, f"cube has {n} points")
+    _within_budget(cube_size(cube), "cube has {} points")
     return list(product(*_cube_axes(cube)))
 
 
@@ -524,6 +545,12 @@ def box_size(params: GraphParams, box: Box) -> int:
     sum, so the depths below them sum to (d-1)*side at every cube point.
     """
     return cube_size(box.cube) * params.q ** ((params.d - 1) * cube_side(box.cube))
+
+
+def _check_box(params: GraphParams, box: Box) -> int:
+    """box_size, once within the vertex budget; a fiber size too long to print is not built."""
+    e = (params.d - 1) * cube_side(box.cube)
+    return _within_budget(cube_size(box.cube), "box has {} members", params.q, e)
 
 
 def box_boundary(params: GraphParams, box: Box, r: int) -> Iterator[DLVertex]:
@@ -702,8 +729,7 @@ def _box_listing(params: GraphParams, box: Box) -> tuple:
     are in key order. The closed-form size is checked against the vertex
     budget first. A fiber's member keys are the products of its pools' keys.
     """
-    n = box_size(params, box)
-    _within_budget(n, f"box has {n} members")
+    n = _check_box(params, box)
     keys, members, offsets = [], [], {}
     for point in cube_points(box.cube):
         offsets[point] = len(keys)
@@ -757,14 +783,12 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
     pool positions (_position_moves), folded into pairs of member build
     ids (_box_listing) and mapped to key order.
     """
-    n = box_size(params, box)
-    deg = expected_degree(params)
-    # a member has at most deg neighbours; a box over the vertex budget is
-    # refused by _box_listing, by its member count
+    deg = _check_degree(params)
+    n = _check_box(params, box)
+    # a member has at most deg neighbours
     bound = deg * n // 2
-    if n <= DEFAULT_VERTEX_BUDGET and bound > DEFAULT_EDGE_BUDGET:
+    if bound > DEFAULT_EDGE_BUDGET:
         raise BudgetError(f"box graph may hold {bound} edges, budget {DEFAULT_EDGE_BUDGET}")
-    _check_degree(deg)
     keys, vertices, offsets, order = _box_listing(params, box)
     pos = [0] * n
     for p, i in enumerate(order):

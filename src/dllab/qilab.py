@@ -514,7 +514,7 @@ def measure_linear_constant(m: BoundaryMap, depth: int) -> MeasureCheck:
         raise ValueError("probe window is empty")
     width = depth - probe_lo + 1
     q = m.q
-    _within_budget(q**width, f"probe window enumerates {q**width} clones")
+    _within_budget(1, "probe window enumerates {} clones", q, width)
     ratio = None
     witness_clone = None
     samples = 0
@@ -679,8 +679,7 @@ def fiber_count_audit(
         r = 1
         while params.q ** r < bilip:
             r += 1
-    fiber = params.q ** ((params.d - 1) * cube_side(box.cube))
-    _within_budget(fiber, f"fiber has {fiber} members")
+    _within_budget(1, "fiber has {} members", params.q, (params.d - 1) * cube_side(box.cube))
     n = box_size(params, box)
     boundary_size = box_boundary_size(params, box, r)
     inner = _inner_cube(box.cube, r)
@@ -761,9 +760,8 @@ def uf_chain_scan(
     out = []
     for h in h_values:
         box = side_box(params, h)
+        _within_budget(cube_size(box.cube), "cube has {} points")
         n = box_size(params, box)
-        points = cube_size(box.cube)
-        _within_budget(points, f"cube has {points} points")
         chain = _fiber_total(imap, box, box.cube) - k * n
         bsize = box_boundary_size(params, box, r)
         out.append(

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -486,8 +487,42 @@ class TestPayloadBytes:
         assert capsys.readouterr().out.encode() == expected
 
 
+# Counts over the vertex budget with more digits than str() prints, or
+# whose power would take seconds to build, and cube gates that come before
+# a power: each is refused at once, with a message that names the budget.
+# 2**low is at most the count: 15001 * 2**15000 has 15,014 bits.
+REFUSED_AT_ONCE = [
+    (["graph", "--d", "2", "--q", "2", "--h", "15000"], "box has at least 2^15013 members"),
+    (["graph", "--d", "2", "--q", "3", "--h", "30000000"], "box has at least 2^30000024 members"),
+    (["qilab", "--mode", "audit", "--d", "2", "--q", "2", "--h", "15000"], "fiber has at least 2^15000 members"),
+    (
+        ["qilab", "--mode", "umap", "--d", "2", "--q", "2", "--k", "2", "--h", "15000"],
+        "box has at least 2^15012 members",
+    ),
+    (["qilab", "--mode", "distortion", "--d", "2", "--q", "2", "--h", "15000"], "box has at least 2^15013 members"),
+    (["graph", "--d", "2", "--q", "3", "--k", "100000", "--radius", "1"], "vertex has at least 2^100001 neighbours"),
+    (["qilab", "--d", "2", "--q", "3", "--map", "alpha,id", "--h", "3000000"], "cube has 3000001 points"),
+    (["verify", "--d", "2", "--q", "3", "--assert", "counting", "--h", "3000000"], "cube has 3000001 points"),
+    (["verify", "--d", "2", "--q", "3", "--assert", "folner", "--h", "3000000,3000001"], "cube has 3000001 points"),
+]
+
+
 class TestOversizedBoxes:
     """A box's and a fiber's sizes are closed forms, so their budget checks list no cube point."""
+
+    @pytest.mark.parametrize(
+        "argv,error", REFUSED_AT_ONCE, ids=[" ".join(argv) for argv, _ in REFUSED_AT_ONCE]
+    )
+    def test_oversized_count_refused_at_once(self, capsys, argv, error):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}, budget 500000\n"
+
+    def test_printable_count_keeps_its_digits(self, capsys):
+        # 5001 * 2**5000, 1,510 digits, is printed in full as before
+        assert run_cli(["graph", "--d", "2", "--q", "2", "--h", "5000"]) == 2
+        assert capsys.readouterr().err == f"error: box has {5001 * 2**5000} members, budget 500000\n"
 
     @pytest.mark.parametrize(
         "argv,error",
@@ -1067,7 +1102,7 @@ class TestFlagTable:
 
 
 class TestParserPerCommand:
-    """A command builds only its own parser; help and usage errors are the full parser's."""
+    """One parser, built at import, reads every argv: commands, help and usage errors."""
 
     ORACLE_ARGVS = [
         [],
@@ -1124,7 +1159,21 @@ class TestParserPerCommand:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         assert cli.main([token.format(cfg=cfg) for token in argv]) == 0
-        assert built == [f"dllab {argv[0]}"]
+        assert built == []
+
+    def test_config_values_do_not_outlive_their_call(self, capsys, tmp_path):
+        # the parser is shared, so a file's values must not become its defaults
+        cfg = tmp_path / "h2.cfg"
+        cfg.write_text("h=2\n")
+        argv = ["graph", "--d", "2", "--q", "2", "--format", "json"]
+        assert cli.main(argv + ["--config", str(cfg)]) == 0
+        assert "cube" in json.loads(capsys.readouterr().out)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph needs exactly one of --radius or --h\n"
+        assert cli.main(argv + ["--radius", "1"]) == 0
+        assert "cube" not in json.loads(capsys.readouterr().out)
 
 
 # Edge values of the integer and box-side flags, each given to a command,
@@ -1167,3 +1216,72 @@ def test_argv_sweep_exits_cleanly(capsys, tmp_path, via_config):
         assert "Traceback" not in err, argv
         if status == 2:
             assert "error:" in err, argv
+
+
+# The seeded fuzz's values per flag: the first FUZZ_VALID[flag] are valid,
+# the rest are bad ints, empty and malformed lists, malformed map JSON and
+# a missing @file. Box sides of 3,000,000 and 30,000,000 and --k 100000
+# are over the vertex budget wherever they are read. --radius and verify's
+# --k stay small: a ball's budget is checked as its nodes are found, so a
+# large value runs until 500,000 nodes have been found.
+FUZZ_VALUES = {
+    "d": ("2", "3", "0", "1", "-2", "x", ""),
+    "q": ("2", "3", "4", "1", "x", ""),
+    "k": ("1", "2", "3", "0", "-1", "x", "100000"),
+    "radius": ("0", "1", "2", "-1", "x"),
+    "h": ("0", "1", "2", "3", "2,4", "", ",", "1,,2", "x", "-1", "2,-1", "3000000", "30000000"),
+    "r": ("0", "1", "2", "-1", "x"),
+    "map": (
+        "alpha,id", "id,id", "alpha-inv,id", "shift:1,id", "shift:x,id", "alpha", "", "bogus",
+        "[", "[[]", '{"a": 1}', "[1, 2]", '[[{"kind": "shift"}], []]', '[[{"kind": "nosuch"}], []]',
+        '[[{"kind": "shift", "m": "x"}], []]', "@{tmp}/missing.json",
+    ),
+    "format": ("dot", "json", "csv", "xml"),
+    "out": ("{tmp}/out.txt", "", "{tmp}", "{tmp}/missing/out.txt"),
+    "seed": ("0", "7", "-1", "x"),
+    "workers": ("1", "2", "x"),
+    "mode": ("chain", "audit", "umap", "distortion", "bogus"),
+    "pairs": ("1", "3", "0", "-2", "x"),
+    "assert": ("bounded", "divergence", "ktoone", "counting", "folner", "correspondence", "index", "all", "bogus"),
+}
+FUZZ_VALID = {
+    "d": 2, "q": 2, "k": 3, "radius": 3, "h": 5, "r": 3, "map": 4, "format": 3, "out": 1,
+    "seed": 2, "workers": 2, "mode": 4, "pairs": 2, "assert": 8,
+}
+
+
+def fuzz_argvs(rng, count):
+    """count argvs: a command and up to six flags, most of them ones the command reads."""
+    for _ in range(count):
+        command = rng.choice(list(cli._COMMANDS))
+        reads = sorted(cli._COMMANDS[command][2])
+        argv = [command]
+        for _ in range(rng.randint(0, 6)):
+            flag = rng.choice(reads) if rng.random() < 0.85 else rng.choice(list(cli._FLAGS))
+            values = FUZZ_VALUES[flag]
+            if command == "verify" and flag == "k":
+                values = values[:6]  # without 100000
+            argv += [f"--{flag}", rng.choice(values[: FUZZ_VALID[flag]] if rng.random() < 0.6 else values)]
+        if rng.random() < 0.05:
+            argv += ["--config", "{tmp}/missing.cfg"]
+        yield argv
+
+
+def test_seeded_argv_fuzz_exits_cleanly(capsys, tmp_path):
+    """Seeded argvs drawn from the flag table, and the oversized counts, never raise."""
+    argvs = list(fuzz_argvs(random.Random(0), 400)) + [argv for argv, _ in REFUSED_AT_ONCE]
+    statuses = []
+    for argv in argvs:
+        argv = [token.replace("{tmp}", str(tmp_path)) for token in argv]
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        err = capsys.readouterr().err
+        assert status in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if status == 2:
+            assert err.startswith(("error:", "usage:")), argv
+        statuses.append(status)
+    # the draw reaches commands that run, not only usage errors
+    assert statuses.count(0) >= 50

@@ -610,13 +610,25 @@ def reference_ball(center, radius):
 
 
 def reference_edges(vertices):
-    """Every (i, j), i < j, whose vertices dl_adjacent joins."""
-    return tuple(
-        (i, j)
-        for i in range(len(vertices))
-        for j in range(i + 1, len(vertices))
-        if dl_adjacent(vertices[i], vertices[j])
-    )
+    """Every (i, j), i < j, whose vertices dl_adjacent joins.
+
+    Only pairs whose tracked heights differ by one move's height change
+    can be joined, so dl_adjacent is asked about those alone. The changes
+    are the tracked heights of the base vertex's neighbours, since the base
+    vertex sits at height zero.
+    """
+    steps = {rho(w) for w in dl_neighbors(base_vertex(vertices[0].params))}
+    by_height = {}
+    for i, v in enumerate(vertices):
+        by_height.setdefault(rho(v), []).append(i)
+    edges = []
+    for i, v in enumerate(vertices):
+        x = rho(v)
+        for s in steps:
+            for j in by_height.get(tuple(a + b for a, b in zip(x, s)), ()):
+                if i < j and dl_adjacent(v, vertices[j]):
+                    edges.append((i, j))
+    return tuple(sorted(edges))
 
 
 def assert_same_graph(g, ref):
