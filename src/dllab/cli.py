@@ -12,10 +12,12 @@ Three subcommands:
 
 All outputs are byte-deterministic: vertices are sorted by canonical key,
 every CSV and JSON payload is written by ``_csv_payload`` (fixed line
-terminator) or ``dlgraph.json_payload`` (sorted keys), graph exports
-included, and randomized modes take an explicit seed.  ``verify`` and a
-``qilab`` assertion write their verdicts through ``_verdicts``: one
-``PASS|FAIL name: detail`` line per check, and exit 1 if any fails.
+terminator) or ``dlgraph.json_payload`` (sorted keys), except graph
+exports, which ``dlgraph.export_dot`` and ``dlgraph.export_json`` write
+as text in the same dialect, and randomized modes take an explicit
+seed.  ``verify`` and a ``qilab`` assertion write their verdicts through
+``_verdicts``: one ``PASS|FAIL name: detail`` line per check, and exit 1
+if any fails.
 Every ``ValueError``, an over-budget ``BudgetError`` included, prints
 ``error:`` and exits 2.  ``graph`` and ``qilab`` still accept ``--workers``
 but ignore it: fiber counts are per coordinate and run in
@@ -252,17 +254,15 @@ def cmd_graph(args) -> int:
     params = graph_params(args.d, args.q, args.k if args.k is not None else 1)
     if (args.radius is None) == (args.h is None):
         raise ValueError("graph needs exactly one of --radius or --h")
+    # the format is checked before anything is built
+    if args.format not in (None, "dot", "json"):
+        raise ValueError(f"graph supports dot or json, not {args.format!r}")
     if args.radius is not None:
         g = ball(base_vertex(params), args.radius)
     else:
         # side 0 is the one-vertex box over heights 0
         g = box_graph(params, side_box(params, _one_side("graph", args.h, least=0)))
-    if args.format in (None, "dot"):
-        payload = export_dot(g)
-    elif args.format == "json":
-        payload = export_json(g)
-    else:
-        raise ValueError(f"graph supports dot or json, not {args.format!r}")
+    payload = export_json(g) if args.format == "json" else export_dot(g)
     _emit(payload, args.out, [])
     return 0
 

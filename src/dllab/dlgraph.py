@@ -838,15 +838,23 @@ def sphere_sizes(g: BallGraph) -> "tuple[int, ...]":
     return tuple(out)
 
 
+def _height_labels(vertices) -> "list[str]":
+    """Each vertex's heights as "h_1,...,h_d", in the order given.
+
+    The text is built once per distinct height tuple, since all members of
+    a fiber, and many vertices of a ball, share one.
+    """
+    label = LazyDict(lambda hs: ",".join(map(str, hs)))
+    return [label[tuple([c.level for c in v.coords])] for v in vertices]
+
+
 def export_dot(g: BallGraph) -> str:
+    keys = g.keys
     lines = ["graph dl {"]
-    for key, v in zip(g.keys, g.vertices):
-        hs = ",".join(str(h) for h in heights(v))
-        lines.append(f'  "{key}" [heights="{hs}"];')
-    for i, j in g.edges:
-        lines.append(f'  "{g.keys[i]}" -- "{g.keys[j]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  "{key}" [heights="{hs}"];' for key, hs in zip(keys, _height_labels(g.vertices))]
+    lines += [f'  "{keys[i]}" -- "{keys[j]}";' for i, j in g.edges]
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def json_payload(obj) -> str:
@@ -855,23 +863,31 @@ def json_payload(obj) -> str:
 
 
 def export_json(g: BallGraph) -> str:
-    payload = {
-        "params": {"d": g.params.d, "q": g.params.q, "k": g.params.k},
-        "vertices": [
-            {"key": key, "heights": list(heights(v))}
-            for key, v in zip(g.keys, g.vertices)
-        ],
-        "edges": [list(e) for e in g.edges],
-    }
+    """The bytes json_payload writes for the graph, written as text directly.
+
+    Keys are in sorted order at every level. Vertex keys and the center key
+    come from tree_key and dl_key, which emit only digits, '-', ':', '=',
+    ',' and '|', so no string needs JSON escaping.
+    """
+    records = ",".join(
+        [
+            f'{{"heights":[{hs}],"key":"{key}"}}'
+            for key, hs in zip(g.keys, _height_labels(g.vertices))
+        ]
+    )
+    edges = ",".join([f"[{i},{j}]" for i, j in g.edges])
+    p = g.params
+    parts = ["{"]
     if g.center is not None:
-        payload["center"] = dl_key(g.center)
-        payload["radius"] = g.radius
+        parts.append(f'"center":"{dl_key(g.center)}",')
     if g.cube is not None:
-        payload["cube"] = {
-            "intervals": [list(iv) for iv in g.cube.intervals],
-            "k": g.cube.k,
-        }
-    return json_payload(payload)
+        intervals = ",".join(f"[{a},{b}]" for a, b in g.cube.intervals)
+        parts.append(f'"cube":{{"intervals":[{intervals}],"k":{g.cube.k}}},')
+    parts.append(f'"edges":[{edges}],"params":{{"d":{p.d},"k":{p.k},"q":{p.q}}},')
+    if g.center is not None:
+        parts.append(f'"radius":{g.radius},')
+    parts.append(f'"vertices":[{records}]}}\n')
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

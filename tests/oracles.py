@@ -11,7 +11,9 @@ an interior map as an explicit vertex list, beside the counts of
 `qilab.preimage_count`; the group correspondence by expanding each element
 at every place, beside the digit reader of `group._image_reader`; and the
 index-k checks on normal-form elements, with a `multiply` and a key per
-step, beside the word-ball states of `group.index_check`.
+step, beside the word-ball states of `group.index_check`; and the graph
+exports as a line list per vertex and a `json.dumps` over a dict tree,
+beside the direct text writers `dlgraph.export_dot` and `dlgraph.export_json`.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ from dllab.dlgraph import (
     _move_table,
     _neighbor_coords,
     cube_contains,
+    dl_key,
     dl_vertex,
     graph_params,
+    heights,
+    json_payload,
     rho,
     tree_ancestor,
     tree_descendants,
@@ -248,3 +253,36 @@ def index_check_by_elements(params, k):
         for key, g in positives
     )
     return cosets, len(positives), covered
+
+
+def export_dot_by_lines(g) -> str:
+    """The DOT export, one line built per vertex and per edge."""
+    lines = ["graph dl {"]
+    for key, v in zip(g.keys, g.vertices):
+        hs = ",".join(str(h) for h in heights(v))
+        lines.append(f'  "{key}" [heights="{hs}"];')
+    for i, j in g.edges:
+        lines.append(f'  "{g.keys[i]}" -- "{g.keys[j]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def export_json_by_dumps(g) -> str:
+    """The JSON export, a dict tree written by json_payload."""
+    payload = {
+        "params": {"d": g.params.d, "q": g.params.q, "k": g.params.k},
+        "vertices": [
+            {"key": key, "heights": list(heights(v))}
+            for key, v in zip(g.keys, g.vertices)
+        ],
+        "edges": [list(e) for e in g.edges],
+    }
+    if g.center is not None:
+        payload["center"] = dl_key(g.center)
+        payload["radius"] = g.radius
+    if g.cube is not None:
+        payload["cube"] = {
+            "intervals": [list(iv) for iv in g.cube.intervals],
+            "k": g.cube.k,
+        }
+    return json_payload(payload)

@@ -927,6 +927,15 @@ class TestUsageErrors:
                 ["verify", "--assert", "correspondence", "--out", "."],
                 "--out needs a file path, got the directory '.'",
             ),
+            # graph checks its format before it builds the ball or box
+            (
+                ["graph", "--d", "2", "--q", "2", "--radius", "14", "--format", "csv"],
+                "graph supports dot or json, not 'csv'",
+            ),
+            (
+                ["graph", "--d", "2", "--q", "2", "--h", "14", "--format", "csv"],
+                "graph supports dot or json, not 'csv'",
+            ),
         ],
     )
     def test_rejected_before_any_work(self, capsys, no_work, argv, message):

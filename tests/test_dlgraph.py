@@ -66,6 +66,8 @@ from oracles import (
     box_containing,
     box_contains,
     dl_adjacent,
+    export_dot_by_lines,
+    export_json_by_dumps,
     is_tree_ancestor,
     tile_box,
     vertex_distance,
@@ -637,8 +639,26 @@ def assert_same_graph(g, ref):
     assert g.depths == ref.depths
     assert g.edges == ref.edges
     assert g == ref
-    assert export_dot(g) == export_dot(ref)
-    assert export_json(g) == export_json(ref)
+    assert export_dot(g) == export_dot(ref) == export_dot_by_lines(ref)
+    assert export_json(g) == export_json(ref) == export_json_by_dumps(ref)
+
+
+@pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
+def test_exports_match_the_oracle_writers(d, q, k):
+    # the direct text writers against a line per vertex and a json.dumps
+    # over a dict tree, byte for byte, on balls of radius 0..2 and boxes of
+    # side 0, k and 2k (the first axis steps by k) up to 6000 members;
+    # radius 0 and side 0 are the one-vertex graphs, which have no edges
+    p = graph_params(d, q, k)
+    graphs = [ball(base_vertex(p), r) for r in (0, 1, 2)]
+    boxes = [dlgraph.side_box(p, m * k) for m in (0, 1, 2)]
+    graphs += [box_graph(p, box) for box in boxes if box_size(p, box) <= 6000]
+    assert len(graphs) >= 5
+    assert [len(g.vertices) for g in graphs[::3]] == [1, 1]
+    assert [len(g.edges) for g in graphs[::3]] == [0, 0]
+    for g in graphs:
+        assert export_dot(g) == export_dot_by_lines(g)
+        assert export_json(g) == export_json_by_dumps(g)
 
 
 @pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
