@@ -273,8 +273,10 @@ def cmd_graph(args) -> int:
 def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
     box = side_box(params, h)
     # per point, not by box_size's closed form, so that the check is
-    # independent; cube_points checks the cube before any q**h is built
-    sizes = [dlgraph.box_fiber_size(params, box, pt) for pt in dlgraph.cube_points(box.cube)]
+    # independent; the cube and the printed size are checked before any fiber
+    points = dlgraph.cube_points(box.cube)
+    dlgraph._printable_size(box_size(params, box), h)
+    sizes = [dlgraph.box_fiber_size(params, box, pt) for pt in points]
     expected_fiber = params.q ** ((params.d - 1) * h)
     fibers = set(sizes)
     size = sum(sizes)

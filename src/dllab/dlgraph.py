@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from functools import lru_cache, partial
 from heapq import heappop, heappush
 from itertools import product
@@ -96,6 +97,20 @@ def _within_budget(n: int, subject: str, q: int = 2, e: int = 0) -> int:
         low = n.bit_length() - 1
     count = n if low <= _PRINTED_BITS else f"at least 2^{low}"
     raise BudgetError(f"{subject.format(count)}, budget {DEFAULT_VERTEX_BUDGET}")
+
+
+def _printable_size(n: int, h: int) -> int:
+    """n, the size of a side-h box, once str() can print it: n < 10**limit.
+
+    limit is sys.get_int_max_str_digits() when called (0 for none), and
+    any n < 8**limit passes without building 10**limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+        raise ValueError(
+            f"side {h}: box size has more than {limit} digits, the limit for printing an integer"
+        )
+    return n
 
 
 class GraphParams(NamedTuple):

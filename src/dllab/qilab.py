@@ -53,16 +53,14 @@ from .dlgraph import (
     _cube_axes,
     _fiber_depths,
     _inner_cube,
+    _printable_size,
     _within_budget,
     box_boundary_size,
     box_size,
     canonical_box,
-    cube_contains,
     cube_side,
     cube_size,
     dl_distance,
-    dl_key,
-    rho,
     side_box,
     tree_ancestor,
     tree_descendants,
@@ -761,7 +759,7 @@ def uf_chain_scan(
     for h in h_values:
         box = side_box(params, h)
         _within_budget(cube_size(box.cube), "cube has {} points")
-        n = box_size(params, box)
+        n = _printable_size(box_size(params, box), h)
         chain = _fiber_total(imap, box, box.cube) - k * n
         bsize = box_boundary_size(params, box, r)
         out.append(
@@ -785,7 +783,11 @@ class Tiling(NamedTuple):
 
     ambient.cube is the ambient height cube (side a multiple of h, corners
     aligned to h); each lattice point belongs to the unique tile cube
-    containing it, whose corner and roots `umap` reads arithmetically.
+    containing it. Within a tile, the tile map matches the q**j (first,
+    last) coordinate pairs at offset j above its corner, in lexicographic
+    digit order, with the q**j pairs at the corner whose last coordinate
+    absorbs the offset; middle coordinates pass through. With h = k this
+    is exactly k-to-1 onto first heights in kZ.
     Every image is an ambient box member: its tracked heights lie in the
     cube, and its last coordinate keeps the source's digits at or below the
     tile's last root, which is at or above the ambient last root.
@@ -822,44 +824,6 @@ def make_tiling(params: GraphParams, region: HeightCube, h: int) -> Tiling:
     return Tiling(params, h, canonical_box(params, region))
 
 
-def umap(tiling: Tiling, k: int, x: DLVertex) -> DLVertex:
-    """Map an ambient box member into the index-k lattice.
-
-    Within the tile over x, the q**j (first, last) coordinate pairs at
-    offset j above the tile's corner are matched, in lexicographic digit
-    order, with the q**j pairs at the corner whose last coordinate absorbs
-    the offset; middle coordinates pass through. With tile side k this is
-    exactly k-to-1 onto first heights in kZ. As digit strings the matching
-    is a relabelling, blind to q: the image's last coordinate keeps last's
-    digits down to its tile root, then first's digits below the corner, then
-    last's below its root, each block moved to follow the one before.
-
-    A vertex that is not an ambient box member (other parameters, tracked
-    heights outside the cube, or a coordinate off its box root) raises
-    ValueError naming its key.
-    """
-    if k != tiling.h:
-        raise ValueError("tile side must equal the index k")
-    box = tiling.ambient
-    if (
-        x.params != tiling.params
-        or not cube_contains(box.cube, rho(x))
-        or any(tree_ancestor(c, root.level) != root for c, root in zip(x.coords, box.roots))
-    ):
-        raise ValueError(f"{dl_key(x)} is not a member of the tiling's ambient box")
-    point = rho(x)
-    corners = [p // k * k for p in point]
-    top, offset = corners[0], point[0] - corners[0]
-    # the tile's last root sits below its far corner
-    base = -sum(corners) - (tiling.params.d - 1) * (k - 1)
-    first, *middle, last = x.coords
-    block = [(i - top + base, v) for i, v in first.digits if i > top]
-    low = [p for p in last.digits if p[0] <= base]
-    high = [(i + offset, v) for i, v in last.digits if i > base]
-    image = TreeVertex(last.level + offset, (*low, *block, *high))
-    return DLVertex(tiling.params._replace(k=k), (tree_ancestor(first, top), *middle, image))
-
-
 def _fiber_images(q: int, k: int, point: tuple, depths: list) -> tuple:
     """(image point, image depths, images, signatures) of the members over a cube point.
 
@@ -867,8 +831,8 @@ def _fiber_images(q: int, k: int, point: tuple, depths: list) -> tuple:
     and images[b] is member b's image as a mixed-radix number over the
     image fiber's pool positions, the last coordinate fastest; signatures[b]
     is its (drop, c, e) (see `Tiling`). With off = point[0] % k, the drop,
-    and nlo the last coordinate's depth below its tile root, umap moves
-    pool positions (tree_descendants' position rule) as follows:
+    and nlo the last coordinate's depth below its tile root, the tile map
+    moves pool positions (tree_descendants' position rule) as follows:
 
     * first: t0 -> t0 // q**off, its ancestor at the tile corner;
     * middles: unchanged;

@@ -6,7 +6,8 @@ it: adjacency as a test on a vertex pair, beside the neighbour lists of
 vertices, beside the guided search over signature states of
 `dlgraph.dl_distance`; box membership by tree ancestry, beside the box's
 fibers; the tile box over a vertex, built from its ancestors, beside the
-corner and roots that `qilab.umap` reads arithmetically; and the fiber of
+pool positions that `qilab.umap_positions` reads arithmetically (the tile
+map itself is `enumerative_umap` in `test_qilab.py`); and the fiber of
 an interior map as an explicit vertex list, beside the counts of
 `qilab.preimage_count`; the group correspondence by expanding each element
 at every place, beside the digit reader of `group._image_reader`; and the

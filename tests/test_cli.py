@@ -524,6 +524,51 @@ class TestOversizedBoxes:
         assert run_cli(["graph", "--d", "2", "--q", "2", "--h", "5000"]) == 2
         assert capsys.readouterr().err == f"error: box has {5001 * 2**5000} members, budget 500000\n"
 
+    @pytest.fixture
+    def digit_limit_640(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    def test_printable_size_bound_is_exact(self, digit_limit_640):
+        # str() prints 10**640 - 1, 640 nines, and refuses 10**640
+        assert len(str(dlgraph._printable_size(10**640 - 1, 5))) == 640
+        with pytest.raises(ValueError, match="^side 5: box size has more than 640 digits"):
+            dlgraph._printable_size(10**640, 5)
+        sys.set_int_max_str_digits(0)  # no limit
+        assert dlgraph._printable_size(10**5000, 5) == 10**5000
+
+    @pytest.mark.parametrize(
+        "command,last_err",
+        [
+            (["verify", "--d", "2", "--q", "3", "--assert", "counting"], ""),
+            (["qilab", "--d", "2", "--q", "3", "--map", "alpha,id"], "chain target k=3, h=[1334], ratios ['0']\n"),
+        ],
+        ids=["counting", "chain"],
+    )
+    def test_box_size_too_long_to_print_refused_before_any_fiber(
+        self, capsys, monkeypatch, digit_limit_640, command, last_err
+    ):
+        # the box over [0, h] at d = 2, q = 3 has (h + 1) * 3**h members:
+        # 640 digits at h = 1334, 641 at h = 1335
+        assert run_cli([*command, "--h", "1334"]) == 0
+        captured = capsys.readouterr()
+        assert str(1335 * 3**1334) in captured.out
+        assert captured.err == last_err
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fiber was counted")
+
+        monkeypatch.setattr(qilab, "_fiber_total", refuse)
+        monkeypatch.setattr(dlgraph, "box_fiber_size", refuse)
+        assert run_cli([*command, "--h", "1335"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: side 1335: box size has more than 640 digits, the limit for printing an integer\n"
+        )
+
     @pytest.mark.parametrize(
         "argv,error",
         [

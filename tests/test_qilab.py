@@ -1,6 +1,7 @@
 """Tests for boundary transducers, interior maps, and the tile map."""
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -52,7 +53,6 @@ from dllab.qilab import (
     psi_eval,
     shift_map,
     uf_chain_scan,
-    umap,
     umap_displacement,
     umap_eval,
 )
@@ -661,9 +661,8 @@ class TestUmap:
 
     def test_tile_side_must_equal_k(self):
         p, tiling = self.tiling(2, 2, 2)
-        x = next(iter(box_members(p, tiling.ambient)))
-        with pytest.raises(ValueError):
-            umap(tiling, 3, x)
+        with pytest.raises(ValueError, match="tile side must equal the index k"):
+            qilab.umap_positions(tiling, 3)
 
     @pytest.mark.parametrize(
         "x",
@@ -680,11 +679,12 @@ class TestUmap:
         ids=["height-outside-cube", "other-params", "first-off-root", "last-off-root"],
     )
     def test_umap_rejects_a_vertex_outside_the_ambient_box(self, x):
+        # the tile map is defined on the ambient box members, and only there
         p = graph_params(2, 2)
         tiling = make_tiling(p, height_cube([(0, 3)]), 2)
-        message = f"{dl_key(x)} is not a member of the tiling's ambient box"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            umap(tiling, 2, x)
+        table = umap_eval(tiling, 2)
+        assert set(table) == set(box_members(p, tiling.ambient))
+        assert x not in table
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_exactly_k_to_one_d2(self, k):
@@ -751,6 +751,15 @@ def enumerative_umap(tiling, k, x):
     return dl_vertex(graph_params(params.d, params.q, k), coords)
 
 
+@functools.cache
+def enumerative_umap_table(d, q, k, side):
+    """(tiling, members in key order, their enumerative_umap images), built once per case."""
+    p = graph_params(d, q)
+    tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
+    members = tuple(sorted(box_members(p, tiling.ambient), key=dl_key))
+    return tiling, members, tuple(enumerative_umap(tiling, k, x) for x in members)
+
+
 UMAP_GRID = [
     (2, 2, 2, 8),
     (2, 3, 2, 6),
@@ -768,42 +777,26 @@ UMAP_GRID = [
 
 class TestUmapOracle:
     @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
-    def test_matches_enumerative_umap(self, monkeypatch, d, q, k, side):
-        p = graph_params(d, q)
-        tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
-        members = list(box_members(p, tiling.ambient))
-        expected = [enumerative_umap(tiling, k, x) for x in members]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("umap listed descendants")
-
-        monkeypatch.setattr(dlgraph, "tree_descendants", refuse)
-        monkeypatch.setattr(qilab, "tree_descendants", refuse)
-        assert [umap(tiling, k, x) for x in members] == expected
+    def test_matches_enumerative_umap(self, d, q, k, side):
+        tiling, members, expected = enumerative_umap_table(d, q, k, side)
+        table = umap_eval(tiling, k)
+        assert list(table) == list(members)
+        assert list(table.values()) == list(expected)
 
     @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
     def test_fiber_map_matches_per_vertex_and_enumerative(self, d, q, k, side):
-        p = graph_params(d, q)
-        tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
+        tiling, by_key, expected = enumerative_umap_table(d, q, k, side)
         keys, members, image, _ = qilab.umap_positions(tiling, k)
         # in key order, each image read as the member at its position
-        assert list(members) == sorted(box_members(p, tiling.ambient), key=dl_key)
+        assert members == by_key
         assert list(keys) == [dl_key(x) for x in members]
-        images = [members[j].coords for j in image]
-        assert images == [umap(tiling, k, x).coords for x in members]
-        assert images == [enumerative_umap(tiling, k, x).coords for x in members]
-        table = umap_eval(tiling, k)
-        assert list(table) == sorted(members, key=dl_key)
-        assert all(y == umap(tiling, k, x) for x, y in table.items())
+        assert [members[j].coords for j in image] == [y.coords for y in expected]
 
     @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
     def test_positions_and_signatures_match_the_oracles(self, monkeypatch, d, q, k, side):
-        p = graph_params(d, q)
-        tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
-        members = sorted(box_members(p, tiling.ambient), key=dl_key)
+        tiling, members, expected = enumerative_umap_table(d, q, k, side)
         position = {x.coords: i for i, x in enumerate(members)}
-        by_umap = [position[umap(tiling, k, x).coords] for x in members]
-        by_oracle = [position[enumerative_umap(tiling, k, x).coords] for x in members]
+        by_oracle = [position[y.coords] for y in expected]
         meets, pair_sigs = [], []
         for x, j in zip(members, by_oracle):
             y = members[j]
@@ -818,10 +811,10 @@ class TestUmapOracle:
             raise AssertionError("the box-wide tile map built a tree vertex")
 
         # the listing's own keys and members aside, positions are arithmetic
-        for name in ("TreeVertex", "tree_ancestor", "umap", "dl_key"):
+        for name in ("TreeVertex", "tree_ancestor"):
             monkeypatch.setattr(qilab, name, refuse)
         _, _, image, signatures = qilab.umap_positions(tiling, k)
-        assert image == by_umap == by_oracle
+        assert image == by_oracle
         assert signatures == meets == pair_sigs
 
     def test_image_fiber_of_other_depths_is_an_error(self, monkeypatch):
@@ -840,9 +833,8 @@ class TestUmapOracle:
     def test_images_are_ambient_box_members(self, d, q, k, side):
         p = graph_params(d, q)
         tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
-        members = list(box_members(p, tiling.ambient))
-        coords = {x.coords for x in members}
-        assert all(umap(tiling, k, x).coords in coords for x in members)
+        coords = {x.coords for x in box_members(p, tiling.ambient)}
+        assert all(y.coords in coords for y in umap_eval(tiling, k).values())
 
     def test_cli_csv_matches_oracle(self, tmp_path):
         for d, q, k, side in [(2, 3, 2, 4), (3, 2, 2, 2)]:
@@ -881,10 +873,8 @@ class TestUmapOracle:
     def test_one_distance_call_per_signature(self, monkeypatch):
         d, q, k, side = 2, 2, 3, 9
         p = graph_params(d, q)
-        tiling = make_tiling(p, height_cube([(0, side - 1)] * (d - 1)), k)
-        pairs = [
-            (x, dl_vertex(p, umap(tiling, k, x).coords)) for x in box_members(p, tiling.ambient)
-        ]
+        _, members, images = enumerative_umap_table(d, q, k, side)
+        pairs = [(x, dl_vertex(p, y.coords)) for x, y in zip(members, images)]
 
         def triple(u, v):
             # a tile-map pair's signature is ((drop, 0), (0, 0), ..., (c, e))
