@@ -61,7 +61,6 @@ from .dlgraph import (
     height_cube,
     json_payload,
     side_box,
-    sorted_box_members,
 )
 
 NAMED_MAPS = {
@@ -549,7 +548,7 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, list]":
     n_pairs = args.pairs if args.pairs is not None else 30
     if n_pairs < 1:
         raise ValueError(f"need at least one sample pair, got {n_pairs}")
-    _, members = sorted_box_members(params, side_box(params, h))
+    _, members, *_ = dlgraph._box_listing(params, side_box(params, h))
     table = qilab.psi_eval(imap, members)
     report = qilab.distortion(
         table,

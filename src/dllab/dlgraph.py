@@ -76,7 +76,7 @@ DEFAULT_DISTANCE_CAP = 64
 DEFAULT_STATE_BUDGET = 200_000
 DIST_CACHE_LIMIT = 1 << 16
 
-# str() refuses an int of more than 4,300 digits; 2**14_000 has 4,215
+# n * q**e is built only while 2**low <= 2**_PRINTED_BITS, a count of 4,215 digits
 _PRINTED_BITS = 14_000
 
 
@@ -85,9 +85,10 @@ def _within_budget(n: int, subject: str, q: int = 2, e: int = 0) -> int:
 
     The budget is read when called. subject names the list, with {} where
     its length goes. With e > 0 a caller passes n >= 1 and q >= 2, so
-    2**low <= n * q**e. A length with more than _PRINTED_BITS bits is
-    named as at least 2**low, and one whose low alone passes that is
-    refused before q**e is built.
+    2**low <= n * q**e, and a length whose low passes _PRINTED_BITS is
+    refused before q**e is built. The message writes a length in digits
+    when it has at most _PRINTED_BITS bits and str() can print it
+    (_prints), and as at least 2**low otherwise.
     """
     low = n.bit_length() - 1 + e * (q.bit_length() - 1)
     if low <= _PRINTED_BITS:
@@ -95,21 +96,24 @@ def _within_budget(n: int, subject: str, q: int = 2, e: int = 0) -> int:
         if n <= DEFAULT_VERTEX_BUDGET:
             return n
         low = n.bit_length() - 1
-    count = n if low <= _PRINTED_BITS else f"at least 2^{low}"
+    count = n if low <= _PRINTED_BITS and _prints(n) else f"at least 2^{low}"
     raise BudgetError(f"{subject.format(count)}, budget {DEFAULT_VERTEX_BUDGET}")
 
 
-def _printable_size(n: int, h: int) -> int:
-    """n, the size of a side-h box, once str() can print it: n < 10**limit.
+def _prints(n: int) -> bool:
+    """Whether str() can print n: |n| < 10**limit, limit read when called (0 for none).
 
-    limit is sys.get_int_max_str_digits() when called (0 for none), and
-    any n < 8**limit passes without building 10**limit.
+    Any |n| < 8**limit passes without building 10**limit.
     """
     limit = sys.get_int_max_str_digits()
-    if limit and n.bit_length() > 3 * limit and n >= 10**limit:
-        raise ValueError(
-            f"side {h}: box size has more than {limit} digits, the limit for printing an integer"
-        )
+    return not limit or n.bit_length() <= 3 * limit or abs(n) < 10**limit
+
+
+def _printable_size(n: int, h: int, noun: str = "box size") -> int:
+    """n, a count printed for side h, once str() can print it (_prints)."""
+    if not _prints(n):
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"side {h}: {noun} has more than {limit} digits, the limit for printing an integer")
     return n
 
 
@@ -538,19 +542,18 @@ def fiber_pools(params: GraphParams, box: Box, point: Sequence[int]) -> "list[tu
     return [tuple(tree_descendants(r, depth, params.q)) for r, depth in zip(box.roots, depths)]
 
 
-def box_fiber(params: GraphParams, box: Box, point: Sequence[int]) -> Iterator[DLVertex]:
-    for coords in product(*fiber_pools(params, box, point)):
-        yield DLVertex(params, coords)
-
-
 def box_fiber_size(params: GraphParams, box: Box, point: Sequence[int]) -> int:
     """q**depth descendants per coordinate, so q**(total depth) members."""
     return params.q ** sum(_fiber_depths(box, point))
 
 
 def box_members(params: GraphParams, box: Box) -> Iterator[DLVertex]:
+    """The members in _box_listing's build order, with no key, sort or budget check.
+
+    Each fiber is the product of its pools (fiber_pools)."""
     for point in cube_points(box.cube):
-        yield from box_fiber(params, box, point)
+        for coords in product(*fiber_pools(params, box, point)):
+            yield DLVertex(params, coords)
 
 
 def box_size(params: GraphParams, box: Box) -> int:
@@ -568,23 +571,13 @@ def _check_box(params: GraphParams, box: Box) -> int:
     return _within_budget(cube_size(box.cube), "box has {} members", params.q, e)
 
 
-def box_boundary(params: GraphParams, box: Box, r: int) -> Iterator[DLVertex]:
-    """Members within graph distance r of the box complement.
-
-    Membership is decided by the height criterion: a member is r-close to
-    the complement exactly when its tracked heights are r-close to the cube
-    complement, because every path leaving the box must move heights and
-    paths inside the preimage of the cube stay inside the component.
-    """
-    for point in cube_boundary(params, box.cube, r):
-        yield from box_fiber(params, box, point)
-
-
 def box_boundary_size(params: GraphParams, box: Box, r: int) -> int:
-    """The r-boundary's cube points times the common fiber size (box_size).
+    """Members within graph distance r of the box complement, counted unlisted.
 
-    cube_boundary keeps the points within r*k of a face, and the rest are
-    _inner_cube's. No point is listed.
+    A member is r-close to it exactly when its tracked heights are r-close
+    to the cube complement, so this is the r-boundary's cube points
+    (cube_boundary: those within r*k of a face, the rest are _inner_cube's)
+    times the common fiber size (box_size).
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -704,10 +697,7 @@ def ball(center: DLVertex, radius: int) -> BallGraph:
     found = [DLVertex(center.params, c) for c in found]
     tree_keys = LazyDict(tree_key)
     keys = ["|".join(map(tree_keys.__getitem__, v.coords)) for v in found]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    pos = [0] * len(order)
-    for p, i in enumerate(order):
-        pos[i] = p
+    order, pos = _key_order(keys)
     edges = sorted(
         (pos[i], pos[j]) if pos[i] < pos[j] else (pos[j], pos[i]) for i, j in edges
     )
@@ -722,37 +712,34 @@ def ball(center: DLVertex, radius: int) -> BallGraph:
     )
 
 
-def sorted_box_members(
-    params: GraphParams, box: Box
-) -> "tuple[tuple[str, ...], tuple[DLVertex, ...]]":
-    """The members of a box and their keys, both in key order.
-
-    The closed-form size is checked against the vertex budget before any
-    member is built.
-    """
-    keys, members, _, _ = _box_listing(params, box)
-    return keys, members
+def _key_order(keys: list) -> "tuple[list[int], list[int]]":
+    """(order, pos): order[p] is the index of the p-th smallest key, and pos[order[p]] = p."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    pos = [0] * len(order)
+    for p, i in enumerate(order):
+        pos[i] = p
+    return order, pos
 
 
 def _box_listing(params: GraphParams, box: Box) -> tuple:
-    """(keys, members, offsets, order): the members of a box, listed once.
+    """(keys, members, offsets, order, pos): the members of a box, listed once.
 
     A member's build id is the offset of its cube point, offsets[point],
     plus a mixed-radix number over its pool positions (fiber_pools), the
-    last coordinate fastest: the order of product(*pools). order[p] is the
-    build id of the member at key-sorted position p, and keys and members
-    are in key order. The closed-form size is checked against the vertex
+    last coordinate fastest: box_members' order. keys and members are in
+    key order, and order and pos map key-sorted positions to build ids and
+    back (_key_order). The closed-form size is checked against the vertex
     budget first. A fiber's member keys are the products of its pools' keys.
     """
-    n = _check_box(params, box)
+    _check_box(params, box)
     keys, members, offsets = [], [], {}
     for point in cube_points(box.cube):
         offsets[point] = len(keys)
         pools = fiber_pools(params, box, point)
         keys += map("|".join, product(*([tree_key(c) for c in pool] for pool in pools)))
         members += (DLVertex(params, coords) for coords in product(*pools))
-    order = sorted(range(n), key=keys.__getitem__)
-    return tuple(keys[i] for i in order), tuple(members[i] for i in order), offsets, order
+    order, pos = _key_order(keys)
+    return tuple(keys[i] for i in order), tuple(members[i] for i in order), offsets, order, pos
 
 
 def _half_move_vectors(d: int, k: int) -> "list[tuple[int, ...]]":
@@ -804,10 +791,7 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
     bound = deg * n // 2
     if bound > DEFAULT_EDGE_BUDGET:
         raise BudgetError(f"box graph may hold {bound} edges, budget {DEFAULT_EDGE_BUDGET}")
-    keys, vertices, offsets, order = _box_listing(params, box)
-    pos = [0] * n
-    for p, i in enumerate(order):
-        pos[i] = p
+    keys, vertices, offsets, _, pos = _box_listing(params, box)
     q, d = params.q, params.d
     vectors = _half_move_vectors(d, params.k)
     edges = []

@@ -599,8 +599,8 @@ def psi_eval(imap: InteriorMap, vertices) -> dict:
 # ---------------------------------------------------------------------------
 # fiber totals over a box, by convolution over the cube axes
 
-def _fiber_total(imap: InteriorMap, box: Box, cube: HeightCube) -> int:
-    """Summed fiber count over the box members above the points of cube.
+def _fiber_total(imap: InteriorMap, box: Box) -> int:
+    """Summed fiber count over the box members.
 
     A point's members are a product of the roots' descendant sets, and
     fiber counts are products over coordinates.  The clones of a root's
@@ -612,7 +612,7 @@ def _fiber_total(imap: InteriorMap, box: Box, cube: HeightCube) -> int:
     """
     *tracked, last = zip(imap.maps, box.roots)
     weights = {0: 1}
-    for (m, root), axis in zip(tracked, _cube_axes(cube)):
+    for (m, root), axis in zip(tracked, _cube_axes(box.cube)):
         g = [(level, _clone_fiber_count(m, root, level)) for level in axis]
         conv = {}
         for s, w in weights.items():
@@ -627,6 +627,8 @@ def _fiber_total(imap: InteriorMap, box: Box, cube: HeightCube) -> int:
 
 
 class FiberAudit(NamedTuple):
+    """A box's fiber total against its bounds, and its fiber counts off the r-boundary."""
+
     h: int
     box_size: int
     boundary_size: int
@@ -637,8 +639,6 @@ class FiberAudit(NamedTuple):
     lower_bound: Fraction
     upper_bound: Fraction
     bounds_ok: bool
-    interior_size: int
-    interior_total: int
     interior_constant: bool
     interior_value: Optional[int]
 
@@ -661,9 +661,9 @@ def fiber_count_audit(
     measure by exactly lam.  All quantities here are exact integers or
     Fractions; bounds_ok records whether T landed inside.
 
-    Boundary membership depends on heights only, so the interior lies
-    over `_inner_cube`: the totals are `_fiber_total` over the cube and
-    over the inner cube, and no boundary is listed.  The distinct interior
+    T is one convolution (`_fiber_total`).  Boundary membership depends on
+    heights only, so the interior lies over `_inner_cube`, and no boundary
+    is listed.  The distinct interior
     counts over a point are the products of each coordinate's distinct
     counts at its level, found by walking that coordinate's descendants
     once per level: at most one fiber's q**((d-1)*side), checked against
@@ -698,7 +698,7 @@ def fiber_count_audit(
         distinct.update(math.prod(c) for c in itertools.product(*per_coord))
         if len(distinct) > 1:  # two values settle interior_constant and _value
             break
-    total = _fiber_total(imap, box, box.cube)
+    total = _fiber_total(imap, box)
     lam = imap.lam_product()
     lower = (Fraction(n) - boundary_size) / lam
     upper = Fraction(n) / lam + (bilip ** params.d) * boundary_size
@@ -713,8 +713,6 @@ def fiber_count_audit(
         lower_bound=lower,
         upper_bound=upper,
         bounds_ok=lower <= total <= upper,
-        interior_size=n - boundary_size,
-        interior_total=_fiber_total(imap, box, inner),
         interior_constant=len(distinct) <= 1,
         interior_value=distinct.pop() if len(distinct) == 1 else None,
     )
@@ -760,7 +758,7 @@ def uf_chain_scan(
         box = side_box(params, h)
         _within_budget(cube_size(box.cube), "cube has {} points")
         n = _printable_size(box_size(params, box), h)
-        chain = _fiber_total(imap, box, box.cube) - k * n
+        chain = _printable_size(_fiber_total(imap, box) - k * n, h, "chain sum")
         bsize = box_boundary_size(params, box, r)
         out.append(
             ChainRecord(
@@ -888,10 +886,7 @@ def umap_positions(tiling: Tiling, k: int) -> "tuple[tuple, tuple, list[int], li
     if k != tiling.h:
         raise ValueError("tile side must equal the index k")
     params, box = tiling.params, tiling.ambient
-    keys, members, offsets, order = _box_listing(params, box)
-    pos = [0] * len(order)
-    for p, i in enumerate(order):
-        pos[i] = p
+    keys, members, offsets, order, pos = _box_listing(params, box)
     image_ids, signatures = [], []
     for point, offset in offsets.items():
         image_point, depths, images, sigs = _fiber_images(
@@ -954,8 +949,8 @@ def distortion(table: dict, n_pairs: int = 30, seed: int = 0) -> DistortionRepor
     slack C absorbing degenerate pairs.  When domain and image share
     parameters, also reports the max displacement over the whole table.
     Pairs are drawn by table position, so callers pass the table in
-    `dl_key` order of its domain, as `sorted_box_members` and `umap_eval`
-    give it.
+    `dl_key` order of its domain, as `dlgraph._box_listing` and
+    `umap_eval` give it.
     """
     import random
 

@@ -47,7 +47,8 @@ def no_work(monkeypatch):
         (qilab, "uf_chain_scan"),
         (qilab, "fiber_count_audit"),
         (qilab, "make_tiling"),
-        (cli, "sorted_box_members"),
+        (dlgraph, "_box_listing"),
+        (qilab, "_box_listing"),
         (cli, "ball"),
         (cli, "box_graph"),
     ]:
@@ -569,6 +570,41 @@ class TestOversizedBoxes:
             "error: side 1335: box size has more than 640 digits, the limit for printing an integer\n"
         )
 
+    def test_chain_sum_too_long_to_print_refused_before_any_row(self, capsys, monkeypatch, digit_limit_640):
+        # the box size at h = 1334 has 640 digits; at k = 3 the chain sum is 0,
+        # but at k = 1000 it is -997 times the box size, 643 digits
+        chain = ["qilab", "--d", "2", "--q", "3", "--map", "alpha,id", "--h", "1334"]
+        assert run_cli(chain) == 0
+        assert capsys.readouterr().err == "chain target k=3, h=[1334], ratios ['0']\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain row was written")
+
+        monkeypatch.setattr(cli, "_chain_csv", refuse)
+        assert run_cli([*chain, "--k", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: side 1334: chain sum has more than 640 digits, the limit for printing an integer\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["graph", "--d", "2", "--q", "2", "--h", "2500"], "box has at least 2^2511 members"),
+            (["qilab", "--mode", "audit", "--d", "2", "--q", "2", "--h", "2500"], "fiber has at least 2^2500 members"),
+            (["graph", "--d", "2", "--q", "2", "--k", "2200", "--radius", "1"], "vertex has at least 2^2201 neighbours"),
+        ],
+        ids=["box", "fiber", "degree"],
+    )
+    def test_budget_count_written_within_the_print_limit(self, capsys, digit_limit_640, argv, error):
+        # each count has 663 to 756 digits, well under 14,000 bits but over
+        # the lowered limit, so it is written as a power of two
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}, budget 500000\n"
+
     @pytest.mark.parametrize(
         "argv,error",
         [
@@ -596,7 +632,7 @@ class TestOversizedBoxes:
         def refuse(*args, **kwargs):
             raise AssertionError("box members were listed")
 
-        monkeypatch.setattr(dlgraph, "sorted_box_members", refuse)
+        monkeypatch.setattr(dlgraph, "_box_listing", refuse)
         assert run_cli(["graph", "--d", "5", "--q", "3", "--k", "2", "--h", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

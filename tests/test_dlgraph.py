@@ -28,9 +28,7 @@ from dllab.dlgraph import (
     RegionAlignmentError,
     ball,
     base_vertex,
-    box_boundary,
     box_boundary_size,
-    box_fiber,
     box_fiber_size,
     box_graph,
     box_members,
@@ -47,6 +45,7 @@ from dllab.dlgraph import (
     expected_degree,
     export_dot,
     export_json,
+    fiber_pools,
     graph_params,
     height_cube,
     heights,
@@ -72,6 +71,12 @@ from oracles import (
     tile_box,
     vertex_distance,
 )
+
+
+def fiber(params, box, point):
+    """The members over a cube point: the product of its pools."""
+    pools = fiber_pools(params, box, point)
+    return [dl_vertex(params, coords) for coords in itertools.product(*pools)]
 
 
 def brute_boundary_keys(params, box, r):
@@ -346,10 +351,10 @@ def test_counting_identity(d, q, k, h):
     expected_fiber = q ** ((d - 1) * h)
     seen = set()
     for point in cube_points(cube):
-        fiber = list(box_fiber(p, box, point))
-        assert len(fiber) == expected_fiber
+        fiber_members = fiber(p, box, point)
+        assert len(fiber_members) == expected_fiber
         assert box_fiber_size(p, box, point) == expected_fiber
-        for v in fiber:
+        for v in fiber_members:
             assert rho(v) == point
             assert box_contains(p, box, v)
             seen.add(dl_key(v))
@@ -381,7 +386,8 @@ def test_box_size_is_per_point_sum(d, q, k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_sorted_box_member_keys(d, q, k):
     # keys are built per fiber from the pools' keys; they must be dl_key's,
-    # in strictly increasing order, on canonical and lifted boxes alike
+    # in strictly increasing order, on canonical and lifted boxes alike, and
+    # order, pos and offsets must map key order to box_members' build order
     p = graph_params(d, q, k)
     for side in (0, k, 2 * k):
         for corner in (0, -k):
@@ -391,10 +397,16 @@ def test_sorted_box_member_keys(d, q, k):
                 continue  # d=3, q=3, side 4 has 98,415 members; the rest stay small
             lifted = Box(cube, tuple(tree_vertex(r.level, [(r.level, 1)]) for r in canon.roots))
             for box in (canon, lifted):
-                keys, members = dlgraph.sorted_box_members(p, box)
+                keys, members, offsets, order, pos = dlgraph._box_listing(p, box)
                 assert keys == tuple(map(dl_key, members))
                 assert all(a < b for a, b in zip(keys, keys[1:]))
-                assert sorted(members, key=dl_key) == sorted(box_members(p, box), key=dl_key)
+                built = list(box_members(p, box))
+                assert members == tuple(built[i] for i in order)
+                assert [pos[i] for i in order] == list(range(len(built)))
+                first = {}
+                for i, x in enumerate(built):
+                    first.setdefault(rho(x), i)
+                assert offsets == first
 
 
 def test_box_example_small():
@@ -424,7 +436,7 @@ def test_box_boundary_matches_graph_truth(d, q, k, h, r):
     p = graph_params(d, q, k)
     cube = height_cube([(0, h)] * (d - 1), k=k)
     box = canonical_box(p, cube)
-    claimed = {dl_key(v) for v in box_boundary(p, box, r)}
+    claimed = {dl_key(v) for point in cube_boundary(p, cube, r) for v in fiber(p, box, point)}
     assert claimed == brute_boundary_keys(p, box, r)
     assert len(claimed) == box_boundary_size(p, box, r)
 
@@ -747,7 +759,7 @@ def test_outer_sphere_pass_runs_only_at_d_above_2(monkeypatch, d, q, k, radius):
 def test_box_graph_edge_bound_checked_before_any_member(monkeypatch):
     # each member has at most expected_degree neighbours, so a box holds at
     # most expected_degree * size / 2 edges; that bound meets the edge
-    # budget before sorted_box_members lists anything
+    # budget before _box_listing lists anything
     def refuse(*args, **kwargs):
         raise AssertionError("box members were listed")
 
@@ -755,7 +767,7 @@ def test_box_graph_edge_bound_checked_before_any_member(monkeypatch):
     box = canonical_box(p, height_cube([(0, 2)] * 4, 2))
     assert (expected_degree(p), box_size(p, box)) == (216, 354_294)
     with monkeypatch.context() as mp:
-        mp.setattr(dlgraph, "sorted_box_members", refuse)
+        mp.setattr(dlgraph, "_box_listing", refuse)
         with pytest.raises(BudgetError, match=r"^box graph may hold 38263752 edges, budget 5000000$"):
             box_graph(p, box)
     # the bound of a d = 2, q = 2, side-2 box is 4 * 12 / 2 = 24 edges
@@ -787,7 +799,7 @@ def test_degree_checked_before_any_tree_move(monkeypatch):
     with monkeypatch.context() as mp:
         for name in ("tree_children", "tree_parent", "tree_descendants", "tree_ancestor"):
             mp.setattr(dlgraph, name, refuse)
-        mp.setattr(dlgraph, "sorted_box_members", refuse)
+        mp.setattr(dlgraph, "_box_listing", refuse)
         for search in searches:
             with pytest.raises(BudgetError, match=r"^vertex has 1048576 neighbours, budget 500000$"):
                 search()

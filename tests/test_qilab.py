@@ -16,10 +16,10 @@ from dllab import cli, dlgraph, qilab
 from dllab.dlgraph import (
     Box,
     TreeVertex,
-    box_boundary,
     box_members,
     box_size,
     canonical_box,
+    cube_boundary,
     cube_side,
     dl_key,
     dl_vertex,
@@ -1005,17 +1005,19 @@ def enumerative_audit(imap, box, r, bilip):
     params = imap.params
     members = list(box_members(params, box))
     counts = [preimage_count(imap, x) for x in members]
-    boundary = {dl_key(v) for v in box_boundary(params, box, r)}
-    interior = [c for x, c in zip(members, counts) if dl_key(x) not in boundary]
+    # a member's boundary membership depends on its tracked heights only
+    boundary = set(cube_boundary(params, box.cube, r))
+    interior = [c for x, c in zip(members, counts) if rho(x) not in boundary]
     n, total = len(members), sum(counts)
+    bsize = n - len(interior)
     lam = imap.lam_product()
-    lower = (Fraction(n) - len(boundary)) / lam
-    upper = Fraction(n) / lam + bilip ** params.d * len(boundary)
+    lower = (Fraction(n) - bsize) / lam
+    upper = Fraction(n) / lam + bilip ** params.d * bsize
     distinct = set(interior)
     return FiberAudit(
         h=cube_side(box.cube),
         box_size=n,
-        boundary_size=len(boundary),
+        boundary_size=bsize,
         r=r,
         bilip=bilip,
         lam_product=lam,
@@ -1023,8 +1025,6 @@ def enumerative_audit(imap, box, r, bilip):
         lower_bound=lower,
         upper_bound=upper,
         bounds_ok=lower <= total <= upper,
-        interior_size=len(interior),
-        interior_total=sum(interior),
         interior_constant=len(distinct) <= 1,
         interior_value=next(iter(distinct)) if len(distinct) == 1 else None,
     )
@@ -1035,7 +1035,8 @@ def enumerative_chain(imap, k, h, r):
     box = dlgraph.side_box(params, h)
     members = list(box_members(params, box))
     chain = sum(preimage_count(imap, x) for x in members) - k * len(members)
-    bsize = sum(1 for _ in box_boundary(params, box, r))
+    boundary = set(cube_boundary(params, box.cube, r))
+    bsize = sum(rho(x) in boundary for x in members)
     return ChainRecord(
         h=h,
         box_size=len(members),
