@@ -17,7 +17,9 @@ exports, which ``dlgraph.export_dot`` and ``dlgraph.export_json`` write
 as text in the same dialect, and randomized modes take an explicit
 seed.  ``verify`` and a ``qilab`` assertion write their verdicts through
 ``_verdicts``: one ``PASS|FAIL name: detail`` line per check, and exit 1
-if any fails.
+if any fails.  A ``qilab`` payload's columns are its result record's
+fields (``_cells``).  A named ``--map`` is a shift (``NAMED_MAPS``); only a
+JSON map is parsed, by ``qilab.map_from_description``.
 Every ``ValueError``, an over-budget ``BudgetError`` included, prints
 ``error:`` and exits 2.  ``graph`` and ``qilab`` still accept ``--workers``
 but ignore it: fiber counts are per coordinate and run in
@@ -63,11 +65,8 @@ from .dlgraph import (
     side_box,
 )
 
-NAMED_MAPS = {
-    "id": [],
-    "alpha": [{"kind": "shift", "m": 1}],
-    "alpha-inv": [{"kind": "shift", "m": -1}],
-}
+# each named coordinate map is the shift by this many indices
+NAMED_MAPS = {"id": 0, "alpha": 1, "alpha-inv": -1}
 
 def _load_config(path: str) -> dict:
     """Read key=value lines; blank lines and # comments are skipped.
@@ -91,6 +90,11 @@ def _load_config(path: str) -> dict:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
+
+
+def _cells(record, fraction=str) -> dict:
+    """A result record's fields as payload cells, each Fraction written by `fraction`."""
+    return {f: fraction(v) if isinstance(v, Fraction) else v for f, v in record._asdict().items()}
 
 
 def _csv_payload(header, rows) -> str:
@@ -217,32 +221,30 @@ def _one_side(command: str, text: str, least: int = 1) -> int:
 
 
 def _interior_map_from_arg(params, text: str) -> qilab.InteriorMap:
-    """Build an interior map from a CLI spec.
+    """Build an interior map from a CLI spec, checking its coordinate count first.
 
-    Accepts a comma list of named coordinate maps (id, alpha, alpha-inv,
-    shift:m), a JSON list of per-coordinate primitive descriptions, or
-    @path to a file holding that JSON.
+    Accepts a comma list of shifts (NAMED_MAPS names or shift:m), a JSON
+    list of per-coordinate map descriptions, or @path to a file holding
+    that JSON.
     """
     text = text.strip()
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read().strip()
     if text.startswith("["):
-        descs = json.loads(text)
+        specs, build = json.loads(text), qilab.map_from_description
     else:
-        descs = []
-        for name in text.split(","):
-            name = name.strip()
+        specs, build = [], qilab.shift_map
+        for name in map(str.strip, text.split(",")):
             if name in NAMED_MAPS:
-                descs.append(NAMED_MAPS[name])
+                specs.append(NAMED_MAPS[name])
             elif name.startswith("shift:"):
-                descs.append([{"kind": "shift", "m": int(name[6:])}])
+                specs.append(int(name[6:]))
             else:
                 raise ValueError(f"unknown coordinate map {name!r}")
-    if len(descs) != params.d:
-        raise ValueError(f"map spec has {len(descs)} coordinates, graph has {params.d}")
-    maps = tuple(qilab.map_from_description(params.q, d) for d in descs)
-    return qilab.interior_map(params, maps)
+    if len(specs) != params.d:
+        raise ValueError(f"map spec has {len(specs)} coordinates, graph has {params.d}")
+    return qilab.interior_map(params, (build(params.q, s) for s in specs))
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +378,11 @@ def cmd_verify(args) -> int:
     r = args.r if args.r is not None else 1
     if suite in ("folner", "all"):
         # with one side the decreasing check would pass vacuously, and with
-        # the empty r=0 boundary it could never pass
+        # sides out of order or the empty r=0 boundary it could never pass
         if sides is not None and len(sides) < 2:
             raise ValueError(f"the folner suite compares two or more box sides --h, got {args.h!r}")
+        if sides is not None and any(a >= b for a, b in zip(sides, sides[1:])):
+            raise ValueError(f"the folner suite needs strictly increasing box sides --h, got {args.h!r}")
         if r < 1:
             raise ValueError(f"the folner suite needs a boundary thickness --r >= 1, got {r}")
     # the group suites check the ring once, before any suite runs
@@ -413,13 +417,8 @@ def cmd_verify(args) -> int:
 # qilab subcommand
 
 def _chain_csv(records) -> str:
-    header = ["h", "box_size", "boundary_size", "chain_sum", "ratio_boundary", "ratio_box"]
-    rows = (
-        [r.h, r.box_size, r.boundary_size, r.chain_sum]
-        + [repr(float(r.ratio_boundary)), repr(float(r.ratio_box))]
-        for r in records
-    )
-    return _csv_payload(header, rows)
+    rows = (_cells(r, lambda v: repr(float(v))).values() for r in records)
+    return _csv_payload(qilab.ChainRecord._fields, rows)
 
 
 def _qilab_chain(args, params, imap) -> "tuple[str, list, list]":
@@ -462,40 +461,21 @@ def _qilab_chain(args, params, imap) -> "tuple[str, list, list]":
     return payload, summaries, checks
 
 
-_AUDIT_FIELDS = (
-    "h",
-    "box_size",
-    "boundary_size",
-    "r",
-    "bilip",
-    "lam_product",
-    "total_preimages",
-    "lower_bound",
-    "upper_bound",
-    "bounds_ok",
-    "interior_constant",
-    "interior_value",
-)
-
-
-def _audit_cell(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
 def _qilab_audit(args, params, imap) -> "tuple[str, list, list]":
     if args.format not in (None, "csv", "json"):
         raise ValueError(f"audit mode writes csv or json, not {args.format!r}")
     h_values = _parse_h_list("4" if args.h is None else args.h)
+    # the bounds hold only from the least radius on, so a smaller --r is a usage error
+    bilip = imap.bilip_max()
+    least = qilab.audit_radius(params.q, bilip)
+    if args.r is not None and args.r < least:
+        raise ValueError(f"audit mode needs --r >= {least}, the least r >= 1 with "
+                         f"{params.q}^r >= K = {bilip}, got {args.r}")
     audits = [qilab.fiber_count_audit(imap, side_box(params, h), r=args.r) for h in h_values]
+    rows = [_cells(a) for a in audits]
     if args.format == "csv":
-        payload = _csv_payload(
-            _AUDIT_FIELDS,
-            ([_audit_cell(getattr(a, f)) for f in _AUDIT_FIELDS] for a in audits),
-        )
+        payload = _csv_payload(qilab.FiberAudit._fields, (row.values() for row in rows))
     else:
-        rows = [{f: _audit_cell(getattr(a, f)) for f in _AUDIT_FIELDS} for a in audits]
         payload = json_payload(rows[0] if len(rows) == 1 else rows)
     summaries = [
         f"audit h={a.h}: {a.lower_bound} <= {a.total_preimages} <= {a.upper_bound}"
@@ -555,15 +535,7 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, list]":
         n_pairs=n_pairs,
         seed=args.seed if args.seed is not None else 0,
     )
-    payload = json_payload(
-        {
-            "pairs": report.pairs,
-            "k_est": str(report.k_est),
-            "c_est": str(report.c_est),
-            "max_displacement": report.max_displacement,
-        }
-    )
-    return payload, [f"distortion: K={report.k_est} C={report.c_est}"], []
+    return json_payload(_cells(report)), [f"distortion: K={report.k_est} C={report.c_est}"], []
 
 
 def cmd_qilab(args) -> int:

@@ -57,6 +57,7 @@ from .dlgraph import (
     DLVertex,
     LazyDict,
     TreeVertex,
+    _key_order,
     _layered_bfs,
     ball,
     base_vertex,
@@ -237,7 +238,7 @@ def cayley_ball(
     found, depths = _word_ball(params, radius, gens)
     found = [_element(params, state) for state in found]
     keys = [element_key(g) for g in found]
-    order = sorted(range(len(found)), key=keys.__getitem__)
+    order, _ = _key_order(keys)
     return CayleyBall(
         params=params,
         radius=radius,

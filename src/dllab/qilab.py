@@ -126,9 +126,6 @@ class Shift(Record):
     def check_alphabet(self, q: int) -> None:
         pass
 
-    def describe(self) -> dict:
-        return {"kind": "shift", "m": self.m}
-
 
 class LevelPerm(Record):
     """Permute the digit alphabet independently at finitely many indices.
@@ -193,12 +190,6 @@ class LevelPerm(Record):
                 raise ValueError(
                     f"perm table at index {lvl} has {len(table)} digits, alphabet has {q}"
                 )
-
-    def describe(self) -> dict:
-        return {
-            "kind": "perm",
-            "perms": [{"index": lvl, "table": list(t)} for lvl, t in self.perms],
-        }
 
 
 class PrefixRewrite(Record):
@@ -281,14 +272,6 @@ class PrefixRewrite(Record):
             raise ValueError(
                 f"prefix table is over {self._q()} digits, alphabet has {q}"
             )
-
-    def describe(self) -> dict:
-        return {
-            "kind": "prefix",
-            "lo": self.lo,
-            "hi": self.hi,
-            "table": [[list(w), list(img)] for w, img in self.table],
-        }
 
 
 def prefix_rewrite(lo: int, hi: int, pairs) -> PrefixRewrite:
@@ -391,9 +374,6 @@ class BoundaryMap(Record):
             hi = b if hi is None else max(hi, b)
         return None if lo is None else (lo, hi)
 
-    def describe(self) -> "list[dict]":
-        return [p.describe() for p in self.prims]
-
 
 def identity_map(q: int) -> BoundaryMap:
     return BoundaryMap(q, ())
@@ -448,9 +428,14 @@ def _field(obj, name: str, kind: str, where: str):
 
 
 def map_from_description(q: int, desc) -> BoundaryMap:
-    """Build a map from its description (the inverse of ``describe``).
+    """Build a map from its description: the one statement of that format.
 
-    A missing or ill-typed field raises ValueError naming it.
+    A description is a list of primitives, applied left to right, each an
+    object whose ``kind`` names it: ``shift`` with an integer ``m``
+    (`Shift`), ``perm`` with ``perms``, a list of ``index`` and ``table``
+    objects (`level_perm`), or ``prefix`` with ``lo``, ``hi`` and a
+    ``table`` of [word, image] pairs (`prefix_rewrite`).  A missing or
+    ill-typed field raises ValueError naming it.
     """
     if not _is_list(desc):
         raise ValueError(f"a map description is a list of primitives, got {desc!r}")
@@ -627,7 +612,9 @@ def _fiber_total(imap: InteriorMap, box: Box) -> int:
 
 
 class FiberAudit(NamedTuple):
-    """A box's fiber total against its bounds, and its fiber counts off the r-boundary."""
+    """A box's fiber total against its bounds, and its fiber counts off the r-boundary.
+
+    Its fields are the audit CSV's columns and JSON keys, each Fraction as its str."""
 
     h: int
     box_size: int
@@ -641,6 +628,12 @@ class FiberAudit(NamedTuple):
     bounds_ok: bool
     interior_constant: bool
     interior_value: Optional[int]
+
+
+def audit_radius(q: int, bilip: int) -> int:
+    """The least r >= 1 with q**r >= bilip: the audit bounds need r >= log_q K."""
+    r = max(1, math.ceil(math.log(bilip, q)) - 1)  # at most the answer: the float errs by < 1
+    return next(s for s in itertools.count(r) if q**s >= bilip)
 
 
 def fiber_count_audit(
@@ -659,7 +652,8 @@ def fiber_count_audit(
 
     because the map moves interior mass at most distance-r and scales
     measure by exactly lam.  All quantities here are exact integers or
-    Fractions; bounds_ok records whether T landed inside.
+    Fractions; bounds_ok records whether T landed inside.  r defaults to
+    `audit_radius`; a smaller r is accepted, and there the bounds may fail.
 
     T is one convolution (`_fiber_total`).  Boundary membership depends on
     heights only, so the interior lies over `_inner_cube`, and no boundary
@@ -674,9 +668,7 @@ def fiber_count_audit(
     if bilip is None:
         bilip = imap.bilip_max()
     if r is None:
-        r = 1
-        while params.q ** r < bilip:
-            r += 1
+        r = audit_radius(params.q, bilip)
     _within_budget(1, "fiber has {} members", params.q, (params.d - 1) * cube_side(box.cube))
     n = box_size(params, box)
     boundary_size = box_boundary_size(params, box, r)
@@ -722,6 +714,8 @@ def fiber_count_audit(
 # chain scans: additive obstruction sums over growing boxes
 
 class ChainRecord(NamedTuple):
+    """One side of a chain scan: the chain CSV's columns, each Fraction as its float's repr."""
+
     h: int
     box_size: int
     boundary_size: int
@@ -934,6 +928,8 @@ def umap_displacement(tiling: Tiling, k: int) -> int:
 # distortion estimates from evaluation tables
 
 class DistortionReport(NamedTuple):
+    """Sampled distortion estimates: the distortion JSON's keys, each Fraction as its str."""
+
     pairs: int
     k_est: Fraction
     c_est: Fraction

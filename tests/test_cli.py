@@ -888,6 +888,53 @@ class TestMalformedMap:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestNamedMaps:
+    """A named coordinate map is the shift it names, and shift:0 the identity."""
+
+    @pytest.mark.parametrize(
+        "name,m",
+        [("id", 0), ("alpha", 1), ("alpha-inv", -1), ("shift:0", 0), ("shift:3", 3), ("shift:-2", -2)],
+    )
+    def test_named_map_is_its_shift(self, name, m):
+        imap = cli._interior_map_from_arg(dlgraph.graph_params(2, 3), f"{name}, id")
+        first = qilab.identity_map(3) if m == 0 else qilab.shift_map(3, m)
+        assert imap.maps == (first, qilab.identity_map(3))
+
+
+class TestAuditRadius:
+    """An audit --r below the least r >= 1 with q^r >= K is a usage error."""
+
+    @pytest.mark.parametrize(
+        "spec,r,least,bilip",
+        [
+            ("alpha,alpha-inv", 0, 1, 2),
+            ("shift:-2,id", 0, 2, 4),
+            ("shift:3,shift:-3", 0, 3, 8),
+            ("shift:3,shift:-3", 2, 3, 8),
+            ("alpha,id", -1, 1, 2),
+        ],
+    )
+    def test_rejected_before_any_box_work(self, capsys, no_work, spec, r, least, bilip):
+        argv = ["qilab", "--mode", "audit", "--d", "2", "--q", "2", "--map", spec,
+                "--h", "4", "--r", str(r), "--assert", "bounded"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: audit mode needs --r >= {least}, the least r >= 1 with 2^r >= K = {bilip}, got {r}\n"
+        )
+
+    @pytest.mark.parametrize("spec,least", [("alpha,alpha-inv", 1), ("shift:-2,id", 2), ("shift:3,shift:-3", 3)])
+    def test_least_radius_is_the_default(self, capsys, spec, least):
+        argv = ["qilab", "--mode", "audit", "--d", "2", "--q", "2", "--map", spec, "--h", "4", "--assert", "bounded"]
+        assert run_cli(argv) == 0
+        default = capsys.readouterr()
+        assert run_cli(argv + ["--r", str(least)]) == 0
+        assert capsys.readouterr() == default
+        assert json.loads(default.out)["r"] == least
+        assert default.err.endswith("PASS audit.bounded: total preimages within two-sided bounds\n")
+
+
 class TestCorrespondenceFailures:
     def test_failure_line_reports_total_count(self, capsys, monkeypatch):
         rp = ring_params(2, 2)
@@ -1016,6 +1063,15 @@ class TestUsageErrors:
             (
                 ["graph", "--d", "2", "--q", "2", "--h", "14", "--format", "csv"],
                 "graph supports dot or json, not 'csv'",
+            ),
+            # sides out of order could never pass the decreasing check
+            (
+                ["verify", "--assert", "folner", "--h", "2,2"],
+                "the folner suite needs strictly increasing box sides --h, got '2,2'",
+            ),
+            (
+                ["verify", "--assert", "folner", "--h", "4,2"],
+                "the folner suite needs strictly increasing box sides --h, got '4,2'",
             ),
         ],
     )

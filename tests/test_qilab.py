@@ -36,6 +36,7 @@ from dllab.qilab import (
     LevelPerm,
     PrefixRewrite,
     Shift,
+    audit_radius,
     clone_measure,
     compose,
     count_vertices_in_clone,
@@ -365,12 +366,33 @@ class TestBoundaryMaps:
         assert calls["inverse"] == 1
 
     def test_description_roundtrip(self):
+        # random descriptions, their lists in any order, against the maps
+        # the primitive classes build from sorted tables
         rng = random.Random(11)
-        for _ in range(20):
+        for _ in range(40):
             q = rng.choice([2, 3])
-            f = random_boundary_map(rng, q)
-            back = map_from_description(q, json.loads(json.dumps(f.describe())))
-            assert back == f
+            desc, prims = [], []
+            for _ in range(rng.choice([0, 1, 2, 3])):
+                kind = rng.choice(["shift", "perm", "prefix"])
+                if kind == "shift":
+                    m = rng.randint(-3, 3)
+                    desc.append({"kind": kind, "m": m})
+                    prims.append(Shift(m))
+                elif kind == "perm":
+                    levels = rng.sample(range(-2, 3), rng.randint(0, 2))
+                    perms = [(lvl, rng.sample(range(q), q)) for lvl in levels]
+                    desc.append({"kind": kind, "perms": [{"index": i, "table": t} for i, t in perms]})
+                    prims.append(LevelPerm(tuple(sorted((i, tuple(t)) for i, t in perms))))
+                else:
+                    lo = rng.randint(-2, 1)
+                    hi = lo + rng.choice([0, 1])
+                    words = list(itertools.product(range(q), repeat=hi - lo + 1))
+                    pairs = list(zip(words, rng.sample(words, len(words))))
+                    rng.shuffle(pairs)
+                    table = [[list(w), list(v)] for w, v in pairs]
+                    desc.append({"kind": kind, "lo": lo, "hi": hi, "table": table})
+                    prims.append(PrefixRewrite(lo, hi, tuple(sorted(pairs))))
+            assert map_from_description(q, json.loads(json.dumps(desc))) == BoundaryMap(q, tuple(prims))
 
     def test_depth_below_span_rejected(self):
         rw = prefix_rewrite(2, 3, (
@@ -598,6 +620,33 @@ class TestFiberAudit:
         audit = fiber_count_audit(im, box)
         assert audit.r == 1 and audit.bilip == 2
         assert audit.bounds_ok
+
+    @pytest.mark.parametrize(
+        "q,bilip,least",
+        # at 2**29 the float log_2 K rounds up past 29
+        [(2, 1, 1), (2, 2, 1), (2, 3, 2), (2, 4, 2), (2, 8, 3), (3, 9, 2), (3, 10, 3), (2, 2**29, 29)],
+    )
+    def test_audit_radius_is_the_least_covering_bilip(self, q, bilip, least):
+        assert audit_radius(q, bilip) == least
+
+    def test_audit_radius_of_large_constants(self):
+        # the float estimate of log_q K is corrected exactly, in a few powers
+        for q, e in [(2, 4321), (3, 1000), (7, 50), (10, 100003)]:
+            assert audit_radius(q, q**e - 1) == audit_radius(q, q**e) == e
+            assert audit_radius(q, q**e + 1) == e + 1
+
+    def test_bounds_hold_from_the_audit_radius_on(self):
+        # the default radius, and the least --r that the CLI accepts
+        rng = random.Random(3)
+        for _ in range(30):
+            d, q = rng.choice([2, 3]), rng.choice([2, 3])
+            p = graph_params(d, q)
+            im = interior_map(p, [random_boundary_map(rng, q) for _ in range(d)])
+            box = dlgraph.side_box(p, 2)
+            least = audit_radius(q, im.bilip_max())
+            assert fiber_count_audit(im, box).r == least
+            for r in (least, least + 1):
+                assert fiber_count_audit(im, box, r=r).bounds_ok
 
 
 # ---------------------------------------------------------------------------
@@ -1255,5 +1304,7 @@ class TestMalformedDescription:
             {"kind": "perm", "perms": [{"index": 0, "table": [1, 0]}]},
             {"kind": "prefix", "lo": 0, "hi": 0, "table": [[[0], [1]], [[1], [0]]]},
         ]
-        m = map_from_description(2, desc)
-        assert m.describe() == desc
+        swap = ((0,), (1,)), ((1,), (0,))
+        assert map_from_description(2, desc) == BoundaryMap(
+            2, (Shift(1), LevelPerm(((0, (1, 0)),)), PrefixRewrite(0, 0, swap))
+        )
