@@ -14,10 +14,11 @@ All outputs are byte-deterministic: vertices are sorted by canonical key,
 every CSV and JSON payload is written by ``_csv_payload`` (fixed line
 terminator) or ``dlgraph.json_payload`` (sorted keys), except graph
 exports, which ``dlgraph.export_dot`` and ``dlgraph.export_json`` write
-as text in the same dialect, and randomized modes take an explicit
-seed.  ``verify`` and a ``qilab`` assertion write their verdicts through
-``_verdicts``: one ``PASS|FAIL name: detail`` line per check, and exit 1
-if any fails.  A ``qilab`` payload's columns are its result record's
+as text in the same dialect, and the tile-map CSV, whose rows
+``_qilab_umap`` formats as text in ``_csv_payload``'s bytes; randomized
+modes take an explicit seed.  ``verify`` and a ``qilab`` assertion write
+their verdicts through ``_verdicts``: one ``PASS|FAIL name: detail`` line
+per check, and exit 1 if any fails.  A ``qilab`` payload's columns are its result record's
 fields (``_cells``).  A named ``--map`` is a shift (``NAMED_MAPS``); only a
 JSON map is parsed, by ``qilab.map_from_description``.
 Every ``ValueError``, an over-budget ``BudgetError`` included, prints
@@ -427,6 +428,8 @@ def _qilab_chain(args, params, imap) -> "tuple[str, list, list]":
         target = args.k
     else:
         inv = 1 / imap.lam_product()
+        # printed in the summary, so checked before the scan
+        dlgraph._printable(max(inv.numerator, inv.denominator), "chain target 1/lambda")
         if inv.denominator != 1:
             raise ValueError(
                 f"1/lambda = {inv} is not an integer; pass an explicit --k target"
@@ -466,7 +469,7 @@ def _qilab_audit(args, params, imap) -> "tuple[str, list, list]":
         raise ValueError(f"audit mode writes csv or json, not {args.format!r}")
     h_values = _parse_h_list("4" if args.h is None else args.h)
     # the bounds hold only from the least radius on, so a smaller --r is a usage error
-    bilip = imap.bilip_max()
+    bilip = dlgraph._printable(imap.bilip_max(), "the bilipschitz constant K")
     least = qilab.audit_radius(params.q, bilip)
     if args.r is not None and args.r < least:
         raise ValueError(f"audit mode needs --r >= {least}, the least r >= 1 with "
@@ -498,18 +501,27 @@ def _qilab_umap(args, params) -> "tuple[str, list, list]":
     side = 3 * k if args.h is None else _one_side("umap mode", args.h)
     region = height_cube([(0, side - 1)] * (params.d - 1))
     tiling = qilab.make_tiling(params, region, k)
-    keys, members, image, signatures = qilab.umap_positions(tiling, k)
-    hits = [0] * len(members)
+    listing, image, signatures = qilab.umap_positions(tiling, k)
+    n = len(listing.keys)
+    hits = [0] * n
     for j in image:
         hits[j] += 1
-
-    # streamed, so no row or displacement list is held beside the payload
-    displacements = qilab.tile_displacements(members, image, signatures)
-    rows = zip(keys, map(keys.__getitem__, image), displacements)
-    payload = _csv_payload(["key", "image_key", "displacement"], rows)
-    exact = hits == [k if x.coords[0].level % k == 0 else 0 for x in members]
+    # a fiber's members share their first height, its point's first axis:
+    # each is hit k times when that is in kZ, else never; every fiber of
+    # the box has the same size (dlgraph.box_size)
+    want, size = [], n // len(listing.offsets)
+    for point in listing.offsets:
+        want += [0 if point[0] % k else k] * size
+    exact = list(map(hits.__getitem__, listing.pos)) == want
+    # the CSV rows as text, in _csv_payload's dialect: a key holding a comma
+    # is quoted, once; keys hold no quote or line break
+    cells = [f'"{key}"' if "," in key else key for key in listing.keys]
+    del listing, want  # drops the sort permutations before the rows are built
+    displacements = qilab.tile_displacements(params.d, signatures)
+    rows = [f"{x},{cells[j]},{dist}\n" for x, j, dist in zip(cells, image, displacements)]
+    payload = "key,image_key,displacement\n" + "".join(rows)
     summaries = [
-        f"umap: {len(members)} vertices onto {len(members) - hits.count(0)} images, "
+        f"umap: {n} vertices onto {n - hits.count(0)} images, "
         f"multiplicities {sorted(set(hits) - {0})}"
     ]
     checks = []
@@ -528,7 +540,8 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, list]":
     n_pairs = args.pairs if args.pairs is not None else 30
     if n_pairs < 1:
         raise ValueError(f"need at least one sample pair, got {n_pairs}")
-    _, members, *_ = dlgraph._box_listing(params, side_box(params, h))
+    box = side_box(params, h)
+    members = dlgraph._listed_members(params, box, dlgraph._box_listing(params, box))
     table = qilab.psi_eval(imap, members)
     report = qilab.distortion(
         table,

@@ -109,12 +109,17 @@ def _prints(n: int) -> bool:
     return not limit or n.bit_length() <= 3 * limit or abs(n) < 10**limit
 
 
-def _printable_size(n: int, h: int, noun: str = "box size") -> int:
-    """n, a count printed for side h, once str() can print it (_prints)."""
+def _printable(n: int, what: str) -> int:
+    """n, an integer about to be printed, once str() can print it (_prints); what names it."""
     if not _prints(n):
         limit = sys.get_int_max_str_digits()
-        raise ValueError(f"side {h}: {noun} has more than {limit} digits, the limit for printing an integer")
+        raise ValueError(f"{what} has more than {limit} digits, the limit for printing an integer")
     return n
+
+
+def _printable_size(n: int, h: int, noun: str = "box size") -> int:
+    """n, a count printed for side h, once str() can print it (_printable)."""
+    return _printable(n, f"side {h}: {noun}")
 
 
 class GraphParams(NamedTuple):
@@ -536,7 +541,9 @@ def fiber_pools(params: GraphParams, box: Box, point: Sequence[int]) -> "list[tu
 
     Each pool is tree_descendants of its root, so a pool position follows
     the position rule: child b of position t is at t*q + b in the pool one
-    level deeper, and the ancestor m levels up of t is at t // q**m.
+    level deeper, and the ancestor m levels up of t is at t // q**m. The
+    program reads its pools from a box's _pool_table; these, built from
+    the root, are box_members' plain reference.
     """
     depths = _fiber_depths(box, point)
     return [tuple(tree_descendants(r, depth, params.q)) for r, depth in zip(box.roots, depths)]
@@ -621,7 +628,7 @@ class BallGraph(NamedTuple):
 # which is what the graph searches run on; the dl_key string is built once
 # per distinct vertex, to sort the vertices and label them for export, from
 # tree keys built once per distinct tree vertex (a ball) or pool member (a
-# box fiber), since many vertices share a coordinate.
+# box's _pool_table), since many vertices share a coordinate.
 
 
 def _induced_edges(nodes, index, half_step, start: int = 0) -> "list[tuple[int, int]]":
@@ -721,25 +728,97 @@ def _key_order(keys: list) -> "tuple[list[int], list[int]]":
     return order, pos
 
 
-def _box_listing(params: GraphParams, box: Box) -> tuple:
-    """(keys, members, offsets, order, pos): the members of a box, listed once.
+class _PoolTable(NamedTuple):
+    """A box's pools, keyed by (coordinate, depth), each built on first use.
+
+    vertices[i, depth] lists the tree vertices depth levels below root i in
+    digit order, as tree_descendants does, and keys[i, depth] their
+    tree_key texts. By the position rule, child b of position t is at
+    t*q + b one level down, so each depth is built from the depth above:
+    a child's digits are its parent's with at most one (level, b) appended,
+    and its digit text is its parent's with at most one "level=b"
+    concatenated. The fibers of a box share these pools, so each is built
+    once per box, and the table is dropped with the listing.
+    """
+
+    vertices: LazyDict
+    keys: LazyDict
+
+
+def _pool_table(params: GraphParams, box: Box) -> _PoolTable:
+    """An empty pool table for box (_PoolTable); nothing is built until read."""
+    q, roots = params.q, box.roots
+
+    def vertices(at):
+        i, depth = at
+        if not depth:
+            return (roots[i],)
+        n = roots[i].level + depth
+        steps = ((),) + tuple(((n, b),) for b in range(1, q))
+        return tuple([TreeVertex(n, v.digits + s) for v in vertices_of[i, depth - 1] for s in steps])
+
+    def digit_texts(at):
+        i, depth = at
+        if not depth:
+            return [tree_key(roots[i]).partition(":")[2]]
+        n = roots[i].level + depth
+        above = digit_texts_of[i, depth - 1]
+        steps = [""] + [f",{n}={b}" for b in range(1, q)]
+        out = [text + s for text in above for s in steps]
+        if not above[0]:  # only the all-zero position has no digits; its children's begin here
+            out[1:q] = [s[1:] for s in steps[1:]]
+        return out
+
+    def keys(at):
+        prefix = f"{roots[at[0]].level + at[1]}:"
+        return [prefix + text for text in digit_texts_of[at]]
+
+    vertices_of, digit_texts_of = LazyDict(vertices), LazyDict(digit_texts)
+    return _PoolTable(vertices_of, LazyDict(keys))
+
+
+class _BoxListing(NamedTuple):
+    """A box's members, listed once (_box_listing): their keys and how to reach them."""
+
+    keys: tuple
+    offsets: dict
+    order: list
+    pos: list
+    pools: _PoolTable
+
+
+def _box_listing(params: GraphParams, box: Box) -> _BoxListing:
+    """(keys, offsets, order, pos, pools): the member keys of a box, in key order.
 
     A member's build id is the offset of its cube point, offsets[point],
-    plus a mixed-radix number over its pool positions (fiber_pools), the
-    last coordinate fastest: box_members' order. keys and members are in
-    key order, and order and pos map key-sorted positions to build ids and
-    back (_key_order). The closed-form size is checked against the vertex
-    budget first. A fiber's member keys are the products of its pools' keys.
+    plus a mixed-radix number over its pool positions, the last coordinate
+    fastest: box_members' order. order and pos map key-sorted positions to
+    build ids and back (_key_order). The closed-form size is checked
+    against the vertex budget before the pool table (_pool_table) is made.
+    A fiber's member keys are the products of its pools' keys; no member
+    is built as a vertex here (_listed_members does that).
     """
     _check_box(params, box)
-    keys, members, offsets = [], [], {}
+    pools = _pool_table(params, box)
+    keys, offsets = [], {}
     for point in cube_points(box.cube):
         offsets[point] = len(keys)
-        pools = fiber_pools(params, box, point)
-        keys += map("|".join, product(*([tree_key(c) for c in pool] for pool in pools)))
-        members += (DLVertex(params, coords) for coords in product(*pools))
+        keys += map("|".join, product(*[pools.keys[at] for at in enumerate(_fiber_depths(box, point))]))
     order, pos = _key_order(keys)
-    return tuple(keys[i] for i in order), tuple(members[i] for i in order), offsets, order, pos
+    return _BoxListing(tuple(map(keys.__getitem__, order)), offsets, order, pos, pools)
+
+
+def _listed_members(params: GraphParams, box: Box, listing: _BoxListing) -> tuple:
+    """The members of a box as DLVertexes, in its listing's key order.
+
+    The one builder of box members as vertices: each fiber is the product
+    of its pools' vertices, in build order, then sorted by listing.order.
+    """
+    members = []
+    for point in listing.offsets:
+        pools = [listing.pools.vertices[at] for at in enumerate(_fiber_depths(box, point))]
+        members += (DLVertex(params, coords) for coords in product(*pools))
+    return tuple(map(members.__getitem__, listing.order))
 
 
 def _half_move_vectors(d: int, k: int) -> "list[tuple[int, ...]]":
@@ -791,7 +870,10 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
     bound = deg * n // 2
     if bound > DEFAULT_EDGE_BUDGET:
         raise BudgetError(f"box graph may hold {bound} edges, budget {DEFAULT_EDGE_BUDGET}")
-    keys, vertices, offsets, _, pos = _box_listing(params, box)
+    listing = _box_listing(params, box)
+    vertices = _listed_members(params, box, listing)
+    keys, offsets, pos = listing.keys, listing.offsets, listing.pos
+    del listing  # drops the pool table's key texts before the edge pass
     q, d = params.q, params.d
     vectors = _half_move_vectors(d, params.k)
     edges = []

@@ -47,13 +47,17 @@ from .dlgraph import (
     DLVertex,
     GraphParams,
     HeightCube,
+    LazyDict,
     RegionAlignmentError,
     TreeVertex,
     _box_listing,
+    _canonical_state,
     _cube_axes,
     _fiber_depths,
     _inner_cube,
+    _listed_members,
     _printable_size,
+    _state_distance,
     _within_budget,
     box_boundary_size,
     box_size,
@@ -577,8 +581,15 @@ def _clone_fiber_count(m: BoundaryMap, c: TreeVertex, level: int) -> int:
 
 
 def psi_eval(imap: InteriorMap, vertices) -> dict:
-    """Evaluation table x -> psi(x), in input order."""
-    return {x: psi_apply(imap, x) for x in vertices}
+    """Evaluation table x -> psi_apply(imap, x), in input order.
+
+    Many vertices share a tree coordinate, so each map reads each distinct
+    tree vertex once, from a table of its vertex_image that lives for this
+    call.
+    """
+    images = [LazyDict(m.vertex_image) for m in imap.maps]
+    params = imap.params
+    return {x: DLVertex(params, tuple([im[c] for im, c in zip(images, x.coords)])) for x in vertices}
 
 
 # ---------------------------------------------------------------------------
@@ -662,16 +673,26 @@ def fiber_count_audit(
     counts at its level, found by walking that coordinate's descendants
     once per level: at most one fiber's q**((d-1)*side), checked against
     the vertex budget before any walk.  Inner points are read until two
-    counts differ.
+    counts differ.  Before any walk, bilip, lam_product and the two bounds
+    must each print (`dlgraph._printable_size`), or ValueError names the
+    first that does not.
     """
     params = imap.params
     if bilip is None:
         bilip = imap.bilip_max()
     if r is None:
         r = audit_radius(params.q, bilip)
-    _within_budget(1, "fiber has {} members", params.q, (params.d - 1) * cube_side(box.cube))
+    h = cube_side(box.cube)
+    _within_budget(1, "fiber has {} members", params.q, (params.d - 1) * h)
     n = box_size(params, box)
     boundary_size = box_boundary_size(params, box, r)
+    # the total is not checked: from audit_radius on it is at most the upper bound
+    _printable_size(bilip, h, "bilip")
+    lam = imap.lam_product()
+    lower = (Fraction(n) - boundary_size) / lam
+    upper = Fraction(n) / lam + (bilip ** params.d) * boundary_size
+    for name, value in (("lam_product", lam), ("lower_bound", lower), ("upper_bound", upper)):
+        _printable_size(max(abs(value.numerator), value.denominator), h, name)
     inner = _inner_cube(box.cube, r)
     level_counts = {}
 
@@ -691,11 +712,8 @@ def fiber_count_audit(
         if len(distinct) > 1:  # two values settle interior_constant and _value
             break
     total = _fiber_total(imap, box)
-    lam = imap.lam_product()
-    lower = (Fraction(n) - boundary_size) / lam
-    upper = Fraction(n) / lam + (bilip ** params.d) * boundary_size
     return FiberAudit(
-        h=cube_side(box.cube),
+        h=h,
         box_size=n,
         boundary_size=boundary_size,
         r=r,
@@ -819,7 +837,7 @@ def make_tiling(params: GraphParams, region: HeightCube, h: int) -> Tiling:
 def _fiber_images(q: int, k: int, point: tuple, depths: list) -> tuple:
     """(image point, image depths, images, signatures) of the members over a cube point.
 
-    Members are listed in build order, the order of product(*fiber_pools),
+    Members are listed in build order, the product of the fiber's pools,
     and images[b] is member b's image as a mixed-radix number over the
     image fiber's pool positions, the last coordinate fastest; signatures[b]
     is its (drop, c, e) (see `Tiling`). With off = point[0] % k, the drop,
@@ -867,20 +885,22 @@ def _fiber_images(q: int, k: int, point: tuple, depths: list) -> tuple:
     return image_point, [first - off, *middles, last + off], images, signatures
 
 
-def umap_positions(tiling: Tiling, k: int) -> "tuple[tuple, tuple, list[int], list[tuple]]":
-    """(keys, members, image, signatures): the ambient box in key order, budget checked first.
+def umap_positions(tiling: Tiling, k: int) -> "tuple[tuple, list[int], list[tuple]]":
+    """(listing, image, signatures): the ambient box's listing, budget checked first.
 
-    image[i] is the key-order position of member i's image, and
-    signatures[i] its (drop, c, e) (see `Tiling`). Both are read fiber by
-    fiber by pool-position arithmetic (`_fiber_images`), then mapped from
-    build order (`dlgraph._box_listing`) to key order. An image fiber whose
-    point is outside the cube, or whose pool depths differ from the box's
-    there, raises ValueError naming the fiber's first member.
+    listing is `dlgraph._box_listing`'s, its keys in key order. image[i] is
+    the key-order position of member i's image, and signatures[i] its
+    (drop, c, e) (see `Tiling`). Both are read fiber by fiber by
+    pool-position arithmetic (`_fiber_images`), then mapped from build
+    order to key order; no member is built as a vertex. An image fiber
+    whose point is outside the cube, or whose pool depths differ from the
+    box's there, raises ValueError naming the fiber's first member.
     """
     if k != tiling.h:
         raise ValueError("tile side must equal the index k")
     params, box = tiling.params, tiling.ambient
-    keys, members, offsets, order, pos = _box_listing(params, box)
+    listing = _box_listing(params, box)
+    keys, offsets, order, pos, _ = listing
     image_ids, signatures = [], []
     for point, offset in offsets.items():
         image_point, depths, images, sigs = _fiber_images(
@@ -892,36 +912,40 @@ def umap_positions(tiling: Tiling, k: int) -> "tuple[tuple, tuple, list[int], li
         image_ids += [target + j for j in images]
         signatures += sigs
     image = [pos[image_ids[i]] for i in order]
-    return keys, members, image, [signatures[i] for i in order]
+    return listing, image, [signatures[i] for i in order]
 
 
 def umap_eval(tiling: Tiling, k: int) -> dict:
     """The tile map over the ambient box in key order, as `umap_positions` finds it."""
-    _, members, image, _ = umap_positions(tiling, k)
+    listing, image, _ = umap_positions(tiling, k)
+    members = _listed_members(tiling.params, tiling.ambient, listing)
     target = tiling.params._replace(k=k)
     return {x: DLVertex(target, members[j].coords) for x, j in zip(members, image)}
 
 
-def tile_displacements(members, image, signatures) -> Iterator[int]:
+def tile_displacements(d: int, signatures) -> Iterator[int]:
     """Graph distance from each member to its image, over a `umap_positions` listing.
 
-    Both are read in the members' ordinary graph. A k = 1 distance depends
-    only on the sorted pair signature, which the (drop, c, e) triple fixes
-    (see `Tiling`), so each triple's distance is kept for this call only;
-    `dl_distance` answers each new triple.
+    Both are read in the members' ordinary graph, DL_d(q). Their pair
+    signature is ((drop, 0), (0, 0), ..., (c, e)) (see `Tiling`), and a
+    k = 1 distance depends only on that signature (`dl_distance`), so each
+    (drop, c, e) triple fixes its distance. Each distinct triple's distance
+    is asked once, of `dlgraph._state_distance`, and kept for this call
+    only; no vertex is built.
     """
-    known = {}
-    for x, j, sig in zip(members, image, signatures):
-        dist = known.get(sig)
-        if dist is None:
-            dist = known[sig] = dl_distance(x, members[j])
-        yield dist
+    middles = ((0, 0),) * (d - 2)
+
+    def distance(triple):
+        drop, c, e = triple
+        return _state_distance(1, _canonical_state(1, ((drop, 0), *middles, (c, e))))
+
+    return map(LazyDict(distance).__getitem__, signatures)
 
 
 def umap_displacement(tiling: Tiling, k: int) -> int:
     """Max graph distance between x and its image, read in the ordinary graph."""
-    _, members, image, signatures = umap_positions(tiling, k)
-    return max(tile_displacements(members, image, signatures))
+    _, _, signatures = umap_positions(tiling, k)
+    return max(tile_displacements(tiling.params.d, signatures))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,15 @@ at every place, beside the digit reader of `group._image_reader`; and the
 index-k checks on normal-form elements, with a `multiply` and a key per
 step, beside the word-ball states of `group.index_check`; and the graph
 exports as a line list per vertex and a `json.dumps` over a dict tree,
-beside the direct text writers `dlgraph.export_dot` and `dlgraph.export_json`.
+beside the direct text writers `dlgraph.export_dot` and `dlgraph.export_json`,
+and the tile-map CSV by the csv module, beside the rows that `cli` writes
+as text.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from functools import partial
 
@@ -287,3 +291,12 @@ def export_json_by_dumps(g) -> str:
             "k": g.cube.k,
         }
     return json_payload(payload)
+
+
+def umap_csv_by_writer(rows) -> str:
+    """The tile-map CSV, written by the csv module from (key, image key, displacement) rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["key", "image_key", "displacement"])
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -301,7 +301,7 @@ class TestQilabOtherModes:
         def refuse(*args, **kwargs):
             raise AssertionError("members were enumerated")
 
-        monkeypatch.setattr(dlgraph, "fiber_pools", refuse)
+        monkeypatch.setattr(dlgraph, "_pool_table", refuse)
         argv = ["qilab", "--mode", "umap", "--d", "2", "--q", "2", "--k", "2", "--h", "24"]
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
@@ -369,6 +369,21 @@ def umap_merges_two_images(monkeypatch):
     monkeypatch.setattr(qilab, "_fiber_images", merged)
 
 
+def umap_moves_the_hit_set(monkeypatch):
+    # the members over heights 0 and 1 map into the fiber over 1, not 0:
+    # every count is still 0 or 2, but members at first height 0, in 2Z,
+    # are hit 0 times, and those at height 1 twice
+    images_of = qilab._fiber_images
+
+    def moved(q, k, point, depths):
+        image_point, image_depths, images, signatures = images_of(q, k, point, depths)
+        if image_point == (0,):
+            image_point, image_depths = (1,), [1, image_depths[1] - 1]
+        return image_point, image_depths, images, signatures
+
+    monkeypatch.setattr(qilab, "_fiber_images", moved)
+
+
 CHAIN = ["qilab", "--d", "2", "--q", "2", "--map", "alpha,id", "--h", "2,4,6"]
 AUDIT = ["qilab", "--mode", "audit", "--d", "2", "--q", "2", "--map", "alpha,id",
          "--h", "2,4", "--r", "1", "--assert", "bounded"]
@@ -418,11 +433,16 @@ UMAP = ["qilab", "--mode", "umap", "--d", "2", "--q", "2", "--k", "2", "--assert
             "umap: 192 vertices onto 96 images, multiplicities [1, 2, 3]\n"
             "FAIL umap.ktoone: image multiplicities are not uniform\n",
         ),
+        (
+            UMAP, umap_moves_the_hit_set, 1,
+            "umap: 192 vertices onto 96 images, multiplicities [2]\n"
+            "FAIL umap.ktoone: image multiplicities are not uniform\n",
+        ),
     ],
     ids=[
         "chain.bounded-pass", "chain.bounded-fail", "chain.divergence-pass",
         "chain.divergence-fail", "audit.bounded-pass", "audit.bounded-fail",
-        "umap.ktoone-pass", "umap.ktoone-fail",
+        "umap.ktoone-pass", "umap.ktoone-fail", "umap.ktoone-moved",
     ],
 )
 def test_qilab_verdict_lines(capsys, monkeypatch, argv, breaks, status, err):
@@ -586,6 +606,56 @@ class TestOversizedBoxes:
         assert captured.out == ""
         assert captured.err == (
             "error: side 1334: chain sum has more than 640 digits, the limit for printing an integer\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,work,error",
+        [
+            # k = 1/lambda = 2**20000, the default chain target
+            (["qilab", "--d", "2", "--q", "2", "--map", "shift:20000,id", "--h", "2"],
+             "uf_chain_scan", "chain target 1/lambda"),
+            # K = 2**20000, the audit's bilip, printed in its payload and its --r message
+            (["qilab", "--mode", "audit", "--d", "2", "--q", "2", "--map", "shift:20000,id", "--h", "2"],
+             "fiber_count_audit", "the bilipschitz constant K"),
+        ],
+        ids=["chain", "audit"],
+    )
+    def test_map_constant_too_long_to_print_refused_before_any_box_work(
+        self, capsys, monkeypatch, digit_limit_640, argv, work, error
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("box work started")
+
+        monkeypatch.setattr(qilab, work, refuse)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error} has more than 640 digits, the limit for printing an integer\n"
+
+    @pytest.mark.parametrize(
+        "maps,field",
+        [
+            # K = 2**1100 prints; the upper bound, about K**2 * |boundary|, does not
+            ("shift:1100,id", "upper_bound"),
+            # K = 2**800 prints; lambda = 2**-2400 does not
+            ("shift:800,shift:800,shift:800", "lam_product"),
+        ],
+        ids=["upper_bound", "lam_product"],
+    )
+    def test_audit_field_too_long_to_print_refused_before_any_walk(
+        self, capsys, monkeypatch, digit_limit_640, maps, field
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fiber was walked or counted")
+
+        monkeypatch.setattr(qilab, "_fiber_total", refuse)
+        monkeypatch.setattr(qilab, "tree_descendants", refuse)
+        d = str(maps.count(",") + 1)
+        assert run_cli(["qilab", "--mode", "audit", "--d", d, "--q", "2", "--map", maps, "--h", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: side 2: {field} has more than 640 digits, the limit for printing an integer\n"
         )
 
     @pytest.mark.parametrize(

@@ -397,7 +397,9 @@ def test_sorted_box_member_keys(d, q, k):
                 continue  # d=3, q=3, side 4 has 98,415 members; the rest stay small
             lifted = Box(cube, tuple(tree_vertex(r.level, [(r.level, 1)]) for r in canon.roots))
             for box in (canon, lifted):
-                keys, members, offsets, order, pos = dlgraph._box_listing(p, box)
+                listing = dlgraph._box_listing(p, box)
+                keys, offsets, order, pos, _ = listing
+                members = dlgraph._listed_members(p, box, listing)
                 assert keys == tuple(map(dl_key, members))
                 assert all(a < b for a, b in zip(keys, keys[1:]))
                 built = list(box_members(p, box))
@@ -407,6 +409,34 @@ def test_sorted_box_member_keys(d, q, k):
                 for i, x in enumerate(built):
                     first.setdefault(rho(x), i)
                 assert offsets == first
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pool_table_matches_tree_descendants(d, q, k):
+    # every pool a box's fibers read, each depth built from the one above,
+    # against tree_descendants and tree_key, on canonical and lifted boxes
+    p = graph_params(d, q, k)
+    checked = 0
+    for side in (0, k, 2 * k):
+        cube = height_cube([(0, side)] * (d - 1), k)
+        canon = canonical_box(p, cube)
+        lifted = Box(cube, tuple(tree_vertex(r.level, [(r.level, 1)]) for r in canon.roots))
+        for box in (canon, lifted):
+            pools = {at for pt in cube_points(cube) for at in enumerate(dlgraph._fiber_depths(box, pt))}
+            # deepest first on one table, so each depth is first built while
+            # reading the one below it, and shallowest first on the other
+            for table, ats in ((dlgraph._pool_table(p, box), sorted(pools, key=lambda at: -at[1])),
+                               (dlgraph._pool_table(p, box), sorted(pools))):
+                for i, depth in ats:
+                    if q**depth > 5000:
+                        continue  # only the deepest pools of d = 4 at side 2k
+                    want = list(tree_descendants(box.roots[i], depth, q))
+                    assert list(table.vertices[i, depth]) == want, (i, depth)
+                    assert list(table.keys[i, depth]) == list(map(tree_key, want)), (i, depth)
+                    checked += 1
+    assert checked >= 20
 
 
 def test_box_example_small():

@@ -58,7 +58,7 @@ from dllab.qilab import (
     umap_eval,
 )
 
-from oracles import preimage_vertices, tile_box, vertex_distance, vertices_in_clone
+from oracles import preimage_vertices, tile_box, umap_csv_by_writer, vertex_distance, vertices_in_clone
 
 
 def random_primitive(rng, q):
@@ -559,6 +559,27 @@ class TestInteriorMaps:
         table = psi_eval(im, members)
         assert list(table) == members
 
+    @pytest.mark.parametrize("d,q", list(itertools.product((2, 3), (2, 3))))
+    def test_eval_table_maps_each_tree_vertex_once(self, monkeypatch, d, q):
+        # members share tree coordinates, and each map reads each distinct
+        # one once, into the same values psi_apply gives vertex by vertex
+        rng = random.Random(70 + 10 * d + q)
+        p = graph_params(d, q)
+        members = sorted(box_members(p, canonical_box(p, height_cube([(0, 2)] * (d - 1)))), key=dl_key)
+        maps = [BoundaryMap(q, tuple(random_primitive(rng, q) for _ in range(2))) for _ in range(d)]
+        im = interior_map(p, maps)
+        expected = [psi_apply(im, x) for x in members]
+        real, calls = BoundaryMap.vertex_image, []
+
+        def counting(m, c):
+            calls.append(c)
+            return real(m, c)
+
+        monkeypatch.setattr(BoundaryMap, "vertex_image", counting)
+        table = psi_eval(im, members)
+        assert list(table) == members and list(table.values()) == expected
+        assert len(calls) == sum(len({x.coords[i] for x in members}) for i in range(d))
+
 
 # ---------------------------------------------------------------------------
 # fiber-count audit
@@ -835,10 +856,11 @@ class TestUmapOracle:
     @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
     def test_fiber_map_matches_per_vertex_and_enumerative(self, d, q, k, side):
         tiling, by_key, expected = enumerative_umap_table(d, q, k, side)
-        keys, members, image, _ = qilab.umap_positions(tiling, k)
+        listing, image, _ = qilab.umap_positions(tiling, k)
+        members = dlgraph._listed_members(tiling.params, tiling.ambient, listing)
         # in key order, each image read as the member at its position
         assert members == by_key
-        assert list(keys) == [dl_key(x) for x in members]
+        assert list(listing.keys) == [dl_key(x) for x in members]
         assert [members[j].coords for j in image] == [y.coords for y in expected]
 
     @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
@@ -857,12 +879,14 @@ class TestUmapOracle:
             pair_sigs.append((drop, *sig[-1]))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the box-wide tile map built a tree vertex")
+            raise AssertionError("the box-wide tile map built a tree or graph vertex")
 
-        # the listing's own keys and members aside, positions are arithmetic
-        for name in ("TreeVertex", "tree_ancestor"):
-            monkeypatch.setattr(qilab, name, refuse)
-        _, _, image, signatures = qilab.umap_positions(tiling, k)
+        # keys come from the pool table's key texts, and positions are
+        # arithmetic, so no member or image is built as a vertex
+        for module in (qilab, dlgraph):
+            for name in ("TreeVertex", "DLVertex", "tree_ancestor", "tree_descendants"):
+                monkeypatch.setattr(module, name, refuse)
+        _, image, signatures = qilab.umap_positions(tiling, k)
         assert image == by_oracle
         assert signatures == meets == pair_sigs
 
@@ -919,6 +943,31 @@ class TestUmapOracle:
             # the image is a box member, read here as a vertex of the ordinary graph
             assert int(disp) == dlgraph.dl_distance(by_key[key], by_key[image_key]), key
 
+    @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
+    def test_cli_csv_matches_the_csv_module(self, capsys, monkeypatch, d, q, k, side):
+        # the umap rows are written as text; the csv module, given the
+        # oracle's keys, images and distances, writes the same bytes
+        tiling, members, images = enumerative_umap_table(d, q, k, side)
+        p = tiling.params
+        rows = [
+            (dl_key(x), dl_key(y), dlgraph.dl_distance(x, dl_vertex(p, y.coords)))
+            for x, y in zip(members, images)
+        ]
+        # keys with two or more digits hold commas, which the csv module quotes;
+        # from q = 3 on they hold digits 2 too
+        assert any("," in key for key, _, _ in rows)
+        assert q == 2 or any("=2" in key and "," in key for key, _, _ in rows)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the umap mode built a graph vertex")
+
+        for module in (dlgraph, qilab):
+            monkeypatch.setattr(module, "DLVertex", refuse)
+        argv = ["qilab", "--mode", "umap", "--d", str(d), "--q", str(q), "--k", str(k),
+                "--h", str(side)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == umap_csv_by_writer(rows)
+
     def test_one_distance_call_per_signature(self, monkeypatch):
         d, q, k, side = 2, 2, 3, 9
         p = graph_params(d, q)
@@ -932,20 +981,25 @@ class TestUmapOracle:
             return (sig[0][0], *sig[-1])
 
         expected = sorted({triple(u, v) for u, v in pairs})
-        real, calls = dlgraph.dl_distance, []
+        # the search state of each triple, as dl_distance builds it from a pair
+        states = {triple(u, v): dlgraph._canonical_state(1, dlgraph._pair_signature(u, v)) for u, v in pairs}
+        real, calls = dlgraph._state_distance, []
 
-        def counting(u, v, *args, **kwargs):
-            calls.append(triple(u, v))
-            return real(u, v, *args, **kwargs)
+        def counting(k, state):
+            calls.append(state)
+            return real(k, state)
 
-        # every module-level reference, so a caller that imported the name is counted too
+        # every module-level reference to the distance and its search, so a
+        # caller that imported either name is counted too
         for module in (dlgraph, qilab, cli):
-            monkeypatch.setattr(module, "dl_distance", counting, raising=False)
+            monkeypatch.setattr(module, "_state_distance", counting, raising=False)
+            monkeypatch.setattr(module, "dl_distance", lambda u, v: counting(1, states[triple(u, v)]), raising=False)
         argv = ["qilab", "--mode", "umap", "--d", str(d), "--q", str(q), "--k", str(k),
                 "--h", str(side)]
         assert cli.main(argv) == 0
         assert len(pairs) == 2304 and len(expected) == 4
-        assert sorted(calls) == expected
+        # one distance asked per distinct triple, each of its own state
+        assert sorted(calls) == sorted(states[t] for t in expected)
 
     def test_image_outside_the_box_is_an_error(self, monkeypatch, capsys):
         p = graph_params(2, 2)
@@ -980,7 +1034,7 @@ class TestUmapOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("members were enumerated")
 
-        monkeypatch.setattr(dlgraph, "fiber_pools", refuse)
+        monkeypatch.setattr(dlgraph, "_pool_table", refuse)
         p = graph_params(2, 2)
         tiling = make_tiling(p, height_cube([(0, 23)]), 2)
         with pytest.raises(dlgraph.BudgetError, match=r"box has 201326592 members, budget 500000"):
