@@ -13,13 +13,16 @@ Three subcommands:
 All outputs are byte-deterministic: vertices are sorted by canonical key,
 every CSV and JSON payload is written by ``_csv_payload`` (fixed line
 terminator) or ``dlgraph.json_payload`` (sorted keys), except graph
-exports, which ``dlgraph.export_dot`` and ``dlgraph.export_json`` write
-as text in the same dialect, and the tile-map CSV, whose rows
+exports, which ``dlgraph.dot_chunks`` and ``dlgraph.json_chunks`` format
+as text chunks in the same dialect, written to stdout or ``--out`` as
+they come (``_emit``), and the tile-map CSV, whose rows
 ``_qilab_umap`` formats as text in ``_csv_payload``'s bytes; randomized
 modes take an explicit seed.  ``verify`` and a ``qilab`` assertion write
 their verdicts through ``_verdicts``: one ``PASS|FAIL name: detail`` line
 per check, and exit 1 if any fails.  A ``qilab`` payload's columns are its result record's
-fields (``_cells``).  A named ``--map`` is a shift (``NAMED_MAPS``); only a
+fields (``_cells``; the chain CSV's ``_chain_csv`` writes each Fraction as
+its float's repr, and names the side and column of one too large for a
+float before any row is written).  A named ``--map`` is a shift (``NAMED_MAPS``); only a
 JSON map is parsed, by ``qilab.map_from_description``.
 Every ``ValueError``, an over-budget ``BudgetError`` included, prints
 ``error:`` and exits 2.  ``graph`` and ``qilab`` still accept ``--workers``
@@ -58,10 +61,10 @@ from .dlgraph import (
     cube_size,
     dl_neighbors,
     expected_degree,
-    export_dot,
-    export_json,
+    dot_chunks,
     graph_params,
     height_cube,
+    json_chunks,
     json_payload,
     side_box,
 )
@@ -113,20 +116,21 @@ def _verdicts(checks) -> "tuple[list[str], int]":
     return lines, 0 if all(ok for _, ok, _ in checks) else 1
 
 
-def _emit(payload: str, out_path, summary_lines) -> None:
-    """Write the payload to --out (or stdout) and summaries alongside.
+def _emit(chunks, out_path, summary_lines) -> None:
+    """Write the payload's text chunks to --out (or stdout) and summaries alongside.
 
-    With --out the payload goes to the file and summaries to stdout; without
-    it the payload owns stdout and summaries go to stderr, so piped payload
-    bytes stay clean either way.
+    The chunks are written as they come, so a payload is never held whole
+    here. With --out the payload goes to the file and summaries to stdout;
+    without it the payload owns stdout and summaries go to stderr, so piped
+    payload bytes stay clean either way.
     """
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         for line in summary_lines:
             print(line)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
         for line in summary_lines:
             print(line, file=sys.stderr)
 
@@ -264,8 +268,7 @@ def cmd_graph(args) -> int:
     else:
         # side 0 is the one-vertex box over heights 0
         g = box_graph(params, side_box(params, _one_side("graph", args.h, least=0)))
-    payload = export_json(g) if args.format == "json" else export_dot(g)
-    _emit(payload, args.out, [])
+    _emit(json_chunks(g) if args.format == "json" else dot_chunks(g), args.out, [])
     return 0
 
 
@@ -410,15 +413,34 @@ def cmd_verify(args) -> int:
     if args.out is not None and report is not None:
         sizes = report.sphere_group
         rows = zip(range(len(sizes)), sizes, accumulate(sizes))
-        _emit(_csv_payload(["radius", "sphere_size", "ball_size"], rows), args.out, [])
+        _emit([_csv_payload(["radius", "sphere_size", "ball_size"], rows)], args.out, [])
     return status
 
 
 # ---------------------------------------------------------------------------
 # qilab subcommand
 
+def _float_repr(v: Fraction, what: str) -> str:
+    """repr(float(v)), or a ValueError naming `what` when v is too large for a float."""
+    try:
+        return repr(float(v))
+    except OverflowError:
+        raise ValueError(f"{what} is too large to write as a float") from None
+
+
 def _chain_csv(records) -> str:
-    rows = (_cells(r, lambda v: repr(float(v))).values() for r in records)
+    """The chain CSV, each Fraction written as its float's repr.
+
+    Every row is made before any is written, so a ratio too large for a
+    float is refused, by side and column, with no row written.
+    """
+    rows = [
+        [
+            _float_repr(v, f"side {r.h}: {f}") if isinstance(v, Fraction) else v
+            for f, v in r._asdict().items()
+        ]
+        for r in records
+    ]
     return _csv_payload(qilab.ChainRecord._fields, rows)
 
 
@@ -575,7 +597,7 @@ def cmd_qilab(args) -> int:
         else:
             payload, summaries, checks = _qilab_distortion(args, params, imap)
     lines, status = _verdicts(checks)
-    _emit(payload, args.out, summaries + lines)
+    _emit([payload], args.out, summaries + lines)
     return status
 
 

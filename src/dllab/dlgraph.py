@@ -53,9 +53,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from array import array
 from functools import lru_cache, partial
 from heapq import heappop, heappush
-from itertools import product
+from itertools import chain, islice, product, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .record import Record
@@ -611,17 +612,40 @@ class BallGraph(NamedTuple):
 
     Balls carry center, radius, and BFS depths; box slices carry their cube
     instead. Vertices are sorted by canonical key, so equal inputs always
-    produce byte-identical exports.
+    produce byte-identical exports. edges is one sorted array('q') holding
+    an edge between key positions i < j as the code i*n + j, n the vertex
+    count, so code order is (i, j) order. _edge_array writes that format
+    and edge_pairs reads it; no other code knows it.
     """
 
     params: GraphParams
     vertices: tuple
     keys: tuple
-    edges: tuple
+    edges: array
     center: Optional[DLVertex] = None
     radius: Optional[int] = None
     depths: Optional[tuple] = None
     cube: Optional[HeightCube] = None
+
+
+def _edge_array(n: int, pos: Sequence[int], pairs: Iterable) -> array:
+    """BallGraph.edges of n vertices, for the edges (a, b) in pairs.
+
+    a and b are ids that pos maps to key positions. The codes are sorted
+    in place, since sorted() would hold a second list of them.
+    """
+    codes = []
+    push = codes.append
+    for a, b in pairs:
+        a, b = pos[a], pos[b]
+        push(a * n + b if a < b else b * n + a)
+    codes.sort()
+    return array("q", codes)
+
+
+def edge_pairs(g: BallGraph) -> Iterator["tuple[int, int]"]:
+    """The edges of g as key-position pairs (i, j), i < j, in sorted order."""
+    return map(divmod, g.edges, repeat(len(g.keys)))
 
 
 # Inside one GraphParams a vertex is identified by its coordinate tuple,
@@ -631,19 +655,19 @@ class BallGraph(NamedTuple):
 # box's _pool_table), since many vertices share a coordinate.
 
 
-def _induced_edges(nodes, index, half_step, start: int = 0) -> "list[tuple[int, int]]":
-    """Edges (i, j), i < j, among nodes[start:], each listed once.
+def _induced_edges(nodes, index, half_step, start: int = 0) -> array:
+    """The edges among nodes[start:], each listed once, as a flat array('q') of ids i, j, i < j.
 
     half_step(x) yields the neighbours of the hashable node x such that
     every edge is yielded from exactly one of its endpoints, and index maps
     a node to its position in nodes.
     """
-    edges = []
+    edges = array("q")
     for i in range(start, len(nodes)):
         for w in half_step(nodes[i]):
             j = index.get(w)
             if j is not None and j >= start:
-                edges.append((i, j) if i < j else (j, i))
+                edges.extend((i, j) if i < j else (j, i))
     return edges
 
 
@@ -653,13 +677,15 @@ def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None
     step(x) yields the neighbours of the hashable node x, and a node is its
     own identity. Returns the nodes in discovery order (so a smaller id is
     never deeper), the map from node to id, and each node's depth. With an
-    edges list, every edge (i, j), i < j, of the induced subgraph is
-    appended to it: edges from inside the radius while the BFS runs, since
-    every neighbour of such a vertex is in the ball, then, when half_step
-    is given, the edges within the outer sphere from one _induced_edges
-    pass over it. A caller passes no half_step only when no edge joins two
-    nodes of one sphere: some integer function of a node changes by
-    exactly +-1 along every edge, so its parity is the parity of the depth.
+    edges array (or list), the ids i, j, i < j, of every edge of the
+    induced subgraph are appended to it one after the other, so it holds
+    one int per edge end and no pair object: edges from inside the radius
+    while the BFS runs, since every neighbour of such a vertex is in the
+    ball, then, when half_step is given, the edges within the outer sphere
+    from one _induced_edges pass over it. A caller passes no half_step only
+    when no edge joins two nodes of one sphere: some integer function of a
+    node changes by exactly +-1 along every edge, so its parity is the
+    parity of the depth.
 
     It stores at most DEFAULT_VERTEX_BUDGET nodes, read when it runs, for
     graph balls and word balls alike; noun names the nodes in the error.
@@ -670,6 +696,7 @@ def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None
     found = [start]
     ids = {start: 0}
     depths = [0]
+    push = edges.append if edges is not None else None
     begin = 0
     for depth in range(1, radius + 1):
         stop = len(found)
@@ -686,8 +713,9 @@ def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None
                             f"{len(found)} {noun} reached at depth {depth}"
                         )
                 # an edge is recorded from its endpoint with the smaller id
-                if edges is not None and i < j:
-                    edges.append((i, j))
+                if push is not None and i < j:
+                    push(i)
+                    push(j)
         begin = stop
     if edges is not None and half_step is not None:
         edges += _induced_edges(found, ids, half_step, begin)
@@ -695,24 +723,28 @@ def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None
 
 
 def ball(center: DLVertex, radius: int) -> BallGraph:
-    edges = []
+    """The ball of the given radius around center, with its induced edges.
+
+    The BFS (_layered_bfs) appends edge ends to a flat array; its node
+    index is dropped, with the move table, before the vertex keys are built,
+    and the ends, read two at a time, are then encoded (_edge_array).
+    """
+    ends = array("q")
     step = partial(_neighbor_coords, _move_table(center.params))
     # at d = 2 no edge joins two vertices of one sphere (module docstring)
     half_step = partial(step, half=True) if center.params.d > 2 else None
-    found, _, found_depth = _layered_bfs(center.coords, radius, step, "vertices", edges, half_step)
-    del step, half_step  # drops the move table before the vertices are keyed
+    found, ids, found_depth = _layered_bfs(center.coords, radius, step, "vertices", ends, half_step)
+    del step, half_step, ids  # drops the move table and node index before the vertices are keyed
     found = [DLVertex(center.params, c) for c in found]
     tree_keys = LazyDict(tree_key)
     keys = ["|".join(map(tree_keys.__getitem__, v.coords)) for v in found]
     order, pos = _key_order(keys)
-    edges = sorted(
-        (pos[i], pos[j]) if pos[i] < pos[j] else (pos[j], pos[i]) for i, j in edges
-    )
+    it = iter(ends)
     return BallGraph(
         params=center.params,
         vertices=tuple(found[i] for i in order),
         keys=tuple(keys[i] for i in order),
-        edges=tuple(edges),
+        edges=_edge_array(len(found), pos, zip(it, it)),
         center=center,
         radius=radius,
         depths=tuple(found_depth[i] for i in order),
@@ -858,11 +890,9 @@ def _position_moves(q: int, depth: int, change: int) -> "list[tuple[int, int]]":
 def box_graph(params: GraphParams, box: Box) -> BallGraph:
     """Induced subgraph on the members of a box.
 
-    Edges are found by index arithmetic over the fiber pools. For each
-    cube point and half move (_half_move_vectors) whose target point is in
-    the cube, the edges are the product over coordinates of the moves of
-    pool positions (_position_moves), folded into pairs of member build
-    ids (_box_listing) and mapped to key order.
+    Edges are found by index arithmetic over the fiber pools
+    (_box_edge_batches), as pairs of member build ids (_box_listing), and
+    encoded in key order (_edge_array) as they come, one batch at a time.
     """
     deg = _check_degree(params)
     n = _check_box(params, box)
@@ -874,9 +904,27 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
     vertices = _listed_members(params, box, listing)
     keys, offsets, pos = listing.keys, listing.offsets, listing.pos
     del listing  # drops the pool table's key texts before the edge pass
+    pairs = chain.from_iterable(_box_edge_batches(params, box, offsets))
+    return BallGraph(
+        params=params,
+        vertices=vertices,
+        keys=keys,
+        edges=_edge_array(len(keys), pos, pairs),
+        cube=box.cube,
+    )
+
+
+def _box_edge_batches(params: GraphParams, box: Box, offsets: dict) -> Iterator[list]:
+    """The edges of a box as lists of build-id pairs, one list per cube point and half move.
+
+    For each cube point and half move (_half_move_vectors) whose target
+    point is in the cube, the edges are the product over coordinates of the
+    moves of pool positions (_position_moves), folded into pairs of member
+    build ids: offsets[point] plus a mixed-radix number over the pool
+    positions, the last coordinate fastest (_box_listing).
+    """
     q, d = params.q, params.d
     vectors = _half_move_vectors(d, params.k)
-    edges = []
     for point, offset in offsets.items():
         depths = _fiber_depths(box, point)
         for vec in vectors:
@@ -893,17 +941,7 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
                 pairs = [(a + t, b + u) for a, b in pairs for t, u in moves]
                 src_stride *= q**depth
                 tgt_stride *= q ** (depth + change)
-            for a, b in pairs:
-                a, b = pos[a], pos[b]
-                edges.append((a, b) if a < b else (b, a))
-    edges.sort()
-    return BallGraph(
-        params=params,
-        vertices=vertices,
-        keys=keys,
-        edges=tuple(edges),
-        cube=box.cube,
-    )
+            yield pairs
 
 
 def sphere_sizes(g: BallGraph) -> "tuple[int, ...]":
@@ -919,23 +957,42 @@ def sphere_sizes(g: BallGraph) -> "tuple[int, ...]":
     return tuple(out)
 
 
-def _height_labels(vertices) -> "list[str]":
+def _height_labels(vertices) -> Iterator[str]:
     """Each vertex's heights as "h_1,...,h_d", in the order given.
 
     The text is built once per distinct height tuple, since all members of
-    a fiber, and many vertices of a ball, share one.
+    a fiber, and many vertices of a ball, share one. A TreeVertex is a
+    tuple whose first field is its level, so next(zip(*coords)) is the
+    height tuple.
     """
     label = LazyDict(lambda hs: ",".join(map(str, hs)))
-    return [label[tuple([c.level for c in v.coords])] for v in vertices]
+    return (label[next(zip(*v.coords))] for v in vertices)
+
+
+# items per chunk of a graph export, so that a chunk's text and the list of
+# item strings its join holds stay a few hundred kB at most
+_CHUNK_ITEMS = 2048
+
+
+def dot_chunks(g: BallGraph) -> Iterator[str]:
+    """The DOT export of g as text chunks of up to _CHUNK_ITEMS lines each.
+
+    The chunks concatenate to export_dot(g); no list of all the lines and
+    no whole-payload string is built.
+    """
+    keys, size = g.keys, _CHUNK_ITEMS
+    yield "graph dl {\n"
+    rows = zip(keys, _height_labels(g.vertices))
+    while chunk := "".join([f'  "{key}" [heights="{hs}"];\n' for key, hs in islice(rows, size)]):
+        yield chunk
+    pairs = edge_pairs(g)
+    while chunk := "".join([f'  "{keys[i]}" -- "{keys[j]}";\n' for i, j in islice(pairs, size)]):
+        yield chunk
+    yield "}\n"
 
 
 def export_dot(g: BallGraph) -> str:
-    keys = g.keys
-    lines = ["graph dl {"]
-    lines += [f'  "{key}" [heights="{hs}"];' for key, hs in zip(keys, _height_labels(g.vertices))]
-    lines += [f'  "{keys[i]}" -- "{keys[j]}";' for i, j in g.edges]
-    lines.append("}\n")
-    return "\n".join(lines)
+    return "".join(dot_chunks(g))
 
 
 def json_payload(obj) -> str:
@@ -943,32 +1000,44 @@ def json_payload(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def export_json(g: BallGraph) -> str:
-    """The bytes json_payload writes for the graph, written as text directly.
+def json_chunks(g: BallGraph) -> Iterator[str]:
+    """The JSON export of g as text chunks of up to _CHUNK_ITEMS edges or vertices each.
 
-    Keys are in sorted order at every level. Vertex keys and the center key
-    come from tree_key and dl_key, which emit only digits, '-', ':', '=',
-    ',' and '|', so no string needs JSON escaping.
+    The chunks concatenate to export_json(g): every chunk of a list but
+    its first starts with the comma between items. Keys are in sorted
+    order at every level: center, cube, edges, params, radius, vertices.
+    Vertex keys and the center key come from tree_key and dl_key, which
+    emit only digits, '-', ':', '=', ',' and '|', so no string needs JSON
+    escaping.
     """
-    records = ",".join(
-        [
-            f'{{"heights":[{hs}],"key":"{key}"}}'
-            for key, hs in zip(g.keys, _height_labels(g.vertices))
-        ]
-    )
-    edges = ",".join([f"[{i},{j}]" for i, j in g.edges])
-    p = g.params
-    parts = ["{"]
+    p, size = g.params, _CHUNK_ITEMS
+    head = "{"
     if g.center is not None:
-        parts.append(f'"center":"{dl_key(g.center)}",')
+        head += f'"center":"{dl_key(g.center)}",'
     if g.cube is not None:
         intervals = ",".join(f"[{a},{b}]" for a, b in g.cube.intervals)
-        parts.append(f'"cube":{{"intervals":[{intervals}],"k":{g.cube.k}}},')
-    parts.append(f'"edges":[{edges}],"params":{{"d":{p.d},"k":{p.k},"q":{p.q}}},')
+        head += f'"cube":{{"intervals":[{intervals}],"k":{g.cube.k}}},'
+    yield head + '"edges":['
+    pairs, lead = edge_pairs(g), ""
+    while chunk := ",".join([f"[{i},{j}]" for i, j in islice(pairs, size)]):
+        yield lead + chunk
+        lead = ","
+    middle = f'],"params":{{"d":{p.d},"k":{p.k},"q":{p.q}}},'
     if g.center is not None:
-        parts.append(f'"radius":{g.radius},')
-    parts.append(f'"vertices":[{records}]}}\n')
-    return "".join(parts)
+        middle += f'"radius":{g.radius},'
+    yield middle + '"vertices":['
+    rows, lead = zip(g.keys, _height_labels(g.vertices)), ""
+    while chunk := ",".join(
+        [f'{{"heights":[{hs}],"key":"{key}"}}' for key, hs in islice(rows, size)]
+    ):
+        yield lead + chunk
+        lead = ","
+    yield "]}\n"
+
+
+def export_json(g: BallGraph) -> str:
+    """The bytes json_payload writes for the graph, written as text directly (json_chunks)."""
+    return "".join(json_chunks(g))
 
 
 # ---------------------------------------------------------------------------
@@ -1044,12 +1113,42 @@ def _reached(f: int, depths: dict) -> str:
 
 
 def _state_bound(k: int, state: tuple) -> int:
-    """ceil(sum of c / k): no move lowers it by more than 1 (_state_moves).
+    """A lower bound on _state_distance that no move lowers by more than 1.
+
+    For k > 1 it is ceil(sum of c / k) (_state_moves). At k = 1 it is the
+    sum of c plus the deficit of a greedy schedule. Every climb must be
+    paired with a descent elsewhere, and a descent is free only along a
+    target line, below a meet already reached. Pairs with c = 0 absorb
+    their e that way; a pair is visited by climbing its c, after which it
+    absorbs its e, so it nets e - c. The schedule visits the pairs with
+    e >= c by c ascending, then the rest by e descending, and the deficit
+    is the most that one visit's c exceeds what is absorbed before it.
+    The state is in _canonical_state's order, at k = 1 sorted by c, so one
+    pass meets the c = 0 pairs first and the others by c ascending.
 
     Heights sum to 0 at both ends, so the sums of c and e are equal, and
     the bound is 0 only at the goal.
     """
-    return -(-sum(c for c, _ in state) // k)
+    if k > 1:
+        return -(-sum([c for c, _ in state]) // k)
+    total = absorbed = deficit = 0
+    losses = []
+    for c, e in state:
+        total += c
+        if not c:
+            absorbed += e
+        elif c <= e:
+            if c - absorbed > deficit:
+                deficit = c - absorbed
+            absorbed += e - c
+        else:
+            losses.append((-e, c))
+    losses.sort()  # by e descending
+    for minus_e, c in losses:
+        if c - absorbed > deficit:
+            deficit = c - absorbed
+        absorbed -= minus_e + c
+    return total + deficit
 
 
 def _climb(pair: tuple, m: int) -> tuple:

@@ -35,6 +35,7 @@ generating set.
 
 from __future__ import annotations
 
+from array import array
 from functools import reduce
 from itertools import product
 from typing import NamedTuple, Optional, Sequence
@@ -62,6 +63,7 @@ from .dlgraph import (
     ball,
     base_vertex,
     dl_key,
+    edge_pairs,
     expected_degree,
     graph_params,
     sphere_sizes,
@@ -346,8 +348,8 @@ def validate_correspondence(params: RingParams, radius: int) -> CorrespondenceRe
     straight off the word-ball state by one _image_reader; an element is
     converted to its normal form only to be named in a failure message.
     """
-    cayley_edges = []
-    found, depths = _word_ball(params, radius, generators(params), cayley_edges)
+    cayley_ends = array("q")
+    found, depths = _word_ball(params, radius, generators(params), cayley_ends)
     gb = ball(base_vertex(graph_params(params.d, params.q, 1)), radius)
     position = {v.coords: p for p, v in enumerate(gb.vertices)}
     read = _image_reader(params)
@@ -377,21 +379,22 @@ def validate_correspondence(params: RingParams, radius: int) -> CorrespondenceRe
                     f"word length {dep} versus graph distance {gb.depths[p]} for {name(i)}"
                 )
 
-    graph_edges = set(gb.edges)
-    mapped = set()
-    for i, j in cayley_edges:
+    # each graph edge, and whether no Cayley edge has been mapped onto it
+    unmapped = dict.fromkeys(edge_pairs(gb), True)
+    it = iter(cayley_ends)
+    for i, j in zip(it, it):
         a, b = image[i], image[j]
         if a is None or b is None:
             continue  # an endpoint has already failed
         e = (a, b) if a < b else (b, a)
-        if e in graph_edges:
-            mapped.add(e)
+        if e in unmapped:
+            unmapped[e] = False
         else:
             failures.append(f"edge {name(i)} -> {name(j)} not preserved")
     failures += [
         f"graph edge {gb.keys[a]} -- {gb.keys[b]} has no preimage"
-        for a, b in gb.edges
-        if (a, b) not in mapped
+        for (a, b), left in unmapped.items()
+        if left
     ]
 
     return CorrespondenceReport(

@@ -40,6 +40,7 @@ from dllab.dlgraph import (
     cube_contains,
     dl_key,
     dl_vertex,
+    edge_pairs,
     graph_params,
     heights,
     json_payload,
@@ -266,7 +267,7 @@ def export_dot_by_lines(g) -> str:
     for key, v in zip(g.keys, g.vertices):
         hs = ",".join(str(h) for h in heights(v))
         lines.append(f'  "{key}" [heights="{hs}"];')
-    for i, j in g.edges:
+    for i, j in edge_pairs(g):
         lines.append(f'  "{g.keys[i]}" -- "{g.keys[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -280,7 +281,7 @@ def export_json_by_dumps(g) -> str:
             {"key": key, "heights": list(heights(v))}
             for key, v in zip(g.keys, g.vertices)
         ],
-        "edges": [list(e) for e in g.edges],
+        "edges": [list(e) for e in edge_pairs(g)],
     }
     if g.center is not None:
         payload["center"] = dl_key(g.center)

@@ -1,6 +1,7 @@
 """Tests for the dllab command-line interface."""
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -98,6 +99,73 @@ class TestGraphCommand:
 
     def test_csv_format_rejected(self, capsys):
         assert run_cli(["graph", "--d", "2", "--q", "2", "--radius", "1", "--format", "csv"]) == 2
+
+
+GRAPH_GRID = [(d, q, k) for d in (2, 3) for q in (2, 3) for k in (1, 2, 3)]
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestChunkedGraphPayload:
+    """`graph` writes dlgraph's export chunks as they come, to stdout or --out."""
+
+    @pytest.mark.parametrize("d,q,k", GRAPH_GRID)
+    def test_stdout_and_out_bytes_are_the_exports(self, capsys, monkeypatch, tmp_path, d, q, k):
+        # one-vertex balls and boxes, the radius-1 ball and the side-k box
+        # (up to 1000 members), each written with chunks of n - 1, n, n + 1,
+        # m - 1, m and m + 1 items, n and m its vertex and edge counts: the
+        # bytes are export_dot's and export_json's at the default chunk size
+        p = dlgraph.graph_params(d, q, k)
+        graphs = {("--radius", r): dlgraph.ball(dlgraph.base_vertex(p), r) for r in (0, 1)}
+        for h in (0, k):
+            box = dlgraph.side_box(p, h)
+            if dlgraph.box_size(p, box) <= 1000:
+                graphs["--h", h] = dlgraph.box_graph(p, box)
+        assert len(graphs) >= 3
+        for (flag, value), g in graphs.items():
+            argv = ["graph", "--d", str(d), "--q", str(q), "--k", str(k), flag, str(value)]
+            # compared by digest: pytest would diff two long JSON lines character by character
+            want = {"dot": sha(dlgraph.export_dot(g)), "json": sha(dlgraph.export_json(g))}
+            n, m = len(g.vertices), len(g.edges)
+            for size in sorted({n - 1, n, n + 1, m - 1, m, m + 1} - {-1, 0}):
+                monkeypatch.setattr(dlgraph, "_CHUNK_ITEMS", size)
+                for fmt, digest in want.items():
+                    assert run_cli([*argv, "--format", fmt]) == 0
+                    out, err = capsys.readouterr()
+                    assert (sha(out), err) == (digest, "")
+                    target = tmp_path / f"graph.{fmt}"
+                    assert run_cli([*argv, "--format", fmt, "--out", str(target)]) == 0
+                    assert sha(target.read_bytes().decode()) == digest
+                    assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_payload_is_written_chunk_by_chunk(self, monkeypatch, fmt):
+        # the payload reaches stdout as a lazy run of chunks of at most 16
+        # items, never as one string; the chunks join to the export
+        class Sink:
+            def __init__(self):
+                self.chunks = []
+
+            def writelines(self, chunks):
+                assert not isinstance(chunks, (str, list, tuple))
+                for chunk in chunks:
+                    self.chunks.append(chunk)
+
+        sink = Sink()
+        monkeypatch.setattr(dlgraph, "_CHUNK_ITEMS", 16)
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert run_cli(["graph", "--d", "2", "--q", "2", "--h", "4", "--format", fmt]) == 0
+        monkeypatch.undo()
+        p = dlgraph.graph_params(2, 2)
+        g = dlgraph.box_graph(p, dlgraph.side_box(p, 4))
+        want = dlgraph.export_json(g) if fmt == "json" else dlgraph.export_dot(g)
+        assert sha("".join(sink.chunks)) == sha(want)
+        # 80 vertices and 128 edges: 5 + 8 chunks of items, and the fixed parts
+        assert (len(g.vertices), len(g.edges)) == (80, 128)
+        assert len(sink.chunks) == (15 if fmt == "dot" else 16)
+        assert max(map(len, sink.chunks)) < len("".join(sink.chunks)) / 4
 
 
 class TestVerifyCommand:
@@ -539,6 +607,33 @@ class TestOversizedBoxes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {error}, budget 500000\n"
+
+    def test_ratio_too_large_for_a_float_refused_before_any_row(self, capsys, monkeypatch, tmp_path):
+        # the chain CSV writes each ratio as its float's repr: at shift:1023
+        # the ratios are near the largest float and print as before; at
+        # shift:1100 they are about 2**1100, so the side and the column are
+        # named and no row, and no --out file, is written
+        chain = ["qilab", "--d", "2", "--q", "2", "--k", "1", "--h", "2"]
+        assert run_cli([*chain, "--map", "shift:1023,id"]) == 0
+        out = capsys.readouterr().out
+        assert sha(out) == (
+            "6b0b9da868c05023cdd27d5ca0af09ac47f17441b39a7cc43f433111cdf7f244"
+        )
+        assert out.endswith(",1.348269851146737e+308,8.98846567431158e+307\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain row was written")
+
+        monkeypatch.setattr(cli, "_csv_payload", refuse)
+        target = tmp_path / "chain.csv"
+        for h, out_flag in (("2", []), ("1,2", ["--out", str(target)])):
+            argv = [*chain[:-1], h, "--map", "shift:1100,id", *out_flag]
+            assert run_cli(argv) == 2
+            side = h.split(",")[0]
+            assert capsys.readouterr() == (
+                "", f"error: side {side}: ratio_boundary is too large to write as a float\n"
+            )
+        assert not target.exists()
 
     def test_printable_count_keeps_its_digits(self, capsys):
         # 5001 * 2**5000, 1,510 digits, is printed in full as before

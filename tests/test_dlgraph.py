@@ -8,9 +8,12 @@ fully materialized vertex sets wherever they fit in memory.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
 import json
 import random
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,6 +45,7 @@ from dllab.dlgraph import (
     dl_key,
     dl_neighbors,
     dl_vertex,
+    edge_pairs,
     expected_degree,
     export_dot,
     export_json,
@@ -226,10 +230,10 @@ def test_adjacency_matches_neighbor_sets(d, q, k):
 def test_ball_examples(monkeypatch):
     p = graph_params(2, 2)
     g0 = ball(base_vertex(p), 0)
-    assert len(g0.vertices) == 1 and g0.edges == ()
+    assert len(g0.vertices) == 1 and list(edge_pairs(g0)) == []
     g1 = ball(base_vertex(p), 1)
     assert len(g1.vertices) == 5
-    assert len(g1.edges) == 4
+    assert list(edge_pairs(g1)) == [(0, 2), (1, 2), (2, 3), (2, 4)]
     assert sphere_sizes(g1) == (1, 4)
     monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 10)
     with pytest.raises(BudgetError, match=r"budget 10: 11 vertices reached at depth 2"):
@@ -676,10 +680,18 @@ def reference_edges(vertices):
 
 
 def assert_same_graph(g, ref):
+    """g against ref, a BallGraph whose edges are reference_edges' pairs.
+
+    g's edges are read through the decoder (edge_pairs); ref is then
+    encoded (_edge_array) to compare the whole records and their exports.
+    """
     assert g.keys == ref.keys
     assert g.vertices == ref.vertices
     assert g.depths == ref.depths
-    assert g.edges == ref.edges
+    assert tuple(edge_pairs(g)) == ref.edges
+    n = len(ref.keys)
+    ref = ref._replace(edges=dlgraph._edge_array(n, range(n), ref.edges))
+    assert tuple(edge_pairs(ref)) == tuple(edge_pairs(g))
     assert g == ref
     assert export_dot(g) == export_dot(ref) == export_dot_by_lines(ref)
     assert export_json(g) == export_json(ref) == export_json_by_dumps(ref)
@@ -701,6 +713,75 @@ def test_exports_match_the_oracle_writers(d, q, k):
     for g in graphs:
         assert export_dot(g) == export_dot_by_lines(g)
         assert export_json(g) == export_json_by_dumps(g)
+
+
+def sha(text):
+    """A digest to compare payloads by: a failed comparison of two long
+    one-line JSON strings would make pytest diff them character by character."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def oracle_graphs(p, most=600):
+    """Balls of radius 0..2 and boxes of side 0, k and 2k with at most `most` vertices.
+
+    Radius 0 and side 0 are the one-vertex graphs, which have no edges. A
+    ball is built under a vertex budget of `most`, so a larger one stops early.
+    """
+    graphs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", most)
+        for r in (0, 1, 2):
+            with contextlib.suppress(BudgetError):
+                graphs.append(ball(base_vertex(p), r))
+    boxes = [dlgraph.side_box(p, m * p.k) for m in (0, 1, 2)]
+    return graphs + [box_graph(p, box) for box in boxes if box_size(p, box) <= most]
+
+
+@pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
+def test_edges_are_one_int_each(d, q, k):
+    # BallGraph.edges holds 8 bytes per item and one item per edge, with no
+    # spare room, and the decoder reads back reference_edges' pairs
+    for g in oracle_graphs(graph_params(d, q, k)):
+        pairs = tuple(edge_pairs(g))
+        assert pairs == reference_edges(g.vertices)
+        assert type(g.edges) is array and g.edges.typecode == "q" and g.edges.itemsize == 8
+        assert len(g.edges) == len(pairs)
+        assert sys.getsizeof(g.edges) == sys.getsizeof(array("q")) + 8 * len(pairs)
+
+
+def test_edge_codes_round_trip():
+    # the encoder maps ids to key positions, orders each pair and sorts the
+    # edges; the decoder gives the key-position pairs back
+    rng = random.Random(0)
+    for n in (1, 2, 3, 17, 500):
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)} if n > 1 else set()
+        ids = list(range(n))
+        rng.shuffle(ids)  # pos: id -> key position
+        pos = [0] * n
+        for p, i in enumerate(ids):
+            pos[i] = p
+        given = [(ids[i], ids[j]) if rng.random() < 0.5 else (ids[j], ids[i]) for i, j in pairs]
+        g = BallGraph(graph_params(2, 2), (None,) * n, ("",) * n, dlgraph._edge_array(n, pos, given))
+        assert list(edge_pairs(g)) == sorted(pairs)
+        assert list(g.edges) == sorted(i * n + j for i, j in pairs)
+
+
+@pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
+def test_export_chunks_concatenate_at_every_chunk_boundary(monkeypatch, d, q, k):
+    # with n vertices and m edges, chunks of n - 1, n, n + 1, m - 1, m and
+    # m + 1 items put each count either side of a chunk boundary; the joined
+    # chunks are the oracle bytes, and besides its fixed parts (two in DOT,
+    # three in JSON) each format writes ceil(n / size) + ceil(m / size) chunks
+    for g in oracle_graphs(graph_params(d, q, k)):
+        n, m = len(g.vertices), len(g.edges)
+        dot, js = sha(export_dot_by_lines(g)), sha(export_json_by_dumps(g))
+        for size in sorted({1, 2, n - 1, n, n + 1, m - 1, m, m + 1} - {-1, 0}):
+            monkeypatch.setattr(dlgraph, "_CHUNK_ITEMS", size)
+            chunks = {"dot": list(dlgraph.dot_chunks(g)), "json": list(dlgraph.json_chunks(g))}
+            assert sha("".join(chunks["dot"])) == sha(export_dot(g)) == dot
+            assert sha("".join(chunks["json"])) == sha(export_json(g)) == js
+            runs = -(-n // size) + -(-m // size)
+            assert (len(chunks["dot"]), len(chunks["json"])) == (2 + runs, 3 + runs)
 
 
 @pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
@@ -1206,12 +1287,14 @@ FAR_STATES = (
     (((5, 5),) * 5, 35),
     (((4, 6), (5, 5), (6, 4), (7, 7)), 30),
     (((0, 0), (0, 0), (8, 8), (8, 8)), 24),
+    (((6, 6),) * 6, 48),
 )
 
 
-@pytest.mark.parametrize("state,dist", FAR_STATES, ids=["5x55", "46-55-64-77", "00-00-88-88"])
+@pytest.mark.parametrize("state,dist", FAR_STATES, ids=["5x55", "46-55-64-77", "00-00-88-88", "6x66"])
 def test_far_states_within_the_default_limits(cold_memo, state, dist):
-    # a two-frontier search stores over 200,000 states on the first of these
+    # a two-frontier search stores over 200,000 states on the first of these;
+    # an A* search by ceil(sum of c) alone stores over 200,000 on the last
     assert dlgraph._state_distance(1, state) == dist
     u, v = pair_with_signature(graph_params(len(state), 2), state)
     assert dlgraph._pair_signature(u, v) == state

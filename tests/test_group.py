@@ -20,6 +20,7 @@ from dllab.dlgraph import (
     ball,
     base_vertex,
     dl_key,
+    edge_pairs,
     graph_params,
     sphere_sizes,
 )
@@ -253,7 +254,7 @@ def unswappable_pair(gb, depth):
     edges within the sphere or beyond it tell the two apart.
     """
     nbrs = [set() for _ in gb.vertices]
-    for i, j in gb.edges:
+    for i, j in edge_pairs(gb):
         nbrs[i].add(j)
         nbrs[j].add(i)
     level = [i for i, dep in enumerate(gb.depths) if dep == depth]
@@ -301,18 +302,25 @@ WORD_BALL_CASES = [
 ]
 
 
+def end_pairs(ends):
+    """The (i, j) pairs of a flat edge-end list, as _layered_bfs appends them."""
+    it = iter(ends)
+    return list(zip(it, it))
+
+
 def multiply_word_ball(params, radius, gens):
     """The word ball by the general group law: multiply and element_key.
 
     The edges within the outer sphere come from a full step over it, each
     kept from its endpoint with the smaller id, at every d.
     """
-    edges = []
+    ends = []
 
     def step(g):
         return [multiply(g, s) for s in gens]
 
-    found, ids, depths = _layered_bfs(identity(params), radius, step, "elements", edges)
+    found, ids, depths = _layered_bfs(identity(params), radius, step, "elements", ends)
+    edges = end_pairs(ends)
     for i, (g, dep) in enumerate(zip(found, depths)):
         if dep == radius:
             for j in map(ids.get, step(g)):
@@ -326,13 +334,13 @@ def test_digit_word_ball_matches_multiply(d, q, k, radius):
     p = ring_params(q, d)
     gens = subgroup_generators(p, k)
     found, depths, edges = multiply_word_ball(p, radius, gens)
-    got_edges = []
-    states, got_depths = group._word_ball(p, radius, gens, got_edges)
+    got_ends = []
+    states, got_depths = group._word_ball(p, radius, gens, got_ends)
     assert states == [(g.exps, partial_fractions(g.P)) for g in found]
     assert [group._element(p, st) for st in states] == found
     assert got_depths == depths
     # the outer sphere's edges come in another order, each listed once
-    assert sorted(got_edges) == sorted(edges)
+    assert sorted(end_pairs(got_ends)) == sorted(edges)
     cb = cayley_ball(p, radius, gens=gens)
     assert cb.keys == tuple(sorted(element_key(g) for g in found))
     assert [element_key(g) for g in cb.elements] == list(cb.keys)
