@@ -49,6 +49,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 
 from . import dlgraph, group, qilab
@@ -96,9 +97,9 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _cells(record, fraction=str) -> dict:
-    """A result record's fields as payload cells, each Fraction written by `fraction`."""
-    return {f: fraction(v) if isinstance(v, Fraction) else v for f, v in record._asdict().items()}
+def _cells(record, fraction=lambda v, field: str(v)) -> dict:
+    """A result record's fields as payload cells, each Fraction written by fraction(v, field)."""
+    return {f: fraction(v, f) if isinstance(v, Fraction) else v for f, v in record._asdict().items()}
 
 
 def _csv_payload(header, rows) -> str:
@@ -420,12 +421,24 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # qilab subcommand
 
-def _float_repr(v: Fraction, what: str) -> str:
-    """repr(float(v)), or a ValueError naming `what` when v is too large for a float."""
+def _float_repr(v: Fraction, field: str, side: int) -> str:
+    """repr(float(v)), or a ValueError naming the side and field when v is too large for a float."""
     try:
         return repr(float(v))
     except OverflowError:
-        raise ValueError(f"{what} is too large to write as a float") from None
+        raise ValueError(f"side {side}: {field} is too large to write as a float") from None
+
+
+def _printable_power(q: int, e: int, what: str) -> int:
+    """q**e (q >= 2, e >= 0), about to be printed, once str() can print it (dlgraph._printable).
+
+    q**e >= 2**(e * (bit_length(q) - 1)), which passes 10**limit once that
+    exponent reaches 4 * limit, so such a power is refused unbuilt.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and e * (q.bit_length() - 1) >= 4 * limit:
+        q, e = 10, limit  # the least integer refused, a stand-in far shorter than q**e
+    return dlgraph._printable(q**e, what)
 
 
 def _chain_csv(records) -> str:
@@ -434,13 +447,7 @@ def _chain_csv(records) -> str:
     Every row is made before any is written, so a ratio too large for a
     float is refused, by side and column, with no row written.
     """
-    rows = [
-        [
-            _float_repr(v, f"side {r.h}: {f}") if isinstance(v, Fraction) else v
-            for f, v in r._asdict().items()
-        ]
-        for r in records
-    ]
+    rows = [_cells(r, partial(_float_repr, side=r.h)).values() for r in records]
     return _csv_payload(qilab.ChainRecord._fields, rows)
 
 
@@ -449,9 +456,10 @@ def _qilab_chain(args, params, imap) -> "tuple[str, list, list]":
     if args.k is not None:
         target = args.k
     else:
-        inv = 1 / imap.lam_product()
-        # printed in the summary, so checked before the scan
-        dlgraph._printable(max(inv.numerator, inv.denominator), "chain target 1/lambda")
+        # printed in the summary, so checked, by its exponent, before it is built
+        e = -imap.lam_exponent()
+        _printable_power(params.q, abs(e), "chain target 1/lambda")
+        inv = Fraction(params.q) ** e
         if inv.denominator != 1:
             raise ValueError(
                 f"1/lambda = {inv} is not an integer; pass an explicit --k target"
@@ -491,7 +499,7 @@ def _qilab_audit(args, params, imap) -> "tuple[str, list, list]":
         raise ValueError(f"audit mode writes csv or json, not {args.format!r}")
     h_values = _parse_h_list("4" if args.h is None else args.h)
     # the bounds hold only from the least radius on, so a smaller --r is a usage error
-    bilip = dlgraph._printable(imap.bilip_max(), "the bilipschitz constant K")
+    bilip = _printable_power(params.q, imap.bilip_exponent(), "the bilipschitz constant K")
     least = qilab.audit_radius(params.q, bilip)
     if args.r is not None and args.r < least:
         raise ValueError(f"audit mode needs --r >= {least}, the least r >= 1 with "
@@ -562,6 +570,8 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, list]":
     n_pairs = args.pairs if args.pairs is not None else 30
     if n_pairs < 1:
         raise ValueError(f"need at least one sample pair, got {n_pairs}")
+    # each pair costs two distance searches, so the count is held to the budget
+    dlgraph._within_budget(n_pairs, "sample has {} pairs")
     box = side_box(params, h)
     members = dlgraph._listed_members(params, box, dlgraph._box_listing(params, box))
     table = qilab.psi_eval(imap, members)

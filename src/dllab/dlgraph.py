@@ -31,8 +31,9 @@ tree vertex and m in 0..k, its descendants m levels down and its ancestor
 m levels up (its children and parent at m = 1), each built on first use.
 Many graph vertices share a tree coordinate, so each move is built once
 per ball; the table is dropped when the ball returns. A box graph keeps
-none: its members are products of descendant pools, so it finds each
-edge's endpoints by their pool positions (box_graph).
+none: it reads the same move rule once, over integer heights
+(_height_moves), and since its members are products of descendant pools,
+it finds each edge's endpoints by their pool positions (box_graph).
 
 Exact distances, for every k, are found by a search over per-coordinate
 heights above the meets, which builds no graph vertex and does not depend
@@ -352,6 +353,18 @@ def _move_table(params: GraphParams) -> _MoveTable:
     return _MoveTable(tuple(downs), tuple(ups))
 
 
+def _height_moves(k: int) -> _MoveTable:
+    """The tree moves seen through the height map: a _MoveTable on integer heights.
+
+    Descending m levels adds m to a height and climbing m subtracts it, so
+    _neighbor_coords over this table lists each move once, as its heights.
+    """
+    return _MoveTable(
+        tuple(LazyDict(lambda h, m=m: (h + m,)) for m in range(k + 1)),
+        tuple(LazyDict(lambda h, m=m: h - m) for m in range(k + 1)),
+    )
+
+
 def _neighbor_coords(moves: _MoveTable, coords: tuple, half: bool = False) -> "list[tuple]":
     """The coordinate tuples of the neighbours of a vertex, in a fixed order.
 
@@ -655,7 +668,7 @@ def edge_pairs(g: BallGraph) -> Iterator["tuple[int, int]"]:
 # box's _pool_table), since many vertices share a coordinate.
 
 
-def _induced_edges(nodes, index, half_step, start: int = 0) -> array:
+def _induced_edges(nodes, index, half_step, start: int) -> array:
     """The edges among nodes[start:], each listed once, as a flat array('q') of ids i, j, i < j.
 
     half_step(x) yields the neighbours of the hashable node x such that
@@ -853,25 +866,6 @@ def _listed_members(params: GraphParams, box: Box, listing: _BoxListing) -> tupl
     return tuple(map(members.__getitem__, listing.order))
 
 
-def _half_move_vectors(d: int, k: int) -> "list[tuple[int, ...]]":
-    """Per-coordinate level changes of the half moves, in _neighbor_coords' half order.
-
-    +1 on i and -1 on j for each ordinary pair i < j (from the second
-    coordinate on when k > 1), then for k > 1 the first coordinate climbing
-    k while the others descend along each composition of k.
-    """
-    lo = 0 if k == 1 else 1
-    out = []
-    for i in range(lo, d - 1):
-        for j in range(i + 1, d):
-            vec = [0] * d
-            vec[i], vec[j] = 1, -1
-            out.append(tuple(vec))
-    if k > 1:
-        out += ((-k,) + combo for combo in _compositions(k, d - 1))
-    return out
-
-
 def _position_moves(q: int, depth: int, change: int) -> "list[tuple[int, int]]":
     """(t, t') for each pool position t at depth and each tree move by change levels.
 
@@ -917,14 +911,15 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
 def _box_edge_batches(params: GraphParams, box: Box, offsets: dict) -> Iterator[list]:
     """The edges of a box as lists of build-id pairs, one list per cube point and half move.
 
-    For each cube point and half move (_half_move_vectors) whose target
-    point is in the cube, the edges are the product over coordinates of the
-    moves of pool positions (_position_moves), folded into pairs of member
-    build ids: offsets[point] plus a mixed-radix number over the pool
-    positions, the last coordinate fastest (_box_listing).
+    For each cube point and half move (_neighbor_coords' half step from the
+    zero heights, over _height_moves) whose target point is in the cube,
+    the edges are the product over coordinates of the moves of pool
+    positions (_position_moves), folded into pairs of member build ids:
+    offsets[point] plus a mixed-radix number over the pool positions, the
+    last coordinate fastest (_box_listing).
     """
     q, d = params.q, params.d
-    vectors = _half_move_vectors(d, params.k)
+    vectors = _neighbor_coords(_height_moves(params.k), (0,) * d, half=True)
     for point, offset in offsets.items():
         depths = _fiber_depths(box, point)
         for vec in vectors:

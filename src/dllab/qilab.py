@@ -105,7 +105,9 @@ class Shift(Record):
 
     Scales the clone measure by q**(-m) and stream distances by the same
     factor, hence contributes q**(-m) to the measure scalar and q**|m| to
-    the bilipschitz constant. Each primitive, and each map built from them,
+    the bilipschitz constant. A primitive states both as exponents of q
+    (`lam_exponent`, `bilip_exponent`), so no power is built until a map
+    asks for its constants. Each primitive, and each map built from them,
     is an immutable record.Record.
     """
 
@@ -114,11 +116,11 @@ class Shift(Record):
     def __init__(self, m: int):
         object.__setattr__(self, "m", m)
 
-    def lam(self, q: int) -> Fraction:
-        return Fraction(q) ** (-self.m)
+    def lam_exponent(self) -> int:
+        return -self.m
 
-    def bilip(self, q: int) -> int:
-        return q ** abs(self.m)
+    def bilip_exponent(self) -> int:
+        return abs(self.m)
 
     def inverse(self) -> "Shift":
         return Shift(-self.m)
@@ -153,11 +155,11 @@ class LevelPerm(Record):
         if tuple(sorted(self.perms)) != self.perms:
             raise ValueError("perms must be sorted by index")
 
-    def lam(self, q: int) -> Fraction:
-        return Fraction(1)
+    def lam_exponent(self) -> int:
+        return 0
 
-    def bilip(self, q: int) -> int:
-        return 1
+    def bilip_exponent(self) -> int:
+        return 0
 
     def inverse(self) -> "LevelPerm":
         inv = []
@@ -225,18 +227,27 @@ class PrefixRewrite(Record):
                 raise ValueError("table word of wrong length")
         if tuple(sorted(self.table)) != self.table:
             raise ValueError("table must be sorted by input word")
-        if not ins or ins != list(itertools.product(range(self._q()), repeat=width)):
+        # the count is compared first, so no more words are built than the
+        # table holds: q**width > len(ins) once width passes its bit length
+        n = len(ins)
+        q = self._q() if ins else 0
+        if (
+            q < 1
+            or (q > 1 and width > n.bit_length())
+            or q**width != n
+            or ins != list(itertools.product(range(q), repeat=width))
+        ):
             raise ValueError("table does not cover a full power alphabet")
 
     def _q(self) -> int:
         # the sorted table ends with the word of all top digits q - 1
         return self.table[-1][0][0] + 1
 
-    def lam(self, q: int) -> Fraction:
-        return Fraction(1)
+    def lam_exponent(self) -> int:
+        return 0
 
-    def bilip(self, q: int) -> int:
-        return q ** (self.hi - self.lo)
+    def bilip_exponent(self) -> int:
+        return self.hi - self.lo
 
     def inverse(self) -> "PrefixRewrite":
         return PrefixRewrite(
@@ -306,19 +317,21 @@ class BoundaryMap(Record):
         for p in self.prims:
             p.check_alphabet(self.q)
 
+    def lam_exponent(self) -> int:
+        """e with lam() == q**e: the primitives' exponents add."""
+        return sum(p.lam_exponent() for p in self.prims)
+
+    def bilip_exponent(self) -> int:
+        """e with bilip() == q**e: the primitives' exponents add."""
+        return sum(p.bilip_exponent() for p in self.prims)
+
     def lam(self) -> Fraction:
         """Exact measure scalar: images of clones shrink by this factor."""
-        out = Fraction(1)
-        for p in self.prims:
-            out *= p.lam(self.q)
-        return out
+        return Fraction(self.q) ** self.lam_exponent()
 
     def bilip(self) -> int:
         """A bilipschitz constant for the stream ultrametric (not sharp)."""
-        out = 1
-        for p in self.prims:
-            out *= p.bilip(self.q)
-        return out
+        return self.q ** self.bilip_exponent()
 
     def inverse(self) -> "BoundaryMap":
         return BoundaryMap(self.q, tuple(p.inverse() for p in reversed(self.prims)))
@@ -541,14 +554,19 @@ class InteriorMap(Record):
             if m.q != self.params.q:
                 raise ValueError("coordinate map alphabet differs from q")
 
+    def lam_exponent(self) -> int:
+        """e with lam_product() == q**e: the coordinates' exponents add."""
+        return sum(m.lam_exponent() for m in self.maps)
+
+    def bilip_exponent(self) -> int:
+        """e with bilip_max() == q**e: the largest coordinate exponent."""
+        return max(m.bilip_exponent() for m in self.maps)
+
     def lam_product(self) -> Fraction:
-        out = Fraction(1)
-        for m in self.maps:
-            out *= m.lam()
-        return out
+        return Fraction(self.params.q) ** self.lam_exponent()
 
     def bilip_max(self) -> int:
-        return max(m.bilip() for m in self.maps)
+        return self.params.q ** self.bilip_exponent()
 
 
 def interior_map(params: GraphParams, maps) -> InteriorMap:
@@ -966,7 +984,9 @@ def distortion(table: dict, n_pairs: int = 30, seed: int = 0) -> DistortionRepor
     Samples vertex pairs from the table domain, compares source and image
     distances, and reports the smallest K with d' <= K d and d <= K d' on
     every sampled pair with both distances positive, plus the additive
-    slack C absorbing degenerate pairs.  When domain and image share
+    slack C absorbing degenerate pairs: the largest d' over pairs with
+    d = 0 and the largest d / K over pairs with d' = 0.  Only running
+    maxima are kept, never a list per pair.  When domain and image share
     parameters, also reports the max displacement over the whole table.
     Pairs are drawn by table position, so callers pass the table in
     `dl_key` order of its domain, as `dlgraph._box_listing` and
@@ -980,26 +1000,23 @@ def distortion(table: dict, n_pairs: int = 30, seed: int = 0) -> DistortionRepor
     if len(items) < 2:
         raise ValueError("need at least two table entries")
     rng = random.Random(seed)
-    ratios = []
-    degenerate = []
+    k_est = Fraction(1)
+    # the largest d' where d = 0, and the largest d where d' = 0
+    worst_dt = worst_ds = 0
     for _ in range(n_pairs):
         i, j = rng.sample(range(len(items)), 2)
         (u, fu), (v, fv) = items[i], items[j]
         ds = dl_distance(u, v)
         dt = dl_distance(fu, fv)
         if ds > 0 and dt > 0:
-            ratios.append(Fraction(dt, ds))
-            ratios.append(Fraction(ds, dt))
+            k_est = max(k_est, Fraction(max(ds, dt), min(ds, dt)))
+        elif ds == 0:
+            worst_dt = max(worst_dt, dt)
         else:
-            degenerate.append((ds, dt))
-    k_est = max(ratios) if ratios else Fraction(1)
-    c_est = Fraction(0)
-    for ds, dt in degenerate:
-        c_est = max(c_est, Fraction(dt) - k_est * ds, Fraction(ds) / k_est - dt)
+            worst_ds = max(worst_ds, ds)
+    c_est = max(Fraction(worst_dt), Fraction(worst_ds) / k_est)
     max_disp = None
     u0, f0 = items[0]
     if u0.params == f0.params:
         max_disp = max(dl_distance(x, y) for x, y in items)
-    return DistortionReport(
-        pairs=n_pairs, k_est=k_est, c_est=max(c_est, Fraction(0)), max_displacement=max_disp
-    )
+    return DistortionReport(pairs=n_pairs, k_est=k_est, c_est=c_est, max_displacement=max_disp)

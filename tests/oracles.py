@@ -16,7 +16,8 @@ step, beside the word-ball states of `group.index_check`; and the graph
 exports as a line list per vertex and a `json.dumps` over a dict tree,
 beside the direct text writers `dlgraph.export_dot` and `dlgraph.export_json`,
 and the tile-map CSV by the csv module, beside the rows that `cli` writes
-as text.
+as text; and the distortion estimates from a list of every sampled ratio
+and degenerate pair, beside the running maxima of `qilab.distortion`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import random
+from fractions import Fraction
 from functools import partial
 
 from dllab import group
@@ -38,6 +41,7 @@ from dllab.dlgraph import (
     _move_table,
     _neighbor_coords,
     cube_contains,
+    dl_distance,
     dl_key,
     dl_vertex,
     edge_pairs,
@@ -301,3 +305,26 @@ def umap_csv_by_writer(rows) -> str:
     writer.writerow(["key", "image_key", "displacement"])
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def distortion_by_lists(table: dict, n_pairs: int, seed: int) -> "tuple[Fraction, Fraction]":
+    """(K, C) of `qilab.distortion`'s sample, from lists of the ratios and degenerate pairs.
+
+    K is the largest of d'/d and d/d' over the pairs with both distances
+    positive (1 when there is none), and C the largest slack
+    max(d' - K d, d / K - d') over the others, at least 0.
+    """
+    items = list(table.items())
+    rng = random.Random(seed)
+    ratios, degenerate = [], []
+    for _ in range(n_pairs):
+        i, j = rng.sample(range(len(items)), 2)
+        (u, fu), (v, fv) = items[i], items[j]
+        ds, dt = dl_distance(u, v), dl_distance(fu, fv)
+        if ds > 0 and dt > 0:
+            ratios += [Fraction(dt, ds), Fraction(ds, dt)]
+        else:
+            degenerate.append((ds, dt))
+    k = max(ratios) if ratios else Fraction(1)
+    c = max([Fraction(0)] + [max(dt - k * ds, ds / k - dt) for ds, dt in degenerate])
+    return k, c

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -655,6 +656,23 @@ class TestOversizedBoxes:
         sys.set_int_max_str_digits(0)  # no limit
         assert dlgraph._printable_size(10**5000, 5) == 10**5000
 
+    def test_printable_power_decides_as_the_built_power(self, digit_limit_640):
+        # a power refused from its exponent would be refused once built too
+        for q in (2, 3, 10, 16):
+            for e in [*range(0, 2700, 29), *range(500, 660), *range(2100, 2140), *range(2550, 2570)]:
+                try:
+                    want = dlgraph._printable(q**e, "K")
+                except ValueError as exc:
+                    want = str(exc)
+                try:
+                    got = cli._printable_power(q, e, "K")
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == want, (q, e)
+        # 2**(10**12) would not fit in memory
+        with pytest.raises(ValueError, match="^K has more than 640 digits"):
+            cli._printable_power(2, 10**12, "K")
+
     @pytest.mark.parametrize(
         "command,last_err",
         [
@@ -1304,6 +1322,51 @@ class TestFormerlyUncheckedArgs:
         cfg.write_text("seed=3\n")
         argv = ["graph", "--d", "2", "--q", "2", "--radius", "1", "--config", str(cfg)]
         self.assert_usage_error(argv, capsys, "graph does not read --seed")
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            # a one-word prefix table over a 41-digit window, whose 2**41
+            # window words are never built
+            (["qilab", "--d", "2", "--q", "2", "--h", "2", "--map",
+              json.dumps([[{"kind": "prefix", "lo": 0, "hi": 40, "table": [[[1] + [0] * 40] * 2]}], []])],
+             "table does not cover a full power alphabet"),
+            # more sample pairs than the vertex budget
+            (["qilab", "--mode", "distortion", "--d", "2", "--q", "2", "--h", "2", "--pairs", "1000000"],
+             "sample has 1000000 pairs, budget 500000"),
+            # 1/lambda = 2**(10**9) and K = 2**(10**11), refused from their exponents
+            (["qilab", "--d", "2", "--q", "2", "--h", "2", "--map", "shift:1000000000,id"],
+             "chain target 1/lambda has more than 4300 digits, the limit for printing an integer"),
+            (["qilab", "--mode", "audit", "--d", "2", "--q", "2", "--h", "2", "--map", "shift:100000000000,id"],
+             "the bilipschitz constant K has more than 4300 digits, the limit for printing an integer"),
+        ],
+        ids=["prefix-window", "pairs", "shift-chain", "shift-audit"],
+    )
+    def test_large_request_refused_before_it_is_built(self, capsys, monkeypatch, no_work, argv, error):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a power of q was built")
+
+        product = itertools.product
+
+        def bounded(*iterables, repeat=1):
+            assert repeat <= 2, f"built the words of a {repeat}-digit window"
+            return product(*iterables, repeat=repeat)
+
+        for owner, name in [
+            (qilab.InteriorMap, "lam_product"),
+            (qilab.InteriorMap, "bilip_max"),
+            (qilab.BoundaryMap, "lam"),
+            (qilab.BoundaryMap, "bilip"),
+        ]:
+            monkeypatch.setattr(owner, name, refuse)
+        monkeypatch.setattr(itertools, "product", bounded)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run_cli(argv) == 2
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_pairs_0_before_the_box_is_built(self, capsys, no_work):
         argv = ["qilab", "--mode", "distortion", "--pairs", "0"]

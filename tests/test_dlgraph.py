@@ -972,11 +972,13 @@ def test_pool_position_rule(q):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_half_move_vectors_expand_to_the_half_step(d, q, k):
-    # box_graph moves pool positions by _half_move_vectors; expanded into
-    # tree moves, the vectors list exactly the half step, in order
+    # box_graph moves pool positions by the half step over the height
+    # table, from the zero heights; expanded into tree moves, its vectors
+    # list exactly the half step, in order, one vector per move
     p = graph_params(d, q, k)
     moves = dlgraph._move_table(p)
-    vectors = dlgraph._half_move_vectors(d, k)
+    vectors = dlgraph._neighbor_coords(dlgraph._height_moves(k), (0,) * d, half=True)
+    assert len(set(vectors)) == len(vectors)
     for v in ball(base_vertex(p), 1).vertices:
         expanded = []
         for vec in vectors:
@@ -990,7 +992,9 @@ def test_half_move_vectors_expand_to_the_half_step(d, q, k):
 
 def test_box_graph_lists_no_neighbour_tuple(monkeypatch):
     # the edge pass computes member ids from pool positions, so it builds
-    # no move table, expands no half step and makes no induced-edge pass
+    # no move table and makes no induced-edge pass; its one _neighbor_coords
+    # call lists the half moves on integer heights, never a member's
+    # neighbour tuple
     cases = []
     for d, q, k, h in [(2, 2, 1, 3), (3, 2, 1, 1), (2, 3, 2, 2), (3, 2, 2, 2), (2, 2, 3, 3), (4, 2, 1, 1)]:
         p = graph_params(d, q, k)
@@ -1009,10 +1013,22 @@ def test_box_graph_lists_no_neighbour_tuple(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("box_graph stepped through neighbour tuples")
 
-    for name in ("_neighbor_coords", "_move_table", "_induced_edges"):
+    calls = []
+    neighbor_coords = dlgraph._neighbor_coords
+
+    def on_heights(moves, coords, half=False):
+        if not all(type(c) is int for c in coords):
+            refuse()
+        calls.append(coords)
+        return neighbor_coords(moves, coords, half)
+
+    for name in ("_move_table", "_induced_edges"):
         monkeypatch.setattr(dlgraph, name, refuse)
+    monkeypatch.setattr(dlgraph, "_neighbor_coords", on_heights)
     for p, box, ref in cases:
+        calls.clear()
         assert_same_graph(box_graph(p, box), ref)
+        assert calls == [(0,) * p.d]
 
 
 def test_box_graph_gates_come_before_any_member(monkeypatch):

@@ -5,6 +5,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -58,7 +59,14 @@ from dllab.qilab import (
     umap_eval,
 )
 
-from oracles import preimage_vertices, tile_box, umap_csv_by_writer, vertex_distance, vertices_in_clone
+from oracles import (
+    distortion_by_lists,
+    preimage_vertices,
+    tile_box,
+    umap_csv_by_writer,
+    vertex_distance,
+    vertices_in_clone,
+)
 
 
 def random_primitive(rng, q):
@@ -168,9 +176,10 @@ class TestShift:
         assert img == (3, ((1, 1),))
 
     def test_lam_and_bilip(self):
-        assert Shift(2).lam(3) == Fraction(1, 9)
-        assert Shift(-1).lam(2) == 2
-        assert Shift(-2).bilip(2) == 4
+        assert (Shift(2).lam_exponent(), Shift(-2).bilip_exponent()) == (-2, 2)
+        assert BoundaryMap(3, (Shift(2),)).lam() == Fraction(1, 9)
+        assert BoundaryMap(2, (Shift(-1),)).lam() == 2
+        assert BoundaryMap(2, (Shift(-2),)).bilip() == 4
 
     def test_inverse_cancels(self):
         c = tree_vertex(2, [(1, 1)])
@@ -199,8 +208,8 @@ class TestLevelPerm:
 
     def test_isometry_constants(self):
         p = level_perm([(0, (1, 0))])
-        assert p.lam(2) == 1
-        assert p.bilip(2) == 1
+        assert p.lam_exponent() == p.bilip_exponent() == 0
+        assert BoundaryMap(2, (p,)).lam() == BoundaryMap(2, (p,)).bilip() == 1
 
     def test_measured_constant_is_one(self):
         m = BoundaryMap(2, (level_perm([(0, (1, 0)), (2, (1, 0))]),))
@@ -279,9 +288,38 @@ class TestPrefixRewrite:
                             assert got == want
                             assert len(got) == q ** (hi - level)
 
+    @pytest.mark.parametrize(
+        "words",
+        [
+            [(1,)],
+            [(-1,), (1,)],
+            [(0,), (2,)],
+            [(0, 0), (0, 1), (1, 0), (1, 2)],
+            [(0, 0), (0, 1), (1, 1)],
+        ],
+    )
+    def test_table_short_of_a_power_alphabet_rejected(self, words):
+        width = len(words[0])
+        with pytest.raises(ValueError, match="^table does not cover a full power alphabet$"):
+            prefix_rewrite(0, width - 1, ((w, w) for w in words))
+
+    def test_coverage_builds_no_more_words_than_the_table_holds(self, monkeypatch):
+        # one word over a 41-digit window: the 2**41 window words are never built
+        product = itertools.product
+
+        def bounded(*iterables, repeat=1):
+            assert repeat <= 2, f"built the words of a {repeat}-digit window"
+            return product(*iterables, repeat=repeat)
+
+        monkeypatch.setattr(qilab.itertools, "product", bounded)
+        word = (1,) + (0,) * 40
+        with pytest.raises(ValueError, match="^table does not cover a full power alphabet$"):
+            PrefixRewrite(0, 40, ((word, word),))
+        assert prefix_rewrite(0, 1, ((w, w) for w in product(range(3), repeat=2))).hi == 1
+
     def test_measure_preserving(self):
         rw = self.swap_window()
-        assert rw.lam(2) == 1
+        assert rw.lam_exponent() == 0
         check = measure_linear_constant(BoundaryMap(2, (rw,)), depth=3)
         assert check.constant and check.ratio == 1
 
@@ -451,6 +489,21 @@ class TestBoundaryMaps:
 class TestInteriorMaps:
     def params(self):
         return graph_params(2, 2)
+
+    def test_exponents_are_those_of_the_constants(self):
+        # lambda and K are powers of q whose exponents add over a composition,
+        # and over the coordinates lambda multiplies while K takes the max
+        rng = random.Random(7)
+        for _ in range(60):
+            q, d = rng.choice([2, 3]), rng.choice([2, 3])
+            pairs = [(random_boundary_map(rng, q), random_boundary_map(rng, q)) for _ in range(d)]
+            for f, g in pairs:
+                assert compose(f, g).lam() == f.lam() * g.lam()
+                assert compose(f, g).bilip() == f.bilip() * g.bilip()
+            maps = [compose(f, g) for f, g in pairs]
+            im = interior_map(graph_params(d, q), maps)
+            assert im.lam_product() == math.prod(m.lam() for m in maps)
+            assert im.bilip_max() == max(m.bilip() for m in maps)
 
     def lift_lower(self):
         # contract the first coordinate, fix the second
@@ -1084,6 +1137,27 @@ class TestDistortion:
         assert report.k_est == 3
         assert report.c_est == 0
         assert report.max_displacement == 10
+
+    def test_running_maxima_match_the_listed_sample(self):
+        # K and C from running maxima are those from every sampled ratio and
+        # degenerate pair kept in a list; some samples have C > 0
+        p = graph_params(2, 2)
+        box = canonical_box(p, height_cube([(0, 2)]))
+        members = sorted(box_members(p, box), key=dl_key)
+        positive_c = 0
+        for maps in [
+            (shift_map(2, 1), identity_map(2)),
+            (shift_map(2, 2), identity_map(2)),
+            (shift_map(2, 1), shift_map(2, -1)),
+            (identity_map(2), identity_map(2)),
+        ]:
+            table = psi_eval(interior_map(p, maps), members)
+            for seed in range(4):
+                report = distortion(table, n_pairs=30, seed=seed)
+                assert (report.k_est, report.c_est) == distortion_by_lists(table, 30, seed)
+                assert type(report.k_est) is type(report.c_est) is Fraction
+                positive_c += report.c_est > 0
+        assert positive_c
 
     def test_needs_two_entries(self):
         p = graph_params(2, 2)
