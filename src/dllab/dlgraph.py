@@ -735,19 +735,28 @@ def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None
     return found, ids, depths
 
 
-def ball(center: DLVertex, radius: int) -> BallGraph:
-    """The ball of the given radius around center, with its induced edges.
+def _ball_search(center: DLVertex, radius: int, ends):
+    """The _layered_bfs of a graph ball: coordinate tuples, their ids and depths.
 
-    The BFS (_layered_bfs) appends edge ends to a flat array; its node
-    index is dropped, with the move table, before the vertex keys are built,
-    and the ends, read two at a time, are then encoded (_edge_array).
+    ends gets the ids of every induced edge's ends, as in _layered_bfs. The
+    move table lives only as long as the search.
     """
-    ends = array("q")
     step = partial(_neighbor_coords, _move_table(center.params))
     # at d = 2 no edge joins two vertices of one sphere (module docstring)
     half_step = partial(step, half=True) if center.params.d > 2 else None
-    found, ids, found_depth = _layered_bfs(center.coords, radius, step, "vertices", ends, half_step)
-    del step, half_step, ids  # drops the move table and node index before the vertices are keyed
+    return _layered_bfs(center.coords, radius, step, "vertices", ends, half_step)
+
+
+def ball(center: DLVertex, radius: int) -> BallGraph:
+    """The ball of the given radius around center, with its induced edges.
+
+    The search (_ball_search) appends edge ends to a flat array; its node
+    index is dropped before the vertex keys are built, and the ends, read
+    two at a time, are then encoded (_edge_array).
+    """
+    ends = array("q")
+    found, ids, found_depth = _ball_search(center, radius, ends)
+    del ids  # drops the node index before the vertices are keyed
     found = [DLVertex(center.params, c) for c in found]
     tree_keys = LazyDict(tree_key)
     keys = ["|".join(map(tree_keys.__getitem__, v.coords)) for v in found]

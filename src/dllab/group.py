@@ -15,16 +15,17 @@ constants chosen so that every generator move is a single graph edge.
 
 Word balls run their BFS on (exps, partial-fraction digits of P) rather
 than on the normal form: a product by a generator s adds the term
-U(exps) * s.P, whose digits are cached per exps vector and distinct
-generator P within the ball, so each product is a digit addition mod q.
-cayley_ball converts each state back to the normal form, and keys it,
-once after the BFS; it remains for the acceptance harness and the tests.
-The correspondence check never converts: it reads each image off the
-state's digits, since a place's expansion digits are its own
-partial-fraction digits below the split exponent and a fixed linear
-combination of the other places' digits above it. The index checks
-(index_check) read cosets and coverage off states too. multiply and
-invert remain the general group law.
+U(exps) * s.P, cached per exps vector and distinct generator P within the
+ball and summed from one table of unit powers U(f), so each product is a
+digit addition mod q. cayley_ball converts each state back to the normal
+form, and keys it, once after the BFS; it remains for the acceptance
+harness and the tests. The correspondence check never converts: it reads
+each image off the state's digits, since a place's expansion digits are
+its own partial-fraction digits below the split exponent and a fixed
+linear combination of the other places' digits above it, and it reads the
+graph ball off the coordinate-tuple search, keying vertices only to name
+failures. The index checks (index_check) read cosets and coverage off
+states too. multiply and invert remain the general group law.
 
 The index-k subgroup is the kernel of the first exponent mod k. One
 construction gives its generating set: k-step products along the first
@@ -58,15 +59,13 @@ from .dlgraph import (
     DLVertex,
     LazyDict,
     TreeVertex,
+    _ball_search,
     _key_order,
     _layered_bfs,
-    ball,
     base_vertex,
     dl_key,
-    edge_pairs,
     expected_degree,
     graph_params,
-    sphere_sizes,
 )
 from .record import Record
 
@@ -166,10 +165,17 @@ def _word_step(params: RingParams, gens: tuple):
 
     A state is (exps, partial_fractions(P)), a bijective image of the
     normal form (_element converts back). g * s adds U(g.exps) * s.P to P,
-    a term that depends only on g.exps and s.P: its digits are computed
-    once per exps vector seen and distinct generator P, and each product
-    is a place-wise digit addition (pf_add). step(state) lists the states
-    g * s in the order of gens.
+    a term that depends only on g.exps and s.P, and each product is a
+    place-wise digit addition (pf_add). step(state) lists the states g * s
+    in the order of gens.
+
+    The terms come from one table of unit powers U(f) = prod (t + l_i)^f_i.
+    Each distinct generator P is, by its own partial-fraction digits, a
+    sum of a * U(f): the digit a of (t + l_j)^(-n) gives U(-n e_j), and
+    that of t^n gives U(n e_1), since ring_params sets l_1 = 0. So
+    U(exps) * P is the sum of a * U(exps + f), and the digits of each
+    U(exps + f) are computed once, for every exps vector and generator
+    that meets it.
 
     half_step(state) keeps the letters whose exps has a positive first
     nonzero entry: s^-1 has exps -s.exps, so if gens is closed under
@@ -183,10 +189,31 @@ def _word_step(params: RingParams, gens: tuple):
     letters = [(s.exps, distinct.setdefault(s.P, len(distinct))) for s in gens]
     # tuples compare at their first difference: exps > zeros iff its first nonzero entry is > 0
     half = [n for n, (sexps, _) in enumerate(letters) if sexps > (0,) * len(sexps)]
+    one = rat_const(params, 1)
+    units = LazyDict(lambda f: partial_fractions(_scale_by_monomial(one, f)))
+    # each distinct P as the pieces (a, j, n) with P = sum of a * U(n e_j)
+    sums = []
+    for P in distinct:
+        *parts, poly = partial_fractions(P)
+        sums.append(
+            [(a, j, -n) for j, part in enumerate(parts) for n, a in enumerate(part, 1) if a]
+            + [(a, 0, n) for n, a in enumerate(poly) if a]
+        )
+
+    def term_of(exps, pieces):
+        out = ((),) * params.d
+        for a, j, n in pieces:
+            f = list(exps)
+            f[j] += n
+            digits = units[tuple(f)]
+            if a != 1:
+                digits = tuple(tuple(a * v % q for v in part) for part in digits)
+            out = pf_add(out, digits, q)
+        return out
 
     def moves_of(exps):
         # [(exps of g * s, digits of U(exps) * s.P) for s in gens], and the half letters' entries
-        terms = [partial_fractions(_scale_by_monomial(P, exps)) for P in distinct]
+        terms = [term_of(exps, pieces) for pieces in sums]
         out = []
         for sexps, p in letters:
             e = tuple(a + b for a, b in zip(exps, sexps))
@@ -266,7 +293,9 @@ def _image_reader(params: RingParams):
     are the polynomial's own, and above it the expansions of the terms
     (t + l_j)^(-n). Each basis expansion comes from expand_local once per
     (place, term, top exponent), in a table that lives as long as the
-    reader. The cutoffs are read when the reader is made.
+    reader, and is kept as its nonzero (position, digit) pairs, so a read
+    adds only those (at d = 2 every basis term is a single digit). The
+    cutoffs are read when the reader is made.
     """
     q, d = params.q, params.d
     gp = graph_params(d, q, 1)
@@ -274,14 +303,15 @@ def _image_reader(params: RingParams):
     first = (0,) * (d - 1) + (1,)  # the lowest regular exponent of each place
 
     def expansion(key):
-        # digits of the m-th basis term of part j at the place, on [first, hi]
+        # nonzero digits of the m-th basis term of part j at the place, on [first, hi]
         place, j, m, hi = key
         if j < d - 1:
             den = tuple(m + 1 if t == j else 0 for t in range(d - 1))
             term = RationalElement(params, (1,), den)
         else:
             term = RationalElement(params, (0,) * m + (1,), (0,) * (d - 1))
-        return expand_local(term, place + 1, first[place], hi)
+        digits = expand_local(term, place + 1, first[place], hi)
+        return tuple((e, y) for e, y in enumerate(digits) if y)
 
     basis = LazyDict(expansion)
 
@@ -303,7 +333,8 @@ def _image_reader(params: RingParams):
                     if j != i:
                         for m, a in enumerate(part):
                             if a:
-                                acc = [x + a * y for x, y in zip(acc, basis[i, j, m, hi])]
+                                for e, y in basis[i, j, m, hi]:
+                                    acc[e] += a * y
                 out += [(e - c, v) for e, x in enumerate(acc, lo) if (v := x % q)]
             # the indices are distinct, ascending and at most lvl, the values
             # in 1..q-1, and the levels sum to 0: a valid vertex of DL_d(q)
@@ -347,63 +378,65 @@ def validate_correspondence(params: RingParams, radius: int) -> CorrespondenceRe
     by depth, hold none there and skip that pass. Each image is read
     straight off the word-ball state by one _image_reader; an element is
     converted to its normal form only to be named in a failure message.
+
+    The graph side is read off one _ball_search over coordinate tuples:
+    its ids, depths and edges, each edge of ids a < b as the int a * n + b.
+    Vertex keys are built only to name graph edges with no preimage, and
+    those are listed in key order, as a keyed ball lists its edges.
     """
     cayley_ends = array("q")
     found, depths = _word_ball(params, radius, generators(params), cayley_ends)
-    gb = ball(base_vertex(graph_params(params.d, params.q, 1)), radius)
-    position = {v.coords: p for p, v in enumerate(gb.vertices)}
+    gp = graph_params(params.d, params.q, 1)
+    graph_ends = array("q")
+    coords, position, graph_depths = _ball_search(base_vertex(gp), radius, graph_ends)
+    n = len(coords)
+    it = iter(graph_ends)
+    unmapped = {a * n + b for a, b in zip(it, it)}  # the graph edges no Cayley edge maps onto
+    del graph_ends
     read = _image_reader(params)
     failures = []
 
     def name(i: int) -> str:
         return element_key(_element(params, found[i]))
 
-    image = [None] * len(found)  # graph position of each element's image
-    preimage = {}
+    image = [None] * len(found)  # graph id of each element's image
+    preimage = [None] * n
     for i, (state, dep) in enumerate(zip(found, depths)):
         v = read(*state)
         p = position.get(v.coords)
         if p is None:
-            failures.append(
-                f"image of {name(i)} outside the radius-{radius} ball: {dl_key(v)}"
-            )
-        elif p in preimage:
-            failures.append(
-                f"not injective: {name(i)} and {name(preimage[p])} map to {gb.keys[p]}"
-            )
+            failures.append(f"image of {name(i)} outside the radius-{radius} ball: {dl_key(v)}")
+        elif preimage[p] is not None:
+            failures.append(f"not injective: {name(i)} and {name(preimage[p])} map to {dl_key(v)}")
         else:
             preimage[p] = i
             image[i] = p
-            if gb.depths[p] != dep:
-                failures.append(
-                    f"word length {dep} versus graph distance {gb.depths[p]} for {name(i)}"
-                )
+            if graph_depths[p] != dep:
+                failures.append(f"word length {dep} versus graph distance {graph_depths[p]} for {name(i)}")
 
-    # each graph edge, and whether no Cayley edge has been mapped onto it
-    unmapped = dict.fromkeys(edge_pairs(gb), True)
     it = iter(cayley_ends)
     for i, j in zip(it, it):
         a, b = image[i], image[j]
         if a is None or b is None:
             continue  # an endpoint has already failed
-        e = (a, b) if a < b else (b, a)
+        e = a * n + b if a < b else b * n + a
         if e in unmapped:
-            unmapped[e] = False
+            unmapped.remove(e)
         else:
             failures.append(f"edge {name(i)} -> {name(j)} not preserved")
-    failures += [
-        f"graph edge {gb.keys[a]} -- {gb.keys[b]} has no preimage"
-        for (a, b), left in unmapped.items()
-        if left
-    ]
+    if unmapped:
+        keys = [dl_key(DLVertex(gp, c)) for c in coords]
+        order, pos = _key_order(keys)
+        for x, y in sorted(sorted((pos[a], pos[b])) for a, b in (divmod(e, n) for e in unmapped)):
+            failures.append(f"graph edge {keys[order[x]]} -- {keys[order[y]]} has no preimage")
 
     return CorrespondenceReport(
         params=params,
         radius=radius,
         ok=not failures,
         sphere_group=tuple(map(depths.count, range(radius + 1))),
-        sphere_graph=sphere_sizes(gb),
-        interior_degree=expected_degree(graph_params(params.d, params.q)),
+        sphere_graph=tuple(map(graph_depths.count, range(radius + 1))),
+        interior_degree=expected_degree(gp),
         failures=tuple(failures[:20]),
         failure_count=len(failures),
     )

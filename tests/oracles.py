@@ -10,7 +10,9 @@ pool positions that `qilab.umap_positions` reads arithmetically (the tile
 map itself is `enumerative_umap` in `test_qilab.py`); and the fiber of
 an interior map as an explicit vertex list, beside the counts of
 `qilab.preimage_count`; the group correspondence by expanding each element
-at every place, beside the digit reader of `group._image_reader`; and the
+at every place, beside the digit reader of `group._image_reader`; the
+correspondence check on a keyed, key-sorted graph ball, beside the
+coordinate-tuple search that `group.validate_correspondence` reads; and the
 index-k checks on normal-form elements, with a `multiply` and a key per
 step, beside the word-ball states of `group.index_check`; and the graph
 exports as a line list per vertex and a `json.dumps` over a dict tree,
@@ -26,6 +28,7 @@ import csv
 import io
 import itertools
 import random
+from array import array
 from fractions import Fraction
 from functools import partial
 
@@ -40,15 +43,19 @@ from dllab.dlgraph import (
     _check_cube,
     _move_table,
     _neighbor_coords,
+    ball,
+    base_vertex,
     cube_contains,
     dl_distance,
     dl_key,
     dl_vertex,
     edge_pairs,
+    expected_degree,
     graph_params,
     heights,
     json_payload,
     rho,
+    sphere_sizes,
     tree_ancestor,
     tree_descendants,
     tree_parent,
@@ -238,6 +245,75 @@ def correspond_by_expansion(params, g, cut=None):
                 ]
         coords.append(tree_vertex(lvl, digits, q=params.q))
     return dl_vertex(gp, coords)
+
+
+def validate_correspondence_by_ball(params, radius):
+    """group.validate_correspondence on a keyed, key-sorted graph ball.
+
+    The graph side is a whole `ball()`: vertex keys, key positions and the
+    encoded edge array, read back through `edge_pairs`. The image reader,
+    the word ball and the other helpers are looked up in `group` when this
+    runs, so a test that patches them patches both checks.
+    """
+    cayley_ends = array("q")
+    found, depths = group._word_ball(params, radius, group.generators(params), cayley_ends)
+    gb = ball(base_vertex(graph_params(params.d, params.q, 1)), radius)
+    position = {v.coords: p for p, v in enumerate(gb.vertices)}
+    read = group._image_reader(params)
+    failures = []
+
+    def name(i: int) -> str:
+        return element_key(group._element(params, found[i]))
+
+    image = [None] * len(found)  # graph position of each element's image
+    preimage = {}
+    for i, (state, dep) in enumerate(zip(found, depths)):
+        v = read(*state)
+        p = position.get(v.coords)
+        if p is None:
+            failures.append(
+                f"image of {name(i)} outside the radius-{radius} ball: {dl_key(v)}"
+            )
+        elif p in preimage:
+            failures.append(
+                f"not injective: {name(i)} and {name(preimage[p])} map to {gb.keys[p]}"
+            )
+        else:
+            preimage[p] = i
+            image[i] = p
+            if gb.depths[p] != dep:
+                failures.append(
+                    f"word length {dep} versus graph distance {gb.depths[p]} for {name(i)}"
+                )
+
+    # each graph edge, and whether no Cayley edge has been mapped onto it
+    unmapped = dict.fromkeys(edge_pairs(gb), True)
+    it = iter(cayley_ends)
+    for i, j in zip(it, it):
+        a, b = image[i], image[j]
+        if a is None or b is None:
+            continue  # an endpoint has already failed
+        e = (a, b) if a < b else (b, a)
+        if e in unmapped:
+            unmapped[e] = False
+        else:
+            failures.append(f"edge {name(i)} -> {name(j)} not preserved")
+    failures += [
+        f"graph edge {gb.keys[a]} -- {gb.keys[b]} has no preimage"
+        for (a, b), left in unmapped.items()
+        if left
+    ]
+
+    return group.CorrespondenceReport(
+        params=params,
+        radius=radius,
+        ok=not failures,
+        sphere_group=tuple(map(depths.count, range(radius + 1))),
+        sphere_graph=sphere_sizes(gb),
+        interior_degree=expected_degree(graph_params(params.d, params.q)),
+        failures=tuple(failures[:20]),
+        failure_count=len(failures),
+    )
 
 
 def index_check_by_elements(params, k):

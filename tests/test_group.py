@@ -42,7 +42,12 @@ from dllab.group import (
     validate_correspondence,
 )
 
-from oracles import correspond_by_expansion, dl_adjacent, index_check_by_elements
+from oracles import (
+    correspond_by_expansion,
+    dl_adjacent,
+    index_check_by_elements,
+    validate_correspondence_by_ball,
+)
 
 
 def random_word(params, rng, length):
@@ -263,18 +268,15 @@ def unswappable_pair(gb, depth):
     def nearer(v):
         return {w for w in nbrs[v] if gb.depths[w] < depth}
 
+    if not pairs:
+        return None
     a, b = min(pairs, key=lambda ab: nearer(ab[0]) != nearer(ab[1]))
     return gb.vertices[a], gb.vertices[b]
 
 
-@pytest.mark.parametrize("d,q,radius", MUTATION_CASES)
-@pytest.mark.parametrize("below", [0, 1])
-def test_validate_correspondence_rejects_swapped_images(monkeypatch, d, q, radius, below):
-    # injective, depth-preserving and onto the ball: only edges can tell
-    gb = ball(base_vertex(graph_params(d, q)), radius)
-    a, b = unswappable_pair(gb, radius - below)
+def swapped_reader(true_reader, a, b):
+    """An image reader that exchanges the images a and b of true_reader's."""
     swap = {a: b, b: a}
-    true_reader = group._image_reader
 
     def swapped(params):
         read = true_reader(params)
@@ -285,11 +287,73 @@ def test_validate_correspondence_rejects_swapped_images(monkeypatch, d, q, radiu
 
         return swapped_read
 
-    monkeypatch.setattr(group, "_image_reader", swapped)
+    return swapped
+
+
+@pytest.mark.parametrize("d,q,radius", MUTATION_CASES)
+@pytest.mark.parametrize("below", [0, 1])
+def test_validate_correspondence_rejects_swapped_images(monkeypatch, d, q, radius, below):
+    # injective, depth-preserving and onto the ball: only edges can tell
+    gb = ball(base_vertex(graph_params(d, q)), radius)
+    a, b = unswappable_pair(gb, radius - below)
+    monkeypatch.setattr(group, "_image_reader", swapped_reader(group._image_reader, a, b))
     report = validate_correspondence(ring_params(q, d), radius)
     assert report.sphere_group == report.sphere_graph
     assert not report.ok
     assert all("edge" in f for f in report.failures)
+
+
+def correspondence_mutations(d, q, radius):
+    """(label, attribute of group, value) for the true check and for each
+    broken correspondence the tests above apply: uniform cutoffs, swapped
+    images and a constant reader. A swap needs two vertices at its depth
+    that differ.
+    """
+    yield "true", None, None
+    for cut in (0, -1):
+        yield f"cut {cut}", "correspondence_cutoffs", lambda n, cut=cut: (cut,) * n
+    gb = ball(base_vertex(graph_params(d, q)), radius)
+    for below in (0, 1):
+        pair = unswappable_pair(gb, radius - below)
+        if pair is not None:
+            yield f"swap below {below}", "_image_reader", swapped_reader(group._image_reader, *pair)
+    yield "constant", "_image_reader", lambda params: lambda exps, digits: gb.center
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_validate_correspondence_matches_keyed_ball_oracle(monkeypatch, d, q, radius):
+    p = ring_params(q, d)
+    labels = []
+    for label, attr, value in correspondence_mutations(d, q, radius):
+        with monkeypatch.context() as m:
+            if attr is not None:
+                m.setattr(group, attr, value)
+            got = validate_correspondence(p, radius)
+            want = validate_correspondence_by_ball(p, radius)
+        assert got == want, label
+        assert got.ok == (label == "true" or radius == 0), label
+        labels.append(label)
+    assert radius < 2 or {"swap below 0", "swap below 1"} <= set(labels)
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_word_step_terms_match_scaled_generators(d, q):
+    # each listed term is the digits of U(exps) * s.P, on every exps vector
+    # a radius-2 ball steps from: the step from (exps, 0) lists the terms
+    p = ring_params(q, d)
+    zero = ((),) * d
+    sets = [generators(p)] + [subgroup_generators(p, k) for k in (1, 2, 3)]
+    for gens in sets:
+        moves = {(0,) * (d - 1)} | {s.exps for s in gens}
+        met = moves | {tuple(a + b for a, b in zip(e, s.exps)) for e in moves for s in gens}
+        step, _, _ = group._word_step(p, gens)
+        for exps in sorted(met):
+            want = [
+                (tuple(a + b for a, b in zip(exps, s.exps)), partial_fractions(group._scale_by_monomial(s.P, exps)))
+                for s in gens
+            ]
+            assert step((exps, zero)) == want, exps
 
 
 # (d, q, k, radius): balls of 55 to 2,016 elements
@@ -424,8 +488,10 @@ def test_word_balls_never_multiply(monkeypatch):
 
 def test_validate_correspondence_reads_images_off_digits(monkeypatch):
     # a passing check converts no state back to a fraction, and it takes
-    # partial-fraction digits once per distinct generator P and exps vector
-    # reached: 7 distinct P over 19 exps vectors, plus the identity
+    # partial-fraction digits once per distinct generator P, to decompose
+    # it into unit powers, once per unit power met, and once for the
+    # identity: 7 distinct P, 27 unit powers over the 19 exps vectors
+    # reached, and the identity
     def refuse(params, digits):
         raise AssertionError("a passing check rebuilt a fraction")
 
@@ -440,7 +506,7 @@ def test_validate_correspondence_reads_images_off_digits(monkeypatch):
     p = ring_params(3, 3)
     assert len({g.P for g in generators(p)}) == 7
     assert validate_correspondence(p, 2).ok
-    assert len(calls) == 19 * 7 + 1 == 134
+    assert len(calls) == 7 + 27 + 1 == 35
 
 
 def test_cayley_ball_budget_reports_counts(monkeypatch):
