@@ -207,13 +207,13 @@ def _reject_unread(args, what: str, reads) -> None:
 
 
 def _parse_h_list(text: str) -> "list[int]":
+    """The sides in a comma list; blank text is an empty list, and an empty item is an error."""
+    if not text.strip():
+        raise ValueError("--h list is empty")
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"--h expects integers separated by commas, got {text!r}")
-    if not values:
-        raise ValueError("--h list is empty")
-    return values
 
 
 def _one_side(command: str, text: str, least: int = 1) -> int:
@@ -281,7 +281,7 @@ def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
     # per point, not by box_size's closed form, so that the check is
     # independent; the cube and the printed size are checked before any fiber
     points = dlgraph.cube_points(box.cube)
-    dlgraph._printable_size(box_size(params, box), h)
+    dlgraph._printable(box_size(params, box), f"side {h}: box size")
     sizes = [dlgraph.box_fiber_size(params, box, pt) for pt in points]
     expected_fiber = params.q ** ((params.d - 1) * h)
     fibers = set(sizes)
@@ -429,18 +429,6 @@ def _float_repr(v: Fraction, field: str, side: int) -> str:
         raise ValueError(f"side {side}: {field} is too large to write as a float") from None
 
 
-def _printable_power(q: int, e: int, what: str) -> int:
-    """q**e (q >= 2, e >= 0), about to be printed, once str() can print it (dlgraph._printable).
-
-    q**e >= 2**(e * (bit_length(q) - 1)), which passes 10**limit once that
-    exponent reaches 4 * limit, so such a power is refused unbuilt.
-    """
-    limit = sys.get_int_max_str_digits()
-    if limit and e * (q.bit_length() - 1) >= 4 * limit:
-        q, e = 10, limit  # the least integer refused, a stand-in far shorter than q**e
-    return dlgraph._printable(q**e, what)
-
-
 def _chain_csv(records) -> str:
     """The chain CSV, each Fraction written as its float's repr.
 
@@ -456,15 +444,11 @@ def _qilab_chain(args, params, imap) -> "tuple[str, list, list]":
     if args.k is not None:
         target = args.k
     else:
-        # printed in the summary, so checked, by its exponent, before it is built
+        # 1/lambda = q**e, printed in the summary, is checked by its exponent before it is built
         e = -imap.lam_exponent()
-        _printable_power(params.q, abs(e), "chain target 1/lambda")
-        inv = Fraction(params.q) ** e
-        if inv.denominator != 1:
-            raise ValueError(
-                f"1/lambda = {inv} is not an integer; pass an explicit --k target"
-            )
-        target = int(inv)
+        target = dlgraph._printable(1, "chain target 1/lambda", params.q, abs(e))
+        if e < 0:
+            raise ValueError(f"1/lambda = 1/{target} is not an integer; pass an explicit --k target")
     records = qilab.uf_chain_scan(
         imap, target, h_values, r=args.r if args.r is not None else 1
     )
@@ -499,7 +483,7 @@ def _qilab_audit(args, params, imap) -> "tuple[str, list, list]":
         raise ValueError(f"audit mode writes csv or json, not {args.format!r}")
     h_values = _parse_h_list("4" if args.h is None else args.h)
     # the bounds hold only from the least radius on, so a smaller --r is a usage error
-    bilip = _printable_power(params.q, imap.bilip_exponent(), "the bilipschitz constant K")
+    bilip = dlgraph._printable(1, "the bilipschitz constant K", params.q, imap.bilip_exponent())
     least = qilab.audit_radius(params.q, bilip)
     if args.r is not None and args.r < least:
         raise ValueError(f"audit mode needs --r >= {least}, the least r >= 1 with "

@@ -47,6 +47,8 @@ vertex budget bounds every ball, graph or word (_layered_bfs), and every
 list whose length has a closed form, checked by _within_budget before it
 is built: a box's members, a cube's points, a vertex's neighbours
 (_check_degree), and in qilab a fiber's descendant walk and a probe window.
+That gate and the print gate, _printable, build a power q**e by one rule
+(_low_bits): only while its bound 2**low has low < 4 * L, L the digit limit.
 """
 
 from __future__ import annotations
@@ -78,27 +80,34 @@ DEFAULT_DISTANCE_CAP = 64
 DEFAULT_STATE_BUDGET = 200_000
 DIST_CACHE_LIMIT = 1 << 16
 
-# n * q**e is built only while 2**low <= 2**_PRINTED_BITS, a count of 4,215 digits
-_PRINTED_BITS = 14_000
+
+def _low_bits(n: int, q: int = 2, e: int = 0) -> "tuple[int, bool]":
+    """(low, small): 2**low <= n * q**e (n >= 1, q >= 2, e >= 0) by bit lengths, and low < 4 * L.
+
+    L is str()'s digit limit, read when called, or with none the
+    interpreter's default. 2**(4 * L) = 16**L has more than L digits, so
+    q**e (e > 0) is built only while small.
+    """
+    low = n.bit_length() - 1 + e * (q.bit_length() - 1)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    return low, low < 4 * limit
 
 
 def _within_budget(n: int, subject: str, q: int = 2, e: int = 0) -> int:
     """n * q**e, the length of a list about to be built, once within the vertex budget.
 
     The budget is read when called. subject names the list, with {} where
-    its length goes. With e > 0 a caller passes n >= 1 and q >= 2, so
-    2**low <= n * q**e, and a length whose low passes _PRINTED_BITS is
-    refused before q**e is built. The message writes a length in digits
-    when it has at most _PRINTED_BITS bits and str() can print it
-    (_prints), and as at least 2**low otherwise.
+    its length goes. A length not small (_low_bits) is refused before q**e
+    is built, and written in digits only when small and str() can print it
+    (_prints), as at least 2**low otherwise.
     """
-    low = n.bit_length() - 1 + e * (q.bit_length() - 1)
-    if low <= _PRINTED_BITS:
+    low, small = _low_bits(n, q, e)
+    if small:
         n *= q**e
         if n <= DEFAULT_VERTEX_BUDGET:
             return n
-        low = n.bit_length() - 1
-    count = n if low <= _PRINTED_BITS and _prints(n) else f"at least 2^{low}"
+        low, small = _low_bits(n)
+    count = n if small and _prints(n) else f"at least 2^{low}"
     raise BudgetError(f"{subject.format(count)}, budget {DEFAULT_VERTEX_BUDGET}")
 
 
@@ -111,17 +120,19 @@ def _prints(n: int) -> bool:
     return not limit or n.bit_length() <= 3 * limit or abs(n) < 10**limit
 
 
-def _printable(n: int, what: str) -> int:
-    """n, an integer about to be printed, once str() can print it (_prints); what names it."""
-    if not _prints(n):
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"{what} has more than {limit} digits, the limit for printing an integer")
-    return n
+def _printable(n: int, what: str, q: int = 2, e: int = 0) -> int:
+    """n * q**e, about to be printed, once str() can print it (_prints); what names it.
 
-
-def _printable_size(n: int, h: int, noun: str = "box size") -> int:
-    """n, a count printed for side h, once str() can print it (_printable)."""
-    return _printable(n, f"side {h}: {noun}")
+    A power (e > 0) not small (_low_bits) is refused before it is built.
+    """
+    low, small = _low_bits(n, q, e)
+    if small or not e:
+        n *= q**e
+        if _prints(n):
+            return n
+    limit = sys.get_int_max_str_digits()
+    raise ValueError(f"{what} has more than {limit} digits, the limit for printing an integer" if limit
+                     else f"{what} is at least 2^{low}, too large to build with no digit limit")
 
 
 class GraphParams(NamedTuple):
@@ -329,10 +340,10 @@ class _MoveTable(NamedTuple):
 def _check_degree(params: GraphParams) -> int:
     """The vertex degree (expected_degree), once within the vertex budget.
 
-    The degree is at least 2 * q**k, so a q**k too long to print is
-    refused before it is built.
+    The degree is at least 2 * q**k, so a q**k too long to build
+    (_low_bits) is refused before it is built.
     """
-    if params.k * (params.q.bit_length() - 1) >= _PRINTED_BITS:
+    if not _low_bits(2, params.q, params.k)[1]:
         _within_budget(2, "vertex has {} neighbours", params.q, params.k)
     return _within_budget(expected_degree(params), "vertex has {} neighbours")
 

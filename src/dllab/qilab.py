@@ -56,7 +56,7 @@ from .dlgraph import (
     _fiber_depths,
     _inner_cube,
     _listed_members,
-    _printable_size,
+    _printable,
     _state_distance,
     _within_budget,
     box_boundary_size,
@@ -692,7 +692,7 @@ def fiber_count_audit(
     once per level: at most one fiber's q**((d-1)*side), checked against
     the vertex budget before any walk.  Inner points are read until two
     counts differ.  Before any walk, bilip, lam_product and the two bounds
-    must each print (`dlgraph._printable_size`), or ValueError names the
+    must each print (`dlgraph._printable`), or ValueError names the
     first that does not.
     """
     params = imap.params
@@ -705,12 +705,12 @@ def fiber_count_audit(
     n = box_size(params, box)
     boundary_size = box_boundary_size(params, box, r)
     # the total is not checked: from audit_radius on it is at most the upper bound
-    _printable_size(bilip, h, "bilip")
+    _printable(bilip, f"side {h}: bilip")
     lam = imap.lam_product()
     lower = (Fraction(n) - boundary_size) / lam
     upper = Fraction(n) / lam + (bilip ** params.d) * boundary_size
     for name, value in (("lam_product", lam), ("lower_bound", lower), ("upper_bound", upper)):
-        _printable_size(max(abs(value.numerator), value.denominator), h, name)
+        _printable(max(abs(value.numerator), value.denominator), f"side {h}: {name}")
     inner = _inner_cube(box.cube, r)
     level_counts = {}
 
@@ -787,8 +787,8 @@ def uf_chain_scan(
     for h in h_values:
         box = side_box(params, h)
         _within_budget(cube_size(box.cube), "cube has {} points")
-        n = _printable_size(box_size(params, box), h)
-        chain = _printable_size(_fiber_total(imap, box) - k * n, h, "chain sum")
+        n = _printable(box_size(params, box), f"side {h}: box size")
+        chain = _printable(_fiber_total(imap, box) - k * n, f"side {h}: chain sum")
         bsize = box_boundary_size(params, box, r)
         out.append(
             ChainRecord(

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -650,11 +651,11 @@ class TestOversizedBoxes:
 
     def test_printable_size_bound_is_exact(self, digit_limit_640):
         # str() prints 10**640 - 1, 640 nines, and refuses 10**640
-        assert len(str(dlgraph._printable_size(10**640 - 1, 5))) == 640
+        assert len(str(dlgraph._printable(10**640 - 1, "side 5: box size"))) == 640
         with pytest.raises(ValueError, match="^side 5: box size has more than 640 digits"):
-            dlgraph._printable_size(10**640, 5)
+            dlgraph._printable(10**640, "side 5: box size")
         sys.set_int_max_str_digits(0)  # no limit
-        assert dlgraph._printable_size(10**5000, 5) == 10**5000
+        assert dlgraph._printable(10**5000, "side 5: box size") == 10**5000
 
     def test_printable_power_decides_as_the_built_power(self, digit_limit_640):
         # a power refused from its exponent would be refused once built too
@@ -665,13 +666,43 @@ class TestOversizedBoxes:
                 except ValueError as exc:
                     want = str(exc)
                 try:
-                    got = cli._printable_power(q, e, "K")
+                    got = dlgraph._printable(1, "K", q, e)
                 except ValueError as exc:
                     got = str(exc)
                 assert got == want, (q, e)
         # 2**(10**12) would not fit in memory
         with pytest.raises(ValueError, match="^K has more than 640 digits"):
-            cli._printable_power(2, 10**12, "K")
+            dlgraph._printable(1, "K", 2, 10**12)
+        # with no limit, the interpreter's default limit L stands in: q**e
+        # is built while its bit-length bound is under 4 * L
+        sys.set_int_max_str_digits(0)
+        bits = 4 * sys.int_info.default_max_str_digits
+        assert dlgraph._printable(1, "K", 2, bits - 1) == 2 ** (bits - 1)
+        assert dlgraph._printable(3, "K", 16, bits // 4 - 1) == 3 * 16 ** (bits // 4 - 1)
+        for q, e, low in ((2, bits, bits), (3, bits, bits), (2, 10**12, 10**12)):
+            with pytest.raises(ValueError, match=rf"^K is at least 2\^{low}, too large to build with no digit limit$"):
+                dlgraph._printable(1, "K", q, e)
+
+    @pytest.mark.parametrize("mode", ["chain", "audit"])
+    def test_map_constant_refused_from_its_exponent_with_no_digit_limit(self, capsys, mode):
+        # 1/lambda = K = 2**(10**11) would take about 12.5 GB to build
+        def hang(signum, frame):
+            raise AssertionError("still running after 5 s")
+
+        argv = ["qilab", "--mode", mode, "--d", "2", "--q", "2", "--h", "2", "--map", "shift:100000000000,id"]
+        old_limit, old_handler = sys.get_int_max_str_digits(), signal.signal(signal.SIGALRM, hang)
+        sys.set_int_max_str_digits(0)
+        signal.alarm(5)
+        try:
+            assert run_cli(argv) == 2
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old_handler)
+            sys.set_int_max_str_digits(old_limit)
+        what = "chain target 1/lambda" if mode == "chain" else "the bilipschitz constant K"
+        assert capsys.readouterr() == (
+            "", f"error: {what} is at least 2^100000000000, too large to build with no digit limit\n"
+        )
 
     @pytest.mark.parametrize(
         "command,last_err",
@@ -781,8 +812,8 @@ class TestOversizedBoxes:
         ids=["box", "fiber", "degree"],
     )
     def test_budget_count_written_within_the_print_limit(self, capsys, digit_limit_640, argv, error):
-        # each count has 663 to 756 digits, well under 14,000 bits but over
-        # the lowered limit, so it is written as a power of two
+        # each count has 663 to 756 digits: under 4 * 640 bits, so it is
+        # built, but over the lowered limit, so it is written as a power of two
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -864,8 +895,11 @@ class TestOversizedLists:
         assert captured.err == f"error: cube has {points} points, budget 500000\n"
 
 
+NOT_INTS = "--h expects integers separated by commas, got"
+
+
 class TestEmptyLists:
-    """An explicit empty --h or --map is an error, never the default."""
+    """An explicit empty --h or --map, or an empty --h item, is an error, never the default."""
 
     @pytest.mark.parametrize(
         "argv,config,message",
@@ -878,8 +912,19 @@ class TestEmptyLists:
             (["qilab", "--mode", "umap", "--k", "2", "--h", ""], None, "--h list is empty"),
             (["qilab", "--mode", "distortion", "--h", ""], None, "--h list is empty"),
             (["qilab", "--d", "2", "--q", "2", "--map", "", "--h", "2"], None, "unknown coordinate map ''"),
+            # an empty item is refused too, never dropped
+            (["verify", "--d", "2", "--q", "2", "--assert", "counting", "--h", "2,,4"], None, f"{NOT_INTS} '2,,4'"),
+            (["verify", "--d", "2", "--q", "2", "--assert", "counting"], "h=2,,4\n", f"{NOT_INTS} '2,,4'"),
+            (["verify", "--assert", "folner", "--h", ",2,4"], None, f"{NOT_INTS} ',2,4'"),
+            (["graph", "--d", "2", "--q", "2", "--h", "2,,,"], None, f"{NOT_INTS} '2,,,'"),
+            (["qilab", "--map", "alpha,id", "--h", "2,4,"], None, f"{NOT_INTS} '2,4,'"),
+            (["qilab", "--mode", "audit", "--h", " , "], None, f"{NOT_INTS} ' , '"),
         ],
-        ids=["counting", "counting-config", "folner", "chain", "audit", "umap", "distortion", "map"],
+        ids=[
+            "counting", "counting-config", "folner", "chain", "audit", "umap", "distortion", "map",
+            "empty-item-counting", "empty-item-counting-config", "empty-item-folner", "empty-item-graph",
+            "empty-item-chain", "empty-item-audit",
+        ],
     )
     def test_rejected_before_any_work(self, capsys, no_work, tmp_path, argv, config, message):
         if config is not None:
@@ -890,6 +935,12 @@ class TestEmptyLists:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_spaces_around_sides_are_read(self):
+        assert cli._parse_h_list(" 2 ,4 , 6") == [2, 4, 6]
+        for blank in ("", " ", "\t \n"):
+            with pytest.raises(ValueError, match="^--h list is empty$"):
+                cli._parse_h_list(blank)
 
 
 class TestConfig:
