@@ -232,10 +232,6 @@ def rat_zero(params: RingParams) -> RationalElement:
     return rational(params, ())
 
 
-def rat_one(params: RingParams) -> RationalElement:
-    return rational(params, (1,))
-
-
 def rat_const(params: RingParams, b: int) -> RationalElement:
     return rational(params, (b % params.q,))
 
@@ -261,10 +257,6 @@ def rat_add(a: RationalElement, b: RationalElement) -> RationalElement:
 
 def rat_neg(a: RationalElement) -> RationalElement:
     return RationalElement(a.params, pneg(a.num, a.params.q), a.den)
-
-
-def rat_sub(a: RationalElement, b: RationalElement) -> RationalElement:
-    return rat_add(a, rat_neg(b))
 
 
 def rat_mul(a: RationalElement, b: RationalElement) -> RationalElement:

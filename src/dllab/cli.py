@@ -281,7 +281,7 @@ def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
     # per point, not by box_size's closed form, so that the check is
     # independent; the cube and the printed size are checked before any fiber
     points = dlgraph.cube_points(box.cube)
-    dlgraph._printable(box_size(params, box), f"side {h}: box size")
+    dlgraph._printable(cube_size(box.cube), f"side {h}: box size", params.q, (params.d - 1) * h)
     sizes = [dlgraph.box_fiber_size(params, box, pt) for pt in points]
     expected_fiber = params.q ** ((params.d - 1) * h)
     fibers = set(sizes)

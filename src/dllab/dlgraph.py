@@ -285,10 +285,6 @@ def base_vertex(params: GraphParams) -> DLVertex:
     return DLVertex(params, tuple(tree_root(0) for _ in range(params.d)))
 
 
-def heights(v: DLVertex) -> "tuple[int, ...]":
-    return tuple(c.level for c in v.coords)
-
-
 def rho(v: DLVertex) -> "tuple[int, ...]":
     """Tracked heights: all but the last, which they determine."""
     return tuple(c.level for c in v.coords[:-1])

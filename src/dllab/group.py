@@ -240,13 +240,13 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
     Returns the states in discovery order and their depths; edges, if
     given, gets the edge list as in _layered_bfs, the outer sphere's by
     _word_step's half step. The ball takes the vertex budget, as the
-    isomorphic graph ball does. When every generator's exps is (+-m,) for one
-    m > 0, as for generators and subgroup_generators at d = 2, the word
-    length is exps[0] / m mod 2, so no half step is passed.
+    isomorphic graph ball does. Edges are asked for only over generators
+    or subgroup_generators, whose exps at d = 2 are (+-k,), so the word
+    length is exps[0] / k mod 2 and, as in dlgraph._ball_search, no half
+    step is passed at d = 2.
     """
     step, half_step, start = _word_step(params, gens)
-    sizes = {abs(e) for s in gens for e in s.exps}
-    if params.d == 2 and len(sizes) == 1 and 0 not in sizes:
+    if params.d == 2:
         half_step = None
     found, _, depths = _layered_bfs(start, radius, step, "elements", edges, half_step)
     return found, depths

@@ -106,8 +106,8 @@ class Shift(Record):
     Scales the clone measure by q**(-m) and stream distances by the same
     factor, hence contributes q**(-m) to the measure scalar and q**|m| to
     the bilipschitz constant. A primitive states both as exponents of q
-    (`lam_exponent`, `bilip_exponent`), so no power is built until a map
-    asks for its constants. Each primitive, and each map built from them,
+    (`lam_exponent`, `bilip_exponent`), so each power is judged from its
+    exponent before it is built. Each primitive, and each map built from them,
     is an immutable record.Record.
     """
 
@@ -318,20 +318,12 @@ class BoundaryMap(Record):
             p.check_alphabet(self.q)
 
     def lam_exponent(self) -> int:
-        """e with lam() == q**e: the primitives' exponents add."""
+        """e with q**e the exact measure scalar, by which clone images shrink; primitives add."""
         return sum(p.lam_exponent() for p in self.prims)
 
     def bilip_exponent(self) -> int:
-        """e with bilip() == q**e: the primitives' exponents add."""
+        """e with q**e a bilipschitz constant for stream distances (not sharp); primitives add."""
         return sum(p.bilip_exponent() for p in self.prims)
-
-    def lam(self) -> Fraction:
-        """Exact measure scalar: images of clones shrink by this factor."""
-        return Fraction(self.q) ** self.lam_exponent()
-
-    def bilip(self) -> int:
-        """A bilipschitz constant for the stream ultrametric (not sharp)."""
-        return self.q ** self.bilip_exponent()
 
     def inverse(self) -> "BoundaryMap":
         return BoundaryMap(self.q, tuple(p.inverse() for p in reversed(self.prims)))
@@ -555,18 +547,12 @@ class InteriorMap(Record):
                 raise ValueError("coordinate map alphabet differs from q")
 
     def lam_exponent(self) -> int:
-        """e with lam_product() == q**e: the coordinates' exponents add."""
+        """e with q**e the product of the coordinate measure scalars: their exponents add."""
         return sum(m.lam_exponent() for m in self.maps)
 
     def bilip_exponent(self) -> int:
-        """e with bilip_max() == q**e: the largest coordinate exponent."""
+        """e with q**e the largest coordinate bilipschitz constant: the largest exponent."""
         return max(m.bilip_exponent() for m in self.maps)
-
-    def lam_product(self) -> Fraction:
-        return Fraction(self.params.q) ** self.lam_exponent()
-
-    def bilip_max(self) -> int:
-        return self.params.q ** self.bilip_exponent()
 
 
 def interior_map(params: GraphParams, maps) -> InteriorMap:
@@ -693,23 +679,27 @@ def fiber_count_audit(
     the vertex budget before any walk.  Inner points are read until two
     counts differ.  Before any walk, bilip, lam_product and the two bounds
     must each print (`dlgraph._printable`), or ValueError names the
-    first that does not.
+    first that does not.  The default bilip, and lam_product, are powers
+    of q, judged from their exponents before they are built; the default
+    bilip is judged first, since audit_radius reads it.
     """
     params = imap.params
+    h = cube_side(box.cube)
     if bilip is None:
-        bilip = imap.bilip_max()
+        bilip = _printable(1, f"side {h}: bilip", params.q, imap.bilip_exponent())
     if r is None:
         r = audit_radius(params.q, bilip)
-    h = cube_side(box.cube)
     _within_budget(1, "fiber has {} members", params.q, (params.d - 1) * h)
     n = box_size(params, box)
     boundary_size = box_boundary_size(params, box, r)
     # the total is not checked: from audit_radius on it is at most the upper bound
     _printable(bilip, f"side {h}: bilip")
-    lam = imap.lam_product()
+    e = imap.lam_exponent()
+    _printable(1, f"side {h}: lam_product", params.q, abs(e))
+    lam = Fraction(params.q) ** e
     lower = (Fraction(n) - boundary_size) / lam
     upper = Fraction(n) / lam + (bilip ** params.d) * boundary_size
-    for name, value in (("lam_product", lam), ("lower_bound", lower), ("upper_bound", upper)):
+    for name, value in (("lower_bound", lower), ("upper_bound", upper)):
         _printable(max(abs(value.numerator), value.denominator), f"side {h}: {name}")
     inner = _inner_cube(box.cube, r)
     level_counts = {}
@@ -787,7 +777,7 @@ def uf_chain_scan(
     for h in h_values:
         box = side_box(params, h)
         _within_budget(cube_size(box.cube), "cube has {} points")
-        n = _printable(box_size(params, box), f"side {h}: box size")
+        n = _printable(cube_size(box.cube), f"side {h}: box size", params.q, (params.d - 1) * h)
         chain = _printable(_fiber_total(imap, box) - k * n, f"side {h}: chain sum")
         bsize = box_boundary_size(params, box, r)
         out.append(

@@ -52,7 +52,6 @@ from dllab.dlgraph import (
     edge_pairs,
     expected_degree,
     graph_params,
-    heights,
     json_payload,
     rho,
     sphere_sizes,
@@ -345,7 +344,7 @@ def export_dot_by_lines(g) -> str:
     """The DOT export, one line built per vertex and per edge."""
     lines = ["graph dl {"]
     for key, v in zip(g.keys, g.vertices):
-        hs = ",".join(str(h) for h in heights(v))
+        hs = ",".join(str(c.level) for c in v.coords)
         lines.append(f'  "{key}" [heights="{hs}"];')
     for i, j in edge_pairs(g):
         lines.append(f'  "{g.keys[i]}" -- "{g.keys[j]}";')
@@ -358,7 +357,7 @@ def export_json_by_dumps(g) -> str:
     payload = {
         "params": {"d": g.params.d, "q": g.params.q, "k": g.params.k},
         "vertices": [
-            {"key": key, "heights": list(heights(v))}
+            {"key": key, "heights": [c.level for c in v.coords]}
             for key, v in zip(g.keys, g.vertices)
         ],
         "edges": [list(e) for e in edge_pairs(g)],

@@ -1,6 +1,7 @@
 """Tests for the dllab command-line interface."""
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -33,6 +34,26 @@ EXPECTED_DOT = """graph dl {
 
 def run_cli(args):
     return cli.main(list(args))
+
+
+@contextlib.contextmanager
+def within_seconds(seconds, digit_limit):
+    """Run the body under str()'s digit limit (0 for none), failing once it runs for seconds.
+
+    A huge power of q built by mistake fails the test instead of hanging it.
+    """
+    def hang(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    old_limit, old_handler = sys.get_int_max_str_digits(), signal.signal(signal.SIGALRM, hang)
+    sys.set_int_max_str_digits(digit_limit)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old_handler)
+        sys.set_int_max_str_digits(old_limit)
 
 
 @pytest.fixture
@@ -686,23 +707,57 @@ class TestOversizedBoxes:
     @pytest.mark.parametrize("mode", ["chain", "audit"])
     def test_map_constant_refused_from_its_exponent_with_no_digit_limit(self, capsys, mode):
         # 1/lambda = K = 2**(10**11) would take about 12.5 GB to build
-        def hang(signum, frame):
-            raise AssertionError("still running after 5 s")
-
         argv = ["qilab", "--mode", mode, "--d", "2", "--q", "2", "--h", "2", "--map", "shift:100000000000,id"]
-        old_limit, old_handler = sys.get_int_max_str_digits(), signal.signal(signal.SIGALRM, hang)
-        sys.set_int_max_str_digits(0)
-        signal.alarm(5)
-        try:
+        with within_seconds(5, 0):
             assert run_cli(argv) == 2
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, old_handler)
-            sys.set_int_max_str_digits(old_limit)
         what = "chain target 1/lambda" if mode == "chain" else "the bilipschitz constant K"
         assert capsys.readouterr() == (
             "", f"error: {what} is at least 2^100000000000, too large to build with no digit limit\n"
         )
+
+    @pytest.mark.parametrize(
+        "shifts,limit,error",
+        [
+            # K = 2**(10**11) would take about 12.5 GB to build
+            ((10**11, 0), 4300, "bilip has more than 4300 digits, the limit for printing an integer"),
+            ((10**11, 0), 0, "bilip is at least 2^100000000000, too large to build with no digit limit"),
+            # K = 2**10000 prints; lambda = 2**-20000 does not, and with no
+            # limit its exponent is past the default limit's 4 * 4300 bits
+            ((10000, 10000), 4300,
+             "lam_product has more than 4300 digits, the limit for printing an integer"),
+            ((10000, 10000), 0,
+             "lam_product is at least 2^20000, too large to build with no digit limit"),
+        ],
+        ids=["bilip", "bilip-no-limit", "lam", "lam-no-limit"],
+    )
+    def test_library_audit_refuses_a_map_constant_from_its_exponent(self, shifts, limit, error):
+        p = dlgraph.graph_params(2, 2)
+        imap = qilab.interior_map(p, [qilab.shift_map(2, m) for m in shifts])
+        with within_seconds(5, limit), pytest.raises(ValueError) as info:
+            qilab.fiber_count_audit(imap, dlgraph.side_box(p, 2))
+        assert str(info.value) == f"side 2: {error}"
+
+    @pytest.mark.parametrize(
+        "limit,error",
+        [
+            (4300, "has more than 4300 digits, the limit for printing an integer"),
+            # 2**18 <= 500000 and 2**59 <= q
+            (0, f"is at least 2^{18 + 499999 * 59}, too large to build with no digit limit"),
+        ],
+        ids=["limit", "no-limit"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", "--assert", "counting"], ["qilab", "--map", "alpha,id"]],
+        ids=["counting", "chain"],
+    )
+    def test_box_size_refused_from_its_exponent(self, capsys, command, limit, error):
+        # the cube's 500000 points are within the vertex budget; the box
+        # size, 500000 * q**499999, has about 9 million digits
+        argv = [*command, "--d", "2", "--q", str(10**18 + 3), "--h", "499999"]
+        with within_seconds(2, limit):
+            assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", f"error: side 499999: box size {error}\n")
 
     @pytest.mark.parametrize(
         "command,last_err",
@@ -1394,29 +1449,15 @@ class TestFormerlyUncheckedArgs:
         ids=["prefix-window", "pairs", "shift-chain", "shift-audit"],
     )
     def test_large_request_refused_before_it_is_built(self, capsys, monkeypatch, no_work, argv, error):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a power of q was built")
-
         product = itertools.product
 
         def bounded(*iterables, repeat=1):
             assert repeat <= 2, f"built the words of a {repeat}-digit window"
             return product(*iterables, repeat=repeat)
 
-        for owner, name in [
-            (qilab.InteriorMap, "lam_product"),
-            (qilab.InteriorMap, "bilip_max"),
-            (qilab.BoundaryMap, "lam"),
-            (qilab.BoundaryMap, "bilip"),
-        ]:
-            monkeypatch.setattr(owner, name, refuse)
         monkeypatch.setattr(itertools, "product", bounded)
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        try:
+        with within_seconds(5, 4300):
             assert run_cli(argv) == 2
-        finally:
-            sys.set_int_max_str_digits(old)
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_pairs_0_before_the_box_is_built(self, capsys, no_work):

@@ -52,7 +52,6 @@ from dllab.dlgraph import (
     fiber_pools,
     graph_params,
     height_cube,
-    heights,
     meet_level,
     rho,
     sphere_sizes,
@@ -174,7 +173,7 @@ def test_meet_level():
 def test_vertex_validation():
     p = graph_params(2, 2)
     base = base_vertex(p)
-    assert heights(base) == (0, 0)
+    assert [c.level for c in base.coords] == [0, 0]
     assert rho(base) == (0,)
     with pytest.raises(ValueError):
         dl_vertex(p, (tree_root(1), tree_root(0)))  # heights sum to 1
@@ -199,7 +198,7 @@ def test_degree_and_adjacency(d, q, k):
     assert len(nbrs) == expected_degree(p)
     assert len({dl_key(w) for w in nbrs}) == len(nbrs)
     for w in nbrs:
-        assert sum(heights(w)) == 0
+        assert sum(c.level for c in w.coords) == 0
         assert w.coords[0].level % k == 0
         assert dl_adjacent(base, w)
         assert dl_adjacent(w, base)

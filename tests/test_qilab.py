@@ -177,9 +177,9 @@ class TestShift:
 
     def test_lam_and_bilip(self):
         assert (Shift(2).lam_exponent(), Shift(-2).bilip_exponent()) == (-2, 2)
-        assert BoundaryMap(3, (Shift(2),)).lam() == Fraction(1, 9)
-        assert BoundaryMap(2, (Shift(-1),)).lam() == 2
-        assert BoundaryMap(2, (Shift(-2),)).bilip() == 4
+        assert Fraction(3) ** BoundaryMap(3, (Shift(2),)).lam_exponent() == Fraction(1, 9)
+        assert Fraction(2) ** BoundaryMap(2, (Shift(-1),)).lam_exponent() == 2
+        assert 2 ** BoundaryMap(2, (Shift(-2),)).bilip_exponent() == 4
 
     def test_inverse_cancels(self):
         c = tree_vertex(2, [(1, 1)])
@@ -209,7 +209,8 @@ class TestLevelPerm:
     def test_isometry_constants(self):
         p = level_perm([(0, (1, 0))])
         assert p.lam_exponent() == p.bilip_exponent() == 0
-        assert BoundaryMap(2, (p,)).lam() == BoundaryMap(2, (p,)).bilip() == 1
+        m = BoundaryMap(2, (p,))
+        assert Fraction(2) ** m.lam_exponent() == 2 ** m.bilip_exponent() == 1
 
     def test_measured_constant_is_one(self):
         m = BoundaryMap(2, (level_perm([(0, (1, 0)), (2, (1, 0))]),))
@@ -334,7 +335,7 @@ class TestBoundaryMaps:
                 check = measure_linear_constant(shift_map(q, m), depth=4)
                 assert check.constant
                 assert check.ratio == Fraction(q) ** (-m)
-                assert shift_map(q, m).lam() == Fraction(q) ** (-m)
+                assert Fraction(q) ** shift_map(q, m).lam_exponent() == Fraction(q) ** (-m)
 
     def test_identity_lam(self):
         check = measure_linear_constant(identity_map(2), depth=3)
@@ -354,8 +355,8 @@ class TestBoundaryMaps:
             mfg = measure_linear_constant(fg, depth)
             assert mf.constant and mg.constant and mfg.constant
             assert mfg.ratio == mf.ratio * mg.ratio
-            assert mf.ratio == f.lam()
-            assert mg.ratio == g.lam()
+            assert mf.ratio == Fraction(q) ** f.lam_exponent()
+            assert mg.ratio == Fraction(q) ** g.lam_exponent()
 
     def test_inverse_acts_as_identity_on_streams(self):
         # a vertex's image is its zero-fill stream's image, read at its height
@@ -375,7 +376,8 @@ class TestBoundaryMaps:
             f = random_boundary_map(rng, q)
             c = tree_vertex(2, [(0, 1), (2, q - 1)])
             images = f.clone_images(c)
-            assert sum(clone_measure(ci, q) for ci in images) == f.lam() * clone_measure(c, q)
+            lam = Fraction(q) ** f.lam_exponent()
+            assert sum(clone_measure(ci, q) for ci in images) == lam * clone_measure(c, q)
             back = [c2 for ci in images for c2 in f.clone_preimages(ci)]
             assert sum(clone_measure(ci, q) for ci in back) == clone_measure(c, q)
 
@@ -497,13 +499,20 @@ class TestInteriorMaps:
         for _ in range(60):
             q, d = rng.choice([2, 3]), rng.choice([2, 3])
             pairs = [(random_boundary_map(rng, q), random_boundary_map(rng, q)) for _ in range(d)]
+
+            def lam(m):
+                return Fraction(q) ** m.lam_exponent()
+
+            def bilip(m):
+                return q ** m.bilip_exponent()
+
             for f, g in pairs:
-                assert compose(f, g).lam() == f.lam() * g.lam()
-                assert compose(f, g).bilip() == f.bilip() * g.bilip()
+                assert lam(compose(f, g)) == lam(f) * lam(g)
+                assert bilip(compose(f, g)) == bilip(f) * bilip(g)
             maps = [compose(f, g) for f, g in pairs]
             im = interior_map(graph_params(d, q), maps)
-            assert im.lam_product() == math.prod(m.lam() for m in maps)
-            assert im.bilip_max() == max(m.bilip() for m in maps)
+            assert lam(im) == math.prod(lam(m) for m in maps)
+            assert bilip(im) == max(bilip(m) for m in maps)
 
     def lift_lower(self):
         # contract the first coordinate, fix the second
@@ -717,7 +726,7 @@ class TestFiberAudit:
             p = graph_params(d, q)
             im = interior_map(p, [random_boundary_map(rng, q) for _ in range(d)])
             box = dlgraph.side_box(p, 2)
-            least = audit_radius(q, im.bilip_max())
+            least = audit_radius(q, q ** im.bilip_exponent())
             assert fiber_count_audit(im, box).r == least
             for r in (least, least + 1):
                 assert fiber_count_audit(im, box, r=r).bounds_ok
@@ -1187,7 +1196,7 @@ def enumerative_audit(imap, box, r, bilip):
     interior = [c for x, c in zip(members, counts) if rho(x) not in boundary]
     n, total = len(members), sum(counts)
     bsize = n - len(interior)
-    lam = imap.lam_product()
+    lam = Fraction(params.q) ** imap.lam_exponent()
     lower = (Fraction(n) - bsize) / lam
     upper = Fraction(n) / lam + bilip ** params.d * bsize
     distinct = set(interior)
@@ -1290,7 +1299,7 @@ class TestClosedFormOracle:
         rng = random.Random(100 * d + 10 * q + r + 10000 * (k - 1))
         for _ in range(6):
             imap, box = oracle_case(rng, d, q, r, k)
-            bilip = imap.bilip_max()
+            bilip = q ** imap.bilip_exponent()
             assert fiber_count_audit(imap, box, r=r, bilip=bilip) == enumerative_audit(
                 imap, box, r, bilip
             )
@@ -1309,7 +1318,7 @@ class TestClosedFormOracle:
         im = interior_map(p, (shift_map(2, -1), identity_map(2)))
         box = canonical_box(p, height_cube([(0, 4)]))
         audit = fiber_count_audit(im, box, r=1)
-        assert audit == enumerative_audit(im, box, 1, im.bilip_max())
+        assert audit == enumerative_audit(im, box, 1, p.q ** im.bilip_exponent())
         assert audit.interior_constant is False and audit.interior_value is None
 
     def test_window_inside_box_levels_varies_interior(self):
@@ -1322,7 +1331,7 @@ class TestClosedFormOracle:
         im = interior_map(p, (BoundaryMap(3, (Shift(-1), rw)), identity_map(3)))
         box = canonical_box(p, height_cube([(0, 4)]))
         audit = fiber_count_audit(im, box, r=1)
-        assert audit == enumerative_audit(im, box, 1, im.bilip_max())
+        assert audit == enumerative_audit(im, box, 1, p.q ** im.bilip_exponent())
         assert audit.interior_constant is False
 
     def test_default_radius_matches_enumeration(self):
