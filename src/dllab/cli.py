@@ -55,6 +55,7 @@ from itertools import accumulate
 from . import dlgraph, group, qilab
 from .algebra import ring_params
 from .dlgraph import (
+    DLVertex,
     ball,
     base_vertex,
     box_graph,
@@ -279,9 +280,10 @@ def cmd_graph(args) -> int:
 def _check_counting(params, h) -> "list[tuple[str, bool, str]]":
     box = side_box(params, h)
     # per point, not by box_size's closed form, so that the check is
-    # independent; the cube and the printed size are checked before any fiber
-    points = dlgraph.cube_points(box.cube)
+    # independent; the cube and the printed size are judged before any point is listed
+    dlgraph._within_budget(cube_size(box.cube), "cube has {} points")
     dlgraph._printable(cube_size(box.cube), f"side {h}: box size", params.q, (params.d - 1) * h)
+    points = dlgraph.cube_points(box.cube)
     sizes = [dlgraph.box_fiber_size(params, box, pt) for pt in points]
     expected_fiber = params.q ** ((params.d - 1) * h)
     fibers = set(sizes)
@@ -557,8 +559,8 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, list]":
     # each pair costs two distance searches, so the count is held to the budget
     dlgraph._within_budget(n_pairs, "sample has {} pairs")
     box = side_box(params, h)
-    members = dlgraph._listed_members(params, box, dlgraph._box_listing(params, box))
-    table = qilab.psi_eval(imap, members)
+    members = dlgraph._listed_members(box, dlgraph._box_listing(params, box))
+    table = qilab.psi_eval(imap, [DLVertex(params, c) for c in members])
     report = qilab.distortion(
         table,
         n_pairs=n_pairs,

@@ -631,11 +631,13 @@ class BallGraph(NamedTuple):
     """A finite vertex set with its induced edges.
 
     Balls carry center, radius, and BFS depths; box slices carry their cube
-    instead. Vertices are sorted by canonical key, so equal inputs always
-    produce byte-identical exports. edges is one sorted array('q') holding
-    an edge between key positions i < j as the code i*n + j, n the vertex
-    count, so code order is (i, j) order. _edge_array writes that format
-    and edge_pairs reads it; no other code knows it.
+    instead. vertices holds each vertex's coordinate tuple, as the search
+    or the pool product made it, not a DLVertex; a caller that needs
+    vertices wraps them. Vertices are sorted by canonical key, so equal
+    inputs always produce byte-identical exports. edges is one sorted
+    array('q') holding an edge between key positions i < j as the code
+    i*n + j, n the vertex count, so code order is (i, j) order. _edge_array
+    writes that format and edge_pairs reads it; no other code knows it.
     """
 
     params: GraphParams
@@ -764,14 +766,13 @@ def ball(center: DLVertex, radius: int) -> BallGraph:
     ends = array("q")
     found, ids, found_depth = _ball_search(center, radius, ends)
     del ids  # drops the node index before the vertices are keyed
-    found = [DLVertex(center.params, c) for c in found]
     tree_keys = LazyDict(tree_key)
-    keys = ["|".join(map(tree_keys.__getitem__, v.coords)) for v in found]
+    keys = ["|".join(map(tree_keys.__getitem__, c)) for c in found]
     order, pos = _key_order(keys)
     it = iter(ends)
     return BallGraph(
         params=center.params,
-        vertices=tuple(found[i] for i in order),
+        vertices=tuple(map(found.__getitem__, order)),
         keys=tuple(keys[i] for i in order),
         edges=_edge_array(len(found), pos, zip(it, it)),
         center=center,
@@ -856,8 +857,8 @@ def _box_listing(params: GraphParams, box: Box) -> _BoxListing:
     fastest: box_members' order. order and pos map key-sorted positions to
     build ids and back (_key_order). The closed-form size is checked
     against the vertex budget before the pool table (_pool_table) is made.
-    A fiber's member keys are the products of its pools' keys; no member
-    is built as a vertex here (_listed_members does that).
+    A fiber's member keys are the products of its pools' keys; no member's
+    coordinates are listed here (_listed_members does that).
     """
     _check_box(params, box)
     pools = _pool_table(params, box)
@@ -869,16 +870,16 @@ def _box_listing(params: GraphParams, box: Box) -> _BoxListing:
     return _BoxListing(tuple(map(keys.__getitem__, order)), offsets, order, pos, pools)
 
 
-def _listed_members(params: GraphParams, box: Box, listing: _BoxListing) -> tuple:
-    """The members of a box as DLVertexes, in its listing's key order.
+def _listed_members(box: Box, listing: _BoxListing) -> tuple:
+    """The coordinate tuples of a box's members, in its listing's key order.
 
-    The one builder of box members as vertices: each fiber is the product
-    of its pools' vertices, in build order, then sorted by listing.order.
+    The one lister of box members: each fiber is the product of its pools'
+    vertices, in build order, then sorted by listing.order. No DLVertex is
+    built; a caller that needs vertices wraps the tuples.
     """
     members = []
     for point in listing.offsets:
-        pools = [listing.pools.vertices[at] for at in enumerate(_fiber_depths(box, point))]
-        members += (DLVertex(params, coords) for coords in product(*pools))
+        members += product(*[listing.pools.vertices[at] for at in enumerate(_fiber_depths(box, point))])
     return tuple(map(members.__getitem__, listing.order))
 
 
@@ -911,7 +912,7 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
     if bound > DEFAULT_EDGE_BUDGET:
         raise BudgetError(f"box graph may hold {bound} edges, budget {DEFAULT_EDGE_BUDGET}")
     listing = _box_listing(params, box)
-    vertices = _listed_members(params, box, listing)
+    vertices = _listed_members(box, listing)
     keys, offsets, pos = listing.keys, listing.offsets, listing.pos
     del listing  # drops the pool table's key texts before the edge pass
     pairs = chain.from_iterable(_box_edge_batches(params, box, offsets))
@@ -969,7 +970,7 @@ def sphere_sizes(g: BallGraph) -> "tuple[int, ...]":
 
 
 def _height_labels(vertices) -> Iterator[str]:
-    """Each vertex's heights as "h_1,...,h_d", in the order given.
+    """Each coordinate tuple's heights as "h_1,...,h_d", in the order given.
 
     The text is built once per distinct height tuple, since all members of
     a fiber, and many vertices of a ball, share one. A TreeVertex is a
@@ -977,7 +978,7 @@ def _height_labels(vertices) -> Iterator[str]:
     height tuple.
     """
     label = LazyDict(lambda hs: ",".join(map(str, hs)))
-    return (label[next(zip(*v.coords))] for v in vertices)
+    return (label[next(zip(*coords))] for coords in vertices)
 
 
 # items per chunk of a graph export, so that a chunk's text and the list of

@@ -926,9 +926,10 @@ def umap_positions(tiling: Tiling, k: int) -> "tuple[tuple, list[int], list[tupl
 def umap_eval(tiling: Tiling, k: int) -> dict:
     """The tile map over the ambient box in key order, as `umap_positions` finds it."""
     listing, image, _ = umap_positions(tiling, k)
-    members = _listed_members(tiling.params, tiling.ambient, listing)
-    target = tiling.params._replace(k=k)
-    return {x: DLVertex(target, members[j].coords) for x, j in zip(members, image)}
+    params = tiling.params
+    members = _listed_members(tiling.ambient, listing)
+    target = params._replace(k=k)
+    return {DLVertex(params, x): DLVertex(target, members[j]) for x, j in zip(members, image)}
 
 
 def tile_displacements(d: int, signatures) -> Iterator[int]:

@@ -257,7 +257,7 @@ def validate_correspondence_by_ball(params, radius):
     cayley_ends = array("q")
     found, depths = group._word_ball(params, radius, group.generators(params), cayley_ends)
     gb = ball(base_vertex(graph_params(params.d, params.q, 1)), radius)
-    position = {v.coords: p for p, v in enumerate(gb.vertices)}
+    position = {c: p for p, c in enumerate(gb.vertices)}
     read = group._image_reader(params)
     failures = []
 
@@ -343,8 +343,8 @@ def index_check_by_elements(params, k):
 def export_dot_by_lines(g) -> str:
     """The DOT export, one line built per vertex and per edge."""
     lines = ["graph dl {"]
-    for key, v in zip(g.keys, g.vertices):
-        hs = ",".join(str(c.level) for c in v.coords)
+    for key, coords in zip(g.keys, g.vertices):
+        hs = ",".join(str(c.level) for c in coords)
         lines.append(f'  "{key}" [heights="{hs}"];')
     for i, j in edge_pairs(g):
         lines.append(f'  "{g.keys[i]}" -- "{g.keys[j]}";')
@@ -357,8 +357,8 @@ def export_json_by_dumps(g) -> str:
     payload = {
         "params": {"d": g.params.d, "q": g.params.q, "k": g.params.k},
         "vertices": [
-            {"key": key, "heights": [c.level for c in v.coords]}
-            for key, v in zip(g.keys, g.vertices)
+            {"key": key, "heights": [c.level for c in coords]}
+            for key, coords in zip(g.keys, g.vertices)
         ],
         "edges": [list(e) for e in edge_pairs(g)],
     }

@@ -164,6 +164,26 @@ class TestChunkedGraphPayload:
                     assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("fmt", ["dot", "json"])
+    @pytest.mark.parametrize("region", [("--radius", 2), ("--h", 2)], ids=["ball", "box"])
+    @pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_export_builds_no_vertex_per_member(self, capsys, monkeypatch, d, k, region, fmt):
+        # a ball's and a box's vertices are their coordinate tuples, and the
+        # writers read heights off them: a ball builds its centre alone
+        built = []
+        init = dlgraph.DLVertex.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(dlgraph.DLVertex, "__init__", counted)
+        flag, value = region
+        argv = ["graph", "--d", str(d), "--q", "2", "--k", str(k), flag, str(value), "--format", fmt]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.count("heights") > 1
+        assert len(built) == (1 if flag == "--radius" else 0)
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
     def test_payload_is_written_chunk_by_chunk(self, monkeypatch, fmt):
         # the payload reaches stdout as a lazy run of chunks of at most 16
         # items, never as one string; the chunks join to the export
@@ -758,6 +778,20 @@ class TestOversizedBoxes:
         with within_seconds(2, limit):
             assert run_cli(argv) == 2
         assert capsys.readouterr() == ("", f"error: side 499999: box size {error}\n")
+
+    def test_counting_box_size_refused_before_any_cube_point(self, capsys, monkeypatch):
+        # the cube's 500000 points are within the vertex budget, but the box
+        # size is judged first, so none is listed
+        def refuse(*args, **kwargs):
+            raise AssertionError("cube points were listed")
+
+        monkeypatch.setattr(dlgraph, "cube_points", refuse)
+        argv = ["verify", "--d", "2", "--q", str(10**18 + 3), "--assert", "counting", "--h", "499999"]
+        with within_seconds(2, 4300):
+            assert run_cli(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: side 499999: box size has more than 4300 digits, the limit for printing an integer\n"
+        )
 
     @pytest.mark.parametrize(
         "command,last_err",

@@ -26,6 +26,7 @@ from dllab.dlgraph import (
     Box,
     DEFAULT_DISTANCE_CAP,
     BudgetError,
+    DLVertex,
     GraphParams,
     HeightCube,
     RegionAlignmentError,
@@ -74,6 +75,11 @@ from oracles import (
     tile_box,
     vertex_distance,
 )
+
+
+def graph_vertices(g):
+    """g's vertices as DLVertexes: BallGraph.vertices holds coordinate tuples."""
+    return [DLVertex(g.params, c) for c in g.vertices]
 
 
 def fiber(params, box, point):
@@ -209,7 +215,7 @@ def test_degree_and_adjacency(d, q, k):
 def test_degree_constant_on_ball(d, q, k):
     p = graph_params(d, q, k)
     g = ball(base_vertex(p), 2)
-    for v in g.vertices:
+    for v in graph_vertices(g):
         assert len(dl_neighbors(v)) == expected_degree(p)
 
 
@@ -218,7 +224,7 @@ def test_adjacency_matches_neighbor_sets(d, q, k):
     p = graph_params(d, q, k)
     g = ball(base_vertex(p), 2)
     rng = random.Random(50 + 10 * d + k)
-    verts = list(g.vertices)
+    verts = graph_vertices(g)
     for _ in range(60):
         u = rng.choice(verts)
         v = rng.choice(verts)
@@ -242,7 +248,7 @@ def test_ball_examples(monkeypatch):
 @pytest.mark.parametrize("d,q,radius", [(2, 2, 4), (2, 3, 3), (3, 2, 3)])
 def test_vertex_transitive_sphere_sizes(d, q, radius):
     p = graph_params(d, q)
-    pool = ball(base_vertex(p), 2).vertices
+    pool = graph_vertices(ball(base_vertex(p), 2))
     rng = random.Random(60 + d * 10 + q)
     centers = [base_vertex(p)] + [rng.choice(pool) for _ in range(2)]
     profiles = {sphere_sizes(ball(c, radius)) for c in centers}
@@ -402,11 +408,11 @@ def test_sorted_box_member_keys(d, q, k):
             for box in (canon, lifted):
                 listing = dlgraph._box_listing(p, box)
                 keys, offsets, order, pos, _ = listing
-                members = dlgraph._listed_members(p, box, listing)
-                assert keys == tuple(map(dl_key, members))
+                members = dlgraph._listed_members(box, listing)
+                assert keys == tuple(dl_key(DLVertex(p, c)) for c in members)
                 assert all(a < b for a, b in zip(keys, keys[1:]))
                 built = list(box_members(p, box))
-                assert members == tuple(built[i] for i in order)
+                assert members == tuple(built[i].coords for i in order)
                 assert [pos[i] for i in order] == list(range(len(built)))
                 first = {}
                 for i, x in enumerate(built):
@@ -742,7 +748,7 @@ def test_edges_are_one_int_each(d, q, k):
     # spare room, and the decoder reads back reference_edges' pairs
     for g in oracle_graphs(graph_params(d, q, k)):
         pairs = tuple(edge_pairs(g))
-        assert pairs == reference_edges(g.vertices)
+        assert pairs == reference_edges(graph_vertices(g))
         assert type(g.edges) is array and g.edges.typecode == "q" and g.edges.itemsize == 8
         assert len(g.edges) == len(pairs)
         assert sys.getsizeof(g.edges) == sys.getsizeof(array("q")) + 8 * len(pairs)
@@ -794,7 +800,7 @@ def test_ball_matches_reference(d, q, k):
             break
         ref = BallGraph(
             params=p,
-            vertices=vertices,
+            vertices=tuple(v.coords for v in vertices),
             keys=keys,
             edges=reference_edges(vertices),
             center=center,
@@ -838,7 +844,7 @@ def test_d2_ball_off_the_base_matches_reference(q, k, radius):
     keys, vertices, depths = reference_ball(center, radius)
     ref = BallGraph(
         params=p,
-        vertices=vertices,
+        vertices=tuple(v.coords for v in vertices),
         keys=keys,
         edges=reference_edges(vertices),
         center=center,
@@ -945,7 +951,11 @@ def test_box_graph_matches_reference(d, q, k):
                 keys = tuple(sorted(by_key))
                 vertices = tuple(by_key[kk] for kk in keys)
                 ref = BallGraph(
-                    params=p, vertices=vertices, keys=keys, edges=reference_edges(vertices), cube=cube
+                    params=p,
+                    vertices=tuple(v.coords for v in vertices),
+                    keys=keys,
+                    edges=reference_edges(vertices),
+                    cube=cube,
                 )
                 assert_same_graph(box_graph(p, box), ref)
                 checked += 1
@@ -978,15 +988,15 @@ def test_half_move_vectors_expand_to_the_half_step(d, q, k):
     moves = dlgraph._move_table(p)
     vectors = dlgraph._neighbor_coords(dlgraph._height_moves(k), (0,) * d, half=True)
     assert len(set(vectors)) == len(vectors)
-    for v in ball(base_vertex(p), 1).vertices:
+    for coords in ball(base_vertex(p), 1).vertices:
         expanded = []
         for vec in vectors:
             per_coord = [
                 list(tree_descendants(c, change, q)) if change > 0 else [tree_ancestor(c, c.level + change)]
-                for c, change in zip(v.coords, vec)
+                for c, change in zip(coords, vec)
             ]
             expanded += itertools.product(*per_coord)
-        assert expanded == dlgraph._neighbor_coords(moves, v.coords, half=True)
+        assert expanded == dlgraph._neighbor_coords(moves, coords, half=True)
 
 
 def test_box_graph_lists_no_neighbour_tuple(monkeypatch):
@@ -1002,7 +1012,7 @@ def test_box_graph_lists_no_neighbour_tuple(monkeypatch):
         members = tuple(sorted(box_members(p, box), key=dl_key))
         ref = BallGraph(
             params=p,
-            vertices=members,
+            vertices=tuple(v.coords for v in members),
             keys=tuple(map(dl_key, members)),
             edges=reference_edges(members),
             cube=cube,
@@ -1082,7 +1092,7 @@ def test_distance_matches_ball_depths():
     p = graph_params(2, 2)
     center = base_vertex(p)
     g = ball(center, 3)
-    for v, dep in zip(g.vertices, g.depths):
+    for v, dep in zip(graph_vertices(g), g.depths):
         assert dl_distance(center, v) == dep
         assert dl_distance(v, center) == dep
 
@@ -1091,7 +1101,7 @@ def test_distance_matches_naive_bfs_random_pairs():
     p = graph_params(2, 2)
     g = ball(base_vertex(p), 2)
     rng = random.Random(31)
-    verts = list(g.vertices)
+    verts = graph_vertices(g)
     for _ in range(25):
         u = rng.choice(verts)
         v = rng.choice(verts)
@@ -1103,7 +1113,7 @@ def test_distance_matches_naive_bfs_other_graphs(d, q, k):
     p = graph_params(d, q, k)
     g = ball(base_vertex(p), 2)
     rng = random.Random(37)
-    verts = list(g.vertices)
+    verts = graph_vertices(g)
     for _ in range(25):
         u = rng.choice(verts)
         v = rng.choice(verts)
@@ -1160,7 +1170,7 @@ def bfs_by_signature():
     """Per oracle ball, every pair signature in it with its vertex-BFS distance."""
     out = {}
     for d, q, k, r in ORACLE_BALLS:
-        verts = ball(base_vertex(graph_params(d, q, k)), r).vertices
+        verts = graph_vertices(ball(base_vertex(graph_params(d, q, k)), r))
         pairs = {}
         for i, u in enumerate(verts):
             for v in verts[i:]:  # (v, u) is in the class of (u, v)
@@ -1186,7 +1196,7 @@ def test_signature_search_matches_vertex_bfs(cold_memo, bfs_by_signature, d, q, 
 def test_state_moves_are_the_graph_edges_seen_from_the_target(d, q, k, r):
     # for a pair (u, v), the states one move from (u, v)'s state are exactly
     # the states of (w, v) over the neighbours w of u
-    verts = ball(base_vertex(graph_params(d, q, k)), r).vertices
+    verts = graph_vertices(ball(base_vertex(graph_params(d, q, k)), r))
     rng = random.Random(700 + 100 * d + 10 * q + k)
 
     def state(x, y):
@@ -1250,7 +1260,7 @@ def test_index_distance_builds_no_graph_move(monkeypatch, cold_memo, d, q, k, r)
 
     monkeypatch.setattr(dlgraph, "_neighbor_coords", refuse)
     monkeypatch.setattr(dlgraph, "_move_table", refuse)
-    for v, dep in zip(g.vertices, g.depths):
+    for v, dep in zip(graph_vertices(g), g.depths):
         assert dl_distance(g.center, v) == dep
 
 
@@ -1351,7 +1361,7 @@ def test_distance_memo_stays_bounded():
     p = graph_params(2, 3)
     base = base_vertex(p)
     sizes = []
-    for v in ball(base, 3).vertices:
+    for v in graph_vertices(ball(base, 3)):
         state = dlgraph._canonical_state(1, dlgraph._pair_signature(base, v))
         assert small(1, state) == vertex_distance(base, v, DEFAULT_DISTANCE_CAP)
         sizes.append(small.cache_info().currsize)
@@ -1493,7 +1503,7 @@ def small_ball():
 @pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
 def test_neighbors_match_two_loop_version(small_ball, d, q, k):
     g = small_ball(d, q, k)
-    for v in g.vertices:
+    for v in graph_vertices(g):
         assert dl_neighbors(v) == two_loop_neighbors(v)
 
 
@@ -1502,9 +1512,8 @@ def test_half_step_lists_each_edge_from_one_endpoint(small_ball, d, q, k):
     p = graph_params(d, q, k)
     g = small_ball(d, q, k)
     moves = dlgraph._move_table(p)
-    half = {v.coords: dlgraph._neighbor_coords(moves, v.coords, half=True) for v in g.vertices}
-    for v, depth in zip(g.vertices, g.depths):
-        u = v.coords
+    half = {u: dlgraph._neighbor_coords(moves, u, half=True) for u in g.vertices}
+    for u, depth in zip(g.vertices, g.depths):
         full = dlgraph._neighbor_coords(moves, u)
         rest = iter(full)
         assert all(w in rest for w in half[u])  # a sub-list, in the same order
@@ -1523,7 +1532,7 @@ def test_searches_run_on_coordinate_tuples(monkeypatch):
         base = base_vertex(p)
         cube = height_cube([(0, 2 * k)] * (d - 1), k)
         g = ball(base, 3)
-        far = g.vertices[g.depths.index(3)]
+        far = DLVertex(p, g.vertices[g.depths.index(3)])
         cases.append((base, p, canonical_box(p, cube), far, k))
     expected = [
         (ball(base, 3), box_graph(p, box), k > 1 and dl_distance(base, far))
@@ -1579,7 +1588,7 @@ def test_back_to_back_searches_match_reference_across_q(d, k):
             g,
             BallGraph(
                 params=p,
-                vertices=vertices,
+                vertices=tuple(v.coords for v in vertices),
                 keys=keys,
                 edges=reference_edges(vertices),
                 center=center,
@@ -1592,7 +1601,7 @@ def test_back_to_back_searches_match_reference_across_q(d, k):
             bg,
             BallGraph(
                 params=p,
-                vertices=members,
+                vertices=tuple(v.coords for v in members),
                 keys=tuple(map(dl_key, members)),
                 edges=reference_edges(members),
                 cube=box.cube,
@@ -1617,5 +1626,5 @@ def test_searches_leave_no_module_state():
         base = base_vertex(p)
         g = ball(base, 2)
         box_graph(p, canonical_box(p, height_cube([(0, k)] * (d - 1), k)))
-        assert dl_distance(base, g.vertices[-1]) == g.depths[-1]
+        assert dl_distance(base, DLVertex(p, g.vertices[-1])) == g.depths[-1]
     assert containers() == []

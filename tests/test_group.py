@@ -16,6 +16,7 @@ from dllab import dlgraph, group
 from dllab.algebra import partial_fractions, rat_zero, rational, ring_params
 from dllab.dlgraph import (
     BudgetError,
+    DLVertex,
     _layered_bfs,
     ball,
     base_vertex,
@@ -271,7 +272,7 @@ def unswappable_pair(gb, depth):
     if not pairs:
         return None
     a, b = min(pairs, key=lambda ab: nearer(ab[0]) != nearer(ab[1]))
-    return gb.vertices[a], gb.vertices[b]
+    return DLVertex(gb.params, gb.vertices[a]), DLVertex(gb.params, gb.vertices[b])
 
 
 def swapped_reader(true_reader, a, b):

@@ -919,11 +919,11 @@ class TestUmapOracle:
     def test_fiber_map_matches_per_vertex_and_enumerative(self, d, q, k, side):
         tiling, by_key, expected = enumerative_umap_table(d, q, k, side)
         listing, image, _ = qilab.umap_positions(tiling, k)
-        members = dlgraph._listed_members(tiling.params, tiling.ambient, listing)
+        members = dlgraph._listed_members(tiling.ambient, listing)
         # in key order, each image read as the member at its position
-        assert members == by_key
-        assert list(listing.keys) == [dl_key(x) for x in members]
-        assert [members[j].coords for j in image] == [y.coords for y in expected]
+        assert members == tuple(x.coords for x in by_key)
+        assert list(listing.keys) == [dl_key(dlgraph.DLVertex(tiling.params, c)) for c in members]
+        assert [members[j] for j in image] == [y.coords for y in expected]
 
     @pytest.mark.parametrize("d,q,k,side", UMAP_GRID)
     def test_positions_and_signatures_match_the_oracles(self, monkeypatch, d, q, k, side):
