@@ -28,7 +28,8 @@ Every ``ValueError``, an over-budget ``BudgetError`` included, prints
 ``error:`` and exits 2.  ``graph`` and ``qilab`` still accept ``--workers``
 but ignore it: fiber counts are per coordinate and run in
 one process.  Each flag is declared once, in ``_FLAGS``, and each
-subcommand has exactly the flags that its reads tables name.  One parser,
+subcommand has exactly the flags that its reads tables name; each
+``qilab`` mode is one ``_QILAB_MODES`` entry.  One parser,
 built at import (``_PARSER``), reads every argv, help and usage errors
 included.  argparse reads ``--config`` like any other flag, so
 ``--config=F`` and unique prefixes such as ``--conf F`` name the same
@@ -139,10 +140,11 @@ def _emit(chunks, out_path, summary_lines) -> None:
 
 # The flags each command reads. `graph` reads all of its flags. verify and
 # qilab always read --d, --q, the suite or mode and --assert, and the flags
-# their suite or mode lists; the verify suite `all` runs every suite, so it
-# reads all of theirs. --workers is accepted and ignored. Any other flag,
-# given on the command line or by --config, is a usage error, because a
-# flag that changes nothing would look as if it had been applied.
+# their suite or mode lists (_VERIFY_READS, _QILAB_MODES); the verify suite
+# `all` runs every suite, so it reads all of theirs. --workers is accepted
+# and ignored. Any other flag, given on the command line or by --config, is
+# a usage error, because a flag that changes nothing would look as if it
+# had been applied.
 _GRAPH_READS = {"d", "q", "k", "radius", "h", "format", "out", "workers"}
 _VERIFY_ALWAYS = {"d", "q", "assert"}
 _QILAB_ALWAYS = {"d", "q", "mode", "assert", "workers"}
@@ -152,23 +154,11 @@ _VERIFY_READS = {
     "correspondence": {"radius", "out"},
     "index": {"k"},
 }
-_QILAB_READS = {
-    "chain": {"k", "h", "r", "map", "out"},
-    "audit": {"h", "r", "map", "format", "out"},
-    "umap": {"k", "h", "out"},
-    "distortion": {"h", "map", "pairs", "seed", "out"},
-}
-_QILAB_ASSERTIONS = {
-    "chain": ("bounded", "divergence"),
-    "audit": ("bounded",),
-    "umap": ("ktoone",),
-    "distortion": (),
-}
 
 # Every flag, once, as its argparse keywords. A subcommand declares the
 # flags it reads; a config key takes its flag's type (str by default), and
-# choices are checked on the command line only. --assert takes its
-# choices from the command's entry in _COMMANDS (_add_command).
+# choices are checked on the command line only. --mode and --assert take
+# their choices from the command's entry in _COMMANDS (_add_command).
 _FLAGS = {
     "d": {"type": int, "default": 2, "help": "number of tree coordinates"},
     "q": {"type": int, "default": 2, "help": "branching, q >= 2; the correspondence and index suites need a prime"},
@@ -181,7 +171,7 @@ _FLAGS = {
     "out": {"help": "write payload to file"},
     "seed": {"type": int, "help": "sampling seed (default 0)"},
     "workers": {"type": int, "help": "accepted and ignored (single process)"},
-    "mode": {"choices": tuple(_QILAB_READS), "default": "chain"},
+    "mode": {"default": "chain"},
     "pairs": {"type": int, "help": "distortion sample pairs, at least 1 (default 30)"},
     "assert": {"dest": "assertion"},
 }
@@ -441,7 +431,14 @@ def _chain_csv(records) -> str:
     return _csv_payload(qilab.ChainRecord._fields, rows)
 
 
-def _qilab_chain(args, params, imap) -> "tuple[str, list, list]":
+def _qilab_map(args, params) -> qilab.InteriorMap:
+    """The --map of a mode that reads one: by default alpha, then id on every other coordinate."""
+    spec = "alpha" + ",id" * (params.d - 1) if args.map is None else args.map
+    return _interior_map_from_arg(params, spec)
+
+
+def _qilab_chain(args, params) -> "tuple[str, list, list]":
+    imap = _qilab_map(args, params)
     h_values = _parse_h_list("2,4,6" if args.h is None else args.h)
     if args.k is not None:
         target = args.k
@@ -480,7 +477,8 @@ def _qilab_chain(args, params, imap) -> "tuple[str, list, list]":
     return payload, summaries, checks
 
 
-def _qilab_audit(args, params, imap) -> "tuple[str, list, list]":
+def _qilab_audit(args, params) -> "tuple[str, list, list]":
+    imap = _qilab_map(args, params)
     if args.format not in (None, "csv", "json"):
         raise ValueError(f"audit mode writes csv or json, not {args.format!r}")
     h_values = _parse_h_list("4" if args.h is None else args.h)
@@ -551,7 +549,8 @@ def _qilab_umap(args, params) -> "tuple[str, list, list]":
     return payload, summaries, checks
 
 
-def _qilab_distortion(args, params, imap) -> "tuple[str, list, list]":
+def _qilab_distortion(args, params) -> "tuple[str, list, list]":
+    imap = _qilab_map(args, params)
     h = _one_side("distortion mode", "4" if args.h is None else args.h)
     n_pairs = args.pairs if args.pairs is not None else 30
     if n_pairs < 1:
@@ -569,29 +568,28 @@ def _qilab_distortion(args, params, imap) -> "tuple[str, list, list]":
     return json_payload(_cells(report)), [f"distortion: K={report.k_est} C={report.c_est}"], []
 
 
+# Each qilab mode as (the flags it reads, its --assert choices, its runner).
+_QILAB_MODES = {
+    "chain": ({"k", "h", "r", "map", "out"}, ("bounded", "divergence"), _qilab_chain),
+    "audit": ({"h", "r", "map", "format", "out"}, ("bounded",), _qilab_audit),
+    "umap": ({"k", "h", "out"}, ("ktoone",), _qilab_umap),
+    "distortion": ({"h", "map", "pairs", "seed", "out"}, (), _qilab_distortion),
+}
+
+
 def cmd_qilab(args) -> int:
     params = graph_params(args.d, args.q, 1)
-    if args.mode not in _QILAB_READS:
+    if args.mode not in _QILAB_MODES:
         raise ValueError(f"unknown qilab mode {args.mode!r}")
-    _reject_unread(args, f"qilab --mode {args.mode}", _QILAB_READS[args.mode] | _QILAB_ALWAYS)
-    supported = _QILAB_ASSERTIONS[args.mode]
+    reads, supported, run = _QILAB_MODES[args.mode]
+    _reject_unread(args, f"qilab --mode {args.mode}", reads | _QILAB_ALWAYS)
     if args.assertion and args.assertion not in supported:
         raise ValueError(
             f"{args.mode} mode supports --assert {'|'.join(supported)}, not {args.assertion!r}"
             if supported
             else f"{args.mode} mode takes no --assert, got {args.assertion!r}"
         )
-    if args.mode == "umap":
-        payload, summaries, checks = _qilab_umap(args, params)
-    else:
-        spec = "alpha" + ",id" * (params.d - 1) if args.map is None else args.map
-        imap = _interior_map_from_arg(params, spec)
-        if args.mode == "chain":
-            payload, summaries, checks = _qilab_chain(args, params, imap)
-        elif args.mode == "audit":
-            payload, summaries, checks = _qilab_audit(args, params, imap)
-        else:
-            payload, summaries, checks = _qilab_distortion(args, params, imap)
+    payload, summaries, checks = run(args, params)
     lines, status = _verdicts(checks)
     _emit([payload], args.out, summaries + lines)
     return status
@@ -600,31 +598,35 @@ def cmd_qilab(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-# Each command as (help text, handler, the flags it reads, --assert choices).
+# Each command as (help text, handler, the flags it reads, the choices of
+# its --mode and --assert).
 _COMMANDS = {
-    "graph": ("export a ball or box slice", cmd_graph, _GRAPH_READS, ()),
+    "graph": ("export a ball or box slice", cmd_graph, _GRAPH_READS, {}),
     "verify": (
         "run exact structural check suites",
         cmd_verify,
         _VERIFY_ALWAYS.union(*_VERIFY_READS.values()),
-        (*_VERIFY_READS, "all"),
+        {"assert": (*_VERIFY_READS, "all")},
     ),
     "qilab": (
         "quasi-isometry laboratory",
         cmd_qilab,
-        _QILAB_ALWAYS.union(*_QILAB_READS.values()),
-        tuple(dict.fromkeys(a for t in _QILAB_ASSERTIONS.values() for a in t)),
+        _QILAB_ALWAYS.union(*(reads for reads, _, _ in _QILAB_MODES.values())),
+        {
+            "mode": tuple(_QILAB_MODES),
+            "assert": tuple(dict.fromkeys(a for _, t, _ in _QILAB_MODES.values() for a in t)),
+        },
     ),
 }
 
 
 def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Give `parser` the flags of command `name`, --config and its handler."""
-    _, func, reads, assertions = _COMMANDS[name]
+    _, func, reads, choices = _COMMANDS[name]
     for flag, kwargs in _FLAGS.items():
         if flag in reads:
-            choices = {"choices": assertions} if flag == "assert" else {}
-            parser.add_argument(f"--{flag}", **kwargs, **choices)
+            given = {"choices": choices[flag]} if flag in choices else {}
+            parser.add_argument(f"--{flag}", **kwargs, **given)
     parser.add_argument("--config", help="key=value defaults file")
     parser.set_defaults(func=func)
     return parser

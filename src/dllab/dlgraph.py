@@ -989,8 +989,8 @@ _CHUNK_ITEMS = 2048
 def dot_chunks(g: BallGraph) -> Iterator[str]:
     """The DOT export of g as text chunks of up to _CHUNK_ITEMS lines each.
 
-    The chunks concatenate to export_dot(g); no list of all the lines and
-    no whole-payload string is built.
+    "".join(dot_chunks(g)) is the whole payload; no list of all the lines
+    and no whole-payload string is built here.
     """
     keys, size = g.keys, _CHUNK_ITEMS
     yield "graph dl {\n"
@@ -1003,10 +1003,6 @@ def dot_chunks(g: BallGraph) -> Iterator[str]:
     yield "}\n"
 
 
-def export_dot(g: BallGraph) -> str:
-    return "".join(dot_chunks(g))
-
-
 def json_payload(obj) -> str:
     """A JSON payload: sorted keys, no spaces, one final newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -1015,9 +1011,10 @@ def json_payload(obj) -> str:
 def json_chunks(g: BallGraph) -> Iterator[str]:
     """The JSON export of g as text chunks of up to _CHUNK_ITEMS edges or vertices each.
 
-    The chunks concatenate to export_json(g): every chunk of a list but
-    its first starts with the comma between items. Keys are in sorted
-    order at every level: center, cube, edges, params, radius, vertices.
+    "".join(json_chunks(g)) is the bytes json_payload would write for the
+    graph: every chunk of a list but its first starts with the comma
+    between items. Keys are in sorted order at every level: center, cube,
+    edges, params, radius, vertices.
     Vertex keys and the center key come from tree_key and dl_key, which
     emit only digits, '-', ':', '=', ',' and '|', so no string needs JSON
     escaping.
@@ -1045,11 +1042,6 @@ def json_chunks(g: BallGraph) -> Iterator[str]:
         yield lead + chunk
         lead = ","
     yield "]}\n"
-
-
-def export_json(g: BallGraph) -> str:
-    """The bytes json_payload writes for the graph, written as text directly (json_chunks)."""
-    return "".join(json_chunks(g))
 
 
 # ---------------------------------------------------------------------------

@@ -702,20 +702,19 @@ def fiber_count_audit(
     for name, value in (("lower_bound", lower), ("upper_bound", upper)):
         _printable(max(abs(value.numerator), value.denominator), f"side {h}: {name}")
     inner = _inner_cube(box.cube, r)
-    level_counts = {}
 
-    def distinct_counts(i: int, level: int) -> set:
-        if (i, level) not in level_counts:
-            root = box.roots[i]
-            level_counts[i, level] = {
-                _clone_fiber_count(imap.maps[i], y, level)
-                for y in tree_descendants(root, level - root.level, params.q)
-            }
-        return level_counts[i, level]
+    def distinct_counts(coord_level: tuple) -> set:
+        i, level = coord_level
+        root = box.roots[i]
+        return {
+            _clone_fiber_count(imap.maps[i], y, level)
+            for y in tree_descendants(root, level - root.level, params.q)
+        }
 
+    counts = LazyDict(distinct_counts)
     distinct = set()
     for point in itertools.product(*_cube_axes(inner)):
-        per_coord = [distinct_counts(i, level) for i, level in enumerate(point + (-sum(point),))]
+        per_coord = [counts[i, level] for i, level in enumerate(point + (-sum(point),))]
         distinct.update(math.prod(c) for c in itertools.product(*per_coord))
         if len(distinct) > 1:  # two values settle interior_constant and _value
             break
@@ -974,11 +973,12 @@ def distortion(table: dict, n_pairs: int = 30, seed: int = 0) -> DistortionRepor
 
     Samples vertex pairs from the table domain, compares source and image
     distances, and reports the smallest K with d' <= K d and d <= K d' on
-    every sampled pair with both distances positive, plus the additive
-    slack C absorbing degenerate pairs: the largest d' over pairs with
-    d = 0 and the largest d / K over pairs with d' = 0.  Only running
-    maxima are kept, never a list per pair.  When domain and image share
-    parameters, also reports the max displacement over the whole table.
+    every sampled pair whose images differ, plus the additive slack C
+    absorbing the pairs whose images meet: their largest d, divided by K.
+    The two vertices of a pair are distinct keys of the table, so d >= 1.
+    Only running maxima are kept, never a list per pair.  When domain and
+    image share parameters, also reports the max displacement over the
+    whole table.
     Pairs are drawn by table position, so callers pass the table in
     `dl_key` order of its domain, as `dlgraph._box_listing` and
     `umap_eval` give it.
@@ -992,20 +992,17 @@ def distortion(table: dict, n_pairs: int = 30, seed: int = 0) -> DistortionRepor
         raise ValueError("need at least two table entries")
     rng = random.Random(seed)
     k_est = Fraction(1)
-    # the largest d' where d = 0, and the largest d where d' = 0
-    worst_dt = worst_ds = 0
+    collapsed = 0  # the largest d where d' = 0
     for _ in range(n_pairs):
         i, j = rng.sample(range(len(items)), 2)
         (u, fu), (v, fv) = items[i], items[j]
         ds = dl_distance(u, v)
         dt = dl_distance(fu, fv)
-        if ds > 0 and dt > 0:
+        if dt > 0:
             k_est = max(k_est, Fraction(max(ds, dt), min(ds, dt)))
-        elif ds == 0:
-            worst_dt = max(worst_dt, dt)
         else:
-            worst_ds = max(worst_ds, ds)
-    c_est = max(Fraction(worst_dt), Fraction(worst_ds) / k_est)
+            collapsed = max(collapsed, ds)
+    c_est = Fraction(collapsed) / k_est
     max_disp = None
     u0, f0 = items[0]
     if u0.params == f0.params:

@@ -16,7 +16,7 @@ coordinate-tuple search that `group.validate_correspondence` reads; and the
 index-k checks on normal-form elements, with a `multiply` and a key per
 step, beside the word-ball states of `group.index_check`; and the graph
 exports as a line list per vertex and a `json.dumps` over a dict tree,
-beside the direct text writers `dlgraph.export_dot` and `dlgraph.export_json`,
+beside the direct text writers `dlgraph.dot_chunks` and `dlgraph.json_chunks`,
 and the tile-map CSV by the csv module, beside the rows that `cli` writes
 as text; and the distortion estimates from a list of every sampled ratio
 and degenerate pair, beside the running maxima of `qilab.distortion`.

@@ -139,7 +139,7 @@ class TestChunkedGraphPayload:
         # one-vertex balls and boxes, the radius-1 ball and the side-k box
         # (up to 1000 members), each written with chunks of n - 1, n, n + 1,
         # m - 1, m and m + 1 items, n and m its vertex and edge counts: the
-        # bytes are export_dot's and export_json's at the default chunk size
+        # bytes are the joined dot_chunks and json_chunks at the default chunk size
         p = dlgraph.graph_params(d, q, k)
         graphs = {("--radius", r): dlgraph.ball(dlgraph.base_vertex(p), r) for r in (0, 1)}
         for h in (0, k):
@@ -150,7 +150,10 @@ class TestChunkedGraphPayload:
         for (flag, value), g in graphs.items():
             argv = ["graph", "--d", str(d), "--q", str(q), "--k", str(k), flag, str(value)]
             # compared by digest: pytest would diff two long JSON lines character by character
-            want = {"dot": sha(dlgraph.export_dot(g)), "json": sha(dlgraph.export_json(g))}
+            want = {
+                "dot": sha("".join(dlgraph.dot_chunks(g))),
+                "json": sha("".join(dlgraph.json_chunks(g))),
+            }
             n, m = len(g.vertices), len(g.edges)
             for size in sorted({n - 1, n, n + 1, m - 1, m, m + 1} - {-1, 0}):
                 monkeypatch.setattr(dlgraph, "_CHUNK_ITEMS", size)
@@ -203,7 +206,7 @@ class TestChunkedGraphPayload:
         monkeypatch.undo()
         p = dlgraph.graph_params(2, 2)
         g = dlgraph.box_graph(p, dlgraph.side_box(p, 4))
-        want = dlgraph.export_json(g) if fmt == "json" else dlgraph.export_dot(g)
+        want = "".join(dlgraph.json_chunks(g)) if fmt == "json" else "".join(dlgraph.dot_chunks(g))
         assert sha("".join(sink.chunks)) == sha(want)
         # 80 vertices and 128 edges: 5 + 8 chunks of items, and the fixed parts
         assert (len(g.vertices), len(g.edges)) == (80, 128)
@@ -358,6 +361,24 @@ class TestQilabChain:
     def test_divergence_assertion_fails_at_natural_target(self, capsys):
         assert run_cli(self.BASE + ["--assert", "divergence"]) == 1
         assert "FAIL chain.divergence" in capsys.readouterr().err
+
+    def test_map_from_a_file(self, capsys, tmp_path, monkeypatch):
+        # @path reads the JSON map from a file: here alpha, then id
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_text('[[{"kind":"shift","m":1}],[]]', encoding="utf-8")
+        assert run_cli(["qilab", "--d", "2", "--q", "2", "--map", "@m.json", "--h", "2"]) == 0
+        assert capsys.readouterr() == (
+            "h,box_size,boundary_size,chain_sum,ratio_boundary,ratio_box\n2,12,8,0,0.0,0.0\n",
+            "chain target k=2, h=[2], ratios ['0']\n",
+        )
+
+    def test_fractional_natural_target_needs_k(self, capsys):
+        # alpha-inv has lambda = 2, so the natural target 1/lambda is 1/2
+        assert run_cli(["qilab", "--d", "2", "--q", "2", "--map", "alpha-inv,id", "--h", "2"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: 1/lambda = 1/2 is not an integer; pass an explicit --k target\n",
+        )
 
     def test_workers_byte_identical(self, capsys, tmp_path):
         one = tmp_path / "w1.csv"
@@ -1090,6 +1111,12 @@ class TestConfig:
         assert captured.out == ""
         assert captured.err == f"error: {cfg}:1: unknown config key 'colour'\n"
 
+    def test_line_without_equals_names_file_and_line(self, capsys, no_work, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text("d 2\n", encoding="utf-8")
+        assert run_cli(["graph", "--radius", "1", "--config", "bad.cfg"]) == 2
+        assert capsys.readouterr() == ("", "error: bad.cfg:1: expected key=value, got 'd 2'\n")
+
     def test_ill_typed_value_names_file_and_line(self, capsys, no_work, tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("# d is an integer\nd=abc\n")
@@ -1568,7 +1595,7 @@ class TestFlagTable:
         reads = {
             "graph": cli._GRAPH_READS,
             "verify": cli._VERIFY_ALWAYS.union(*cli._VERIFY_READS.values()),
-            "qilab": cli._QILAB_ALWAYS.union(*cli._QILAB_READS.values()),
+            "qilab": cli._QILAB_ALWAYS.union(*(reads for reads, _, _ in cli._QILAB_MODES.values())),
         }
         assert [sub.prog.split()[-1] for sub in subs] == list(self.EXPECTED)
         for sub, (name, expected) in zip(subs, self.EXPECTED.items()):

@@ -46,13 +46,13 @@ from dllab.dlgraph import (
     dl_key,
     dl_neighbors,
     dl_vertex,
+    dot_chunks,
     edge_pairs,
     expected_degree,
-    export_dot,
-    export_json,
     fiber_pools,
     graph_params,
     height_cube,
+    json_chunks,
     meet_level,
     rho,
     sphere_sizes,
@@ -615,14 +615,14 @@ EXPECTED_DOT = """graph dl {
 
 def test_export_dot_golden():
     g = ball(base_vertex(graph_params(2, 2)), 1)
-    assert export_dot(g) == EXPECTED_DOT
-    assert export_dot(g) == export_dot(g)
+    assert "".join(dot_chunks(g)) == EXPECTED_DOT
+    assert "".join(dot_chunks(g)) == "".join(dot_chunks(g))
 
 
 def test_export_json_shape_and_determinism():
     g = ball(base_vertex(graph_params(2, 2)), 1)
-    blob = export_json(g)
-    assert blob == export_json(g)
+    blob = "".join(json_chunks(g))
+    assert blob == "".join(json_chunks(g))
     data = json.loads(blob)
     assert data["params"] == {"d": 2, "q": 2, "k": 1}
     assert data["radius"] == 1
@@ -698,8 +698,8 @@ def assert_same_graph(g, ref):
     ref = ref._replace(edges=dlgraph._edge_array(n, range(n), ref.edges))
     assert tuple(edge_pairs(ref)) == tuple(edge_pairs(g))
     assert g == ref
-    assert export_dot(g) == export_dot(ref) == export_dot_by_lines(ref)
-    assert export_json(g) == export_json(ref) == export_json_by_dumps(ref)
+    assert "".join(dot_chunks(g)) == "".join(dot_chunks(ref)) == export_dot_by_lines(ref)
+    assert "".join(json_chunks(g)) == "".join(json_chunks(ref)) == export_json_by_dumps(ref)
 
 
 @pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
@@ -716,8 +716,8 @@ def test_exports_match_the_oracle_writers(d, q, k):
     assert [len(g.vertices) for g in graphs[::3]] == [1, 1]
     assert [len(g.edges) for g in graphs[::3]] == [0, 0]
     for g in graphs:
-        assert export_dot(g) == export_dot_by_lines(g)
-        assert export_json(g) == export_json_by_dumps(g)
+        assert "".join(dot_chunks(g)) == export_dot_by_lines(g)
+        assert "".join(json_chunks(g)) == export_json_by_dumps(g)
 
 
 def sha(text):
@@ -783,8 +783,8 @@ def test_export_chunks_concatenate_at_every_chunk_boundary(monkeypatch, d, q, k)
         for size in sorted({1, 2, n - 1, n, n + 1, m - 1, m, m + 1} - {-1, 0}):
             monkeypatch.setattr(dlgraph, "_CHUNK_ITEMS", size)
             chunks = {"dot": list(dlgraph.dot_chunks(g)), "json": list(dlgraph.json_chunks(g))}
-            assert sha("".join(chunks["dot"])) == sha(export_dot(g)) == dot
-            assert sha("".join(chunks["json"])) == sha(export_json(g)) == js
+            assert sha("".join(chunks["dot"])) == sha("".join(dot_chunks(g))) == dot
+            assert sha("".join(chunks["json"])) == sha("".join(json_chunks(g))) == js
             runs = -(-n // size) + -(-m // size)
             assert (len(chunks["dot"]), len(chunks["json"])) == (2 + runs, 3 + runs)
 
