@@ -16,24 +16,30 @@ distribution of k single steps over the remaining coordinates.
 At d = 2 every edge moves the first height by exactly +-k: at k = 1 an
 ordinary move pairs the two coordinates, and at k > 1 an ordinary move
 needs two of the coordinates 2..d, of which d = 2 has one. So the depth
-from a center is (h_1(v) - h_1(center)) / k mod 2, no edge joins two
-vertices of one sphere, and a d = 2 ball makes no outer-sphere pass. At
-d >= 3 it lists that sphere's edges by one _induced_edges pass with the
-half step, as a word ball (group._word_ball) does.
+from a center is (h_1(v) - h_1(center)) / k mod 2, and no edge joins two
+vertices of one sphere. A breadth-first ball, over coordinate tuples
+(_ball_search) or words (group._word_ball), so makes no outer-sphere pass
+at d = 2; at d >= 3 it lists that sphere's edges by one _induced_edges
+pass with the half step.
 
 Boxes are the connected components of preimages of height cubes under the
 height map; each fiber over a cube point is a product of descendant sets,
 so all counting here is exact. Aligned boxes of a common side tile a box,
 which is the geometric input for the index-k comparison map.
 
-Each ball keeps its own table of tree moves, one shape for every k: per
-tree vertex and m in 0..k, its descendants m levels down and its ancestor
-m levels up (its children and parent at m = 1), each built on first use.
-Many graph vertices share a tree coordinate, so each move is built once
-per ball; the table is dropped when the ball returns. A box graph keeps
-none: it reads the same move rule once, over integer heights
-(_height_moves), and since its members are products of descendant pools,
-it finds each edge's endpoints by their pool positions (box_graph).
+A vertex's distance from a center depends only on their pair signature, so
+a ball (ball) is listed as blocks, one per signature within the radius:
+the product over coordinates of the tree vertices with one pair against
+the center's coordinate, a pool of descendants of one vertex of the
+center's line. A box's fibers are products of descendant pools too. Both
+build each pool once, from the pool a level up (_tree_pools), read the
+move rule once, over integer heights (_height_moves), and find each
+edge's endpoints by their pool positions (_fold_moves), so neither lists
+a neighbour tuple. A search over graph vertices (dl_neighbors,
+_ball_search) keeps its own table of tree moves, one shape for every k:
+per tree vertex and m in 0..k, its descendants m levels down and its
+ancestor m levels up (its children and parent at m = 1), each built on
+first use and dropped when the search returns.
 
 Exact distances, for every k, are found by a search over per-coordinate
 heights above the meets, which builds no graph vertex and does not depend
@@ -43,10 +49,12 @@ _neighbor_coords.
 
 Every search limit (vertex budget, edge budget, distance cap, state
 budget) is a module constant that the search reads when it runs. The
-vertex budget bounds every ball, graph or word (_layered_bfs), and every
-list whose length has a closed form, checked by _within_budget before it
-is built: a box's members, a cube's points, a vertex's neighbours
-(_check_degree), and in qilab a fiber's descendant walk and a probe window.
+vertex budget bounds every ball, graph or word (_layered_bfs; a graph
+ball's signature states count as the vertices they stand for, before any
+is built), and every list whose length has a closed form, checked by
+_within_budget before it is built: a box's members, a cube's points, a
+vertex's neighbours (_check_degree), and in qilab a fiber's descendant
+walk and a probe window.
 That gate and the print gate, _printable, build a power q**e by one rule
 (_low_bits): only while its bound 2**low has low < 4 * L, L the digit limit.
 """
@@ -315,6 +323,21 @@ class LazyDict(dict):
 
     def __missing__(self, key):
         value = self[key] = self.build(key)
+        return value
+
+
+class _ChainDict(LazyDict):
+    """A LazyDict whose entries are built from its other entries: build(table, key).
+
+    The build function reads those entries through its first argument, so
+    it holds no reference to its own table, and dropping the table frees
+    it at once, not at the next run of the cyclic garbage collector.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        value = self[key] = self.build(self, key)
         return value
 
 
@@ -630,10 +653,10 @@ def _inner_cube(cube: HeightCube, r: int) -> HeightCube:
 class BallGraph(NamedTuple):
     """A finite vertex set with its induced edges.
 
-    Balls carry center, radius, and BFS depths; box slices carry their cube
-    instead. vertices holds each vertex's coordinate tuple, as the search
-    or the pool product made it, not a DLVertex; a caller that needs
-    vertices wraps them. Vertices are sorted by canonical key, so equal
+    Balls carry center, radius, and depths, each vertex's distance from
+    the center; box slices carry their cube instead. vertices holds each
+    vertex's coordinate tuple, as the pool product made it, not a DLVertex;
+    a caller that needs vertices wraps them. Vertices are sorted by canonical key, so equal
     inputs always produce byte-identical exports. edges is one sorted
     array('q') holding an edge between key positions i < j as the code
     i*n + j, n the vertex count, so code order is (i, j) order. _edge_array
@@ -673,8 +696,8 @@ def edge_pairs(g: BallGraph) -> Iterator["tuple[int, int]"]:
 # Inside one GraphParams a vertex is identified by its coordinate tuple,
 # which is what the graph searches run on; the dl_key string is built once
 # per distinct vertex, to sort the vertices and label them for export, from
-# tree keys built once per distinct tree vertex (a ball) or pool member (a
-# box's _pool_table), since many vertices share a coordinate.
+# tree keys built once per pool member (_tree_pools), since many vertices
+# share a coordinate.
 
 
 def _induced_edges(nodes, index, half_step, start: int) -> array:
@@ -693,7 +716,7 @@ def _induced_edges(nodes, index, half_step, start: int) -> array:
     return edges
 
 
-def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None):
+def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None, weight=None):
     """Breadth-first ball of the given radius around start.
 
     step(x) yields the neighbours of the hashable node x, and a node is its
@@ -709,8 +732,11 @@ def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None
     node changes by exactly +-1 along every edge, so its parity is the
     parity of the depth.
 
-    It stores at most DEFAULT_VERTEX_BUDGET nodes, read when it runs, for
-    graph balls and word balls alike; noun names the nodes in the error.
+    Its nodes stand for at most DEFAULT_VERTEX_BUDGET items, read when it
+    runs: one each, or weight(x) for a node x other than start (a graph
+    ball's signature states stand for their vertices, _state_size). It
+    raises as the running total passes the budget, which names the first
+    depth whose ball exceeds it; noun names the items in the error.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -718,6 +744,7 @@ def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None
     found = [start]
     ids = {start: 0}
     depths = [0]
+    total = 1
     push = edges.append if edges is not None else None
     begin = 0
     for depth in range(1, radius + 1):
@@ -729,10 +756,11 @@ def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None
                     j = ids[w] = len(found)
                     found.append(w)
                     depths.append(depth)
-                    if len(found) > budget:
+                    total += weight(w) if weight else 1
+                    if total > budget:
                         raise BudgetError(
                             f"ball of radius {radius} exceeds budget {budget}: "
-                            f"{len(found)} {noun} reached at depth {depth}"
+                            f"{budget + 1} {noun} reached at depth {depth}"
                         )
                 # an edge is recorded from its endpoint with the smaller id
                 if push is not None and i < j:
@@ -745,10 +773,13 @@ def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None
 
 
 def _ball_search(center: DLVertex, radius: int, ends):
-    """The _layered_bfs of a graph ball: coordinate tuples, their ids and depths.
+    """A graph ball by a _layered_bfs over coordinate tuples: the tuples, their ids and depths.
 
     ends gets the ids of every induced edge's ends, as in _layered_bfs. The
-    move table lives only as long as the search.
+    move table lives only as long as the search. group's correspondence
+    check reads its graph side from this search, not from ball's listing:
+    on the balls it checks, of tens to a few thousand vertices, the BFS
+    costs less than building signature pools and blocks.
     """
     step = partial(_neighbor_coords, _move_table(center.params))
     # at d = 2 no edge joins two vertices of one sphere (module docstring)
@@ -759,26 +790,132 @@ def _ball_search(center: DLVertex, radius: int, ends):
 def ball(center: DLVertex, radius: int) -> BallGraph:
     """The ball of the given radius around center, with its induced edges.
 
-    The search (_ball_search) appends edge ends to a flat array; its node
-    index is dropped before the vertex keys are built, and the ends, read
-    two at a time, are then encoded (_edge_array).
+    A vertex's distance from the center depends only on its signature, one
+    pair (c, e) per coordinate (_pair_signature), and the vertices with one
+    signature are a block: the product over coordinates of the signature
+    pools (center coordinate, pair) (_signature_pools). The signatures
+    within the radius are the distinct orderings (_orderings) of the
+    canonical states one _layered_bfs finds from the goal, every pair
+    (0, 0), by _state_moves, at their BFS depth. That search counts each
+    state as the vertices it stands for (_state_size), so the closed-form
+    degree (_check_degree) and the ball's size are checked against the
+    vertex budget before any pool is built.
+
+    The blocks are listed in build order, their keys from the pools' key
+    texts; the pool table is dropped before the edges are found by pool
+    positions (_ball_edge_batches) and encoded in key order (_edge_array)
+    as they come.
     """
-    ends = array("q")
-    found, ids, found_depth = _ball_search(center, radius, ends)
-    del ids  # drops the node index before the vertices are keyed
-    tree_keys = LazyDict(tree_key)
-    keys = ["|".join(map(tree_keys.__getitem__, c)) for c in found]
+    params = center.params
+    _check_degree(params)
+    k = params.k
+    states, _, state_depths = _layered_bfs(
+        ((0, 0),) * params.d, radius, partial(_state_moves, k), "vertices",
+        weight=partial(_state_size, params.q, k),
+    )
+    pools = _signature_pools(params.q)
+    members, keys, depths, offsets = [], [], array("I"), {}
+    for state, depth in zip(states, state_depths):
+        for signature in _orderings(k, state):
+            ats = list(zip(center.coords, signature))
+            offsets[signature] = start = len(members)
+            members += product(*[pools.vertices[at] for at in ats])
+            keys += map("|".join, product(*[pools.keys[at] for at in ats]))
+            depths.extend(repeat(depth, len(members) - start))
+    del pools  # drops the pool key texts before the edge pass
     order, pos = _key_order(keys)
-    it = iter(ends)
+    pairs = chain.from_iterable(_ball_edge_batches(params, offsets))
     return BallGraph(
-        params=center.params,
-        vertices=tuple(map(found.__getitem__, order)),
-        keys=tuple(keys[i] for i in order),
-        edges=_edge_array(len(found), pos, zip(it, it)),
+        params=params,
+        vertices=tuple(map(members.__getitem__, order)),
+        keys=tuple(map(keys.__getitem__, order)),
+        edges=_edge_array(len(keys), pos, pairs),
         center=center,
         radius=radius,
-        depths=tuple(found_depth[i] for i in order),
+        depths=tuple(map(depths.__getitem__, order)),
     )
+
+
+def _pool_size(q: int, pair: tuple) -> int:
+    """How many tree vertices have the pair (c, e) against a given one (_signature_pools)."""
+    c, e = pair
+    if not c:
+        return 1
+    return q**c if not e else (q - 1) * q ** (c - 1)
+
+
+def _state_size(q: int, k: int, state: tuple) -> int:
+    """How many graph vertices have a canonical signature state against a given center.
+
+    Each distinct ordering of the state (_orderings) is one signature, and
+    its vertices are the product of its pools (_pool_size). There are
+    d!/prod m! orderings at k = 1, and (d-1)!/prod m! of pairs 2..d at
+    k > 1, each m the number of equal pairs in a run.
+    """
+    lo = 0 if k == 1 else 1
+    n = math.factorial(len(state) - lo)
+    run = 1
+    for i in range(lo + 1, len(state)):
+        # the m-th equal pair in a run divides by m, so a run of m divides by m!
+        run = run + 1 if state[i] == state[i - 1] else 1
+        n //= run
+    return n * math.prod([_pool_size(q, pair) for pair in state])
+
+
+def _orderings(k: int, state: tuple) -> Iterator[tuple]:
+    """The distinct orderings of a canonical state, in lex order: of every pair at k = 1, else of pairs 2..d.
+
+    The sorted pairs are the first; each next one is the lexicographic
+    successor, so equal pairs are never swapped.
+    """
+    lo = 0 if k == 1 else 1
+    head, rest = state[:lo], list(state[lo:])
+    while True:
+        yield head + tuple(rest)
+        i = len(rest) - 2
+        while i >= 0 and rest[i] >= rest[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(rest) - 1
+        while rest[j] <= rest[i]:
+            j -= 1
+        rest[i], rest[j] = rest[j], rest[i]
+        rest[i + 1:] = rest[:i:-1]
+
+
+def _ball_edge_batches(params: GraphParams, offsets: dict) -> Iterator[list]:
+    """The edges of a ball as lists of build-id pairs, one list per block, half move and target block.
+
+    offsets maps each block's signature to its first build id, in build
+    order (ball). A half move (_neighbor_coords' half step from the zero
+    heights, over _height_moves) sends each coordinate's pair where its
+    tree move does: it stays when the height does, goes to each of its
+    _descents when the height grows and to its _climb when it falls. Each
+    choice among those is a target signature; when it is a block of the
+    ball, the edges are the product over coordinates of the moves of pool
+    positions, folded into pairs of build ids (_fold_moves). Every edge of
+    the ball is listed once, from the endpoint whose half step holds it.
+    """
+    k = params.k
+    vectors = _neighbor_coords(_height_moves(k), (0,) * params.d, half=True)
+    def reach_of(pair):
+        # where each height change in -k..k sends the pair
+        out = {0: [pair]}
+        for m in range(1, k + 1):
+            out[m], out[-m] = _descents(pair, m), [_climb(pair, m)]
+        return out
+
+    reach = LazyDict(reach_of)
+    size = LazyDict(partial(_pool_size, params.q))
+    for signature, offset in offsets.items():
+        sizes = [size[pair] for pair in signature]
+        reaches = [reach[pair] for pair in signature]
+        for vec in vectors:
+            for target in product(*[r[x] for r, x in zip(reaches, vec)]):
+                target_offset = offsets.get(target)
+                if target_offset is not None:
+                    yield _fold_moves(offset, target_offset, sizes, [size[pair] for pair in target])
 
 
 def _key_order(keys: list) -> "tuple[list[int], list[int]]":
@@ -791,52 +928,102 @@ def _key_order(keys: list) -> "tuple[list[int], list[int]]":
 
 
 class _PoolTable(NamedTuple):
-    """A box's pools, keyed by (coordinate, depth), each built on first use.
+    """Pools of tree vertices and their tree_key texts, each built on first use.
 
-    vertices[i, depth] lists the tree vertices depth levels below root i in
-    digit order, as tree_descendants does, and keys[i, depth] their
-    tree_key texts. By the position rule, child b of position t is at
-    t*q + b one level down, so each depth is built from the depth above:
-    a child's digits are its parent's with at most one (level, b) appended,
-    and its digit text is its parent's with at most one "level=b"
-    concatenated. The fibers of a box share these pools, so each is built
-    once per box, and the table is dropped with the listing.
+    _signature_pools keys them by (z, (c, e)), a box's _pool_table by
+    (coordinate, depth); _tree_pools builds both. Each pool is built from
+    the one a level up: a child's digits are its parent's with at most one
+    (level, value) appended, and its digit text is its parent's with at
+    most one "level=value" concatenated. The table holds no reference
+    cycle (_ChainDict), so it is freed as soon as its listing drops it.
     """
 
     vertices: LazyDict
     keys: LazyDict
 
 
-def _pool_table(params: GraphParams, box: Box) -> _PoolTable:
-    """An empty pool table for box (_PoolTable); nothing is built until read."""
-    q, roots = params.q, box.roots
+def _pool_step(q: int, z: TreeVertex, c: int, e: int) -> "tuple[int, list[int]]":
+    """(n, values): the height of pool (c, e) against z, and the digit at n of child b, in order.
 
-    def vertices(at):
-        i, depth = at
-        if not depth:
-            return (roots[i],)
-        n = roots[i].level + depth
-        steps = ((),) + tuple(((n, b),) for b in range(1, q))
-        return tuple([TreeVertex(n, v.digits + s) for v in vertices_of[i, depth - 1] for s in steps])
+    The digit is b plus z's digit at n, mod q. At (1, e), e > 0, b = 0 is
+    z's branch and is left out.
+    """
+    n = z.level - e + c
+    shift = 0
+    for i, v in z.digits:
+        if i == n:
+            shift = v
+    return n, [(b + shift) % q for b in range(1 if c == 1 and e else 0, q)]
 
-    def digit_texts(at):
-        i, depth = at
-        if not depth:
-            return [tree_key(roots[i]).partition(":")[2]]
-        n = roots[i].level + depth
-        above = digit_texts_of[i, depth - 1]
-        steps = [""] + [f",{n}={b}" for b in range(1, q)]
+
+def _tree_pools(q: int, frame, up) -> _PoolTable:
+    """An empty pool table (_PoolTable); nothing is built until read.
+
+    frame(at) gives the tree vertex z and the pair (c, e) against it whose
+    vertices pool at holds, as (z, c, e), and up(at) the key of the pool a
+    level up, (c - 1, e).
+
+    Pool (c, e) against z holds the descendants c levels below z's
+    ancestor e levels up, and when c, e > 0 only those off z's branch,
+    (q-1) * q**(c-1) of them (_pool_size). Its order carries the position
+    rule from the pools against the base vertex's coordinate,
+    tree_root(0): the tree automorphism that shifts heights by z's and adds
+    z's digits maps those onto these, and it maps child b of a vertex to
+    the child whose digit is b plus z's digit there (_pool_step). So child
+    b of position t is at t*q + b one level down (t*q + b - 1 at (1, e),
+    e > 0), and the ancestor m levels up of position t is at t // q**m
+    while it stays in pools of the same e. Below z (e = 0) z has no digit,
+    and the order is tree_descendants' digit order.
+    """
+
+    def vertices(pools, at):
+        z, c, e = frame(at)
+        if not c:
+            return (tree_ancestor(z, z.level - e),)
+        n, values = _pool_step(q, z, c, e)
+        steps = [((n, v),) if v else () for v in values]
+        return tuple([TreeVertex(n, u.digits + s) for u in pools[up(at)] for s in steps])
+
+    def digit_texts(texts, at):
+        z, c, e = frame(at)
+        if not c:
+            return [",".join(f"{i}={v}" for i, v in z.digits if i <= z.level - e)]
+        n, values = _pool_step(q, z, c, e)
+        above = texts[up(at)]
+        steps = [f",{n}={v}" if v else "" for v in values]
         out = [text + s for text in above for s in steps]
-        if not above[0]:  # only the all-zero position has no digits; its children's begin here
-            out[1:q] = [s[1:] for s in steps[1:]]
+        if "" in above:  # the one vertex with no digits: its children's texts begin at their digit
+            first = above.index("") * len(steps)
+            out[first:first + len(steps)] = [s[1:] for s in steps]
         return out
 
     def keys(at):
-        prefix = f"{roots[at[0]].level + at[1]}:"
+        z, c, e = frame(at)
+        prefix = f"{z.level - e + c}:"
         return [prefix + text for text in digit_texts_of[at]]
 
-    vertices_of, digit_texts_of = LazyDict(vertices), LazyDict(digit_texts)
-    return _PoolTable(vertices_of, LazyDict(keys))
+    digit_texts_of = _ChainDict(digit_texts)
+    return _PoolTable(_ChainDict(vertices), LazyDict(keys))
+
+
+def _signature_pools(q: int) -> _PoolTable:
+    """An empty pool table keyed by (z, (c, e)): the tree vertices whose pair against z is (c, e).
+
+    The pairs are _pair_signature's, and the order is _tree_pools'.
+    """
+    return _tree_pools(q, lambda at: (at[0], *at[1]), lambda at: (at[0], (at[1][0] - 1, at[1][1])))
+
+
+def _pool_table(params: GraphParams, box: Box) -> _PoolTable:
+    """An empty pool table for box, keyed by (i, depth); nothing is built until read.
+
+    Pool (i, depth) lists the tree vertices depth levels below root i in
+    digit order, as tree_descendants does: the pool (depth, 0) against
+    root i (_tree_pools). The fibers of a box share these pools, so each
+    is built once per box.
+    """
+    roots = box.roots
+    return _tree_pools(params.q, lambda at: (roots[at[0]], at[1], 0), lambda at: (at[0], at[1] - 1))
 
 
 class _BoxListing(NamedTuple):
@@ -883,19 +1070,46 @@ def _listed_members(box: Box, listing: _BoxListing) -> tuple:
     return tuple(map(members.__getitem__, listing.order))
 
 
-def _position_moves(q: int, depth: int, change: int) -> "list[tuple[int, int]]":
-    """(t, t') for each pool position t at depth and each tree move by change levels.
+def _position_moves(size: int, target: int, stride: int = 1, target_stride: int = 1) -> "list[tuple[int, int]]":
+    """(t, t') for each position t of a pool of size and each tree move into a pool of target.
 
-    By tree_descendants' position rule, staying keeps t, descending m
+    By the position rule (_signature_pools), staying keeps t, descending m
     levels goes to t * q**m + r for each r < q**m, and climbing m goes to
-    t // q**m.
+    t // q**m; the pool sizes are in the ratio q**m. A descent from a
+    vertex of the center line, a pool of size 1, reaches all of each pool
+    it meets (_descents), and a climb past the meet reaches the one
+    vertex of its pool. Each t is given times stride and each t' times
+    target_stride.
     """
-    size = q**depth
-    if change > 0:
-        fan = q**change
-        return [(t, t * fan + r) for t in range(size) for r in range(fan)]
-    step = q**-change
-    return [(t, t // step) for t in range(size)]
+    if target >= size:
+        fan = target // size
+        return [(t * stride, (t * fan + r) * target_stride) for t in range(size) for r in range(fan)]
+    step = size // target
+    return [(t * stride, t // step * target_stride) for t in range(size)]
+
+
+def _fold_moves(offset: int, target: int, sizes: list, target_sizes: list) -> list:
+    """The build-id pairs of one half move between two products of pools.
+
+    A member's build id is its product's offset plus a mixed-radix number
+    over its pool positions, the last coordinate fastest; sizes and
+    target_sizes are the pools' sizes, and each coordinate's tree move is
+    read off them (_position_moves). A coordinate whose two pools are
+    single vertices adds nothing.
+    """
+    pairs = None
+    src_stride = tgt_stride = 1
+    for size, tsize in zip(reversed(sizes), reversed(target_sizes)):
+        if size == tsize == 1:
+            continue
+        if pairs is None:  # the strides are still 1
+            pairs = [(offset + t, target + u) for t, u in _position_moves(size, tsize)]
+        else:
+            moves = _position_moves(size, tsize, src_stride, tgt_stride)
+            pairs = [(a + t, b + u) for a, b in pairs for t, u in moves]
+        src_stride *= size
+        tgt_stride *= tsize
+    return pairs or [(offset, target)]
 
 
 def box_graph(params: GraphParams, box: Box) -> BallGraph:
@@ -931,29 +1145,18 @@ def _box_edge_batches(params: GraphParams, box: Box, offsets: dict) -> Iterator[
     For each cube point and half move (_neighbor_coords' half step from the
     zero heights, over _height_moves) whose target point is in the cube,
     the edges are the product over coordinates of the moves of pool
-    positions (_position_moves), folded into pairs of member build ids:
-    offsets[point] plus a mixed-radix number over the pool positions, the
-    last coordinate fastest (_box_listing).
+    positions, folded into pairs of member build ids (_fold_moves) from
+    offsets[point] (_box_listing).
     """
     q, d = params.q, params.d
     vectors = _neighbor_coords(_height_moves(params.k), (0,) * d, half=True)
     for point, offset in offsets.items():
         depths = _fiber_depths(box, point)
+        sizes = [q**depth for depth in depths]
         for vec in vectors:
             target = offsets.get(tuple(map(int.__add__, point, vec)))
-            if target is None:
-                continue
-            pairs = [(offset, target)]
-            src_stride = tgt_stride = 1
-            for c in range(d - 1, -1, -1):
-                depth, change = depths[c], vec[c]
-                moves = [
-                    (t * src_stride, u * tgt_stride) for t, u in _position_moves(q, depth, change)
-                ]
-                pairs = [(a + t, b + u) for a, b in pairs for t, u in moves]
-                src_stride *= q**depth
-                tgt_stride *= q ** (depth + change)
-            yield pairs
+            if target is not None:
+                yield _fold_moves(offset, target, sizes, [q ** (x + y) for x, y in zip(depths, vec)])
 
 
 def sphere_sizes(g: BallGraph) -> "tuple[int, ...]":

@@ -7,6 +7,7 @@ fully materialized vertex sets wherever they fit in memory.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import itertools
@@ -243,6 +244,38 @@ def test_ball_examples(monkeypatch):
     monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 10)
     with pytest.raises(BudgetError, match=r"budget 10: 11 vertices reached at depth 2"):
         ball(base_vertex(p), 3)
+
+
+def test_lamplighter_spheres_are_the_growth_series():
+    # DL_2(2) is the Cayley graph of the lamplighter group Z_2 wr Z, whose
+    # spheres are its growth series (Parry, "Growth series of some wreath
+    # products", Trans. AMS 1992)
+    g = ball(base_vertex(graph_params(2, 2)), 12)
+    assert sphere_sizes(g) == (1, 4, 10, 24, 53, 116, 244, 512, 1052, 2160, 4384, 8896, 17936)
+
+
+def test_ball_budget_checked_before_any_pool(monkeypatch):
+    # the signature-state search counts each state as the vertices it
+    # stands for, so an over-budget ball is refused before any pool is
+    # built, naming the first depth whose ball exceeds the budget, as a
+    # vertex BFS would
+    def refuse(*args, **kwargs):
+        raise AssertionError("a signature pool was built")
+
+    monkeypatch.setattr(dlgraph, "_signature_pools", refuse)
+    center = base_vertex(graph_params(2, 2))
+    with pytest.raises(BudgetError, match=r"^ball of radius 16 exceeds budget 500000: 500001 vertices reached at depth 16$"):
+        ball(center, 16)
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 10)
+    with pytest.raises(BudgetError, match=r"^ball of radius 3 exceeds budget 10: 11 vertices reached at depth 2$"):
+        ball(center, 3)
+    # the radius-2 ball holds 15 vertices, so a budget of 15 lists it
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 15)
+    with pytest.raises(BudgetError, match=r"^ball of radius 3 exceeds budget 15: 16 vertices reached at depth 3$"):
+        ball(center, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 15)
+    assert sphere_sizes(ball(center, 2)) == (1, 4, 10)
 
 
 @pytest.mark.parametrize("d,q,radius", [(2, 2, 4), (2, 3, 3), (3, 2, 3)])
@@ -821,9 +854,10 @@ PARITY_BALLS = [
 
 @pytest.mark.parametrize("d,q,k,radius", PARITY_BALLS)
 def test_spheres_hold_edges_only_at_d_above_2(d, q, k, radius):
-    # the parity fact behind ball's skipped outer-sphere pass, counted on
-    # the reference ball, which skips nothing: at d = 2 every edge moves
-    # h_1 by +-k, so none joins two vertices of one sphere; at d = 3 some do
+    # the parity fact behind a breadth-first ball's skipped outer-sphere
+    # pass, counted on the reference ball, which skips nothing: at d = 2
+    # every edge moves h_1 by +-k, so none joins two vertices of one
+    # sphere; at d = 3 some do
     keys, vertices, depths = reference_ball(base_vertex(graph_params(d, q, k)), radius)
     assert len(keys) <= ORACLE_MAX_VERTICES
     same_depth = sum(
@@ -854,22 +888,84 @@ def test_d2_ball_off_the_base_matches_reference(q, k, radius):
     assert_same_graph(ball(center, radius), ref)
 
 
+@pytest.mark.parametrize("q,k,radius", [(2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 3, 1)])
+def test_d3_ball_off_the_base_matches_reference(q, k, radius):
+    # a center with digits on every coordinate, some below and some above
+    # the heights the ball's pools reach, its first height k
+    p = graph_params(3, q, k)
+    center = dl_vertex(
+        p,
+        [
+            tree_vertex(k, [(k, 1), (k - 1, q - 1), (k - 3, 1)]),
+            tree_vertex(-1, [(-1, q - 1), (-2, 1)]),
+            tree_vertex(1 - k, [(-k, 1), (-k - 4, q - 1)]),
+        ],
+    )
+    keys, vertices, depths = reference_ball(center, radius)
+    assert len(keys) <= ORACLE_MAX_VERTICES
+    ref = BallGraph(
+        params=p,
+        vertices=tuple(v.coords for v in vertices),
+        keys=keys,
+        edges=reference_edges(vertices),
+        center=center,
+        radius=radius,
+        depths=depths,
+    )
+    assert_same_graph(ball(center, radius), ref)
+
+
+@pytest.mark.parametrize("d,q,k,radius", PARITY_BALLS)
+def test_ball_lists_no_neighbour_tuple(monkeypatch, d, q, k, radius):
+    # a ball's vertices are products of signature pools and its edges come
+    # from pool positions, so it builds no move table and makes no
+    # induced-edge pass; its one _neighbor_coords call lists the half moves
+    # on integer heights, never a vertex's neighbour tuple
+    center = base_vertex(graph_params(d, q, k))
+    keys, vertices, depths = reference_ball(center, radius)
+    ref = BallGraph(
+        params=center.params,
+        vertices=tuple(v.coords for v in vertices),
+        keys=keys,
+        edges=reference_edges(vertices),
+        center=center,
+        radius=radius,
+        depths=depths,
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ball stepped through neighbour tuples")
+
+    calls = []
+    neighbor_coords = dlgraph._neighbor_coords
+
+    def on_heights(moves, coords, half=False):
+        if not all(type(c) is int for c in coords):
+            refuse()
+        calls.append(coords)
+        return neighbor_coords(moves, coords, half)
+
+    for name in ("_move_table", "_induced_edges"):
+        monkeypatch.setattr(dlgraph, name, refuse)
+    monkeypatch.setattr(dlgraph, "_neighbor_coords", on_heights)
+    assert_same_graph(ball(center, radius), ref)
+    assert calls == [(0,) * d]
+
+
 @pytest.mark.parametrize(
     "d,q,k,radius", [(2, 2, 1, 4), (2, 3, 2, 3), (2, 2, 3, 3), (3, 2, 1, 2), (3, 2, 2, 2), (3, 3, 3, 1)]
 )
 def test_outer_sphere_pass_runs_only_at_d_above_2(monkeypatch, d, q, k, radius):
-    # ball's second neighbour pass goes through _induced_edges: never at
-    # d = 2, and over exactly the outer sphere at d = 3
-    passes = []
-    induced = dlgraph._induced_edges
+    # ball finds every edge from pool positions, so it makes no
+    # _induced_edges pass at any d; the edges within the outer sphere,
+    # which d = 3 has and d = 2 has not, come with the rest
+    def refuse(*args, **kwargs):
+        raise AssertionError("ball made an induced-edge pass")
 
-    def counted(nodes, index, half_step, start=0):
-        passes.append(len(nodes) - start)
-        return induced(nodes, index, half_step, start)
-
-    monkeypatch.setattr(dlgraph, "_induced_edges", counted)
+    monkeypatch.setattr(dlgraph, "_induced_edges", refuse)
     g = ball(base_vertex(graph_params(d, q, k)), radius)
-    assert passes == ([] if d == 2 else [sphere_sizes(g)[radius]])
+    outer = sum(g.depths[i] == g.depths[j] == radius for i, j in edge_pairs(g))
+    assert (outer > 0) == (d > 2), outer
 
 
 def test_box_graph_edge_bound_checked_before_any_member(monkeypatch):
@@ -897,8 +993,8 @@ def test_box_graph_edge_bound_checked_before_any_member(monkeypatch):
 
 
 def test_degree_checked_before_any_tree_move(monkeypatch):
-    # every search that lists neighbours builds its move table first, and
-    # the table compares the closed-form degree with the vertex budget
+    # every search that lists neighbours, or a ball or box graph of them,
+    # first compares the closed-form degree with the vertex budget
     def refuse(*args, **kwargs):
         raise AssertionError("a tree move was listed")
 
@@ -1552,29 +1648,36 @@ def test_searches_run_on_coordinate_tuples(monkeypatch):
     assert [dist for _, _, dist in got] == [False, False, 3, 3, 3]
 
 
-@pytest.mark.parametrize("d,q,k,calls", [(4, 2, 2, 41), (3, 2, 3, 308)])
-def test_ball_lists_each_descendant_pool_once(monkeypatch, d, q, k, calls):
-    # a ball's move table lists each (tree vertex, depth) pool once, however
-    # many graph vertices and compositions share it; depth 0 and 1 pools
-    # are the vertex itself and its children, so they list none
+@pytest.mark.parametrize("d,q,k,pools", [(4, 2, 2, 8), (3, 2, 3, 15)])
+def test_ball_lists_each_descendant_pool_once(monkeypatch, d, q, k, pools):
+    # a ball builds each signature pool, the descendants of a center-line
+    # vertex at one depth, once for its vertices and once for its key
+    # texts, however many blocks share it, each from the pool a level up
+    # and none through tree_descendants; depth 0 pools are line vertices
     seen = []
+    pool_step = dlgraph._pool_step
 
-    def counted(v, depth, q):
-        seen.append((v, depth))
-        return tree_descendants(v, depth, q)
+    def counted(q, z, c, e):
+        seen.append((z, c, e))
+        return pool_step(q, z, c, e)
 
-    monkeypatch.setattr(dlgraph, "tree_descendants", counted)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ball listed descendants through tree_descendants")
+
+    monkeypatch.setattr(dlgraph, "_pool_step", counted)
+    monkeypatch.setattr(dlgraph, "tree_descendants", refuse)
     g = ball(base_vertex(graph_params(d, q, k)), 2)
     monkeypatch.undo()
     assert g == ball(base_vertex(graph_params(d, q, k)), 2)
-    assert len(seen) == len(set(seen)) == calls
-    assert all(depth >= 2 for _, depth in seen)
+    assert len(set(seen)) == pools
+    assert collections.Counter(seen) == dict.fromkeys(seen, 2)
+    assert all(c >= 1 for _, c, _ in seen)
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (3, 1)])
 def test_back_to_back_searches_match_reference_across_q(d, k):
-    # each search owns its move table, so a search at q = 3 right after
-    # one at q = 2 with the same d and k sees none of the q = 2 moves
+    # each ball and box graph owns its pool table, so one at q = 3 right
+    # after one at q = 2 with the same d and k sees none of the q = 2 pools
     got = {}
     for q in (2, 3):
         p = graph_params(d, q, k)
@@ -1610,7 +1713,7 @@ def test_back_to_back_searches_match_reference_across_q(d, k):
 
 
 def test_searches_leave_no_module_state():
-    # the move tables live only as long as their search, and the distance
+    # the move and pool tables live only as long as their search, and the distance
     # memo is _state_distance's bounded lru_cache, so the module holds no
     # dict, list or set at all
     def containers():
