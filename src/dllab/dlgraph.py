@@ -35,7 +35,8 @@ center's line. A box's fibers are products of descendant pools too. Both
 build each pool once, from the pool a level up (_tree_pools), read the
 move rule once, over integer heights (_height_moves), and find each
 edge's endpoints by their pool positions (_fold_moves), so neither lists
-a neighbour tuple. A search over graph vertices (dl_neighbors,
+a neighbour tuple; a ball folds each pool-size shape of its block pairs
+once. A search over graph vertices (dl_neighbors,
 _ball_search) keeps its own table of tree moves, one shape for every k:
 per tree vertex and m in 0..k, its descendants m levels down and its
 ancestor m levels up (its children and parent at m = 1), each built on
@@ -67,7 +68,7 @@ import sys
 from array import array
 from functools import lru_cache, partial
 from heapq import heappop, heappush
-from itertools import chain, islice, product, repeat
+from itertools import islice, product, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .record import Record
@@ -660,7 +661,9 @@ class BallGraph(NamedTuple):
     inputs always produce byte-identical exports. edges is one sorted
     array('q') holding an edge between key positions i < j as the code
     i*n + j, n the vertex count, so code order is (i, j) order. _edge_array
-    writes that format and edge_pairs reads it; no other code knows it.
+    writes that format, from groups of build-id pairs that each hold one
+    fold and the places it is shifted to, and edge_pairs reads it; no
+    other code knows it.
     """
 
     params: GraphParams
@@ -673,17 +676,26 @@ class BallGraph(NamedTuple):
     cube: Optional[HeightCube] = None
 
 
-def _edge_array(n: int, pos: Sequence[int], pairs: Iterable) -> array:
-    """BallGraph.edges of n vertices, for the edges (a, b) in pairs.
+def _edge_array(n: int, pos: Sequence[int], groups: Iterable) -> array:
+    """BallGraph.edges of n vertices, for the edges in groups.
 
-    a and b are ids that pos maps to key positions. The codes are sorted
-    in place, since sorted() would hold a second list of them.
+    Each group is (pairs, places): pairs is one fold of build-id pairs
+    (a, b) relative to two products of pools (_fold_moves), and places
+    lists the two offsets of each place one after the other, so it holds
+    no pair object; the place (offset, target) holds the edges
+    (offset + a, target + b). pos maps build ids to key positions. A
+    group's fold is dropped before the next is built, and the codes are
+    sorted in place, since sorted() would hold a second list of them.
     """
     codes = []
     push = codes.append
-    for a, b in pairs:
-        a, b = pos[a], pos[b]
-        push(a * n + b if a < b else b * n + a)
+    for pairs, places in groups:
+        it = iter(places)
+        for offset, target in zip(it, it):
+            for a, b in pairs:
+                a, b = pos[offset + a], pos[target + b]
+                push(a * n + b if a < b else b * n + a)
+        del pairs  # the fold is freed before the next group is built
     codes.sort()
     return array("q", codes)
 
@@ -803,8 +815,9 @@ def ball(center: DLVertex, radius: int) -> BallGraph:
 
     The blocks are listed in build order, their keys from the pools' key
     texts; the pool table is dropped before the edges are found by pool
-    positions (_ball_edge_batches) and encoded in key order (_edge_array)
-    as they come.
+    positions, one fold per pool-size shape of a block pair
+    (_ball_edge_batches), and encoded in key order (_edge_array) as they
+    come.
     """
     params = center.params
     _check_degree(params)
@@ -824,12 +837,11 @@ def ball(center: DLVertex, radius: int) -> BallGraph:
             depths.extend(repeat(depth, len(members) - start))
     del pools  # drops the pool key texts before the edge pass
     order, pos = _key_order(keys)
-    pairs = chain.from_iterable(_ball_edge_batches(params, offsets))
     return BallGraph(
         params=params,
         vertices=tuple(map(members.__getitem__, order)),
         keys=tuple(map(keys.__getitem__, order)),
-        edges=_edge_array(len(keys), pos, pairs),
+        edges=_edge_array(len(keys), pos, _ball_edge_batches(params, offsets)),
         center=center,
         radius=radius,
         depths=tuple(map(depths.__getitem__, order)),
@@ -884,8 +896,8 @@ def _orderings(k: int, state: tuple) -> Iterator[tuple]:
         rest[i + 1:] = rest[:i:-1]
 
 
-def _ball_edge_batches(params: GraphParams, offsets: dict) -> Iterator[list]:
-    """The edges of a ball as lists of build-id pairs, one list per block, half move and target block.
+def _ball_edge_batches(params: GraphParams, offsets: dict) -> Iterator[tuple]:
+    """The edges of a ball as (pairs, places) groups, one per fold shape (_edge_array).
 
     offsets maps each block's signature to its first build id, in build
     order (ball). A half move (_neighbor_coords' half step from the zero
@@ -894,8 +906,13 @@ def _ball_edge_batches(params: GraphParams, offsets: dict) -> Iterator[list]:
     _descents when the height grows and to its _climb when it falls. Each
     choice among those is a target signature; when it is a block of the
     ball, the edges are the product over coordinates of the moves of pool
-    positions, folded into pairs of build ids (_fold_moves). Every edge of
-    the ball is listed once, from the endpoint whose half step holds it.
+    positions, which depend only on the two blocks' pool sizes. So the
+    block pairs are grouped by that shape, (sizes, target sizes), each
+    shape is folded once into relative build-id pairs (_fold_moves), and
+    its group's places are the offset and target offset of each of its
+    block pairs.
+    Every edge of the ball is listed once, from the endpoint whose half
+    step holds it.
     """
     k = params.k
     vectors = _neighbor_coords(_height_moves(k), (0,) * params.d, half=True)
@@ -908,14 +925,20 @@ def _ball_edge_batches(params: GraphParams, offsets: dict) -> Iterator[list]:
 
     reach = LazyDict(reach_of)
     size = LazyDict(partial(_pool_size, params.q))
+    sizes_of = {signature: tuple([size[pair] for pair in signature]) for signature in offsets}
+    shapes = {}
     for signature, offset in offsets.items():
-        sizes = [size[pair] for pair in signature]
+        sizes = sizes_of[signature]
         reaches = [reach[pair] for pair in signature]
         for vec in vectors:
             for target in product(*[r[x] for r, x in zip(reaches, vec)]):
                 target_offset = offsets.get(target)
                 if target_offset is not None:
-                    yield _fold_moves(offset, target_offset, sizes, [size[pair] for pair in target])
+                    shapes.setdefault((sizes, sizes_of[target]), []).extend((offset, target_offset))
+    del sizes_of
+    while shapes:  # each group's places are freed once it is encoded
+        (sizes, target_sizes), places = shapes.popitem()
+        yield _fold_moves(sizes, target_sizes), places
 
 
 def _key_order(keys: list) -> "tuple[list[int], list[int]]":
@@ -1088,14 +1111,16 @@ def _position_moves(size: int, target: int, stride: int = 1, target_stride: int 
     return [(t * stride, t // step * target_stride) for t in range(size)]
 
 
-def _fold_moves(offset: int, target: int, sizes: list, target_sizes: list) -> list:
-    """The build-id pairs of one half move between two products of pools.
+def _fold_moves(sizes: Sequence[int], target_sizes: Sequence[int]) -> list:
+    """The build-id pairs of one half move between two products of pools, each from 0.
 
     A member's build id is its product's offset plus a mixed-radix number
     over its pool positions, the last coordinate fastest; sizes and
     target_sizes are the pools' sizes, and each coordinate's tree move is
-    read off them (_position_moves). A coordinate whose two pools are
-    single vertices adds nothing.
+    read off them (_position_moves). The pairs are relative to the two
+    offsets, so one fold serves every pair of products of the same sizes
+    (_edge_array). A coordinate whose two pools are single vertices adds
+    nothing.
     """
     pairs = None
     src_stride = tgt_stride = 1
@@ -1103,13 +1128,13 @@ def _fold_moves(offset: int, target: int, sizes: list, target_sizes: list) -> li
         if size == tsize == 1:
             continue
         if pairs is None:  # the strides are still 1
-            pairs = [(offset + t, target + u) for t, u in _position_moves(size, tsize)]
+            pairs = _position_moves(size, tsize)
         else:
             moves = _position_moves(size, tsize, src_stride, tgt_stride)
             pairs = [(a + t, b + u) for a, b in pairs for t, u in moves]
         src_stride *= size
         tgt_stride *= tsize
-    return pairs or [(offset, target)]
+    return pairs or [(0, 0)]
 
 
 def box_graph(params: GraphParams, box: Box) -> BallGraph:
@@ -1117,7 +1142,7 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
 
     Edges are found by index arithmetic over the fiber pools
     (_box_edge_batches), as pairs of member build ids (_box_listing), and
-    encoded in key order (_edge_array) as they come, one batch at a time.
+    encoded in key order (_edge_array) as they come, one group at a time.
     """
     deg = _check_degree(params)
     n = _check_box(params, box)
@@ -1129,24 +1154,24 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
     vertices = _listed_members(box, listing)
     keys, offsets, pos = listing.keys, listing.offsets, listing.pos
     del listing  # drops the pool table's key texts before the edge pass
-    pairs = chain.from_iterable(_box_edge_batches(params, box, offsets))
     return BallGraph(
         params=params,
         vertices=vertices,
         keys=keys,
-        edges=_edge_array(len(keys), pos, pairs),
+        edges=_edge_array(len(keys), pos, _box_edge_batches(params, box, offsets)),
         cube=box.cube,
     )
 
 
-def _box_edge_batches(params: GraphParams, box: Box, offsets: dict) -> Iterator[list]:
-    """The edges of a box as lists of build-id pairs, one list per cube point and half move.
+def _box_edge_batches(params: GraphParams, box: Box, offsets: dict) -> Iterator[tuple]:
+    """The edges of a box as (pairs, places) groups (_edge_array), one per cube point and half move.
 
     For each cube point and half move (_neighbor_coords' half step from the
     zero heights, over _height_moves) whose target point is in the cube,
     the edges are the product over coordinates of the moves of pool
-    positions, folded into pairs of member build ids (_fold_moves) from
-    offsets[point] (_box_listing).
+    positions, folded into relative pairs of member build ids
+    (_fold_moves), at the one place offsets[point], offsets[target]
+    (_box_listing).
     """
     q, d = params.q, params.d
     vectors = _neighbor_coords(_height_moves(params.k), (0,) * d, half=True)
@@ -1156,7 +1181,7 @@ def _box_edge_batches(params: GraphParams, box: Box, offsets: dict) -> Iterator[
         for vec in vectors:
             target = offsets.get(tuple(map(int.__add__, point, vec)))
             if target is not None:
-                yield _fold_moves(offset, target, sizes, [q ** (x + y) for x, y in zip(depths, vec)])
+                yield _fold_moves(sizes, [q ** (x + y) for x, y in zip(depths, vec)]), [offset, target]
 
 
 def sphere_sizes(g: BallGraph) -> "tuple[int, ...]":

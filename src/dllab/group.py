@@ -25,7 +25,10 @@ its own partial-fraction digits below the split exponent and a fixed
 linear combination of the other places' digits above it, and it reads the
 graph ball off the coordinate-tuple search, keying vertices only to name
 failures. The index checks (index_check) read cosets and coverage off
-states too. multiply and invert remain the general group law.
+states too. A word ball over the standard generators is counted against
+the vertex budget by the graph ball's signature states before it is
+walked (_generated_word_ball). multiply and invert remain the general
+group law.
 
 The index-k subgroup is the kernel of the first exponent mod k. One
 construction gives its generating set: k-step products along the first
@@ -37,7 +40,7 @@ generating set.
 from __future__ import annotations
 
 from array import array
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
@@ -62,6 +65,8 @@ from .dlgraph import (
     _ball_search,
     _key_order,
     _layered_bfs,
+    _state_moves,
+    _state_size,
     base_vertex,
     dl_key,
     expected_degree,
@@ -252,6 +257,23 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
     return found, depths
 
 
+def _generated_word_ball(params: RingParams, radius: int, edges=None):
+    """_word_ball over generators(params), its size checked against the vertex budget first.
+
+    The correspondence carries this ball onto the graph ball of DL_d(q)
+    sphere by sphere, so it holds as many elements as the signature
+    states within the radius stand for (dlgraph._state_size at k = 1), and
+    a _layered_bfs over those states raises, before any word is walked,
+    the BudgetError the word BFS would: the same depth, with "elements".
+    A custom or subgroup generating set is checked inside its own BFS.
+    """
+    _layered_bfs(
+        ((0, 0),) * params.d, radius, partial(_state_moves, 1), "elements",
+        weight=partial(_state_size, params.q, 1),
+    )
+    return _word_ball(params, radius, generators(params), edges)
+
+
 def _element(params: RingParams, state: tuple) -> GroupElement:
     """The group element of a word-ball state (exps, partial-fraction digits)."""
     exps, digits = state
@@ -263,8 +285,10 @@ def cayley_ball(
     radius: int,
     gens: Optional[Sequence[GroupElement]] = None,
 ) -> CayleyBall:
-    gens = tuple(gens) if gens is not None else generators(params)
-    found, depths = _word_ball(params, radius, gens)
+    if gens is None:
+        found, depths = _generated_word_ball(params, radius)
+    else:
+        found, depths = _word_ball(params, radius, tuple(gens))
     found = [_element(params, state) for state in found]
     keys = [element_key(g) for g in found]
     order, _ = _key_order(keys)
@@ -385,7 +409,7 @@ def validate_correspondence(params: RingParams, radius: int) -> CorrespondenceRe
     those are listed in key order, as a keyed ball lists its edges.
     """
     cayley_ends = array("q")
-    found, depths = _word_ball(params, radius, generators(params), cayley_ends)
+    found, depths = _generated_word_ball(params, radius, cayley_ends)
     gp = graph_params(params.d, params.q, 1)
     graph_ends = array("q")
     coords, position, graph_depths = _ball_search(base_vertex(gp), radius, graph_ends)
@@ -522,7 +546,7 @@ def index_check(params: RingParams, k: int) -> "tuple[set, int, bool]":
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    found, depths = _word_ball(params, max(k, 3), generators(params))
+    found, depths = _generated_word_ball(params, max(k, 3))
     cosets = {exps[0] % k for (exps, _), dep in zip(found, depths) if dep <= k}
     positives = [st for st, dep in zip(found, depths) if dep <= 3 and st[0][0] % k == 0]
     step, _, start = _word_step(params, subgroup_generators(params, k))

@@ -721,14 +721,15 @@ def assert_same_graph(g, ref):
     """g against ref, a BallGraph whose edges are reference_edges' pairs.
 
     g's edges are read through the decoder (edge_pairs); ref is then
-    encoded (_edge_array) to compare the whole records and their exports.
+    encoded (_edge_array, as one group at the one place 0, 0) to compare
+    the whole records and their exports.
     """
     assert g.keys == ref.keys
     assert g.vertices == ref.vertices
     assert g.depths == ref.depths
     assert tuple(edge_pairs(g)) == ref.edges
     n = len(ref.keys)
-    ref = ref._replace(edges=dlgraph._edge_array(n, range(n), ref.edges))
+    ref = ref._replace(edges=dlgraph._edge_array(n, range(n), [(ref.edges, [0, 0])]))
     assert tuple(edge_pairs(ref)) == tuple(edge_pairs(g))
     assert g == ref
     assert "".join(dot_chunks(g)) == "".join(dot_chunks(ref)) == export_dot_by_lines(ref)
@@ -799,7 +800,7 @@ def test_edge_codes_round_trip():
         for p, i in enumerate(ids):
             pos[i] = p
         given = [(ids[i], ids[j]) if rng.random() < 0.5 else (ids[j], ids[i]) for i, j in pairs]
-        g = BallGraph(graph_params(2, 2), (None,) * n, ("",) * n, dlgraph._edge_array(n, pos, given))
+        g = BallGraph(graph_params(2, 2), (None,) * n, ("",) * n, dlgraph._edge_array(n, pos, [(given, [0, 0])]))
         assert list(edge_pairs(g)) == sorted(pairs)
         assert list(g.edges) == sorted(i * n + j for i, j in pairs)
 
@@ -950,6 +951,33 @@ def test_ball_lists_no_neighbour_tuple(monkeypatch, d, q, k, radius):
     monkeypatch.setattr(dlgraph, "_neighbor_coords", on_heights)
     assert_same_graph(ball(center, radius), ref)
     assert calls == [(0,) * d]
+
+
+@pytest.mark.parametrize("d,q,k,radius,shapes,block_pairs", [(3, 2, 1, 4, 94, 540), (2, 2, 1, 8, 28, 100)])
+def test_ball_folds_each_shape_once(monkeypatch, d, q, k, radius, shapes, block_pairs):
+    # a block pair's edges depend only on its two products' pool sizes, so
+    # the block pairs are grouped by that shape and each shape is folded
+    # once, its relative pairs placed at every block pair of its group
+    folds = []
+    fold_moves = dlgraph._fold_moves
+
+    def counted(sizes, target_sizes):
+        folds.append((tuple(sizes), tuple(target_sizes)))
+        return fold_moves(sizes, target_sizes)
+
+    places = []
+    batches = dlgraph._ball_edge_batches
+
+    def listed(params, offsets):
+        for pairs, at in batches(params, offsets):
+            places.extend(zip(at[::2], at[1::2]))
+            yield pairs, at
+
+    monkeypatch.setattr(dlgraph, "_fold_moves", counted)
+    monkeypatch.setattr(dlgraph, "_ball_edge_batches", listed)
+    ball(base_vertex(graph_params(d, q, k)), radius)
+    assert len(folds) == len(set(folds)) == shapes
+    assert len(places) == len(set(places)) == block_pairs
 
 
 @pytest.mark.parametrize(

@@ -516,6 +516,42 @@ def test_cayley_ball_budget_reports_counts(monkeypatch):
         cayley_ball(ring_params(2, 2), 3)
 
 
+def test_word_ball_budget_checked_before_any_word(monkeypatch):
+    # a ball over the standard generators is counted by its signature
+    # states, which the correspondence carries sphere by sphere, so an
+    # over-budget ball is refused before any word is walked, naming the
+    # first depth whose ball exceeds the budget, as the word BFS would
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word step was built")
+
+    monkeypatch.setattr(group, "_word_step", refuse)
+    p = ring_params(2, 2)
+    message = r"^ball of radius 16 exceeds budget 500000: 500001 elements reached at depth 16$"
+    for run in (lambda: cayley_ball(p, 16), lambda: validate_correspondence(p, 16), lambda: group.index_check(p, 16)):
+        with pytest.raises(BudgetError, match=message):
+            run()
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 10)
+    message = r"^ball of radius 3 exceeds budget 10: 11 elements reached at depth 2$"
+    for run in (lambda: cayley_ball(p, 3), lambda: validate_correspondence(p, 3), lambda: group.index_check(p, 2)):
+        with pytest.raises(BudgetError, match=message):
+            run()
+
+
+def test_custom_generators_checked_inside_their_bfs(monkeypatch):
+    # only the standard generating set is counted before its walk; a
+    # custom or subgroup set is checked by its own BFS, with the same text
+    def refuse(*args, **kwargs):
+        raise AssertionError("a signature state was counted")
+
+    monkeypatch.setattr(group, "_state_size", refuse)
+    p = ring_params(2, 2)
+    assert sphere_sizes(cayley_ball(p, 3, gens=generators(p))) == (1, 4, 10, 24)
+    assert len(subgroup_ball(p, 2, 2).elements) > 0
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 10)
+    with pytest.raises(BudgetError, match=r"^ball of radius 3 exceeds budget 10: 11 elements reached at depth 2$"):
+        cayley_ball(p, 3, gens=generators(p))
+
+
 # ---------------------------------------------------------------------------
 # index-k subgroup
 
