@@ -42,10 +42,12 @@ per tree vertex and m in 0..k, its descendants m levels down and its
 ancestor m levels up (its children and parent at m = 1), each built on
 first use and dropped when the search returns.
 
-Exact distances, for every k, are found by a search over per-coordinate
-heights above the meets, which builds no graph vertex and does not depend
-on q, and are memoized on those height signatures by _state_distance's
-lru_cache. One move rule, _state_moves, serves every k, in the order of
+Exact distances depend only on per-coordinate heights above the meets
+(_distance). On DL_2(q) they are Bertacchi's closed form; for d >= 3 or
+k > 1 they are found by a search over those heights, which builds no
+graph vertex and does not depend on q, and are memoized on those height
+signatures by _state_distance's lru_cache, so the memo holds searched
+states only. One move rule, _state_moves, serves every k, in the order of
 _neighbor_coords.
 
 Every search limit (vertex budget, edge budget, distance cap, state
@@ -150,12 +152,17 @@ class GraphParams(NamedTuple):
     k: int = 1
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool, the one rule for integer arguments."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_params(d: int, q: int, k: int = 1) -> GraphParams:
-    if not isinstance(d, int) or d < 2:
+    if not _is_int(d) or d < 2:
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
-    if not isinstance(q, int) or q < 2:
+    if not _is_int(q) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     return GraphParams(d=d, q=q, k=k)
 
@@ -602,7 +609,9 @@ def box_fiber_size(params: GraphParams, box: Box, point: Sequence[int]) -> int:
 def box_members(params: GraphParams, box: Box) -> Iterator[DLVertex]:
     """The members in _box_listing's build order, with no key, sort or budget check.
 
-    Each fiber is the product of its pools (fiber_pools)."""
+    Each fiber is the product of its pools (fiber_pools); a box from
+    another graph is refused (_check_box) before the first is yielded."""
+    _check_box(params, box)
     for point in cube_points(box.cube):
         for coords in product(*fiber_pools(params, box, point)):
             yield DLVertex(params, coords)
@@ -614,11 +623,22 @@ def box_size(params: GraphParams, box: Box) -> int:
     The roots sit at the cube's lower corner and at minus its upper corner
     sum, so the depths below them sum to (d-1)*side at every cube point.
     """
+    _check_box(params, box)
     return cube_size(box.cube) * params.q ** ((params.d - 1) * cube_side(box.cube))
 
 
-def _check_box(params: GraphParams, box: Box) -> int:
-    """box_size, once within the vertex budget; a fiber size too long to print is not built."""
+def _check_box(params: GraphParams, box: Box) -> None:
+    """Refuse a box from another graph: its cube's axes and alignment (_check_cube), and its d roots."""
+    _check_cube(params, box.cube)
+    if len(box.roots) != params.d:
+        raise ValueError(f"box has {len(box.roots)} roots, need {params.d}")
+
+
+def _box_budget(params: GraphParams, box: Box) -> int:
+    """box_size of a box of this graph (_check_box), once within the vertex budget.
+
+    A fiber size too long to print is not built."""
+    _check_box(params, box)
     e = (params.d - 1) * cube_side(box.cube)
     return _within_budget(cube_size(box.cube), "box has {} members", params.q, e)
 
@@ -633,7 +653,7 @@ def box_boundary_size(params: GraphParams, box: Box, r: int) -> int:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    _check_cube(params, box.cube)
+    _check_box(params, box)
     inner = cube_size(_inner_cube(box.cube, r))
     return (cube_size(box.cube) - inner) * params.q ** ((params.d - 1) * cube_side(box.cube))
 
@@ -728,6 +748,11 @@ def _induced_edges(nodes, index, half_step, start: int) -> array:
     return edges
 
 
+def _check_radius(radius) -> None:
+    if not _is_int(radius) or radius < 0:
+        raise ValueError(f"radius must be a nonnegative integer, got {radius!r}")
+
+
 def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None, weight=None):
     """Breadth-first ball of the given radius around start.
 
@@ -748,10 +773,10 @@ def _layered_bfs(start, radius: int, step, noun: str, edges=None, half_step=None
     runs: one each, or weight(x) for a node x other than start (a graph
     ball's signature states stand for their vertices, _state_size). It
     raises as the running total passes the budget, which names the first
-    depth whose ball exceeds it; noun names the items in the error.
+    depth whose ball exceeds it; noun names the items in the error. A
+    radius that is not a nonnegative int (_check_radius) raises ValueError.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_radius(radius)
     budget = DEFAULT_VERTEX_BUDGET
     found = [start]
     ids = {start: 0}
@@ -1066,11 +1091,12 @@ def _box_listing(params: GraphParams, box: Box) -> _BoxListing:
     plus a mixed-radix number over its pool positions, the last coordinate
     fastest: box_members' order. order and pos map key-sorted positions to
     build ids and back (_key_order). The closed-form size is checked
-    against the vertex budget before the pool table (_pool_table) is made.
-    A fiber's member keys are the products of its pools' keys; no member's
-    coordinates are listed here (_listed_members does that).
+    against the vertex budget (_box_budget) before the pool table
+    (_pool_table) is made. A fiber's member keys are the products of its
+    pools' keys; no member's coordinates are listed here (_listed_members
+    does that).
     """
-    _check_box(params, box)
+    _box_budget(params, box)
     pools = _pool_table(params, box)
     keys, offsets = [], {}
     for point in cube_points(box.cube):
@@ -1145,7 +1171,7 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
     encoded in key order (_edge_array) as they come, one group at a time.
     """
     deg = _check_degree(params)
-    n = _check_box(params, box)
+    n = _box_budget(params, box)
     # a member has at most deg neighbours
     bound = deg * n // 2
     if bound > DEFAULT_EDGE_BUDGET:
@@ -1297,26 +1323,39 @@ def _canonical_state(k: int, sig: tuple) -> tuple:
 
 
 def dl_distance(u: DLVertex, v: DLVertex) -> int:
-    """Exact graph distance, by a search over signature states; memoized.
-
-    The state is the pair signature in _canonical_state's order. The moves
-    (_state_moves) build no graph vertex and do not depend on q, so the
-    answer is _state_distance's for (k, state).
-    """
+    """Exact graph distance: _distance of the pair signature in _canonical_state's order."""
     if u.params != v.params:
         raise ValueError("vertices live in different graphs")
     k = u.params.k
-    return _state_distance(k, _canonical_state(k, _pair_signature(u, v)))
+    return _distance(k, _canonical_state(k, _pair_signature(u, v)))
+
+
+def _distance(k: int, state: tuple) -> int:
+    """Distance from a canonical signature state to the goal, every pair (0, 0).
+
+    At k = 1 on two coordinates it is Bertacchi's closed form ("Random walks
+    on Diestel-Leader graphs", 2001), D = c1 + e1 + c2 + e2 - |c1 - e1|,
+    read before any memo, cap or budget; elsewhere it is the search
+    _state_distance.
+    """
+    if k == 1 and len(state) == 2:
+        (c1, e1), (c2, e2) = state
+        return c1 + e1 + c2 + e2 - abs(c1 - e1)
+    return _state_distance(k, state)
 
 
 @lru_cache(maxsize=DIST_CACHE_LIMIT)
 def _state_distance(k: int, state: tuple) -> int:
-    """Distance from a signature state to the goal, every pair (0, 0).
+    """Distance from a signature state to the goal, every pair (0, 0), by search; memoized.
 
     An A* search: it pops states by depth + _state_bound, deeper first on
     ties, so the goal's first pop is at its distance. It raises once that
     lower bound exceeds DEFAULT_DISTANCE_CAP, or before it stores more than
     DEFAULT_STATE_BUDGET states, both read when it runs; a raise caches nothing.
+    The moves (_state_moves) build no graph vertex and do not depend on q.
+    It serves every state, d = 2 and k = 1 included, though _distance asks
+    it only where no closed form is known; the tests keep it as the
+    closed form's oracle.
     """
     cap, budget = DEFAULT_DISTANCE_CAP, DEFAULT_STATE_BUDGET
     goal = ((0, 0),) * len(state)

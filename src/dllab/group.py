@@ -25,10 +25,11 @@ its own partial-fraction digits below the split exponent and a fixed
 linear combination of the other places' digits above it, and it reads the
 graph ball off the coordinate-tuple search, keying vertices only to name
 failures. The index checks (index_check) read cosets and coverage off
-states too. A word ball over the standard generators is counted against
-the vertex budget by the graph ball's signature states before it is
-walked (_generated_word_ball). multiply and invert remain the general
-group law.
+states too. A word ball over the standard generators is checked against
+the vertex budget before it is walked (_generated_word_ball): by the
+closed-form bound 1 + D + ... + D^r on D letters, and only past that by
+the graph ball's signature states. multiply and invert remain the
+general group law.
 
 The index-k subgroup is the kernel of the first exponent mod k. One
 construction gives its generating set: k-step products along the first
@@ -58,11 +59,14 @@ from .algebra import (
     rat_zero,
     rational,
 )
+from . import dlgraph
 from .dlgraph import (
     DLVertex,
     LazyDict,
     TreeVertex,
     _ball_search,
+    _check_radius,
+    _is_int,
     _key_order,
     _layered_bfs,
     _state_moves,
@@ -260,17 +264,28 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
 def _generated_word_ball(params: RingParams, radius: int, edges=None):
     """_word_ball over generators(params), its size checked against the vertex budget first.
 
-    The correspondence carries this ball onto the graph ball of DL_d(q)
-    sphere by sphere, so it holds as many elements as the signature
-    states within the radius stand for (dlgraph._state_size at k = 1), and
-    a _layered_bfs over those states raises, before any word is walked,
-    the BudgetError the word BFS would: the same depth, with "elements".
-    A custom or subgroup generating set is checked inside its own BFS.
+    A ball of D = d(d-1)q letters holds at most 1 + D + ... + D^radius
+    words, summed until it passes the budget, so no huge power is built.
+    Only past the budget is the ball counted exactly: the correspondence
+    carries it onto the graph ball of DL_d(q) sphere by sphere, so it holds
+    as many elements as the signature states within the radius stand for
+    (dlgraph._state_size at k = 1), and a _layered_bfs over those states
+    raises, before any word is walked, the BudgetError the word BFS would:
+    the same depth, with "elements". A custom or subgroup generating set is
+    checked inside its own BFS.
     """
-    _layered_bfs(
-        ((0, 0),) * params.d, radius, partial(_state_moves, 1), "elements",
-        weight=partial(_state_size, params.q, 1),
-    )
+    _check_radius(radius)
+    letters = params.d * (params.d - 1) * params.q
+    bound = term = 1
+    for _ in range(radius):
+        term *= letters
+        bound += term
+        if bound > dlgraph.DEFAULT_VERTEX_BUDGET:
+            _layered_bfs(
+                ((0, 0),) * params.d, radius, partial(_state_moves, 1), "elements",
+                weight=partial(_state_size, params.q, 1),
+            )
+            break
     return _word_ball(params, radius, generators(params), edges)
 
 
@@ -475,9 +490,13 @@ def subgroup_membership(g: GroupElement, k: int) -> bool:
     return coset_index(g, k) == 0
 
 
+def _check_index(k) -> None:
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+
+
 def coset_index(g: GroupElement, k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_index(k)
     return g.exps[0] % k
 
 
@@ -519,8 +538,7 @@ def _generating_set(params: RingParams, k: int) -> "tuple[GroupElement, ...]":
 
 def subgroup_generators(params: RingParams, k: int) -> "tuple[GroupElement, ...]":
     """Generators of the index-k subgroup, closed under inversion."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_index(k)
     gens = _generating_set(params, k)
     for el in gens:
         if not subgroup_membership(el, k):
@@ -544,8 +562,7 @@ def index_check(params: RingParams, k: int) -> "tuple[set, int, bool]":
     lies in the depth-2 subgroup ball; the g·s come from that ball's own
     step. No state becomes a normal form.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_index(k)
     found, depths = _generated_word_ball(params, max(k, 3))
     cosets = {exps[0] % k for (exps, _), dep in zip(found, depths) if dep <= k}
     positives = [st for st, dep in zip(found, depths) if dep <= 3 and st[0][0] % k == 0]

@@ -53,11 +53,12 @@ from .dlgraph import (
     _box_listing,
     _canonical_state,
     _cube_axes,
+    _distance,
     _fiber_depths,
     _inner_cube,
+    _is_int,
     _listed_members,
     _printable,
-    _state_distance,
     _within_budget,
     box_boundary_size,
     box_size,
@@ -399,10 +400,6 @@ def compose(first: BoundaryMap, then: BoundaryMap) -> BoundaryMap:
     if first.q != then.q:
         raise ValueError("maps over different alphabets")
     return BoundaryMap(first.q, first.prims + then.prims)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_list(x) -> bool:
@@ -938,14 +935,14 @@ def tile_displacements(d: int, signatures) -> Iterator[int]:
     signature is ((drop, 0), (0, 0), ..., (c, e)) (see `Tiling`), and a
     k = 1 distance depends only on that signature (`dl_distance`), so each
     (drop, c, e) triple fixes its distance. Each distinct triple's distance
-    is asked once, of `dlgraph._state_distance`, and kept for this call
-    only; no vertex is built.
+    is asked once, of `dlgraph._distance` (the closed form at d = 2, a
+    search otherwise), and kept for this call only; no vertex is built.
     """
     middles = ((0, 0),) * (d - 2)
 
     def distance(triple):
         drop, c, e = triple
-        return _state_distance(1, _canonical_state(1, ((drop, 0), *middles, (c, e))))
+        return _distance(1, _canonical_state(1, ((drop, 0), *middles, (c, e))))
 
     return map(LazyDict(distance).__getitem__, signatures)
 
@@ -976,7 +973,10 @@ def distortion(table: dict, n_pairs: int = 30, seed: int = 0) -> DistortionRepor
     every sampled pair whose images differ, plus the additive slack C
     absorbing the pairs whose images meet: their largest d, divided by K.
     The two vertices of a pair are distinct keys of the table, so d >= 1.
-    Only running maxima are kept, never a list per pair.  When domain and
+    Only running maxima are kept, never a list per pair: K as an integer
+    ratio kn / kd, replaced when a pair's max(d, d') / min(d, d') exceeds
+    it by cross-multiplying, and made a Fraction once, after the loop.
+    Each distance is `dl_distance`'s, a closed form at d = 2.  When domain and
     image share parameters, also reports the max displacement over the
     whole table.
     Pairs are drawn by table position, so callers pass the table in
@@ -991,7 +991,7 @@ def distortion(table: dict, n_pairs: int = 30, seed: int = 0) -> DistortionRepor
     if len(items) < 2:
         raise ValueError("need at least two table entries")
     rng = random.Random(seed)
-    k_est = Fraction(1)
+    kn = kd = 1  # K = kn / kd
     collapsed = 0  # the largest d where d' = 0
     for _ in range(n_pairs):
         i, j = rng.sample(range(len(items)), 2)
@@ -999,9 +999,12 @@ def distortion(table: dict, n_pairs: int = 30, seed: int = 0) -> DistortionRepor
         ds = dl_distance(u, v)
         dt = dl_distance(fu, fv)
         if dt > 0:
-            k_est = max(k_est, Fraction(max(ds, dt), min(ds, dt)))
-        else:
-            collapsed = max(collapsed, ds)
+            a, b = (ds, dt) if ds > dt else (dt, ds)
+            if a * kd > kn * b:
+                kn, kd = a, b
+        elif ds > collapsed:
+            collapsed = ds
+    k_est = Fraction(kn, kd)
     c_est = Fraction(collapsed) / k_est
     max_disp = None
     u0, f0 = items[0]

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import pytest
 
-from dllab import dlgraph, qilab
+from dllab import cli, dlgraph, qilab
 from dllab.qilab import make_tiling
 from dllab.dlgraph import (
     BallGraph,
@@ -171,6 +171,28 @@ def test_meet_level():
     assert meet_level(tree_root(5), tree_root(-2)) == -2
     c = tree_vertex(3, [(1, 1)])
     assert meet_level(a, c) == 2  # digits agree up to height 2
+
+
+# ---------------------------------------------------------------------------
+# integer arguments
+
+
+def test_graph_params_refuses_bool_and_non_int_arguments():
+    # a bool is an int to isinstance, so k=True once made GraphParams(k=True)
+    for args, name in (((2, 2, True), "k"), ((2, 2, 2.0), "k"), ((2, True), "q"),
+                       ((2, 2.0), "q"), ((True, 2), "d"), ((2.0, 2), "d")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            graph_params(*args)
+
+
+def test_ball_refuses_bool_and_non_int_radius():
+    # ball(center, True) once listed the radius-1 ball
+    center = base_vertex(graph_params(2, 2))
+    for radius in (True, False, 1.0, "1", -1):
+        with pytest.raises(ValueError, match=f"^radius must be a nonnegative integer, got {radius!r}$"):
+            ball(center, radius)
+        with pytest.raises(ValueError, match="^radius must be a nonnegative integer"):
+            dlgraph._ball_search(center, radius, None)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +608,36 @@ def test_box_boundary_size_lists_no_cube_point(monkeypatch):
     imap = qilab.interior_map(p, [qilab.shift_map(2, 1)] + [qilab.identity_map(2)] * 3)
     [record] = qilab.uf_chain_scan(imap, 2, [6], r=2)
     assert record.boundary_size == (7**3 - 3**3) * 2 ** 18
+
+
+def test_box_from_another_k_is_refused():
+    # a k = 1 box once gave 12 members with first heights {0, 1, 2} to the
+    # k = 2 graph, which holds 8 over the same side
+    p2 = graph_params(2, 2, 2)
+    box = dlgraph.side_box(graph_params(2, 2, 1), 2)
+    assert box_size(p2, dlgraph.side_box(p2, 2)) == 8
+    for run in (lambda: box_size(p2, box), lambda: list(box_members(p2, box)),
+                lambda: box_graph(p2, box), lambda: dlgraph._box_listing(p2, box),
+                lambda: box_boundary_size(p2, box, 1)):
+        with pytest.raises(ValueError, match="^cube alignment 1 does not match graph k=2$"):
+            run()
+
+
+def test_box_from_another_d_is_refused():
+    # a d = 2 box once raised IndexError in the d = 3 box graph
+    p3 = graph_params(3, 2)
+    box = dlgraph.side_box(graph_params(2, 2), 2)
+    for run in (lambda: box_size(p3, box), lambda: list(box_members(p3, box)),
+                lambda: box_graph(p3, box), lambda: dlgraph._box_listing(p3, box)):
+        with pytest.raises(ValueError, match="^cube has 1 axes, need 2$"):
+            run()
+    # a box whose cube fits but whose roots do not
+    p = graph_params(2, 2)
+    good = dlgraph.side_box(p, 2)
+    bad = Box(good.cube, good.roots + (tree_root(0),))
+    for run in (lambda: box_size(p, bad), lambda: list(box_members(p, bad)), lambda: box_graph(p, bad)):
+        with pytest.raises(ValueError, match="^box has 3 roots, need 2$"):
+            run()
 
 
 def test_side_box_is_the_canonical_box_over_the_side():
@@ -1405,7 +1457,9 @@ def pair_with_signature(params, sig):
 def test_two_coordinate_distance_is_bertacchis_closed_form(cold_memo):
     # on DL_2(q), D = c_1 + e_1 + c_2 + e_2 - |c_1 - e_1| (Bertacchi, "Random
     # walks on Diestel-Leader graphs", 2001), here on every signature with
-    # entries at most 7
+    # entries at most 7, and dl_distance, which reads the formula, agrees
+    # with the search _state_distance there and on every canonical state
+    # with entries at most 9
     p = graph_params(2, 2)
     sigs = [
         ((c1, e1), (c2, c1 + c2 - e1))
@@ -1417,7 +1471,45 @@ def test_two_coordinate_distance_is_bertacchis_closed_form(cold_memo):
         u, v = pair_with_signature(p, sig)
         assert dlgraph._pair_signature(u, v) == sig
         (c1, e1), (c2, e2) = sig
-        assert dl_distance(u, v) == c1 + e1 + c2 + e2 - abs(c1 - e1)
+        dist = c1 + e1 + c2 + e2 - abs(c1 - e1)
+        assert dl_distance(u, v) == dist
+        assert dlgraph._state_distance(1, dlgraph._canonical_state(1, sig)) == dist
+    states = {
+        dlgraph._canonical_state(1, ((c1, e1), (c2, c1 + c2 - e1)))
+        for c1, e1, c2 in itertools.product(range(10), repeat=3)
+        if 0 <= c1 + c2 - e1 <= 9
+    }
+    assert len(states) == 340
+    for state in states:
+        u, v = pair_with_signature(p, state)
+        assert dl_distance(u, v) == dlgraph._state_distance(1, state), state
+
+
+def test_two_coordinate_distance_runs_no_search(monkeypatch, capsys, bfs_by_signature):
+    # at d = 2, k = 1 every distance is the closed form: with the search and
+    # its moves refused, the oracle pairs, a pair far past the distance cap
+    # and the state budget, and the distortion and tile-map modes all answer
+    def refuse(*args, **kwargs):
+        raise AssertionError("a d = 2, k = 1 distance ran a search")
+
+    for name in ("_state_distance", "_state_moves"):
+        monkeypatch.setattr(dlgraph, name, refuse)
+    for d, q, k, r in ORACLE_BALLS:
+        if d == 2 and k == 1:
+            for u, v, dist in bfs_by_signature[d, q, k, r].values():
+                assert dl_distance(u, v) == dist
+    p = graph_params(2, 2)
+    far = dl_vertex(p, (tree_root(100), tree_root(-100)))
+    assert dl_distance(base_vertex(p), far) == 100
+    argvs = (
+        ["qilab", "--mode", "distortion", "--d", "2", "--q", "3", "--h", "3",
+         "--map", "alpha,id", "--pairs", "200"],
+        ["qilab", "--mode", "umap", "--d", "2", "--q", "2", "--k", "3", "--h", "6",
+         "--assert", "ktoone"],
+    )
+    for argv in argvs:
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("d,q,k,r", ORACLE_BALLS, ids=oracle_ids(ORACLE_BALLS))
@@ -1450,18 +1542,32 @@ def test_far_states_within_the_default_limits(cold_memo, state, dist):
     assert dl_distance(u, v) == dist
 
 
+def signature_state(k, u, v):
+    return dlgraph._canonical_state(k, dlgraph._pair_signature(u, v))
+
+
 def test_signature_distance_cap_holds_cold(monkeypatch, cold_memo):
+    # the search holds its cap on a d = 2 state, which dl_distance answers by
+    # the closed form, and dl_distance holds it on a d = 3 state, which it searches
     p = graph_params(2, 2)
     base = base_vertex(p)
     far = dl_vertex(p, (tree_root(4), tree_root(-4)))
+    p3 = graph_params(3, 2)
+    base3 = base_vertex(p3)
+    far3 = dl_vertex(p3, (tree_root(4), tree_root(-2), tree_root(-2)))
     with monkeypatch.context() as mp:
         mp.setattr(dlgraph, "DEFAULT_DISTANCE_CAP", 2)
         with pytest.raises(BudgetError, match=r"cap 2: distance at least 4, 1 states reached"):
-            dl_distance(base, far)
-    assert dl_distance(base, far) == 4
+            dlgraph._state_distance(1, signature_state(1, base, far))
+        with pytest.raises(BudgetError, match=r"cap 2: distance at least 4, 1 states reached"):
+            dl_distance(base3, far3)
+        assert dl_distance(base, far) == 4
+    assert dlgraph._state_distance(1, signature_state(1, base, far)) == 4
+    assert dl_distance(base3, far3) == 4
     monkeypatch.setattr(dlgraph, "DEFAULT_DISTANCE_CAP", 4)
     dlgraph._state_distance.cache_clear()
-    assert dl_distance(far, base) == 4
+    assert dlgraph._state_distance(1, signature_state(1, far, base)) == 4
+    assert dl_distance(far3, base3) == 4
 
 
 def test_distance_searches_hold_their_budgets(monkeypatch, cold_memo):
@@ -1469,7 +1575,11 @@ def test_distance_searches_hold_their_budgets(monkeypatch, cold_memo):
     p = graph_params(2, 2)
     far = dl_vertex(p, (tree_root(4), tree_root(-4)))
     with pytest.raises(BudgetError, match=r"budget 3: distance at least 4, 3 states reached"):
-        dl_distance(base_vertex(p), far)
+        dlgraph._state_distance(1, signature_state(1, base_vertex(p), far))
+    p3 = graph_params(3, 2)
+    far3 = dl_vertex(p3, (tree_root(4), tree_root(-2), tree_root(-2)))
+    with pytest.raises(BudgetError, match=r"budget 3: distance at least 4, 3 states reached"):
+        dl_distance(base_vertex(p3), far3)
     p2 = graph_params(2, 2, 2)
     far2 = dl_vertex(p2, (tree_root(8), tree_root(-8)))
     with pytest.raises(BudgetError, match=r"budget 3: distance at least 4, 3 states reached"):

@@ -552,6 +552,30 @@ def test_custom_generators_checked_inside_their_bfs(monkeypatch):
         cayley_ball(p, 3, gens=generators(p))
 
 
+def test_word_ball_under_its_closed_form_bound_is_not_counted(monkeypatch):
+    # D = d(d-1)q letters make at most 1 + D + ... + D^r words: 341 at
+    # (2, 2, 4), within the budget, so no signature state is counted there;
+    # at radius 16 the bound passes the budget and the count runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a signature state was counted")
+
+    monkeypatch.setattr(group, "_state_size", refuse)
+    p = ring_params(2, 2)
+    assert sphere_sizes(cayley_ball(p, 4)) == sphere_sizes(cayley_ball(p, 4, gens=generators(p)))
+    assert validate_correspondence(p, 4).ok
+    for run in (lambda: cayley_ball(p, 16), lambda: validate_correspondence(p, 16)):
+        with pytest.raises(AssertionError, match="a signature state was counted"):
+            run()
+
+
+def test_word_ball_refuses_bool_and_non_int_radius():
+    p = ring_params(2, 2)
+    for radius in (True, 2.0, -1):
+        for run in (lambda: cayley_ball(p, radius), lambda: cayley_ball(p, radius, gens=generators(p))):
+            with pytest.raises(ValueError, match=f"^radius must be a nonnegative integer, got {radius!r}$"):
+                run()
+
+
 # ---------------------------------------------------------------------------
 # index-k subgroup
 
@@ -565,6 +589,26 @@ def test_membership_and_cosets():
         for k in (2, 3, 4):
             assert subgroup_membership(el, k) == (n % k == 0)
             assert coset_index(el, k) == n % k
+
+
+@pytest.mark.parametrize("k", [True, 2.0, 0], ids=["bool", "float", "zero"])
+def test_coset_index_refuses_bool_and_non_int_k(k):
+    # coset_index(g, True) once read the coset mod 1
+    with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {k!r}$"):
+        coset_index(gen_first(ring_params(2, 2), 1, 1), k)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, 0], ids=["bool", "float", "zero"])
+def test_subgroup_generators_refuse_bool_and_non_int_k(k):
+    with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {k!r}$"):
+        subgroup_generators(ring_params(2, 2), k)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, 0], ids=["bool", "float", "zero"])
+def test_index_check_refuses_bool_and_non_int_k(k):
+    # index_check(p, True) once ran the k = 1 checks
+    with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {k!r}$"):
+        group.index_check(ring_params(2, 2), k)
 
 
 def test_subgroup_generators_k1_is_ambient():

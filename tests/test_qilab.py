@@ -1043,18 +1043,18 @@ class TestUmapOracle:
             return (sig[0][0], *sig[-1])
 
         expected = sorted({triple(u, v) for u, v in pairs})
-        # the search state of each triple, as dl_distance builds it from a pair
+        # the signature state of each triple, as dl_distance builds it from a pair
         states = {triple(u, v): dlgraph._canonical_state(1, dlgraph._pair_signature(u, v)) for u, v in pairs}
-        real, calls = dlgraph._state_distance, []
+        real, calls = dlgraph._distance, []
 
         def counting(k, state):
             calls.append(state)
             return real(k, state)
 
-        # every module-level reference to the distance and its search, so a
+        # every module-level reference to the distance and its front, so a
         # caller that imported either name is counted too
         for module in (dlgraph, qilab, cli):
-            monkeypatch.setattr(module, "_state_distance", counting, raising=False)
+            monkeypatch.setattr(module, "_distance", counting, raising=False)
             monkeypatch.setattr(module, "dl_distance", lambda u, v: counting(1, states[triple(u, v)]), raising=False)
         argv = ["qilab", "--mode", "umap", "--d", str(d), "--q", str(q), "--k", str(k),
                 "--h", str(side)]
