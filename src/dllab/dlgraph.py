@@ -31,12 +31,14 @@ A vertex's distance from a center depends only on their pair signature, so
 a ball (ball) is listed as blocks, one per signature within the radius:
 the product over coordinates of the tree vertices with one pair against
 the center's coordinate, a pool of descendants of one vertex of the
-center's line. A box's fibers are products of descendant pools too. Both
-build each pool once, from the pool a level up (_tree_pools), read the
-move rule once, over integer heights (_height_moves), and find each
-edge's endpoints by their pool positions (_fold_moves), so neither lists
-a neighbour tuple; a ball folds each pool-size shape of its block pairs
-once. A search over graph vertices (dl_neighbors,
+center's line. A box's fiber over a cube point is a block too: the
+signature ((depth_1, 0), ..., (depth_d, 0)) against the box's roots. So
+both read one pool table (_signature_pools), which builds each pool once,
+from the pool a level up, and one edge pass (_block_edge_batches), which
+reads the move rule once, over integer heights (_height_moves), folds
+each pool-size shape of its block pairs once and finds each edge's
+endpoints by their pool positions (_fold_moves); neither lists a
+neighbour tuple. A search over graph vertices (dl_neighbors,
 _ball_search) keeps its own table of tree moves, one shape for every k:
 per tree vertex and m in 0..k, its descendants m levels down and its
 ancestor m levels up (its children and parent at m = 1), each built on
@@ -594,8 +596,8 @@ def fiber_pools(params: GraphParams, box: Box, point: Sequence[int]) -> "list[tu
     Each pool is tree_descendants of its root, so a pool position follows
     the position rule: child b of position t is at t*q + b in the pool one
     level deeper, and the ancestor m levels up of t is at t // q**m. The
-    program reads its pools from a box's _pool_table; these, built from
-    the root, are box_members' plain reference.
+    program reads the same pools from _signature_pools, at (root, (depth,
+    0)); these, built from the root, are box_members' plain reference.
     """
     depths = _fiber_depths(box, point)
     return [tuple(tree_descendants(r, depth, params.q)) for r, depth in zip(box.roots, depths)]
@@ -728,8 +730,8 @@ def edge_pairs(g: BallGraph) -> Iterator["tuple[int, int]"]:
 # Inside one GraphParams a vertex is identified by its coordinate tuple,
 # which is what the graph searches run on; the dl_key string is built once
 # per distinct vertex, to sort the vertices and label them for export, from
-# tree keys built once per pool member (_tree_pools), since many vertices
-# share a coordinate.
+# tree keys built once per pool member (_signature_pools), since many
+# vertices share a coordinate.
 
 
 def _induced_edges(nodes, index, half_step, start: int) -> array:
@@ -841,7 +843,7 @@ def ball(center: DLVertex, radius: int) -> BallGraph:
     The blocks are listed in build order, their keys from the pools' key
     texts; the pool table is dropped before the edges are found by pool
     positions, one fold per pool-size shape of a block pair
-    (_ball_edge_batches), and encoded in key order (_edge_array) as they
+    (_block_edge_batches), and encoded in key order (_edge_array) as they
     come.
     """
     params = center.params
@@ -866,7 +868,7 @@ def ball(center: DLVertex, radius: int) -> BallGraph:
         params=params,
         vertices=tuple(map(members.__getitem__, order)),
         keys=tuple(map(keys.__getitem__, order)),
-        edges=_edge_array(len(keys), pos, _ball_edge_batches(params, offsets)),
+        edges=_edge_array(len(keys), pos, _block_edge_batches(params, offsets)),
         center=center,
         radius=radius,
         depths=tuple(map(depths.__getitem__, order)),
@@ -921,11 +923,14 @@ def _orderings(k: int, state: tuple) -> Iterator[tuple]:
         rest[i + 1:] = rest[:i:-1]
 
 
-def _ball_edge_batches(params: GraphParams, offsets: dict) -> Iterator[tuple]:
-    """The edges of a ball as (pairs, places) groups, one per fold shape (_edge_array).
+def _block_edge_batches(params: GraphParams, offsets: dict) -> Iterator[tuple]:
+    """The edges among blocks as (pairs, places) groups, one per fold shape (_edge_array).
 
-    offsets maps each block's signature to its first build id, in build
-    order (ball). A half move (_neighbor_coords' half step from the zero
+    offsets maps each block's signature to its first build id: a ball's
+    blocks in build order (ball), or a box's fibers (box_graph), whose
+    pairs (depth, 0) are moved by a height move exactly as the box's pools
+    are, and whose climbs past a root reach a pair (0, e > 0), which no
+    fiber has. A half move (_neighbor_coords' half step from the zero
     heights, over _height_moves) sends each coordinate's pair where its
     tree move does: it stays when the height does, goes to each of its
     _descents when the height grows and to its _climb when it falls. Each
@@ -936,8 +941,8 @@ def _ball_edge_batches(params: GraphParams, offsets: dict) -> Iterator[tuple]:
     shape is folded once into relative build-id pairs (_fold_moves), and
     its group's places are the offset and target offset of each of its
     block pairs.
-    Every edge of the ball is listed once, from the endpoint whose half
-    step holds it.
+    Every edge among the blocks is listed once, from the endpoint whose
+    half step holds it.
     """
     k = params.k
     vectors = _neighbor_coords(_height_moves(k), (0,) * params.d, half=True)
@@ -976,14 +981,13 @@ def _key_order(keys: list) -> "tuple[list[int], list[int]]":
 
 
 class _PoolTable(NamedTuple):
-    """Pools of tree vertices and their tree_key texts, each built on first use.
+    """Pools of tree vertices and their tree_key texts, each built on first use (_signature_pools).
 
-    _signature_pools keys them by (z, (c, e)), a box's _pool_table by
-    (coordinate, depth); _tree_pools builds both. Each pool is built from
-    the one a level up: a child's digits are its parent's with at most one
-    (level, value) appended, and its digit text is its parent's with at
-    most one "level=value" concatenated. The table holds no reference
-    cycle (_ChainDict), so it is freed as soon as its listing drops it.
+    Each pool is built from the one a level up: a child's digits are its
+    parent's with at most one (level, value) appended, and its digit text
+    is its parent's with at most one "level=value" concatenated. The table
+    holds no reference cycle (_ChainDict), so it is freed as soon as its
+    listing drops it.
     """
 
     vertices: LazyDict
@@ -1004,40 +1008,43 @@ def _pool_step(q: int, z: TreeVertex, c: int, e: int) -> "tuple[int, list[int]]"
     return n, [(b + shift) % q for b in range(1 if c == 1 and e else 0, q)]
 
 
-def _tree_pools(q: int, frame, up) -> _PoolTable:
-    """An empty pool table (_PoolTable); nothing is built until read.
+def _signature_pools(q: int) -> _PoolTable:
+    """An empty pool table keyed by (z, (c, e)): the tree vertices whose pair against z is (c, e).
 
-    frame(at) gives the tree vertex z and the pair (c, e) against it whose
-    vertices pool at holds, as (z, c, e), and up(at) the key of the pool a
-    level up, (c - 1, e).
+    The pairs are _pair_signature's; nothing is built until read. A ball
+    reads its pools against its center's coordinates, and a box's fiber
+    over a cube point reads the pools (root, (depth, 0)), the tree
+    vertices depth levels below each root (fiber_pools), so the fibers of
+    a box share them.
 
     Pool (c, e) against z holds the descendants c levels below z's
     ancestor e levels up, and when c, e > 0 only those off z's branch,
-    (q-1) * q**(c-1) of them (_pool_size). Its order carries the position
-    rule from the pools against the base vertex's coordinate,
-    tree_root(0): the tree automorphism that shifts heights by z's and adds
-    z's digits maps those onto these, and it maps child b of a vertex to
-    the child whose digit is b plus z's digit there (_pool_step). So child
-    b of position t is at t*q + b one level down (t*q + b - 1 at (1, e),
-    e > 0), and the ancestor m levels up of position t is at t // q**m
-    while it stays in pools of the same e. Below z (e = 0) z has no digit,
-    and the order is tree_descendants' digit order.
+    (q-1) * q**(c-1) of them (_pool_size); it is built from the pool
+    (c - 1, e). Its order carries the position rule from the pools against
+    the base vertex's coordinate, tree_root(0): the tree automorphism that
+    shifts heights by z's and adds z's digits maps those onto these, and it
+    maps child b of a vertex to the child whose digit is b plus z's digit
+    there (_pool_step). So child b of position t is at t*q + b one level
+    down (t*q + b - 1 at (1, e), e > 0), and the ancestor m levels up of
+    position t is at t // q**m while it stays in pools of the same e.
+    Below z (e = 0) z has no digit, and the order is tree_descendants'
+    digit order.
     """
 
     def vertices(pools, at):
-        z, c, e = frame(at)
+        z, (c, e) = at
         if not c:
             return (tree_ancestor(z, z.level - e),)
         n, values = _pool_step(q, z, c, e)
         steps = [((n, v),) if v else () for v in values]
-        return tuple([TreeVertex(n, u.digits + s) for u in pools[up(at)] for s in steps])
+        return tuple([TreeVertex(n, u.digits + s) for u in pools[z, (c - 1, e)] for s in steps])
 
     def digit_texts(texts, at):
-        z, c, e = frame(at)
+        z, (c, e) = at
         if not c:
             return [",".join(f"{i}={v}" for i, v in z.digits if i <= z.level - e)]
         n, values = _pool_step(q, z, c, e)
-        above = texts[up(at)]
+        above = texts[z, (c - 1, e)]
         steps = [f",{n}={v}" if v else "" for v in values]
         out = [text + s for text in above for s in steps]
         if "" in above:  # the one vertex with no digits: its children's texts begin at their digit
@@ -1046,7 +1053,7 @@ def _tree_pools(q: int, frame, up) -> _PoolTable:
         return out
 
     def keys(at):
-        z, c, e = frame(at)
+        z, (c, e) = at
         prefix = f"{z.level - e + c}:"
         return [prefix + text for text in digit_texts_of[at]]
 
@@ -1054,24 +1061,9 @@ def _tree_pools(q: int, frame, up) -> _PoolTable:
     return _PoolTable(_ChainDict(vertices), LazyDict(keys))
 
 
-def _signature_pools(q: int) -> _PoolTable:
-    """An empty pool table keyed by (z, (c, e)): the tree vertices whose pair against z is (c, e).
-
-    The pairs are _pair_signature's, and the order is _tree_pools'.
-    """
-    return _tree_pools(q, lambda at: (at[0], *at[1]), lambda at: (at[0], (at[1][0] - 1, at[1][1])))
-
-
-def _pool_table(params: GraphParams, box: Box) -> _PoolTable:
-    """An empty pool table for box, keyed by (i, depth); nothing is built until read.
-
-    Pool (i, depth) lists the tree vertices depth levels below root i in
-    digit order, as tree_descendants does: the pool (depth, 0) against
-    root i (_tree_pools). The fibers of a box share these pools, so each
-    is built once per box.
-    """
-    roots = box.roots
-    return _tree_pools(params.q, lambda at: (roots[at[0]], at[1], 0), lambda at: (at[0], at[1] - 1))
+def _fiber_signature(box: Box, point: Sequence[int]) -> tuple:
+    """The fiber's signature against the box's roots over a cube point: ((depth_1, 0), ..., (depth_d, 0))."""
+    return tuple([(depth, 0) for depth in _fiber_depths(box, point)])
 
 
 class _BoxListing(NamedTuple):
@@ -1084,24 +1076,28 @@ class _BoxListing(NamedTuple):
     pools: _PoolTable
 
 
-def _box_listing(params: GraphParams, box: Box) -> _BoxListing:
+def _box_listing(params: GraphParams, box: Box, size: Optional[int] = None) -> _BoxListing:
     """(keys, offsets, order, pos, pools): the member keys of a box, in key order.
 
     A member's build id is the offset of its cube point, offsets[point],
     plus a mixed-radix number over its pool positions, the last coordinate
     fastest: box_members' order. order and pos map key-sorted positions to
-    build ids and back (_key_order). The closed-form size is checked
-    against the vertex budget (_box_budget) before the pool table
-    (_pool_table) is made. A fiber's member keys are the products of its
-    pools' keys; no member's coordinates are listed here (_listed_members
-    does that).
+    build ids and back (_key_order). The box and its closed-form size are
+    checked against the vertex budget (_box_budget) before any pool is
+    read, unless the caller passes the size that check gave it. Each fiber
+    is a block, read from the pools (root, pair) of its signature
+    (_fiber_signature) in a _signature_pools table, and its member keys are
+    the products of those pools' keys; no member's coordinates are listed
+    here (_listed_members does that).
     """
-    _box_budget(params, box)
-    pools = _pool_table(params, box)
+    if size is None:
+        _box_budget(params, box)
+    pools = _signature_pools(params.q)
     keys, offsets = [], {}
     for point in cube_points(box.cube):
         offsets[point] = len(keys)
-        keys += map("|".join, product(*[pools.keys[at] for at in enumerate(_fiber_depths(box, point))]))
+        ats = list(zip(box.roots, _fiber_signature(box, point)))
+        keys += map("|".join, product(*[pools.keys[at] for at in ats]))
     order, pos = _key_order(keys)
     return _BoxListing(tuple(map(keys.__getitem__, order)), offsets, order, pos, pools)
 
@@ -1113,9 +1109,10 @@ def _listed_members(box: Box, listing: _BoxListing) -> tuple:
     vertices, in build order, then sorted by listing.order. No DLVertex is
     built; a caller that needs vertices wraps the tuples.
     """
-    members = []
+    pools, members = listing.pools, []
     for point in listing.offsets:
-        members += product(*[listing.pools.vertices[at] for at in enumerate(_fiber_depths(box, point))])
+        ats = list(zip(box.roots, _fiber_signature(box, point)))
+        members += product(*[pools.vertices[at] for at in ats])
     return tuple(map(members.__getitem__, listing.order))
 
 
@@ -1164,11 +1161,15 @@ def _fold_moves(sizes: Sequence[int], target_sizes: Sequence[int]) -> list:
 
 
 def box_graph(params: GraphParams, box: Box) -> BallGraph:
-    """Induced subgraph on the members of a box.
+    """Induced subgraph on the members of a box, wired as a ball is.
 
-    Edges are found by index arithmetic over the fiber pools
-    (_box_edge_batches), as pairs of member build ids (_box_listing), and
-    encoded in key order (_edge_array) as they come, one group at a time.
+    The box is checked once, with its closed-form size against the vertex
+    budget (_box_budget) and deg * size / 2 against the edge budget,
+    before any member is listed (_box_listing, handed that size). Each
+    fiber is a block of the signature (_fiber_signature), so the edges
+    come from the ball's edge pass (_block_edge_batches) over the fibers'
+    signatures, as pairs of member build ids, and are encoded in key order
+    (_edge_array) as they come, one fold shape at a time.
     """
     deg = _check_degree(params)
     n = _box_budget(params, box)
@@ -1176,38 +1177,18 @@ def box_graph(params: GraphParams, box: Box) -> BallGraph:
     bound = deg * n // 2
     if bound > DEFAULT_EDGE_BUDGET:
         raise BudgetError(f"box graph may hold {bound} edges, budget {DEFAULT_EDGE_BUDGET}")
-    listing = _box_listing(params, box)
+    listing = _box_listing(params, box, n)
     vertices = _listed_members(box, listing)
-    keys, offsets, pos = listing.keys, listing.offsets, listing.pos
+    keys, pos = listing.keys, listing.pos
+    offsets = {_fiber_signature(box, point): offset for point, offset in listing.offsets.items()}
     del listing  # drops the pool table's key texts before the edge pass
     return BallGraph(
         params=params,
         vertices=vertices,
         keys=keys,
-        edges=_edge_array(len(keys), pos, _box_edge_batches(params, box, offsets)),
+        edges=_edge_array(len(keys), pos, _block_edge_batches(params, offsets)),
         cube=box.cube,
     )
-
-
-def _box_edge_batches(params: GraphParams, box: Box, offsets: dict) -> Iterator[tuple]:
-    """The edges of a box as (pairs, places) groups (_edge_array), one per cube point and half move.
-
-    For each cube point and half move (_neighbor_coords' half step from the
-    zero heights, over _height_moves) whose target point is in the cube,
-    the edges are the product over coordinates of the moves of pool
-    positions, folded into relative pairs of member build ids
-    (_fold_moves), at the one place offsets[point], offsets[target]
-    (_box_listing).
-    """
-    q, d = params.q, params.d
-    vectors = _neighbor_coords(_height_moves(params.k), (0,) * d, half=True)
-    for point, offset in offsets.items():
-        depths = _fiber_depths(box, point)
-        sizes = [q**depth for depth in depths]
-        for vec in vectors:
-            target = offsets.get(tuple(map(int.__add__, point, vec)))
-            if target is not None:
-                yield _fold_moves(sizes, [q ** (x + y) for x, y in zip(depths, vec)]), [offset, target]
 
 
 def sphere_sizes(g: BallGraph) -> "tuple[int, ...]":

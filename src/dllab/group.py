@@ -303,7 +303,10 @@ def cayley_ball(
     if gens is None:
         found, depths = _generated_word_ball(params, radius)
     else:
-        found, depths = _word_ball(params, radius, tuple(gens))
+        gens = tuple(gens)
+        if any(g.params != params for g in gens):
+            raise ValueError("elements live in different groups")
+        found, depths = _word_ball(params, radius, gens)
     found = [_element(params, state) for state in found]
     keys = [element_key(g) for g in found]
     order, _ = _key_order(keys)

@@ -557,6 +557,8 @@ def interior_map(params: GraphParams, maps) -> InteriorMap:
 
 
 def psi_apply(imap: InteriorMap, x: DLVertex) -> DLVertex:
+    if x.params != imap.params:
+        raise ValueError("vertex and map live in different graphs")
     return DLVertex(imap.params, tuple(m.vertex_image(c) for m, c in zip(imap.maps, x.coords)))
 
 

@@ -433,7 +433,7 @@ class TestQilabOtherModes:
         def refuse(*args, **kwargs):
             raise AssertionError("members were enumerated")
 
-        monkeypatch.setattr(dlgraph, "_pool_table", refuse)
+        monkeypatch.setattr(dlgraph, "_signature_pools", refuse)
         argv = ["qilab", "--mode", "umap", "--d", "2", "--q", "2", "--k", "2", "--h", "24"]
         assert run_cli(argv) == 2
         captured = capsys.readouterr()

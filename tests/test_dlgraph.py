@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 from array import array
@@ -479,8 +480,9 @@ def test_sorted_box_member_keys(d, q, k):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pool_table_matches_tree_descendants(d, q, k):
-    # every pool a box's fibers read, each depth built from the one above,
-    # against tree_descendants and tree_key, on canonical and lifted boxes
+    # every pool a box's fibers read, (root, (depth, 0)) in a signature pool
+    # table, each depth built from the one above, against tree_descendants
+    # and tree_key, on canonical and lifted boxes
     p = graph_params(d, q, k)
     checked = 0
     for side in (0, k, 2 * k):
@@ -491,14 +493,15 @@ def test_pool_table_matches_tree_descendants(d, q, k):
             pools = {at for pt in cube_points(cube) for at in enumerate(dlgraph._fiber_depths(box, pt))}
             # deepest first on one table, so each depth is first built while
             # reading the one below it, and shallowest first on the other
-            for table, ats in ((dlgraph._pool_table(p, box), sorted(pools, key=lambda at: -at[1])),
-                               (dlgraph._pool_table(p, box), sorted(pools))):
+            for table, ats in ((dlgraph._signature_pools(q), sorted(pools, key=lambda at: -at[1])),
+                               (dlgraph._signature_pools(q), sorted(pools))):
                 for i, depth in ats:
                     if q**depth > 5000:
                         continue  # only the deepest pools of d = 4 at side 2k
                     want = list(tree_descendants(box.roots[i], depth, q))
-                    assert list(table.vertices[i, depth]) == want, (i, depth)
-                    assert list(table.keys[i, depth]) == list(map(tree_key, want)), (i, depth)
+                    at = box.roots[i], (depth, 0)
+                    assert list(table.vertices[at]) == want, (i, depth)
+                    assert list(table.keys[at]) == list(map(tree_key, want)), (i, depth)
                     checked += 1
     assert checked >= 20
 
@@ -1018,7 +1021,7 @@ def test_ball_folds_each_shape_once(monkeypatch, d, q, k, radius, shapes, block_
         return fold_moves(sizes, target_sizes)
 
     places = []
-    batches = dlgraph._ball_edge_batches
+    batches = dlgraph._block_edge_batches
 
     def listed(params, offsets):
         for pairs, at in batches(params, offsets):
@@ -1026,10 +1029,66 @@ def test_ball_folds_each_shape_once(monkeypatch, d, q, k, radius, shapes, block_
             yield pairs, at
 
     monkeypatch.setattr(dlgraph, "_fold_moves", counted)
-    monkeypatch.setattr(dlgraph, "_ball_edge_batches", listed)
+    monkeypatch.setattr(dlgraph, "_block_edge_batches", listed)
     ball(base_vertex(graph_params(d, q, k)), radius)
     assert len(folds) == len(set(folds)) == shapes
     assert len(places) == len(set(places)) == block_pairs
+
+
+@pytest.mark.parametrize("d,q,k", ORACLE_PARAMS)
+def test_fold_length_is_the_product_of_the_larger_pool_sizes(monkeypatch, d, q, k):
+    # per coordinate, a tree move pairs each position of the smaller pool
+    # with each of its own in the larger (_position_moves), so a fold of
+    # pool sizes s onto t holds prod(max(s_i, t_i)) pairs, and a ball's or
+    # a box's edges number the sum over its shapes of that product times
+    # the shape's places
+    folds, counts = [], []
+    fold_moves, batches = dlgraph._fold_moves, dlgraph._block_edge_batches
+
+    def recorded(sizes, target_sizes):
+        pairs = fold_moves(sizes, target_sizes)
+        folds.append((len(pairs), math.prod(map(max, sizes, target_sizes))))
+        return pairs
+
+    def counted(params, offsets):
+        total = 0
+        for pairs, places in batches(params, offsets):
+            total += folds[-1][1] * (len(places) // 2)
+            yield pairs, places
+        counts.append(total)
+
+    monkeypatch.setattr(dlgraph, "_fold_moves", recorded)
+    monkeypatch.setattr(dlgraph, "_block_edge_batches", counted)
+    p = graph_params(d, q, k)
+    graphs = []
+    for radius in range(6):
+        graphs.append(ball(base_vertex(p), radius))
+        if len(graphs[-1].vertices) > 2000:
+            break
+    for h in (0, k, 2 * k):
+        for corner in (0, -k):
+            box = canonical_box(p, height_cube([(corner, corner + h)] * (d - 1), k))
+            if box_size(p, box) <= 20_000:
+                graphs.append(box_graph(p, box))
+    assert counts == [len(g.edges) for g in graphs]
+    assert len(folds) >= 20 and [n for n, closed in folds if n != closed] == []
+
+
+def test_box_graph_checks_its_box_once(monkeypatch):
+    # the box is checked at box_graph's entry, with its budgets, and its
+    # listing does not check it again
+    calls = []
+    check = dlgraph._check_box
+
+    def counted(params, box):
+        calls.append(box)
+        return check(params, box)
+
+    p = graph_params(2, 2)
+    box = dlgraph.side_box(p, 4)
+    monkeypatch.setattr(dlgraph, "_check_box", counted)
+    assert len(box_graph(p, box).vertices) == 80
+    assert calls == [box]
 
 
 @pytest.mark.parametrize(

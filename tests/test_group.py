@@ -576,6 +576,21 @@ def test_word_ball_refuses_bool_and_non_int_radius():
                 run()
 
 
+def test_cayley_ball_refuses_letters_from_another_group():
+    # the letters of the d = 3 group once raised IndexError in the d = 2
+    # group's word BFS; any letter from another group is refused, with
+    # multiply's message, before a word is walked
+    p = ring_params(2, 2)
+    for other in (ring_params(2, 3), ring_params(3, 2)):
+        letter = generators(other)[0]
+        for run in (lambda: multiply(identity(p), letter),
+                    lambda: cayley_ball(p, 1, gens=generators(other)),
+                    lambda: cayley_ball(p, 1, gens=[*generators(p), letter])):
+            with pytest.raises(ValueError, match="^elements live in different groups$"):
+                run()
+    assert len(cayley_ball(p, 1, gens=generators(p)).elements) == 5
+
+
 # ---------------------------------------------------------------------------
 # index-k subgroup
 

@@ -529,6 +529,15 @@ class TestInteriorMaps:
             assert psi_apply(im, x) == x
             assert preimage_count(im, x) == 1
 
+    def test_psi_apply_refuses_a_vertex_from_another_graph(self):
+        # a vertex of DL_2(3) or DL_2^2(2) once came back as a DL_2(2) vertex
+        p, _ = self.box()
+        im = interior_map(p, (identity_map(2), identity_map(2)))
+        for other in (graph_params(2, 3), graph_params(2, 2, 2)):
+            with pytest.raises(ValueError, match="^vertex and map live in different graphs$"):
+                psi_apply(im, dlgraph.base_vertex(other))
+        assert psi_apply(im, dlgraph.base_vertex(p)) == dlgraph.base_vertex(p)
+
     def test_heights_preserved(self):
         p, box = self.box()
         im = self.lift_lower()
@@ -1096,7 +1105,7 @@ class TestUmapOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("members were enumerated")
 
-        monkeypatch.setattr(dlgraph, "_pool_table", refuse)
+        monkeypatch.setattr(dlgraph, "_signature_pools", refuse)
         p = graph_params(2, 2)
         tiling = make_tiling(p, height_cube([(0, 23)]), 2)
         with pytest.raises(dlgraph.BudgetError, match=r"box has 201326592 members, budget 500000"):
