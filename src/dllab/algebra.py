@@ -373,8 +373,8 @@ def partial_fractions(a: RationalElement) -> "tuple[tuple[int, ...], ...]":
     expand_local's window [-m_i, -1] reversed, so its length is the reduced
     denominator exponent m_i, and the polynomial part is the window
     [-deg, 0] at infinity reversed. The map is a bijection onto tuples of
-    trimmed digit tuples (from_partial_fractions inverts it) and additive
-    (pf_add).
+    trimmed digit tuples (from_partial_fractions inverts it) and additive,
+    place by place and digit by digit mod q.
     """
     p = a.params
     if a.is_zero():
@@ -386,17 +386,6 @@ def partial_fractions(a: RationalElement) -> "tuple[tuple[int, ...], ...]":
     deg = len(a.num) - 1 - sum(a.den)
     parts.append(tuple(reversed(expand_local(a, p.d, -deg, 0))) if deg >= 0 else ())
     return tuple(parts)
-
-
-def pf_add(x: tuple, y: tuple, q: int) -> tuple:
-    """Partial-fraction digits of a + b from those of a and b: place-wise padd."""
-    if len(x) != len(y):
-        raise ValueError(f"digits of different rings: {len(x)} places against {len(y)}")
-    out = list(x)
-    for i, v in enumerate(y):
-        if v:
-            out[i] = padd(out[i], v, q) if out[i] else v
-    return tuple(out)
 
 
 def from_partial_fractions(params: RingParams, digits: Sequence[tuple]) -> RationalElement:

@@ -13,23 +13,12 @@ cutoff exponent exps_i, and the place at infinity tracks digits of P in
 u = 1/t up to exponent -sum(exps). The cutoff offsets are fixed module
 constants chosen so that every generator move is a single graph edge.
 
-Word balls run their BFS on (exps, partial-fraction digits of P) rather
-than on the normal form: a product by a generator s adds the term
-U(exps) * s.P, cached per exps vector and distinct generator P within the
-ball and summed from one table of unit powers U(f), so each product is a
-digit addition mod q. cayley_ball converts each state back to the normal
-form, and keys it, once after the BFS; it remains for the acceptance
-harness and the tests. The correspondence check never converts: it reads
-each image off the state's digits, since a place's expansion digits are
-its own partial-fraction digits below the split exponent and a fixed
-linear combination of the other places' digits above it, and it reads the
-graph ball off the coordinate-tuple search, keying vertices only to name
-failures. The index checks (index_check) read cosets and coverage off
-states too. A word ball over the standard generators is checked against
-the vertex budget before it is walked (_generated_word_ball): by the
-closed-form bound 1 + D + ... + D^r on D letters, and only past that by
-the graph ball's signature states. multiply and invert remain the
-general group law.
+Word balls run their BFS on states (exps, x), x the partial-fraction
+digits of P packed into one int, so a product by a generator is one
+carry-free add (_word_step); the correspondence and index checks read
+the states, and cayley_ball converts them to normal forms. Each is checked
+against the vertex budget before a letter is built (_check_word_ball).
+multiply and invert remain the general group law.
 
 The index-k subgroup is the kernel of the first exponent mod k. One
 construction gives its generating set: k-step products along the first
@@ -51,7 +40,7 @@ from .algebra import (
     expand_local,
     from_partial_fractions,
     partial_fractions,
-    pf_add,
+    ptrim,
     rat_add,
     rat_const,
     rat_neg,
@@ -62,9 +51,11 @@ from .algebra import (
 from . import dlgraph
 from .dlgraph import (
     DLVertex,
+    GraphParams,
     LazyDict,
     TreeVertex,
     _ball_search,
+    _check_degree,
     _check_radius,
     _is_int,
     _key_order,
@@ -79,11 +70,9 @@ from .dlgraph import (
 from .record import Record
 
 # Per-place offset between tree digit indices and expansion exponents: the
-# digit at tree index j is the expansion digit at exponent j + offset. The
-# finite places store exponents strictly below the height (offset -1); the
-# place at infinity stores them up to the height (offset 0). These values
-# make each generator move a single edge; the validation harness checks
-# that on whole balls.
+# digit at tree index j is the expansion digit at exponent j + offset, -1 at
+# the finite places (exponents below the height) and 0 at infinity (up to
+# it). Each generator move is then a single edge, as validation checks.
 def correspondence_cutoffs(d: int) -> "tuple[int, ...]":
     return (-1,) * (d - 1) + (0,)
 
@@ -150,11 +139,7 @@ def gen_ratio(params: RingParams, i: int, j: int, b: int) -> GroupElement:
 
 def generators(params: RingParams) -> "tuple[GroupElement, ...]":
     """The standard generating set; size d(d-1)q, closed under inversion."""
-    gens = _generating_set(params, 1)
-    expected = expected_degree(graph_params(params.d, params.q))
-    if len(gens) != expected:
-        raise AssertionError(f"generator count {len(gens)} != {expected}")
-    return gens
+    return _generating_set(params, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,30 +154,57 @@ class CayleyBall(NamedTuple):
     depths: tuple
 
 
+def _field_width(q: int) -> int:
+    """Bits per field of a packed state: whole bytes, a power of two, holding 2q - 2 below a guard bit."""
+    return 8 << ((2 * q - 2).bit_length() // 8).bit_length()
+
+
+def _packed(params: RingParams, digits: Sequence[tuple]) -> int:
+    """Partial-fraction digits as one int: digit m of place i in field m * d + i."""
+    w, d = _field_width(params.q), params.d
+    return sum(v << (m * d + i) * w for i, part in enumerate(digits) for m, v in enumerate(part))
+
+
+def _places(x: int, w: int, d: int) -> list:
+    """Each place's digits in a packed int, top ones maybe zero: every d-th w-bit field."""
+    size = w // 8
+    fields = x.to_bytes(-(-x.bit_length() // w) * size, "little")
+    if size > 1:
+        fields = [int.from_bytes(fields[n:n + size], "little") for n in range(0, len(fields), size)]
+    places = []  # a loop costs less than a list comprehension on so few places
+    for i in range(d):
+        places.append(fields[i::d])
+    return places
+
+
+def _digits(params: RingParams, x: int) -> tuple:
+    """_packed's inverse: each place's digits, trimmed."""
+    return tuple(map(ptrim, _places(x, _field_width(params.q), params.d)))
+
+
 def _word_step(params: RingParams, gens: tuple):
-    """The word-metric BFS steps on partial-fraction digits, and the identity's state.
+    """The word-metric BFS steps on packed partial-fraction digits, and the identity's state.
 
-    A state is (exps, partial_fractions(P)), a bijective image of the
-    normal form (_element converts back). g * s adds U(g.exps) * s.P to P,
-    a term that depends only on g.exps and s.P, and each product is a
-    place-wise digit addition (pf_add). step(state) lists the states g * s
-    in the order of gens.
+    A state is (exps, x), x the partial-fraction digits of P packed by
+    _packed: a bijective image of the normal form (_element converts back),
+    exact under hashing as zero top fields vanish. g * s adds to P the term
+    t = U(g.exps) * s.P, U(f) = prod (t + l_i)^f_i. Digit sums fit below
+    each field's guard bit w - 1, so s = x + t carries nothing, and the
+    guard bits of s + C, C repeating 2^(w-1) - q, mark where q comes off;
+    C and the mask H widen when a longer term appears. By its own digits a
+    distinct generator P is a sum of a * U(f) (a at (t + l_j)^(-n) gives
+    U(-n e_j), at t^n U(n e_1), as l_1 = 0), so each term sums packed
+    a * U(exps + f), each computed once.
 
-    The terms come from one table of unit powers U(f) = prod (t + l_i)^f_i.
-    Each distinct generator P is, by its own partial-fraction digits, a
-    sum of a * U(f): the digit a of (t + l_j)^(-n) gives U(-n e_j), and
-    that of t^n gives U(n e_1), since ring_params sets l_1 = 0. So
-    U(exps) * P is the sum of a * U(exps + f), and the digits of each
-    U(exps + f) are computed once, for every exps vector and generator
-    that meets it.
-
-    half_step(state) keeps the letters whose exps has a positive first
-    nonzero entry: s^-1 has exps -s.exps, so if gens is closed under
-    inversion with no zero exps, as generators and subgroup_generators are,
-    that is one letter of each inverse pair, and each edge g -- g * s is
-    listed from one endpoint, as _induced_edges needs.
+    step(state) lists the states g * s in the order of gens, half_step(state)
+    only those of letters whose exps has a positive first nonzero entry: one
+    of each inverse pair if gens is closed under inversion with no zero exps,
+    so each edge is listed from one endpoint, as _induced_edges needs.
     """
     q = params.q
+    w = _field_width(q)
+    guard = w - 1
+    C = H = 0
     pool = {}  # one shared tuple per exps vector this step reaches
     distinct = {}  # each distinct generator P -> its index among them
     letters = [(s.exps, distinct.setdefault(s.P, len(distinct))) for s in gens]
@@ -200,6 +212,8 @@ def _word_step(params: RingParams, gens: tuple):
     half = [n for n, (sexps, _) in enumerate(letters) if sexps > (0,) * len(sexps)]
     one = rat_const(params, 1)
     units = LazyDict(lambda f: partial_fractions(_scale_by_monomial(one, f)))
+    # a * U(f) packed, once per unit power and digit a that the terms meet
+    scaled = LazyDict(lambda fa: _packed(params, [[fa[1] * v % q for v in part] for part in units[fa[0]]]))
     # each distinct P as the pieces (a, j, n) with P = sum of a * U(n e_j)
     sums = []
     for P in distinct:
@@ -210,18 +224,21 @@ def _word_step(params: RingParams, gens: tuple):
         )
 
     def term_of(exps, pieces):
-        out = ((),) * params.d
+        nonlocal C, H
+        out = 0
         for a, j, n in pieces:
             f = list(exps)
             f[j] += n
-            digits = units[tuple(f)]
-            if a != 1:
-                digits = tuple(tuple(a * v % q for v in part) for part in digits)
-            out = pf_add(out, digits, q)
+            t = scaled[tuple(f), a]
+            if t > H:  # t has more fields than H: widen C and H over them
+                ones = ((1 << -(-t.bit_length() // w) * w) - 1) // ((1 << w) - 1)
+                C, H = ((1 << guard) - q) * ones, ones << guard
+            s = out + t
+            out = s - q * (((s + C) & H) >> guard)
         return out
 
     def moves_of(exps):
-        # [(exps of g * s, digits of U(exps) * s.P) for s in gens], and the half letters' entries
+        # [(exps of g * s, U(exps) * s.P packed) for s in gens], and the half letters' entries
         terms = [term_of(exps, pieces) for pieces in sums]
         out = []
         for sexps, p in letters:
@@ -231,16 +248,16 @@ def _word_step(params: RingParams, gens: tuple):
 
     moves = LazyDict(moves_of)
 
-    def step(state):
-        exps, digits = state
-        return [(e, pf_add(digits, term, q)) for e, term in moves[exps][0]]
+    def stepper(which):
+        def step(state):
+            exps, x = state
+            return [(e, (s := x + t) - q * (((s + C) & H) >> guard)) for e, t in moves[exps][which]]
 
-    def half_step(state):
-        exps, digits = state
-        return [(e, pf_add(digits, term, q)) for e, term in moves[exps][1]]
+        return step
 
     start = identity(params)
-    return step, half_step, (pool.setdefault(start.exps, start.exps), partial_fractions(start.P))
+    start = (pool.setdefault(start.exps, start.exps), _packed(params, partial_fractions(start.P)))
+    return stepper(0), stepper(1), start
 
 
 def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
@@ -248,11 +265,9 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
 
     Returns the states in discovery order and their depths; edges, if
     given, gets the edge list as in _layered_bfs, the outer sphere's by
-    _word_step's half step. The ball takes the vertex budget, as the
-    isomorphic graph ball does. Edges are asked for only over generators
-    or subgroup_generators, whose exps at d = 2 are (+-k,), so the word
-    length is exps[0] / k mod 2 and, as in dlgraph._ball_search, no half
-    step is passed at d = 2.
+    _word_step's half step, and the ball takes the vertex budget. Edges are
+    asked for only over generators or subgroup_generators, whose exps at
+    d = 2 are (+-k,): the ball is bipartite, so no half step is passed.
     """
     step, half_step, start = _word_step(params, gens)
     if params.d == 2:
@@ -261,38 +276,40 @@ def _word_ball(params: RingParams, radius: int, gens: tuple, edges=None):
     return found, depths
 
 
-def _generated_word_ball(params: RingParams, radius: int, edges=None):
-    """_word_ball over generators(params), its size checked against the vertex budget first.
+def _check_word_ball(gp: GraphParams, radius: int) -> None:
+    """Refuse, before any letter is built, a word ball with Cayley graph DL(gp) over the budget.
 
-    A ball of D = d(d-1)q letters holds at most 1 + D + ... + D^radius
-    words, summed until it passes the budget, so no huge power is built.
-    Only past the budget is the ball counted exactly: the correspondence
-    carries it onto the graph ball of DL_d(q) sphere by sphere, so it holds
-    as many elements as the signature states within the radius stand for
-    (dlgraph._state_size at k = 1), and a _layered_bfs over those states
-    raises, before any word is walked, the BudgetError the word BFS would:
-    the same depth, with "elements". A custom or subgroup generating set is
-    checked inside its own BFS.
+    Its L letters, the degree of DL(gp), make at most 1 + L + ... + L^radius
+    words, summed with an early stop; past the budget, a _layered_bfs over
+    the signature states of the graph ball it maps onto raises the word
+    BFS's BudgetError. Last the letters are checked as a degree is
+    (_check_degree): a radius-0 ball walks none, but would build them all.
     """
     _check_radius(radius)
-    letters = params.d * (params.d - 1) * params.q
+    letters = expected_degree(gp)
     bound = term = 1
     for _ in range(radius):
         term *= letters
         bound += term
         if bound > dlgraph.DEFAULT_VERTEX_BUDGET:
             _layered_bfs(
-                ((0, 0),) * params.d, radius, partial(_state_moves, 1), "elements",
-                weight=partial(_state_size, params.q, 1),
+                ((0, 0),) * gp.d, radius, partial(_state_moves, gp.k), "elements",
+                weight=partial(_state_size, gp.q, gp.k),
             )
             break
+    _check_degree(gp)
+
+
+def _generated_word_ball(params: RingParams, radius: int, edges=None):
+    """_word_ball over generators(params), checked by _check_word_ball first."""
+    _check_word_ball(graph_params(params.d, params.q), radius)
     return _word_ball(params, radius, generators(params), edges)
 
 
 def _element(params: RingParams, state: tuple) -> GroupElement:
-    """The group element of a word-ball state (exps, partial-fraction digits)."""
-    exps, digits = state
-    return GroupElement(params, exps, from_partial_fractions(params, digits))
+    """The group element of a word-ball state (exps, packed partial-fraction digits)."""
+    exps, x = state
+    return GroupElement(params, exps, from_partial_fractions(params, _digits(params, x)))
 
 
 def cayley_ball(
@@ -310,13 +327,7 @@ def cayley_ball(
     found = [_element(params, state) for state in found]
     keys = [element_key(g) for g in found]
     order, _ = _key_order(keys)
-    return CayleyBall(
-        params=params,
-        radius=radius,
-        elements=tuple(found[i] for i in order),
-        keys=tuple(keys[i] for i in order),
-        depths=tuple(depths[i] for i in order),
-    )
+    return CayleyBall(params, radius, *(tuple(col[i] for i in order) for col in (found, keys, depths)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +335,19 @@ def cayley_ball(
 
 
 def _image_reader(params: RingParams):
-    """The correspondence as a function of a word-ball state: read(exps, digits).
+    """The correspondence as a function of a word-ball state: read(exps, x).
 
+    Each place's partial-fraction digits are read off x's bytes (_places).
     At finite place i the expansion of P in s = t + l_i splits at exponent
-    0. Below it the digits are P's own partial-fraction digits at place i,
-    read as they are. From 0 up they are the sum, mod q, of the regular
-    expansions at place i of the other places' terms (t + l_j)^(-n) and of
-    the polynomial part's t^n, weighted by their digits. At the place at
-    infinity the split falls between exponents 0 and 1: up to 0 the digits
-    are the polynomial's own, and above it the expansions of the terms
-    (t + l_j)^(-n). Each basis expansion comes from expand_local once per
-    (place, term, top exponent), in a table that lives as long as the
-    reader, and is kept as its nonzero (position, digit) pairs, so a read
-    adds only those (at d = 2 every basis term is a single digit). The
-    cutoffs are read when the reader is made.
+    0: below it the digits are P's own at place i, from 0 up the sum mod q
+    of the regular expansions at i of the other places' terms (t + l_j)^(-n)
+    and t^n, weighted by their digits. At infinity the split falls between
+    0 and 1: up to 0 the digits are the polynomial part's, above it the
+    expansions of the terms (t + l_j)^(-n). Each basis expansion is kept,
+    as its nonzero (position, digit) pairs, for the reader's lifetime.
     """
     q, d = params.q, params.d
+    w = _field_width(q)
     gp = graph_params(d, q, 1)
     cut = correspondence_cutoffs(d)
     first = (0,) * (d - 1) + (1,)  # the lowest regular exponent of each place
@@ -357,18 +365,19 @@ def _image_reader(params: RingParams):
 
     basis = LazyDict(expansion)
 
-    def read(exps: tuple, digits: tuple) -> DLVertex:
+    def read(exps: tuple, x: int) -> DLVertex:
+        digits = _places(x, w, d)
         levels = exps + (-sum(exps),)
         coords = []
         for i, own in enumerate(digits):
             lvl, c, lo = levels[i], cut[i], first[i]
             hi = lvl + c
-            # own[m] sits at exponent lo - 1 - m; tree indices ascend as m falls
-            out = [
-                (lo - 1 - m - c, own[m])
-                for m in range(len(own) - 1, max(lo - 1 - hi, 0) - 1, -1)
-                if own[m]
-            ]
+            # own[m] sits at tree index top - m; loops beat comprehensions here
+            top = lo - 1 - c
+            out = []
+            for m in range(len(own) - 1, max(lo - 1 - hi, 0) - 1, -1):
+                if own[m]:
+                    out.append((top - m, own[m]))
             if hi >= lo:
                 acc = [0] * (hi - lo + 1)
                 for j, part in enumerate(digits):
@@ -377,7 +386,9 @@ def _image_reader(params: RingParams):
                             if a:
                                 for e, y in basis[i, j, m, hi]:
                                     acc[e] += a * y
-                out += [(e - c, v) for e, x in enumerate(acc, lo) if (v := x % q)]
+                for e, t in enumerate(acc, lo - c):
+                    if t % q:
+                        out.append((e, t % q))
             # the indices are distinct, ascending and at most lvl, the values
             # in 1..q-1, and the levels sum to 0: a valid vertex of DL_d(q)
             coords.append(TreeVertex(lvl, tuple(out)))
@@ -389,13 +400,11 @@ def _image_reader(params: RingParams):
 def correspond(params: RingParams, g: GroupElement) -> DLVertex:
     """Image of a group element in DL_d(q) under the digit correspondence.
 
-    Place i < d gets the expansion digits of P in s = t + l_i strictly
-    below the cutoff exponent exps_i, the place at infinity those in
-    u = 1/t up to -sum(exps), each at its tree index (exponent minus the
-    place's cutoff offset). They are read off P's partial-fraction digits
-    by _image_reader.
+    Place i < d gets the expansion digits of P in s = t + l_i below the
+    cutoff exponent exps_i, the place at infinity those in u = 1/t up to
+    -sum(exps), each at its tree index; _image_reader reads them.
     """
-    return _image_reader(params)(g.exps, partial_fractions(g.P))
+    return _image_reader(params)(g.exps, _packed(params, partial_fractions(g.P)))
 
 
 class CorrespondenceReport(NamedTuple):
@@ -415,16 +424,12 @@ def validate_correspondence(params: RingParams, radius: int) -> CorrespondenceRe
     The image map must be injective and land in the graph ball with word
     length equal to graph depth, and it must carry the Cayley ball's edges
     (generator moves between its elements) exactly onto the graph ball's
-    edges. At d >= 3 both list those within the outer sphere by one
-    _induced_edges pass with a half step; at d = 2 both balls are bipartite
-    by depth, hold none there and skip that pass. Each image is read
-    straight off the word-ball state by one _image_reader; an element is
-    converted to its normal form only to be named in a failure message.
-
-    The graph side is read off one _ball_search over coordinate tuples:
-    its ids, depths and edges, each edge of ids a < b as the int a * n + b.
-    Vertex keys are built only to name graph edges with no preimage, and
-    those are listed in key order, as a keyed ball lists its edges.
+    edges; at d = 2 both balls are bipartite by depth and hold no edge
+    within the outer sphere. Each image is read off the word-ball state by
+    one _image_reader; an element becomes a normal form only to be named in
+    a failure. The graph side is one _ball_search over coordinate tuples,
+    each edge of ids a < b kept as a * n + b. Vertex keys only name graph
+    edges with no preimage, listed in key order as a keyed ball's edges are.
     """
     cayley_ends = array("q")
     found, depths = _generated_word_ball(params, radius, cayley_ends)
@@ -504,7 +509,7 @@ def coset_index(g: GroupElement, k: int) -> int:
 
 
 def _generating_set(params: RingParams, k: int) -> "tuple[GroupElement, ...]":
-    """The index-k generating set with inverses, in key order.
+    """The index-k generating set with inverses, in key order, one letter per edge of a DL_d^k(q) vertex.
 
     Three families: k-fold products of first-place generators; products of
     k1 ratio generators (first place against a later one) followed by k - k1
@@ -531,21 +536,22 @@ def _generating_set(params: RingParams, k: int) -> "tuple[GroupElement, ...]":
     for i in range(2, d):
         for b in range(q):
             add(gen_first(params, i, b))
-    for i in range(2, d):
-        for j in range(2, d):
-            if i != j:
-                for b in range(q):
+            for j in range(2, d):
+                if i != j:
                     add(gen_ratio(params, i, j, b))
-    return tuple(out[kk] for kk in sorted(out))
+    gens = tuple(out[kk] for kk in sorted(out))
+    expected = expected_degree(graph_params(d, q, k))
+    if len(gens) != expected:
+        raise AssertionError(f"generator count {len(gens)} != {expected}")
+    return gens
 
 
 def subgroup_generators(params: RingParams, k: int) -> "tuple[GroupElement, ...]":
     """Generators of the index-k subgroup, closed under inversion."""
     _check_index(k)
     gens = _generating_set(params, k)
-    for el in gens:
-        if not subgroup_membership(el, k):
-            raise AssertionError("subgroup generator fails membership")
+    if not all(subgroup_membership(el, k) for el in gens):
+        raise AssertionError("subgroup generator fails membership")
     return gens
 
 
@@ -563,10 +569,14 @@ def index_check(params: RingParams, k: int) -> "tuple[set, int, bool]":
     product of at most 3 subgroup generators. B_3 = B_2 ∪ B_2·S and S is
     closed under inversion, so a positive g is covered iff g or some g·s
     lies in the depth-2 subgroup ball; the g·s come from that ball's own
-    step. No state becomes a normal form.
+    step. No state becomes a normal form. Both balls are checked before
+    either is walked, the ambient one first; the subgroup's graph is DL_d^k(q).
     """
     _check_index(k)
-    found, depths = _generated_word_ball(params, max(k, 3))
+    radius = max(k, 3)
+    _check_word_ball(graph_params(params.d, params.q), radius)
+    _check_word_ball(graph_params(params.d, params.q, k), 2)
+    found, depths = _generated_word_ball(params, radius)
     cosets = {exps[0] % k for (exps, _), dep in zip(found, depths) if dep <= k}
     positives = [st for st, dep in zip(found, depths) if dep <= 3 and st[0][0] % k == 0]
     step, _, start = _word_step(params, subgroup_generators(params, k))

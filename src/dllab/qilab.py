@@ -568,8 +568,11 @@ def preimage_count(imap: InteriorMap, x: DLVertex) -> int:
     The map preserves heights and acts coordinatewise, so the fiber is a
     product over coordinates: vertices y_i at level h_i whose zero-fill
     stream lands in the clone of x_i.  Those are counted clone by clone
-    over the exact preimage decomposition.
+    over the exact preimage decomposition. A vertex of another graph is
+    refused, as psi_apply refuses it.
     """
+    if x.params != imap.params:
+        raise ValueError("vertex and map live in different graphs")
     total = 1
     for m, coord in zip(imap.maps, x.coords):
         total *= _clone_fiber_count(m, coord, coord.level)

@@ -11,6 +11,8 @@ map itself is `enumerative_umap` in `test_qilab.py`); and the fiber of
 an interior map as an explicit vertex list, beside the counts of
 `qilab.preimage_count`; the group correspondence by expanding each element
 at every place, beside the digit reader of `group._image_reader`; the
+partial-fraction digits of a sum added place by place with `padd`, beside
+the packed carry-free add of `group._word_step`; the
 correspondence check on a keyed, key-sorted graph ball, beside the
 coordinate-tuple search that `group.validate_correspondence` reads; and the
 index-k checks on normal-form elements, with a `multiply` and a key per
@@ -33,7 +35,7 @@ from fractions import Fraction
 from functools import partial
 
 from dllab import group
-from dllab.algebra import expand_local, valuation
+from dllab.algebra import expand_local, padd, valuation
 from dllab.dlgraph import (
     DEFAULT_VERTEX_BUDGET,
     Box,
@@ -219,6 +221,17 @@ def preimage_vertices(imap, x) -> list:
     for combo in itertools.product(*per_coord):
         out.append(dl_vertex(imap.params, combo))
     return out
+
+
+def pf_add(x: tuple, y: tuple, q: int) -> tuple:
+    """Partial-fraction digits of a + b from those of a and b: place-wise padd."""
+    if len(x) != len(y):
+        raise ValueError(f"digits of different rings: {len(x)} places against {len(y)}")
+    out = list(x)
+    for i, v in enumerate(y):
+        if v:
+            out[i] = padd(out[i], v, q) if out[i] else v
+    return tuple(out)
 
 
 def correspond_by_expansion(params, g, cut=None):

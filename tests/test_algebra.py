@@ -21,7 +21,6 @@ from dllab.algebra import (
     peval,
     pmul,
     pmul_linear,
-    pf_add,
     pneg,
     pshift_var,
     ptrim,
@@ -37,6 +36,8 @@ from dllab.algebra import (
     series_mul,
     valuation,
 )
+
+from oracles import pf_add
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from itertools import combinations, product
 import pytest
 
 from dllab import dlgraph, group
-from dllab.algebra import partial_fractions, rat_zero, rational, ring_params
+from dllab.algebra import RingParams, partial_fractions, ptrim, rat_zero, rational, ring_params
 from dllab.dlgraph import (
     BudgetError,
     DLVertex,
@@ -22,6 +22,7 @@ from dllab.dlgraph import (
     base_vertex,
     dl_key,
     edge_pairs,
+    expected_degree,
     graph_params,
     sphere_sizes,
 )
@@ -47,6 +48,7 @@ from oracles import (
     correspond_by_expansion,
     dl_adjacent,
     index_check_by_elements,
+    pf_add,
     validate_correspondence_by_ball,
 )
 
@@ -343,7 +345,6 @@ def test_word_step_terms_match_scaled_generators(d, q):
     # each listed term is the digits of U(exps) * s.P, on every exps vector
     # a radius-2 ball steps from: the step from (exps, 0) lists the terms
     p = ring_params(q, d)
-    zero = ((),) * d
     sets = [generators(p)] + [subgroup_generators(p, k) for k in (1, 2, 3)]
     for gens in sets:
         moves = {(0,) * (d - 1)} | {s.exps for s in gens}
@@ -354,7 +355,7 @@ def test_word_step_terms_match_scaled_generators(d, q):
                 (tuple(a + b for a, b in zip(exps, s.exps)), partial_fractions(group._scale_by_monomial(s.P, exps)))
                 for s in gens
             ]
-            assert step((exps, zero)) == want, exps
+            assert [(e, group._digits(p, x)) for e, x in step((exps, 0))] == want, exps
 
 
 # (d, q, k, radius): balls of 55 to 2,016 elements
@@ -401,7 +402,7 @@ def test_digit_word_ball_matches_multiply(d, q, k, radius):
     found, depths, edges = multiply_word_ball(p, radius, gens)
     got_ends = []
     states, got_depths = group._word_ball(p, radius, gens, got_ends)
-    assert states == [(g.exps, partial_fractions(g.P)) for g in found]
+    assert [(exps, group._digits(p, x)) for exps, x in states] == [(g.exps, partial_fractions(g.P)) for g in found]
     assert [group._element(p, st) for st in states] == found
     assert got_depths == depths
     # the outer sphere's edges come in another order, each listed once
@@ -409,6 +410,67 @@ def test_digit_word_ball_matches_multiply(d, q, k, radius):
     cb = cayley_ball(p, radius, gens=gens)
     assert cb.keys == tuple(sorted(element_key(g) for g in found))
     assert [element_key(g) for g in cb.elements] == list(cb.keys)
+
+
+# packed states: q = 61 is the last prime whose fields fit in one byte, q = 67 the first that needs two
+EDGE_QS = [61, 67]
+
+
+def test_field_width_holds_a_digit_sum_and_a_guard_bit():
+    assert [group._field_width(q) for q in (2, 3, 61, 67, 131)] == [8, 8, 8, 16, 16]
+    for q in list(range(2, 300)) + [2**15 + 3, 2**31 - 1, 2**61 - 1, 2**89 - 1]:
+        w = group._field_width(q)
+        size = w // 8
+        assert w % 8 == 0 and size & (size - 1) == 0, q
+        # 2q - 2 and a guard bit fit, and half the bytes would not hold them
+        assert (2 * q - 2).bit_length() + 1 <= w, q
+        assert w == 8 or (2 * q - 2).bit_length() + 1 > w // 2, q
+
+
+@pytest.mark.parametrize("q", [2, 3, 61, 67, 32771, 2**61 - 1, 2**89 - 1])
+def test_packed_digits_round_trip(q):
+    # 1-byte fields are read as bytes and 2-, 4-, 8- and 16-byte fields one
+    # int each; each place's digits come back trimmed
+    rng = random.Random(q)
+    for d in (2, 3, 4):
+        p = RingParams(q=q, d=d, l=tuple(range(d - 1)))
+        for _ in range(40):
+            digits = tuple(ptrim(rng.randrange(q) for _ in range(rng.randint(0, 7))) for _ in range(d))
+            x = group._packed(p, digits)
+            assert group._digits(p, x) == digits
+            assert x.bit_length() <= group._field_width(q) * d * max(map(len, digits), default=0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 61, 67, 131])
+def test_packed_add_matches_pf_add(q):
+    # a product adds the term U(exps) * s.P to the state's digits; the
+    # carry-free add on packed ints must give pf_add's digits, on random
+    # states longer and shorter than the terms, at random exps vectors
+    rng = random.Random(q)
+    for d in (2, 3):
+        p = ring_params(q, d)
+        step, _, _ = group._word_step(p, generators(p))
+        for _ in range(12):
+            exps = tuple(rng.randint(-3, 3) for _ in range(d - 1))
+            digits = tuple(ptrim(rng.randrange(q) for _ in range(rng.randint(0, 9))) for _ in range(d))
+            terms = [group._digits(p, t) for _, t in step((exps, 0))]
+            got = [group._digits(p, x) for _, x in step((exps, group._packed(p, digits)))]
+            assert got == [pf_add(digits, t, q) for t in terms], exps
+
+
+@pytest.mark.parametrize("q", EDGE_QS)
+def test_word_ball_at_the_field_width_edge_matches_multiply(q):
+    # the radius-2 ball over 2q letters: states, depths and elements as the
+    # multiply BFS finds them, and each image as expansion reads it
+    p = ring_params(q, 2)
+    gens = generators(p)
+    found, _, depths = _layered_bfs(identity(p), 2, lambda g: [multiply(g, s) for s in gens], "elements")
+    states, got_depths = group._word_ball(p, 2, gens)
+    assert [(exps, group._digits(p, x)) for exps, x in states] == [(g.exps, partial_fractions(g.P)) for g in found]
+    assert [group._element(p, st) for st in states] == found
+    assert got_depths == depths
+    read = group._image_reader(p)
+    assert all(read(*st) == correspond_by_expansion(p, g) for st, g in zip(states, found))
 
 
 @pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
@@ -568,6 +630,81 @@ def test_word_ball_under_its_closed_form_bound_is_not_counted(monkeypatch):
             run()
 
 
+def test_word_ball_checks_its_letters_before_building_them(monkeypatch):
+    # a radius-0 ball walks no letter, but generators would build all
+    # d(d-1)q of them: they are checked against the vertex budget first, by
+    # the rule a graph vertex's degree is (dlgraph._check_degree)
+    def refuse(params):
+        raise AssertionError("the letters were built")
+
+    with monkeypatch.context() as m:
+        m.setattr(group, "generators", refuse)
+        p = ring_params(1000003, 2)
+        for run in (lambda: cayley_ball(p, 0), lambda: validate_correspondence(p, 0)):
+            with pytest.raises(BudgetError, match=r"^vertex has 2000006 neighbours, budget 500000$"):
+                run()
+    p = ring_params(2, 2)
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 3)
+    with pytest.raises(BudgetError, match=r"^vertex has 4 neighbours, budget 3$"):
+        cayley_ball(p, 0)
+    monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", 4)
+    assert sphere_sizes(cayley_ball(p, 0)) == (1,)
+
+
+@pytest.mark.parametrize("d,q,k", list(product((2, 3), (2, 3), (1, 2, 3))))
+def test_subgroup_ball_is_counted_as_the_index_k_graph_ball(monkeypatch, d, q, k):
+    # the depth-2 subgroup ball has the spheres of the DL_d^k(q) ball, so
+    # _check_word_ball's count of its signature states passes the budget
+    # exactly when the word BFS would, at the same depth and with its text
+    p = ring_params(q, d)
+    gp = graph_params(d, q, k)
+    gens = subgroup_generators(p, k)
+    _, depths = group._word_ball(p, 2, gens)
+    spheres = tuple(map(depths.count, range(3)))
+    assert spheres == sphere_sizes(ball(base_vertex(gp), 2))
+    group._check_word_ball(gp, 2)
+    for budget in (spheres[0] + spheres[1] - 1, len(depths) - 1, len(depths)):
+        monkeypatch.setattr(dlgraph, "DEFAULT_VERTEX_BUDGET", budget)
+        outcomes = []
+        for run in (lambda: group._check_word_ball(gp, 2), lambda: group._word_ball(p, 2, gens)):
+            try:
+                run()
+                outcomes.append(None)
+            except BudgetError as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1], budget
+        assert (outcomes[0] is None) == (budget == len(depths)), budget
+
+
+@pytest.mark.parametrize("k", range(9, 16))
+def test_index_check_sizes_the_subgroup_ball_before_any_word(monkeypatch, k):
+    # 2^(k+1) subgroup letters make a depth-2 ball over the budget: it is
+    # refused before the subgroup generators are built or any word walked,
+    # with the text its word BFS would raise
+    def refuse(*args):
+        raise AssertionError("a generator was built or a word walked")
+
+    monkeypatch.setattr(group, "subgroup_generators", refuse)
+    monkeypatch.setattr(group, "_word_step", refuse)
+    message = r"^ball of radius 2 exceeds budget 500000: 500001 elements reached at depth 2$"
+    with pytest.raises(BudgetError, match=message):
+        group.index_check(ring_params(2, 2), k)
+
+
+def test_index_check_under_its_closed_form_bounds_is_not_counted(monkeypatch):
+    # the benchmark's index suites: at most L = 28 subgroup letters, so at
+    # most 1 + L + L^2 = 813 words at depth 2, and an ambient ball within
+    # its own bound, so no signature state is counted
+    def refuse(*args, **kwargs):
+        raise AssertionError("a signature state was counted")
+
+    monkeypatch.setattr(group, "_state_size", refuse)
+    for d, q, k in [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)]:
+        assert expected_degree(graph_params(d, q, k)) <= 28
+        cosets, positives, covered = group.index_check(ring_params(q, d), k)
+        assert cosets == set(range(k)) and positives > 0 and covered
+
+
 def test_word_ball_refuses_bool_and_non_int_radius():
     p = ring_params(2, 2)
     for radius in (True, 2.0, -1):
@@ -721,6 +858,19 @@ def test_subgroup_generators_d3():
     assert any(g.exps == (0, 1) for g in gens)
     # and some mixed product must trade first against second place
     assert any(g.exps[0] == 2 and g.exps[1] < 0 for g in gens)
+
+
+def test_generating_sets_have_the_degree_of_their_graph(monkeypatch):
+    # one letter per neighbour of a DL_d^k(q) vertex, the count that
+    # _check_word_ball sizes a word ball by; a set of another size is refused
+    for d, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        p = ring_params(q, d)
+        for k in (1, 2, 3):
+            assert len(subgroup_generators(p, k)) == expected_degree(graph_params(d, q, k))
+    monkeypatch.setattr(group, "expected_degree", lambda gp: 0)
+    for run in (lambda: generators(ring_params(2, 2)), lambda: subgroup_generators(ring_params(2, 2), 2)):
+        with pytest.raises(AssertionError, match="^generator count [0-9]+ != 0$"):
+            run()
 
 
 def test_subgroup_words_cover_small_ball():

@@ -538,6 +538,15 @@ class TestInteriorMaps:
                 psi_apply(im, dlgraph.base_vertex(other))
         assert psi_apply(im, dlgraph.base_vertex(p)) == dlgraph.base_vertex(p)
 
+    def test_preimage_count_refuses_a_vertex_from_another_graph(self):
+        # a vertex of DL_2(3) or DL_2^2(2) once got a count of 2 from a DL_2(2) map
+        p, _ = self.box()
+        im = interior_map(p, (shift_map(2, 1), identity_map(2)))
+        for other in (graph_params(2, 3), graph_params(2, 2, 2)):
+            with pytest.raises(ValueError, match="^vertex and map live in different graphs$"):
+                preimage_count(im, dlgraph.base_vertex(other))
+        assert preimage_count(im, dlgraph.base_vertex(p)) == 2
+
     def test_heights_preserved(self):
         p, box = self.box()
         im = self.lift_lower()
